@@ -428,6 +428,41 @@ let test_net_enabled_determinism_across_jobs () =
   let reports jobs = Run_result.reports_exn (Runner.run_all ~jobs specs) in
   Alcotest.(check bool) "-j 1 == -j 4" true (reports 1 = reports 4)
 
+(* The byte-level oracle for the net path: the same run as
+     pdht simulate --peers 200 --keys 300 --duration 240 --latency 0.02
+       --loss 0.1 --rpc-timeout 0.5 --rpc-retries 2
+       --churn weibull:up=600:down=200:shape=0.6 --bucket-refresh 30
+   which drives every rung of the retry ladder (retries and final
+   timeouts) and the live-routing probes. *)
+let test_lossy_run_matches_golden () =
+  let scenario =
+    {
+      Scenario.news_default with
+      Scenario.num_peers = 200;
+      keys = 300;
+      duration = 240.;
+      churn =
+        Scenario.Sessions
+          (Result.get_ok (Pdht_dist.Session.of_string "weibull:up=600:down=200:shape=0.6"));
+    }
+  in
+  let net =
+    { Config.default with
+      Config.latency = Config.Constant 0.02; loss = 0.1; rpc_timeout = 0.5; rpc_retries = 2 }
+  in
+  let options =
+    System.Options.make ~repl:20 ~stor:100 ~backend:Pdht_dht.Dht.Kademlia_backend ~net
+      ~bucket_refresh:30. ()
+  in
+  let strategy =
+    Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options }
+  in
+  let report =
+    Runner.run_all [ Run_spec.make ~strategy ~options scenario ]
+    |> List.hd |> snd |> Run_result.report_exn
+  in
+  Golden.check "lossy_net_report.txt" (Format.asprintf "%a@." System.pp_report report)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism properties: Popularity_shift / Rate_profile scenarios
    under Runner.run_all with a net-enabled spec (satellite task). *)
@@ -528,6 +563,7 @@ let () =
             test_zero_cost_net_equivalence;
           Alcotest.test_case "net-enabled batch identical across jobs" `Slow
             test_net_enabled_determinism_across_jobs;
+          Alcotest.test_case "lossy run matches golden" `Slow test_lossy_run_matches_golden;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -15,43 +15,11 @@ module Storage = Pdht_dht.Storage
 module Kademlia = Pdht_dht.Kademlia
 module Experiment = Pdht_core.Experiment
 
-(* Under [dune runtest] the cwd is the test directory (the golden file
-   arrives via the dune deps glob); a bare [dune exec test/test_scale.exe]
-   runs from the project root. *)
-let golden_path =
-  if Sys.file_exists "golden/representation_reports.txt" then
-    "golden/representation_reports.txt"
-  else "test/golden/representation_reports.txt"
-
 (* Render once; the golden diff and the -j equality both read it. *)
 let battery_j1 = lazy (Experiment.render_reports (Experiment.representation_battery ~jobs:1 ()))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let test_battery_matches_golden () =
-  let golden = read_file golden_path in
-  let current = Lazy.force battery_j1 in
-  if not (String.equal golden current) then (
-    (* A full diff of two ~200-line reports is unreadable in a test
-       failure; point at the first divergent line instead. *)
-    let gl = String.split_on_char '\n' golden in
-    let cl = String.split_on_char '\n' current in
-    let rec first_diff i = function
-      | g :: gs, c :: cs -> if String.equal g c then first_diff (i + 1) (gs, cs) else Some (i, g, c)
-      | [], [] -> None
-      | g :: _, [] -> Some (i, g, "<missing>")
-      | [], c :: _ -> Some (i, "<missing>", c)
-    in
-    match first_diff 1 (gl, cl) with
-    | None -> Alcotest.fail "length mismatch"
-    | Some (line, g, c) ->
-        Alcotest.failf
-          "battery diverges from %s at line %d:\n  golden:  %s\n  current: %s"
-          golden_path line g c)
+  Golden.check "representation_reports.txt" (Lazy.force battery_j1)
 
 let test_battery_jobs_invariant () =
   let j4 = Experiment.render_reports (Experiment.representation_battery ~jobs:4 ()) in

@@ -112,6 +112,14 @@ dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 120 \
 dune exec tools/validate_jsonl.exe -- "$out/net-metrics.jsonl" "$out/net-trace.jsonl"
 grep -q '"cat":"net"' "$out/net-trace.jsonl"
 grep -q 'net: sent=' "$out/net-report.txt"
+# Byte-level anchor for the net path: a lossy, churning, live-routing
+# run exercises every rung of the RPC retry ladder and is pinned
+# against a golden rendering.
+dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
+  --latency 0.02 --loss 0.1 --rpc-timeout 0.5 --rpc-retries 2 \
+  --churn weibull:up=600:down=200:shape=0.6 --bucket-refresh 30 \
+  > "$out/lossy-report.txt"
+diff "$out/lossy-report.txt" test/golden/lossy_net_report.txt
 # And with fault injection on: the fault trace events must be present
 # and well-formed, the report must carry the fault block, and the
 # repair counters must be live.
