@@ -234,7 +234,7 @@ let create ?obs ?net ?store rng config =
       stores;
       store;
       replica_nets = Hashtbl.create (min keys 4096);
-      metrics = Metrics.create ();
+      metrics = Metrics.create obs.Obs.registry;
       obs;
       ins = make_instruments obs ~backend:config.Config.backend;
       net;
@@ -251,9 +251,6 @@ let create ?obs ?net ?store rng config =
       policy = None;
     }
   in
-  (* Tee per-category message counts into the registry so exported
-     counters always agree with [Metrics.total]. *)
-  Metrics.attach_registry t.metrics obs.Obs.registry;
   (* The index-everything baseline starts with the full index in place:
      every key on every member of its replica group. *)
   (match config.Config.strategy with

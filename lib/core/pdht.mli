@@ -56,8 +56,8 @@ val create :
     [broadcast.reach] and [gossip.rounds] histograms, counters
     [index.hit]/[index.miss]/[index.ttl_reset]/[index.insert]/
     [dht.lookup_failures]/[broadcast.searches]/[broadcast.found]/
-    [gossip.spreads], the per-category [messages.*] counters teed from
-    {!Pdht_sim.Metrics}, and — when the tracer is enabled — typed
+    [gossip.spreads], the per-category [messages.*] counters that are
+    the {!Pdht_sim.Metrics} ledger, and — when the tracer is enabled — typed
     [Query]/[Dht_lookup]/[Replica_flood]/[Broadcast]/[Index_insert]/
     [Ttl_reset]/[Gossip] events.  Operations the tracer samples (see
     {!Pdht_obs.Tracer.set_sampling}) additionally carry causal span

@@ -23,7 +23,7 @@ type live = {
   clen : int array array;
   touched : bool array array; (* contact since the last refresh sweep *)
   range_nonempty : bool array array; (* does anyone live in this range *)
-  probe_retries : int; (* dead-probe retry ladder (Rpc_machine schedule) *)
+  probe_retries : int; (* a dead probe costs 1 + probe_retries messages *)
   mutable pending_probe_cost : int; (* contact-driven probes, undrained *)
   mutable probes : int;
   mutable probe_messages : int;

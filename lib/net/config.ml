@@ -69,9 +69,8 @@ let validate t =
 
 let attempts t = 1 + t.rpc_retries
 
-let timeout_for_attempt t ~attempt =
-  if attempt < 0 then invalid_arg "Config.timeout_for_attempt: negative attempt";
-  t.rpc_timeout *. (t.backoff ** float_of_int attempt)
+let rpc t =
+  { Pdht_proto.Rpc_machine.timeout = t.rpc_timeout; retries = t.rpc_retries; backoff = t.backoff }
 
 let latency_to_string = function
   | Constant s -> Printf.sprintf "constant:%g" s

@@ -56,9 +56,9 @@ val attempts : t -> int
     discovering a dead peer, which the live routing tables' liveness
     probes mirror ({!Pdht_dht.Kademlia.enable_live_routing}). *)
 
-val timeout_for_attempt : t -> attempt:int -> float
-(** [rpc_timeout *. backoff ^ attempt] — how long the caller waits
-    before declaring attempt [attempt] (0-based) lost. *)
+val rpc : t -> Pdht_proto.Rpc_machine.config
+(** The retry ladder these fields describe: attempt [k] (0-based) waits
+    [rpc_timeout *. backoff ^ k] before it counts as lost. *)
 
 val latency_of_string : string -> (latency, string) result
 (** Parses the CLI syntax: a bare float is [Constant]; otherwise

@@ -3,12 +3,19 @@ module Obs = Pdht_obs.Context
 module Registry = Pdht_obs.Registry
 module Tracer = Pdht_obs.Tracer
 module Event = Pdht_obs.Event
+module Rpc_machine = Pdht_proto.Rpc_machine
 
 type t = {
   rng : Rng.t;
   link : Link_model.t;
-  config : Config.t;
-  stats : Stats.t;
+  rpc : Rpc_machine.config;
+  (* [net.*] instruments, resolved once per run instead of one registry
+     hash probe per message. *)
+  c_sent : Registry.counter;
+  c_dropped : Registry.counter;
+  c_retried : Registry.counter;
+  c_timed_out : Registry.counter;
+  latency_hist : Pdht_obs.Histogram.t;
   tracer : Tracer.t;
   mutable clock : float; (* virtual seconds into the current operation *)
   mutable op_start : float; (* simulated time the operation began *)
@@ -16,19 +23,24 @@ type t = {
 
 let create ?obs ~rng config =
   let obs = match obs with Some o -> o | None -> Obs.create () in
+  let r = obs.Obs.registry in
   let link = Link_model.create config in
   {
     rng;
     link;
-    config = Link_model.config link;
-    stats = Stats.create obs.Obs.registry;
+    rpc = Config.rpc (Link_model.config link);
+    c_sent = Registry.counter r "net.messages_sent";
+    c_dropped = Registry.counter r "net.messages_dropped";
+    c_retried = Registry.counter r "net.messages_retried";
+    c_timed_out = Registry.counter r "net.messages_timed_out";
+    (* Milliseconds, not seconds: the histogram's geometric buckets
+       start at 1, so every sub-second sample would collapse into the
+       single [0,1) bucket and the quantiles would degenerate to 0.5. *)
+    latency_hist = Registry.histogram r "net.query_latency_ms";
     tracer = obs.Obs.tracer;
     clock = 0.;
     op_start = 0.;
   }
-
-let config t = t.config
-let stats t = t.stats
 
 let begin_op t ~now =
   t.clock <- 0.;
@@ -54,9 +66,9 @@ let trace t ?(parent = -1) ~src ~dst ~attempt ~dropped ~detail () =
   end
 
 let cast ?span:parent t ~src ~dst =
-  Registry.incr t.stats.Stats.c_sent 1;
+  Registry.incr t.c_sent 1;
   if Link_model.drops t.link t.rng ~src ~dst ~now:(now t) then begin
-    Registry.incr t.stats.Stats.c_dropped 1;
+    Registry.incr t.c_dropped 1;
     trace t ?parent ~src ~dst ~attempt:0 ~dropped:true ~detail:"send" ();
     false
   end
@@ -66,9 +78,9 @@ let cast ?span:parent t ~src ~dst =
    sample only when the leg survives (stream economy: a zero-loss
    constant-latency config draws nothing at all). *)
 let leg t ~src ~dst =
-  Registry.incr t.stats.Stats.c_sent 1;
+  Registry.incr t.c_sent 1;
   if Link_model.drops t.link t.rng ~src ~dst ~now:(now t) then begin
-    Registry.incr t.stats.Stats.c_dropped 1;
+    Registry.incr t.c_dropped 1;
     false
   end
   else begin
@@ -77,29 +89,29 @@ let leg t ~src ~dst =
   end
 
 let rpc ?span:parent t ~src ~dst =
-  let retries = t.config.Config.rpc_retries in
-  let rec attempt k =
-    if k > 0 then Registry.incr t.stats.Stats.c_retried 1;
-    let before = t.clock in
-    let ok = leg t ~src ~dst && leg t ~src:dst ~dst:src in
-    if ok then begin
-      trace t ?parent ~src ~dst ~attempt:k ~dropped:false ~detail:"rpc" ();
-      true
-    end
-    else begin
-      (* A lost leg costs the attempt's full timeout; any latency the
-         surviving first leg charged is subsumed by it. *)
-      t.clock <- before +. Config.timeout_for_attempt t.config ~attempt:k;
-      trace t ?parent ~src ~dst ~attempt:k ~dropped:true ~detail:"rpc" ();
-      if k < retries then attempt (k + 1)
-      else begin
-        Registry.incr t.stats.Stats.c_timed_out 1;
-        trace t ?parent ~src ~dst ~attempt:k ~dropped:true ~detail:"timeout" ();
-        false
-      end
-    end
+  let reply =
+    Rpc_machine.call t.rpc (fun ~attempt ~timeout ->
+        if attempt > 0 then Registry.incr t.c_retried 1;
+        let before = t.clock in
+        if leg t ~src ~dst && leg t ~src:dst ~dst:src then begin
+          trace t ?parent ~src ~dst ~attempt ~dropped:false ~detail:"rpc" ();
+          Some ()
+        end
+        else begin
+          (* A lost leg costs the attempt's full timeout; any latency the
+             surviving first leg charged is subsumed by it. *)
+          t.clock <- before +. timeout;
+          trace t ?parent ~src ~dst ~attempt ~dropped:true ~detail:"rpc" ();
+          None
+        end)
   in
-  attempt 0
+  match reply with
+  | Some () -> true
+  | None ->
+      Registry.incr t.c_timed_out 1;
+      trace t ?parent ~src ~dst ~attempt:t.rpc.Rpc_machine.retries ~dropped:true
+        ~detail:"timeout" ();
+      false
 
 let advance_rounds t n =
   if n < 0 then invalid_arg "Hook.advance_rounds: negative rounds";
@@ -107,6 +119,4 @@ let advance_rounds t n =
     t.clock <- t.clock +. Link_model.sample_latency t.link t.rng
   done
 
-let record_latency t =
-  (* Histogram unit is milliseconds — see the note in [Stats.create]. *)
-  Pdht_obs.Histogram.record t.stats.Stats.latency_hist (t.clock *. 1000.)
+let record_latency t = Pdht_obs.Histogram.record t.latency_hist (t.clock *. 1000.)

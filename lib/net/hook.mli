@@ -1,4 +1,5 @@
-(** Delivery-cost hook for the synchronous query path.
+(** Delivery-cost hook for the synchronous query path — the simulator's
+    only network path.
 
     The PDHT query pipeline (DHT routing, replica floods, unstructured
     fallback) runs to completion inside one engine event; rewriting it
@@ -9,8 +10,9 @@
     individual deliveries fail (bounded retries with exponential
     backoff, then a timeout that the caller degrades from — the
     Section 5 miss path), and the final {!elapsed} is the query's
-    end-to-end latency, recorded into the [net.query_latency]
-    histogram.
+    end-to-end latency, recorded into the [net.query_latency_ms]
+    histogram.  The hook owns the [net.messages_{sent,dropped,retried,
+    timed_out}] counters.
 
     All randomness comes from the hook's own RNG stream, so enabling
     the network model never perturbs workload, churn or topology
@@ -22,9 +24,6 @@ val create : ?obs:Pdht_obs.Context.t -> rng:Pdht_util.Rng.t -> Config.t -> t
 (** [rng] must be a dedicated stream (the caller splits it off the run
     seed).  @raise Invalid_argument when the config fails
     {!Config.validate}. *)
-
-val config : t -> Config.t
-val stats : t -> Stats.t
 
 val begin_op : t -> now:float -> unit
 (** Start a new timed operation at simulated time [now]: resets the
@@ -48,9 +47,10 @@ val cast : ?span:int -> t -> src:int -> dst:int -> bool
 
 val rpc : ?span:int -> t -> src:int -> dst:int -> bool
 (** One request/response exchange (DHT hop semantics) on the virtual
-    clock: each attempt sends a request and, if it arrives, a response;
-    a loss on either leg costs the attempt's full timeout
-    ([rpc_timeout * backoff^k]) before the next try.  Returns true with
+    clock, stepped by {!Pdht_proto.Rpc_machine.call}: each attempt
+    sends a request and, if it arrives, a response; a loss on either
+    leg costs the attempt's full timeout ([rpc_timeout * backoff^k])
+    before the next try.  Returns true with
     the round-trip added to the clock, or false — with every timeout
     charged and [net.messages_timed_out] bumped — when the retry
     budget is exhausted (caller degrades: treat the peer as

@@ -1,6 +1,6 @@
 (** Compiled link behaviour: latency sampling and drop decisions.
 
-    A {!Config.t} turned into the two questions the transport asks per
+    A {!Config.t} turned into the two questions {!Hook} asks per
     message — "how long does this one take?" and "does it arrive?" —
     with the partition groups pre-sorted so the per-message check is a
     pair of binary searches, not a list scan. *)

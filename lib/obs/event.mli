@@ -70,7 +70,7 @@ val of_json : Json.t -> (t, string) result
     defaults. *)
 
 val pp : Format.formatter -> t -> unit
-(** One-line human rendering (used by {!Pdht_sim.Trace.events}). *)
+(** One-line human rendering. *)
 
 val to_line : t -> string
 (** [pp] into a string. *)

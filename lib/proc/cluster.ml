@@ -6,26 +6,13 @@ module Scenario = Pdht_work.Scenario
 module Registry = Pdht_obs.Registry
 module Export = Pdht_obs.Export
 
-type config = {
-  nodes : int;
-  exe : string;
-  obs_dir : string option;
-  rpc : M.config;
-}
+type config = { nodes : int; exe : string; obs_dir : string option }
 
-let default_config ~nodes ~exe =
-  let net = Pdht_net.Config.default in
-  {
-    nodes;
-    exe;
-    obs_dir = None;
-    rpc =
-      {
-        M.timeout = net.Pdht_net.Config.rpc_timeout;
-        retries = net.Pdht_net.Config.rpc_retries;
-        backoff = net.Pdht_net.Config.backoff;
-      };
-  }
+let default_config ~nodes ~exe = { nodes; exe; obs_dir = None }
+
+(* Wall-clock deadlines for conductor->worker calls: the network
+   model's default ladder. *)
+let ladder = Pdht_net.Config.rpc Pdht_net.Config.default
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -178,83 +165,55 @@ let run ?obs config scenario strategy (options : System.options) =
       }
   in
   Array.iteri (fun k _ -> send_to k setup) !conns;
-  let wheel = Timer_wheel.create () in
-  (* Synchronous request/reply with real deadlines: each attempt arms a
-     wall-clock timer from the Rpc_machine schedule; select waits are
-     bounded by the wheel's earliest deadline so an expiry is noticed
-     the moment it is due. *)
+  (* Synchronous request/reply with real deadlines: each attempt of the
+     Rpc_machine ladder sends the frame and waits for its reply until an
+     absolute wall-clock deadline. *)
   let call k make_frame =
     incr next_rid;
     let rid = !next_rid in
     let frame = make_frame rid in
     let c = conn k in
-    let machine = ref (M.create ~timeout:config.rpc.M.timeout
-                         ~retries:config.rpc.M.retries ~backoff:config.rpc.M.backoff)
-    in
-    let expired = ref false in
-    let feed event =
-      let m, action = M.step !machine event in
-      machine := m;
-      action
-    in
-    let rec attempt () =
+    let attempt ~attempt ~timeout =
+      if attempt > 0 then check_dead k;
       send_to k frame;
-      expired := false;
-      let timer =
-        Timer_wheel.schedule wheel
-          ~at:(Unix.gettimeofday () +. M.current_timeout !machine)
-          (fun () -> expired := true)
+      let deadline = Unix.gettimeofday () +. timeout in
+      let rec await () =
+        match Frame_io.recv ~deadline c with
+        | Ok reply when rid_of reply = Some rid -> Some reply
+        | Ok _ ->
+            (* A late answer to an attempt we already gave up on. *)
+            await ()
+        | Error Frame_io.Timeout -> None
+        | Error Frame_io.Closed ->
+            (* The socket EOF can beat the worker's exit by a moment;
+               give the death probe a short grace so the failure names
+               the process's fate rather than just a dead socket. *)
+            let rec probe tries =
+              check_dead k;
+              if tries > 0 then begin
+                ignore (Unix.select [] [] [] 0.01);
+                probe (tries - 1)
+              end
+            in
+            probe 20;
+            failwith
+              (Printf.sprintf
+                 "cluster: node %d closed its connection (last frame sent: %s)" k
+                 last_frame.(k))
+        | Error (Frame_io.Wire e) ->
+            failwith
+              (Printf.sprintf "cluster: corrupt frame from node %d: %s" k
+                 (Wire.error_to_string e))
       in
-      await timer
-    and await timer =
-      match Frame_io.recv ?deadline:(Timer_wheel.next_due wheel) c with
-      | Ok reply when rid_of reply = Some rid -> (
-          Timer_wheel.cancel wheel timer;
-          match feed M.Reply_received with
-          | M.Deliver_reply -> reply
-          | _ -> assert false)
-      | Ok _ ->
-          (* A late answer to an attempt we already gave up on. *)
-          await timer
-      | Error Frame_io.Timeout -> (
-          ignore (Timer_wheel.run_due wheel ~now:(Unix.gettimeofday ()));
-          if not !expired then await timer
-          else
-            match feed M.Attempt_timeout with
-            | M.Retry _ ->
-                check_dead k;
-                attempt ()
-            | M.Give_up ->
-                failwith
-                  (Printf.sprintf
-                     "cluster: rpc to node %d gave up after %d attempts (last \
-                      frame sent: %s)"
-                     k
-                     (M.attempt !machine + 1)
-                     last_frame.(k))
-            | _ -> assert false)
-      | Error Frame_io.Closed ->
-          (* The socket EOF can beat the worker's exit by a moment;
-             give the death probe a short grace so the failure names
-             the process's fate rather than just a dead socket. *)
-          let rec probe tries =
-            check_dead k;
-            if tries > 0 then begin
-              ignore (Unix.select [] [] [] 0.01);
-              probe (tries - 1)
-            end
-          in
-          probe 20;
-          failwith
-            (Printf.sprintf
-               "cluster: node %d closed its connection (last frame sent: %s)" k
-               last_frame.(k))
-      | Error (Frame_io.Wire e) ->
-          failwith
-            (Printf.sprintf "cluster: corrupt frame from node %d: %s" k
-               (Wire.error_to_string e))
+      await ()
     in
-    attempt ()
+    match M.call ladder attempt with
+    | Some reply -> reply
+    | None ->
+        failwith
+          (Printf.sprintf
+             "cluster: rpc to node %d gave up after %d attempts (last frame sent: %s)" k
+             (ladder.M.retries + 1) last_frame.(k))
   in
   let call_ack ~peer make_frame =
     match call (owner peer) make_frame with

@@ -7,11 +7,11 @@
     becomes a {!Pdht_wire.Wire} frame to the worker owning the target
     member ([member mod nodes]).  Workers answer strictly in order and
     the loopback link is reliable, so the cluster's report is
-    field-for-field the same-seed simulator report; RPC deadlines
-    (timeout, retry, exponential backoff — the
-    {!Pdht_proto.Rpc_machine} semantics) are enforced in wall-clock
-    time via a {!Timer_wheel}, and exist to fail fast when a worker
-    dies rather than to model loss. *)
+    field-for-field the same-seed simulator report.  Each
+    conductor->worker call runs the {!Pdht_proto.Rpc_machine.call}
+    ladder of {!Pdht_net.Config.default} ([rpc_timeout]/[rpc_retries]/
+    [backoff]) against absolute wall-clock deadlines; the deadlines
+    exist to fail fast when a worker dies rather than to model loss. *)
 
 type config = {
   nodes : int;            (** worker process count, >= 1 *)
@@ -21,13 +21,10 @@ type config = {
       (** when set: workers write [node-K.jsonl] here and the conductor
           writes [merged.jsonl] (run registry + summed worker
           counters) *)
-  rpc : Pdht_proto.Rpc_machine.config;
-      (** wall-clock deadline semantics for conductor->worker calls *)
 }
 
 val default_config : nodes:int -> exe:string -> config
-(** No [obs_dir]; RPC deadlines from {!Pdht_net.Config.default}
-    ([rpc_timeout]/[rpc_retries]/[backoff]). *)
+(** No [obs_dir]. *)
 
 val run :
   ?obs:Pdht_obs.Context.t ->
@@ -45,7 +42,7 @@ val run :
     its retry budget; spawned processes are killed before the exception
     escapes.  Worker death is detected eagerly — a [waitpid]
     ([WNOHANG]) probe runs on every broken send, closed connection and
-    attempt timeout — and the message names the node id, its exit
+    retry — and the message names the node id, its exit
     status and the kind of the last frame sent to it, rather than
     letting the retry ladder grind against a dead process.  [SIGPIPE]
     is ignored for the calling process so such writes surface as

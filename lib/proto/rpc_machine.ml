@@ -1,30 +1,11 @@
 type config = { timeout : float; retries : int; backoff : float }
-type t = { config : config; attempt : int; settled : bool }
-
-type event = Reply_received | Attempt_timeout
-
-type action =
-  | Deliver_reply
-  | Retry of { attempt : int; timeout : float }
-  | Give_up
-  | Ignore
-
-let create ~timeout ~retries ~backoff =
-  { config = { timeout; retries; backoff }; attempt = 0; settled = false }
 
 let timeout_for config ~attempt = config.timeout *. (config.backoff ** float_of_int attempt)
-let current_timeout t = timeout_for t.config ~attempt:t.attempt
-let attempt t = t.attempt
-let settled t = t.settled
 
-let step t event =
-  if t.settled then (t, Ignore)
-  else
-    match event with
-    | Reply_received -> ({ t with settled = true }, Deliver_reply)
-    | Attempt_timeout ->
-        if t.attempt < t.config.retries then
-          let attempt = t.attempt + 1 in
-          ( { t with attempt },
-            Retry { attempt; timeout = timeout_for t.config ~attempt } )
-        else ({ t with settled = true }, Give_up)
+let call config attempt =
+  let rec go k =
+    match attempt ~attempt:k ~timeout:(timeout_for config ~attempt:k) with
+    | Some _ as reply -> reply
+    | None -> if k < config.retries then go (k + 1) else None
+  in
+  go 0

@@ -1,42 +1,19 @@
-(** Pure RPC-lifecycle state machine: timeout, retry, exponential
-    backoff, settle-once delivery.
+(** The RPC retry ladder: timeout, bounded retries, exponential backoff.
 
-    This is the protocol core behind [Pdht_net.Rpc] (where the "clock"
-    is the simulator engine) and the process driver's timer wheel
-    (where it is [Unix.gettimeofday]).  The machine owns no clock and
-    sends nothing: the driver feeds it events and interprets the
-    returned action.  Attempt [k] (0-based) waits
-    [timeout *. backoff ^ k] before expiring; after [retries]
-    re-attempts the call fails.  Once settled — either way — every
-    further event is [Ignore]. *)
+    The one definition both drivers share: the simulator's query-path
+    hook ([Pdht_net.Hook.rpc], on a virtual clock) and the process
+    conductor ([Pdht_proc.Cluster], on wall-clock deadlines).  The
+    ladder owns no clock and sends nothing; the driver's [attempt]
+    callback does one try and reports whether a reply arrived in time. *)
 
 type config = { timeout : float; retries : int; backoff : float }
 
-type t
-(** Immutable machine state; drivers thread it through {!step}. *)
-
-type event =
-  | Reply_received   (** a response for this call arrived *)
-  | Attempt_timeout  (** the current attempt's deadline passed *)
-
-type action =
-  | Deliver_reply  (** settle successfully; invoke the caller's
-                       continuation with [ok = true] *)
-  | Retry of { attempt : int; timeout : float }
-      (** launch attempt [attempt] (1-based retries) and arm its
-          deadline [timeout] seconds out *)
-  | Give_up        (** retry budget exhausted: settle failed *)
-  | Ignore         (** already settled; a stale event — drop it *)
-
-val create : timeout:float -> retries:int -> backoff:float -> t
 val timeout_for : config -> attempt:int -> float
-(** [timeout *. backoff ^ attempt]. *)
+(** [timeout *. backoff ^ attempt]: how long attempt [attempt]
+    (0-based) waits before it counts as lost. *)
 
-val current_timeout : t -> float
-(** Deadline delay of the attempt in flight. *)
-
-val attempt : t -> int
-(** 0-based attempt currently in flight. *)
-
-val settled : t -> bool
-val step : t -> event -> t * action
+val call : config -> (attempt:int -> timeout:float -> 'a option) -> 'a option
+(** [call config attempt] runs [attempt ~attempt:k ~timeout:(timeout_for
+    config ~attempt:k)] for [k = 0, 1, ..., retries], stopping at the
+    first [Some] and returning it; [None] once every attempt failed.
+    Zero retries is one shot. *)

@@ -29,65 +29,25 @@ let category_label = function
   | Update_gossip -> "update-gossip"
   | Other -> "other"
 
-type t = {
-  counts : int array;
-  (* Optional tee into an observability registry: one named counter per
-     category, kept in [category_index] order so [charge] stays O(1). *)
-  mutable tee : Pdht_obs.Registry.counter array option;
-}
-
-let create () = { counts = Array.make (List.length all_categories) 0; tee = None }
-
 let counter_name cat = "messages." ^ category_label cat
 
-let attach_registry t registry =
+(* One registry counter per category, in [category_index] order so
+   [charge] stays O(1), plus each counter's reading at [create]. *)
+type t = { counters : Pdht_obs.Registry.counter array; base : int array }
+
+let create registry =
   let counters =
     Array.of_list
       (List.map (fun cat -> Pdht_obs.Registry.counter registry (counter_name cat))
          all_categories)
   in
-  (* Carry anything already charged over, so the registry totals agree
-     with [total] no matter when the registry was attached. *)
-  Array.iteri (fun i c -> Pdht_obs.Registry.incr counters.(i) c) t.counts;
-  t.tee <- Some counters
+  { counters; base = Array.map Pdht_obs.Registry.counter_value counters }
 
-let charge t cat n =
-  if n < 0 then invalid_arg "Metrics.charge: negative count";
+let charge t cat n = Pdht_obs.Registry.incr t.counters.(category_index cat) n
+
+let count t cat =
   let i = category_index cat in
-  t.counts.(i) <- t.counts.(i) + n;
-  match t.tee with
-  | Some counters -> Pdht_obs.Registry.incr counters.(i) n
-  | None -> ()
+  Pdht_obs.Registry.counter_value t.counters.(i) - t.base.(i)
 
-let count t cat = t.counts.(category_index cat)
-let total t = Array.fold_left ( + ) 0 t.counts
+let total t = List.fold_left (fun acc cat -> acc + count t cat) 0 all_categories
 let snapshot t = List.map (fun c -> (c, count t c)) all_categories
-
-let diff ~before ~after =
-  List.map (fun c -> (c, count after c - count before c)) all_categories
-
-let copy t = { counts = Array.copy t.counts; tee = None }
-let reset t = Array.fill t.counts 0 (Array.length t.counts) 0
-
-module Series = struct
-  type series = { bucket_width : float; mutable counts : int array; mutable used : int }
-
-  let create ~bucket_width =
-    if not (bucket_width > 0.) then invalid_arg "Metrics.Series.create: width must be positive";
-    { bucket_width; counts = [||]; used = 0 }
-
-  let charge s ~time n =
-    if time < 0. then invalid_arg "Metrics.Series.charge: negative time";
-    if n < 0 then invalid_arg "Metrics.Series.charge: negative count";
-    let idx = int_of_float (Float.floor (time /. s.bucket_width)) in
-    if idx >= Array.length s.counts then begin
-      let bigger = Array.make (max 16 (2 * (idx + 1))) 0 in
-      Array.blit s.counts 0 bigger 0 (Array.length s.counts);
-      s.counts <- bigger
-    end;
-    s.counts.(idx) <- s.counts.(idx) + n;
-    if idx + 1 > s.used then s.used <- idx + 1
-
-  let buckets s =
-    Array.init s.used (fun i -> (float_of_int i *. s.bucket_width, s.counts.(i)))
-end

@@ -4,7 +4,11 @@
     second (Section 3: "As is a standard practice in P2P systems we
     consider the number of messages as the main cost").  Every simulated
     subsystem charges messages here, tagged by category, so experiment
-    output can be broken down exactly like the model's cost terms. *)
+    output can be broken down exactly like the model's cost terms.
+
+    The ledger is the observability registry itself: each category is
+    the counter ["messages.<category-label>"], so exported counters and
+    report totals cannot disagree. *)
 
 type category =
   | Query_unstructured  (** flooding / random-walk search traffic (cSUnstr) *)
@@ -20,46 +24,21 @@ val all_categories : category list
 
 type t
 
-val create : unit -> t
-val charge : t -> category -> int -> unit
-(** Count [n] messages in [category].  Negative counts are rejected. *)
+val create : Pdht_obs.Registry.t -> t
+(** Find or create the per-category counters in the registry.  Counts
+    start from zero even when the registry already holds messages (a
+    caller sharing one context across runs): {!count} subtracts each
+    counter's reading at [create]. *)
 
-val attach_registry : t -> Pdht_obs.Registry.t -> unit
-(** Tee every subsequent charge into a named counter
-    ["messages.<category-label>"] in [registry]; counts charged before
-    attaching are carried over, so the registry's per-category totals
-    always sum to {!total}.  {!copy} produces a detached account and
-    {!reset} leaves the registry's cumulative counters untouched. *)
+val charge : t -> category -> int -> unit
+(** Count [n] messages in [category].
+    @raise Invalid_argument on a negative count. *)
 
 val counter_name : category -> string
-(** The registry counter name used by {!attach_registry}. *)
+(** The registry counter behind a category. *)
 
 val count : t -> category -> int
 val total : t -> int
 
 val snapshot : t -> (category * int) list
 (** All categories with their current counts. *)
-
-val diff : before:t -> after:t -> (category * int) list
-(** Per-category difference of two accounting states ([after] minus
-    [before]). *)
-
-val copy : t -> t
-val reset : t -> unit
-
-(** Time-bucketed counting for time-series output (e.g. messages per
-    1000-second window across a popularity shift). *)
-module Series : sig
-  type series
-
-  val create : bucket_width:float -> series
-  (** Requires a positive width. *)
-
-  val charge : series -> time:float -> int -> unit
-  (** Count [n] messages at simulated [time] (>= 0).  Negative counts
-      are rejected, matching {!Metrics.charge}. *)
-
-  val buckets : series -> (float * int) array
-  (** [(bucket_start_time, messages)] for every bucket up to the last
-      one charged; intermediate empty buckets are included. *)
-end

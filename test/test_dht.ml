@@ -1165,7 +1165,7 @@ let test_maintenance_cost_eq8 () =
 let test_maintenance_attach_charges_messages () =
   let rng = Rng.create ~seed:112 in
   let dht = Dht.create rng ~backend:Dht.Pgrid_backend ~members:64 ~leaf_size:2 () in
-  let metrics = Pdht_sim.Metrics.create () in
+  let metrics = Pdht_sim.Metrics.create (Pdht_obs.Registry.create ()) in
   let engine = Pdht_sim.Engine.create () in
   Maintenance.attach engine ~dht ~rng ~online:all_online ~metrics ~env:(1. /. 6.)
     ~interval:10.;

@@ -171,6 +171,43 @@ let test_tracer_filter_and_ring () =
   Tracer.disable tracer;
   Alcotest.(check bool) "disabled" false (Tracer.active tracer Event.Query)
 
+(* A bounded in-memory trace is a tracer wired to a ring sink. *)
+let ring_trace ?enabled ~capacity () =
+  let tracer = Tracer.create ?enabled () in
+  let ring = Sink.Ring.create ~capacity in
+  Tracer.add_sink tracer (Sink.Ring.sink ring);
+  (tracer, ring)
+
+let gossip ~time = Event.make ~time ~detail:(Printf.sprintf "%g" time) Event.Gossip
+
+let test_trace_disabled_by_default () =
+  let tracer, ring = ring_trace ~capacity:4 () in
+  Tracer.emit tracer (gossip ~time:1.);
+  Alcotest.(check int) "nothing recorded" 0 (Sink.Ring.length ring)
+
+let test_trace_records_when_enabled () =
+  let tracer, ring = ring_trace ~enabled:true ~capacity:4 () in
+  Tracer.emit tracer (gossip ~time:1.);
+  Tracer.emit tracer (gossip ~time:2.);
+  Alcotest.(check (list (float 0.))) "oldest first" [ 1.; 2. ]
+    (List.map (fun e -> e.Event.time) (Sink.Ring.contents ring))
+
+let test_trace_capacity_trim () =
+  let tracer, ring = ring_trace ~enabled:true ~capacity:10 () in
+  for i = 1 to 100 do
+    Tracer.emit tracer (gossip ~time:(float_of_int i))
+  done;
+  Alcotest.(check int) "bounded" 10 (Sink.Ring.length ring);
+  let events = Sink.Ring.contents ring in
+  Alcotest.(check string) "latest kept" "100"
+    (List.nth events (List.length events - 1)).Event.detail
+
+let test_trace_clear () =
+  let tracer, ring = ring_trace ~enabled:true ~capacity:4 () in
+  Tracer.emit tracer (gossip ~time:1.);
+  Sink.Ring.clear ring;
+  Alcotest.(check int) "cleared" 0 (Sink.Ring.length ring)
+
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
@@ -337,26 +374,55 @@ let test_export_validate_file () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Metrics tee: registry counters must agree with Metrics.total *)
+(* One ledger: the registry's messages.* counters are the message
+   account, so runs sharing a context must neither see each other's
+   messages nor lose any from the registry. *)
 
-let test_metrics_tee_agrees () =
+let test_ledger_sequential_runs () =
+  let module System = Pdht_core.System in
   let module Metrics = Pdht_sim.Metrics in
-  let m = Metrics.create () in
-  Metrics.charge m Metrics.Query_index 7;
-  let r = Registry.create () in
-  Metrics.attach_registry m r;
-  Metrics.charge m Metrics.Query_index 5;
-  Metrics.charge m Metrics.Maintenance 11;
-  let teed =
-    List.fold_left
-      (fun acc (cat, _) ->
-        match Registry.counter_value_by_name r (Metrics.counter_name cat) with
-        | Some n -> acc + n
-        | None -> acc)
-      0 (Metrics.snapshot m)
+  let scenario seed =
+    {
+      Pdht_work.Scenario.news_default with
+      Pdht_work.Scenario.num_peers = 150;
+      keys = 200;
+      duration = 120.;
+      seed;
+    }
   in
-  Alcotest.(check int) "registry total = Metrics.total" (Metrics.total m) teed;
-  Alcotest.(check int) "pre-attach counts carried over" 23 teed
+  let options = System.Options.make ~repl:10 ~stor:50 () in
+  let run ?obs seed =
+    let scenario = scenario seed in
+    System.run ?obs scenario
+      (Pdht_core.Strategy.Partial_index
+         { key_ttl = System.derive_key_ttl scenario options })
+      options
+  in
+  let shared = Context.create () in
+  let reports = List.map (fun seed -> (seed, run ~obs:shared seed)) [ 1; 2 ] in
+  List.iter
+    (fun (seed, (r : System.report)) ->
+      let fresh = run seed in
+      let label = Printf.sprintf "seed %d " seed in
+      Alcotest.(check bool) (label ^ "sent messages") true (r.System.total_messages > 0);
+      Alcotest.(check int) (label ^ "total_messages") fresh.System.total_messages
+        r.System.total_messages;
+      Alcotest.(check bool) (label ^ "messages_by_category") true
+        (fresh.System.messages_by_category = r.System.messages_by_category))
+    reports;
+  List.iter
+    (fun cat ->
+      let sum =
+        List.fold_left
+          (fun acc (_, r) -> acc + List.assoc cat r.System.messages_by_category)
+          0 reports
+      in
+      Alcotest.(check (option int))
+        ("registry sums " ^ Metrics.category_label cat)
+        (Some sum)
+        (Registry.counter_value_by_name (Context.registry shared)
+           (Metrics.counter_name cat)))
+    Metrics.all_categories
 
 (* ------------------------------------------------------------------ *)
 (* Integration: a short partial-index run fills the hop histograms *)
@@ -391,8 +457,8 @@ let test_system_run_populates_histograms () =
     (List.mem_assoc hops_name report.Pdht_core.System.histograms);
   Alcotest.(check bool) "query.cost in report" true
     (List.mem_assoc "query.cost" report.Pdht_core.System.histograms);
-  (* The teed per-category counters must sum to the run's total. *)
-  let total_teed =
+  (* The ledger's per-category counters must sum to the run's total. *)
+  let total_counted =
     Registry.fold (Context.registry obs) ~init:0 ~f:(fun acc name v ->
         match v with
         | Registry.Counter_v n
@@ -401,7 +467,7 @@ let test_system_run_populates_histograms () =
         | _ -> acc)
   in
   Alcotest.(check int) "messages.* counters sum to total_messages"
-    report.Pdht_core.System.total_messages total_teed
+    report.Pdht_core.System.total_messages total_counted
 
 (* ------------------------------------------------------------------ *)
 (* Spans + sampling *)
@@ -816,6 +882,13 @@ let () =
           Alcotest.test_case "sampling" `Quick test_tracer_sampling;
           Alcotest.test_case "flushers" `Quick test_tracer_flushers;
         ] );
+      ( "trace",
+        [
+          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
+          Alcotest.test_case "records when enabled" `Quick test_trace_records_when_enabled;
+          Alcotest.test_case "capacity trim" `Quick test_trace_capacity_trim;
+          Alcotest.test_case "clear" `Quick test_trace_clear;
+        ] );
       ( "span",
         [ Alcotest.test_case "allocator" `Quick test_span_allocator ] );
       ( "timeline",
@@ -838,9 +911,9 @@ let () =
           Alcotest.test_case "validate rejects bad span/timeline lines" `Quick
             test_validate_rejects_bad_lines;
         ] );
-      ( "metrics-tee",
-        [ Alcotest.test_case "registry agrees with total" `Quick test_metrics_tee_agrees ]
-      );
+      ( "ledger",
+        [ Alcotest.test_case "sequential runs on one context" `Quick
+            test_ledger_sequential_runs ] );
       ( "system",
         [
           Alcotest.test_case "run populates histograms" `Quick

@@ -1,86 +1,12 @@
-(* Tests for the process-driver plumbing: the wall-clock timer wheel,
-   framed socket I/O, and the worker-node protocol driven end-to-end
-   over a socketpair (the worker answers frames buffered by the kernel,
-   so no second process or thread is needed). *)
+(* Tests for the process-driver plumbing: framed socket I/O, and the
+   worker-node protocol driven end-to-end over a socketpair (the worker
+   answers frames buffered by the kernel, so no second process or
+   thread is needed). *)
 
 module Wire = Pdht_wire.Wire
-module Timer_wheel = Pdht_proc.Timer_wheel
 module Frame_io = Pdht_proc.Frame_io
 module Node = Pdht_proc.Node
 module Storage = Pdht_dht.Storage
-
-(* ---------------------------------------------------------------- *)
-(* Timer_wheel                                                       *)
-(* ---------------------------------------------------------------- *)
-
-let test_wheel_fires_in_deadline_order () =
-  let w = Timer_wheel.create () in
-  let fired = ref [] in
-  let note tag () = fired := tag :: !fired in
-  ignore (Timer_wheel.schedule w ~at:3.0 (note "late"));
-  ignore (Timer_wheel.schedule w ~at:1.0 (note "early"));
-  ignore (Timer_wheel.schedule w ~at:2.0 (note "middle"));
-  Alcotest.(check (option (float 0.))) "earliest deadline" (Some 1.0)
-    (Timer_wheel.next_due w);
-  Alcotest.(check int) "two due at t=2" 2 (Timer_wheel.run_due w ~now:2.0);
-  Alcotest.(check (list string)) "fired earliest first" [ "early"; "middle" ]
-    (List.rev !fired);
-  Alcotest.(check int) "one pending" 1 (Timer_wheel.pending w);
-  Alcotest.(check int) "remainder fires" 1 (Timer_wheel.run_due w ~now:10.0);
-  Alcotest.(check (option (float 0.))) "empty wheel" None (Timer_wheel.next_due w)
-
-let test_wheel_ties_fire_in_creation_order () =
-  let w = Timer_wheel.create () in
-  let fired = ref [] in
-  ignore (Timer_wheel.schedule w ~at:1.0 (fun () -> fired := "first" :: !fired));
-  ignore (Timer_wheel.schedule w ~at:1.0 (fun () -> fired := "second" :: !fired));
-  ignore (Timer_wheel.run_due w ~now:1.0);
-  Alcotest.(check (list string)) "creation order" [ "first"; "second" ]
-    (List.rev !fired)
-
-let test_wheel_cancel () =
-  let w = Timer_wheel.create () in
-  let fired = ref 0 in
-  let id = Timer_wheel.schedule w ~at:1.0 (fun () -> incr fired) in
-  ignore (Timer_wheel.schedule w ~at:2.0 (fun () -> incr fired));
-  Timer_wheel.cancel w id;
-  Timer_wheel.cancel w 9999;
-  Alcotest.(check int) "only survivor fires" 1 (Timer_wheel.run_due w ~now:5.0);
-  Alcotest.(check int) "cancelled callback never ran" 1 !fired
-
-let test_wheel_callback_can_reschedule () =
-  let w = Timer_wheel.create () in
-  let fired = ref [] in
-  ignore
-    (Timer_wheel.schedule w ~at:1.0 (fun () ->
-         fired := "outer" :: !fired;
-         ignore
-           (Timer_wheel.schedule w ~at:1.5 (fun () -> fired := "inner" :: !fired))));
-  Alcotest.(check int) "due chain runs in one call" 2 (Timer_wheel.run_due w ~now:2.0);
-  Alcotest.(check (list string)) "chained order" [ "outer"; "inner" ] (List.rev !fired)
-
-let test_wheel_zero_delay_from_callback () =
-  (* A callback arming a timer at the very instant being processed (a
-     zero-delay retry) must fire within the same [run_due] call, not
-     linger as due-but-unfired — and a chain of such timers must
-     terminate rather than re-entering the firing entry. *)
-  let w = Timer_wheel.create () in
-  let fired = ref [] in
-  ignore
-    (Timer_wheel.schedule w ~at:1.0 (fun () ->
-         fired := "outer" :: !fired;
-         ignore
-           (Timer_wheel.schedule w ~at:1.0 (fun () ->
-                fired := "inner" :: !fired;
-                ignore
-                  (Timer_wheel.schedule w ~at:1.0 (fun () ->
-                       fired := "innermost" :: !fired))))));
-  Alcotest.(check int) "whole zero-delay chain fires at once" 3
-    (Timer_wheel.run_due w ~now:1.0);
-  Alcotest.(check (list string)) "nesting order preserved"
-    [ "outer"; "inner"; "innermost" ]
-    (List.rev !fired);
-  Alcotest.(check int) "nothing left pending" 0 (Timer_wheel.pending w)
 
 (* ---------------------------------------------------------------- *)
 (* Frame_io                                                          *)
@@ -330,25 +256,13 @@ let test_cluster_worker_death_fails_fast () =
         (contains "exited with status 3");
       Alcotest.(check bool) ("names the last frame: " ^ msg) true
         (contains "last frame sent:");
-      (* Fail-fast: well under the 2s-timeout x 4-attempt retry ladder. *)
+      (* Fail-fast: well under the default 1+2+4+8 s retry ladder. *)
       Alcotest.(check bool) "failed promptly" true
         (Unix.gettimeofday () -. started < 5.0)
 
 let () =
   Alcotest.run "pdht_proc"
     [
-      ( "timer_wheel",
-        [
-          Alcotest.test_case "fires in deadline order" `Quick
-            test_wheel_fires_in_deadline_order;
-          Alcotest.test_case "ties fire in creation order" `Quick
-            test_wheel_ties_fire_in_creation_order;
-          Alcotest.test_case "cancel" `Quick test_wheel_cancel;
-          Alcotest.test_case "callback can reschedule" `Quick
-            test_wheel_callback_can_reschedule;
-          Alcotest.test_case "zero-delay timer from a callback" `Quick
-            test_wheel_zero_delay_from_callback;
-        ] );
       ( "frame_io",
         [
           Alcotest.test_case "roundtrip preserves order" `Quick

@@ -1,10 +1,11 @@
 (* Unit tests for the pure protocol cores in [lib/proto].
 
-   Each machine is exercised as plain data: feed events, assert the
-   exact action sequence.  The drivers (simulator engine, process
-   event loop) are deliberately absent — that is the point of the
-   extraction — so these tests pin the protocol semantics that both
-   drivers must share. *)
+   Each machine is exercised as plain data: feed events (or, for the
+   RPC ladder, scripted attempt outcomes), assert the exact action
+   sequence.  The drivers (simulator hook, process conductor) are
+   deliberately absent — that is the point of the extraction — so
+   these tests pin the protocol semantics that both drivers must
+   share. *)
 
 module M = Pdht_proto.Rpc_machine
 module Q = Pdht_proto.Query_plan
@@ -19,69 +20,51 @@ let feq = Alcotest.(check (float 1e-9))
 (* Rpc_machine                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let test_rpc_backoff_schedule () =
-  let config = { M.timeout = 0.5; retries = 4; backoff = 2.0 } in
-  List.iter
-    (fun (attempt, want) ->
-      feq (Printf.sprintf "timeout for attempt %d" attempt) want
-        (M.timeout_for config ~attempt))
-    [ (0, 0.5); (1, 1.0); (2, 2.0); (3, 4.0); (4, 8.0) ]
+(* Run the ladder against a scripted peer that answers attempt
+   [reply_at] (never, for [None]); returns the result and every
+   (attempt, timeout) the ladder asked for, in order. *)
+let run_ladder config ~reply_at =
+  let calls = ref [] in
+  let result =
+    M.call config (fun ~attempt ~timeout ->
+        calls := (attempt, timeout) :: !calls;
+        if Some attempt = reply_at then Some attempt else None)
+  in
+  (result, List.rev !calls)
 
-let test_rpc_matches_net_config () =
-  (* The machine's schedule must agree with the network model's
-     published [timeout_for_attempt] — the process driver leans on the
-     former, the simulator documents the latter. *)
-  let net = { Pdht_net.Config.default with rpc_timeout = 0.3; rpc_retries = 5; backoff = 1.7 } in
-  let config = { M.timeout = 0.3; retries = 5; backoff = 1.7 } in
-  for attempt = 0 to 5 do
-    feq
-      (Printf.sprintf "net/proto agree on attempt %d" attempt)
-      (Pdht_net.Config.timeout_for_attempt net ~attempt)
-      (M.timeout_for config ~attempt)
-  done
+let check_ladder name (result, calls) ~want_result ~want_calls =
+  Alcotest.(check (option int)) (name ^ ": result") want_result result;
+  Alcotest.(check (list (pair int (float 1e-9)))) (name ^ ": attempts") want_calls calls
+
+let prop_backoff_schedule =
+  QCheck.Test.make ~name:"backoff schedule" ~count:500
+    QCheck.(
+      quad (float_range 0.01 10.) (int_bound 6) (float_range 1. 4.) (option (int_bound 8)))
+    (fun (timeout, retries, backoff, reply_at) ->
+      let config = { M.timeout; retries; backoff } in
+      let result, calls = run_ladder config ~reply_at in
+      let answered = match reply_at with Some r -> r <= retries | None -> false in
+      let last = match reply_at with Some r when answered -> r | _ -> retries in
+      calls
+      = List.init (last + 1) (fun k -> (k, timeout *. (backoff ** float_of_int k)))
+      && result = if answered then reply_at else None)
 
 let test_rpc_retry_then_give_up () =
-  let m = M.create ~timeout:1.0 ~retries:2 ~backoff:2.0 in
-  Alcotest.(check int) "starts at attempt 0" 0 (M.attempt m);
-  feq "initial deadline" 1.0 (M.current_timeout m);
-  let m, a = M.step m M.Attempt_timeout in
-  (match a with
-  | M.Retry { attempt = 1; timeout } -> feq "first retry waits 2x" 2.0 timeout
-  | _ -> Alcotest.fail "expected first Retry");
-  let m, a = M.step m M.Attempt_timeout in
-  (match a with
-  | M.Retry { attempt = 2; timeout } -> feq "second retry waits 4x" 4.0 timeout
-  | _ -> Alcotest.fail "expected second Retry");
-  Alcotest.(check bool) "not settled while retrying" false (M.settled m);
-  let m, a = M.step m M.Attempt_timeout in
-  (match a with
-  | M.Give_up -> ()
-  | _ -> Alcotest.fail "expected Give_up after retry budget");
-  Alcotest.(check bool) "settled after give-up" true (M.settled m);
-  (* Every event after settling is a stale no-op. *)
-  let _, a = M.step m M.Reply_received in
-  (match a with M.Ignore -> () | _ -> Alcotest.fail "reply after give-up must Ignore");
-  let _, a = M.step m M.Attempt_timeout in
-  match a with M.Ignore -> () | _ -> Alcotest.fail "timeout after give-up must Ignore"
+  check_ladder "no reply"
+    (run_ladder { M.timeout = 1.0; retries = 2; backoff = 2.0 } ~reply_at:None)
+    ~want_result:None
+    ~want_calls:[ (0, 1.0); (1, 2.0); (2, 4.0) ]
 
 let test_rpc_reply_settles_once () =
-  let m = M.create ~timeout:1.0 ~retries:3 ~backoff:2.0 in
-  let m, a = M.step m M.Reply_received in
-  (match a with
-  | M.Deliver_reply -> ()
-  | _ -> Alcotest.fail "expected Deliver_reply");
-  Alcotest.(check bool) "settled after reply" true (M.settled m);
-  let _, a = M.step m M.Reply_received in
-  (match a with M.Ignore -> () | _ -> Alcotest.fail "duplicate reply must Ignore");
-  let _, a = M.step m M.Attempt_timeout in
-  match a with M.Ignore -> () | _ -> Alcotest.fail "late timeout must Ignore"
+  check_ladder "reply on the first retry"
+    (run_ladder { M.timeout = 1.0; retries = 3; backoff = 2.0 } ~reply_at:(Some 1))
+    ~want_result:(Some 1)
+    ~want_calls:[ (0, 1.0); (1, 2.0) ]
 
 let test_rpc_zero_retries_one_shot () =
-  let m = M.create ~timeout:0.25 ~retries:0 ~backoff:3.0 in
-  let _, a = M.step m M.Attempt_timeout in
-  match a with
-  | M.Give_up -> ()
-  | _ -> Alcotest.fail "zero retries: first timeout is final"
+  check_ladder "zero retries"
+    (run_ladder { M.timeout = 0.25; retries = 0; backoff = 3.0 } ~reply_at:None)
+    ~want_result:None ~want_calls:[ (0, 0.25) ]
 
 (* ---------------------------------------------------------------- *)
 (* Query_plan                                                        *)
@@ -321,8 +304,7 @@ let () =
     [
       ( "rpc_machine",
         [
-          Alcotest.test_case "backoff schedule" `Quick test_rpc_backoff_schedule;
-          Alcotest.test_case "matches net config" `Quick test_rpc_matches_net_config;
+          QCheck_alcotest.to_alcotest prop_backoff_schedule;
           Alcotest.test_case "retry then give up" `Quick test_rpc_retry_then_give_up;
           Alcotest.test_case "reply settles once" `Quick test_rpc_reply_settles_once;
           Alcotest.test_case "zero retries one shot" `Quick test_rpc_zero_retries_one_shot;

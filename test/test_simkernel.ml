@@ -1,9 +1,8 @@
-(* Tests for Pdht_sim: event queue, engine, metrics, trace. *)
+(* Tests for Pdht_sim: event queue, engine, metrics. *)
 
 module Event_queue = Pdht_sim.Event_queue
 module Engine = Pdht_sim.Engine
 module Metrics = Pdht_sim.Metrics
-module Trace = Pdht_sim.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Event queue *)
@@ -239,7 +238,7 @@ let test_engine_handler_failure_printer () =
 (* Metrics *)
 
 let test_metrics_charge_and_count () =
-  let m = Metrics.create () in
+  let m = Metrics.create (Pdht_obs.Registry.create ()) in
   Metrics.charge m Metrics.Query_index 5;
   Metrics.charge m Metrics.Query_index 3;
   Metrics.charge m Metrics.Maintenance 7;
@@ -249,115 +248,34 @@ let test_metrics_charge_and_count () =
   Alcotest.(check int) "total" 15 (Metrics.total m)
 
 let test_metrics_rejects_negative () =
-  let m = Metrics.create () in
-  Alcotest.check_raises "negative" (Invalid_argument "Metrics.charge: negative count")
+  let m = Metrics.create (Pdht_obs.Registry.create ()) in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Registry.incr \"messages.other\": negative count")
     (fun () -> Metrics.charge m Metrics.Other (-1))
 
-let test_metrics_snapshot_and_diff () =
-  let m = Metrics.create () in
-  Metrics.charge m Metrics.Query_unstructured 10;
-  let before = Metrics.copy m in
-  Metrics.charge m Metrics.Query_unstructured 4;
-  Metrics.charge m Metrics.Replica_flood 2;
-  let diff = Metrics.diff ~before ~after:m in
-  Alcotest.(check int) "diff unstructured" 4
-    (List.assoc Metrics.Query_unstructured diff);
-  Alcotest.(check int) "diff flood" 2 (List.assoc Metrics.Replica_flood diff);
-  let snap = Metrics.snapshot m in
+let test_metrics_snapshot_shared_registry () =
+  (* A second ledger on a registry that already holds messages counts
+     from zero, while the registry keeps the running sum. *)
+  let r = Pdht_obs.Registry.create () in
+  let first = Metrics.create r in
+  Metrics.charge first Metrics.Query_unstructured 10;
+  let second = Metrics.create r in
+  Metrics.charge second Metrics.Query_unstructured 4;
+  Metrics.charge second Metrics.Replica_flood 2;
+  let snap = Metrics.snapshot second in
   Alcotest.(check int) "snapshot covers all categories"
-    (List.length Metrics.all_categories) (List.length snap)
-
-let test_metrics_reset () =
-  let m = Metrics.create () in
-  Metrics.charge m Metrics.Other 9;
-  Metrics.reset m;
-  Alcotest.(check int) "zero after reset" 0 (Metrics.total m)
+    (List.length Metrics.all_categories) (List.length snap);
+  Alcotest.(check int) "second counts from zero" 4
+    (List.assoc Metrics.Query_unstructured snap);
+  Alcotest.(check int) "second total" 6 (Metrics.total second);
+  Alcotest.(check (option int)) "registry holds the sum" (Some 14)
+    (Pdht_obs.Registry.counter_value_by_name r
+       (Metrics.counter_name Metrics.Query_unstructured))
 
 let test_metrics_labels_distinct () =
   let labels = List.map Metrics.category_label Metrics.all_categories in
   Alcotest.(check int) "distinct labels" (List.length labels)
     (List.length (List.sort_uniq compare labels))
-
-let test_metrics_series () =
-  let s = Metrics.Series.create ~bucket_width:10. in
-  Metrics.Series.charge s ~time:0.5 3;
-  Metrics.Series.charge s ~time:5. 2;
-  Metrics.Series.charge s ~time:25. 7;
-  let buckets = Metrics.Series.buckets s in
-  Alcotest.(check int) "three buckets (incl. empty middle)" 3 (Array.length buckets);
-  let _, b0 = buckets.(0) and _, b1 = buckets.(1) and _, b2 = buckets.(2) in
-  Alcotest.(check int) "bucket 0" 5 b0;
-  Alcotest.(check int) "bucket 1 empty" 0 b1;
-  Alcotest.(check int) "bucket 2" 7 b2
-
-let test_metrics_series_rejects_bad () =
-  Alcotest.check_raises "zero width"
-    (Invalid_argument "Metrics.Series.create: width must be positive") (fun () ->
-      ignore (Metrics.Series.create ~bucket_width:0.));
-  let s = Metrics.Series.create ~bucket_width:1. in
-  Alcotest.check_raises "negative time"
-    (Invalid_argument "Metrics.Series.charge: negative time") (fun () ->
-      Metrics.Series.charge s ~time:(-1.) 1)
-
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let gossip_event ~time detail =
-  let module Event = Pdht_obs.Event in
-  Event.make ~time ~detail Event.Gossip
-
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  Trace.record_event tr (gossip_event ~time:1. "ignored");
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length tr)
-
-let test_trace_records_when_enabled () =
-  let tr = Trace.create () in
-  Trace.enable tr;
-  Trace.record_event tr (gossip_event ~time:1. "a");
-  Trace.record_event tr (gossip_event ~time:2. "b2");
-  Alcotest.(check int) "two events" 2 (Trace.length tr);
-  Alcotest.(check (list (float 0.))) "oldest first" [ 1.; 2. ]
-    (List.map fst (Trace.events tr))
-
-let test_trace_capacity_trim () =
-  let module Event = Pdht_obs.Event in
-  let tr = Trace.create ~capacity:10 () in
-  Trace.enable tr;
-  for i = 1 to 100 do
-    Trace.record_event tr (gossip_event ~time:(float_of_int i) (string_of_int i))
-  done;
-  Alcotest.(check bool) "bounded" true (Trace.length tr <= 10);
-  let events = Trace.typed_events tr in
-  let last = List.nth events (List.length events - 1) in
-  Alcotest.(check string) "latest kept" "100" last.Event.detail
-
-let test_trace_clear () =
-  let tr = Trace.create () in
-  Trace.enable tr;
-  Trace.record_event tr (gossip_event ~time:1. "x");
-  Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (Trace.length tr)
-
-let test_trace_record_event_typed () =
-  let module Event = Pdht_obs.Event in
-  let tr = Trace.create () in
-  Trace.enable tr;
-  Trace.record_event tr
-    (Event.make ~time:3. ~peer:4 ~key_index:9 ~hops:2 ~messages:5 ~span:1
-       Event.Dht_lookup);
-  (match Trace.typed_events tr with
-  | [ typed ] ->
-      Alcotest.(check bool) "typed category kept" true
-        (typed.Event.category = Event.Dht_lookup);
-      Alcotest.(check int) "span kept" 1 typed.Event.span
-  | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
-  (* Typed events render via Event.to_line. *)
-  match Trace.events tr with
-  | [ (3., line) ] ->
-      Alcotest.(check bool) "rendered line mentions category" true
-        (String.length line > 0)
-  | _ -> Alcotest.fail "rendered events shape"
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -491,20 +409,9 @@ let () =
         [
           Alcotest.test_case "charge and count" `Quick test_metrics_charge_and_count;
           Alcotest.test_case "rejects negative" `Quick test_metrics_rejects_negative;
-          Alcotest.test_case "snapshot and diff" `Quick test_metrics_snapshot_and_diff;
-          Alcotest.test_case "reset" `Quick test_metrics_reset;
+          Alcotest.test_case "snapshot from a shared registry" `Quick
+            test_metrics_snapshot_shared_registry;
           Alcotest.test_case "labels distinct" `Quick test_metrics_labels_distinct;
-          Alcotest.test_case "series buckets" `Quick test_metrics_series;
-          Alcotest.test_case "series validation" `Quick test_metrics_series_rejects_bad;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "records when enabled" `Quick test_trace_records_when_enabled;
-          Alcotest.test_case "capacity trim" `Quick test_trace_capacity_trim;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
-          Alcotest.test_case "record_event typed migration" `Quick
-            test_trace_record_event_typed;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

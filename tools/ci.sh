@@ -32,6 +32,11 @@ echo "== perf guardrail =="
 # are thrashing the stop-the-world GC.  The 1.5x factor is generous on
 # purpose — this is a smoke test on shared CI boxes, not a benchmark.
 grep -q '"identical_reports": *true' BENCH_pdht.json
+wall_single=$(grep -o '"wall_single_s": *[0-9.eE+-]*' BENCH_pdht.json | awk -F: '{print $2}')
+wall_parallel=$(grep -o '"wall_parallel_s": *[0-9.eE+-]*' BENCH_pdht.json | awk -F: '{print $2}')
+echo "wall_single_s=$wall_single wall_parallel_s=$wall_parallel"
+awk -v s="$wall_single" -v p="$wall_parallel" \
+  'BEGIN { if (!(s > 0) || !(p > 0)) exit 1; exit (p <= 1.5 * s) ? 0 : 1 }'
 
 echo "== network model =="
 # The perf section also ran the network-model contracts: a zero-cost
@@ -40,11 +45,6 @@ echo "== network model =="
 # unhandled exception (its rows land in the same JSON).
 grep -q '"zero_cost_net_equivalent": *true' BENCH_pdht.json
 grep -q '"loss_sweep"' BENCH_pdht.json
-wall_single=$(grep -o '"wall_single_s": *[0-9.eE+-]*' BENCH_pdht.json | awk -F: '{print $2}')
-wall_parallel=$(grep -o '"wall_parallel_s": *[0-9.eE+-]*' BENCH_pdht.json | awk -F: '{print $2}')
-echo "wall_single_s=$wall_single wall_parallel_s=$wall_parallel"
-awk -v s="$wall_single" -v p="$wall_parallel" \
-  'BEGIN { if (!(s > 0) || !(p > 0)) exit 1; exit (p <= 1.5 * s) ? 0 : 1 }'
 
 echo "== fault gate =="
 # The perf section also ran the fault contracts (in the same JSON):
@@ -62,9 +62,9 @@ grep -q '"fault_recovered": *true' BENCH_pdht.json
 echo "== selection policy gate =="
 # The perf section raced the selection policies (same JSON).  Two
 # contracts: (1) the default [Ttl Model_derived] policy must be
-# indistinguishable from the pre-policy system — the deprecated
-# ttl_policy alias reproduces it field for field and installs no
-# selector — and (2) in the E23 flash-crowd race at least one adaptive
+# indistinguishable from the pre-policy system — an explicit spec
+# builds the very options the defaults carry and installs no selector —
+# and (2) in the E23 flash-crowd race at least one adaptive
 # policy must beat the static model-derived TTL on post-shift cost.
 grep -q '"policy_default_equivalent": *true' BENCH_pdht.json
 grep -q '"policy_adaptive_beats_static": *true' BENCH_pdht.json
