@@ -911,7 +911,7 @@ let () =
           Alcotest.test_case "validate rejects bad span/timeline lines" `Quick
             test_validate_rejects_bad_lines;
         ] );
-      ( "ledger",
+      ( "ledger-runs",
         [ Alcotest.test_case "sequential runs on one context" `Quick
             test_ledger_sequential_runs ] );
       ( "system",
