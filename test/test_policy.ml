@@ -227,6 +227,51 @@ let test_summary_counters () =
   Alcotest.(check int) "rejected" 1 s.Sel.rejected_inserts;
   Alcotest.(check int) "retunes" 2 s.Sel.retunes
 
+(* --- system ------------------------------------------------------- *)
+
+module System = Pdht_core.System
+module Strategy = Pdht_core.Strategy
+module Scenario = Pdht_work.Scenario
+
+(* The same run as
+     pdht simulate --peers 200 --keys 300 --duration 400 --policy SPEC
+   (long enough for the selector to retune). *)
+let cli_scenario =
+  { Scenario.news_default with Scenario.num_peers = 200; keys = 300; duration = 400. }
+
+let cli_report ?(scenario = cli_scenario) ?strategy selection_policy =
+  let options = System.Options.make ~repl:20 ~stor:100 ~selection_policy () in
+  let strategy =
+    match strategy with
+    | Some s -> s
+    | None -> Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options }
+  in
+  Pdht_core.Runner.run_all [ Pdht_core.Run_spec.make ~strategy ~options scenario ]
+  |> List.hd |> snd |> Pdht_core.Run_result.report_exn
+
+let render report = Format.asprintf "%a@." System.pp_report report
+
+let test_cost_run_matches_golden () =
+  Golden.check "cost_policy_report.txt" (render (cli_report Sel.Cost_optimal))
+
+let test_adaptive_run_matches_golden () =
+  Golden.check "adaptive_policy_report.txt" (render (cli_report (Sel.Ttl Sel.Adaptive)))
+
+(* Only a partial index has insertions to gate: the selector (and with
+   it the report's policy summary) exists under [Partial_index] alone. *)
+let test_selector_installed_only_for_partial () =
+  (match (cli_report Sel.Cost_optimal).System.policy with
+  | Some s -> Alcotest.(check string) "partial installs cost" "cost" s.Sel.policy
+  | None -> Alcotest.fail "partial cost run carries no policy summary");
+  let short = { cli_scenario with Scenario.duration = 120. } in
+  List.iter
+    (fun (label, strategy) ->
+      Alcotest.(check bool)
+        (label ^ " installs no selector")
+        true
+        ((cli_report ~scenario:short ~strategy Sel.Cost_optimal).System.policy = None))
+    [ ("index-all", Strategy.Index_all); ("no-index", Strategy.No_index) ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_print_parse_round_trip; prop_parse_print_idempotent;
       prop_validate_accepts_generated ]
@@ -253,5 +298,13 @@ let () =
           Alcotest.test_case "ttl transparent" `Quick test_ttl_selector_is_transparent;
           Alcotest.test_case "instantiate validates" `Quick test_instantiate_validates;
           Alcotest.test_case "summary counters" `Quick test_summary_counters;
+        ] );
+      ( "system",
+        [
+          Alcotest.test_case "cost run matches golden" `Slow test_cost_run_matches_golden;
+          Alcotest.test_case "adaptive run matches golden" `Slow
+            test_adaptive_run_matches_golden;
+          Alcotest.test_case "selector only under partial" `Quick
+            test_selector_installed_only_for_partial;
         ] );
     ]

@@ -82,11 +82,12 @@ diff "$pol/default-report.txt" test/golden/default_policy_report.txt
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
   --policy ttl > "$pol/ttl-report.txt"
 diff "$pol/ttl-report.txt" test/golden/default_policy_report.txt
-# And an adaptive spec must actually install its selector: the report
-# grows the policy summary line (run long enough for one retune).
+# And the cost spec must install its selector (its report carries the
+# policy summary line; run long enough for one retune) and reproduce its
+# golden rendering byte for byte.
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 400 \
   --policy cost > "$pol/cost-report.txt"
-grep -q 'policy: cost' "$pol/cost-report.txt"
+diff "$pol/cost-report.txt" test/golden/cost_policy_report.txt
 
 echo "== parallel determinism =="
 # The runner's contract: any --jobs value yields byte-identical output.
