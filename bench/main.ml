@@ -1042,7 +1042,7 @@ let section_perf () =
      explicit [Ttl Model_derived] spec must build the very options the
      defaults already carry, and a [Ttl _] run must install no selector
      (its report carries no policy summary; the byte-level golden-file
-     gate lives in ci.sh) — then the five-policy race across a
+     gates live in ci.sh) — then the three-policy race across a
      flash-crowd popularity flip.  The post-shift message rate is the
      empirical Eq.-17 analogue; at least one adaptive policy must beat
      the static model-derived TTL there. *)
@@ -1074,27 +1074,8 @@ let section_perf () =
       seed = 2023;
     }
   in
-  let race_budget =
-    let params =
-      {
-        Params.default with
-        Params.num_peers = race_scenario.Scenario.num_peers;
-        keys = race_scenario.Scenario.keys;
-        stor = options.System.stor;
-        repl = options.System.repl;
-        f_qry = race_scenario.Scenario.f_qry;
-      }
-    in
-    max 1 (Index_policy.solve params).Index_policy.max_rank
-  in
   let race_policies =
-    [
-      Psel.Ttl Psel.Model_derived;
-      Psel.Ttl Psel.Adaptive;
-      Psel.Cost_optimal;
-      Psel.Learned;
-      Psel.Cache_budget race_budget;
-    ]
+    [ Psel.Ttl Psel.Model_derived; Psel.Ttl Psel.Adaptive; Psel.Cost_optimal ]
   in
   let race_rows =
     Experiment.policy_race ~jobs:!jobs ~options ~scenario:race_scenario
@@ -1128,7 +1109,6 @@ let section_perf () =
       [
         ("policy_default_equivalent", Json.Bool policy_default_equivalent);
         ("policy_adaptive_beats_static", Json.Bool policy_adaptive_beats_static);
-        ("cache_budget", Json.Int race_budget);
         ("shift_time_s", Json.Float 450.);
         ("policy_race", Json.List (List.map row race_rows));
       ]
@@ -1322,9 +1302,9 @@ let section_perf () =
     no_fault_equivalent e21_recovered;
   Table.print fault_table;
   Printf.printf
-    "\nselection policies (flash crowd, halves swap at t=450): deprecated alias == \
-     default: %b; adaptive beats static TTL post-shift: %b (cache budget %d keys)\n"
-    policy_default_equivalent policy_adaptive_beats_static race_budget;
+    "\nselection policies (flash crowd, halves swap at t=450): explicit default spec == \
+     default: %b; adaptive beats static TTL post-shift: %b\n"
+    policy_default_equivalent policy_adaptive_beats_static;
   Table.print policy_table;
   Printf.printf
     "\ntracing: disabled %.2f s vs %.2f s re-measured (%.2f%% apart, within 2%%: %b); \
@@ -1430,60 +1410,25 @@ let peak_rss_mb () =
       close_in ic;
       mb
 
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
-  at 0
-
-(* Merge ["KEY": ...] into an existing single-line BENCH_pdht.json
-   object (the [perf] section's output); start a fresh object when the
-   file is missing or malformed.  A previous block under the same key
-   is dropped first — together with everything after it, so splice
-   sections in a fixed order (perf writes the base; scale, then churn,
-   append) and reruns replace rather than duplicate. *)
+(* Set [key] in the top-level object of BENCH_pdht.json (the [perf]
+   section's output): a block already under [key] is replaced in place,
+   a new one appended, so sections splice in any order and reruns never
+   duplicate.  A missing or unparsable file starts a fresh object. *)
 let splice_section_json path ~key json_value =
-  let base =
-    if Sys.file_exists path then (
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      String.trim s)
-    else ""
+  let module Json = Pdht_obs.Json in
+  let fields =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ -> []
+    | s -> ( match Json.of_string s with Ok (Json.Obj fields) -> fields | Ok _ | Error _ -> [])
   in
-  let marker = "\"" ^ key ^ "\":" in
-  let base =
-    let m = String.length marker and len = String.length base in
-    let rec find i = if i + m > len then -1 else if String.sub base i m = marker then i else find (i + 1) in
-    match find 0 with
-    | -1 -> base
-    | p ->
-        let pre = String.trim (String.sub base 0 p) in
-        let pre =
-          let l = String.length pre in
-          if l > 0 && pre.[l - 1] = ',' then String.trim (String.sub pre 0 (l - 1)) else pre
-        in
-        if pre = "{" then "{}" else pre ^ "}"
+  let fields =
+    if List.mem_assoc key fields then
+      List.map (fun (k, v) -> if k = key then (k, json_value) else (k, v)) fields
+    else fields @ [ (key, json_value) ]
   in
-  let value_str = Pdht_obs.Json.to_string json_value in
-  let len = String.length base in
-  let merged =
-    if
-      len >= 2
-      && base.[0] = '{'
-      && base.[len - 1] = '}'
-      && not (contains_substring base marker)
-    then
-      String.sub base 0 (len - 1)
-      ^ (if String.trim (String.sub base 1 (len - 2)) = "" then "" else ", ")
-      ^ marker ^ " " ^ value_str ^ "}"
-    else "{" ^ marker ^ " " ^ value_str ^ "}"
-  in
-  let oc = open_out path in
-  output_string oc merged;
-  output_char oc '\n';
-  close_out oc
-
-let splice_scale_json path scale_json = splice_section_json path ~key:"scale" scale_json
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string (Json.Obj fields));
+      output_char oc '\n')
 
 let section_scale () =
   heading
@@ -1633,7 +1578,7 @@ let section_scale () =
       ]
   in
   let path = "BENCH_pdht.json" in
-  splice_scale_json path scale_json;
+  splice_section_json path ~key:"scale" scale_json;
   Printf.printf
     "bytes/peer flat across decades: %b; dht hops track log N: %b; peak RSS %.0f \
      MB\nspliced \"scale\" into %s\n"

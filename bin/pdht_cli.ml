@@ -92,9 +92,8 @@ let policy_arg =
        & info [ "policy" ] ~docv:"POLICY"
            ~doc:"Index-selection policy: $(b,ttl) (model-derived keyTtl, the \
                  default), $(b,ttl:SECS) (fixed keyTtl), $(b,ttl:adaptive) \
-                 (self-tuning controller), $(b,cost) (online Eq. 1-2 \
-                 re-solve), $(b,learned) (demand-coverage placement), or \
-                 $(b,cache:BUDGET) (size-budgeted cache).  Subsumes \
+                 (self-tuning controller), or $(b,cost) (online Eq. 1-2 \
+                 re-solve; admits keys above the fitted fMin).  Subsumes \
                  $(b,--key-ttl)/$(b,--adaptive); combining them is an error.")
 
 (* ------------------------------------------------------------------ *)
@@ -262,7 +261,7 @@ let run_sweep csv jobs net policy params =
   | Error msg -> `Error (false, msg)
   | Ok net ->
   (match policy with
-  | Some spec when Psel.uses_selector spec ->
+  | Some (Psel.Cost_optimal as spec) ->
       (* Same symmetry contract as --net below: the analytical sweep
          has no query stream for a selector to learn from. *)
       Printf.eprintf

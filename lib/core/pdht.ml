@@ -115,7 +115,6 @@ let set_key_ttl t ttl =
   t.key_ttl <- ttl
 
 let set_policy t policy = t.policy <- Some policy
-let clear_policy t = t.policy <- None
 
 (* Expiration lease for an insertion or query-hit refresh of a key. *)
 let lease t ~now ~key_index =

@@ -122,8 +122,6 @@ val set_policy : t -> policy -> unit
     is admitted with lease {!key_ttl} — the paper's behaviour, on the
     exact pre-policy code path. *)
 
-val clear_policy : t -> unit
-
 type answer_source = From_index | From_broadcast | Not_found
 
 type query_result = {

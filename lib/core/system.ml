@@ -11,6 +11,7 @@ let log_src = Logs.Src.create "pdht.system" ~doc:"PDHT simulation runner"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Psel = Pdht_policy.Selector
+module Cost = Psel.Cost_optimal
 
 type options = {
   repl : int;
@@ -184,8 +185,7 @@ let model_params (scenario : Scenario.t) (options : options) =
 let derive_key_ttl scenario options =
   match options.selection_policy with
   | Psel.Ttl (Psel.Fixed ttl) -> ttl
-  | Psel.Ttl Psel.Model_derived | Psel.Ttl Psel.Adaptive
-  | Psel.Cost_optimal | Psel.Learned | Psel.Cache_budget _ ->
+  | Psel.Ttl Psel.Model_derived | Psel.Ttl Psel.Adaptive | Psel.Cost_optimal ->
       let params = model_params scenario options in
       let solution = Pdht_model.Index_policy.solve params in
       let ttl = Pdht_model.Strategies.default_key_ttl solution in
@@ -387,34 +387,32 @@ let run ?obs ?driver scenario strategy options =
     end
     else None
   in
-  (* Pluggable selection policy (extension): only the adaptive policies
-     instantiate a selector; [Ttl _] runs install no hook and keep the
-     exact pre-policy code path, so their reports stay byte-identical.
-     Selectors draw no randomness, preserving the determinism contract. *)
+  (* Cost-optimal selection (extension): [Ttl _] runs install no hook
+     and keep the exact pre-policy code path, so their reports stay
+     byte-identical.  The selector draws no randomness, preserving the
+     determinism contract. *)
   let selector =
-    if Psel.uses_selector options.selection_policy && Strategy.is_partial strategy
-    then begin
-      let retune_every = 5. *. options.sample_every in
-      let sel =
-        Psel.instantiate options.selection_policy
-          ~params:(model_params scenario options)
-          ~base_ttl:(Pdht.key_ttl pdht) ~retune_every
-      in
-      Pdht.set_policy pdht
-        {
-          Pdht.admit =
-            (fun ~now ~key_index ->
-              let ok = Psel.admit sel ~now ~key_index in
-              Psel.observe sel ~now ~key_index
-                (if ok then Psel.Inserted else Psel.Rejected);
-              ok);
-          ttl_for = (fun ~now ~key_index -> Psel.ttl_for sel ~now ~key_index);
-        };
-      Engine.schedule_periodic engine ~first:retune_every ~every:retune_every
-        (fun eng -> Psel.retune sel ~now:(Engine.now eng));
-      Some sel
-    end
-    else None
+    match options.selection_policy with
+    | Psel.Cost_optimal when Strategy.is_partial strategy ->
+        let retune_every = 5. *. options.sample_every in
+        let sel =
+          Cost.create ~params:(model_params scenario options)
+            ~base_ttl:(Pdht.key_ttl pdht) ~retune_every
+        in
+        Pdht.set_policy pdht
+          {
+            Pdht.admit =
+              (fun ~now ~key_index ->
+                let ok = Cost.admit sel ~now ~key_index in
+                Cost.observe sel ~now ~key_index
+                  (if ok then Psel.Inserted else Psel.Rejected);
+                ok);
+            ttl_for = (fun ~now ~key_index -> Cost.ttl_for sel ~now ~key_index);
+          };
+        Engine.schedule_periodic engine ~first:retune_every ~every:retune_every
+          (fun eng -> Cost.retune sel ~now:(Engine.now eng));
+        Some sel
+    | Psel.Cost_optimal | Psel.Ttl _ -> None
   in
   let counters =
     {
@@ -496,9 +494,7 @@ let run ?obs ?driver scenario strategy options =
       | Some controller -> Adaptive.note_query controller result
       | None -> ());
       match selector with
-      | Some sel ->
-          Psel.observe sel ~now ~key_index
-            (Psel.Queried { hit = result.Pdht.source = Pdht.From_index })
+      | Some sel -> Cost.observe sel ~now ~key_index Psel.Queried
       | None -> ()
       end);
   (* Update workload (article replacements). *)
@@ -771,7 +767,7 @@ let run ?obs ?driver scenario strategy options =
     histograms;
     net = net_summary;
     fault = fault_summary;
-    policy = Option.map Psel.summary selector;
+    policy = Option.map Cost.summary selector;
     timeline = Option.map (fun (tl, _) -> Pdht_obs.Timeline.summary tl) timeline;
     samples = List.rev counters.samples_rev;
   }

@@ -16,11 +16,11 @@ type options = {
       (** what drives index selection (default [Ttl Model_derived] —
           the paper's behaviour).  [Ttl _] specs run the original
           global-TTL code path with no selector installed, so their
-          reports are byte-identical to the pre-policy system; the
-          adaptive specs ([Cost_optimal], [Learned], [Cache_budget])
-          install a {!Pdht_policy.Selector} that gates insertions and
-          sets per-key leases, and the report gains its [policy]
-          summary.  Only active under [Partial_index]. *)
+          reports are byte-identical to the pre-policy system;
+          [Cost_optimal] installs a
+          {!Pdht_policy.Selector.Cost_optimal} selector that gates
+          insertions and sets per-key leases, and the report gains its
+          [policy] summary.  Only active under [Partial_index]. *)
   sample_every : float;        (** time-series bucket width, seconds *)
   sizing_slack : float;
       (** headroom multiplier on the model's [numActivePeers]: replica
@@ -187,8 +187,8 @@ type report = {
   fault : fault_summary option; (** see {!fault_summary} *)
   policy : Pdht_policy.Selector.summary option;
       (** selection-policy snapshot; present exactly when the run
-          installed a selector (an adaptive [selection_policy] under
-          [Partial_index]), [None] for [Ttl _] runs *)
+          installed a selector ([Cost_optimal] under [Partial_index]),
+          [None] otherwise *)
   timeline : Pdht_obs.Timeline.summary option;
       (** windowed time series; present exactly when
           [options.timeline_window] was set *)
@@ -198,7 +198,7 @@ type report = {
 val derive_key_ttl : Pdht_work.Scenario.t -> options -> float
 (** The TTL a run starts with: [Ttl (Fixed ttl)] verbatim, otherwise
     (every other policy) [1/fMin] from the analytical model
-    instantiated with the scenario's parameters (Zipf alpha
+    evaluated at the scenario's parameters (Zipf alpha
     approximated as 1.0 for non-Zipf distributions). *)
 
 val plan_active_members : Pdht_work.Scenario.t -> options -> Strategy.t -> int

@@ -39,6 +39,6 @@ val expected_hit_prob_at_least_once : t -> rank:int -> trials:float -> float
 (** Paper Eq. 4: probability that the key at [rank] is queried at least
     once in [trials] independent queries,
     {m 1 - (1 - prob_{rank})^{trials}}.  [trials] is a float because the
-    paper instantiates it with [numPeers * fQry], which is fractional at
+    paper sets it to [numPeers * fQry], which is fractional at
     low query rates.  Computed via [expm1]/[log1p] for accuracy at tiny
     probabilities. *)

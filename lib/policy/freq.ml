@@ -1,26 +1,25 @@
+(* EMA weight of each new window. *)
+let smoothing = 0.5
+
 type t = {
-  smoothing : float;
   keys : int;
   counts : int array;
   rates : float array;
   mutable window_start : float;
   mutable window_total : int;
-  mutable folds : int;
+  mutable seeded : bool;
   mutable est_total : float;
 }
 
-let create ?(smoothing = 0.5) ~keys () =
+let create ~keys =
   if keys < 1 then invalid_arg "Freq.create: keys must be >= 1";
-  if smoothing <= 0. || smoothing > 1. then
-    invalid_arg "Freq.create: smoothing must be in (0, 1]";
   {
-    smoothing;
     keys;
     counts = Array.make keys 0;
     rates = Array.make keys 0.;
     window_start = 0.;
     window_total = 0;
-    folds = 0;
+    seeded = false;
     est_total = 0.;
   }
 
@@ -35,8 +34,8 @@ let note t ~key_index =
 let fold t ~now =
   let elapsed = now -. t.window_start in
   if elapsed > 0. then begin
-    let beta = t.smoothing in
-    let first = t.folds = 0 in
+    let beta = smoothing in
+    let first = not t.seeded in
     for k = 0 to t.keys - 1 do
       let w = float_of_int t.counts.(k) /. elapsed in
       t.rates.(k) <- (if first then w else ((1. -. beta) *. t.rates.(k)) +. (beta *. w));
@@ -46,7 +45,7 @@ let fold t ~now =
     t.est_total <-
       (if first then w_total else ((1. -. beta) *. t.est_total) +. (beta *. w_total));
     t.window_total <- 0;
-    t.folds <- t.folds + 1;
+    t.seeded <- true;
     t.window_start <- now
   end
 
@@ -63,14 +62,3 @@ let live_rate t ~now ~key_index =
   Float.max t.rates.(key_index) window
 
 let total_rate t = t.est_total
-let folds t = t.folds
-let window_queries t = t.window_total
-
-let ranked t =
-  let ids = Array.init t.keys (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = compare t.rates.(b) t.rates.(a) in
-      if c <> 0 then c else compare a b)
-    ids;
-  ids

@@ -2,23 +2,21 @@
 
     The paper's Eq. 2 needs the per-key query frequency fQry(k); the
     analytical model reads it off the assumed Zipf curve, while the
-    selection policies in this library estimate it from the live query
-    stream.  The estimator counts queries per key between {!fold}
-    calls and maintains an exponential moving average of the per-key
-    global query rate (queries per second, summed over all peers):
-    at each fold, [rate(k) <- (1 - smoothing) * rate(k)
-    + smoothing * count(k) / elapsed].  The first fold seeds the EMA
-    directly so early estimates are not dragged toward zero.
+    cost-optimal selector estimates it from the live query stream.  The
+    estimator counts queries per key between {!fold} calls and maintains
+    an exponential moving average of the per-key global query rate
+    (queries per second, summed over all peers): at each fold,
+    [rate(k) <- 0.5 * rate(k) + 0.5 * count(k) / elapsed].  The first
+    fold seeds the EMA directly so early estimates are not dragged
+    toward zero.
 
     Everything is deterministic: no randomness, no wall clock — time
     comes from the caller (the simulation engine). *)
 
 type t
 
-val create : ?smoothing:float -> keys:int -> unit -> t
-(** [smoothing] is the EMA weight of each new window (default 0.5, in
-    (0, 1]).  @raise Invalid_argument on [keys < 1] or a smoothing
-    outside (0, 1]. *)
+val create : keys:int -> t
+(** @raise Invalid_argument on [keys < 1]. *)
 
 val note : t -> key_index:int -> unit
 (** Count one query for [key_index] in the current window.  Out-of-range
@@ -40,13 +38,3 @@ val live_rate : t -> now:float -> key_index:int -> float
 
 val total_rate : t -> float
 (** EMA'd total query rate over all keys, queries per second. *)
-
-val folds : t -> int
-(** Number of completed folds (0 = still warming up). *)
-
-val window_queries : t -> int
-(** Queries observed in the current (unfolded) window. *)
-
-val ranked : t -> int array
-(** Key indices sorted by decreasing EMA rate, ties broken by
-    increasing index — a deterministic popularity ranking. *)

@@ -1,48 +1,24 @@
-(** Pluggable index-selection policies.
+(** Index-selection policies.
 
     The paper's Section 5 answers "what should the partial index hold?"
     with one mechanism: a global key TTL, reset on every query, so keys
-    queried less often than once per keyTtl fall out.  That heuristic
-    is a single point in a larger design space — Sarshar &
-    Roychowdhury's size-budgeted optimum cache (arXiv cs/0210010) and
-    the Distributed Learned Hash Table (arXiv 2508.14239) both pick
-    the indexed set from observed demand.  This module makes the
-    decision a first-class interface so the strategies can be raced on
-    identical workloads.
+    queried less often than once per keyTtl fall out.  A {!spec} names
+    either that rule ([Ttl _]: model-derived, fixed or adaptive TTL, all
+    on the global-TTL code path with no selector) or [Cost_optimal],
+    which installs the {!Cost_optimal} selector: it re-solves the
+    Eq. 1-2 fixed point online from the estimated live fQry and admits
+    exactly the keys whose estimated query rate clears the resulting
+    fMin threshold.  The selector draws no randomness, so simulation
+    reports remain pure functions of (scenario, strategy, options). *)
 
-    A selector sees the query stream ({!SELECTOR.observe}), gates index
-    insertions ({!SELECTOR.admit}), sets per-key expirations
-    ({!SELECTOR.ttl_for}), and periodically refits itself
-    ({!SELECTOR.retune}).  All implementations are deterministic: they
-    draw no randomness, so simulation reports remain pure functions of
-    (scenario, strategy, options).
-
-    Four policies implement the interface:
-    - {!Ttl_selector} — the paper's behaviour (model-derived, fixed, or
-      adaptive TTL; the adaptive variant delegates to the existing
-      controller through a [ttl_now] thunk): admit everything, one
-      global TTL.
-    - {!Cost_optimal} — re-solves the Eq. 1-2 fixed point online from
-      the estimated live fQry and admits exactly the keys whose
-      estimated query rate clears the resulting fMin threshold.
-    - {!Learned} — demand-coverage placement à la DLHT: at each refit,
-      index the smallest popularity prefix covering a fixed fraction of
-      the observed query mass.
-    - {!Cache_budget} — a size-budgeted optimum cache per cs/0210010:
-      index the top-[budget] keys by estimated rate. *)
-
-(** The paper's TTL axis, kept as one arm of the new policy space. *)
+(** The paper's TTL axis. *)
 type ttl_mode =
   | Model_derived  (** keyTtl = 1/fMin from the analytical model *)
   | Fixed of float (** explicit keyTtl in seconds *)
   | Adaptive       (** the self-tuning Section 5.1.1 controller *)
 
 (** What drives index selection for a run. *)
-type spec =
-  | Ttl of ttl_mode
-  | Cost_optimal
-  | Learned
-  | Cache_budget of int  (** maximum number of distinct indexed keys *)
+type spec = Ttl of ttl_mode | Cost_optimal
 
 val default : spec
 (** [Ttl Model_derived] — the paper's behaviour. *)
@@ -50,45 +26,48 @@ val default : spec
 val equal : spec -> spec -> bool
 val label : spec -> string
 (** Short display name: ["ttl"], ["ttl:300"], ["ttl:adaptive"],
-    ["cost"], ["learned"], ["cache:500"]. *)
+    ["cost"]. *)
 
 val to_string : spec -> string
 (** Round-trips with {!of_string} (same output as {!label}). *)
 
 val of_string : string -> (spec, string) result
 (** CLI grammar: [ttl] (model-derived), [ttl:SECS] (fixed, positive),
-    [ttl:adaptive], [cost], [learned], [cache:BUDGET] (>= 1). *)
-
-val uses_selector : spec -> bool
-(** [true] for the policies that need a live selector instance
-    ([Cost_optimal], [Learned], [Cache_budget]).  [Ttl _] runs use the
-    original global-TTL code path and need none. *)
+    [ttl:adaptive], [cost]. *)
 
 val validate : spec -> (spec, string) result
-(** Reject non-positive fixed TTLs and non-positive cache budgets. *)
+(** Reject non-positive fixed TTLs. *)
 
-(** What a selector is told about a key. *)
+(** What the selector is told about a key. *)
 type event =
-  | Queried of { hit : bool }  (** a query for the key; [hit] = answered
-                                   from the index *)
-  | Inserted                   (** an index insertion was admitted *)
-  | Rejected                   (** an index insertion was declined *)
+  | Queried   (** a query for the key *)
+  | Inserted  (** an index insertion was admitted *)
+  | Rejected  (** an index insertion was declined *)
 
 (** Reporting snapshot, folded into the run report. *)
 type summary = {
   policy : string;         (** {!label} of the spec *)
-  retunes : int;           (** completed {!SELECTOR.retune} passes *)
+  retunes : int;           (** completed {!Cost_optimal.retune} passes *)
   observed_queries : int;  (** [Queried] events seen *)
   admitted_inserts : int;  (** [Inserted] events seen *)
   rejected_inserts : int;  (** [Rejected] events seen *)
   target_keys : int;       (** current admission-set size; -1 = unbounded *)
   est_f_qry : float;       (** estimated per-peer query rate, 1/s *)
   threshold : float;       (** admission rate threshold, queries/s;
-                               0. while warming up or unbounded *)
+                               0. while warming up *)
 }
 
-module type SELECTOR = sig
+module Cost_optimal : sig
   type t
+
+  val create :
+    params:Pdht_model.Params.t -> base_ttl:float -> retune_every:float -> t
+  (** [params] is the analytical-model view of the scenario (for the
+      online Eq. 1-2 re-solve), [base_ttl] the TTL the run starts with
+      (used until the first retune), and [retune_every] the refit
+      period the caller drives {!retune} at.  @raise Invalid_argument
+      on a non-finite or non-positive [base_ttl] or a non-positive
+      [retune_every]. *)
 
   val observe : t -> now:float -> key_index:int -> event -> unit
   (** Feed one key event; called on the query hot path. *)
@@ -105,59 +84,3 @@ module type SELECTOR = sig
 
   val summary : t -> summary
 end
-
-module Ttl_selector : sig
-  include SELECTOR
-  val create : label:string -> ttl_now:(unit -> float) -> t
-end
-
-module Cost_optimal : sig
-  include SELECTOR
-  val create :
-    params:Pdht_model.Params.t -> base_ttl:float -> retune_every:float -> t
-  val threshold : t -> float
-  (** Current fMin estimate (0. until the first productive retune). *)
-end
-
-module Learned : sig
-  include SELECTOR
-  val create :
-    ?coverage:float ->
-    params:Pdht_model.Params.t -> base_ttl:float -> retune_every:float -> unit -> t
-  (** [coverage] (default 0.9, in (0, 1]) is the fraction of observed
-      query mass the learned placement must cover. *)
-end
-
-module Cache_budget : sig
-  include SELECTOR
-  val create :
-    budget:int ->
-    params:Pdht_model.Params.t -> base_ttl:float -> retune_every:float -> t
-  (** @raise Invalid_argument on [budget < 1]. *)
-end
-
-(** A selector instance with its implementation packed away. *)
-type packed = Packed : (module SELECTOR with type t = 'a) * 'a -> packed
-
-val instantiate :
-  ?ttl_now:(unit -> float) ->
-  spec ->
-  params:Pdht_model.Params.t ->
-  base_ttl:float ->
-  retune_every:float ->
-  packed
-(** Build the selector for [spec].  [params] is the analytical-model
-    view of the scenario (for the online Eq. 1-2 re-solve), [base_ttl]
-    the TTL the run starts with (used until the first retune), and
-    [retune_every] the refit period the caller will drive retunes at.
-    [ttl_now] (default: constantly [base_ttl]) is only read by
-    [Ttl _] specs — it lets the adaptive controller keep ownership of
-    the global TTL.  @raise Invalid_argument on non-positive
-    [base_ttl]/[retune_every] or an invalid spec. *)
-
-val observe : packed -> now:float -> key_index:int -> event -> unit
-val admit : packed -> now:float -> key_index:int -> bool
-val ttl_for : packed -> now:float -> key_index:int -> float
-val retune : packed -> now:float -> unit
-val summary : packed -> summary
-(** Convenience forwarders through the packed existential. *)

@@ -88,6 +88,10 @@ diff "$pol/ttl-report.txt" test/golden/default_policy_report.txt
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 400 \
   --policy cost > "$pol/cost-report.txt"
 diff "$pol/cost-report.txt" test/golden/cost_policy_report.txt
+# Specs outside the grammar are a usage error (cmdliner exit code 124).
+status=0
+dune exec bin/pdht_cli.exe -- simulate --policy learned > /dev/null 2>&1 || status=$?
+test "$status" -eq 124
 
 echo "== parallel determinism =="
 # The runner's contract: any --jobs value yields byte-identical output.
