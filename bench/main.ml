@@ -1,30 +1,10 @@
-(* Benchmark / experiment harness.
+(* Benchmark / experiment harness: regenerates every table and figure of
+   the paper's evaluation plus the extension experiments indexed in
+   DESIGN.md.  [main.exe --help] lists the sections; naming none runs
+   them all.  [-j/--jobs N] runs each experiment's independent
+   simulations on N domains; output is byte-identical for every N. *)
 
-   Regenerates every table and figure of the paper's evaluation plus the
-   extension experiments indexed in DESIGN.md:
-
-     table1           Table 1  parameters + derived model quantities
-     fig1             Fig. 1   total msg/s per strategy vs query frequency
-     fig2             Fig. 2   savings of ideal partial indexing
-     fig3             Fig. 3   index size and pIndxd vs query frequency
-     fig4             Fig. 4   savings of the TTL selection algorithm
-     ttl_sensitivity  S 5.1.1  keyTtl estimation-error sensitivity
-     sim_vs_model     E7       event-driven simulation vs Eq. 11/12/17
-     sim_adaptivity   E6       hit-rate recovery across a popularity shift
-     ablation         E8       flooding vs random walks; Chord vs P-Grid
-     ttl_tuning       ext      fixed keyTtl grid vs the adaptive controller
-     micro            -        Bechamel micro-benchmarks of the hot paths
-     scale            ext      decade sweep 10^3..10^6 peers (bytes/peer,
-                               events/s, hops vs log N); cap the largest
-                               decade with --scale-max N
-
-   Usage: main.exe [section ...] [-j N] [--scale-max N]
-   (no sections = everything)
-
-   -j/--jobs N runs each experiment's independent simulations on N
-   domains (default: recommended_domain_count - 1).  Output is
-   byte-identical for every N. *)
-
+open Cmdliner
 module Params = Pdht_model.Params
 module Sweep = Pdht_model.Sweep
 module Strategies = Pdht_model.Strategies
@@ -36,6 +16,7 @@ module System = Pdht_core.System
 module Experiment = Pdht_core.Experiment
 module Strategy = Pdht_core.Strategy
 module Psel = Pdht_policy.Selector
+module Json = Pdht_obs.Json
 
 let heading title note =
   Printf.printf "\n================================================================\n";
@@ -45,16 +26,19 @@ let heading title note =
 
 let freq_label f = Printf.sprintf "1/%.0f" (1. /. f)
 
+let print_table columns rows = Table.print (Table.make columns rows)
+
 (* ------------------------------------------------------------------ *)
 (* Analytic sections (paper scale: Table 1 parameters) *)
 
 let section_table1 () =
   heading "Table 1 - parameters of the sample scenario"
     "(paper Section 4; the model sections below all use these values)";
-  let t = Table.create ~columns:[ ("Description", Table.Left); ("Param.", Table.Left);
-                                  ("Value", Table.Left) ] in
-  List.iter (fun (d, s, v) -> Table.add_row t [ d; s; v ]) (Params.to_rows Params.default);
-  Table.print t;
+  print_table
+    [ ("Description", Table.Left, fun (d, _, _) -> d);
+      ("Param.", Table.Left, fun (_, s, _) -> s);
+      ("Value", Table.Left, fun (_, _, v) -> v) ]
+    (Params.to_rows Params.default);
   let s = Index_policy.solve Params.default in
   Printf.printf
     "\nDerived at fQry = 1/30: cSUnstr = %.1f msg, cSIndx = %.2f msg,\n\
@@ -66,83 +50,57 @@ let section_table1 () =
 
 let sweep_points () = Sweep.default_run Params.default
 
+let fqry_column =
+  ("fQry [1/s]", Table.Left, fun (p : Sweep.point) -> freq_label p.Sweep.f_qry)
+
 let section_fig1 () =
   heading "Fig. 1 - query frequency vs total sent messages per second"
     "(paper: indexAll flat ~20-25k; noIndex linear in fQry; partial below both)";
-  let t =
-    Table.create
-      ~columns:
-        [ ("fQry [1/s]", Table.Left); ("indexAll [msg/s]", Table.Right);
-          ("noIndex [msg/s]", Table.Right); ("partial (ideal) [msg/s]", Table.Right) ]
-  in
-  List.iter
-    (fun (p : Sweep.point) ->
-      Table.add_row t
-        [ freq_label p.Sweep.f_qry;
-          Printf.sprintf "%.0f" p.Sweep.index_all;
-          Printf.sprintf "%.0f" p.Sweep.no_index;
-          Printf.sprintf "%.0f" p.Sweep.partial_ideal ])
-    (sweep_points ());
-  Table.print t
+  print_table
+    [ fqry_column;
+      ("indexAll [msg/s]", Table.Right, fun p -> Printf.sprintf "%.0f" p.Sweep.index_all);
+      ("noIndex [msg/s]", Table.Right, fun p -> Printf.sprintf "%.0f" p.Sweep.no_index);
+      ( "partial (ideal) [msg/s]", Table.Right,
+        fun p -> Printf.sprintf "%.0f" p.Sweep.partial_ideal ) ]
+    (sweep_points ())
 
 let section_fig2 () =
   heading "Fig. 2 - savings of ideal partial indexing"
     "(paper: vs indexAll rising toward 1 at low rates; vs noIndex ~0.95 falling)";
-  let t =
-    Table.create
-      ~columns:
-        [ ("fQry [1/s]", Table.Left); ("vs indexAll", Table.Right);
-          ("vs noIndex", Table.Right) ]
-  in
-  List.iter
-    (fun (p : Sweep.point) ->
-      Table.add_row t
-        [ freq_label p.Sweep.f_qry;
-          Printf.sprintf "%.3f" p.Sweep.savings_ideal_vs_all;
-          Printf.sprintf "%.3f" p.Sweep.savings_ideal_vs_none ])
-    (sweep_points ());
-  Table.print t
+  print_table
+    [ fqry_column;
+      ( "vs indexAll", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.savings_ideal_vs_all );
+      ( "vs noIndex", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.savings_ideal_vs_none ) ]
+    (sweep_points ())
 
 let section_fig3 () =
   heading "Fig. 3 - index size and answerable fraction (ideal partial)"
     "(paper: both fall as queries get rarer; small index still answers most queries)";
-  let t =
-    Table.create
-      ~columns:
-        [ ("fQry [1/s]", Table.Left); ("index size (maxRank/keys)", Table.Right);
-          ("pIndxd (Eq. 5)", Table.Right); ("maxRank", Table.Right) ]
-  in
-  List.iter
-    (fun (p : Sweep.point) ->
-      Table.add_row t
-        [ freq_label p.Sweep.f_qry;
-          Printf.sprintf "%.3f" p.Sweep.index_fraction;
-          Printf.sprintf "%.3f" p.Sweep.p_indexed;
-          string_of_int p.Sweep.max_rank ])
-    (sweep_points ());
-  Table.print t
+  print_table
+    [ fqry_column;
+      ( "index size (maxRank/keys)", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.index_fraction );
+      ("pIndxd (Eq. 5)", Table.Right, fun p -> Printf.sprintf "%.3f" p.Sweep.p_indexed);
+      ("maxRank", Table.Right, fun p -> string_of_int p.Sweep.max_rank) ]
+    (sweep_points ())
 
 let section_fig4 () =
   heading "Fig. 4 - savings with the TTL selection algorithm (Eq. 17)"
     "(paper: substantial savings except vs indexAll at very high query rates)";
-  let t =
-    Table.create
-      ~columns:
-        [ ("fQry [1/s]", Table.Left); ("vs indexAll", Table.Right);
-          ("vs noIndex", Table.Right); ("keyTtl [s]", Table.Right);
-          ("TTL index frac (Eq. 15)", Table.Right); ("pIndxd (Eq. 14)", Table.Right) ]
-  in
-  List.iter
-    (fun (p : Sweep.point) ->
-      Table.add_row t
-        [ freq_label p.Sweep.f_qry;
-          Printf.sprintf "%.3f" p.Sweep.savings_selection_vs_all;
-          Printf.sprintf "%.3f" p.Sweep.savings_selection_vs_none;
-          Printf.sprintf "%.0f" p.Sweep.key_ttl;
-          Printf.sprintf "%.3f" p.Sweep.ttl_index_fraction;
-          Printf.sprintf "%.3f" p.Sweep.p_indexed_ttl ])
-    (sweep_points ());
-  Table.print t
+  print_table
+    [ fqry_column;
+      ( "vs indexAll", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.savings_selection_vs_all );
+      ( "vs noIndex", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.savings_selection_vs_none );
+      ("keyTtl [s]", Table.Right, fun p -> Printf.sprintf "%.0f" p.Sweep.key_ttl);
+      ( "TTL index frac (Eq. 15)", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.ttl_index_fraction );
+      ( "pIndxd (Eq. 14)", Table.Right,
+        fun p -> Printf.sprintf "%.3f" p.Sweep.p_indexed_ttl ) ]
+    (sweep_points ())
 
 let section_ttl_sensitivity () =
   heading "Section 5.1.1 - sensitivity to keyTtl estimation error"
@@ -150,24 +108,19 @@ let section_ttl_sensitivity () =
   let table_at f_qry =
     Printf.printf "\nat fQry = %s:\n" (freq_label f_qry);
     let params = Params.with_query_frequency Params.default f_qry in
-    let t =
-      Table.create
-        ~columns:
-          [ ("TTL scale", Table.Right); ("keyTtl [s]", Table.Right);
-            ("cost [msg/s]", Table.Right); ("savings vs indexAll", Table.Right);
-            ("savings vs noIndex", Table.Right); ("savings drop", Table.Right) ]
-    in
-    List.iter
-      (fun (r : Ttl_analysis.row) ->
-        Table.add_row t
-          [ Printf.sprintf "%.2f" r.Ttl_analysis.scale;
-            Printf.sprintf "%.0f" r.Ttl_analysis.key_ttl;
-            Printf.sprintf "%.0f" r.Ttl_analysis.total_cost;
-            Printf.sprintf "%.3f" r.Ttl_analysis.savings_vs_all;
-            Printf.sprintf "%.3f" r.Ttl_analysis.savings_vs_none;
-            Printf.sprintf "%+.4f" r.Ttl_analysis.savings_drop_vs_ideal_ttl ])
-      (Ttl_analysis.run params ~scales:Ttl_analysis.default_scales);
-    Table.print t
+    print_table
+      [ ( "TTL scale", Table.Right,
+          fun (r : Ttl_analysis.row) -> Printf.sprintf "%.2f" r.Ttl_analysis.scale );
+        ("keyTtl [s]", Table.Right, fun r -> Printf.sprintf "%.0f" r.Ttl_analysis.key_ttl);
+        ( "cost [msg/s]", Table.Right,
+          fun r -> Printf.sprintf "%.0f" r.Ttl_analysis.total_cost );
+        ( "savings vs indexAll", Table.Right,
+          fun r -> Printf.sprintf "%.3f" r.Ttl_analysis.savings_vs_all );
+        ( "savings vs noIndex", Table.Right,
+          fun r -> Printf.sprintf "%.3f" r.Ttl_analysis.savings_vs_none );
+        ( "savings drop", Table.Right,
+          fun r -> Printf.sprintf "%+.4f" r.Ttl_analysis.savings_drop_vs_ideal_ttl ) ]
+      (Ttl_analysis.run params ~scales:Ttl_analysis.default_scales)
   in
   table_at (1. /. 30.);
   table_at (1. /. 600.)
@@ -198,29 +151,28 @@ let section_sim_vs_model () =
     "(shape check: who wins and by roughly what factor; absolute numbers differ\n\
      because the simulator measures its own dup factors and warm-up misses)";
   let frequencies = [ 1. /. 30.; 1. /. 120.; 1. /. 600.; 1. /. 3600. ] in
-  let rows = Experiment.face_off ~jobs:!jobs ~options:sim_options ~scenario:sim_scenario ~frequencies () in
-  let t =
-    Table.create
-      ~columns:
-        [ ("fQry [1/s]", Table.Left);
-          ("sim all", Table.Right); ("sim none", Table.Right); ("sim partial", Table.Right);
-          ("model all", Table.Right); ("model none", Table.Right); ("model partial", Table.Right);
-          ("sim hit rate", Table.Right); ("Eq.14 pIndxd", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.face_off_row) ->
-      Table.add_row t
-        [ freq_label r.Experiment.f_qry;
-          Printf.sprintf "%.0f" r.Experiment.sim_index_all;
-          Printf.sprintf "%.0f" r.Experiment.sim_no_index;
-          Printf.sprintf "%.0f" r.Experiment.sim_partial;
-          Printf.sprintf "%.0f" r.Experiment.model_index_all;
-          Printf.sprintf "%.0f" r.Experiment.model_no_index;
-          Printf.sprintf "%.0f" r.Experiment.model_partial;
-          Printf.sprintf "%.3f" r.Experiment.sim_hit_rate;
-          Printf.sprintf "%.3f" r.Experiment.model_p_indexed_ttl ])
-    rows;
-  Table.print t
+  print_table
+    [ ( "fQry [1/s]", Table.Left,
+        fun (r : Experiment.face_off_row) -> freq_label r.Experiment.f_qry );
+      ("sim all", Table.Right, fun r -> Printf.sprintf "%.0f" r.Experiment.sim_index_all);
+      ("sim none", Table.Right, fun r -> Printf.sprintf "%.0f" r.Experiment.sim_no_index);
+      ("sim partial", Table.Right, fun r -> Printf.sprintf "%.0f" r.Experiment.sim_partial);
+      ( "model all", Table.Right,
+        fun r -> Printf.sprintf "%.0f" r.Experiment.model_index_all );
+      ( "model none", Table.Right,
+        fun r -> Printf.sprintf "%.0f" r.Experiment.model_no_index );
+      ( "model partial", Table.Right,
+        fun r -> Printf.sprintf "%.0f" r.Experiment.model_partial );
+      ( "sim hit rate", Table.Right,
+        fun r -> Printf.sprintf "%.3f" r.Experiment.sim_hit_rate );
+      ( "Eq.14 pIndxd", Table.Right,
+        fun r -> Printf.sprintf "%.3f" r.Experiment.model_p_indexed_ttl ) ]
+    (Experiment.face_off ~jobs:!jobs ~options:sim_options ~scenario:sim_scenario
+       ~frequencies ())
+
+(* One sample per 4 buckets keeps the time-series tables readable. *)
+let every_240s (samples : System.sample list) =
+  List.filter (fun (s : System.sample) -> int_of_float s.System.time mod 240 = 0) samples
 
 let section_sim_adaptivity () =
   heading "E6 - adaptivity to a changing query distribution (Section 5.2 claim)"
@@ -244,94 +196,69 @@ let section_sim_adaptivity () =
     (match r.Experiment.recovery_seconds with
     | Some s -> Printf.sprintf "within %.0f s" s
     | None -> "not reached in-run");
-  let t =
-    Table.create
-      ~columns:
-        [ ("t [s]", Table.Right); ("hit rate", Table.Right); ("indexed keys", Table.Right);
-          ("msgs in bucket", Table.Right) ]
-  in
-  List.iter
-    (fun (s : System.sample) ->
-      (* Print one sample per 4 buckets to keep the table readable. *)
-      if int_of_float s.System.time mod 240 = 0 then
-        Table.add_row t
-          [ Printf.sprintf "%.0f" s.System.time;
-            Printf.sprintf "%.3f" s.System.hit_rate;
-            string_of_int s.System.indexed_keys;
-            string_of_int s.System.messages ])
-    r.Experiment.series;
-  Table.print t
+  print_table
+    [ ( "t [s]", Table.Right,
+        fun (s : System.sample) -> Printf.sprintf "%.0f" s.System.time );
+      ("hit rate", Table.Right, fun s -> Printf.sprintf "%.3f" s.System.hit_rate);
+      ("indexed keys", Table.Right, fun s -> string_of_int s.System.indexed_keys);
+      ("msgs in bucket", Table.Right, fun s -> string_of_int s.System.messages) ]
+    (every_240s r.Experiment.series)
 
 let section_ablation () =
   heading "E8a - unstructured search mechanism (cSUnstr substrate)"
     "(paper assumes multiple random walks [LvCa02] because flooding is wasteful)";
-  let rows = Experiment.search_ablation ~jobs:!jobs ~seed:7 ~peers:1_000 ~repl:50 ~trials:200 () in
-  let t =
-    Table.create
-      ~columns:
-        [ ("mechanism", Table.Left); ("mean msgs/search", Table.Right);
-          ("success rate", Table.Right); ("empirical dup", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.search_ablation_row) ->
-      Table.add_row t
-        [ r.Experiment.mechanism;
-          Printf.sprintf "%.1f" r.Experiment.mean_messages;
-          Printf.sprintf "%.3f" r.Experiment.success_rate;
-          (if Float.is_nan r.Experiment.empirical_dup then "-"
-           else Printf.sprintf "%.2f" r.Experiment.empirical_dup) ])
-    rows;
-  Table.print t;
+  print_table
+    [ ( "mechanism", Table.Left,
+        fun (r : Experiment.search_ablation_row) -> r.Experiment.mechanism );
+      ( "mean msgs/search", Table.Right,
+        fun r -> Printf.sprintf "%.1f" r.Experiment.mean_messages );
+      ( "success rate", Table.Right,
+        fun r -> Printf.sprintf "%.3f" r.Experiment.success_rate );
+      ( "empirical dup", Table.Right,
+        fun r ->
+          if Float.is_nan r.Experiment.empirical_dup then "-"
+          else Printf.sprintf "%.2f" r.Experiment.empirical_dup ) ]
+    (Experiment.search_ablation ~jobs:!jobs ~seed:7 ~peers:1_000 ~repl:50 ~trials:200 ());
   Printf.printf "(model Eq. 6 for these parameters: %.0f msgs)\n"
     (Pdht_overlay.Unstructured_search.expected_cost_model ~peers:1_000 ~repl:50 ~dup:1.8);
   heading "E8b - structured substrates: Chord / P-Grid / Kademlia / Pastry lookups"
     "(all four track Eq. 7 = 1/2 log2 n up to their branching factors;\n\
      Kademlia spends more messages per hop on its alpha=3 parallel probes,\n\
      Pastry resolves 2 bits per hop with base-4 digits; 0% and 15% churn)";
-  let t2 =
-    Table.create
-      ~columns:
-        [ ("backend", Table.Left); ("churn", Table.Right); ("mean msgs", Table.Right);
-          ("mean hops", Table.Right); ("Eq. 7", Table.Right); ("success", Table.Right) ]
-  in
-  List.iter
-    (fun offline_fraction ->
-      List.iter
-        (fun (r : Experiment.backend_ablation_row) ->
-          Table.add_row t2
-            [ r.Experiment.backend;
-              Printf.sprintf "%.0f%%" (100. *. offline_fraction);
-              Printf.sprintf "%.2f" r.Experiment.mean_lookup_messages;
-              Printf.sprintf "%.2f" r.Experiment.mean_hops;
-              Printf.sprintf "%.2f" r.Experiment.model_expectation;
-              Printf.sprintf "%.3f" r.Experiment.success_rate ])
-        (Experiment.backend_ablation ~jobs:!jobs ~seed:8 ~members:1_024 ~trials:400 ~offline_fraction ()))
-    [ 0.; 0.15 ];
-  Table.print t2
+  print_table
+    [ ( "backend", Table.Left,
+        fun (_, (r : Experiment.backend_ablation_row)) -> r.Experiment.backend );
+      ("churn", Table.Right, fun (offline, _) -> Printf.sprintf "%.0f%%" (100. *. offline));
+      ( "mean msgs", Table.Right,
+        fun (_, r) -> Printf.sprintf "%.2f" r.Experiment.mean_lookup_messages );
+      ( "mean hops", Table.Right,
+        fun (_, r) -> Printf.sprintf "%.2f" r.Experiment.mean_hops );
+      ( "Eq. 7", Table.Right,
+        fun (_, r) -> Printf.sprintf "%.2f" r.Experiment.model_expectation );
+      ( "success", Table.Right,
+        fun (_, r) -> Printf.sprintf "%.3f" r.Experiment.success_rate ) ]
+    (List.concat_map
+       (fun offline_fraction ->
+         List.map
+           (fun r -> (offline_fraction, r))
+           (Experiment.backend_ablation ~jobs:!jobs ~seed:8 ~members:1_024 ~trials:400
+              ~offline_fraction ()))
+       [ 0.; 0.15 ])
 
 let section_ttl_tuning () =
   heading "Extension - self-tuning keyTtl (paper Section 5.1.1 future work)"
     "(the adaptive controller estimates cSUnstr/cSIndx2/cRtn from live traffic)";
   let scenario = { sim_scenario with Scenario.num_peers = 600; keys = 1_200; seed = 2006 } in
-  let rows =
-    Experiment.ttl_tuning ~jobs:!jobs ~options:sim_options ~scenario
-      ~fixed_ttls:[ 30.; 120.; 600.; 3_000. ] ()
-  in
-  let t =
-    Table.create
-      ~columns:
-        [ ("configuration", Table.Left); ("final keyTtl [s]", Table.Right);
-          ("msg/s", Table.Right); ("hit rate", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.ttl_tuning_row) ->
-      Table.add_row t
-        [ r.Experiment.label;
-          Printf.sprintf "%.0f" r.Experiment.key_ttl_final;
-          Printf.sprintf "%.1f" r.Experiment.messages_per_second;
-          Printf.sprintf "%.3f" r.Experiment.hit_rate ])
-    rows;
-  Table.print t
+  print_table
+    [ ( "configuration", Table.Left,
+        fun (r : Experiment.ttl_tuning_row) -> r.Experiment.label );
+      ( "final keyTtl [s]", Table.Right,
+        fun r -> Printf.sprintf "%.0f" r.Experiment.key_ttl_final );
+      ( "msg/s", Table.Right,
+        fun r -> Printf.sprintf "%.1f" r.Experiment.messages_per_second );
+      ("hit rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.hit_rate) ]
+    (Experiment.ttl_tuning ~jobs:!jobs ~options:sim_options ~scenario
+       ~fixed_ttls:[ 30.; 120.; 600.; 3_000. ] ())
 
 let section_backends_e2e () =
   heading "E19 - the whole PDHT on every structured substrate"
@@ -339,25 +266,17 @@ let section_backends_e2e () =
      any of the DHT based systems' — the full selection algorithm end-to-end\n\
      on Chord, P-Grid, Kademlia and Pastry with identical workloads)";
   let scenario = { sim_scenario with Scenario.num_peers = 500; keys = 1_000; seed = 2019 } in
-  let rows = Experiment.backend_face_off ~jobs:!jobs ~options:sim_options ~scenario () in
-  let t =
-    Table.create
-      ~columns:
-        [ ("backend", Table.Left); ("hit rate", Table.Right); ("msg/s", Table.Right);
-          ("answer rate", Table.Right); ("routing msgs", Table.Right);
-          ("replica-flood msgs", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.backend_system_row) ->
-      Table.add_row t
-        [ r.Experiment.backend_name;
-          Printf.sprintf "%.3f" r.Experiment.hit_rate;
-          Printf.sprintf "%.1f" r.Experiment.messages_per_second;
-          Printf.sprintf "%.3f" r.Experiment.answer_rate;
-          string_of_int r.Experiment.index_messages;
-          string_of_int r.Experiment.replica_flood_messages ])
-    rows;
-  Table.print t;
+  print_table
+    [ ( "backend", Table.Left,
+        fun (r : Experiment.backend_system_row) -> r.Experiment.backend_name );
+      ("hit rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.hit_rate);
+      ( "msg/s", Table.Right,
+        fun r -> Printf.sprintf "%.1f" r.Experiment.messages_per_second );
+      ("answer rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.answer_rate);
+      ("routing msgs", Table.Right, fun r -> string_of_int r.Experiment.index_messages);
+      ( "replica-flood msgs", Table.Right,
+        fun r -> string_of_int r.Experiment.replica_flood_messages ) ]
+    (Experiment.backend_face_off ~jobs:!jobs ~options:sim_options ~scenario ());
   Printf.printf
     "(backends trade routing hops against replica-group shape: Chord pays in\n\
      routing, P-Grid in subnet floods — nearly identical totals, opposite mix)\n"
@@ -367,49 +286,30 @@ let section_churn () =
     "(the paper's premise: P2P clients are extremely transient [ChRa03];\n\
      partial run at decreasing stationary availability, 10-min mean sessions)";
   let scenario = { sim_scenario with Scenario.num_peers = 600; keys = 1_200; seed = 2007 } in
-  let rows =
-    Experiment.churn_sensitivity ~jobs:!jobs ~options:sim_options ~scenario
-      ~availabilities:[ 1.0; 0.9; 0.75; 0.5 ] ()
-  in
-  let t =
-    Table.create
-      ~columns:
-        [ ("availability", Table.Right); ("hit rate", Table.Right);
-          ("answer rate", Table.Right); ("msg/s", Table.Right);
-          ("indexed keys", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.churn_row) ->
-      Table.add_row t
-        [ Printf.sprintf "%.2f" r.Experiment.availability;
-          Printf.sprintf "%.3f" r.Experiment.hit_rate;
-          Printf.sprintf "%.3f" r.Experiment.answer_rate;
-          Printf.sprintf "%.1f" r.Experiment.messages_per_second;
-          string_of_int r.Experiment.indexed_keys ])
-    rows;
-  Table.print t
+  print_table
+    [ ( "availability", Table.Right,
+        fun (r : Experiment.churn_row) -> Printf.sprintf "%.2f" r.Experiment.availability );
+      ("hit rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.hit_rate);
+      ("answer rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.answer_rate);
+      ( "msg/s", Table.Right,
+        fun r -> Printf.sprintf "%.1f" r.Experiment.messages_per_second );
+      ("indexed keys", Table.Right, fun r -> string_of_int r.Experiment.indexed_keys) ]
+    (Experiment.churn_sensitivity ~jobs:!jobs ~options:sim_options ~scenario
+       ~availabilities:[ 1.0; 0.9; 0.75; 0.5 ] ())
 
 let section_workloads () =
   heading "E13 - index response to workload shape"
     "(skew is what makes partial indexing pay: flatter query distributions\n\
      index more keys for a lower hit rate)";
   let scenario = { sim_scenario with Scenario.num_peers = 600; keys = 1_200; seed = 2008 } in
-  let rows = Experiment.workload_mix ~jobs:!jobs ~options:sim_options ~scenario () in
-  let t =
-    Table.create
-      ~columns:
-        [ ("workload", Table.Left); ("hit rate", Table.Right); ("msg/s", Table.Right);
-          ("indexed fraction", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.workload_row) ->
-      Table.add_row t
-        [ r.Experiment.workload;
-          Printf.sprintf "%.3f" r.Experiment.hit_rate;
-          Printf.sprintf "%.1f" r.Experiment.messages_per_second;
-          Printf.sprintf "%.3f" r.Experiment.indexed_fraction ])
-    rows;
-  Table.print t
+  print_table
+    [ ("workload", Table.Left, fun (r : Experiment.workload_row) -> r.Experiment.workload);
+      ("hit rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.hit_rate);
+      ( "msg/s", Table.Right,
+        fun r -> Printf.sprintf "%.1f" r.Experiment.messages_per_second );
+      ( "indexed fraction", Table.Right,
+        fun r -> Printf.sprintf "%.3f" r.Experiment.indexed_fraction ) ]
+    (Experiment.workload_mix ~jobs:!jobs ~options:sim_options ~scenario ())
 
 let section_seeds () =
   heading "Seed replication - statistical confidence of the headline numbers"
@@ -461,32 +361,30 @@ let section_bootstrap () =
   heading "E16 - P-Grid self-organizing bootstrap ([Aber01])"
     "(the paper's platform builds its trie by random pairwise exchanges with no\n\
      coordination; mean path length should converge to ~log2 n = 9 for n = 512)";
+  let module B = Pdht_dht.Pgrid_bootstrap in
   let rng = Pdht_util.Rng.create ~seed:16 in
-  let boot = Pdht_dht.Pgrid_bootstrap.create ~members:512 () in
-  let t =
-    Table.create
-      ~columns:
-        [ ("meetings", Table.Right); ("mean depth", Table.Right);
-          ("depth range", Table.Right); ("distinct paths", Table.Right);
-          ("refs/peer", Table.Right); ("lookup success", Table.Right) ]
-  in
+  let boot = B.create ~members:512 () in
   let total = ref 0 in
-  List.iter
-    (fun meetings ->
-      Pdht_dht.Pgrid_bootstrap.run_exchanges boot rng ~meetings;
-      total := !total + meetings;
-      let s = Pdht_dht.Pgrid_bootstrap.stats boot in
-      let rate = Pdht_dht.Pgrid_bootstrap.lookup_success_rate boot rng ~trials:300 in
-      Table.add_row t
-        [ string_of_int !total;
-          Printf.sprintf "%.2f" s.Pdht_dht.Pgrid_bootstrap.mean_path_length;
-          Printf.sprintf "[%d,%d]" s.Pdht_dht.Pgrid_bootstrap.min_path_length
-            s.Pdht_dht.Pgrid_bootstrap.max_path_length;
-          string_of_int s.Pdht_dht.Pgrid_bootstrap.distinct_paths;
-          Printf.sprintf "%.1f" s.Pdht_dht.Pgrid_bootstrap.mean_refs;
-          Printf.sprintf "%.3f" rate ])
-    [ 256; 256; 512; 1024; 2048; 4096 ];
-  Table.print t
+  let rows =
+    List.map
+      (fun meetings ->
+        B.run_exchanges boot rng ~meetings;
+        total := !total + meetings;
+        let s = B.stats boot in
+        let rate = B.lookup_success_rate boot rng ~trials:300 in
+        (!total, s, rate))
+      [ 256; 256; 512; 1024; 2048; 4096 ]
+  in
+  print_table
+    [ ("meetings", Table.Right, fun (total, _, _) -> string_of_int total);
+      ( "mean depth", Table.Right,
+        fun (_, (s : B.stats), _) -> Printf.sprintf "%.2f" s.B.mean_path_length );
+      ( "depth range", Table.Right,
+        fun (_, s, _) -> Printf.sprintf "[%d,%d]" s.B.min_path_length s.B.max_path_length );
+      ("distinct paths", Table.Right, fun (_, s, _) -> string_of_int s.B.distinct_paths);
+      ("refs/peer", Table.Right, fun (_, s, _) -> Printf.sprintf "%.1f" s.B.mean_refs);
+      ("lookup success", Table.Right, fun (_, _, rate) -> Printf.sprintf "%.3f" rate) ]
+    rows
 
 let section_membership () =
   heading "E17 - Chord membership dynamics (joins, crashes, stabilization)"
@@ -566,22 +464,15 @@ let section_diurnal () =
      calm phases: %.0f keys indexed on average (hit rate %.3f)\n\n"
     r.Experiment.busy_indexed_mean r.Experiment.busy_hit_rate
     r.Experiment.calm_indexed_mean r.Experiment.calm_hit_rate;
-  let t =
-    Table.create
-      ~columns:
-        [ ("t [s]", Table.Right); ("phase", Table.Left); ("indexed", Table.Right);
-          ("hit rate", Table.Right) ]
-  in
-  List.iter
-    (fun (s : System.sample) ->
-      if int_of_float s.System.time mod 240 = 0 then
-        Table.add_row t
-          [ Printf.sprintf "%.0f" s.System.time;
-            (if Float.rem s.System.time 1_600. /. 1_600. < 0.5 then "busy" else "calm");
-            string_of_int s.System.indexed_keys;
-            Printf.sprintf "%.3f" s.System.hit_rate ])
-    r.Experiment.series;
-  Table.print t
+  print_table
+    [ ( "t [s]", Table.Right,
+        fun (s : System.sample) -> Printf.sprintf "%.0f" s.System.time );
+      ( "phase", Table.Left,
+        fun s ->
+          if Float.rem s.System.time 1_600. /. 1_600. < 0.5 then "busy" else "calm" );
+      ("indexed", Table.Right, fun s -> string_of_int s.System.indexed_keys);
+      ("hit rate", Table.Right, fun s -> Printf.sprintf "%.3f" s.System.hit_rate) ]
+    (every_240s r.Experiment.series)
 
 let section_eviction () =
   heading "E14 - cache-eviction policy under pressure"
@@ -589,75 +480,109 @@ let section_eviction () =
      single global keyTtl, expiry = last-query + keyTtl, so evict-soonest-expiry\n\
      and LRU coincide exactly — random eviction is the one that pays)";
   let scenario = { sim_scenario with Scenario.num_peers = 600; keys = 1_200; seed = 2009 } in
-  let rows = Experiment.eviction_ablation ~jobs:!jobs ~options:sim_options ~scenario ~stor:20 () in
-  let t =
-    Table.create
-      ~columns:
-        [ ("policy", Table.Left); ("hit rate", Table.Right); ("msg/s", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Experiment.eviction_row) ->
-      Table.add_row t
-        [ r.Experiment.policy;
-          Printf.sprintf "%.3f" r.Experiment.hit_rate;
-          Printf.sprintf "%.1f" r.Experiment.messages_per_second ])
-    rows;
-  Table.print t
+  print_table
+    [ ("policy", Table.Left, fun (r : Experiment.eviction_row) -> r.Experiment.policy);
+      ("hit rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.hit_rate);
+      ( "msg/s", Table.Right,
+        fun r -> Printf.sprintf "%.1f" r.Experiment.messages_per_second ) ]
+    (Experiment.eviction_ablation ~jobs:!jobs ~options:sim_options ~scenario ~stor:20 ())
 
 let section_arity () =
   heading "Extension - k-ary key space (paper Section 3.2, footnote 3)"
     "(generalized Eq. 7/8: wider digits shorten lookups but grow the routing\n\
      tables the maintenance traffic must probe; arity 2 is the paper's model)";
-  let t =
-    Table.create
-      ~columns:
-        [ ("arity", Table.Right); ("cSIndx [msg]", Table.Right);
-          ("table entries", Table.Right); ("cRtn [msg/key/s]", Table.Right);
-          ("indexAll total [msg/s]", Table.Right) ]
-  in
-  List.iter
-    (fun (p : Pdht_model.Kary.point) ->
-      Table.add_row t
-        [ string_of_int p.Pdht_model.Kary.arity;
-          Printf.sprintf "%.2f" p.Pdht_model.Kary.c_s_indx;
-          Printf.sprintf "%.1f" p.Pdht_model.Kary.table_entries;
-          Printf.sprintf "%.3f" p.Pdht_model.Kary.c_rtn;
-          Printf.sprintf "%.0f" p.Pdht_model.Kary.index_all_total ])
-    (Pdht_model.Kary.sweep Params.default ~arities:[ 2; 4; 8; 16; 32 ]);
-  Table.print t
+  let module K = Pdht_model.Kary in
+  print_table
+    [ ("arity", Table.Right, fun (p : K.point) -> string_of_int p.K.arity);
+      ("cSIndx [msg]", Table.Right, fun p -> Printf.sprintf "%.2f" p.K.c_s_indx);
+      ("table entries", Table.Right, fun p -> Printf.sprintf "%.1f" p.K.table_entries);
+      ("cRtn [msg/key/s]", Table.Right, fun p -> Printf.sprintf "%.3f" p.K.c_rtn);
+      ( "indexAll total [msg/s]", Table.Right,
+        fun p -> Printf.sprintf "%.0f" p.K.index_all_total ) ]
+    (K.sweep Params.default ~arities:[ 2; 4; 8; 16; 32 ])
 
 let section_replication_planning () =
   heading "Extension - replication planning ([VaCh02], assumed by the paper)"
     "(pick the replication factor: availability floor from churn, then the\n\
      cost-minimising factor above it; Table-1 scenario, peers 50% available)";
-  let t =
-    Table.create
-      ~columns:
-        [ ("repl", Table.Right); ("item availability", Table.Right);
-          ("cSUnstr [msg]", Table.Right); ("Eq.17 cost [msg/s]", Table.Right) ]
-  in
+  let module Planner = Pdht_model.Replication_planner in
   let repls = [ 7; 15; 25; 50; 100; 200 ] in
-  let curve = Pdht_model.Replication_planner.cost_curve Params.default ~repls in
-  List.iter2
-    (fun repl (_, c_s_unstr, cost) ->
-      Table.add_row t
-        [ string_of_int repl;
-          Printf.sprintf "%.4f"
-            (Pdht_model.Replication_planner.item_availability ~peer_availability:0.5 ~repl);
-          Printf.sprintf "%.0f" c_s_unstr;
-          Printf.sprintf "%.0f" cost ])
-    repls curve;
-  Table.print t;
+  print_table
+    [ ("repl", Table.Right, fun (repl, _) -> string_of_int repl);
+      ( "item availability", Table.Right,
+        fun (repl, _) ->
+          Printf.sprintf "%.4f" (Planner.item_availability ~peer_availability:0.5 ~repl) );
+      ( "cSUnstr [msg]", Table.Right,
+        fun (_, (_, c_s_unstr, _)) -> Printf.sprintf "%.0f" c_s_unstr );
+      ( "Eq.17 cost [msg/s]", Table.Right,
+        fun (_, (_, _, cost)) -> Printf.sprintf "%.0f" cost ) ]
+    (List.combine repls (Planner.cost_curve Params.default ~repls));
   let plan =
-    Pdht_model.Replication_planner.plan Params.default ~peer_availability:0.5 ~target:0.99
-      ~max_repl:200
+    Planner.plan Params.default ~peer_availability:0.5 ~target:0.99 ~max_repl:200
   in
   Printf.printf
     "\nplanner: 99%% availability at 50%% peer uptime needs >= %d replicas;\n\
      cheapest factor in [floor, 200] is repl = %d (%.4f availability, %.0f msg/s)\n"
-    plan.Pdht_model.Replication_planner.floor plan.Pdht_model.Replication_planner.repl
-    plan.Pdht_model.Replication_planner.achieved_availability
-    plan.Pdht_model.Replication_planner.partial_cost
+    plan.Planner.floor plan.Planner.repl plan.Planner.achieved_availability
+    plan.Planner.partial_cost
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_pdht.json plumbing shared by the sections that record results *)
+
+(* One field of a recorded row, declared once: its BENCH_pdht.json key
+   and value and, when the field is also a printed column, that
+   column.  A row list then yields both the JSON rows and the table. *)
+module Field = struct
+  type 'row t = { key : string; json : 'row -> Json.t; column : 'row Table.column option }
+
+  let int ?header key get =
+    let column =
+      Option.map (fun h -> (h, Table.Right, fun r -> string_of_int (get r))) header
+    in
+    { key; json = (fun r -> Json.Int (get r)); column }
+
+  let float ?header ?(cell = Printf.sprintf "%.3f") key get =
+    let column = Option.map (fun h -> (h, Table.Right, fun r -> cell (get r))) header in
+    { key; json = (fun r -> Json.Float (get r)); column }
+
+  let string ?header key get =
+    let column = Option.map (fun h -> (h, Table.Left, get)) header in
+    { key; json = (fun r -> Json.String (get r)); column }
+
+  let json fields rows =
+    Json.List
+      (List.map (fun r -> Json.Obj (List.map (fun f -> (f.key, f.json r)) fields)) rows)
+
+  let print_table fields rows =
+    print_table (List.filter_map (fun f -> f.column) fields) rows
+end
+
+let percent x = Printf.sprintf "%.0f%%" (100. *. x)
+
+let bench_json_path = "BENCH_pdht.json"
+
+(* Set [fields] in the top-level object of BENCH_pdht.json: a key
+   already present is replaced in place, a new one appended, so every
+   section writes through here in any order and reruns never duplicate.
+   A missing or unparsable file starts a fresh object. *)
+let splice_bench_json fields =
+  let existing =
+    match In_channel.with_open_bin bench_json_path In_channel.input_all with
+    | exception Sys_error _ -> []
+    | s -> (
+        match Json.of_string s with Ok (Json.Obj fields) -> fields | Ok _ | Error _ -> [])
+  in
+  let merged =
+    List.fold_left
+      (fun acc (key, value) ->
+        if List.mem_assoc key acc then
+          List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) acc
+        else acc @ [ (key, value) ])
+      existing fields
+  in
+  Out_channel.with_open_bin bench_json_path (fun oc ->
+      output_string oc (Json.to_string (Json.Obj merged));
+      output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
 (* Perf run: instrumented simulation, exported as BENCH_pdht.json *)
@@ -666,7 +591,6 @@ let section_perf () =
   heading "Perf - instrumented partial-index run (writes BENCH_pdht.json)"
     "(wall-clock engine throughput, allocation counters, and runner scaling,\n\
      exported as JSON so runs can be compared across commits)";
-  let module Json = Pdht_obs.Json in
   let scenario =
     {
       sim_scenario with
@@ -854,66 +778,40 @@ let section_perf () =
         (loss, run_with (Some cfg)))
       [ 0.0; 0.05; 0.1; 0.2 ]
   in
+  let net_of (r : System.report) =
+    match r.System.net with
+    | Some n -> n
+    | None -> failwith "perf: net-enabled report lacks its net summary"
+  in
+  let net_fields =
+    let report get (_, (r : System.report)) = get r in
+    let net get (_, r) = get (net_of r) in
+    [ Field.float ~header:"loss" ~cell:percent "loss" fst;
+      Field.int "queries" (report (fun r -> r.System.queries));
+      Field.int "answered" (report (fun r -> r.System.answered));
+      Field.float ~header:"answer rate" "answer_rate"
+        (report (fun r ->
+             float_of_int r.System.answered /. float_of_int (max 1 r.System.queries)));
+      Field.float ~header:"hit rate" "hit_rate" (report (fun r -> r.System.hit_rate));
+      Field.float "messages_per_second" (report (fun r -> r.System.messages_per_second));
+      Field.int ~header:"sent" "messages_sent" (net (fun n -> n.System.messages_sent));
+      Field.int ~header:"dropped" "messages_dropped"
+        (net (fun n -> n.System.messages_dropped));
+      Field.int ~header:"retried" "messages_retried"
+        (net (fun n -> n.System.messages_retried));
+      Field.int ~header:"timed out" "messages_timed_out"
+        (net (fun n -> n.System.messages_timed_out));
+      Field.float ~header:"lat p50 [s]" "latency_p50" (net (fun n -> n.System.latency_p50));
+      Field.float "latency_p95" (net (fun n -> n.System.latency_p95));
+      Field.float ~header:"lat p99 [s]" "latency_p99"
+        (net (fun n -> n.System.latency_p99)) ]
+  in
   let net_json =
-    let row (loss, (r : System.report)) =
-      let n =
-        match r.System.net with
-        | Some n -> n
-        | None -> failwith "perf: net-enabled report lacks its net summary"
-      in
-      let fq = float_of_int (max 1 r.System.queries) in
-      Json.Obj
-        [
-          ("loss", Json.Float loss);
-          ("queries", Json.Int r.System.queries);
-          ("answered", Json.Int r.System.answered);
-          ("answer_rate", Json.Float (float_of_int r.System.answered /. fq));
-          ("hit_rate", Json.Float r.System.hit_rate);
-          ("messages_per_second", Json.Float r.System.messages_per_second);
-          ("messages_sent", Json.Int n.System.messages_sent);
-          ("messages_dropped", Json.Int n.System.messages_dropped);
-          ("messages_retried", Json.Int n.System.messages_retried);
-          ("messages_timed_out", Json.Int n.System.messages_timed_out);
-          ("latency_p50", Json.Float n.System.latency_p50);
-          ("latency_p95", Json.Float n.System.latency_p95);
-          ("latency_p99", Json.Float n.System.latency_p99);
-        ]
-    in
     Json.Obj
       [
         ("zero_cost_net_equivalent", Json.Bool zero_cost_equivalent);
-        ("loss_sweep", Json.List (List.map row loss_sweep));
+        ("loss_sweep", Field.json net_fields loss_sweep);
       ]
-  in
-  let net_table =
-    let t =
-      Table.create
-        ~columns:
-          [ ("loss", Table.Right); ("answer rate", Table.Right);
-            ("hit rate", Table.Right); ("sent", Table.Right);
-            ("dropped", Table.Right); ("retried", Table.Right);
-            ("timed out", Table.Right); ("lat p50 [s]", Table.Right);
-            ("lat p99 [s]", Table.Right) ]
-    in
-    List.iter
-      (fun (loss, (r : System.report)) ->
-        match r.System.net with
-        | None -> ()
-        | Some n ->
-            Table.add_row t
-              [ Printf.sprintf "%.0f%%" (100. *. loss);
-                Printf.sprintf "%.3f"
-                  (float_of_int r.System.answered
-                  /. float_of_int (max 1 r.System.queries));
-                Printf.sprintf "%.3f" r.System.hit_rate;
-                string_of_int n.System.messages_sent;
-                string_of_int n.System.messages_dropped;
-                string_of_int n.System.messages_retried;
-                string_of_int n.System.messages_timed_out;
-                Printf.sprintf "%.3f" n.System.latency_p50;
-                Printf.sprintf "%.3f" n.System.latency_p99 ])
-      loss_sweep;
-    t
   in
   (* Crash faults under the same workload: the contract first — an
      empty fault plan must reproduce the no-fault report
@@ -963,80 +861,57 @@ let section_perf () =
   let e21_recovered =
     match e21.System.time_to_recover with Some _ -> true | None -> false
   in
+  let recover_json = function Some t -> Json.Float t | None -> Json.Null in
+  let fault_fields =
+    let fault get (_, r) = get (fault_of r) in
+    [ Field.float ~header:"crash" ~cell:percent "crash_fraction" fst;
+      Field.int ~header:"crashes" "crashes" (fault (fun f -> f.System.crashes));
+      Field.int ~header:"entries lost" "entries_lost"
+        (fault (fun f -> f.System.entries_lost));
+      Field.int ~header:"content lost" "content_lost"
+        (fault (fun f -> f.System.content_lost));
+      Field.float ~header:"pre" "pre_fault_rate" (fault (fun f -> f.System.pre_fault_rate));
+      Field.float ~header:"dip" "dip_rate" (fault (fun f -> f.System.dip_rate));
+      Field.float "dip_depth"
+        (fault (fun f -> f.System.pre_fault_rate -. f.System.dip_rate));
+      {
+        Field.key = "time_to_recover_s";
+        json = fault (fun f -> recover_json f.System.time_to_recover);
+        column =
+          Some
+            ( "recover [s]", Table.Right,
+              fault (fun f ->
+                  match f.System.time_to_recover with
+                  | Some t -> Printf.sprintf "%.0f" t
+                  | None -> "never") );
+      };
+      Field.int "repair_passes" (fault (fun f -> f.System.repair_passes));
+      Field.int ~header:"repair msgs" "repair_messages"
+        (fault (fun f -> f.System.repair_messages));
+      Field.float ~header:"overhead"
+        ~cell:(fun x -> Printf.sprintf "%.1f%%" (100. *. x))
+        "repair_overhead"
+        (fun (_, (r : System.report)) ->
+          float_of_int (fault_of r).System.repair_messages
+          /. float_of_int (max 1 r.System.total_messages));
+      Field.int "repaired_items" (fault (fun f -> f.System.repaired_items));
+      Field.int "repaired_entries" (fault (fun f -> f.System.repaired_entries)) ]
+  in
   let fault_json =
-    let row (fraction, (r : System.report)) =
-      let f = fault_of r in
-      Json.Obj
-        [
-          ("crash_fraction", Json.Float fraction);
-          ("crashes", Json.Int f.System.crashes);
-          ("entries_lost", Json.Int f.System.entries_lost);
-          ("content_lost", Json.Int f.System.content_lost);
-          ("repair_passes", Json.Int f.System.repair_passes);
-          ("repair_messages", Json.Int f.System.repair_messages);
-          ( "repair_overhead",
-            Json.Float
-              (float_of_int f.System.repair_messages
-              /. float_of_int (max 1 r.System.total_messages)) );
-          ("repaired_items", Json.Int f.System.repaired_items);
-          ("repaired_entries", Json.Int f.System.repaired_entries);
-          ("pre_fault_rate", Json.Float f.System.pre_fault_rate);
-          ("dip_rate", Json.Float f.System.dip_rate);
-          ("dip_depth", Json.Float (f.System.pre_fault_rate -. f.System.dip_rate));
-          ( "time_to_recover_s",
-            match f.System.time_to_recover with
-            | Some t -> Json.Float t
-            | None -> Json.Null );
-        ]
-    in
     Json.Obj
       [
         ("no_fault_equivalent", Json.Bool no_fault_equivalent);
-        ("crash_sweep", Json.List (List.map row crash_sweep));
+        ("crash_sweep", Field.json fault_fields crash_sweep);
         ( "e21_small",
           Json.Obj
             [
               ("crash_fraction", Json.Float 0.3);
               ("pre_fault_rate", Json.Float e21.System.pre_fault_rate);
               ("dip_rate", Json.Float e21.System.dip_rate);
-              ( "time_to_recover_s",
-                match e21.System.time_to_recover with
-                | Some t -> Json.Float t
-                | None -> Json.Null );
+              ("time_to_recover_s", recover_json e21.System.time_to_recover);
               ("fault_recovered", Json.Bool e21_recovered);
             ] );
       ]
-  in
-  let fault_table =
-    let t =
-      Table.create
-        ~columns:
-          [ ("crash", Table.Right); ("crashes", Table.Right);
-            ("entries lost", Table.Right); ("content lost", Table.Right);
-            ("pre", Table.Right); ("dip", Table.Right);
-            ("recover [s]", Table.Right); ("repair msgs", Table.Right);
-            ("overhead", Table.Right) ]
-    in
-    List.iter
-      (fun (fraction, (r : System.report)) ->
-        let f = fault_of r in
-        Table.add_row t
-          [ Printf.sprintf "%.0f%%" (100. *. fraction);
-            string_of_int f.System.crashes;
-            string_of_int f.System.entries_lost;
-            string_of_int f.System.content_lost;
-            Printf.sprintf "%.3f" f.System.pre_fault_rate;
-            Printf.sprintf "%.3f" f.System.dip_rate;
-            (match f.System.time_to_recover with
-            | Some t -> Printf.sprintf "%.0f" t
-            | None -> "never");
-            string_of_int f.System.repair_messages;
-            Printf.sprintf "%.1f%%"
-              (100.
-              *. float_of_int f.System.repair_messages
-              /. float_of_int (max 1 r.System.total_messages)) ])
-      crash_sweep;
-    t
   in
   (* Selection-policy race (E23 in miniature): contracts first — an
      explicit [Ttl Model_derived] spec must build the very options the
@@ -1092,48 +967,30 @@ let section_perf () =
         r.Experiment.post_shift_cost < static_row.Experiment.post_shift_cost)
       adaptive_race_rows
   in
+  let policy_fields =
+    let race get (r : Experiment.policy_race_row) = get r in
+    let count = Printf.sprintf "%.0f" in
+    [ Field.string ~header:"policy" "policy" (race (fun r -> r.Experiment.policy_label));
+      Field.float ~header:"hit rate" "hit_rate" (race (fun r -> r.Experiment.hit_rate));
+      Field.float ~header:"msg/s" ~cell:count "messages_per_second"
+        (race (fun r -> r.Experiment.messages_per_second));
+      Field.float ~header:"post-shift msg/s" ~cell:count "post_shift_cost"
+        (race (fun r -> r.Experiment.post_shift_cost));
+      Field.float ~header:"post-shift hits" "post_shift_hit_rate"
+        (race (fun r -> r.Experiment.post_shift_hit_rate));
+      Field.int ~header:"rejected" "rejected_inserts"
+        (race (fun r -> r.Experiment.rejected_inserts));
+      Field.int ~header:"indexed" "indexed_keys_final"
+        (race (fun r -> r.Experiment.indexed_keys_final)) ]
+  in
   let policy_json =
-    let row (r : Experiment.policy_race_row) =
-      Json.Obj
-        [
-          ("policy", Json.String r.Experiment.policy_label);
-          ("hit_rate", Json.Float r.Experiment.hit_rate);
-          ("messages_per_second", Json.Float r.Experiment.messages_per_second);
-          ("post_shift_cost", Json.Float r.Experiment.post_shift_cost);
-          ("post_shift_hit_rate", Json.Float r.Experiment.post_shift_hit_rate);
-          ("rejected_inserts", Json.Int r.Experiment.rejected_inserts);
-          ("indexed_keys_final", Json.Int r.Experiment.indexed_keys_final);
-        ]
-    in
     Json.Obj
       [
         ("policy_default_equivalent", Json.Bool policy_default_equivalent);
         ("policy_adaptive_beats_static", Json.Bool policy_adaptive_beats_static);
         ("shift_time_s", Json.Float 450.);
-        ("policy_race", Json.List (List.map row race_rows));
+        ("policy_race", Field.json policy_fields race_rows);
       ]
-  in
-  let policy_table =
-    let t =
-      Table.create
-        ~columns:
-          [ ("policy", Table.Left); ("hit rate", Table.Right);
-            ("msg/s", Table.Right); ("post-shift msg/s", Table.Right);
-            ("post-shift hits", Table.Right); ("rejected", Table.Right);
-            ("indexed", Table.Right) ]
-    in
-    List.iter
-      (fun (r : Experiment.policy_race_row) ->
-        Table.add_row t
-          [ r.Experiment.policy_label;
-            Printf.sprintf "%.3f" r.Experiment.hit_rate;
-            Printf.sprintf "%.0f" r.Experiment.messages_per_second;
-            Printf.sprintf "%.0f" r.Experiment.post_shift_cost;
-            Printf.sprintf "%.3f" r.Experiment.post_shift_hit_rate;
-            string_of_int r.Experiment.rejected_inserts;
-            string_of_int r.Experiment.indexed_keys_final ])
-      race_rows;
-    t
   in
   (* Tracing overhead: every simulation now threads span context and
      guards event construction with [Tracer.active]; the contract is
@@ -1216,70 +1073,63 @@ let section_perf () =
       ]
   in
   let run_name = scenario.Scenario.name ^ "/partial" in
-  let json =
-    Json.Obj
-      [
-        ("run", Json.String run_name);
-        ("seed", Json.Int scenario.Scenario.seed);
-        ("sim_duration_s", Json.Float scenario.Scenario.duration);
-        ("wall_time_s", Json.Float wall);
-        ("engine_events", Json.Int engine_events);
-        ("sim_events_per_second", Json.Float events_per_second);
-        ("queries", Json.Int report.System.queries);
-        ("total_messages", Json.Int report.System.total_messages);
-        ("messages_per_second", Json.Float report.System.messages_per_second);
-        ("hit_rate", Json.Float report.System.hit_rate);
-        ("query_cost_p50", Json.Float report.System.query_cost_p50);
-        ("query_cost_p95", Json.Float report.System.query_cost_p95);
-        ("query_cost_p99", Json.Float report.System.query_cost_p99);
-        ( "gc",
-          Json.Obj
-            [
-              ("minor_words_run", Json.Float minor_words_run);
-              ("minor_collections_run", Json.Int minor_collections_run);
-              ("minor_words_per_event", Json.Float minor_words_per_event);
-            ] );
-        ( "alloc",
-          Json.Obj
-            [
-              ("event_queue_add_pop_minor_words_per_op", Json.Float queue_words_per_op);
-              ("flood_scratch_minor_words_per_search", Json.Float flood_scratch_words);
-              ("flood_fresh_minor_words_per_search", Json.Float flood_fresh_words);
-              ("storage_expire_minor_words_per_op", Json.Float storage_expire_words);
-              ("storage_put_get_minor_words_per_op", Json.Float storage_put_get_words);
-              ("storage_expire_alloc_free", Json.Bool (storage_expire_words = 0.));
-            ] );
-        ( "histograms",
-          Json.Obj
-            (List.map
-               (fun (name, s) -> (name, Pdht_obs.Histogram.summary_to_json s))
-               report.System.histograms) );
-        ( "parallel",
-          Json.Obj
-            [
-              ("cores", Json.Int cores);
-              ("batch_specs", Json.Int (List.length batch_specs));
-              ("jobs_single", Json.Int 1);
-              ("wall_single_s", Json.Float wall_single);
-              ("minor_words_single", Json.Float minor_single);
-              ("jobs_parallel", Json.Int par_jobs);
-              ("jobs_effective", Json.Int (min par_jobs cores));
-              ("wall_parallel_s", Json.Float wall_parallel);
-              ("minor_words_parallel", Json.Float minor_parallel);
-              ("speedup", Json.Float speedup);
-              ("identical_reports", Json.Bool true);
-            ] );
-        ("net", net_json);
-        ("fault", fault_json);
-        ("policy", policy_json);
-        ("tracing", tracing_json);
-      ]
-  in
-  let path = "BENCH_pdht.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
+  splice_bench_json
+    [
+      ("run", Json.String run_name);
+      ("seed", Json.Int scenario.Scenario.seed);
+      ("sim_duration_s", Json.Float scenario.Scenario.duration);
+      ("wall_time_s", Json.Float wall);
+      ("engine_events", Json.Int engine_events);
+      ("sim_events_per_second", Json.Float events_per_second);
+      ("queries", Json.Int report.System.queries);
+      ("total_messages", Json.Int report.System.total_messages);
+      ("messages_per_second", Json.Float report.System.messages_per_second);
+      ("hit_rate", Json.Float report.System.hit_rate);
+      ("query_cost_p50", Json.Float report.System.query_cost_p50);
+      ("query_cost_p95", Json.Float report.System.query_cost_p95);
+      ("query_cost_p99", Json.Float report.System.query_cost_p99);
+      ( "gc",
+        Json.Obj
+          [
+            ("minor_words_run", Json.Float minor_words_run);
+            ("minor_collections_run", Json.Int minor_collections_run);
+            ("minor_words_per_event", Json.Float minor_words_per_event);
+          ] );
+      ( "alloc",
+        Json.Obj
+          [
+            ("event_queue_add_pop_minor_words_per_op", Json.Float queue_words_per_op);
+            ("flood_scratch_minor_words_per_search", Json.Float flood_scratch_words);
+            ("flood_fresh_minor_words_per_search", Json.Float flood_fresh_words);
+            ("storage_expire_minor_words_per_op", Json.Float storage_expire_words);
+            ("storage_put_get_minor_words_per_op", Json.Float storage_put_get_words);
+            ("storage_expire_alloc_free", Json.Bool (storage_expire_words = 0.));
+          ] );
+      ( "histograms",
+        Json.Obj
+          (List.map
+             (fun (name, s) -> (name, Pdht_obs.Histogram.summary_to_json s))
+             report.System.histograms) );
+      ( "parallel",
+        Json.Obj
+          [
+            ("cores", Json.Int cores);
+            ("batch_specs", Json.Int (List.length batch_specs));
+            ("jobs_single", Json.Int 1);
+            ("wall_single_s", Json.Float wall_single);
+            ("minor_words_single", Json.Float minor_single);
+            ("jobs_parallel", Json.Int par_jobs);
+            ("jobs_effective", Json.Int (min par_jobs cores));
+            ("wall_parallel_s", Json.Float wall_parallel);
+            ("minor_words_parallel", Json.Float minor_parallel);
+            ("speedup", Json.Float speedup);
+            ("identical_reports", Json.Bool true);
+          ] );
+      ("net", net_json);
+      ("fault", fault_json);
+      ("policy", policy_json);
+      ("tracing", tracing_json);
+    ];
   Printf.printf
     "%s: %d engine events in %.2f s wall (%.0f events/s), %.1f minor words/event\n\
      alloc: queue add+pop %.2f w/op, flood %.0f w/search with scratch vs %.0f fresh, \
@@ -1290,22 +1140,22 @@ let section_perf () =
     run_name engine_events wall events_per_second minor_words_per_event queue_words_per_op
     flood_scratch_words flood_fresh_words storage_expire_words
     (storage_expire_words = 0.) storage_put_get_words (List.length batch_specs)
-    wall_single wall_parallel par_jobs speedup cores path;
+    wall_single wall_parallel par_jobs speedup cores bench_json_path;
   Printf.printf
     "\nnetwork model (constant 20 ms/hop, 0.5 s timeout, %d retries): \
      zero-cost net == no net: %b\n"
     Pdht_net.Config.default.Pdht_net.Config.rpc_retries zero_cost_equivalent;
-  Table.print net_table;
+  Field.print_table net_fields loss_sweep;
   Printf.printf
     "\nfault injection (crash at t=300, anti-entropy every 30 s): empty plan == no \
      fault: %b; E21-small recovered: %b\n"
     no_fault_equivalent e21_recovered;
-  Table.print fault_table;
+  Field.print_table fault_fields crash_sweep;
   Printf.printf
     "\nselection policies (flash crowd, halves swap at t=450): explicit default spec == \
      default: %b; adaptive beats static TTL post-shift: %b\n"
     policy_default_equivalent policy_adaptive_beats_static;
-  Table.print policy_table;
+  Field.print_table policy_fields race_rows;
   Printf.printf
     "\ntracing: disabled %.2f s vs %.2f s re-measured (%.2f%% apart, within 2%%: %b); \
      enabled %.2f s for %d events (1/1), %.2f s for %d events (1/16)\n"
@@ -1314,79 +1164,12 @@ let section_perf () =
     tracing_within_2pct wall_traced_full events_traced_full wall_traced_sampled
     events_traced_sampled
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the hot paths *)
-
-let section_micro () =
-  heading "Micro-benchmarks (Bechamel, monotonic clock)"
-    "(per-operation cost of the simulator's hot paths)";
-  let open Bechamel in
-  let rng0 = Pdht_util.Rng.create ~seed:1 in
-  let zipf = Pdht_dist.Zipf.create ~n:40_000 ~alpha:1.2 in
-  let chord = Pdht_dht.Chord.create (Pdht_util.Rng.copy rng0) ~members:4_096 in
-  let pgrid =
-    Pdht_dht.Pgrid.build (Pdht_util.Rng.copy rng0) ~members:4_096 ~leaf_size:1
-      ~refs_per_level:3
-  in
-  let online _ = true in
-  let tests =
-    [
-      Test.make ~name:"rng/bits64"
-        (Staged.stage (fun () -> ignore (Pdht_util.Rng.bits64 rng0)));
-      Test.make ~name:"zipf/sample-40k"
-        (Staged.stage (fun () -> ignore (Pdht_dist.Zipf.sample zipf rng0)));
-      Test.make ~name:"chord/lookup-4096"
-        (Staged.stage (fun () ->
-             let key = Pdht_util.Bitkey.random rng0 in
-             ignore
-               (Pdht_dht.Chord.lookup chord ~online
-                  ~source:(Pdht_util.Rng.int rng0 4_096) ~key)));
-      Test.make ~name:"pgrid/lookup-4096"
-        (Staged.stage (fun () ->
-             let key = Pdht_util.Bitkey.random rng0 in
-             ignore
-               (Pdht_dht.Pgrid.lookup pgrid rng0 ~online
-                  ~source:(Pdht_util.Rng.int rng0 4_096) ~key)));
-      Test.make ~name:"event-queue/add+pop"
-        (let q = Pdht_sim.Event_queue.create () in
-         Staged.stage (fun () ->
-             Pdht_sim.Event_queue.add q ~time:(Pdht_util.Rng.unit_float rng0) 0;
-             ignore (Pdht_sim.Event_queue.pop q)));
-      Test.make ~name:"model/solve-table1"
-        (Staged.stage (fun () -> ignore (Index_policy.solve Params.default)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:1_000 ~quota:(Time.second 0.25) ~kde:None () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let analysis = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let table =
-    Table.create ~columns:[ ("benchmark", Table.Left); ("time/run", Table.Right) ]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ instance ] elt in
-          let ols = Analyze.one analysis instance raw in
-          let time_ns =
-            match Analyze.OLS.estimates ols with Some (t :: _) -> t | Some [] | None -> nan
-          in
-          let pretty =
-            if Float.is_nan time_ns then "n/a"
-            else if time_ns > 1e6 then Printf.sprintf "%.2f ms" (time_ns /. 1e6)
-            else if time_ns > 1e3 then Printf.sprintf "%.2f us" (time_ns /. 1e3)
-            else Printf.sprintf "%.1f ns" time_ns
-          in
-          Table.add_row table [ Test.Elt.name elt; pretty ])
-        (Test.elements test))
-    tests;
-  Table.print table
 
 (* ------------------------------------------------------------------ *)
 (* Decade scale sweep: 10^3 .. 10^6 peers.  Per decade, one news-scaled
    partial-index simulation (timed, Gc-measured) plus one raw-DHT
    lookup arm at the full population.  Splices a "scale" object into
-   BENCH_pdht.json so ci.sh can gate on it after a [perf] run. *)
+   BENCH_pdht.json so ci.sh can gate on it. *)
 
 let scale_max = ref 1_000_000
 
@@ -1410,25 +1193,28 @@ let peak_rss_mb () =
       close_in ic;
       mb
 
-(* Set [key] in the top-level object of BENCH_pdht.json (the [perf]
-   section's output): a block already under [key] is replaced in place,
-   a new one appended, so sections splice in any order and reruns never
-   duplicate.  A missing or unparsable file starts a fresh object. *)
-let splice_section_json path ~key json_value =
-  let module Json = Pdht_obs.Json in
-  let fields =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error _ -> []
-    | s -> ( match Json.of_string s with Ok (Json.Obj fields) -> fields | Ok _ | Error _ -> [])
-  in
-  let fields =
-    if List.mem_assoc key fields then
-      List.map (fun (k, v) -> if k = key then (k, json_value) else (k, v)) fields
-    else fields @ [ (key, json_value) ]
-  in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (Json.to_string (Json.Obj fields));
-      output_char oc '\n')
+type decade = {
+  peers : int;
+  repl : int;
+  active_members : int;
+  bytes_per_peer : float;
+  events_per_second : float;
+  sim_mean_hops : float;
+  dht_mean_hops : float;
+  dht_lookup_success : float;
+  wall_s : float;
+}
+
+let decade_fields =
+  [ Field.int "peers" (fun d -> d.peers);
+    Field.int "repl" (fun d -> d.repl);
+    Field.int "active_members" (fun d -> d.active_members);
+    Field.float "bytes_per_peer" (fun d -> d.bytes_per_peer);
+    Field.float "events_per_second" (fun d -> d.events_per_second);
+    Field.float "sim_mean_hops" (fun d -> d.sim_mean_hops);
+    Field.float "dht_mean_hops" (fun d -> d.dht_mean_hops);
+    Field.float "dht_lookup_success" (fun d -> d.dht_lookup_success);
+    Field.float "wall_s" (fun d -> d.wall_s) ]
 
 let section_scale () =
   heading
@@ -1436,7 +1222,6 @@ let section_scale () =
     "(per decade: a news-scaled partial-index run -- Gc-measured bytes/peer,\n\
      events/s, mean index-lookup hops -- plus a raw P-Grid lookup arm at the\n\
      full population; bytes/peer must stay flat while hops track log N)";
-  let module Json = Pdht_obs.Json in
   let decades =
     List.filter (fun n -> n <= !scale_max) [ 1_000; 10_000; 100_000; 1_000_000 ]
   in
@@ -1531,11 +1316,20 @@ let section_scale () =
            %!"
           n repl active bytes_per_peer events_per_second sim_hops dht_hops
           (log2 n) dht_success wall;
-        (n, repl, active, bytes_per_peer, events_per_second, sim_hops, dht_hops,
-         dht_success, wall))
+        {
+          peers = n;
+          repl;
+          active_members = active;
+          bytes_per_peer;
+          events_per_second;
+          sim_mean_hops = sim_hops;
+          dht_mean_hops = dht_hops;
+          dht_lookup_success = dht_success;
+          wall_s = wall;
+        })
       decades
   in
-  let bytes = List.map (fun (_, _, _, b, _, _, _, _, _) -> b) rows in
+  let bytes = List.map (fun d -> d.bytes_per_peer) rows in
   let bytes_per_peer_flat =
     (* Flat-representation invariant: bytes/peer must not creep up
        decade over decade (10% slack covers hash-table rounding). *)
@@ -1545,44 +1339,28 @@ let section_scale () =
     in
     ok bytes
   in
-  let ratios =
-    List.map (fun (n, _, _, _, _, _, h, _, _) -> h /. log2 n) rows
-  in
+  let ratios = List.map (fun d -> d.dht_mean_hops /. log2 d.peers) rows in
   let hops_track_log_n =
     match ratios with
     | [] -> false
     | r0 :: _ -> List.for_all (fun r -> r >= 0.4 *. r0 && r <= 2.0 *. r0) ratios
   in
   let rss = peak_rss_mb () in
-  let row_json (n, repl, active, b, eps, sh, dh, ds, wall) =
-    Json.Obj
-      [
-        ("peers", Json.Int n);
-        ("repl", Json.Int repl);
-        ("active_members", Json.Int active);
-        ("bytes_per_peer", Json.Float b);
-        ("events_per_second", Json.Float eps);
-        ("sim_mean_hops", Json.Float sh);
-        ("dht_mean_hops", Json.Float dh);
-        ("dht_lookup_success", Json.Float ds);
-        ("wall_s", Json.Float wall);
-      ]
-  in
-  let scale_json =
-    Json.Obj
-      [
-        ("decades", Json.List (List.map row_json rows));
-        ("bytes_per_peer_flat", Json.Bool bytes_per_peer_flat);
-        ("hops_track_log_n", Json.Bool hops_track_log_n);
-        ("peak_rss_mb", Json.Float rss);
-      ]
-  in
-  let path = "BENCH_pdht.json" in
-  splice_section_json path ~key:"scale" scale_json;
+  splice_bench_json
+    [
+      ( "scale",
+        Json.Obj
+          [
+            ("decades", Field.json decade_fields rows);
+            ("bytes_per_peer_flat", Json.Bool bytes_per_peer_flat);
+            ("hops_track_log_n", Json.Bool hops_track_log_n);
+            ("peak_rss_mb", Json.Float rss);
+          ] );
+    ];
   Printf.printf
     "bytes/peer flat across decades: %b; dht hops track log N: %b; peak RSS %.0f \
      MB\nspliced \"scale\" into %s\n"
-    bytes_per_peer_flat hops_track_log_n rss path
+    bytes_per_peer_flat hops_track_log_n rss bench_json_path
 
 (* ------------------------------------------------------------------ *)
 (* E26: churn-hardened routing.  Living vs frozen k-buckets under
@@ -1597,44 +1375,27 @@ let section_churn_routing () =
      k-buckets with replacement caches + liveness probing + bucket\n\
      refresh, and frozen tables on the live arm's measured maintenance\n\
      budget; cRtn is measured, not assumed)";
-  let module Json = Pdht_obs.Json in
   let rows =
     Experiment.churn_routing ~jobs:!jobs ~seed:2026 ~members:600 ~duration:600.
       ~mean_sessions:[ 60.; 600.; 6_000. ] ()
   in
-  let t =
-    Table.create
-      ~columns:
-        [ ("mean session", Table.Right); ("arm", Table.Left); ("lookups", Table.Right);
-          ("success", Table.Right); ("hops", Table.Right); ("stale-route", Table.Right);
-          ("maint msgs", Table.Right); ("cRtn msg/peer/s", Table.Right) ]
+  let fields =
+    let arm get (r : Experiment.churn_routing_row) = get r in
+    [ Field.float ~header:"mean session" ~cell:(Printf.sprintf "%.0fs") "mean_session"
+        (arm (fun r -> r.Experiment.mean_session));
+      Field.string ~header:"arm" "arm" (arm (fun r -> r.Experiment.arm));
+      Field.int ~header:"lookups" "attempted" (arm (fun r -> r.Experiment.attempted));
+      Field.float ~header:"success" "success_rate"
+        (arm (fun r -> r.Experiment.success_rate));
+      Field.float ~header:"hops" ~cell:(Printf.sprintf "%.2f") "mean_hops"
+        (arm (fun r -> r.Experiment.mean_hops));
+      Field.float ~header:"stale-route" ~cell:(Printf.sprintf "%.4f") "stale_route_rate"
+        (arm (fun r -> r.Experiment.stale_route_rate));
+      Field.int ~header:"maint msgs" "maintenance_messages"
+        (arm (fun r -> r.Experiment.maintenance_messages));
+      Field.float ~header:"cRtn msg/peer/s" "crtn" (arm (fun r -> r.Experiment.crtn)) ]
   in
-  List.iter
-    (fun (r : Experiment.churn_routing_row) ->
-      Table.add_row t
-        [ Printf.sprintf "%.0fs" r.Experiment.mean_session;
-          r.Experiment.arm;
-          string_of_int r.Experiment.attempted;
-          Printf.sprintf "%.3f" r.Experiment.success_rate;
-          Printf.sprintf "%.2f" r.Experiment.mean_hops;
-          Printf.sprintf "%.4f" r.Experiment.stale_route_rate;
-          string_of_int r.Experiment.maintenance_messages;
-          Printf.sprintf "%.3f" r.Experiment.crtn ])
-    rows;
-  Table.print t;
-  let row_json (r : Experiment.churn_routing_row) =
-    Json.Obj
-      [
-        ("mean_session", Json.Float r.Experiment.mean_session);
-        ("arm", Json.String r.Experiment.arm);
-        ("attempted", Json.Int r.Experiment.attempted);
-        ("success_rate", Json.Float r.Experiment.success_rate);
-        ("mean_hops", Json.Float r.Experiment.mean_hops);
-        ("stale_route_rate", Json.Float r.Experiment.stale_route_rate);
-        ("maintenance_messages", Json.Int r.Experiment.maintenance_messages);
-        ("crtn", Json.Float r.Experiment.crtn);
-      ]
-  in
+  Field.print_table fields rows;
   (* Per-decade contracts, spliced as booleans for the CI gate: the
      living tables must win the stale-route race at equal maintenance
      spend while staying within 5% of the no-churn success ceiling. *)
@@ -1656,94 +1417,92 @@ let section_churn_routing () =
     all (fun (_, l, f) ->
         l.Experiment.maintenance_messages = f.Experiment.maintenance_messages)
   in
-  let path = "BENCH_pdht.json" in
-  splice_section_json path ~key:"churn"
-    (Json.Obj
-       [
-         ("rows", Json.List (List.map row_json rows));
-         ("live_beats_frozen_stale_route", Json.Bool stale_ok);
-         ("live_within_success_floor", Json.Bool success_ok);
-         ("equal_maintenance_budget", Json.Bool budget_ok);
-       ]);
-  Printf.printf "spliced \"churn\" into %s\n" path
+  splice_bench_json
+    [
+      ( "churn",
+        Json.Obj
+          [
+            ("rows", Field.json fields rows);
+            ("live_beats_frozen_stale_route", Json.Bool stale_ok);
+            ("live_within_success_floor", Json.Bool success_ok);
+            ("equal_maintenance_budget", Json.Bool budget_ok);
+          ] );
+    ];
+  Printf.printf "spliced \"churn\" into %s\n" bench_json_path
 
 let sections =
   [
-    ("table1", section_table1);
-    ("fig1", section_fig1);
-    ("fig2", section_fig2);
-    ("fig3", section_fig3);
-    ("fig4", section_fig4);
-    ("ttl_sensitivity", section_ttl_sensitivity);
-    ("sim_vs_model", section_sim_vs_model);
-    ("fullscale", section_fullscale);
-    ("sim_adaptivity", section_sim_adaptivity);
-    ("ablation", section_ablation);
-    ("ttl_tuning", section_ttl_tuning);
-    ("backends_e2e", section_backends_e2e);
-    ("churn", section_churn);
-    ("workloads", section_workloads);
-    ("seeds", section_seeds);
-    ("bootstrap", section_bootstrap);
-    ("membership", section_membership);
-    ("diurnal", section_diurnal);
-    ("eviction", section_eviction);
-    ("arity", section_arity);
-    ("replication_planning", section_replication_planning);
-    ("perf", section_perf);
-    ("micro", section_micro);
-    ("scale", section_scale);
-    ("churn_routing", section_churn_routing);
+    ("table1", "Table 1: parameters and derived model quantities.", section_table1);
+    ("fig1", "Fig. 1: total msg/s per strategy vs query frequency.", section_fig1);
+    ("fig2", "Fig. 2: savings of ideal partial indexing.", section_fig2);
+    ("fig3", "Fig. 3: index size and pIndxd vs query frequency.", section_fig3);
+    ("fig4", "Fig. 4: savings of the TTL selection algorithm.", section_fig4);
+    ("ttl_sensitivity", "Section 5.1.1: keyTtl estimation-error sensitivity.",
+     section_ttl_sensitivity);
+    ("sim_vs_model", "E7: event-driven simulation vs Eq. 11/12/17.", section_sim_vs_model);
+    ("fullscale", "E18: the full Table-1 deployment, every message simulated.",
+     section_fullscale);
+    ("sim_adaptivity", "E6: hit-rate recovery across a popularity shift.",
+     section_sim_adaptivity);
+    ("ablation", "E8: flooding vs random walks; the four DHT backends.", section_ablation);
+    ("ttl_tuning", "Fixed keyTtl grid vs the adaptive controller.", section_ttl_tuning);
+    ("backends_e2e", "E19: the whole PDHT on every structured substrate.",
+     section_backends_e2e);
+    ("churn", "E12: the selection algorithm under churn.", section_churn);
+    ("workloads", "E13: index response to workload shape.", section_workloads);
+    ("seeds", "Seed replication of the headline numbers.", section_seeds);
+    ("bootstrap", "E16: P-Grid self-organizing bootstrap.", section_bootstrap);
+    ("membership", "E17: Chord joins, crashes and stabilization.", section_membership);
+    ("diurnal", "E15: the index under a busy/calm query-rate cycle.", section_diurnal);
+    ("eviction", "E14: cache-eviction policy under pressure.", section_eviction);
+    ("arity", "k-ary key space (Section 3.2, footnote 3).", section_arity);
+    ("replication_planning", "Replication planning for an availability target.",
+     section_replication_planning);
+    ("perf", "Instrumented run plus net, fault, policy and tracing contracts; \
+              writes BENCH_pdht.json.", section_perf);
+    ("scale", "Decade sweep 10^3..10^6 peers (cap with $(b,--scale-max)); splices \
+               into BENCH_pdht.json.", section_scale);
+    ("churn_routing", "E26: live vs frozen k-buckets; splices into BENCH_pdht.json.",
+     section_churn_routing);
   ]
 
-let set_jobs value =
-  match int_of_string_opt value with
-  | Some n when n >= 1 -> jobs := n
-  | Some _ | None ->
-      Printf.eprintf "-j/--jobs needs a positive integer, got %S\n" value;
-      exit 2
-
-let set_scale_max value =
-  match int_of_string_opt value with
-  | Some n when n >= 1 -> scale_max := n
-  | Some _ | None ->
-      Printf.eprintf "--scale-max needs a positive integer, got %S\n" value;
-      exit 2
-
-(* [-j N] / [--jobs N] / [--jobs=N] and [--scale-max N] / [--scale-max=N]
-   may appear anywhere among the section names. *)
-let rec strip_jobs acc = function
-  | [] -> List.rev acc
-  | ("-j" | "--jobs") :: value :: rest ->
-      set_jobs value;
-      strip_jobs acc rest
-  | [ ("-j" | "--jobs") ] ->
-      Printf.eprintf "-j/--jobs needs a value\n";
-      exit 2
-  | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-      set_jobs (String.sub arg 7 (String.length arg - 7));
-      strip_jobs acc rest
-  | "--scale-max" :: value :: rest ->
-      set_scale_max value;
-      strip_jobs acc rest
-  | [ "--scale-max" ] ->
-      Printf.eprintf "--scale-max needs a value\n";
-      exit 2
-  | arg :: rest
-    when String.length arg > 12 && String.sub arg 0 12 = "--scale-max=" ->
-      set_scale_max (String.sub arg 12 (String.length arg - 12));
-      strip_jobs acc rest
-  | arg :: rest -> strip_jobs (arg :: acc) rest
+let run names jobs_flag scale_max_flag =
+  if jobs_flag < 1 then `Error (false, "--jobs must be >= 1")
+  else if scale_max_flag < 1 then `Error (false, "--scale-max must be >= 1")
+  else begin
+    jobs := jobs_flag;
+    scale_max := scale_max_flag;
+    let requested =
+      if names = [] then sections
+      else List.map (fun name -> List.find (fun (n, _, _) -> n = name) sections) names
+    in
+    List.iter (fun (_, _, section) -> section ()) requested;
+    `Ok ()
+  end
 
 let () =
-  let names = strip_jobs [] (List.tl (Array.to_list Sys.argv)) in
-  let requested = match names with [] -> List.map fst sections | names -> names in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown section %S; available: %s\n" name
-            (String.concat ", " (List.map fst sections));
-          exit 1)
-    requested
+  let names_arg =
+    Arg.(value
+         & pos_all (enum (List.map (fun (name, _, _) -> (name, name)) sections)) []
+         & info [] ~docv:"SECTION"
+             ~doc:"Sections to run, in order (default: all); see SECTIONS.")
+  in
+  let jobs_arg =
+    Arg.(value & opt int !jobs
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Worker domains for each experiment's independent simulations \
+                   (default: cores - 1).  Output is byte-identical for every N.")
+  in
+  let scale_max_arg =
+    Arg.(value & opt int !scale_max
+         & info [ "scale-max" ] ~docv:"N"
+             ~doc:"Largest population the $(b,scale) section runs.")
+  in
+  let man =
+    `S "SECTIONS" :: List.map (fun (name, doc, _) -> `I (name, doc)) sections
+  in
+  let doc = "regenerate the paper's tables and figures and the extension experiments" in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info "main" ~doc ~man)
+          Term.(ret (const run $ names_arg $ jobs_arg $ scale_max_arg))))

@@ -1,11 +1,4 @@
-(* pdht - command-line front end.
-
-   Subcommands:
-     model     evaluate the analytical model at one parameter point
-     sweep     print the Fig. 1-4 series over the query-frequency sweep
-     simulate  run the event-driven simulator for one strategy
-     ttl       keyTtl sensitivity analysis (Section 5.1.1)
-*)
+(* pdht - command-line front end ([pdht --help] lists the subcommands). *)
 
 open Cmdliner
 
@@ -78,28 +71,8 @@ let jobs_arg =
                  Results are identical for any value.")
 
 (* ------------------------------------------------------------------ *)
-(* Index-selection policy flag (shared by simulate and sweep). *)
-
-let policy_conv =
-  let parse s =
-    match Psel.of_string s with Ok spec -> Ok spec | Error msg -> Error (`Msg msg)
-  in
-  let print ppf spec = Format.pp_print_string ppf (Psel.to_string spec) in
-  Arg.conv (parse, print)
-
-let policy_arg =
-  Arg.(value & opt (some policy_conv) None
-       & info [ "policy" ] ~docv:"POLICY"
-           ~doc:"Index-selection policy: $(b,ttl) (model-derived keyTtl, the \
-                 default), $(b,ttl:SECS) (fixed keyTtl), $(b,ttl:adaptive) \
-                 (self-tuning controller), or $(b,cost) (online Eq. 1-2 \
-                 re-solve; admits keys above the fitted fMin).  Subsumes \
-                 $(b,--key-ttl)/$(b,--adaptive); combining them is an error.")
-
-(* ------------------------------------------------------------------ *)
-(* Network-model flags (shared by simulate and sweep).  Giving any of
-   them enables the model; the others fall back to
-   [Pdht_net.Config.default]. *)
+(* Network-model flags (simulate only).  Giving any of them enables the
+   model; the others fall back to [Pdht_net.Config.default]. *)
 
 let net_term =
   let latency_arg =
@@ -254,55 +227,26 @@ let model_cmd =
 (* ------------------------------------------------------------------ *)
 (* sweep *)
 
-let run_sweep csv jobs net policy params =
+let run_sweep csv jobs params =
   if jobs < 1 then `Error (false, "--jobs must be >= 1")
   else
-  match net with
-  | Error msg -> `Error (false, msg)
-  | Ok net ->
-  (match policy with
-  | Some (Psel.Cost_optimal as spec) ->
-      (* Same symmetry contract as --net below: the analytical sweep
-         has no query stream for a selector to learn from. *)
-      Printf.eprintf
-        "note: selection policy %s does not affect the analytical sweep (the \
-         TTL column is always the model's 1/fMin); use `pdht simulate \
-         --policy` to measure it\n"
-        (Psel.to_string spec)
-  | Some _ | None -> ());
-  (match net with
-  | Some cfg ->
-      (* The analytical sweep counts messages (Eqs. 11-17); delivery
-         timing does not enter the equations.  Accept the flags for
-         symmetry with [simulate], but say what they (don't) do. *)
-      Printf.eprintf
-        "note: network model (%s, loss %.3f) does not affect the analytical \
-         sweep; use `pdht simulate` to measure delivery effects\n"
-        (Pdht_net.Config.latency_to_string cfg.Pdht_net.Config.latency)
-        cfg.Pdht_net.Config.loss
-  | None -> ());
   with_validated params @@ fun p ->
   let t =
-    Table.create
-      ~columns:
-        [ ("fQry", Table.Left); ("indexAll", Table.Right); ("noIndex", Table.Right);
-          ("partial", Table.Right); ("selection", Table.Right);
-          ("idx frac", Table.Right); ("pIndxd", Table.Right); ("keyTtl", Table.Right) ]
+    Table.make
+      [ ( "fQry", Table.Left,
+          fun (pt : Sweep.point) -> Printf.sprintf "1/%.0f" (1. /. pt.Sweep.f_qry) );
+        ("indexAll", Table.Right, fun pt -> Printf.sprintf "%.0f" pt.Sweep.index_all);
+        ("noIndex", Table.Right, fun pt -> Printf.sprintf "%.0f" pt.Sweep.no_index);
+        ("partial", Table.Right, fun pt -> Printf.sprintf "%.0f" pt.Sweep.partial_ideal);
+        ( "selection", Table.Right,
+          fun pt -> Printf.sprintf "%.0f" pt.Sweep.partial_selection );
+        ("idx frac", Table.Right, fun pt -> Printf.sprintf "%.3f" pt.Sweep.index_fraction);
+        ("pIndxd", Table.Right, fun pt -> Printf.sprintf "%.3f" pt.Sweep.p_indexed);
+        ("keyTtl", Table.Right, fun pt -> Printf.sprintf "%.0f" pt.Sweep.key_ttl) ]
+      (Pdht_runner.Pool.map_list ~jobs
+         ~f:(fun _ f -> Sweep.point (Params.with_query_frequency p f))
+         (Params.query_frequency_sweep p))
   in
-  List.iter
-    (fun (pt : Sweep.point) ->
-      Table.add_row t
-        [ Printf.sprintf "1/%.0f" (1. /. pt.Sweep.f_qry);
-          Printf.sprintf "%.0f" pt.Sweep.index_all;
-          Printf.sprintf "%.0f" pt.Sweep.no_index;
-          Printf.sprintf "%.0f" pt.Sweep.partial_ideal;
-          Printf.sprintf "%.0f" pt.Sweep.partial_selection;
-          Printf.sprintf "%.3f" pt.Sweep.index_fraction;
-          Printf.sprintf "%.3f" pt.Sweep.p_indexed;
-          Printf.sprintf "%.0f" pt.Sweep.key_ttl ])
-    (Pdht_runner.Pool.map_list ~jobs
-       ~f:(fun _ f -> Sweep.point (Params.with_query_frequency p f))
-       (Params.query_frequency_sweep p));
   if csv then print_endline (Table.render_csv t) else Table.print t
 
 let sweep_cmd =
@@ -311,10 +255,10 @@ let sweep_cmd =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of an aligned table.")
   in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(ret (const run_sweep $ csv_arg $ jobs_arg $ net_term $ policy_arg $ params_term))
+    Term.(ret (const run_sweep $ csv_arg $ jobs_arg $ params_term))
 
 (* ------------------------------------------------------------------ *)
-(* simulate *)
+(* simulate and cluster: the shared run *)
 
 let strategy_conv =
   let parse s =
@@ -328,6 +272,13 @@ let strategy_conv =
     Format.pp_print_string ppf
       (match v with `Partial -> "partial" | `Index_all -> "indexall" | `No_index -> "noindex")
   in
+  Arg.conv (parse, print)
+
+let policy_conv =
+  let parse s =
+    match Psel.of_string s with Ok spec -> Ok spec | Error msg -> Error (`Msg msg)
+  in
+  let print ppf spec = Format.pp_print_string ppf (Psel.to_string spec) in
   Arg.conv (parse, print)
 
 let setup_logging verbose log_level =
@@ -360,20 +311,6 @@ let parse_trace_filter spec =
   in
   convert [] tokens
 
-(* [--policy] subsumes the legacy TTL flags; the error names every
-   conflicting flag actually passed, so one fix clears the whole
-   conflict. *)
-let policy_flag_conflict ~policy ~key_ttl ~adaptive =
-  if policy = None then None
-  else
-    Option.map
-      (fun msg ->
-        msg
-        ^ "; use --policy ttl:SECS or --policy ttl:adaptive instead of combining \
-           them")
-      (Pdht_util.Flags.conflicts ~dominant:"--policy"
-         ~subsumed:[ ("--key-ttl", key_ttl <> None); ("--adaptive", adaptive) ])
-
 (* [--churn] takes an optional session spec in the
    {!Pdht_dist.Session.of_string} grammar; the bare flag means the
    historical default (exponential 10-minute uptimes, 75% availability
@@ -397,8 +334,6 @@ let churn_plan_of_flag = function
                  })
           else Ok (Scenario.Sessions spec))
 
-(* Scenario construction shared by [simulate] and [cluster], so a
-   same-flag cluster run reproduces the simulator's workload exactly. *)
 let build_scenario ~preset ~peers ~keys ~fqry ~duration ~seed ~churn =
   match preset with
   | Some name -> (
@@ -423,18 +358,6 @@ let build_scenario ~preset ~peers ~keys ~fqry ~duration ~seed ~churn =
               churn;
             })
 
-let selection_policy_of_flags ~policy ~key_ttl ~adaptive =
-  match policy with
-  | Some spec -> spec
-  | None ->
-      (* Legacy flags: --adaptive wins over --key-ttl (the controller
-         subsumes any fixed starting point). *)
-      if adaptive then Psel.Ttl Psel.Adaptive
-      else (
-        match key_ttl with
-        | Some ttl -> Psel.Ttl (Psel.Fixed ttl)
-        | None -> Psel.Ttl Psel.Model_derived)
-
 let strategy_of_flag strategy ~scenario ~options =
   match strategy with
   | `Partial ->
@@ -442,16 +365,90 @@ let strategy_of_flag strategy ~scenario ~options =
   | `Index_all -> Strategy.Index_all
   | `No_index -> Strategy.No_index
 
-let run_simulate verbose log_level metrics_out trace_out trace_filter trace_sample
-    timeline_out timeline_window preset peers keys repl stor fqry duration seed strategy
-    key_ttl adaptive policy churn bucket_refresh jobs replicate net fault =
-  setup_logging verbose log_level;
+(* Every flag that shapes the workload, declared once for [simulate]
+   and [cluster], so a same-flag cluster run reproduces the simulator's
+   workload by construction.  The term sets up logging and yields the
+   validated scenario, strategy and options.  [simulate] layers its
+   net, fault, bucket-refresh and timeline flags onto those options
+   afterwards; {!System.derive_key_ttl} reads none of them, so the
+   derived strategy holds for the layered options too. *)
+let workload_term =
+  let verbose_arg =
+    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log run progress to stderr.")
+  in
+  let log_level_arg =
+    let level_conv =
+      Arg.conv
+        ( Logs.level_of_string,
+          fun ppf l -> Format.pp_print_string ppf (Logs.level_to_string l) )
+    in
+    Arg.(value & opt (some level_conv) None
+         & info [ "log-level" ] ~docv:"LEVEL"
+             ~doc:"Log verbosity (quiet, error, warning, info, debug); overrides \
+                   $(b,--verbose).")
+  in
+  let preset_arg =
+    Arg.(value & opt (some string) None
+         & info [ "preset" ]
+             ~doc:"Named scenario (news, flash-crowd, churn-storm, busy-day, \
+                   uniform-stress); overrides the size/rate flags.")
+  in
+  let peers = Arg.(value & opt int 1000 & info [ "peers" ] ~docv:"N" ~doc:"Peers.") in
+  let keys = Arg.(value & opt int 2000 & info [ "keys" ] ~docv:"N" ~doc:"Keys.") in
+  let repl = Arg.(value & opt int 20 & info [ "repl" ] ~docv:"N" ~doc:"Replication factor.") in
+  let stor = Arg.(value & opt int 100 & info [ "stor" ] ~docv:"N" ~doc:"Cache capacity.") in
+  let fqry =
+    Arg.(value & opt float (1. /. 30.) & info [ "fqry" ] ~docv:"F" ~doc:"Queries/peer/s.")
+  in
+  let duration_arg =
+    Arg.(value & opt float 1800. & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
+  in
+  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.") in
+  let strategy_arg =
+    Arg.(value & opt strategy_conv `Partial
+         & info [ "strategy" ] ~docv:"S" ~doc:"partial | indexall | noindex.")
+  in
+  let policy_arg =
+    Arg.(value & opt policy_conv (Psel.Ttl Psel.Model_derived)
+         & info [ "policy" ] ~docv:"POLICY"
+             ~doc:"Index-selection policy: $(b,ttl) (model-derived keyTtl, the \
+                   default), $(b,ttl:SECS) (fixed keyTtl), $(b,ttl:adaptive) \
+                   (self-tuning controller), or $(b,cost) (online Eq. 1-2 \
+                   re-solve; admits keys above the fitted fMin).")
+  in
+  let churn_arg =
+    Arg.(
+      value
+      & opt ~vopt:(Some "exp:up=600:down=200") (some string) None
+      & info [ "churn" ] ~docv:"SPEC"
+          ~doc:
+            "Enable peer churn.  Bare $(b,--churn) keeps the historical default \
+             (exponential sessions, 10-minute mean uptime, 75% availability).  \
+             SPEC is DIST[:up=S][:down=S][:sigma=X|:shape=X][:on=F] with DIST \
+             one of exp, lognormal, weibull, pareto; up/down are mean session \
+             seconds, sigma/shape the heavy-tail parameter, on the initial \
+             online fraction (default: stationary up/(up+down)).")
+  in
+  let build verbose log_level preset peers keys repl stor fqry duration seed strategy
+      selection_policy churn =
+    setup_logging verbose log_level;
+    match build_scenario ~preset ~peers ~keys ~fqry ~duration ~seed ~churn with
+    | Error _ as e -> e
+    | Ok scenario -> (
+        match Scenario.validate scenario with
+        | Error msg -> Error ("invalid scenario: " ^ msg)
+        | Ok scenario ->
+            let options = System.Options.make ~repl ~stor ~selection_policy () in
+            Ok (scenario, strategy_of_flag strategy ~scenario ~options, options))
+  in
+  Term.(
+    const build $ verbose_arg $ log_level_arg $ preset_arg $ peers $ keys $ repl $ stor
+    $ fqry $ duration_arg $ seed_arg $ strategy_arg $ policy_arg $ churn_arg)
+
+let run_simulate workload metrics_out trace_out trace_filter trace_sample timeline_out
+    timeline_window bucket_refresh jobs replicate net fault =
   if jobs < 1 then `Error (false, "--jobs must be >= 1")
-  else
-    match policy_flag_conflict ~policy ~key_ttl ~adaptive with
-  | Some msg -> `Error (false, msg)
-  | None ->
-  if replicate < 1 then `Error (false, "--replicate must be >= 1")
+  else if replicate < 1 then `Error (false, "--replicate must be >= 1")
   else if trace_sample < 1 then `Error (false, "--trace-sample must be >= 1")
   else if (match timeline_window with Some w -> not (w > 0.) | None -> false) then
     `Error (false, "--timeline-window must be positive")
@@ -464,13 +461,9 @@ let run_simulate verbose log_level metrics_out trace_out trace_filter trace_samp
   match fault with
   | Error msg -> `Error (false, msg)
   | Ok fault ->
-  match build_scenario ~preset ~peers ~keys ~fqry ~duration ~seed ~churn with
+  match workload with
   | Error msg -> `Error (false, msg)
-  | Ok scenario ->
-  match Scenario.validate scenario with
-  | Error msg -> `Error (false, "invalid scenario: " ^ msg)
-  | Ok scenario ->
-      let selection_policy = selection_policy_of_flags ~policy ~key_ttl ~adaptive in
+  | Ok (scenario, strategy, options) ->
       (* [--timeline-out] without an explicit window gets the default
          sample cadence; a bare [--timeline-window] still lands the
          summary in the printed report. *)
@@ -487,11 +480,16 @@ let run_simulate verbose log_level metrics_out trace_out trace_filter trace_samp
         | Some _ -> Some Pdht_dht.Dht.Kademlia_backend
         | None -> None
       in
+      let layer set = function Some v -> set v | None -> Fun.id in
       let options =
-        System.Options.make ~repl ~stor ~selection_policy ?backend ?net ?fault
-          ?timeline_window:timeline_width ?bucket_refresh ()
+        options
+        |> layer System.Options.with_backend backend
+        |> layer System.Options.with_net net
+        |> layer System.Options.with_fault fault
+        |> layer System.Options.with_timeline_window timeline_width
+        |> layer System.Options.with_bucket_refresh bucket_refresh
       in
-      let strategy = strategy_of_flag strategy ~scenario ~options in
+      let seed = scenario.Scenario.seed in
       if replicate > 1 then begin
         if trace_out <> None || metrics_out <> None || timeline_out <> None then
           `Error
@@ -609,34 +607,6 @@ let run_simulate verbose log_level metrics_out trace_out trace_filter trace_samp
 
 let simulate_cmd =
   let doc = "Run the event-driven simulator for one strategy on a news-style scenario." in
-  let duration_arg =
-    Arg.(value & opt float 1800. & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.") in
-  let strategy_arg =
-    Arg.(value & opt strategy_conv `Partial
-         & info [ "strategy" ] ~docv:"S" ~doc:"partial | indexall | noindex.")
-  in
-  let ttl_arg =
-    Arg.(value & opt (some float) None
-         & info [ "key-ttl" ] ~docv:"S" ~doc:"Fixed keyTtl (default: model-derived 1/fMin).")
-  in
-  let adaptive_arg =
-    Arg.(value & flag & info [ "adaptive" ] ~doc:"Enable the self-tuning keyTtl controller.")
-  in
-  let churn_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "exp:up=600:down=200") (some string) None
-      & info [ "churn" ] ~docv:"SPEC"
-          ~doc:
-            "Enable peer churn.  Bare $(b,--churn) keeps the historical default \
-             (exponential sessions, 10-minute mean uptime, 75% availability).  \
-             SPEC is DIST[:up=S][:down=S][:sigma=X|:shape=X][:on=F] with DIST \
-             one of exp, lognormal, weibull, pareto; up/down are mean session \
-             seconds, sigma/shape the heavy-tail parameter, on the initial \
-             online fraction (default: stationary up/(up+down)).")
-  in
   let bucket_refresh_arg =
     Arg.(
       value
@@ -647,20 +617,6 @@ let simulate_cmd =
              caches and liveness probing, plus a stale-range refresh sweep \
              every SECS simulated seconds.  Implies the Kademlia backend; \
              probe traffic is charged to the maintenance account.")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log run progress to stderr.")
-  in
-  let log_level_arg =
-    let level_conv =
-      Arg.conv
-        ( Logs.level_of_string,
-          fun ppf l -> Format.pp_print_string ppf (Logs.level_to_string l) )
-    in
-    Arg.(value & opt (some level_conv) None
-         & info [ "log-level" ] ~docv:"LEVEL"
-             ~doc:"Log verbosity (quiet, error, warning, info, debug); overrides \
-                   $(b,--verbose).")
   in
   let metrics_out_arg =
     Arg.(value & opt (some string) None
@@ -703,19 +659,6 @@ let simulate_cmd =
                    also enables the timeline in the printed report without \
                    $(b,--timeline-out).")
   in
-  let preset_arg =
-    Arg.(value & opt (some string) None
-         & info [ "preset" ]
-             ~doc:"Named scenario (news, flash-crowd, churn-storm, busy-day, \
-                   uniform-stress); overrides the size/rate flags.")
-  in
-  let peers = Arg.(value & opt int 1000 & info [ "peers" ] ~docv:"N" ~doc:"Peers.") in
-  let keys = Arg.(value & opt int 2000 & info [ "keys" ] ~docv:"N" ~doc:"Keys.") in
-  let repl = Arg.(value & opt int 20 & info [ "repl" ] ~docv:"N" ~doc:"Replication factor.") in
-  let stor = Arg.(value & opt int 100 & info [ "stor" ] ~docv:"N" ~doc:"Cache capacity.") in
-  let fqry =
-    Arg.(value & opt float (1. /. 30.) & info [ "fqry" ] ~docv:"F" ~doc:"Queries/peer/s.")
-  in
   let replicate_arg =
     Arg.(value & opt int 1
          & info [ "replicate" ] ~docv:"N"
@@ -725,36 +668,26 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       ret
-        (const run_simulate $ verbose_arg $ log_level_arg $ metrics_out_arg
-         $ trace_out_arg $ trace_filter_arg $ trace_sample_arg $ timeline_out_arg
-         $ timeline_window_arg $ preset_arg $ peers $ keys $ repl $ stor
-         $ fqry $ duration_arg $ seed_arg $ strategy_arg $ ttl_arg $ adaptive_arg
-         $ policy_arg $ churn_arg $ bucket_refresh_arg $ jobs_arg $ replicate_arg
-         $ net_term $ fault_term))
+        (const run_simulate $ workload_term $ metrics_out_arg $ trace_out_arg
+         $ trace_filter_arg $ trace_sample_arg $ timeline_out_arg $ timeline_window_arg
+         $ bucket_refresh_arg $ jobs_arg $ replicate_arg $ net_term $ fault_term))
 
 (* ------------------------------------------------------------------ *)
 (* ttl *)
 
 let run_ttl params =
   with_validated params @@ fun p ->
-  let t =
-    Table.create
-      ~columns:
-        [ ("scale", Table.Right); ("keyTtl", Table.Right); ("cost [msg/s]", Table.Right);
-          ("vs indexAll", Table.Right); ("vs noIndex", Table.Right);
-          ("savings drop", Table.Right) ]
-  in
-  List.iter
-    (fun (r : Pdht_model.Ttl_analysis.row) ->
-      Table.add_row t
-        [ Printf.sprintf "%.2f" r.Pdht_model.Ttl_analysis.scale;
-          Printf.sprintf "%.0f" r.Pdht_model.Ttl_analysis.key_ttl;
-          Printf.sprintf "%.0f" r.Pdht_model.Ttl_analysis.total_cost;
-          Printf.sprintf "%.3f" r.Pdht_model.Ttl_analysis.savings_vs_all;
-          Printf.sprintf "%.3f" r.Pdht_model.Ttl_analysis.savings_vs_none;
-          Printf.sprintf "%+.4f" r.Pdht_model.Ttl_analysis.savings_drop_vs_ideal_ttl ])
-    (Pdht_model.Ttl_analysis.run p ~scales:Pdht_model.Ttl_analysis.default_scales);
-  Table.print t
+  let module T = Pdht_model.Ttl_analysis in
+  Table.print
+    (Table.make
+       [ ("scale", Table.Right, fun (r : T.row) -> Printf.sprintf "%.2f" r.T.scale);
+         ("keyTtl", Table.Right, fun r -> Printf.sprintf "%.0f" r.T.key_ttl);
+         ("cost [msg/s]", Table.Right, fun r -> Printf.sprintf "%.0f" r.T.total_cost);
+         ("vs indexAll", Table.Right, fun r -> Printf.sprintf "%.3f" r.T.savings_vs_all);
+         ("vs noIndex", Table.Right, fun r -> Printf.sprintf "%.3f" r.T.savings_vs_none);
+         ( "savings drop", Table.Right,
+           fun r -> Printf.sprintf "%+.4f" r.T.savings_drop_vs_ideal_ttl ) ]
+       (T.run p ~scales:T.default_scales))
 
 let ttl_cmd =
   let doc = "keyTtl estimation-error sensitivity (paper Section 5.1.1)." in
@@ -832,53 +765,34 @@ let node_cmd =
 (* ------------------------------------------------------------------ *)
 (* cluster *)
 
-let run_cluster verbose log_level nodes obs_dir preset peers keys repl stor fqry
-    duration seed strategy key_ttl adaptive policy churn =
-  setup_logging verbose log_level;
+let run_cluster nodes obs_dir workload =
   if nodes < 1 then `Error (false, "--nodes must be >= 1")
   else
-    match policy_flag_conflict ~policy ~key_ttl ~adaptive with
-    | Some msg -> `Error (false, msg)
-    | None -> (
-        match build_scenario ~preset ~peers ~keys ~fqry ~duration ~seed ~churn with
-        | Error msg -> `Error (false, msg)
-        | Ok scenario -> (
-            match Scenario.validate scenario with
-            | Error msg -> `Error (false, "invalid scenario: " ^ msg)
-            | Ok scenario -> (
-                let selection_policy =
-                  selection_policy_of_flags ~policy ~key_ttl ~adaptive
-                in
-                let options =
-                  System.Options.make ~repl ~stor ~selection_policy ()
-                in
-                let strategy = strategy_of_flag strategy ~scenario ~options in
-                (* The simulator path hands its spec to the batch runner,
-                   which derives the run seed as stream 0 of the scenario
-                   seed; apply the same derivation so a same-flag cluster
-                   run is the same-seed run. *)
-                let scenario =
-                  { scenario with
-                    Scenario.seed =
-                      Pdht_util.Rng.derive_seed ~seed:scenario.Scenario.seed
-                        ~stream:0 }
-                in
-                let config =
-                  { (Pdht_proc.Cluster.default_config ~nodes
-                       ~exe:Sys.executable_name)
-                    with Pdht_proc.Cluster.obs_dir }
-                in
-                match Pdht_proc.Cluster.run config scenario strategy options with
-                | report ->
-                    Format.printf "%a@." System.pp_report report;
-                    `Ok ()
-                | exception Failure msg -> `Error (false, msg)
-                | exception Invalid_argument msg -> `Error (false, msg)
-                | exception Unix.Unix_error (err, fn, _) ->
-                    `Error
-                      ( false,
-                        Printf.sprintf "cluster: %s: %s" fn
-                          (Unix.error_message err) ))))
+    match workload with
+    | Error msg -> `Error (false, msg)
+    | Ok (scenario, strategy, options) -> (
+        (* The simulator path hands its spec to the batch runner, which
+           derives the run seed as stream 0 of the scenario seed; apply
+           the same derivation so a same-flag cluster run is the
+           same-seed run. *)
+        let scenario =
+          { scenario with
+            Scenario.seed =
+              Pdht_util.Rng.derive_seed ~seed:scenario.Scenario.seed ~stream:0 }
+        in
+        let config =
+          { (Pdht_proc.Cluster.default_config ~nodes ~exe:Sys.executable_name)
+            with Pdht_proc.Cluster.obs_dir }
+        in
+        match Pdht_proc.Cluster.run config scenario strategy options with
+        | report ->
+            Format.printf "%a@." System.pp_report report;
+            `Ok ()
+        | exception Failure msg -> `Error (false, msg)
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | exception Unix.Unix_error (err, fn, _) ->
+            `Error
+              (false, Printf.sprintf "cluster: %s: %s" fn (Unix.error_message err)))
 
 let cluster_cmd =
   let doc =
@@ -899,64 +813,8 @@ let cluster_cmd =
                    $(i,merged.jsonl) (run registry plus summed worker \
                    counters).")
   in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log run progress to stderr.")
-  in
-  let log_level_arg =
-    let level_conv =
-      Arg.conv
-        ( Logs.level_of_string,
-          fun ppf l -> Format.pp_print_string ppf (Logs.level_to_string l) )
-    in
-    Arg.(value & opt (some level_conv) None
-         & info [ "log-level" ] ~docv:"LEVEL"
-             ~doc:"Log verbosity (quiet, error, warning, info, debug); overrides \
-                   $(b,--verbose).")
-  in
-  let preset_arg =
-    Arg.(value & opt (some string) None
-         & info [ "preset" ]
-             ~doc:"Named scenario (news, flash-crowd, churn-storm, busy-day, \
-                   uniform-stress); overrides the size/rate flags.")
-  in
-  let peers = Arg.(value & opt int 1000 & info [ "peers" ] ~docv:"N" ~doc:"Peers.") in
-  let keys = Arg.(value & opt int 2000 & info [ "keys" ] ~docv:"N" ~doc:"Keys.") in
-  let repl = Arg.(value & opt int 20 & info [ "repl" ] ~docv:"N" ~doc:"Replication factor.") in
-  let stor = Arg.(value & opt int 100 & info [ "stor" ] ~docv:"N" ~doc:"Cache capacity.") in
-  let fqry =
-    Arg.(value & opt float (1. /. 30.) & info [ "fqry" ] ~docv:"F" ~doc:"Queries/peer/s.")
-  in
-  let duration_arg =
-    Arg.(value & opt float 1800. & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.") in
-  let strategy_arg =
-    Arg.(value & opt strategy_conv `Partial
-         & info [ "strategy" ] ~docv:"S" ~doc:"partial | indexall | noindex.")
-  in
-  let ttl_arg =
-    Arg.(value & opt (some float) None
-         & info [ "key-ttl" ] ~docv:"S" ~doc:"Fixed keyTtl (default: model-derived 1/fMin).")
-  in
-  let adaptive_arg =
-    Arg.(value & flag & info [ "adaptive" ] ~doc:"Enable the self-tuning keyTtl controller.")
-  in
-  let churn_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "exp:up=600:down=200") (some string) None
-      & info [ "churn" ] ~docv:"SPEC"
-          ~doc:
-            "Enable peer churn.  Bare $(b,--churn) keeps the historical default \
-             (exponential sessions, 10-minute mean uptime, 75% availability); \
-             SPEC accepts the session grammar documented under $(b,simulate).")
-  in
   Cmd.v (Cmd.info "cluster" ~doc)
-    Term.(
-      ret
-        (const run_cluster $ verbose_arg $ log_level_arg $ nodes_arg $ obs_dir_arg
-         $ preset_arg $ peers $ keys $ repl $ stor $ fqry $ duration_arg $ seed_arg
-         $ strategy_arg $ ttl_arg $ adaptive_arg $ policy_arg $ churn_arg))
+    Term.(ret (const run_cluster $ nodes_arg $ obs_dir_arg $ workload_term))
 
 (* ------------------------------------------------------------------ *)
 

@@ -19,7 +19,17 @@ module Index_policy = Pdht_model.Index_policy
 module Strategies = Pdht_model.Strategies
 module Table = Pdht_util.Table
 
-let row_of params =
+type row = {
+  label : string;
+  index_fraction : float;
+  p_indexed : float;
+  partial : float;
+  all : float;
+  none : float;
+  winner : string;
+}
+
+let row_of (label, params) =
   let s = Index_policy.solve params in
   let all = (Strategies.index_all params).Strategies.total in
   let none = (Strategies.no_index params).Strategies.total in
@@ -31,29 +41,29 @@ let row_of params =
     else if all <= none then "indexAll"
     else "noIndex"
   in
-  ( Printf.sprintf "%.3f" (float_of_int s.Index_policy.max_rank /. float_of_int params.Params.keys),
-    Printf.sprintf "%.3f" s.Index_policy.p_indexed,
-    Printf.sprintf "%.0f" partial,
-    Printf.sprintf "%.0f" all,
-    Printf.sprintf "%.0f" none,
-    winner )
+  {
+    label;
+    index_fraction =
+      float_of_int s.Index_policy.max_rank /. float_of_int params.Params.keys;
+    p_indexed = s.Index_policy.p_indexed;
+    partial;
+    all;
+    none;
+    winner;
+  }
 
 let print_axis title header values params_of =
   Printf.printf "\n== %s ==\n" title;
-  let t =
-    Table.create
-      ~columns:
-        [ (header, Table.Left); ("idx frac", Table.Right); ("pIndxd", Table.Right);
-          ("partial", Table.Right); ("indexAll", Table.Right); ("noIndex", Table.Right);
-          ("winner", Table.Left) ]
-  in
-  List.iter
-    (fun v ->
-      let label, params = params_of v in
-      let frac, p, partial, all, none, winner = row_of params in
-      Table.add_row t [ label; frac; p; partial; all; none; winner ])
-    values;
-  Table.print t
+  Table.print
+    (Table.make
+       [ (header, Table.Left, fun r -> r.label);
+         ("idx frac", Table.Right, fun r -> Printf.sprintf "%.3f" r.index_fraction);
+         ("pIndxd", Table.Right, fun r -> Printf.sprintf "%.3f" r.p_indexed);
+         ("partial", Table.Right, fun r -> Printf.sprintf "%.0f" r.partial);
+         ("indexAll", Table.Right, fun r -> Printf.sprintf "%.0f" r.all);
+         ("noIndex", Table.Right, fun r -> Printf.sprintf "%.0f" r.none);
+         ("winner", Table.Left, fun r -> r.winner) ]
+       (List.map (fun v -> row_of (params_of v)) values))
 
 let () =
   Printf.printf "analytical model what-ifs around the Table-1 news scenario\n";

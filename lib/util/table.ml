@@ -1,25 +1,22 @@
 type align = Left | Right
 
-type t = { headers : string list; aligns : align list; mutable rows : string list list }
+type 'row column = string * align * ('row -> string)
 
-let create ~columns =
-  { headers = List.map fst columns; aligns = List.map snd columns; rows = [] }
+type t = { headers : string list; aligns : align list; rows : string list list }
 
-let add_row t row =
-  if List.length row <> List.length t.headers then
-    invalid_arg "Table.add_row: wrong number of cells";
-  t.rows <- row :: t.rows
-
-let add_float_row t ?(precision = 5) row =
-  add_row t (List.map (Printf.sprintf "%.*g" precision) row)
+let make columns rows =
+  {
+    headers = List.map (fun (header, _, _) -> header) columns;
+    aligns = List.map (fun (_, align, _) -> align) columns;
+    rows = List.map (fun row -> List.map (fun (_, _, cell) -> cell row) columns) rows;
+  }
 
 let render t =
-  let rows = List.rev t.rows in
   let widths =
     List.mapi
       (fun i h ->
         List.fold_left (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length h) rows)
+          (String.length h) t.rows)
       t.headers
   in
   let pad align w s =
@@ -34,7 +31,7 @@ let render t =
   in
   let header = render_row t.headers in
   let rule = String.make (String.length header) '-' in
-  String.concat "\n" (header :: rule :: List.map render_row rows)
+  String.concat "\n" (header :: rule :: List.map render_row t.rows)
 
 let csv_cell s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
@@ -43,7 +40,7 @@ let csv_cell s =
 
 let render_csv t =
   let row cells = String.concat "," (List.map csv_cell cells) in
-  String.concat "\n" (row t.headers :: List.map row (List.rev t.rows))
+  String.concat "\n" (row t.headers :: List.map row t.rows)
 
 let print t =
   print_string (render t);

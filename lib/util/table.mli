@@ -5,17 +5,14 @@
 
 type align = Left | Right
 
+type 'row column = string * align * ('row -> string)
+(** A header, its alignment, and the cell it shows for one row. *)
+
 type t
 
-val create : columns:(string * align) list -> t
-(** Column headers with their alignment. *)
-
-val add_row : t -> string list -> unit
-(** @raise Invalid_argument if the row width differs from the header. *)
-
-val add_float_row : t -> ?precision:int -> float list -> unit
-(** Convenience: format every cell with [%.*g] ([precision] significant
-    digits, default 5). *)
+val make : 'row column list -> 'row list -> t
+(** One line per row, one cell per column: every line has the header's
+    width by construction. *)
 
 val render : t -> string
 (** The full table with a header rule, ready for [print_string]. *)

@@ -411,72 +411,27 @@ let test_hash_spread () =
 (* Table *)
 
 let test_table_render () =
-  let t = Table.create ~columns:[ ("name", Table.Left); ("value", Table.Right) ] in
-  Table.add_row t [ "x"; "1" ];
-  Table.add_row t [ "longer"; "22" ];
-  let out = Table.render t in
-  let lines = String.split_on_char '\n' out in
-  Alcotest.(check int) "header + rule + 2 rows" 4 (List.length lines);
-  (match lines with
-  | _ :: rule :: _ ->
-      Alcotest.(check bool) "rule is dashes" true
-        (String.for_all (fun c -> c = '-') rule)
-  | _ -> Alcotest.fail "missing rule");
-  Alcotest.(check bool) "right aligned value" true
-    (match lines with
-    | header :: _ -> String.length header > 0
-    | [] -> false)
-
-let test_table_row_width_check () =
-  let t = Table.create ~columns:[ ("a", Table.Left) ] in
-  Alcotest.check_raises "wrong width"
-    (Invalid_argument "Table.add_row: wrong number of cells") (fun () ->
-      Table.add_row t [ "1"; "2" ])
-
-let test_table_float_rows () =
-  let t = Table.create ~columns:[ ("v", Table.Right) ] in
-  Table.add_float_row t [ 3.14159 ];
-  Alcotest.(check bool) "formatted" true
-    (String.length (Table.render t) > 0)
+  let t =
+    Table.make
+      [ ("name", Table.Left, fst); ("value", Table.Right, snd) ]
+      [ ("x", "1"); ("longer", "22") ]
+  in
+  Alcotest.(check (list string)) "padded to the widest cell, aligned per column"
+    [ "name    value"; "-------------"; "x           1"; "longer     22" ]
+    (String.split_on_char '\n' (Table.render t))
 
 let test_table_csv () =
-  let t = Table.create ~columns:[ ("a", Table.Left); ("b", Table.Right) ] in
-  Table.add_row t [ "plain"; "1" ];
-  Table.add_row t [ "with,comma"; "say \"hi\"" ];
+  let t =
+    Table.make
+      [ ("a", Table.Left, fst); ("b", Table.Right, snd) ]
+      [ ("plain", "1"); ("with,comma", "say \"hi\"") ]
+  in
   let csv = Table.render_csv t in
   let lines = String.split_on_char '\n' csv in
   Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
   Alcotest.(check string) "header first" "a,b" (List.hd lines);
   Alcotest.(check string) "row order preserved" "plain,1" (List.nth lines 1);
   Alcotest.(check string) "quoting" "\"with,comma\",\"say \"\"hi\"\"\"" (List.nth lines 2)
-
-(* ------------------------------------------------------------------ *)
-(* Flags *)
-
-let test_flags_no_conflict () =
-  Alcotest.(check (option string)) "nothing present" None
-    (Pdht_util.Flags.conflicts ~dominant:"--policy"
-       ~subsumed:[ ("--key-ttl", false); ("--adaptive", false) ]);
-  Alcotest.(check (option string)) "empty subsumed list" None
-    (Pdht_util.Flags.conflicts ~dominant:"--policy" ~subsumed:[])
-
-let test_flags_single_conflict () =
-  Alcotest.(check (option string)) "one flag named"
-    (Some "--policy subsumes --adaptive")
-    (Pdht_util.Flags.conflicts ~dominant:"--policy"
-       ~subsumed:[ ("--key-ttl", false); ("--adaptive", true) ])
-
-let test_flags_reports_every_conflict () =
-  (* The point of the helper: passing several subsumed flags yields ONE
-     error naming them all, so one fix clears the whole conflict. *)
-  Alcotest.(check (option string)) "both flags named"
-    (Some "--policy subsumes --key-ttl and --adaptive")
-    (Pdht_util.Flags.conflicts ~dominant:"--policy"
-       ~subsumed:[ ("--key-ttl", true); ("--adaptive", true) ]);
-  Alcotest.(check (option string)) "three flags: comma list then and"
-    (Some "--a subsumes --x, --y and --z")
-    (Pdht_util.Flags.conflicts ~dominant:"--a"
-       ~subsumed:[ ("--x", true); ("--y", true); ("--z", true) ])
 
 (* ------------------------------------------------------------------ *)
 (* Property-based tests *)
@@ -598,16 +553,7 @@ let () =
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
-          Alcotest.test_case "row width check" `Quick test_table_row_width_check;
-          Alcotest.test_case "float rows" `Quick test_table_float_rows;
           Alcotest.test_case "csv" `Quick test_table_csv;
-        ] );
-      ( "flags",
-        [
-          Alcotest.test_case "no conflict" `Quick test_flags_no_conflict;
-          Alcotest.test_case "single conflict" `Quick test_flags_single_conflict;
-          Alcotest.test_case "reports every conflict" `Quick
-            test_flags_reports_every_conflict;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

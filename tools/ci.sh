@@ -18,9 +18,12 @@ echo "== docs =="
 dune build @doc
 
 echo "== bench smoke =="
-dune exec bench/main.exe -- table1 perf > /dev/null
+# Every section writes BENCH_pdht.json through one splice, so a block
+# written before perf must survive perf's run.
+dune exec bench/main.exe -- scale --scale-max 1000 table1 perf > /dev/null
 test -f BENCH_pdht.json
 dune exec tools/validate_jsonl.exe -- BENCH_pdht.json
+grep -q '"scale"' BENCH_pdht.json
 
 echo "== perf guardrail =="
 # The perf section just ran as part of the bench smoke; hold its output
@@ -88,6 +91,11 @@ diff "$pol/ttl-report.txt" test/golden/default_policy_report.txt
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 400 \
   --policy cost > "$pol/cost-report.txt"
 diff "$pol/cost-report.txt" test/golden/cost_policy_report.txt
+# The adaptive spec through the CLI (test_policy pins the System.run
+# path against the same golden).
+dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 400 \
+  --policy ttl:adaptive > "$pol/adaptive-report.txt"
+diff "$pol/adaptive-report.txt" test/golden/adaptive_policy_report.txt
 # Specs outside the grammar are a usage error (cmdliner exit code 124).
 status=0
 dune exec bin/pdht_cli.exe -- simulate --policy learned > /dev/null 2>&1 || status=$?
@@ -204,13 +212,18 @@ test "$(ls "$clu"/obs/node-*.jsonl | wc -l)" -eq 8
 dune exec tools/validate_jsonl.exe -- "$clu"/obs/node-*.jsonl "$clu/obs/merged.jsonl"
 grep -q '"name":"proc.frames_in"' "$clu/obs/merged.jsonl"
 grep -q '"node_id":0' "$clu/obs/node-0.jsonl"
-# Flag-conflict reporting: --policy combined with BOTH legacy TTL flags
-# must name both in one usage error (exit 124 = cmdliner usage error).
-if dune exec bin/pdht_cli.exe -- simulate --policy ttl --key-ttl 30 --adaptive \
-  > /dev/null 2> "$clu/conflict.txt"; then
-  echo "conflicting flags were accepted" >&2; exit 1
-fi
-grep -q -- '--policy subsumes --key-ttl and --adaptive' "$clu/conflict.txt"
+# cluster declares its workload flags through the same term as
+# simulate, so a cost-policy cluster run prints the cost golden too.
+dune exec bin/pdht_cli.exe -- cluster --nodes 2 --peers 200 --keys 300 \
+  --duration 400 --policy cost > "$clu/cluster-cost-report.txt"
+diff "$clu/cluster-cost-report.txt" test/golden/cost_policy_report.txt
+# --policy is the one way to set keyTtl, and sweep takes no simulator
+# flags: the removed flags are usage errors (cmdliner exit code 124).
+for removed in "simulate --key-ttl 30" "simulate --adaptive" "sweep --loss 0.1"; do
+  status=0
+  dune exec bin/pdht_cli.exe -- $removed > /dev/null 2>&1 || status=$?
+  test "$status" -eq 124
+done
 # Multi-node causal traces: the analyzer must merge per-node files by
 # (node_id, span) — two differently-stamped copies of one trace are
 # 2x the trees with zero duplicate-span collisions.
