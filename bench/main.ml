@@ -474,19 +474,6 @@ let section_diurnal () =
       ("hit rate", Table.Right, fun s -> Printf.sprintf "%.3f" s.System.hit_rate) ]
     (every_240s r.Experiment.series)
 
-let section_eviction () =
-  heading "E14 - cache-eviction policy under pressure"
-    "(per-peer cache starved to stor=20 with an under-provisioned DHT; with a\n\
-     single global keyTtl, expiry = last-query + keyTtl, so evict-soonest-expiry\n\
-     and LRU coincide exactly — random eviction is the one that pays)";
-  let scenario = { sim_scenario with Scenario.num_peers = 600; keys = 1_200; seed = 2009 } in
-  print_table
-    [ ("policy", Table.Left, fun (r : Experiment.eviction_row) -> r.Experiment.policy);
-      ("hit rate", Table.Right, fun r -> Printf.sprintf "%.3f" r.Experiment.hit_rate);
-      ( "msg/s", Table.Right,
-        fun r -> Printf.sprintf "%.1f" r.Experiment.messages_per_second ) ]
-    (Experiment.eviction_ablation ~jobs:!jobs ~options:sim_options ~scenario ~stor:20 ())
-
 let section_arity () =
   heading "Extension - k-ary key space (paper Section 3.2, footnote 3)"
     "(generalized Eq. 7/8: wider digits shorten lookups but grow the routing\n\
@@ -1454,7 +1441,6 @@ let sections =
     ("bootstrap", "E16: P-Grid self-organizing bootstrap.", section_bootstrap);
     ("membership", "E17: Chord joins, crashes and stabilization.", section_membership);
     ("diurnal", "E15: the index under a busy/calm query-rate cycle.", section_diurnal);
-    ("eviction", "E14: cache-eviction policy under pressure.", section_eviction);
     ("arity", "k-ary key space (Section 3.2, footnote 3).", section_arity);
     ("replication_planning", "Replication planning for an availability target.",
      section_replication_planning);

@@ -6,31 +6,28 @@ type t = {
   stor : int;
   backend : Pdht_dht.Dht.backend;
   strategy : Strategy.t;
-  topology_degree : int;
-  search : Pdht_overlay.Unstructured_search.strategy;
-  replica_chords : int;
-  eviction : Pdht_dht.Storage.eviction;
 }
 
-let default_search ~num_peers =
-  Pdht_overlay.Unstructured_search.Random_walks
-    { walkers = 16; max_steps = max 64 (2 * num_peers); check_every = 4 }
+let overlay_degree = 4
 
-let make ?(backend = Pdht_dht.Dht.Pgrid_backend) ?(topology_degree = 4)
-    ?(replica_chords = 1) ?search ?(eviction = Pdht_dht.Storage.Evict_soonest_expiry)
-    ~num_peers ~active_members ~keys ~repl ~stor ~strategy () =
-  if num_peers < 2 then invalid_arg "Config.make: need >= 2 peers";
+let default_search ~num_peers =
+  {
+    Pdht_overlay.Unstructured_search.walkers = 16;
+    max_steps = max 64 (2 * num_peers);
+    check_every = 4;
+  }
+
+(* [?eviction] has one value and no reader: benchmark/workload.ml passes it. *)
+let make ?(backend = Pdht_dht.Dht.Pgrid_backend) ?eviction:_ ~num_peers ~active_members ~keys
+    ~repl ~stor ~strategy () =
+  if num_peers <= overlay_degree then
+    invalid_arg "Config.make: need more peers than the overlay degree (4)";
   if active_members < 2 || active_members > num_peers then
     invalid_arg "Config.make: active_members must be in [2, num_peers]";
   if keys < 1 then invalid_arg "Config.make: need >= 1 key";
   if repl < 1 || repl > num_peers then invalid_arg "Config.make: repl must be in [1, num_peers]";
   if stor < 1 then invalid_arg "Config.make: stor must be >= 1";
-  if topology_degree < 1 || topology_degree >= num_peers then
-    invalid_arg "Config.make: bad topology_degree";
-  if replica_chords < 0 then invalid_arg "Config.make: negative replica_chords";
-  let search = match search with Some s -> s | None -> default_search ~num_peers in
-  { num_peers; active_members; keys; repl; stor; backend; strategy; topology_degree;
-    search; replica_chords; eviction }
+  { num_peers; active_members; keys; repl; stor; backend; strategy }
 
 let active_members_for ~num_peers ~repl ~stor ~expected_index_size =
   if expected_index_size < 0. then invalid_arg "Config.active_members_for: negative index size";

@@ -8,15 +8,10 @@ type t = {
   stor : int;               (** per-peer index cache capacity *)
   backend : Pdht_dht.Dht.backend;
   strategy : Strategy.t;
-  topology_degree : int;    (** connections each peer opens in the
-                                unstructured overlay *)
-  search : Pdht_overlay.Unstructured_search.strategy;
-  replica_chords : int;     (** long-range links per replica in the
-                                replica subnetworks *)
-  eviction : Pdht_dht.Storage.eviction;
-                            (** cache victim policy; the paper's TTL
-                                semantics imply [Evict_soonest_expiry] *)
 }
+
+val overlay_degree : int
+(** Connections each peer opens in the unstructured overlay (4). *)
 
 val default_search : num_peers:int -> Pdht_overlay.Unstructured_search.strategy
 (** 16 random walkers checking back every 4 steps, step budget scaled to
@@ -24,9 +19,6 @@ val default_search : num_peers:int -> Pdht_overlay.Unstructured_search.strategy
 
 val make :
   ?backend:Pdht_dht.Dht.backend ->
-  ?topology_degree:int ->
-  ?replica_chords:int ->
-  ?search:Pdht_overlay.Unstructured_search.strategy ->
   ?eviction:Pdht_dht.Storage.eviction ->
   num_peers:int ->
   active_members:int ->
@@ -36,9 +28,11 @@ val make :
   strategy:Strategy.t ->
   unit ->
   t
-(** Defaults: P-Grid backend, degree 4, 1 chord, walker search.
+(** Default backend: P-Grid.  [eviction] has one value and no effect;
+    it stays because benchmark/workload.ml passes it.
     @raise Invalid_argument on inconsistent sizes (e.g.
-    [active_members > num_peers] or [repl > num_peers]). *)
+    [active_members > num_peers], [repl > num_peers], or too few peers
+    for the {!overlay_degree} overlay). *)
 
 val active_members_for :
   num_peers:int -> repl:int -> stor:int -> expected_index_size:float -> int

@@ -20,28 +20,6 @@ type face_off_row = {
   model_p_indexed_ttl : float;
 }
 
-let model_params_of scenario (options : System.options) =
-  let alpha =
-    match scenario.Scenario.distribution with
-    | Scenario.Zipf a -> a
-    | Scenario.Uniform | Scenario.Hot_cold _ -> 1.0
-  in
-  {
-    Pdht_model.Params.num_peers = scenario.Scenario.num_peers;
-    keys = scenario.Scenario.keys;
-    stor = options.System.stor;
-    repl = options.System.repl;
-    alpha;
-    f_qry = scenario.Scenario.f_qry;
-    f_upd =
-      (match scenario.Scenario.update_mean_lifetime with
-      | None -> 0.
-      | Some l -> 1. /. l);
-    env = (match options.System.env with Some e -> e | None -> 1. /. 14.);
-    dup = 1.8;
-    dup2 = 1.8;
-  }
-
 let face_off ?jobs ?(options = System.default_options) ~scenario ~frequencies () =
   let specs =
     List.concat_map
@@ -62,7 +40,7 @@ let face_off ?jobs ?(options = System.default_options) ~scenario ~frequencies ()
     | [], [] -> []
     | f_qry :: frequencies, all :: none :: partial :: reports ->
         let scenario = { scenario with Scenario.f_qry } in
-        let params = model_params_of scenario options in
+        let params = System.model_params scenario options in
         let key_ttl = System.derive_key_ttl scenario options in
         let ttl_state = Pdht_model.Strategies.ttl_state params ~key_ttl in
         {
@@ -615,40 +593,6 @@ let diurnal ?jobs ?(options = System.default_options) ~scenario ~calm_f_qry ~per
     series = report.System.samples;
   }
 
-type eviction_row = {
-  policy : string;
-  hit_rate : float;
-  messages_per_second : float;
-}
-
-let eviction_ablation ?jobs ?(options = System.default_options) ~scenario ~stor () =
-  let policies =
-    [
-      ("soonest-expiry", Pdht_dht.Storage.Evict_soonest_expiry);
-      ("lru", Pdht_dht.Storage.Evict_lru);
-      ("random", Pdht_dht.Storage.Evict_random);
-    ]
-  in
-  let spec_of (policy, eviction) =
-    (* Starve the caches: shrink them AND under-provision the DHT so
-       the sizing rule cannot compensate with more members. *)
-    let options = { options with System.stor; eviction; sizing_slack = 0.4 } in
-    let key_ttl = System.derive_key_ttl scenario options in
-    Run_spec.make ~options
-      ~tag:(scenario.Scenario.name ^ "/evict-" ^ policy)
-      ~strategy:(Strategy.Partial_index { key_ttl })
-      scenario
-  in
-  let reports = run_specs ?jobs (List.map spec_of policies) in
-  List.map2
-    (fun (policy, _) report ->
-      {
-        policy;
-        hit_rate = report.System.hit_rate;
-        messages_per_second = report.System.messages_per_second;
-      })
-    policies reports
-
 type policy_race_row = {
   policy_label : string;
   hit_rate : float;
@@ -771,12 +715,12 @@ let ttl_tuning ?jobs ?(options = System.default_options) ~scenario ~fixed_ttls (
    is on some arm's hot path: all four DHT backends (Kademlia's trie
    k-NN and scratch lookup, P-Grid/Chord/Pastry over the shared
    storage), churn (routing forget/rebuild, replication remove_peer,
-   storage expiry under pressure), both non-default eviction policies
-   (slot-order victim scans, the Evict_random RNG draw), the pure
-   broadcast path (CSR topology walks/floods) and the Index_all path
-   (forever-TTL storage).  The rendered reports are pinned as a golden
-   file before any representation changes; byte-identity of the battery
-   is the proof that a refactor was purely representational. *)
+   storage expiry under pressure), a small-cache arm (the slot-order
+   soonest-expiry victim scan), the pure broadcast path (CSR topology
+   walks/floods) and the Index_all path (forever-TTL storage).  The
+   rendered reports are pinned as a golden file before any
+   representation changes; byte-identity of the battery is the proof
+   that a refactor was purely representational. *)
 let representation_battery ?jobs () =
   let base =
     {
@@ -798,7 +742,6 @@ let representation_battery ?jobs () =
     }
   in
   let backend b = System.Options.with_backend b System.default_options in
-  let small_cache eviction = System.Options.make ~stor:10 ~eviction () in
   let specs =
     [
       Run_spec.make ~tag:"pgrid-partial" base;
@@ -817,12 +760,7 @@ let representation_battery ?jobs () =
       Run_spec.make ~tag:"kademlia-churn"
         ~options:(backend Pdht_dht.Dht.Kademlia_backend)
         (churny "news-churn");
-      Run_spec.make ~tag:"pgrid-evict-random"
-        ~options:(small_cache Pdht_dht.Storage.Evict_random)
-        base;
-      Run_spec.make ~tag:"pgrid-evict-lru"
-        ~options:(small_cache Pdht_dht.Storage.Evict_lru)
-        base;
+      Run_spec.make ~tag:"pgrid-small-cache" ~options:(System.Options.make ~stor:10 ()) base;
     ]
   in
   let reports = run_specs ?jobs specs in

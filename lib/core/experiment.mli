@@ -234,25 +234,6 @@ val diurnal :
     the time-domain analogue of Fig. 3.  The scenario's [f_qry] is the
     busy rate. *)
 
-(** E14: cache-eviction policy under pressure. *)
-type eviction_row = {
-  policy : string;
-  hit_rate : float;
-  messages_per_second : float;
-}
-
-val eviction_ablation :
-  ?jobs:int ->
-  ?options:System.options ->
-  scenario:Pdht_work.Scenario.t ->
-  stor:int ->
-  unit ->
-  eviction_row list
-(** Run the partial strategy with a deliberately small per-peer cache
-    ([stor]) under each eviction policy.  The paper's TTL semantics
-    imply evict-soonest-expiry; the ablation measures what LRU or random
-    eviction would cost instead. *)
-
 (** E23: index-selection policy race.  One partial-strategy run per
     {!Pdht_policy.Selector.spec} on identical workloads; the post-shift
     window (everything after the scenario's first popularity shift, or
@@ -299,9 +280,9 @@ val ttl_tuning :
 
 (** Representation-equivalence battery: a fixed set of small same-seed
     runs covering every flat/SoA data-structure path of the
-    million-peer refactor (all four backends, churn, both non-default
-    eviction policies, pure broadcast, [Index_all]).  Rendered with
-    {!render_reports} and pinned as
+    million-peer refactor (all four backends, churn, a small cache
+    under eviction pressure, pure broadcast, [Index_all]).  Rendered
+    with {!render_reports} and pinned as
     [test/golden/representation_reports.txt]; any purely
     representational change must keep the rendering byte-identical. *)
 val representation_battery : ?jobs:int -> unit -> (string * System.report) list

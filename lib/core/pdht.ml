@@ -70,7 +70,6 @@ type t = {
   topology : Topology.t;
   content : Replication.t;
   unstructured : Unstructured_search.t;
-  stores : int Storage.t array; (* per active member; value = provider peer *)
   store : store_ops; (* how the index stores are reached (local/remote) *)
   replica_nets : (int, Replica_net.t) Hashtbl.t; (* key_index -> subnet *)
   metrics : Metrics.t;
@@ -133,7 +132,7 @@ let replica_net t key_index =
       let group =
         Dht.replica_group t.dht ~repl:t.config.Config.repl t.bitkeys.(key_index)
       in
-      let net = Replica_net.build t.rng ~replicas:group ~chords:t.config.Config.replica_chords in
+      let net = Replica_net.build t.rng ~replicas:group ~chords:1 in
       Hashtbl.replace t.replica_nets key_index net;
       net
 
@@ -205,21 +204,26 @@ let create ?obs ?net ?store rng config =
   in
   let topology =
     Topology.random_regularish rng ~peers:config.Config.num_peers
-      ~degree:config.Config.topology_degree
+      ~degree:Config.overlay_degree
   in
   let content = Replication.create ~peers:config.Config.num_peers in
   for key_index = 0 to keys - 1 do
     Replication.place content rng ~item:key_index ~repl:config.Config.repl
   done;
   let unstructured =
-    Unstructured_search.create ~topology ~replication:content ~strategy:config.Config.search
-  in
-  let stores =
-    Array.init config.Config.active_members (fun _ ->
-        Storage.create ~eviction:config.Config.eviction ~capacity:config.Config.stor ())
+    Unstructured_search.create ~topology ~replication:content
+      ~strategy:(Config.default_search ~num_peers:config.Config.num_peers)
   in
   let store =
-    match store with Some ops -> ops | None -> local_store_ops ~stores ~bitkeys
+    match store with
+    | Some ops -> ops
+    | None ->
+        (* One store per active member; value = provider peer. *)
+        let stores =
+          Array.init config.Config.active_members (fun _ ->
+              Storage.create ~capacity:config.Config.stor ())
+        in
+        local_store_ops ~stores ~bitkeys
   in
   let t =
     {
@@ -230,7 +234,6 @@ let create ?obs ?net ?store rng config =
       topology;
       content;
       unstructured;
-      stores;
       store;
       replica_nets = Hashtbl.create (min keys 4096);
       metrics = Metrics.create obs.Obs.registry;

@@ -25,10 +25,10 @@ type t
     substitutes closures that reach whichever worker process owns
     [peer]'s shard over the wire.  All reads and writes the protocol
     performs against member caches flow through this record, so a
-    remote store is authoritative — including LRU/expiry side effects.
-    [repair_put] is the anti-entropy copy (same write as [put], but
-    carrying a remaining rather than renewed TTL), kept separate so
-    drivers can account repair traffic apart. *)
+    remote store is authoritative — including expiry and eviction side
+    effects.  [repair_put] is the anti-entropy copy (same write as
+    [put], but carrying a remaining rather than renewed TTL), kept
+    separate so drivers can account repair traffic apart. *)
 type store_ops = {
   get_and_refresh : peer:int -> key_index:int -> now:float -> ttl:float -> int option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;

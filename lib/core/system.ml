@@ -17,10 +17,8 @@ type options = {
   repl : int;
   stor : int;
   backend : Pdht_dht.Dht.backend;
-  env : float option;
   selection_policy : Psel.spec;
   sample_every : float;
-  sizing_slack : float;
   eviction : Pdht_dht.Storage.eviction;
   net : Pdht_net.Config.t option;
   fault : Pdht_fault.Plan.t option;
@@ -33,10 +31,8 @@ let default_options =
     repl = 20;
     stor = 100;
     backend = Pdht_dht.Dht.Pgrid_backend;
-    env = None;
     selection_policy = Psel.default;
     sample_every = 60.;
-    sizing_slack = 1.5;
     eviction = Pdht_dht.Storage.Evict_soonest_expiry;
     net = None;
     fault = None;
@@ -45,19 +41,17 @@ let default_options =
   }
 
 module Options = struct
-  let make ?repl ?stor ?backend ?env ?selection_policy ?sample_every
-      ?sizing_slack ?eviction ?net ?fault ?timeline_window ?bucket_refresh () =
+  let make ?repl ?stor ?backend ?selection_policy ?sample_every ?net ?fault ?timeline_window
+      ?bucket_refresh () =
     let d = default_options in
     let value default = function Some v -> v | None -> default in
     {
       repl = value d.repl repl;
       stor = value d.stor stor;
       backend = value d.backend backend;
-      env = (match env with Some _ -> env | None -> d.env);
       selection_policy = value d.selection_policy selection_policy;
       sample_every = value d.sample_every sample_every;
-      sizing_slack = value d.sizing_slack sizing_slack;
-      eviction = value d.eviction eviction;
+      eviction = d.eviction;
       net = (match net with Some _ -> net | None -> d.net);
       fault = (match fault with Some _ -> fault | None -> d.fault);
       timeline_window =
@@ -71,7 +65,6 @@ module Options = struct
   let with_backend backend options = { options with backend }
   let with_selection_policy selection_policy options = { options with selection_policy }
   let with_sample_every sample_every options = { options with sample_every }
-  let with_eviction eviction options = { options with eviction }
   let with_net net options = { options with net = Some net }
   let without_net options = { options with net = None }
   let with_fault fault options = { options with fault = Some fault }
@@ -155,9 +148,10 @@ type report = {
 }
 
 (* Map a scenario onto the analytical model's parameter record so runs
-   can be sized and TTLs derived the way the paper does.  Non-Zipf
-   distributions have no alpha; 1.0 is a neutral stand-in that only
-   affects sizing heuristics, never the simulated behaviour itself. *)
+   can be sized and TTLs derived the way the paper does; env and dup
+   keep their [Params.default] values.  Non-Zipf distributions have no
+   alpha; 1.0 is a neutral stand-in that only affects sizing
+   heuristics, never the simulated behaviour itself. *)
 let model_params (scenario : Scenario.t) (options : options) =
   let alpha =
     match scenario.Scenario.distribution with
@@ -170,16 +164,14 @@ let model_params (scenario : Scenario.t) (options : options) =
     | Some lifetime -> 1. /. lifetime
   in
   {
-    Pdht_model.Params.num_peers = scenario.Scenario.num_peers;
+    Pdht_model.Params.default with
+    num_peers = scenario.Scenario.num_peers;
     keys = scenario.Scenario.keys;
     stor = options.stor;
     repl = options.repl;
     alpha;
     f_qry = scenario.Scenario.f_qry;
     f_upd;
-    env = (match options.env with Some e -> e | None -> 1. /. 14.);
-    dup = 1.8;
-    dup2 = 1.8;
   }
 
 let derive_key_ttl scenario options =
@@ -191,12 +183,17 @@ let derive_key_ttl scenario options =
       let ttl = Pdht_model.Strategies.default_key_ttl solution in
       if Float.is_finite ttl then ttl else scenario.Scenario.duration
 
+(* Headroom on the model's numActivePeers: replica groups and key
+   loads are hash-balanced only in expectation, so deployments
+   over-provision. *)
+let sizing_headroom = 1.5
+
 let plan_active_members scenario options strategy =
   let params = model_params scenario options in
   let sized expected_index_size =
     Config.active_members_for ~num_peers:scenario.Scenario.num_peers ~repl:options.repl
       ~stor:options.stor
-      ~expected_index_size:(options.sizing_slack *. expected_index_size)
+      ~expected_index_size:(sizing_headroom *. expected_index_size)
   in
   match strategy with
   | Strategy.No_index -> 2
@@ -292,8 +289,7 @@ let run ?obs ?driver scenario strategy options =
         (Strategy.label strategy) scenario.Scenario.num_peers active_members
         scenario.Scenario.keys scenario.Scenario.f_qry scenario.Scenario.duration);
   let config =
-    Config.make ~backend:options.backend ~eviction:options.eviction
-      ~num_peers:scenario.Scenario.num_peers ~active_members
+    Config.make ~backend:options.backend ~num_peers:scenario.Scenario.num_peers ~active_members
       ~keys:scenario.Scenario.keys ~repl:options.repl ~stor:options.stor ~strategy ()
   in
   let pdht =
@@ -365,11 +361,7 @@ let run ?obs ?driver scenario strategy options =
   in
   if uses_dht then begin
     let env =
-      match options.env with
-      | Some e -> e
-      | None ->
-          Pdht_dht.Maintenance.env_from_trace ~maintenance_rate:1.0
-            ~members:(max 2 active_members)
+      Pdht_dht.Maintenance.env_from_trace ~maintenance_rate:1.0 ~members:(max 2 active_members)
     in
     Pdht_dht.Maintenance.attach ~obs ?refresh_every:options.bucket_refresh engine
       ~dht:(Pdht.dht pdht) ~rng:maintenance_rng ~online:online_member

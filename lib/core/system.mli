@@ -10,8 +10,6 @@ type options = {
   repl : int;                  (** replication factor (default 20) *)
   stor : int;                  (** per-peer index cache (default 100) *)
   backend : Pdht_dht.Dht.backend;
-  env : float option;          (** maintenance constant; [None] derives
-                                   it from a 1 msg/peer/s trace rate *)
   selection_policy : Pdht_policy.Selector.spec;
       (** what drives index selection (default [Ttl Model_derived] —
           the paper's behaviour).  [Ttl _] specs run the original
@@ -22,12 +20,8 @@ type options = {
           insertions and sets per-key leases, and the report gains its
           [policy] summary.  Only active under [Partial_index]. *)
   sample_every : float;        (** time-series bucket width, seconds *)
-  sizing_slack : float;
-      (** headroom multiplier on the model's [numActivePeers]: replica
-          groups and key loads are hash-balanced only in expectation, so
-          deployments over-provision (default 1.5) *)
   eviction : Pdht_dht.Storage.eviction;
-      (** index-cache victim policy (default [Evict_soonest_expiry]) *)
+      (** one value, read by nothing here; benchmark/workload.ml reads it *)
   net : Pdht_net.Config.t option;
       (** network model for the query path (default [None] =
           instantaneous, reliable messages — bit-identical to the
@@ -72,11 +66,8 @@ module Options : sig
     ?repl:int ->
     ?stor:int ->
     ?backend:Pdht_dht.Dht.backend ->
-    ?env:float ->
     ?selection_policy:Pdht_policy.Selector.spec ->
     ?sample_every:float ->
-    ?sizing_slack:float ->
-    ?eviction:Pdht_dht.Storage.eviction ->
     ?net:Pdht_net.Config.t ->
     ?fault:Pdht_fault.Plan.t ->
     ?timeline_window:float ->
@@ -90,7 +81,6 @@ module Options : sig
   val with_backend : Pdht_dht.Dht.backend -> options -> options
   val with_selection_policy : Pdht_policy.Selector.spec -> options -> options
   val with_sample_every : float -> options -> options
-  val with_eviction : Pdht_dht.Storage.eviction -> options -> options
   val with_net : Pdht_net.Config.t -> options -> options
   val without_net : options -> options
   val with_fault : Pdht_fault.Plan.t -> options -> options
@@ -195,6 +185,12 @@ type report = {
   samples : sample list;      (** chronological *)
 }
 
+val model_params : Pdht_work.Scenario.t -> options -> Pdht_model.Params.t
+(** The analytical model's parameters for a run: population, keys,
+    [fQry], update rate and Zipf alpha from the scenario (alpha 1.0 for
+    non-Zipf distributions), [stor] and [repl] from the options, and
+    [Params.default]'s env and dup. *)
+
 val derive_key_ttl : Pdht_work.Scenario.t -> options -> float
 (** The TTL a run starts with: [Ttl (Fixed ttl)] verbatim, otherwise
     (every other policy) [1/fMin] from the analytical model
@@ -203,9 +199,9 @@ val derive_key_ttl : Pdht_work.Scenario.t -> options -> float
 
 val plan_active_members : Pdht_work.Scenario.t -> options -> Strategy.t -> int
 (** DHT size for a run: enough members for the full index under
-    [Index_all], the model's Eq.-15 expectation under [Partial_index],
-    and a minimal 2-member ring under [No_index] (no DHT traffic is
-    generated there). *)
+    [Index_all], the model's Eq.-15 expectation under [Partial_index]
+    (both with 1.5x headroom), and a minimal 2-member ring under
+    [No_index] (no DHT traffic is generated there). *)
 
 (** External execution driver for the protocol's state-bearing side
     effects: [store] replaces {!Pdht}'s in-process index-store access

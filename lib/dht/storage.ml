@@ -1,48 +1,40 @@
 (* Open-addressed flat store: one linear-probe int table (the interned
-   62-bit keys themselves) plus parallel unboxed [expiry]/[last_touch]
-   float arrays and a ['v] value array, all indexed by slot.  A slot is
-   empty iff its key is [-1] (keys are non-negative by construction).
+   62-bit keys themselves) plus a parallel unboxed [expiry] float array
+   and a ['v] value array, all indexed by slot.  A slot is empty iff
+   its key is [-1] (keys are non-negative by construction).
    Deletion is backward-shift (no tombstones), so probe chains never
    grow stale and the sweep in [expire] stays a single in-place pass.
    Load factor is kept at or below 1/2; tables start tiny (8 slots) so
    a million mostly-idle per-peer stores cost a few hundred bytes
    each. *)
 
-type eviction =
-  | Evict_soonest_expiry
-  | Evict_lru
-  | Evict_random
+(* One constructor; the type stays because benchmark/workload.ml passes
+   [System.options.eviction] to [Config.make]. *)
+type eviction = Evict_soonest_expiry
 
 type 'v t = {
   capacity : int;
-  eviction : eviction;
-  rng : Pdht_util.Rng.t; (* only consulted by Evict_random *)
   mutable size : int;
   mutable mask : int; (* slot count - 1; slot count a power of two *)
   mutable keys : int array; (* Bitkey.to_int; -1 = empty *)
   mutable expiry : float array;
-  mutable last_touch : float array;
   mutable values : 'v array; (* length 0 until the first [put] *)
 }
 
 let initial_slots = 8
 
-let create ?(eviction = Evict_soonest_expiry) ?(seed = 0) ~capacity () =
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Storage.create: capacity must be >= 1";
   {
     capacity;
-    eviction;
-    rng = Pdht_util.Rng.create ~seed;
     size = 0;
     mask = initial_slots - 1;
     keys = Array.make initial_slots (-1);
     expiry = Array.make initial_slots 0.;
-    last_touch = Array.make initial_slots 0.;
     values = [||];
   }
 
 let capacity t = t.capacity
-let eviction_policy t = t.eviction
 
 (* Fibonacci hashing: the multiply spreads key entropy into the high
    bits, the xor-shift folds them back down before masking. *)
@@ -85,7 +77,6 @@ let delete_slot t slot =
       if (!j - h) land mask >= (!j - !hole) land mask then begin
         keys.(!hole) <- k;
         t.expiry.(!hole) <- t.expiry.(!j);
-        t.last_touch.(!hole) <- t.last_touch.(!j);
         if Array.length t.values > 0 then t.values.(!hole) <- t.values.(!j);
         hole := !j
       end;
@@ -98,14 +89,12 @@ let delete_slot t slot =
 let grow t =
   let old_keys = t.keys
   and old_expiry = t.expiry
-  and old_touch = t.last_touch
   and old_values = t.values in
   let slots = 2 * (t.mask + 1) in
   let mask = slots - 1 in
   t.mask <- mask;
   t.keys <- Array.make slots (-1);
   t.expiry <- Array.make slots 0.;
-  t.last_touch <- Array.make slots 0.;
   if Array.length old_values > 0 then
     t.values <- Array.make slots old_values.(0);
   for i = 0 to Array.length old_keys - 1 do
@@ -117,7 +106,6 @@ let grow t =
       done;
       t.keys.(!j) <- k;
       t.expiry.(!j) <- old_expiry.(i);
-      t.last_touch.(!j) <- old_touch.(i);
       t.values.(!j) <- old_values.(i)
     end
   done
@@ -138,38 +126,17 @@ let expire t ~now =
   done;
   !removed
 
-(* Victim selection is a slot-order linear scan: capacity is a per-peer
-   cache size (order 100 in the paper scenario), so a scan is cheaper
-   than maintaining an ordered structure under the frequent TTL
-   refreshes. *)
+(* The victim is the live entry closest to timing out, found by a
+   slot-order linear scan: capacity is a per-peer cache size (order 100
+   in the paper scenario), so a scan is cheaper than maintaining an
+   ordered structure under the frequent TTL refreshes. *)
 let evict_one t =
   if t.size > 0 then begin
     let best = ref (-1) in
-    (match t.eviction with
-    | Evict_soonest_expiry ->
-        for i = 0 to t.mask do
-          if
-            t.keys.(i) >= 0
-            && (!best = -1 || t.expiry.(i) < t.expiry.(!best))
-          then best := i
-        done
-    | Evict_lru ->
-        for i = 0 to t.mask do
-          if
-            t.keys.(i) >= 0
-            && (!best = -1 || t.last_touch.(i) < t.last_touch.(!best))
-          then best := i
-        done
-    | Evict_random ->
-        let target = ref (Pdht_util.Rng.int t.rng t.size) in
-        let i = ref 0 in
-        while !best = -1 do
-          if t.keys.(!i) >= 0 then begin
-            if !target = 0 then best := !i else decr target
-          end;
-          incr i
-        done);
-    if !best >= 0 then delete_slot t !best
+    for i = 0 to t.mask do
+      if t.keys.(i) >= 0 && (!best = -1 || t.expiry.(i) < t.expiry.(!best)) then best := i
+    done;
+    delete_slot t !best
   end
 
 let put t ~key ~value ~now ~ttl =
@@ -178,7 +145,6 @@ let put t ~key ~value ~now ~ttl =
   let slot = find_slot t k in
   if slot >= 0 then begin
     t.expiry.(slot) <- now +. ttl;
-    t.last_touch.(slot) <- now;
     t.values.(slot) <- value
   end
   else begin
@@ -196,7 +162,6 @@ let put t ~key ~value ~now ~ttl =
     done;
     t.keys.(!i) <- k;
     t.expiry.(!i) <- now +. ttl;
-    t.last_touch.(!i) <- now;
     t.values.(!i) <- value;
     t.size <- t.size + 1
   end
@@ -213,18 +178,13 @@ let find_live_slot t ~key ~now =
 
 let get t ~key ~now =
   let slot = find_live_slot t ~key ~now in
-  if slot < 0 then None
-  else begin
-    t.last_touch.(slot) <- now;
-    Some t.values.(slot)
-  end
+  if slot < 0 then None else Some t.values.(slot)
 
 let get_and_refresh t ~key ~now ~ttl =
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None
   else begin
     t.expiry.(slot) <- now +. ttl;
-    t.last_touch.(slot) <- now;
     Some t.values.(slot)
   end
 

@@ -8,35 +8,30 @@
     cache of [stor] key-value pairs per peer (Table 1).
 
     When a peer's cache is full, something must go.  Expired entries are
-    always purged first; the {!eviction} policy picks the victim among
-    live entries.  The paper's TTL semantics make {!Evict_soonest_expiry}
-    the natural choice (the entry the algorithm was going to drop next);
-    the alternatives exist for the ablation bench. *)
+    always purged first; then the live entry closest to timing out is
+    evicted — the entry the paper's TTL rule was going to drop next.
+    (E14 measured LRU and random eviction against this rule; neither
+    beat it, so neither exists.) *)
 
-type eviction =
-  | Evict_soonest_expiry  (** drop the entry closest to timing out *)
-  | Evict_lru             (** drop the least recently touched entry *)
-  | Evict_random          (** drop a pseudo-random entry (deterministic
-                              in the store's construction seed) *)
+(** The one victim rule.  Kept as a type because benchmark/workload.ml
+    passes it through [Config.make ?eviction]. *)
+type eviction = Evict_soonest_expiry
 
 type 'v t
 
-val create : ?eviction:eviction -> ?seed:int -> capacity:int -> unit -> 'v t
-(** Requires [capacity >= 1].  [eviction] defaults to
-    {!Evict_soonest_expiry}; [seed] (default 0) only matters for
-    {!Evict_random}. *)
+val create : capacity:int -> unit -> 'v t
+(** Requires [capacity >= 1]. *)
 
 val capacity : 'v t -> int
-val eviction_policy : 'v t -> eviction
 
 val put : 'v t -> key:Pdht_util.Bitkey.t -> value:'v -> now:float -> ttl:float -> unit
 (** Insert or overwrite; expiry becomes [now +. ttl].  On a full store,
-    expired entries are purged, then the policy victim is evicted. *)
+    expired entries are purged; if it is still full, the live entry with
+    the soonest expiry is evicted. *)
 
 val get : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> 'v option
 (** Lookup; expired entries are treated as absent (and purged).  Does
-    NOT refresh the TTL — that is the caller's policy decision.  Counts
-    as a touch for LRU purposes. *)
+    NOT refresh the TTL — that is the caller's policy decision. *)
 
 val get_and_refresh :
   'v t -> key:Pdht_util.Bitkey.t -> now:float -> ttl:float -> 'v option
@@ -44,15 +39,13 @@ val get_and_refresh :
     reset to [now +. ttl]. *)
 
 val mem : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> bool
-(** Like {!get} but without the LRU touch (read-only probe). *)
+(** Whether {!get} would hit, without returning the value. *)
 
 val remove : 'v t -> key:Pdht_util.Bitkey.t -> unit
 
 val clear : 'v t -> int
 (** Drop every entry, live or expired, and return how many there were —
-    the crash-stop "index cache lost" operation.  Does not touch the
-    eviction RNG, so a cleared store's future [Evict_random] choices are
-    unchanged. *)
+    the crash-stop "index cache lost" operation. *)
 
 val expire : 'v t -> now:float -> int
 (** Purge everything past expiry; returns the number evicted. *)

@@ -1,7 +1,4 @@
-type strategy =
-  | Flooding of { ttl : int }
-  | Random_walks of { walkers : int; max_steps : int; check_every : int }
-  | Expanding_ring of { initial_ttl : int; growth : int; max_ttl : int }
+type strategy = { walkers : int; max_steps : int; check_every : int }
 
 type t = {
   topology : Topology.t;
@@ -27,28 +24,13 @@ type outcome = { found : bool; messages : int; provider : int option; rounds : i
 
 let search ?span ?deliver t rng ~online ~source ~item =
   let holds p = online p && Replication.holds t.replication ~peer:p ~item in
-  match t.strategy with
-  | Flooding { ttl } ->
-      let r =
-        Flood.search ~scratch:t.scratch ?span ?deliver t.topology ~online ~holds
-          ~source ~ttl
-      in
-      { found = r.Flood.found_at <> None; messages = r.Flood.messages;
-        provider = r.Flood.found_at; rounds = r.Flood.depth }
-  | Random_walks { walkers; max_steps; check_every } ->
-      let r =
-        Random_walk.search ~scratch:t.scratch ?span ?deliver t.topology rng ~online
-          ~holds ~source ~walkers ~max_steps ~check_every
-      in
-      { found = r.Random_walk.found_at <> None; messages = r.Random_walk.messages;
-        provider = r.Random_walk.found_at; rounds = r.Random_walk.rounds }
-  | Expanding_ring { initial_ttl; growth; max_ttl } ->
-      let r =
-        Expanding_ring.search ~scratch:t.scratch ?span ?deliver t.topology ~online
-          ~holds ~source ~initial_ttl ~growth ~max_ttl
-      in
-      { found = r.Expanding_ring.found_at <> None; messages = r.Expanding_ring.messages;
-        provider = r.Expanding_ring.found_at; rounds = r.Expanding_ring.depth }
+  let { walkers; max_steps; check_every } = t.strategy in
+  let r =
+    Random_walk.search ~scratch:t.scratch ?span ?deliver t.topology rng ~online ~holds ~source
+      ~walkers ~max_steps ~check_every
+  in
+  { found = r.Random_walk.found_at <> None; messages = r.Random_walk.messages;
+    provider = r.Random_walk.found_at; rounds = r.Random_walk.rounds }
 
 let expected_cost_model ~peers ~repl ~dup =
   float_of_int peers /. float_of_int repl *. dup

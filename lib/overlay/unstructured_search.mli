@@ -1,15 +1,15 @@
-(** Unified unstructured-search front end.
+(** Unstructured-search front end.
 
-    Bundles a topology, a replication table and a search strategy into
-    the single operation the PDHT core needs: "find this item in the
-    unstructured network and tell me what it cost".  The measured cost
-    is the empirical counterpart of the model's [cSUnstr =
-    numPeers / repl * dup] (Eq. 6). *)
+    Bundles a topology, a replication table and the k-random-walk
+    parameters into the single operation the PDHT core needs: "find
+    this item in the unstructured network and tell me what it cost".
+    The measured cost is the empirical counterpart of the model's
+    [cSUnstr = numPeers / repl * dup] (Eq. 6).  Flooding and expanding
+    rings are compared against walks by calling {!Flood},
+    {!Expanding_ring} and {!Random_walk} directly (E8a). *)
 
-type strategy =
-  | Flooding of { ttl : int }
-  | Random_walks of { walkers : int; max_steps : int; check_every : int }
-  | Expanding_ring of { initial_ttl : int; growth : int; max_ttl : int }
+type strategy = { walkers : int; max_steps : int; check_every : int }
+(** {!Random_walk.search}'s parameters. *)
 
 type t
 
@@ -27,9 +27,8 @@ type outcome = {
   found : bool;
   messages : int;
   provider : int option;
-  rounds : int;  (** sequential message waves the mechanism executed —
-                     flood levels, walk rounds, or ring levels summed;
-                     the search's duration in per-hop latencies *)
+  rounds : int;  (** walk rounds: the search's duration in per-hop
+                     latencies *)
 }
 
 val search :

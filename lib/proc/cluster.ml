@@ -160,7 +160,7 @@ let run ?obs config scenario strategy (options : System.options) =
         members;
         keys = scenario.Scenario.keys;
         stor = options.System.stor;
-        eviction = Node.eviction_code options.System.eviction;
+        eviction = 0;
         seed = scenario.Scenario.seed;
       }
   in

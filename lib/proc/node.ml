@@ -4,17 +4,6 @@ module Registry = Pdht_obs.Registry
 module Export = Pdht_obs.Export
 module Hashing = Pdht_util.Hashing
 
-let eviction_code = function
-  | Storage.Evict_soonest_expiry -> 0
-  | Storage.Evict_lru -> 1
-  | Storage.Evict_random -> 2
-
-let eviction_of_code = function
-  | 0 -> Ok Storage.Evict_soonest_expiry
-  | 1 -> Ok Storage.Evict_lru
-  | 2 -> Ok Storage.Evict_random
-  | n -> Error (Printf.sprintf "unknown eviction code %d" n)
-
 type shard = {
   node_id : int;
   nodes : int;
@@ -22,7 +11,7 @@ type shard = {
   stores : int Storage.t option array;  (* member -> store iff owned *)
 }
 
-let build_shard ~node_id ~nodes ~members ~keys ~stor ~eviction =
+let build_shard ~node_id ~nodes ~members ~keys ~stor =
   (* The same key hashes and store construction as [Pdht.create], so a
      sharded run is state-for-state the in-process run, split by
      member. *)
@@ -33,7 +22,7 @@ let build_shard ~node_id ~nodes ~members ~keys ~stor ~eviction =
   let stores =
     Array.init members (fun m ->
         if m mod nodes = node_id then
-          Some (Storage.create ~eviction ~capacity:stor ())
+          Some (Storage.create ~capacity:stor ())
         else None)
   in
   { node_id; nodes; bitkeys; stores }
@@ -67,9 +56,11 @@ let serve ?obs_out ~node_id conn =
     match Frame_io.recv conn with
     | Ok (Wire.Setup { nodes; members; keys; stor; eviction; seed = _ }) -> (
         Registry.incr frames_in 1;
-        match eviction_of_code eviction with
-        | Ok eviction -> build_shard ~node_id ~nodes ~members ~keys ~stor ~eviction
-        | Error msg -> failwith (Printf.sprintf "node %d: %s" node_id msg))
+        (* Setup.eviction keeps its wire slot for benchmark/layers.ml;
+           0 (soonest expiry) is the only code. *)
+        if eviction <> 0 then
+          failwith (Printf.sprintf "node %d: unknown eviction code %d" node_id eviction);
+        build_shard ~node_id ~nodes ~members ~keys ~stor)
     | Ok msg ->
         failwith
           (Format.asprintf "node %d: expected Setup, got %a" node_id Wire.pp msg)

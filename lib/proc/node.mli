@@ -13,17 +13,12 @@
     node writes its [proc.*] counter registry as node-stamped JSONL
     (when [obs_out] is given) and returns. *)
 
-val eviction_code : Pdht_dht.Storage.eviction -> int
-(** Wire encoding of the eviction policy carried in [Setup]. *)
-
-val eviction_of_code : int -> (Pdht_dht.Storage.eviction, string) result
-
 val serve : ?obs_out:string -> node_id:int -> Frame_io.t -> unit
 (** Run the worker protocol over an established connection (sends the
     [Hello], expects [Setup] first).  Returns after [Bye] or when the
     conductor closes the stream; raises [Failure] on a protocol
     violation (corrupt frame, store op for a member this node does not
-    own, [Setup] missing). *)
+    own, [Setup] missing, or a [Setup] eviction code other than 0). *)
 
 val run : ?obs_out:string -> port:int -> node_id:int -> unit -> unit
 (** Connect to the conductor on [127.0.0.1:port] and {!serve}. *)

@@ -22,7 +22,7 @@ let probe_messages ~retries ~alive =
   if retries < 0 then invalid_arg "Bucket_rules.probe_messages: negative retries";
   if alive then 1 else 1 + retries
 
-let refresh_due ~last_touched ~now ~interval =
+let refresh_due ~last_contact ~now ~interval =
   if not (interval > 0.) then
     invalid_arg "Bucket_rules.refresh_due: interval must be positive";
-  now -. last_touched >= interval
+  now -. last_contact >= interval

@@ -45,7 +45,7 @@ val probe_messages : retries:int -> alive:bool -> int
     silently eats the whole ladder ([1 + retries] attempts — the
     {!Rpc_machine} schedule with every attempt timing out). *)
 
-val refresh_due : last_touched:float -> now:float -> interval:float -> bool
+val refresh_due : last_contact:float -> now:float -> interval:float -> bool
 (** A bucket not touched (no contact, probe or refresh) for [interval]
     seconds is stale and due a refresh lookup.
     @raise Invalid_argument unless [interval > 0.]. *)

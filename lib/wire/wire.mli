@@ -36,7 +36,8 @@ type msg =
       keys : int;        (** distinct keys; workers rebuild the same
                              key hashes from this count *)
       stor : int;        (** per-member store capacity *)
-      eviction : int;    (** store eviction policy code *)
+      eviction : int;    (** always 0 (soonest expiry); the slot stays
+                             because benchmark/layers.ml builds it *)
       seed : int;        (** run seed, for logging/sanity only *)
     }  (** conductor -> worker: sizing for the worker's shard *)
   | Lookup of { rid : int; span : int; src : int; dst : int; key : int }

@@ -45,7 +45,18 @@ let test_config_validation () =
     (Invalid_argument "Config.make: repl must be in [1, num_peers]") (fun () ->
       ignore
         (Config.make ~num_peers:10 ~active_members:5 ~keys:5 ~repl:20 ~stor:5
-           ~strategy:Strategy.No_index ()))
+           ~strategy:Strategy.No_index ()));
+  (* Every peer opens 4 overlay connections, so 4 peers are too few. *)
+  Alcotest.check_raises "too few peers for the overlay degree"
+    (Invalid_argument "Config.make: need more peers than the overlay degree (4)") (fun () ->
+      ignore
+        (Config.make ~num_peers:4 ~active_members:2 ~keys:5 ~repl:2 ~stor:5
+           ~strategy:Strategy.No_index ()));
+  (* 5 peers is the smallest population the overlay can be built on. *)
+  ignore
+    (Pdht.create (Rng.create ~seed:1)
+       (Config.make ~num_peers:5 ~active_members:2 ~keys:5 ~repl:2 ~stor:5
+          ~strategy:Strategy.No_index ()))
 
 let test_config_active_members_for () =
   (* Paper sizing: 40000 keys * 50 repl / 100 stor = 20000 peers. *)
@@ -241,15 +252,6 @@ let test_pdht_rejects_bad_key_index () =
     (fun () -> ignore (Pdht.update_key p rng ~now:1. ~key_index:300));
   Alcotest.check_raises "key_of_index" (Invalid_argument "Pdht.key_of_index: out of range")
     (fun () -> ignore (Pdht.key_of_index p 300))
-
-let test_pdht_eviction_config_respected () =
-  let config =
-    Config.make ~eviction:Pdht_dht.Storage.Evict_lru ~num_peers:100 ~active_members:20
-      ~keys:50 ~repl:5 ~stor:10 ~strategy:(partial 100.) ()
-  in
-  let p = Pdht.create (Rng.create ~seed:9) config in
-  Alcotest.(check bool) "config carries policy" true
-    ((Pdht.config p).Config.eviction = Pdht_dht.Storage.Evict_lru)
 
 let test_pdht_online_fn_roundtrip () =
   let _, p = build () in
@@ -482,8 +484,6 @@ let test_system_options_make_defaults () =
   Alcotest.(check bool) "selection_policy" true
     (Pdht_policy.Selector.equal d.System.selection_policy o.System.selection_policy);
   Alcotest.(check (float 0.)) "sample_every" d.System.sample_every o.System.sample_every;
-  Alcotest.(check (float 0.)) "sizing_slack" d.System.sizing_slack o.System.sizing_slack;
-  Alcotest.(check bool) "env" true (d.System.env = o.System.env);
   Alcotest.(check bool) "backend" true (d.System.backend = o.System.backend);
   Alcotest.(check bool) "eviction" true (d.System.eviction = o.System.eviction);
   Alcotest.(check bool) "net" true (d.System.net = o.System.net);
@@ -722,7 +722,6 @@ let () =
           Alcotest.test_case "popular keys persist" `Quick test_pdht_popular_keys_stay_indexed;
           Alcotest.test_case "answers under churn" `Quick test_pdht_under_churn_still_answers;
           Alcotest.test_case "rejects bad key index" `Quick test_pdht_rejects_bad_key_index;
-          Alcotest.test_case "eviction config" `Quick test_pdht_eviction_config_respected;
           Alcotest.test_case "online fn roundtrip" `Quick test_pdht_online_fn_roundtrip;
         ] );
       ( "adaptive",

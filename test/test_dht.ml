@@ -233,85 +233,25 @@ let test_storage_expiry_inspection () =
   Alcotest.(check (option (float 1e-9))) "expiry instant" (Some 7.)
     (Storage.expiry s ~key:(key 1))
 
-let test_storage_lru_eviction () =
-  let s = Storage.create ~eviction:Storage.Evict_lru ~capacity:3 () in
-  Storage.put s ~key:(key 1) ~value:1 ~now:0. ~ttl:1000.;
-  Storage.put s ~key:(key 2) ~value:2 ~now:1. ~ttl:1000.;
-  Storage.put s ~key:(key 3) ~value:3 ~now:2. ~ttl:1000.;
-  (* Touch key 1 so key 2 becomes the least recently used. *)
-  ignore (Storage.get s ~key:(key 1) ~now:3.);
-  Storage.put s ~key:(key 4) ~value:4 ~now:4. ~ttl:1000.;
-  Alcotest.(check (option int)) "LRU victim gone" None (Storage.get s ~key:(key 2) ~now:4.);
-  Alcotest.(check (option int)) "recently used kept" (Some 1) (Storage.get s ~key:(key 1) ~now:4.)
-
-let test_storage_random_eviction_bounded_and_deterministic () =
-  let run () =
-    let s = Storage.create ~eviction:Storage.Evict_random ~seed:9 ~capacity:5 () in
-    for i = 0 to 19 do
-      Storage.put s ~key:(key i) ~value:i ~now:(float_of_int i) ~ttl:1000.
-    done;
-    Storage.fold_live s ~now:20. ~init:[] ~f:(fun acc k _ -> k :: acc)
-  in
-  let a = run () and b = run () in
-  Alcotest.(check int) "capacity respected" 5 (List.length a);
-  Alcotest.(check bool) "deterministic in seed" true (a = b)
-
-let live_keys s ~now =
-  List.sort compare (Storage.fold_live s ~now ~init:[] ~f:(fun acc _ v -> v :: acc))
-
 let test_storage_full_of_expired_purges_without_eviction () =
   (* A full store whose entries are ALL expired: the insert makes room
-     purely by purging — the eviction policy must not run.  Evict_random
-     exposes a policy call as an RNG draw, so a store that went through
-     the all-expired insert must make the same later random choices as
-     one that never held the expired entries at all. *)
-  let fill_live s =
-    Storage.put s ~key:(key 10) ~value:10 ~now:10. ~ttl:1000.;
-    Storage.put s ~key:(key 11) ~value:11 ~now:10. ~ttl:1000.;
-    Storage.put s ~key:(key 12) ~value:12 ~now:10. ~ttl:1000.;
-    (* Overflow: the first genuine random eviction. *)
-    Storage.put s ~key:(key 13) ~value:13 ~now:10. ~ttl:1000.
-  in
-  let a = Storage.create ~eviction:Storage.Evict_random ~seed:9 ~capacity:3 () in
+     purely by purging, so every expired entry is gone afterwards.  An
+     eviction alone would drop only one of them and leave the other two
+     physically present ([expiry] sees entries whether live or not). *)
+  let s = Storage.create ~capacity:3 () in
   for i = 0 to 2 do
-    Storage.put a ~key:(key i) ~value:i ~now:0. ~ttl:1.
+    Storage.put s ~key:(key i) ~value:i ~now:0. ~ttl:1.
   done;
-  (* t = 10: everything above is expired; this put must succeed by
-     purging alone. *)
-  Storage.put a ~key:(key 10) ~value:10 ~now:10. ~ttl:1000.;
-  Alcotest.(check (list int)) "only the new key survives" [ 10 ] (live_keys a ~now:10.);
-  Storage.put a ~key:(key 11) ~value:11 ~now:10. ~ttl:1000.;
-  Storage.put a ~key:(key 12) ~value:12 ~now:10. ~ttl:1000.;
-  Storage.put a ~key:(key 13) ~value:13 ~now:10. ~ttl:1000.;
-  let b = Storage.create ~eviction:Storage.Evict_random ~seed:9 ~capacity:3 () in
-  fill_live b;
-  Alcotest.(check (list int)) "purge did not consume the eviction RNG"
-    (live_keys b ~now:10.) (live_keys a ~now:10.)
-
-let test_storage_random_eviction_same_seed_stores_agree () =
-  (* Two stores built with the same seed replay identical eviction
-     choices under an identical operation sequence. *)
-  let build () =
-    let s = Storage.create ~eviction:Storage.Evict_random ~seed:41 ~capacity:4 () in
-    for i = 0 to 29 do
-      Storage.put s ~key:(key i) ~value:i ~now:(float_of_int i) ~ttl:1000.
-    done;
-    s
-  in
-  let a = build () and b = build () in
-  Alcotest.(check (list int)) "same victims, same survivors"
-    (live_keys b ~now:30.) (live_keys a ~now:30.);
-  Alcotest.(check int) "bounded" 4 (List.length (live_keys a ~now:30.))
-
-let test_storage_mem_does_not_touch () =
-  let s = Storage.create ~eviction:Storage.Evict_lru ~capacity:2 () in
-  Storage.put s ~key:(key 1) ~value:1 ~now:0. ~ttl:1000.;
-  Storage.put s ~key:(key 2) ~value:2 ~now:1. ~ttl:1000.;
-  (* A read-only probe of key 1 must not save it from LRU eviction. *)
-  ignore (Storage.mem s ~key:(key 1) ~now:2.);
-  Storage.put s ~key:(key 3) ~value:3 ~now:3. ~ttl:1000.;
-  Alcotest.(check (option int)) "probe did not refresh recency" None
-    (Storage.get s ~key:(key 1) ~now:3.)
+  Storage.put s ~key:(key 10) ~value:10 ~now:10. ~ttl:1000.;
+  List.iter
+    (fun i ->
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "expired key %d purged" i)
+        None
+        (Storage.expiry s ~key:(key i)))
+    [ 0; 1; 2 ];
+  Alcotest.(check (option int)) "new key admitted" (Some 10) (Storage.get s ~key:(key 10) ~now:10.);
+  Alcotest.(check int) "only the new key remains" 1 (Storage.live_count s ~now:10.)
 
 let test_storage_validation () =
   Alcotest.check_raises "capacity" (Invalid_argument "Storage.create: capacity must be >= 1")
@@ -1329,13 +1269,8 @@ let () =
           Alcotest.test_case "live count and fold" `Quick test_storage_live_count_and_fold;
           Alcotest.test_case "remove and expire" `Quick test_storage_remove_and_expire;
           Alcotest.test_case "expiry inspection" `Quick test_storage_expiry_inspection;
-          Alcotest.test_case "LRU eviction" `Quick test_storage_lru_eviction;
-          Alcotest.test_case "random eviction" `Quick test_storage_random_eviction_bounded_and_deterministic;
           Alcotest.test_case "all-expired purge skips eviction policy" `Quick
             test_storage_full_of_expired_purges_without_eviction;
-          Alcotest.test_case "same-seed stores evict identically" `Quick
-            test_storage_random_eviction_same_seed_stores_agree;
-          Alcotest.test_case "mem does not touch" `Quick test_storage_mem_does_not_touch;
           Alcotest.test_case "validation" `Quick test_storage_validation;
         ] );
       ( "chord",

@@ -332,26 +332,20 @@ let build_search ~seed ~peers ~repl ~strategy =
   done;
   (rng, Search.create ~topology ~replication ~strategy)
 
-let test_search_flooding_finds () =
-  let rng, s = build_search ~seed:17 ~peers:100 ~repl:10 ~strategy:(Search.Flooding { ttl = 10 }) in
-  let o = Search.search s rng ~online:all_online ~source:0 ~item:3 in
-  Alcotest.(check bool) "found" true o.Search.found;
-  Alcotest.(check bool) "messages > 0" true (o.Search.messages > 0);
-  match o.Search.provider with
-  | Some p ->
-      Alcotest.(check bool) "provider holds item" true
-        (Replication.holds (Search.replication s) ~peer:p ~item:3)
-  | None -> Alcotest.fail "expected provider"
-
 let test_search_walks_find () =
   let rng, s =
     build_search ~seed:18 ~peers:200 ~repl:20
-      ~strategy:(Search.Random_walks { walkers = 8; max_steps = 400; check_every = 4 })
+      ~strategy:{ Search.walkers = 8; max_steps = 400; check_every = 4 }
   in
   let found = ref 0 in
   for item = 0 to 19 do
     let o = Search.search s rng ~online:all_online ~source:(item * 3) ~item in
-    if o.Search.found then incr found
+    if o.Search.found then incr found;
+    match o.Search.provider with
+    | Some p ->
+        Alcotest.(check bool) "provider holds item" true
+          (Replication.holds (Search.replication s) ~peer:p ~item)
+    | None -> ()
   done;
   Alcotest.(check int) "all found" 20 !found
 
@@ -360,7 +354,7 @@ let test_search_cost_scales_with_replication () =
   let cost ~repl ~seed =
     let rng, s =
       build_search ~seed ~peers:300 ~repl
-        ~strategy:(Search.Random_walks { walkers = 8; max_steps = 1000; check_every = 4 })
+        ~strategy:{ Search.walkers = 8; max_steps = 1000; check_every = 4 }
     in
     let total = ref 0 in
     for item = 0 to 19 do
@@ -375,14 +369,6 @@ let test_search_cost_scales_with_replication () =
     (Printf.sprintf "dense (%.0f) cheaper than sparse (%.0f)" dense sparse)
     true (dense < sparse)
 
-let test_search_strategy_expanding_ring () =
-  let rng, s =
-    build_search ~seed:32 ~peers:150 ~repl:15
-      ~strategy:(Search.Expanding_ring { initial_ttl = 1; growth = 2; max_ttl = 12 })
-  in
-  let o = Search.search s rng ~online:all_online ~source:0 ~item:5 in
-  Alcotest.(check bool) "found" true o.Search.found
-
 let test_search_model_cost () =
   Alcotest.(check (float 1e-9)) "Eq. 6" 720.
     (Search.expected_cost_model ~peers:20_000 ~repl:50 ~dup:1.8)
@@ -394,7 +380,9 @@ let test_search_mismatched_sizes_rejected () =
     (Invalid_argument
        "Unstructured_search.create: topology and replication disagree on peer count")
     (fun () ->
-      ignore (Search.create ~topology ~replication ~strategy:(Search.Flooding { ttl = 2 })))
+      ignore
+        (Search.create ~topology ~replication
+           ~strategy:{ Search.walkers = 1; max_steps = 2; check_every = 1 }))
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -536,9 +524,7 @@ let () =
         ] );
       ( "search",
         [
-          Alcotest.test_case "flooding finds" `Quick test_search_flooding_finds;
           Alcotest.test_case "walks find" `Quick test_search_walks_find;
-          Alcotest.test_case "expanding ring strategy" `Quick test_search_strategy_expanding_ring;
           Alcotest.test_case "cost vs replication" `Quick test_search_cost_scales_with_replication;
           Alcotest.test_case "Eq. 6 value" `Quick test_search_model_cost;
           Alcotest.test_case "size mismatch rejected" `Quick test_search_mismatched_sizes_rejected;

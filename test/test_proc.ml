@@ -6,7 +6,6 @@
 module Wire = Pdht_wire.Wire
 module Frame_io = Pdht_proc.Frame_io
 module Node = Pdht_proc.Node
-module Storage = Pdht_dht.Storage
 
 (* ---------------------------------------------------------------- *)
 (* Frame_io                                                          *)
@@ -81,17 +80,6 @@ let test_frame_io_surfaces_codec_errors () =
 (* ---------------------------------------------------------------- *)
 (* Node protocol                                                     *)
 (* ---------------------------------------------------------------- *)
-
-let test_eviction_codes_roundtrip () =
-  List.iter
-    (fun ev ->
-      match Node.eviction_of_code (Node.eviction_code ev) with
-      | Ok ev' -> Alcotest.(check bool) "roundtrip" true (ev = ev')
-      | Error msg -> Alcotest.fail msg)
-    [ Storage.Evict_soonest_expiry; Storage.Evict_lru; Storage.Evict_random ];
-  match Node.eviction_of_code 42 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted an unknown eviction code"
 
 (* Script a whole worker session through the kernel socket buffer:
    write every conductor frame, run [serve] (which drains them and
@@ -171,6 +159,33 @@ let test_node_snapshot_counts_traffic () =
         (Format.asprintf "unexpected session transcript:@ %a"
            (Format.pp_print_list Wire.pp) replies)
 
+let contains msg sub =
+  let n = String.length sub and m = String.length msg in
+  let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
+  at 0
+
+(* Codes 1 and 2 were LRU and random eviction; soonest expiry (0) is the
+   only rule left, and a worker must refuse anything else at once. *)
+let test_node_rejects_retired_evictions () =
+  List.iter
+    (fun code ->
+      let started = Unix.gettimeofday () in
+      (match
+         run_node_session
+           [ Wire.Setup { nodes = 2; members = 6; keys = 4; stor = 8; eviction = code; seed = 7 };
+             (* A worker that wrongly accepted the code ends here
+                instead of waiting for frames that never come. *)
+             Wire.Bye ]
+       with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "names code %d: %s" code msg)
+            true
+            (contains msg (Printf.sprintf "unknown eviction code %d" code))
+      | _ -> Alcotest.failf "accepted eviction code %d" code);
+      Alcotest.(check bool) "failed promptly" true (Unix.gettimeofday () -. started < 5.0))
+    [ 1; 2; 42 ]
+
 let test_node_rejects_unowned_member () =
   match
     run_node_session
@@ -179,12 +194,7 @@ let test_node_rejects_unowned_member () =
         Wire.Get { rid = 1; peer = 2; key = 0; refresh = false; now = 0.0; ttl = 0.0 } ]
   with
   | exception Failure msg ->
-      let contains sub =
-        let n = String.length sub and m = String.length msg in
-        let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) "names the member" true (contains "member 2")
+      Alcotest.(check bool) "names the member" true (contains msg "member 2")
   | _ -> Alcotest.fail "expected a protocol failure"
 
 let test_node_obs_out_validates () =
@@ -246,16 +256,11 @@ let test_cluster_worker_death_fails_fast () =
   | exception
       ( Failure msg
       | Pdht_sim.Engine.Handler_failed { exn = Failure msg; _ } ) ->
-      let contains sub =
-        let n = String.length sub and m = String.length msg in
-        let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) ("names the node: " ^ msg) true (contains "node 0");
+      Alcotest.(check bool) ("names the node: " ^ msg) true (contains msg "node 0");
       Alcotest.(check bool) ("names the exit status: " ^ msg) true
-        (contains "exited with status 3");
+        (contains msg "exited with status 3");
       Alcotest.(check bool) ("names the last frame: " ^ msg) true
-        (contains "last frame sent:");
+        (contains msg "last frame sent:");
       (* Fail-fast: well under the default 1+2+4+8 s retry ladder. *)
       Alcotest.(check bool) "failed promptly" true
         (Unix.gettimeofday () -. started < 5.0)
@@ -275,8 +280,8 @@ let () =
         ] );
       ( "node",
         [
-          Alcotest.test_case "eviction codes roundtrip" `Quick
-            test_eviction_codes_roundtrip;
+          Alcotest.test_case "rejects retired eviction codes" `Quick
+            test_node_rejects_retired_evictions;
           Alcotest.test_case "serves store ops" `Quick test_node_serves_store_ops;
           Alcotest.test_case "snapshot counts traffic" `Quick
             test_node_snapshot_counts_traffic;

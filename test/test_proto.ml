@@ -290,12 +290,12 @@ let test_bucket_probe_messages () =
 
 let test_bucket_refresh_due () =
   Alcotest.(check bool) "stale bucket is due" true
-    (B.refresh_due ~last_touched:0. ~now:100. ~interval:30.);
+    (B.refresh_due ~last_contact:0. ~now:100. ~interval:30.);
   Alcotest.(check bool) "fresh bucket is not" false
-    (B.refresh_due ~last_touched:90. ~now:100. ~interval:30.);
+    (B.refresh_due ~last_contact:90. ~now:100. ~interval:30.);
   Alcotest.(check bool) "exact boundary is due" true
-    (B.refresh_due ~last_touched:70. ~now:100. ~interval:30.);
-  match B.refresh_due ~last_touched:0. ~now:1. ~interval:0. with
+    (B.refresh_due ~last_contact:70. ~now:100. ~interval:30.);
+  match B.refresh_due ~last_contact:0. ~now:1. ~interval:0. with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero interval accepted"
 

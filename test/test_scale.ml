@@ -2,8 +2,8 @@
    storage, trie-walking Kademlia, CSR topology, compact replication,
    streaming workloads) must be invisible in behaviour.  Three angles:
 
-   - the representation battery (ten simulated arms across backends,
-     strategies, churn and eviction policies) is pinned byte-for-byte
+   - the representation battery (nine simulated arms across backends,
+     strategies, churn and a small cache) is pinned byte-for-byte
      against a golden rendering generated before the refactors;
    - the battery is byte-identical across runner -j values;
    - the rewritten substrates match brute-force reference models on
@@ -30,9 +30,9 @@ let test_battery_jobs_invariant () =
 (* Storage vs a reference model.
 
    The model is an association list mirroring the documented semantics:
-   expiry instants, LRU touches, purge-on-read.  Capacity is kept above
-   the live key count so no eviction fires — victim identity is pinned
-   by the battery arms above; here we check the bookkeeping the
+   expiry instants, purge-on-read.  Capacity is kept above the live key
+   count so no eviction fires — victim identity is the eviction
+   property's job below; here we check the bookkeeping the
    open-addressed table must get right (probe sequences, backward-shift
    deletion, in-place expiry). *)
 
@@ -170,6 +170,62 @@ let storage_capacity_test =
         keys;
       Storage.live_count store ~now:0. <= capacity)
 
+(* Victim identity under pressure: a small store (4-8 entries) over 16
+   keys, driven by puts and refreshes on a monotone clock.  Before and
+   after every put of an absent key into a full store, [expiry] (which
+   sees entries whether live or not, and purges nothing) snapshots the
+   physical contents.  The put must purge every expired entry, and must
+   evict exactly one live entry — one whose expiry is <= every
+   survivor's — when no expired entry made room. *)
+let storage_eviction_test =
+  let op =
+    QCheck.Gen.(
+      triple bool (int_bound 15)
+        (pair (map (fun t -> float_of_int t /. 4.) (int_bound 12))
+           (map (fun t -> 1. +. float_of_int t) (int_bound 24))))
+  in
+  let print (put, k, (dt, ttl)) =
+    Printf.sprintf "%s(%d,+%g,%g)" (if put then "Put" else "Refresh") k dt ttl
+  in
+  QCheck.Test.make ~name:"storage evicts the soonest expiry" ~count:300
+    QCheck.(pair (int_range 4 8) (list_of_size Gen.(int_range 1 150) (make ~print op)))
+    (fun (capacity, ops) ->
+      let store = Storage.create ~capacity () in
+      let snapshot () =
+        List.filter_map
+          (fun k -> Option.map (fun e -> (k, e)) (Storage.expiry store ~key:(Bitkey.of_int k)))
+          (List.init 16 Fun.id)
+      in
+      let clock = ref 0. in
+      List.for_all
+        (fun (put, k, (dt, ttl)) ->
+          clock := !clock +. dt;
+          let now = !clock in
+          let key = Bitkey.of_int k in
+          if not put then begin
+            ignore (Storage.get_and_refresh store ~key ~now ~ttl);
+            true
+          end
+          else begin
+            let before = snapshot () in
+            Storage.put store ~key ~value:k ~now ~ttl;
+            let after = snapshot () in
+            let gone = List.filter (fun (k', _) -> not (List.mem_assoc k' after)) before in
+            let live = List.filter (fun (_, e) -> e > now) before in
+            if List.mem_assoc k before || List.length before < capacity then gone = []
+            else if List.length live < capacity then
+              (* Purging alone made room. *)
+              List.for_all (fun (_, e) -> e <= now) gone
+              && List.length gone = List.length before - List.length live
+            else
+              match gone with
+              | [ (_, victim) ] ->
+                  victim > now
+                  && List.for_all (fun (k', e) -> k' = k || victim <= e) after
+              | _ -> false
+          end)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Kademlia's trie walk vs brute force over the id space. *)
 
@@ -210,7 +266,13 @@ let kademlia_responsible_test =
       got = want)
 
 let qcheck_tests =
-  [ storage_model_test; storage_capacity_test; kademlia_closest_test; kademlia_responsible_test ]
+  [
+    storage_model_test;
+    storage_capacity_test;
+    storage_eviction_test;
+    kademlia_closest_test;
+    kademlia_responsible_test;
+  ]
 
 let () =
   Alcotest.run "pdht_scale"

@@ -217,11 +217,14 @@ grep -q '"node_id":0' "$clu/obs/node-0.jsonl"
 dune exec bin/pdht_cli.exe -- cluster --nodes 2 --peers 200 --keys 300 \
   --duration 400 --policy cost > "$clu/cluster-cost-report.txt"
 diff "$clu/cluster-cost-report.txt" test/golden/cost_policy_report.txt
-# --policy is the one way to set keyTtl, and sweep takes no simulator
-# flags: the removed flags are usage errors (cmdliner exit code 124).
-for removed in "simulate --key-ttl 30" "simulate --adaptive" "sweep --loss 0.1"; do
+# --policy is the one way to set keyTtl, sweep takes no simulator
+# flags, and E14's eviction axis is gone: the removed flags and bench
+# section are usage errors (cmdliner exit code 124).
+for removed in "bin/pdht_cli.exe -- simulate --key-ttl 30" \
+  "bin/pdht_cli.exe -- simulate --adaptive" "bin/pdht_cli.exe -- sweep --loss 0.1" \
+  "bench/main.exe -- eviction"; do
   status=0
-  dune exec bin/pdht_cli.exe -- $removed > /dev/null 2>&1 || status=$?
+  dune exec $removed > /dev/null 2>&1 || status=$?
   test "$status" -eq 124
 done
 # Multi-node causal traces: the analyzer must merge per-node files by
