@@ -369,6 +369,19 @@ let test_search_cost_scales_with_replication () =
     (Printf.sprintf "dense (%.0f) cheaper than sparse (%.0f)" dense sparse)
     true (dense < sparse)
 
+let test_search_unplaced_item_not_found () =
+  (* An item with no replicas: every walker runs out its budget and the
+     front end reports a miss with no provider, still counting the cost. *)
+  let rng, s =
+    build_search ~seed:21 ~peers:100 ~repl:10
+      ~strategy:{ Search.walkers = 4; max_steps = 50; check_every = 5 }
+  in
+  let o = Search.search s rng ~online:all_online ~source:0 ~item:99 in
+  Alcotest.(check bool) "not found" false o.Search.found;
+  Alcotest.(check (option int)) "no provider" None o.Search.provider;
+  Alcotest.(check bool) "walk steps counted" true (o.Search.messages >= 4 * 50);
+  Alcotest.(check int) "ran the whole budget" 50 o.Search.rounds
+
 let test_search_model_cost () =
   Alcotest.(check (float 1e-9)) "Eq. 6" 720.
     (Search.expected_cost_model ~peers:20_000 ~repl:50 ~dup:1.8)
@@ -526,8 +539,9 @@ let () =
         [
           Alcotest.test_case "walks find" `Quick test_search_walks_find;
           Alcotest.test_case "cost vs replication" `Quick test_search_cost_scales_with_replication;
-          Alcotest.test_case "Eq. 6 value" `Quick test_search_model_cost;
           Alcotest.test_case "size mismatch rejected" `Quick test_search_mismatched_sizes_rejected;
+          Alcotest.test_case "unplaced item not found" `Quick test_search_unplaced_item_not_found;
+          Alcotest.test_case "Eq. 6 value" `Quick test_search_model_cost;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
