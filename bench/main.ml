@@ -731,14 +731,7 @@ let section_perf () =
   in
   let net_key_ttl = System.derive_key_ttl net_scenario options in
   let net_partial = Strategy.Partial_index { key_ttl = net_key_ttl } in
-  let run_with net =
-    let options =
-      match net with
-      | None -> System.Options.without_net options
-      | Some cfg -> System.Options.with_net cfg options
-    in
-    System.run net_scenario net_partial options
-  in
+  let run_with net = System.run net_scenario net_partial { options with System.net } in
   let strip_net (r : System.report) =
     {
       r with
@@ -810,13 +803,8 @@ let section_perf () =
     (* 10 s sample buckets: the dip lives in the first seconds after the
        crash (organic re-insertion repairs popular keys query-by-query),
        so the default 60 s buckets would average it away. *)
-    let options = { options with System.sample_every = 10. } in
-    let options =
-      match plan with
-      | None -> System.Options.without_fault options
-      | Some p -> System.Options.with_fault p options
-    in
-    System.run net_scenario net_partial options
+    System.run net_scenario net_partial
+      { options with System.sample_every = 10.; fault = plan }
   in
   let no_fault_report = run_with_fault None in
   let empty_plan_report = run_with_fault (Some Pdht_fault.Plan.default) in
@@ -913,8 +901,11 @@ let section_perf () =
     let r_default = System.run tiny net_partial options in
     let r_alias =
       System.run tiny net_partial
-        (System.Options.with_selection_policy
-           (Pdht_policy.Selector.Ttl Pdht_policy.Selector.Model_derived) options)
+        {
+          options with
+          System.selection_policy =
+            Pdht_policy.Selector.Ttl Pdht_policy.Selector.Model_derived;
+        }
     in
     if r_alias <> r_default then
       failwith "perf: explicit default policy spec diverged from the default options";
@@ -1006,7 +997,7 @@ let section_perf () =
     let obs = Pdht_obs.Context.create ~tracer () in
     let t0 = Unix.gettimeofday () in
     let (_ : System.report) =
-      System.run ~obs net_scenario net_partial (System.Options.with_net tracing_cfg options)
+      System.run ~obs net_scenario net_partial { options with System.net = Some tracing_cfg }
     in
     Unix.gettimeofday () -. t0
   in
@@ -1017,8 +1008,7 @@ let section_perf () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to 4 do
       let (_ : System.report) =
-        System.run net_scenario net_partial
-          (System.Options.with_net tracing_cfg options)
+        System.run net_scenario net_partial { options with System.net = Some tracing_cfg }
       in
       ()
     done;

@@ -473,21 +473,20 @@ let run_simulate workload metrics_out trace_out trace_filter trace_sample timeli
         | Some _, None -> Some 60.
         | None, None -> None
       in
-      (* [--bucket-refresh] only makes sense on Kademlia, and the CLI has
-         no backend flag, so the option implies the backend. *)
-      let backend =
-        match bucket_refresh with
-        | Some _ -> Some Pdht_dht.Dht.Kademlia_backend
-        | None -> None
-      in
-      let layer set = function Some v -> set v | None -> Fun.id in
       let options =
-        options
-        |> layer System.Options.with_backend backend
-        |> layer System.Options.with_net net
-        |> layer System.Options.with_fault fault
-        |> layer System.Options.with_timeline_window timeline_width
-        |> layer System.Options.with_bucket_refresh bucket_refresh
+        {
+          options with
+          (* [--bucket-refresh] only makes sense on Kademlia, and the CLI
+             has no backend flag, so the option implies the backend. *)
+          System.backend =
+            (match bucket_refresh with
+            | Some _ -> Pdht_dht.Dht.Kademlia_backend
+            | None -> options.System.backend);
+          net;
+          fault;
+          timeline_window = timeline_width;
+          bucket_refresh;
+        }
       in
       let seed = scenario.Scenario.seed in
       if replicate > 1 then begin

@@ -519,7 +519,7 @@ let backend_face_off ?jobs ?(options = System.default_options) ~scenario () =
       Pdht_dht.Dht.Kademlia_backend; Pdht_dht.Dht.Pastry_backend ]
   in
   let spec_of backend =
-    let options = System.Options.with_backend backend options in
+    let options = { options with System.backend } in
     let key_ttl = System.derive_key_ttl scenario options in
     Run_spec.make ~options
       ~tag:(scenario.Scenario.name ^ "/" ^ Pdht_dht.Dht.backend_label backend)
@@ -619,7 +619,7 @@ let policy_race ?jobs ?(options = System.default_options) ~scenario ~policies ()
     | Scenario.Rotate { times = []; _ } | Scenario.No_shift -> 0.
   in
   let spec_of policy =
-    let options = System.Options.with_selection_policy policy options in
+    let options = { options with System.selection_policy = policy } in
     let key_ttl = System.derive_key_ttl scenario options in
     Run_spec.make ~options
       ~tag:(scenario.Scenario.name ^ "/policy-" ^ Pdht_policy.Selector.label policy)
@@ -683,8 +683,10 @@ let ttl_tuning ?jobs ?(options = System.default_options) ~scenario ~fixed_ttls (
   in
   let adaptive_spec =
     let options =
-      System.Options.with_selection_policy
-        (Pdht_policy.Selector.Ttl Pdht_policy.Selector.Adaptive) options
+      {
+        options with
+        System.selection_policy = Pdht_policy.Selector.Ttl Pdht_policy.Selector.Adaptive;
+      }
     in
     let key_ttl = System.derive_key_ttl scenario options in
     Run_spec.make ~options
@@ -741,7 +743,7 @@ let representation_battery ?jobs () =
           };
     }
   in
-  let backend b = System.Options.with_backend b System.default_options in
+  let backend b = { System.default_options with System.backend = b } in
   let specs =
     [
       Run_spec.make ~tag:"pgrid-partial" base;

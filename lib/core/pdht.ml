@@ -15,9 +15,7 @@ module Storage = Pdht_dht.Storage
 module Replica_net = Pdht_gossip.Replica_net
 module Rumor = Pdht_gossip.Rumor
 module Net_hook = Pdht_net.Hook
-module Query_plan = Pdht_proto.Query_plan
-module Update_plan = Pdht_proto.Update_plan
-module Selection = Pdht_proto.Selection
+module Psel = Pdht_policy.Selector
 
 (* TTL standing in for "never expires" in the baseline index; large but
    far from Float.max_float so [now +. ttl] stays finite. *)
@@ -86,16 +84,10 @@ type t = {
   mutable net_cast : (span:int option -> src:int -> dst:int -> bool) option;
   mutable online : int -> bool;
   mutable key_ttl : float;
-  (* Selection-policy hook.  [None] (the default, and the paper's
-     behaviour) admits every resolved key and leases [key_ttl] — the
-     exact pre-policy code path, so TTL-policy runs are bit-identical
-     to builds that predate the hook. *)
-  mutable policy : policy option;
-}
-
-and policy = Selection.policy = {
-  admit : now:float -> key_index:int -> bool;
-  ttl_for : now:float -> key_index:int -> float;
+  (* Cost-optimal selector, if installed.  [None] (the default, and the
+     paper's behaviour) admits every resolved key and leases [key_ttl],
+     so TTL-policy runs keep the exact pre-policy code path. *)
+  mutable selector : Psel.Cost_optimal.t option;
 }
 
 let key_of_index t i =
@@ -113,11 +105,13 @@ let set_key_ttl t ttl =
   if not (ttl > 0.) then invalid_arg "Pdht.set_key_ttl: ttl must be positive";
   t.key_ttl <- ttl
 
-let set_policy t policy = t.policy <- Some policy
+let set_selector t sel = t.selector <- Some sel
 
 (* Expiration lease for an insertion or query-hit refresh of a key. *)
 let lease t ~now ~key_index =
-  Selection.lease t.policy ~default_ttl:t.key_ttl ~now ~key_index
+  match t.selector with
+  | None -> t.key_ttl
+  | Some sel -> Psel.Cost_optimal.ttl_for sel ~now ~key_index
 
 let set_transport t ~rpc ~cast =
   if t.net <> None then
@@ -250,7 +244,7 @@ let create ?obs ?net ?store rng config =
         | Some h -> Some (fun ~span ~src ~dst -> Net_hook.cast ?span h ~src ~dst));
       online = (fun _ -> true);
       key_ttl = initial_ttl config;
-      policy = None;
+      selector = None;
     }
   in
   (* The index-everything baseline starts with the full index in place:
@@ -500,13 +494,23 @@ let index_insert_admitted t ~now ~entry ~key_index ~provider ~parent =
          ~span:insert_span ~parent Event.Index_insert);
   messages
 
+(* Consulted once per would-be re-insertion; the selector records its
+   own verdict. *)
+let admits t ~now ~key_index =
+  match t.selector with
+  | None -> true
+  | Some sel ->
+      let ok = Psel.Cost_optimal.admit sel ~now ~key_index in
+      Psel.Cost_optimal.observe sel ~now ~key_index
+        (if ok then Psel.Inserted else Psel.Rejected);
+      ok
+
 let index_insert t ~now ~entry ~key_index ~provider ~parent =
-  if not (Selection.admits t.policy ~now ~key_index) then
-    (* The selection policy declines the key: no routing, no flood,
-       no insertion.  The query's answer already came from the
-       broadcast, so rejection costs nothing now and saves the whole
-       insert (and its maintenance tail) for keys judged not worth
-       indexing. *)
+  if not (admits t ~now ~key_index) then
+    (* The selector declines the key: no routing, no flood, no
+       insertion.  The query's answer already came from the broadcast,
+       so rejection costs nothing now and saves the whole insert (and
+       its maintenance tail) for keys judged not worth indexing. *)
     0
   else index_insert_admitted t ~now ~entry ~key_index ~provider ~parent
 
@@ -556,75 +560,48 @@ let query t ~now ~peer ~key_index =
       | Some s -> Span.id s
       | None -> -1
     in
-    (* Drive the pure {!Query_plan} machine: it decides the next step,
-       this loop executes each step against the substrates (through the
-       pluggable store / delivery hooks) and feeds the outcome back.
-       Message accounting stays here — the machine is driver-agnostic
-       and counts nothing. *)
-    let strategy =
-      match t.config.Config.strategy with
-      | Strategy.No_index -> Query_plan.No_index
-      | Strategy.Index_all -> Query_plan.Index_all
-      | Strategy.Partial_index _ -> Query_plan.Partial
-    in
-    let entry = ref (-1) in
-    let contact = ref 0 in
-    let acc_index = ref 0 in
-    let acc_flood = ref 0 in
-    let acc_broadcast = ref 0 in
-    let acc_insert = ref 0 in
-    let rec drive plan action =
-      match action with
-      | Query_plan.Finish outcome -> outcome
-      | Query_plan.Reach_entry ->
-          let e = reach_entry t ~now ~parent:root ~peer (entry_point t peer) in
-          if e < 0 then feed plan Query_plan.Entry_failed
-          else begin
-            entry := e;
-            contact := entry_contact ~peer e;
-            feed plan Query_plan.Entry_reached
-          end
-      | Query_plan.Search_index ->
-          let provider, index_messages, flood_messages =
-            index_search t ~now ~entry:!entry ~key_index ~parent:root
+    (* Broadcast-search the unstructured overlay on top of [r]; a found
+       key is re-inserted through [entry] unless it is [-1]. *)
+    let broadcast r ~entry =
+      let provider, broadcast_messages =
+        broadcast_search t ~now ~peer ~key_index ~parent:root
+      in
+      match provider with
+      | None -> { r with broadcast_messages }
+      | Some p ->
+          let insert_messages =
+            if entry < 0 then 0
+            else index_insert t ~now ~entry ~key_index ~provider:p ~parent:root
           in
-          acc_index := index_messages + !contact;
-          acc_flood := flood_messages;
-          feed plan
-            (match provider with
-            | Some provider -> Query_plan.Index_hit { provider }
-            | None -> Query_plan.Index_miss)
-      | Query_plan.Search_broadcast ->
-          let provider, messages = broadcast_search t ~now ~peer ~key_index ~parent:root in
-          acc_broadcast := messages;
-          feed plan
-            (match provider with
-            | Some provider -> Query_plan.Broadcast_found { provider }
-            | None -> Query_plan.Broadcast_failed)
-      | Query_plan.Insert_key { provider } ->
-          acc_insert := index_insert t ~now ~entry:!entry ~key_index ~provider ~parent:root;
-          feed plan Query_plan.Insert_done
-    and feed plan event =
-      let plan, action = Query_plan.step plan event in
-      drive plan action
-    in
-    let outcome =
-      let plan, action = Query_plan.start strategy in
-      drive plan action
+          { r with source = From_broadcast; provider; broadcast_messages; insert_messages }
     in
     let result =
-      {
-        source =
-          (match outcome.Query_plan.source with
-          | Query_plan.From_index -> From_index
-          | Query_plan.From_broadcast -> From_broadcast
-          | Query_plan.Not_found -> Not_found);
-        provider = outcome.Query_plan.provider;
-        index_messages = !acc_index;
-        replica_flood_messages = !acc_flood;
-        broadcast_messages = !acc_broadcast;
-        insert_messages = !acc_insert;
-      }
+      match t.config.Config.strategy with
+      | Strategy.No_index -> broadcast empty_result ~entry:(-1)
+      | (Strategy.Index_all | Strategy.Partial_index _) as strategy -> (
+          let partial = Strategy.is_partial strategy in
+          let entry = reach_entry t ~now ~parent:root ~peer (entry_point t peer) in
+          if entry < 0 then
+            (* The baseline indexes everything, so with the index out of
+               reach there is nothing else to ask.  The PDHT degrades to
+               broadcast, but cannot re-insert what it finds. *)
+            if partial then broadcast empty_result ~entry:(-1) else empty_result
+          else
+            let provider, index_messages, replica_flood_messages =
+              index_search t ~now ~entry ~key_index ~parent:root
+            in
+            let r =
+              {
+                empty_result with
+                index_messages = index_messages + entry_contact ~peer entry;
+                replica_flood_messages;
+              }
+            in
+            match provider with
+            | Some _ -> { r with source = From_index; provider }
+            (* An index miss is final for the baseline; the PDHT falls
+               back to broadcast and re-inserts what it finds. *)
+            | None -> if partial then broadcast r ~entry else r)
     in
     charge t result;
     (match t.net with Some h -> Net_hook.record_latency h | None -> ());
@@ -647,7 +624,7 @@ let update_key t rng ~now ~key_index =
     invalid_arg "Pdht.update_key: key_index out of range";
   match t.config.Config.strategy with
   | Strategy.No_index | Strategy.Partial_index _ -> 0
-  | Strategy.Index_all -> (
+  | Strategy.Index_all ->
       (* Route the new value to a responsible peer, then rumor-spread it
          through the replica subnetwork (Eq. 9's push/pull gossip).  In
          the trace an update is its own rooted tree: a [Gossip] root
@@ -666,55 +643,27 @@ let update_key t rng ~now ~key_index =
             (Event.make ~time:now ~peer ~key_index ~messages ~outcome ~span:root
                Event.Gossip)
       in
-      (* Drive the pure {!Update_plan} machine; same driver/core split
-         as [query].  [acc] collects the contact, routing and gossip
-         traffic; entry failure is the one exit that never charges
-         (nothing was sent). *)
-      let entry = ref (-1) in
-      let contact = ref 0 in
-      let resp = ref (-1) in
-      let acc = ref 0 in
-      let rec drive plan action =
-        match action with
-        | Update_plan.Finish { delivered } ->
-            if delivered then begin
-              Metrics.charge t.metrics Metrics.Update_gossip !acc;
-              emit_root ~peer:!resp ~messages:!acc ~outcome:Event.Found;
-              !acc
-            end
-            else if !entry < 0 then begin
-              emit_root ~peer:issuer ~messages:0 ~outcome:Event.Not_found;
-              0
-            end
-            else begin
-              Metrics.charge t.metrics Metrics.Update_gossip !acc;
-              emit_root ~peer:issuer ~messages:!acc ~outcome:Event.Not_found;
-              !acc
-            end
-        | Update_plan.Reach_entry ->
-            let e = reach_entry t ~now ~parent:root ~peer:issuer (entry_point t issuer) in
-            if e < 0 then feed plan Update_plan.Entry_failed
-            else begin
-              entry := e;
-              contact := entry_contact ~peer:issuer e;
-              feed plan Update_plan.Entry_reached
-            end
-        | Update_plan.Route ->
-            let key = t.bitkeys.(key_index) in
-            let lookup_span = child_id t ~parent:root in
-            let lookup =
-              Dht.lookup ?span:(opt_span lookup_span) ?deliver:t.net_rpc t.dht t.rng
-                ~online:t.online ~source:!entry ~key
-            in
-            record_lookup t ~now:(child_time t ~now) ~peer:!entry ~key_index
-              ~span:lookup_span ~parent:root lookup;
-            acc := !contact + lookup.Dht.messages;
-            (match lookup.Dht.responsible with
-            | None -> feed plan Update_plan.Route_failed
-            | Some responsible ->
-                resp := responsible;
-                feed plan Update_plan.Route_ok)
-        | Update_plan.Spread ->
+      let entry = reach_entry t ~now ~parent:root ~peer:issuer (entry_point t issuer) in
+      if entry < 0 then begin
+        (* Nothing was sent, so nothing is charged. *)
+        emit_root ~peer:issuer ~messages:0 ~outcome:Event.Not_found;
+        0
+      end
+      else begin
+        let lookup_span = child_id t ~parent:root in
+        let lookup =
+          Dht.lookup ?span:(opt_span lookup_span) ?deliver:t.net_rpc t.dht t.rng
+            ~online:t.online ~source:entry ~key:t.bitkeys.(key_index)
+        in
+        record_lookup t ~now:(child_time t ~now) ~peer:entry ~key_index ~span:lookup_span
+          ~parent:root lookup;
+        let routed = entry_contact ~peer:issuer entry + lookup.Dht.messages in
+        match lookup.Dht.responsible with
+        | None ->
+            Metrics.charge t.metrics Metrics.Update_gossip routed;
+            emit_root ~peer:issuer ~messages:routed ~outcome:Event.Not_found;
+            routed
+        | Some resp ->
             let provider =
               match content_replicas t ~key_index with
               | [||] -> 0
@@ -722,8 +671,8 @@ let update_key t rng ~now ~key_index =
             in
             let net = replica_net t key_index in
             let spread =
-              Rumor.spread rng ~net ~online:t.online ~origin_peer:!resp
-                ~push_fanout:2 ~max_rounds:32
+              Rumor.spread rng ~net ~online:t.online ~origin_peer:resp ~push_fanout:2
+                ~max_rounds:32
             in
             Array.iter
               (fun member ->
@@ -734,18 +683,15 @@ let update_key t rng ~now ~key_index =
             Registry.incr t.ins.c_gossip_spreads 1;
             if root >= 0 && Tracer.active tracer Event.Gossip then
               Tracer.emit tracer
-                (Event.make ~time:(child_time t ~now) ~peer:!resp ~key_index
+                (Event.make ~time:(child_time t ~now) ~peer:resp ~key_index
                    ~hops:spread.Rumor.rounds ~messages:spread.Rumor.messages
                    ~detail:"spread" ~span:(child_id t ~parent:root) ~parent:root
                    Event.Gossip);
-            acc := !acc + spread.Rumor.messages;
-            feed plan Update_plan.Spread_done
-      and feed plan event =
-        let plan, action = Update_plan.step plan event in
-        drive plan action
-      in
-      let plan, action = Update_plan.start Query_plan.Index_all in
-      drive plan action)
+            let messages = routed + spread.Rumor.messages in
+            Metrics.charge t.metrics Metrics.Update_gossip messages;
+            emit_root ~peer:resp ~messages ~outcome:Event.Found;
+            messages
+      end
 
 let rejoin_sync t rng ~now ~peer =
   match t.config.Config.strategy with
@@ -834,18 +780,18 @@ let repair_pass ?span t rng ~now ~min_fraction =
     invalid_arg "Pdht.repair_pass: min_fraction must be in (0, 1]";
   let repl = t.config.Config.repl in
   let num_peers = t.config.Config.num_peers in
-  let threshold = Pdht_proto.Repair_rules.content_threshold ~min_fraction ~repl in
+  let threshold = int_of_float (Float.ceil (min_fraction *. float_of_int repl)) in
   let messages = ref 0 in
   let repaired_items = ref 0 in
   let repaired_entries = ref 0 in
   for key_index = 0 to t.config.Config.keys - 1 do
     let reps = Replication.replicas t.content ~item:key_index in
     let live = Array.fold_left (fun n p -> if t.online p then n + 1 else n) 0 reps in
-    if Pdht_proto.Repair_rules.needs_topup ~live ~threshold then begin
-      let want = Pdht_proto.Repair_rules.topup_want ~repl ~live in
+    if live >= 1 && live < threshold then begin
+      let want = repl - live in
       let fresh = ref [] in
       let found = ref 0 in
-      let attempts = ref (Pdht_proto.Repair_rules.topup_attempts ~want) in
+      let attempts = ref ((20 * want) + 50) (* random-candidate probe budget *) in
       while !found < want && !attempts > 0 do
         decr attempts;
         let cand = Rng.int rng num_peers in
@@ -863,8 +809,7 @@ let repair_pass ?span t rng ~now ~min_fraction =
       | fresh ->
           let merged = Array.append reps (Array.of_list fresh) in
           Replication.place_on t.content ~item:key_index ~replicas:merged;
-          messages :=
-            !messages + Pdht_proto.Repair_rules.copy_messages ~fresh:(List.length fresh);
+          messages := !messages + (2 * List.length fresh);
           incr repaired_items
     end
   done;
@@ -890,22 +835,21 @@ let repair_pass ?span t rng ~now ~min_fraction =
             done;
             if !holder >= 0 then begin
               match (t.store.expiry ~peer:!holder ~key_index, t.store.get ~peer:!holder ~key_index ~now) with
-              | Some expiry, Some provider -> (
-                  match Pdht_proto.Repair_rules.remaining_ttl ~expiry ~now with
-                  | None -> ()
-                  | Some remaining ->
-                      Array.iter
-                        (fun member ->
-                          if
-                            member <> !holder && t.online member
-                            && not (t.store.mem ~peer:member ~key_index ~now)
-                          then begin
-                            t.store.repair_put ~peer:member ~key_index ~value:provider
-                              ~now ~ttl:remaining;
-                            incr messages;
-                            incr repaired_entries
-                          end)
-                        group)
+              | Some expiry, Some provider ->
+                  let remaining = expiry -. now in
+                  if remaining > 0. then
+                    Array.iter
+                      (fun member ->
+                        if
+                          member <> !holder && t.online member
+                          && not (t.store.mem ~peer:member ~key_index ~now)
+                        then begin
+                          t.store.repair_put ~peer:member ~key_index ~value:provider
+                            ~now ~ttl:remaining;
+                          incr messages;
+                          incr repaired_entries
+                        end)
+                      group
               | _ -> ()
             end
       done);

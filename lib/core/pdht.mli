@@ -107,20 +107,14 @@ val set_key_ttl : t -> float -> unit
 
 val key_ttl : t -> float
 
-(** Selection-policy hook: gates index insertions and sets per-key
-    expiration leases.  [admit] is consulted once per would-be
-    re-insertion (after a successful broadcast); a rejected key costs
-    zero messages.  [ttl_for] supplies the lease used both when
-    inserting and when a query hit refreshes a stored key. *)
-type policy = Pdht_proto.Selection.policy = {
-  admit : now:float -> key_index:int -> bool;
-  ttl_for : now:float -> key_index:int -> float;
-}
-
-val set_policy : t -> policy -> unit
-(** Install a selection policy.  Without one (the default), every key
-    is admitted with lease {!key_ttl} — the paper's behaviour, on the
-    exact pre-policy code path. *)
+val set_selector : t -> Pdht_policy.Selector.Cost_optimal.t -> unit
+(** Install the cost-optimal selector.  It gates index insertions: it is
+    consulted once per would-be re-insertion (after a successful
+    broadcast), told whether it admitted the key, and a rejected key
+    costs zero messages.  It also sets the per-key lease used both when
+    inserting and when a query hit refreshes a stored key.  Without one
+    (the default), every key is admitted with lease {!key_ttl}, the
+    paper's behaviour. *)
 
 type answer_source = From_index | From_broadcast | Not_found
 

@@ -59,20 +59,6 @@ module Options = struct
       bucket_refresh =
         (match bucket_refresh with Some _ -> bucket_refresh | None -> d.bucket_refresh);
     }
-
-  let with_repl repl options = { options with repl }
-  let with_stor stor options = { options with stor }
-  let with_backend backend options = { options with backend }
-  let with_selection_policy selection_policy options = { options with selection_policy }
-  let with_sample_every sample_every options = { options with sample_every }
-  let with_net net options = { options with net = Some net }
-  let without_net options = { options with net = None }
-  let with_fault fault options = { options with fault = Some fault }
-  let without_fault options = { options with fault = None }
-  let with_timeline_window w options = { options with timeline_window = Some w }
-  let without_timeline options = { options with timeline_window = None }
-  let with_bucket_refresh r options = { options with bucket_refresh = Some r }
-  let without_bucket_refresh options = { options with bucket_refresh = None }
 end
 
 type sample = {
@@ -379,10 +365,10 @@ let run ?obs ?driver scenario strategy options =
     end
     else None
   in
-  (* Cost-optimal selection (extension): [Ttl _] runs install no hook
-     and keep the exact pre-policy code path, so their reports stay
-     byte-identical.  The selector draws no randomness, preserving the
-     determinism contract. *)
+  (* Cost-optimal selection (extension): [Ttl _] runs install no
+     selector and keep the exact pre-policy code path, so their reports
+     stay byte-identical.  The selector draws no randomness, preserving
+     the determinism contract. *)
   let selector =
     match options.selection_policy with
     | Psel.Cost_optimal when Strategy.is_partial strategy ->
@@ -391,16 +377,7 @@ let run ?obs ?driver scenario strategy options =
           Cost.create ~params:(model_params scenario options)
             ~base_ttl:(Pdht.key_ttl pdht) ~retune_every
         in
-        Pdht.set_policy pdht
-          {
-            Pdht.admit =
-              (fun ~now ~key_index ->
-                let ok = Cost.admit sel ~now ~key_index in
-                Cost.observe sel ~now ~key_index
-                  (if ok then Psel.Inserted else Psel.Rejected);
-                ok);
-            ttl_for = (fun ~now ~key_index -> Cost.ttl_for sel ~now ~key_index);
-          };
+        Pdht.set_selector pdht sel;
         Engine.schedule_periodic engine ~first:retune_every ~every:retune_every
           (fun eng -> Cost.retune sel ~now:(Engine.now eng));
         Some sel

@@ -59,8 +59,8 @@ type options = {
 
 val default_options : options
 
-(** Builders for {!options}, so call sites name only what they change
-    and survive future field additions. *)
+(** Options from the defaults.  To change fields of existing options,
+    use record update ([{ o with net = Some cfg }]). *)
 module Options : sig
   val make :
     ?repl:int ->
@@ -75,20 +75,6 @@ module Options : sig
     unit ->
     options
   (** Unnamed arguments take their {!default_options} value. *)
-
-  val with_repl : int -> options -> options
-  val with_stor : int -> options -> options
-  val with_backend : Pdht_dht.Dht.backend -> options -> options
-  val with_selection_policy : Pdht_policy.Selector.spec -> options -> options
-  val with_sample_every : float -> options -> options
-  val with_net : Pdht_net.Config.t -> options -> options
-  val without_net : options -> options
-  val with_fault : Pdht_fault.Plan.t -> options -> options
-  val without_fault : options -> options
-  val with_timeline_window : float -> options -> options
-  val without_timeline : options -> options
-  val with_bucket_refresh : float -> options -> options
-  val without_bucket_refresh : options -> options
 end
 
 type sample = {

@@ -1,6 +1,5 @@
 module Bitkey = Pdht_util.Bitkey
 module Rng = Pdht_util.Rng
-module Rules = Pdht_proto.Bucket_rules
 
 (* Flat-state Kademlia.  Ids double as their own int keys: [sorted_ids]
    holds the raw 62-bit ids in ascending order with [sorted_members]
@@ -337,12 +336,19 @@ let cache_remove lv ~owner ~bucket peer =
     lv.clen.(owner).(bucket) <- len - 1
   end
 
+(* Message cost of one liveness probe: an alive entry answers the first
+   attempt; a dead one silently eats the whole retry ladder. *)
+let probe_cost lv ~alive = if alive then 1 else 1 + lv.probe_retries
+
 (* [owner] just heard from [peer] (a lookup contact, either direction).
    Apply the Kademlia rule: promote if present, insert if room,
-   otherwise liveness-probe the least-recently-seen entry and evict or
-   keep.  The probe is a real maintenance message: an alive entry costs
-   one probe, a dead one the whole timeout ladder; both accrue in
-   [pending_probe_cost] until the maintenance tick drains them. *)
+   otherwise liveness-probe the least-recently-seen entry and evict it
+   only if dead — a proven-alive peer is never displaced, the property
+   heavy-tailed session traces reward; the newcomer goes to the
+   replacement cache instead.  The probe is a real maintenance message:
+   an alive entry costs one probe, a dead one the whole timeout ladder;
+   both accrue in [pending_probe_cost] until the maintenance tick
+   drains them. *)
 let note_contact t lv ~online ~owner ~peer =
   if owner <> peer then begin
     let b = bucket_of t owner peer in
@@ -350,33 +356,33 @@ let note_contact t lv ~online ~owner ~peer =
     let len = lv.llen.(owner).(b) in
     let i = slot_of arr len peer in
     lv.touched.(owner).(b) <- true;
-    match Rules.on_contact
-            { Rules.occupancy = len; capacity = t.bucket_size; present = i >= 0 }
-    with
-    | Rules.Promote ->
-        remove_slot arr len i;
+    if i >= 0 then begin
+      remove_slot arr len i;
+      arr.(len - 1) <- peer;
+      lv.promotions <- lv.promotions + 1
+    end
+    else if len < t.bucket_size then begin
+      arr.(len) <- peer;
+      lv.llen.(owner).(b) <- len + 1;
+      lv.insertions <- lv.insertions + 1
+    end
+    else begin
+      let lrs = arr.(0) in
+      let alive = online lrs in
+      let cost = probe_cost lv ~alive in
+      lv.probes <- lv.probes + 1;
+      lv.probe_messages <- lv.probe_messages + cost;
+      lv.pending_probe_cost <- lv.pending_probe_cost + cost;
+      remove_slot arr len 0;
+      if alive then begin
+        arr.(len - 1) <- lrs;
+        cache_add lv ~owner ~bucket:b peer
+      end
+      else begin
         arr.(len - 1) <- peer;
-        lv.promotions <- lv.promotions + 1
-    | Rules.Insert ->
-        arr.(len) <- peer;
-        lv.llen.(owner).(b) <- len + 1;
-        lv.insertions <- lv.insertions + 1
-    | Rules.Probe_lrs -> (
-        let lrs = arr.(0) in
-        let alive = online lrs in
-        let cost = Rules.probe_messages ~retries:lv.probe_retries ~alive in
-        lv.probes <- lv.probes + 1;
-        lv.probe_messages <- lv.probe_messages + cost;
-        lv.pending_probe_cost <- lv.pending_probe_cost + cost;
-        match Rules.on_probe (if alive then Rules.Lrs_alive else Rules.Lrs_dead) with
-        | Rules.Keep_old_cache_new ->
-            remove_slot arr len 0;
-            arr.(len - 1) <- lrs;
-            cache_add lv ~owner ~bucket:b peer
-        | Rules.Evict_insert_new ->
-            remove_slot arr len 0;
-            arr.(len - 1) <- peer;
-            lv.evictions <- lv.evictions + 1)
+        lv.evictions <- lv.evictions + 1
+      end
+    end
   end
 
 (* A lookup contact to [peer] timed out: route around it.  With a
@@ -754,51 +760,49 @@ let live_probe_and_repair t lv rng ~online ~peer ~probes =
         let arr = lv.lbuckets.(peer).(b) in
         let lrs = arr.(0) in
         let alive = online lrs in
-        let cost = Rules.probe_messages ~retries:lv.probe_retries ~alive in
+        let cost = probe_cost lv ~alive in
         lv.probes <- lv.probes + 1;
         lv.probe_messages <- lv.probe_messages + cost;
         sent := !sent + cost;
         lv.touched.(peer).(b) <- true;
-        (match Rules.on_probe (if alive then Rules.Lrs_alive else Rules.Lrs_dead) with
-        | Rules.Keep_old_cache_new ->
-            remove_slot arr len 0;
-            arr.(len - 1) <- lrs
-        | Rules.Evict_insert_new -> (
-            (* The full retry ladder confirmed the entry dead — unlike
-               a single lookup timeout ([note_dead] demotes but keeps),
-               this is strong enough evidence to evict outright.  Refill
-               from the replacement cache if possible, else learn a live
-               member of the range (the shared [MaCa03] repair
-               discipline, one exchange per entry learned).  If the
-               range offers no live member right now the bucket stays
-               short until a later contact or refresh sweep back-fills
-               it. *)
-            remove_slot arr len 0;
-            lens.(b) <- len - 1;
-            lv.evictions <- lv.evictions + 1;
-            match cache_pop lv ~owner:peer ~bucket:b with
-            | Some fill ->
-                arr.(len - 1) <- fill;
-                lens.(b) <- len;
-                lv.cache_fills <- lv.cache_fills + 1
-            | None ->
-                let n = members t in
-                let attempts = ref 30 in
-                let found = ref false in
-                while (not !found) && !attempts > 0 do
-                  decr attempts;
-                  let cand = Rng.int rng n in
-                  if
-                    cand <> peer && online cand
-                    && bucket_of t peer cand = b
-                    && slot_of arr (len - 1) cand < 0
-                  then begin
-                    arr.(len - 1) <- cand;
-                    lens.(b) <- len;
-                    incr sent;
-                    found := true
-                  end
-                done))
+        remove_slot arr len 0;
+        if alive then arr.(len - 1) <- lrs
+        else begin
+          (* The full retry ladder confirmed the entry dead — unlike
+             a single lookup timeout ([note_dead] demotes but keeps),
+             this is strong enough evidence to evict outright.  Refill
+             from the replacement cache if possible, else learn a live
+             member of the range (the shared [MaCa03] repair
+             discipline, one exchange per entry learned).  If the
+             range offers no live member right now the bucket stays
+             short until a later contact or refresh sweep back-fills
+             it. *)
+          lens.(b) <- len - 1;
+          lv.evictions <- lv.evictions + 1;
+          match cache_pop lv ~owner:peer ~bucket:b with
+          | Some fill ->
+              arr.(len - 1) <- fill;
+              lens.(b) <- len;
+              lv.cache_fills <- lv.cache_fills + 1
+          | None ->
+              let n = members t in
+              let attempts = ref 30 in
+              let found = ref false in
+              while (not !found) && !attempts > 0 do
+                decr attempts;
+                let cand = Rng.int rng n in
+                if
+                  cand <> peer && online cand
+                  && bucket_of t peer cand = b
+                  && slot_of arr (len - 1) cand < 0
+                then begin
+                  arr.(len - 1) <- cand;
+                  lens.(b) <- len;
+                  incr sent;
+                  found := true
+                end
+              done
+        end
       end
     done
   end;

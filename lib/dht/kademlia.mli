@@ -15,11 +15,11 @@
     {!probe_and_repair} and {!rebuild_routes} touch.  Opting in with
     {!enable_live_routing} turns every member's table into living
     k-buckets in least-recently-seen order with a per-bucket
-    replacement cache, maintained by the {!Pdht_proto.Bucket_rules}
-    discipline: lookup contacts promote or insert, full buckets
-    liveness-probe their LRS entry before admitting a newcomer,
-    evictions back-fill from the cache, and {!refresh_sweep}
-    re-populates ranges no contact has touched.  All probe traffic is
+    replacement cache, maintained by Maymounkov and Mazieres' rules:
+    lookup contacts promote or insert, full buckets liveness-probe
+    their LRS entry before admitting a newcomer, evictions back-fill
+    from the cache, and {!refresh_sweep} re-populates ranges no contact
+    has touched.  All probe traffic is
     counted and drained through the maintenance account, giving the
     measured [cRtn] the paper only assumes. *)
 

@@ -69,8 +69,15 @@ let validate t =
 
 let attempts t = 1 + t.rpc_retries
 
-let rpc t =
-  { Pdht_proto.Rpc_machine.timeout = t.rpc_timeout; retries = t.rpc_retries; backoff = t.backoff }
+let timeout_for t ~attempt = t.rpc_timeout *. (t.backoff ** float_of_int attempt)
+
+let call t attempt =
+  let rec go k =
+    match attempt ~attempt:k ~timeout:(timeout_for t ~attempt:k) with
+    | Some _ as reply -> reply
+    | None -> if k < t.rpc_retries then go (k + 1) else None
+  in
+  go 0
 
 let latency_to_string = function
   | Constant s -> Printf.sprintf "constant:%g" s

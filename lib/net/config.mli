@@ -56,9 +56,19 @@ val attempts : t -> int
     discovering a dead peer, which the live routing tables' liveness
     probes mirror ({!Pdht_dht.Kademlia.enable_live_routing}). *)
 
-val rpc : t -> Pdht_proto.Rpc_machine.config
-(** The retry ladder these fields describe: attempt [k] (0-based) waits
-    [rpc_timeout *. backoff ^ k] before it counts as lost. *)
+val timeout_for : t -> attempt:int -> float
+(** [rpc_timeout *. backoff ^ attempt]: how long attempt [attempt]
+    (0-based) waits before it counts as lost. *)
+
+val call : t -> (attempt:int -> timeout:float -> 'a option) -> 'a option
+(** The RPC retry ladder these fields describe, the one both drivers
+    share: {!Hook.rpc} on the simulator's virtual clock and
+    [Pdht_proc.Cluster] on wall-clock deadlines.  [call t attempt] runs
+    [attempt ~attempt:k ~timeout:(timeout_for t ~attempt:k)] for
+    [k = 0, 1, ..., rpc_retries], stopping at the first [Some] and
+    returning it; [None] once every attempt failed.  Zero retries is one
+    shot.  The ladder owns no clock and sends nothing: [attempt] does
+    one try and reports whether a reply arrived in time. *)
 
 val latency_of_string : string -> (latency, string) result
 (** Parses the CLI syntax: a bare float is [Constant]; otherwise

@@ -3,12 +3,10 @@ module Obs = Pdht_obs.Context
 module Registry = Pdht_obs.Registry
 module Tracer = Pdht_obs.Tracer
 module Event = Pdht_obs.Event
-module Rpc_machine = Pdht_proto.Rpc_machine
 
 type t = {
   rng : Rng.t;
   link : Link_model.t;
-  rpc : Rpc_machine.config;
   (* [net.*] instruments, resolved once per run instead of one registry
      hash probe per message. *)
   c_sent : Registry.counter;
@@ -24,11 +22,9 @@ type t = {
 let create ?obs ~rng config =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let r = obs.Obs.registry in
-  let link = Link_model.create config in
   {
     rng;
-    link;
-    rpc = Config.rpc (Link_model.config link);
+    link = Link_model.create config;
     c_sent = Registry.counter r "net.messages_sent";
     c_dropped = Registry.counter r "net.messages_dropped";
     c_retried = Registry.counter r "net.messages_retried";
@@ -90,7 +86,7 @@ let leg t ~src ~dst =
 
 let rpc ?span:parent t ~src ~dst =
   let reply =
-    Rpc_machine.call t.rpc (fun ~attempt ~timeout ->
+    Config.call (Link_model.config t.link) (fun ~attempt ~timeout ->
         if attempt > 0 then Registry.incr t.c_retried 1;
         let before = t.clock in
         if leg t ~src ~dst && leg t ~src:dst ~dst:src then begin
@@ -109,8 +105,8 @@ let rpc ?span:parent t ~src ~dst =
   | Some () -> true
   | None ->
       Registry.incr t.c_timed_out 1;
-      trace t ?parent ~src ~dst ~attempt:t.rpc.Rpc_machine.retries ~dropped:true
-        ~detail:"timeout" ();
+      trace t ?parent ~src ~dst ~attempt:(Link_model.config t.link).Config.rpc_retries
+        ~dropped:true ~detail:"timeout" ();
       false
 
 let advance_rounds t n =

@@ -47,7 +47,7 @@ val cast : ?span:int -> t -> src:int -> dst:int -> bool
 
 val rpc : ?span:int -> t -> src:int -> dst:int -> bool
 (** One request/response exchange (DHT hop semantics) on the virtual
-    clock, stepped by {!Pdht_proto.Rpc_machine.call}: each attempt
+    clock, stepped by the {!Config.call} ladder: each attempt
     sends a request and, if it arrives, a response; a loss on either
     leg costs the attempt's full timeout ([rpc_timeout * backoff^k])
     before the next try.  Returns true with

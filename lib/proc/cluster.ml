@@ -1,5 +1,4 @@
 module Wire = Pdht_wire.Wire
-module M = Pdht_proto.Rpc_machine
 module System = Pdht_core.System
 module Pdht = Pdht_core.Pdht
 module Scenario = Pdht_work.Scenario
@@ -12,7 +11,7 @@ let default_config ~nodes ~exe = { nodes; exe; obs_dir = None }
 
 (* Wall-clock deadlines for conductor->worker calls: the network
    model's default ladder. *)
-let ladder = Pdht_net.Config.rpc Pdht_net.Config.default
+let ladder = Pdht_net.Config.default
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -166,7 +165,7 @@ let run ?obs config scenario strategy (options : System.options) =
   in
   Array.iteri (fun k _ -> send_to k setup) !conns;
   (* Synchronous request/reply with real deadlines: each attempt of the
-     Rpc_machine ladder sends the frame and waits for its reply until an
+     net retry ladder sends the frame and waits for its reply until an
      absolute wall-clock deadline. *)
   let call k make_frame =
     incr next_rid;
@@ -207,13 +206,13 @@ let run ?obs config scenario strategy (options : System.options) =
       in
       await ()
     in
-    match M.call ladder attempt with
+    match Pdht_net.Config.call ladder attempt with
     | Some reply -> reply
     | None ->
         failwith
           (Printf.sprintf
              "cluster: rpc to node %d gave up after %d attempts (last frame sent: %s)" k
-             (ladder.M.retries + 1) last_frame.(k))
+             (Pdht_net.Config.attempts ladder) last_frame.(k))
   in
   let call_ack ~peer make_frame =
     match call (owner peer) make_frame with

@@ -8,7 +8,7 @@
     member ([member mod nodes]).  Workers answer strictly in order and
     the loopback link is reliable, so the cluster's report is
     field-for-field the same-seed simulator report.  Each
-    conductor->worker call runs the {!Pdht_proto.Rpc_machine.call}
+    conductor->worker call runs the {!Pdht_net.Config.call} retry
     ladder of {!Pdht_net.Config.default} ([rpc_timeout]/[rpc_retries]/
     [backoff]) against absolute wall-clock deadlines; the deadlines
     exist to fail fast when a worker dies rather than to model loss. *)

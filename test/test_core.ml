@@ -439,9 +439,7 @@ let test_system_adaptive_option_runs () =
 
 let test_system_ttl_override () =
   let options =
-    System.Options.with_selection_policy
-      Pdht_policy.Selector.(Ttl (Fixed 123.))
-      tiny_options
+    { tiny_options with System.selection_policy = Pdht_policy.Selector.(Ttl (Fixed 123.)) }
   in
   Alcotest.(check (float 1e-9)) "fixed policy wins" 123.
     (System.derive_key_ttl tiny_scenario options);
@@ -450,9 +448,7 @@ let test_system_ttl_override () =
   Alcotest.(check (float 1e-9)) "adaptive starts model-derived"
     (System.derive_key_ttl tiny_scenario tiny_options)
     (System.derive_key_ttl tiny_scenario
-       (System.Options.with_selection_policy
-          Pdht_policy.Selector.(Ttl Adaptive)
-          tiny_options))
+       { tiny_options with System.selection_policy = Pdht_policy.Selector.(Ttl Adaptive) })
 
 let test_system_options_builders () =
   let o =
@@ -467,10 +463,10 @@ let test_system_options_builders () =
     (Pdht_policy.Selector.equal o.System.selection_policy fixed5);
   Alcotest.(check int) "defaults survive" System.default_options.System.repl
     (System.Options.make ()).System.repl;
-  let o2 = System.Options.with_stor 9 (System.Options.with_repl 3 o) in
-  Alcotest.(check int) "with_repl" 3 o2.System.repl;
-  Alcotest.(check int) "with_stor" 9 o2.System.stor;
-  Alcotest.(check bool) "with_* keeps the rest" true
+  let o2 = { o with System.repl = 3; stor = 9 } in
+  Alcotest.(check int) "record update repl" 3 o2.System.repl;
+  Alcotest.(check int) "record update stor" 9 o2.System.stor;
+  Alcotest.(check bool) "record update keeps the rest" true
     (Pdht_policy.Selector.equal o2.System.selection_policy fixed5)
 
 let test_system_options_make_defaults () =
@@ -694,6 +690,231 @@ let test_pool_small_batch_runs_inline () =
   Alcotest.(check bool) "two tasks use at most two domains" true
     (List.length distinct <= 2)
 
+(* ------------------------------------------------------------------ *)
+(* The selection algorithm's branches, driven through [Pdht]: the query
+   and update plans, the selection hook and the repair rules. *)
+
+(* Members are peers [0, active): [build]'s default is 60 of 200. *)
+let members_offline peer = peer >= 60
+
+let replica_group p ~key_index =
+  Pdht_dht.Dht.replica_group (Pdht.dht p) ~repl:(Pdht.config p).Config.repl
+    (Pdht.key_of_index p key_index)
+
+let source =
+  let pp ppf s =
+    Format.pp_print_string ppf
+      (match s with
+      | Pdht.From_index -> "from-index"
+      | Pdht.From_broadcast -> "from-broadcast"
+      | Pdht.Not_found -> "not-found")
+  in
+  Alcotest.testable pp ( = )
+
+let counter p name =
+  Option.value ~default:0
+    (Pdht_obs.Registry.counter_value_by_name (Pdht.obs p).Pdht_obs.Context.registry name)
+
+let test_query_plan_no_index_paths () =
+  let _, p = build ~strategy:Strategy.No_index () in
+  let key_index = 3 in
+  let reps = Pdht.content_replicas p ~key_index in
+  let rec free peer = if Array.mem peer reps then free (peer + 1) else peer in
+  let peer = free 100 in
+  let r = Pdht.query p ~now:1. ~peer ~key_index in
+  Alcotest.check source "broadcast hit" Pdht.From_broadcast r.Pdht.source;
+  Alcotest.(check int) "no index traffic" 0 r.Pdht.index_messages;
+  Alcotest.(check int) "never inserts" 0 r.Pdht.insert_messages;
+  (* With every replica crashed the broadcast finds nothing. *)
+  Array.iter (fun peer -> ignore (Pdht.crash_peer p ~peer)) reps;
+  let r = Pdht.query p ~now:2. ~peer ~key_index in
+  Alcotest.check source "broadcast miss" Pdht.Not_found r.Pdht.source;
+  Alcotest.(check bool) "broadcast ran" true (r.Pdht.broadcast_messages > 0);
+  Alcotest.(check int) "no index traffic on a miss" 0 r.Pdht.index_messages
+
+let test_query_plan_index_all_paths () =
+  (* The baseline has no broadcast fallback: without an entry point, or
+     after an index miss, the answer is final. *)
+  let _, p = build ~strategy:Strategy.Index_all () in
+  let key_index = 11 in
+  Pdht.set_online p members_offline;
+  let r = Pdht.query p ~now:1. ~peer:100 ~key_index in
+  Alcotest.check source "no entry: not found" Pdht.Not_found r.Pdht.source;
+  Alcotest.(check int) "no entry: free" 0 (Pdht.total_messages r);
+  Pdht.set_online p (fun _ -> true);
+  let r = Pdht.query p ~now:2. ~peer:100 ~key_index in
+  Alcotest.check source "hit" Pdht.From_index r.Pdht.source;
+  Array.iter (fun peer -> ignore (Pdht.crash_peer p ~peer)) (replica_group p ~key_index);
+  let r = Pdht.query p ~now:3. ~peer:100 ~key_index in
+  Alcotest.check source "miss is final" Pdht.Not_found r.Pdht.source;
+  Alcotest.(check bool) "the index was searched" true
+    (r.Pdht.index_messages + r.Pdht.replica_flood_messages > 0);
+  Alcotest.(check int) "no broadcast" 0 r.Pdht.broadcast_messages;
+  Alcotest.(check int) "no unstructured traffic charged" 0
+    (Metrics.count (Pdht.metrics p) Metrics.Query_unstructured)
+
+let test_query_plan_partial_hit () =
+  let _, p = build () in
+  let first = Pdht.query p ~now:1. ~peer:7 ~key_index:42 in
+  let r = Pdht.query p ~now:2. ~peer:8 ~key_index:42 in
+  Alcotest.check source "from index" Pdht.From_index r.Pdht.source;
+  Alcotest.(check (option int)) "the provider the broadcast found" first.Pdht.provider
+    r.Pdht.provider;
+  Alcotest.(check int) "no broadcast" 0 r.Pdht.broadcast_messages;
+  Alcotest.(check int) "no re-insert" 0 r.Pdht.insert_messages
+
+let test_query_plan_partial_miss_broadcast_insert () =
+  let _, p = build () in
+  let r = Pdht.query p ~now:1. ~peer:7 ~key_index:42 in
+  Alcotest.check source "from broadcast" Pdht.From_broadcast r.Pdht.source;
+  Alcotest.(check bool) "index searched first" true (r.Pdht.index_messages > 0);
+  Alcotest.(check bool) "then broadcast" true (r.Pdht.broadcast_messages > 0);
+  Alcotest.(check int) "re-insert charged" r.Pdht.insert_messages
+    (Metrics.count (Pdht.metrics p) Metrics.Index_insert);
+  Alcotest.(check int) "one key indexed" 1 (Pdht.indexed_key_count p ~now:2.)
+
+let test_query_plan_partial_entry_failure_degrades () =
+  (* With the index out of reach the PDHT still answers by broadcast,
+     but has nowhere to re-insert what it found. *)
+  let _, p = build () in
+  Pdht.set_online p members_offline;
+  let found = ref 0 in
+  for key_index = 0 to 19 do
+    let r = Pdht.query p ~now:1. ~peer:100 ~key_index in
+    if r.Pdht.source = Pdht.From_broadcast then incr found;
+    Alcotest.(check bool) "never from the index" true (r.Pdht.source <> Pdht.From_index);
+    Alcotest.(check int) "no index traffic" 0 r.Pdht.index_messages;
+    Alcotest.(check int) "no insert traffic" 0 r.Pdht.insert_messages;
+    Alcotest.(check bool) "broadcast ran" true (r.Pdht.broadcast_messages > 0)
+  done;
+  Alcotest.(check bool) "broadcast answers" true (!found > 0);
+  Alcotest.(check int) "nothing indexed" 0 (Pdht.indexed_key_count p ~now:2.)
+
+let test_update_plan_only_index_all_runs () =
+  (* The reactive strategies drop proactive updates before drawing the
+     issuer, so the caller's stream is untouched. *)
+  List.iter
+    (fun strategy ->
+      let rng, p = build ~strategy () in
+      let untouched = Rng.copy rng in
+      Alcotest.(check int) "no messages" 0 (Pdht.update_key p rng ~now:1. ~key_index:3);
+      Alcotest.(check int64) "no draw" (Rng.bits64 untouched) (Rng.bits64 rng))
+    [ partial 300.; Strategy.No_index ]
+
+let test_update_plan_full_path () =
+  let rng, p = build ~strategy:Strategy.Index_all () in
+  let m = Pdht.update_key p rng ~now:1. ~key_index:3 in
+  Alcotest.(check bool) "costs messages" true (m > 0);
+  Alcotest.(check int) "charged to update-gossip" m
+    (Metrics.count (Pdht.metrics p) Metrics.Update_gossip);
+  Alcotest.(check int) "spread once" 1 (counter p "gossip.spreads");
+  Alcotest.(check bool) "still indexed" true (Pdht.index_hit_probe p ~now:2. ~key_index:3)
+
+let test_update_plan_failures_end_undelivered () =
+  (* No entry point: nothing was sent, so nothing is charged. *)
+  let rng, p = build ~strategy:Strategy.Index_all () in
+  Pdht.set_online p members_offline;
+  Alcotest.(check int) "no entry: no messages" 0 (Pdht.update_key p rng ~now:1. ~key_index:3);
+  Alcotest.(check int) "no entry: nothing charged" 0
+    (Metrics.count (Pdht.metrics p) Metrics.Update_gossip);
+  (* Routing fails when the key's whole group is offline: the contact
+     and the lookup are charged, but nothing spreads. *)
+  let key_index = 3 in
+  let group = replica_group p ~key_index in
+  Pdht.set_online p (fun peer -> not (Array.mem peer group));
+  let m = Pdht.update_key p rng ~now:2. ~key_index in
+  Alcotest.(check int) "routing failure: charged" m
+    (Metrics.count (Pdht.metrics p) Metrics.Update_gossip);
+  Alcotest.(check int) "routing failure: no spread" 0 (counter p "gossip.spreads")
+
+let test_selection_defaults () =
+  (* No selector: every broadcast-resolved key is admitted with the
+     system-wide lease. *)
+  let _, p = build () in
+  for key_index = 0 to 9 do
+    let r = Pdht.query p ~now:1. ~peer:100 ~key_index in
+    if r.Pdht.source = Pdht.From_broadcast then
+      Alcotest.(check bool) "admitted" true (r.Pdht.insert_messages > 0)
+  done;
+  Alcotest.(check bool) "leased key_ttl" true (Pdht.index_hit_probe p ~now:300. ~key_index:0);
+  Alcotest.(check bool) "expired after key_ttl" false
+    (Pdht.index_hit_probe p ~now:302. ~key_index:0)
+
+let test_selection_policy_consulted () =
+  let module Sel = Pdht_policy.Selector in
+  let _, p = build () in
+  let params =
+    { Pdht_model.Params.default with Pdht_model.Params.num_peers = 200; keys = 300; repl = 10 }
+  in
+  let sel = Sel.Cost_optimal.create ~params ~base_ttl:50. ~retune_every:300. in
+  Pdht.set_selector p sel;
+  (* Warm-up admits and leases the selector's base TTL, not keyTtl. *)
+  let r = Pdht.query p ~now:1. ~peer:7 ~key_index:42 in
+  Alcotest.(check bool) "admitted" true (r.Pdht.insert_messages > 0);
+  Alcotest.(check bool) "selector lease" true (Pdht.index_hit_probe p ~now:50. ~key_index:42);
+  Alcotest.(check bool) "not keyTtl" false (Pdht.index_hit_probe p ~now:52. ~key_index:42);
+  (* After a fit, a cold key is rejected at zero cost. *)
+  for _ = 1 to 2000 do
+    Sel.Cost_optimal.observe sel ~now:100. ~key_index:0 Sel.Queried
+  done;
+  Sel.Cost_optimal.retune sel ~now:300.;
+  let r = Pdht.query p ~now:310. ~peer:7 ~key_index:5 in
+  Alcotest.check source "answered by broadcast" Pdht.From_broadcast r.Pdht.source;
+  Alcotest.(check int) "rejected: no insert" 0 r.Pdht.insert_messages;
+  let s = Sel.Cost_optimal.summary sel in
+  Alcotest.(check int) "told of the admission" 1 s.Sel.admitted_inserts;
+  Alcotest.(check int) "told of the rejection" 1 s.Sel.rejected_inserts
+
+let live_replicas p ~online ~key_index =
+  Array.fold_left
+    (fun n peer -> if online peer then n + 1 else n)
+    0 (Pdht.content_replicas p ~key_index)
+
+let test_repair_threshold_and_topup () =
+  (* repl 10, min_fraction 0.5: 4 live replicas is below ceil(5), so the
+     item is topped back up to 10 live holders, 2 messages per copy. *)
+  let rng, p = build ~strategy:Strategy.No_index () in
+  let key_index = 8 in
+  let reps = Pdht.content_replicas p ~key_index in
+  let down = Array.sub reps 0 6 in
+  let online peer = not (Array.mem peer down) in
+  Pdht.set_online p online;
+  Alcotest.(check int) "4 live" 4 (live_replicas p ~online ~key_index);
+  let messages, items, _ = Pdht.repair_pass p rng ~now:10. ~min_fraction:0.5 in
+  let after = Pdht.content_replicas p ~key_index in
+  Alcotest.(check int) "one item repaired" 1 items;
+  Alcotest.(check int) "back to repl live" 10 (live_replicas p ~online ~key_index);
+  Alcotest.(check int) "six new copies, two messages each" 12 messages;
+  Alcotest.(check int) "the copies are the new holders" 6
+    (Array.length after - Array.length reps);
+  (* No live replica means no source to copy from. *)
+  let rng, p = build ~strategy:Strategy.No_index () in
+  Pdht.set_online p (fun peer -> not (Array.mem peer reps));
+  let messages, items, _ = Pdht.repair_pass p rng ~now:10. ~min_fraction:0.5 in
+  Alcotest.(check int) "extinct: nothing repaired" 0 items;
+  Alcotest.(check int) "extinct: nothing sent" 0 messages;
+  Alcotest.(check (array int)) "extinct: replicas untouched" reps
+    (Pdht.content_replicas p ~key_index)
+
+let test_repair_remaining_ttl () =
+  (* keyTtl 300: a key inserted at t=1 expires at 301.  Leave one
+     holder, repair at t=100, then crash that holder too: only the
+     repaired copies remain, and they must still expire at 301. *)
+  let rng, p = build () in
+  let key_index = 42 in
+  let r = Pdht.query p ~now:1. ~peer:7 ~key_index in
+  Alcotest.(check bool) "inserted" true (r.Pdht.insert_messages > 0);
+  let group = replica_group p ~key_index in
+  let holder = group.(0) in
+  Array.iter (fun peer -> if peer <> holder then ignore (Pdht.crash_peer p ~peer)) group;
+  let _, _, copied = Pdht.repair_pass p rng ~now:100. ~min_fraction:0.5 in
+  Alcotest.(check int) "copied to every other member" (Array.length group - 1) copied;
+  ignore (Pdht.crash_peer p ~peer:holder);
+  Alcotest.(check bool) "repaired copies live before expiry" true
+    (Pdht.index_hit_probe p ~now:300. ~key_index);
+  Alcotest.(check bool) "and gone at the original expiry" false
+    (Pdht.index_hit_probe p ~now:302. ~key_index)
+
 let () =
   Alcotest.run "pdht_core"
     [
@@ -758,5 +979,32 @@ let () =
           Alcotest.test_case "pool order" `Quick test_pool_map_preserves_order;
           Alcotest.test_case "pool inlines small batches" `Quick
             test_pool_small_batch_runs_inline;
+        ] );
+      ( "query_plan",
+        [
+          Alcotest.test_case "no-index paths" `Quick test_query_plan_no_index_paths;
+          Alcotest.test_case "index-all paths" `Quick test_query_plan_index_all_paths;
+          Alcotest.test_case "partial hit" `Quick test_query_plan_partial_hit;
+          Alcotest.test_case "partial miss broadcast insert" `Quick
+            test_query_plan_partial_miss_broadcast_insert;
+          Alcotest.test_case "partial entry failure degrades" `Quick
+            test_query_plan_partial_entry_failure_degrades;
+        ] );
+      ( "update_plan",
+        [
+          Alcotest.test_case "only index-all runs" `Quick test_update_plan_only_index_all_runs;
+          Alcotest.test_case "full path" `Quick test_update_plan_full_path;
+          Alcotest.test_case "failures end undelivered" `Quick
+            test_update_plan_failures_end_undelivered;
+        ] );
+      ( "selection",
+        [
+          Alcotest.test_case "defaults" `Quick test_selection_defaults;
+          Alcotest.test_case "policy consulted" `Quick test_selection_policy_consulted;
+        ] );
+      ( "repair_rules",
+        [
+          Alcotest.test_case "threshold and topup" `Quick test_repair_threshold_and_topup;
+          Alcotest.test_case "remaining ttl" `Quick test_repair_remaining_ttl;
         ] );
     ]

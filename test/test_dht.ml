@@ -1240,6 +1240,81 @@ let qcheck_tests =
         Storage.live_count s ~now:0. <= capacity);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Live k-bucket rules (Maymounkov & Mazieres) *)
+
+let live_kademlia ?probe_retries ~seed () =
+  let rng = Rng.create ~seed in
+  let k = Kademlia.create rng ~members:128 ~bucket_size:4 () in
+  Kademlia.enable_live_routing ?probe_retries k;
+  (rng, k)
+
+let live_stats k =
+  match Kademlia.live_stats k with
+  | Some s -> s
+  | None -> Alcotest.fail "live stats missing in live mode"
+
+let test_bucket_contact_decisions () =
+  (* Lookup contacts promote known entries, admit newcomers into
+     buckets with room, and probe a full bucket's LRS entry; with
+     everyone alive no contact probe evicts.  The frozen seed tables
+     are full, so first make room by probing out dead entries. *)
+  let rng, k = live_kademlia ~seed:224 () in
+  let owner = 5 in
+  ignore (Kademlia.probe_and_repair k rng ~online:(fun p -> p = owner) ~peer:owner ~probes:12);
+  let evicted = (live_stats k).Kademlia.evictions in
+  Alcotest.(check bool) "room made" true (evicted > 0);
+  for _ = 1 to 50 do
+    ignore (Kademlia.lookup k rng ~online:all_online ~source:owner ~key:(Bitkey.random rng))
+  done;
+  let s = live_stats k in
+  Alcotest.(check bool) "promotions" true (s.Kademlia.promotions > 0);
+  Alcotest.(check bool) "insertions" true (s.Kademlia.insertions > 0);
+  Alcotest.(check bool) "full buckets probed" true (Kademlia.drain_probe_cost k > 0);
+  Alcotest.(check int) "alive entries kept" evicted s.Kademlia.evictions
+
+let test_bucket_probe_outcomes () =
+  (* An entry that answers its liveness probe is never displaced; only
+     a confirmed-dead one makes room. *)
+  let rng, k = live_kademlia ~seed:225 () in
+  let owner = 5 in
+  let before = Kademlia.routing_table_size k owner in
+  ignore (Kademlia.probe_and_repair k rng ~online:all_online ~peer:owner ~probes:12);
+  let s = live_stats k in
+  Alcotest.(check bool) "probed" true (s.Kademlia.probes > 0);
+  Alcotest.(check int) "alive: kept" 0 s.Kademlia.evictions;
+  Alcotest.(check int) "alive: table intact" before (Kademlia.routing_table_size k owner);
+  ignore (Kademlia.probe_and_repair k rng ~online:(fun p -> p = owner) ~peer:owner ~probes:12);
+  let s' = live_stats k in
+  Alcotest.(check int) "dead: every probed entry evicted"
+    (s'.Kademlia.probes - s.Kademlia.probes)
+    s'.Kademlia.evictions;
+  Alcotest.(check int) "dead: the table shrank by as many" (before - s'.Kademlia.evictions)
+    (Kademlia.routing_table_size k owner)
+
+let test_bucket_probe_messages () =
+  (* Only the owner is online, so every probed entry is dead and each
+     probe eats the whole retry ladder; nobody is left to refill from. *)
+  let probe_retries = 2 in
+  let rng, k = live_kademlia ~probe_retries ~seed:223 () in
+  let owner = 5 in
+  let sent =
+    Kademlia.probe_and_repair k rng ~online:(fun p -> p = owner) ~peer:owner ~probes:12
+  in
+  let s = live_stats k in
+  Alcotest.(check bool) "probes sent" true (s.Kademlia.probes > 0);
+  Alcotest.(check int) "each probe costs 1 + retries"
+    ((1 + probe_retries) * s.Kademlia.probes)
+    s.Kademlia.probe_messages;
+  Alcotest.(check int) "no refills, so the probes are the whole cost"
+    s.Kademlia.probe_messages sent;
+  (* An alive entry answers the first attempt. *)
+  let rng, k = live_kademlia ~probe_retries ~seed:223 () in
+  ignore (Kademlia.probe_and_repair k rng ~online:all_online ~peer:owner ~probes:12);
+  let s = live_stats k in
+  Alcotest.(check int) "alive probes cost one message" s.Kademlia.probes
+    s.Kademlia.probe_messages
+
 let () =
   Alcotest.run "pdht_dht"
     [
@@ -1355,4 +1430,10 @@ let () =
           Alcotest.test_case "attach charges messages" `Quick test_maintenance_attach_charges_messages;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "bucket_rules",
+        [
+          Alcotest.test_case "contact decisions" `Quick test_bucket_contact_decisions;
+          Alcotest.test_case "probe outcomes" `Quick test_bucket_probe_outcomes;
+          Alcotest.test_case "probe messages" `Quick test_bucket_probe_messages;
+        ] );
     ]

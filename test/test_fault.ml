@@ -313,11 +313,7 @@ let partial scenario options =
   Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options }
 
 let run_with_fault ?(scenario = sim_scenario) plan =
-  let options =
-    match plan with
-    | None -> System.Options.without_fault options
-    | Some p -> System.Options.with_fault p options
-  in
+  let options = { options with System.fault = plan } in
   System.run scenario (partial scenario options) options
 
 let test_empty_plan_equivalence () =
@@ -396,7 +392,7 @@ let test_abort_carries_context_to_runner () =
   let plan = { Plan.default with Plan.events = [ Plan.Abort { at = 120. } ] } in
   let scenario = { sim_scenario with Scenario.duration = 300. } in
   let spec =
-    Run_spec.make ~options:(System.Options.with_fault plan options) scenario
+    Run_spec.make ~options:{ options with System.fault = Some plan } scenario
   in
   let results = Runner.run_all ~jobs:1 [ spec ] in
   match Run_result.failures results with
@@ -431,7 +427,7 @@ let qcheck_tests =
             duration = 200.; seed }
         in
         let spec =
-          Run_spec.make ~options:(System.Options.with_fault plan options) scenario
+          Run_spec.make ~options:{ options with System.fault = Some plan } scenario
         in
         let reports jobs =
           Run_result.reports_exn (Runner.run_all ~jobs [ spec; spec ])

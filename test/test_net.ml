@@ -87,7 +87,7 @@ let test_latency_parse () =
 
 let test_timeout_backoff () =
   let c = { Config.default with Config.rpc_timeout = 1.0; backoff = 2.0 } in
-  let timeout attempt = Pdht_proto.Rpc_machine.timeout_for (Config.rpc c) ~attempt in
+  let timeout attempt = Config.timeout_for c ~attempt in
   Alcotest.check feq "attempt 0" 1. (timeout 0);
   Alcotest.check feq "attempt 1" 2. (timeout 1);
   Alcotest.check feq "attempt 2" 4. (timeout 2)
@@ -280,7 +280,7 @@ let test_zero_cost_net_equivalence () =
   in
   let plain = System.run sim_scenario strategy options in
   let netted =
-    System.run sim_scenario strategy (System.Options.with_net Config.zero_cost options)
+    System.run sim_scenario strategy { options with System.net = Some Config.zero_cost }
   in
   (match netted.System.net with
   | None -> Alcotest.fail "net-enabled report lacks its net summary"
@@ -414,6 +414,57 @@ let qcheck_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The retry ladder shared by the hook and the process conductor *)
+
+let ladder ~timeout ~retries ~backoff =
+  { Config.default with Config.rpc_timeout = timeout; rpc_retries = retries; backoff }
+
+(* Run the ladder against a scripted peer that answers attempt
+   [reply_at] (never, for [None]); returns the result and every
+   (attempt, timeout) the ladder asked for, in order. *)
+let run_ladder config ~reply_at =
+  let calls = ref [] in
+  let result =
+    Config.call config (fun ~attempt ~timeout ->
+        calls := (attempt, timeout) :: !calls;
+        if Some attempt = reply_at then Some attempt else None)
+  in
+  (result, List.rev !calls)
+
+let check_ladder name (result, calls) ~want_result ~want_calls =
+  Alcotest.(check (option int)) (name ^ ": result") want_result result;
+  Alcotest.(check (list (pair int (float 1e-9)))) (name ^ ": attempts") want_calls calls
+
+let prop_backoff_schedule =
+  QCheck.Test.make ~name:"backoff schedule" ~count:500
+    QCheck.(
+      quad (float_range 0.01 10.) (int_bound 6) (float_range 1. 4.) (option (int_bound 8)))
+    (fun (timeout, retries, backoff, reply_at) ->
+      let result, calls = run_ladder (ladder ~timeout ~retries ~backoff) ~reply_at in
+      let answered = match reply_at with Some r -> r <= retries | None -> false in
+      let last = match reply_at with Some r when answered -> r | _ -> retries in
+      calls
+      = List.init (last + 1) (fun k -> (k, timeout *. (backoff ** float_of_int k)))
+      && result = if answered then reply_at else None)
+
+let test_ladder_retry_then_give_up () =
+  check_ladder "no reply"
+    (run_ladder (ladder ~timeout:1.0 ~retries:2 ~backoff:2.0) ~reply_at:None)
+    ~want_result:None
+    ~want_calls:[ (0, 1.0); (1, 2.0); (2, 4.0) ]
+
+let test_ladder_reply_settles_once () =
+  check_ladder "reply on the first retry"
+    (run_ladder (ladder ~timeout:1.0 ~retries:3 ~backoff:2.0) ~reply_at:(Some 1))
+    ~want_result:(Some 1)
+    ~want_calls:[ (0, 1.0); (1, 2.0) ]
+
+let test_ladder_zero_retries_one_shot () =
+  check_ladder "zero retries"
+    (run_ladder (ladder ~timeout:0.25 ~retries:0 ~backoff:3.0) ~reply_at:None)
+    ~want_result:None ~want_calls:[ (0, 0.25) ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "pdht_net"
@@ -450,4 +501,12 @@ let () =
           Alcotest.test_case "lossy run matches golden" `Slow test_lossy_run_matches_golden;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "ladder",
+        [
+          QCheck_alcotest.to_alcotest prop_backoff_schedule;
+          Alcotest.test_case "retry then give up" `Quick test_ladder_retry_then_give_up;
+          Alcotest.test_case "reply settles once" `Quick test_ladder_reply_settles_once;
+          Alcotest.test_case "zero retries one shot" `Quick
+            test_ladder_zero_retries_one_shot;
+        ] );
     ]

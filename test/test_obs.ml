@@ -721,7 +721,7 @@ let test_system_timeline_report () =
     (plain.Pdht_core.System.timeline = None);
   let with_tl =
     Pdht_core.System.run scenario strategy
-      (Pdht_core.System.Options.with_timeline_window 30. base)
+      { base with Pdht_core.System.timeline_window = Some 30. }
   in
   match with_tl.Pdht_core.System.timeline with
   | None -> Alcotest.fail "timeline missing from report"

@@ -262,7 +262,7 @@ dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 120 \
   > "$chu/live-report.txt"
 grep -q 'churn' "$chu/live-report.txt"
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
-  --fault 'churn:weibull:up=60:down=30:shape=0.6@60+120' \
+  --fault 'churn:weibull:up=60:down=30:shape=0.6@60+120' --fault-check \
   > "$chu/fault-churn-report.txt"
 grep -q 'fault:' "$chu/fault-churn-report.txt"
 
