@@ -1315,6 +1315,82 @@ let test_bucket_probe_messages () =
   Alcotest.(check int) "alive probes cost one message" s.Kademlia.probes
     s.Kademlia.probe_messages
 
+(* ------------------------------------------------------------------ *)
+(* Kademlia lookup pin: which members a lookup contacts depends on the
+   order in which every contacted member answers from its routing
+   table, so any change to that answer moves these digests. *)
+
+(* Fixed-seed lookups with 30% of the members offline, a round of
+   maintenance (frozen: probe-and-repair, which can duplicate entries;
+   live: probe-and-repair plus a refresh sweep on tables that lookups
+   have already demoted into), then more lookups.  The digest covers
+   every outcome, the maintenance cost and both stat blocks. *)
+let kademlia_pin_digest ~live ~bucket_size ~members =
+  let rng = Rng.create ~seed:(members + bucket_size + if live then 7 else 0) in
+  let k = Kademlia.create rng ~members ~bucket_size () in
+  if live then Kademlia.enable_live_routing ~probe_retries:2 k;
+  let offline = Array.init members (fun _ -> Rng.unit_float rng < 0.3) in
+  let online p = not offline.(p) in
+  let buf = Buffer.create 4096 in
+  let lookups () =
+    for _ = 1 to 120 do
+      let source = Rng.int rng members in
+      let o = Kademlia.lookup k rng ~online ~source ~key:(Bitkey.random rng) in
+      Printf.bprintf buf "%d,%d,%d;"
+        (Option.value o.Kademlia.responsible ~default:(-1))
+        o.Kademlia.messages o.Kademlia.hops
+    done
+  in
+  lookups ();
+  for m = 0 to members - 1 do
+    if online m then
+      Printf.bprintf buf "p%d;" (Kademlia.probe_and_repair k rng ~online ~peer:m ~probes:6)
+  done;
+  Printf.bprintf buf "r%d;" (Kademlia.refresh_sweep k rng ~online);
+  lookups ();
+  let contacts, dead = Kademlia.contact_stats k in
+  Printf.bprintf buf "c%d,%d;" contacts dead;
+  (match Kademlia.live_stats k with
+  | None -> Buffer.add_string buf "frozen"
+  | Some s ->
+      Printf.bprintf buf "l%d,%d,%d,%d,%d,%d,%d" s.Kademlia.probes s.Kademlia.probe_messages
+        s.Kademlia.refresh_messages s.Kademlia.evictions s.Kademlia.promotions
+        s.Kademlia.insertions s.Kademlia.cache_fills);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded with the full-sort table answer; any faster answer must
+   reproduce them exactly. *)
+let test_kademlia_lookup_pin () =
+  let cases =
+    [
+      (false, 1, 64, "d373bf812a5107025866e805c2df68e3");
+      (false, 1, 453, "e570a42f7e3ebad486796692fb3a8752");
+      (false, 1, 1024, "712272a175bb50606086cfe4771742e4");
+      (false, 4, 64, "2475096ef3a233addaac3360979c0388");
+      (false, 4, 453, "fba37555ca96005aab73b25e0f8d5486");
+      (false, 4, 1024, "0fb568334fc1a839533c5893284a32b8");
+      (false, 8, 64, "5c5fa90f72a6481a46d524378cc92e77");
+      (false, 8, 453, "c3d40fc992d43f95a14992b9b6d32fb8");
+      (false, 8, 1024, "d3885ed2c2b1f9ed41cbadde31e5fc6f");
+      (true, 1, 64, "4fff7437a45933329ae8e6b3fab72a96");
+      (true, 1, 453, "0ea52eb3e877ea44f544d0075bc76ae7");
+      (true, 1, 1024, "34ea13a4f969272f413cdf1aa80cb234");
+      (true, 4, 64, "6fc169bb2839e6e2704dcb3ed2153cfa");
+      (true, 4, 453, "70007ad029d8733ef8ad81eba9ce394f");
+      (true, 4, 1024, "54f3ede1ee40938a4832ea266ed362b9");
+      (true, 8, 64, "a799e9352b275fdf148c5cba318944aa");
+      (true, 8, 453, "0da350939ef81d90febe23ff638dcd21");
+      (true, 8, 1024, "48034e41dd0719be6a4625803ac248f9");
+    ]
+  in
+  List.iter
+    (fun (live, bucket_size, members, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s k=%d n=%d" (if live then "live" else "frozen") bucket_size members)
+        expected
+        (kademlia_pin_digest ~live ~bucket_size ~members))
+    cases
+
 let () =
   Alcotest.run "pdht_dht"
     [
@@ -1436,4 +1512,5 @@ let () =
           Alcotest.test_case "probe outcomes" `Quick test_bucket_probe_outcomes;
           Alcotest.test_case "probe messages" `Quick test_bucket_probe_messages;
         ] );
+      ("kademlia-pin", [ Alcotest.test_case "lookup digests" `Quick test_kademlia_lookup_pin ]);
     ]

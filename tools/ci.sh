@@ -249,6 +249,9 @@ trap 'rm -rf "$pol" "$par" "$out" "$clu" "$chu"' EXIT INT TERM
 dune exec bench/main.exe -- -j 1 churn_routing > "$chu/churn-j1.txt"
 dune exec bench/main.exe -- -j 4 churn_routing > "$chu/churn-j4.txt"
 diff "$chu/churn-j1.txt" "$chu/churn-j4.txt"
+# A change that moves both --jobs runs alike would pass the diff above;
+# the table is deterministic, so pin it as a golden too.
+diff "$chu/churn-j1.txt" test/golden/churn_routing.txt
 dune exec tools/validate_jsonl.exe -- BENCH_pdht.json
 grep -q '"churn"' BENCH_pdht.json
 grep -q '"live_beats_frozen_stale_route": *true' BENCH_pdht.json
