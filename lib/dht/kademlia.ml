@@ -8,9 +8,14 @@ module Rng = Pdht_util.Rng
    query key's bit at each depth enumerates members in exactly
    increasing XOR distance, so k-NN ([closest_members]) and
    nearest-online ([responsible]) are O(k + log n) walks instead of a
-   full sort / full scan.  Lookups run on generation-stamped scratch
-   owned by [t] (the PR 3 [Scratch] discipline): no per-lookup
-   Hashtbls, no per-round candidate lists. *)
+   full sort / full scan.  A contacted member's routing-table answer
+   uses the same geometry on its k-buckets: every entry of bucket [b]
+   shares exactly [b] leading bits with the member, so the buckets fall
+   into XOR-distance classes around the key and the closest
+   [bucket_size] entries come from the first few classes, each sorted
+   in place, with no full-table sort.  Lookups run on
+   generation-stamped scratch owned by [t]: no per-lookup Hashtbls, no
+   per-round candidate lists. *)
 (* Live routing state (opt-in): mutable k-buckets with LRS..MRS order,
    a per-bucket replacement cache, and the counters the churn
    experiments read.  [None] = the frozen reservoir tables below, the
@@ -54,8 +59,9 @@ type t = {
   dead_stamp : int array;
   mutable cand_buf : int array;
   mutable cand_len : int;
-  table_dist : int array; (* routing-table sort scratch *)
+  table_dist : int array; (* routing-table answer, ascending *)
   table_buf : int array;
+  nonempty_buf : int array; (* maintenance: a member's non-empty buckets *)
   batch_dist : int array; (* alpha smallest pending, ascending *)
   batch_buf : int array;
 }
@@ -130,6 +136,30 @@ let responsible t ~online key =
       else true);
   if !best < 0 then None else Some !best
 
+(* Reservoir-sample up to [bucket_size] members into each of member
+   [m]'s common-prefix-length buckets: one pass over every other member.
+   The first [bucket_size] eligible members fill a bucket; each later
+   one, the [c]-th eligible, replaces the most recently placed entry
+   with probability [bucket_size / c].  [counts] and [slots] (width *
+   bucket_size, insertion order) are scratch.  A bucket lists its
+   entries most recent first. *)
+let sample_buckets rng ids ~bucket_size ~counts ~slots m =
+  Array.fill counts 0 Bitkey.width 0;
+  let mine = ids.(m) in
+  for other = 0 to Array.length ids - 1 do
+    if other <> m then begin
+      let b = min (Bitkey.common_prefix_length mine ids.(other)) (Bitkey.width - 1) in
+      let c = counts.(b) + 1 in
+      counts.(b) <- c;
+      if c <= bucket_size then slots.((b * bucket_size) + c - 1) <- other
+      else if Rng.int rng c < bucket_size then
+        slots.((b * bucket_size) + bucket_size - 1) <- other
+    end
+  done;
+  Array.init Bitkey.width (fun b ->
+      let len = min counts.(b) bucket_size in
+      Array.init len (fun i -> slots.((b * bucket_size) + len - 1 - i)))
+
 let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
   if n < 1 then invalid_arg "Kademlia.create: need >= 1 member";
   if bucket_size < 1 then invalid_arg "Kademlia.create: bucket_size must be >= 1";
@@ -172,31 +202,11 @@ let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
     sorted_ids.(i) <- Bitkey.to_int ids.(order.(i));
     sorted_members.(i) <- order.(i)
   done;
-  (* Global construction: reservoir-sample up to [bucket_size] members
-     into each common-prefix-length bucket.  One O(n^2) pass with a
-     cheap inner body; fine at simulation scale. *)
-  let buckets =
-    Array.init n (fun m ->
-        let mine = ids.(m) in
-        let per_bucket = Array.make Bitkey.width [] in
-        let counts = Array.make Bitkey.width 0 in
-        for other = 0 to n - 1 do
-          if other <> m then begin
-            let cpl = Bitkey.common_prefix_length mine ids.(other) in
-            let b = min cpl (Bitkey.width - 1) in
-            counts.(b) <- counts.(b) + 1;
-            if List.length per_bucket.(b) < bucket_size then
-              per_bucket.(b) <- other :: per_bucket.(b)
-            else if Rng.int rng counts.(b) < bucket_size then begin
-              (* Reservoir replacement keeps bucket membership uniform
-                 among eligible members. *)
-              let keep = List.filteri (fun i _ -> i > 0) per_bucket.(b) in
-              per_bucket.(b) <- other :: keep
-            end
-          end
-        done;
-        Array.map Array.of_list per_bucket)
-  in
+  (* Global construction: one O(n^2) reservoir pass with a cheap inner
+     body; fine at simulation scale. *)
+  let counts = Array.make Bitkey.width 0 in
+  let slots = Array.make (Bitkey.width * bucket_size) 0 in
+  let buckets = Array.init n (sample_buckets rng ids ~bucket_size ~counts ~slots) in
   {
     ids;
     sorted_ids;
@@ -213,8 +223,9 @@ let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
     dead_stamp = Array.make n 0;
     cand_buf = Array.make 64 0;
     cand_len = 0;
-    table_dist = Array.make (Bitkey.width * bucket_size) 0;
-    table_buf = Array.make (Bitkey.width * bucket_size) 0;
+    table_dist = Array.make bucket_size 0;
+    table_buf = Array.make bucket_size 0;
+    nonempty_buf = Array.make Bitkey.width 0;
     batch_dist = Array.make alpha 0;
     batch_buf = Array.make alpha 0;
   }
@@ -492,31 +503,74 @@ let refresh_sweep t rng ~online =
 
 type outcome = { responsible : int option; messages : int; hops : int }
 
-(* In-place quicksort of (dist, member) pairs held in two parallel
-   scratch arrays — the routing-table answers are a few hundred entries
-   at most, and sorting them in scratch replaces the old per-contact
-   List.sort allocation. *)
-let rec sort_pairs dist buf lo hi =
-  if hi - lo > 1 then begin
-    let pivot = dist.((lo + hi) lsr 1) in
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while dist.(!i) < pivot do incr i done;
-      while dist.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let d = dist.(!i) in
-        dist.(!i) <- dist.(!j);
-        dist.(!j) <- d;
-        let m = buf.(!i) in
-        buf.(!i) <- buf.(!j);
-        buf.(!j) <- m;
-        incr i;
-        decr j
-      end
-    done;
-    sort_pairs dist buf lo (!j + 1);
-    sort_pairs dist buf !i hi
-  end
+(* Offer the first [len] entries of [arr] to the routing-table answer:
+   [table_dist]/[table_buf] keep the [need] closest offered so far,
+   ascending, of which [filled] are in hand.  An insertion sort in
+   place; a duplicate entry (the frozen repair can leave one) sits next
+   to its twin, so it counts against [need] as in a full sort. *)
+let offer_entries t key arr len ~need filled =
+  let filled = ref filled in
+  for i = 0 to len - 1 do
+    let m = arr.(i) in
+    let d = distance key t.ids.(m) in
+    if !filled < need || d < t.table_dist.(need - 1) then begin
+      let p = ref (min !filled (need - 1)) in
+      while !p > 0 && t.table_dist.(!p - 1) > d do
+        t.table_dist.(!p) <- t.table_dist.(!p - 1);
+        t.table_buf.(!p) <- t.table_buf.(!p - 1);
+        decr p
+      done;
+      t.table_dist.(!p) <- d;
+      t.table_buf.(!p) <- m;
+      if !filled < need then incr filled
+    end
+  done;
+  !filled
+
+(* Offer buckets [lo..hi] as one class and pass its closest [need]
+   entries to [add], nearest first; returns how many it passed. *)
+let take_class t key member add ~need lo hi =
+  let filled = ref 0 in
+  for b = lo to hi do
+    filled :=
+      match t.live with
+      | Some lv ->
+          offer_entries t key lv.lbuckets.(member).(b) lv.llen.(member).(b) ~need !filled
+      | None ->
+          let e = t.buckets.(member).(b) in
+          offer_entries t key e (Array.length e) ~need !filled
+  done;
+  for i = 0 to !filled - 1 do
+    add t.table_buf.(i)
+  done;
+  !filled
+
+(* A member's answer to "whom do you know near [key]?": its closest
+   [bucket_size] bucket entries, nearest first, passed to [add].  With
+   [c] = cpl(member, key), an entry of bucket [b < c] differs from the
+   key first at bit [b]; an entry of any bucket deeper than [c] differs
+   first at bit [c]; and an entry of bucket [c] agrees with the key
+   through bit [c].  So the classes, closest first, are bucket [c], all
+   buckets deeper than [c] together, then buckets [c-1] down to [0]
+   (when the key is the member's own id, [c] = width: buckets [width-1]
+   down to [0]).  Sorting each class and stopping at the quota gives
+   exactly the head of the fully sorted table. *)
+let answer_from_table t key member add =
+  let quota = t.bucket_size in
+  let c = Bitkey.common_prefix_length t.ids.(member) key in
+  let taken = ref 0 in
+  let b = ref (Bitkey.width - 1) in
+  if c < Bitkey.width then begin
+    taken := take_class t key member add ~need:quota c c;
+    if !taken < quota then
+      taken :=
+        !taken + take_class t key member add ~need:(quota - !taken) (c + 1) (Bitkey.width - 1);
+    b := c - 1
+  end;
+  while !taken < quota && !b >= 0 do
+    taken := !taken + take_class t key member add ~need:(quota - !taken) !b !b;
+    decr b
+  done
 
 let lookup ?span ?deliver t rng ~online ~source ~key =
   ignore rng;
@@ -543,43 +597,8 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
             t.cand_len <- t.cand_len + 1
           end
         in
-        (* A member's routing-table answer to "who do you know near
-           [key]?": its bucket entries, closest [bucket_size] first.
-           Sorted in scratch; entries duplicated by past repairs count
-           against the quota exactly as they did in the old sorted
-           list. *)
-        let add_closest_in_table member =
-          let len = ref 0 in
-          (match t.live with
-          | Some lv ->
-              let buckets = lv.lbuckets.(member) in
-              let lens = lv.llen.(member) in
-              for b = 0 to Array.length buckets - 1 do
-                let bucket = buckets.(b) in
-                for i = 0 to lens.(b) - 1 do
-                  t.table_buf.(!len) <- bucket.(i);
-                  t.table_dist.(!len) <- distance key t.ids.(bucket.(i));
-                  incr len
-                done
-              done
-          | None ->
-              let buckets = t.buckets.(member) in
-              for b = 0 to Array.length buckets - 1 do
-                let bucket = buckets.(b) in
-                for i = 0 to Array.length bucket - 1 do
-                  t.table_buf.(!len) <- bucket.(i);
-                  t.table_dist.(!len) <- distance key t.ids.(bucket.(i));
-                  incr len
-                done
-              done);
-          sort_pairs t.table_dist t.table_buf 0 !len;
-          let take = min !len t.bucket_size in
-          for i = 0 to take - 1 do
-            add_candidate t.table_buf.(i)
-          done
-        in
         t.contacted_stamp.(source) <- gen;
-        add_closest_in_table source;
+        answer_from_table t key source add_candidate;
         let best_online = ref source in
         let finished = ref (source = target) in
         while not !finished do
@@ -635,7 +654,7 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
                 t.contacted_stamp.(m) <- gen;
                 if distance key t.ids.(m) < distance key t.ids.(!best_online) then
                   best_online := m;
-                add_closest_in_table m;
+                answer_from_table t key m add_candidate;
                 (* Living tables learn from the contact in both
                    directions, as real FIND_NODE traffic does. *)
                 match t.live with
@@ -693,30 +712,19 @@ let forget_routes t ~peer =
    One message per entry learned — the FIND_NODE traffic of a Kademlia
    join. *)
 let rebuild_routes t rng ~peer =
-  let n = members t in
-  let mine = t.ids.(peer) in
-  let per_bucket = Array.make Bitkey.width [] in
-  let counts = Array.make Bitkey.width 0 in
-  for other = 0 to n - 1 do
-    if other <> peer then begin
-      let cpl = Bitkey.common_prefix_length mine t.ids.(other) in
-      let b = min cpl (Bitkey.width - 1) in
-      counts.(b) <- counts.(b) + 1;
-      if List.length per_bucket.(b) < t.bucket_size then
-        per_bucket.(b) <- other :: per_bucket.(b)
-      else if Rng.int rng counts.(b) < t.bucket_size then begin
-        let keep = List.filteri (fun i _ -> i > 0) per_bucket.(b) in
-        per_bucket.(b) <- other :: keep
-      end
-    end
-  done;
+  let bucket_size = t.bucket_size in
+  let sampled =
+    sample_buckets rng t.ids ~bucket_size
+      ~counts:(Array.make Bitkey.width 0)
+      ~slots:(Array.make (Bitkey.width * bucket_size) 0)
+      peer
+  in
   let messages = ref 0 in
   Array.iteri
-    (fun b entries ->
-      let arr = Array.of_list entries in
+    (fun b arr ->
       t.buckets.(peer).(b) <- arr;
       messages := !messages + Array.length arr)
-    per_bucket;
+    sampled;
   (match t.live with
   | Some lv ->
       (* Seed the living table from the freshly joined reservoir (same
@@ -732,6 +740,18 @@ let rebuild_routes t rng ~peer =
   | None -> ());
   !messages
 
+(* Fill [nonempty_buf] with the indices of the buckets that [len]
+   reports non-empty, ascending; returns how many. *)
+let collect_nonempty t len =
+  let count = ref 0 in
+  for b = 0 to Bitkey.width - 1 do
+    if len b > 0 then begin
+      t.nonempty_buf.(!count) <- b;
+      incr count
+    end
+  done;
+  !count
+
 (* Living-table maintenance: each budgeted probe liveness-checks the
    least-recently-seen entry of a random non-empty bucket — the entry
    the Kademlia rule says to distrust first.  An alive entry rotates to
@@ -742,19 +762,11 @@ let rebuild_routes t rng ~peer =
    up charged to the maintenance account exactly once. *)
 let live_probe_and_repair t lv rng ~online ~peer ~probes =
   let lens = lv.llen.(peer) in
-  let nonempty = ref [] in
-  let count = ref 0 in
-  for b = Bitkey.width - 1 downto 0 do
-    if lens.(b) > 0 then begin
-      nonempty := b :: !nonempty;
-      incr count
-    end
-  done;
+  let count = collect_nonempty t (Array.get lens) in
   let sent = ref (drain_probe_cost t) in
-  if !count > 0 then begin
-    let nonempty = Array.of_list !nonempty in
+  if count > 0 then begin
     for _ = 1 to probes do
-      let b = nonempty.(Rng.int rng !count) in
+      let b = t.nonempty_buf.(Rng.int rng count) in
       let len = lens.(b) in
       if len > 0 then begin
         let arr = lv.lbuckets.(peer).(b) in
@@ -813,16 +825,14 @@ let probe_and_repair t rng ~online ~peer ~probes =
   match t.live with
   | Some lv -> live_probe_and_repair t lv rng ~online ~peer ~probes
   | None ->
-  let nonempty =
-    Array.to_list (Array.mapi (fun i b -> (i, b)) t.buckets.(peer))
-    |> List.filter (fun (_, b) -> Array.length b > 0)
-    |> Array.of_list
-  in
-  if Array.length nonempty = 0 then 0
+  let buckets = t.buckets.(peer) in
+  let count = collect_nonempty t (fun b -> Array.length buckets.(b)) in
+  if count = 0 then 0
   else begin
     let mine = t.ids.(peer) in
     for _ = 1 to probes do
-      let b_idx, bucket = nonempty.(Rng.int rng (Array.length nonempty)) in
+      let b_idx = t.nonempty_buf.(Rng.int rng count) in
+      let bucket = buckets.(b_idx) in
       let i = Rng.int rng (Array.length bucket) in
       if not (online bucket.(i)) then begin
         (* Replace with a random online member sharing the same bucket

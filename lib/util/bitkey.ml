@@ -15,13 +15,13 @@ let bit k i =
   if i < 0 || i >= width then invalid_arg "Bitkey.bit: index out of range";
   k lsr (width - 1 - i) land 1 = 1
 
+(* Position of the highest set bit of a non-zero 62-bit [x], counting
+   from [i]; a top-level function, so no closure is allocated per call. *)
+let rec highest_bit x i = if x lsr (width - 1 - i) land 1 = 1 then i else highest_bit x (i + 1)
+
 let common_prefix_length a b =
   let x = a lxor b in
-  if x = 0 then width
-  else
-    (* Position of the highest set bit of the 62-bit difference. *)
-    let rec count i = if x lsr (width - 1 - i) land 1 = 1 then i else count (i + 1) in
-    count 0
+  if x = 0 then width else highest_bit x 0
 
 let xor_distance a b = a lxor b
 

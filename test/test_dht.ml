@@ -1358,8 +1358,8 @@ let kademlia_pin_digest ~live ~bucket_size ~members =
         s.Kademlia.insertions s.Kademlia.cache_fills);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Recorded with the full-sort table answer; any faster answer must
-   reproduce them exactly. *)
+(* Recorded when each contacted member fully sorted its routing table
+   by XOR distance; the bucket-ordered answer must reproduce them. *)
 let test_kademlia_lookup_pin () =
   let cases =
     [
