@@ -1391,6 +1391,76 @@ let test_kademlia_lookup_pin () =
         (kademlia_pin_digest ~live ~bucket_size ~members))
     cases
 
+(* Crash and rejoin on fixed seeds with 30% of the members offline:
+   per-member table sizes, then every fifth member forgets its routes,
+   lookups run around the holes, a maintenance round, the forgotten
+   members rebuild (recording each join's cost), a refresh sweep, more
+   lookups, and the per-member sizes again. *)
+let kademlia_rejoin_digest ~live ~bucket_size ~members =
+  let rng = Rng.create ~seed:((3 * members) + bucket_size + if live then 11 else 0) in
+  let k = Kademlia.create rng ~members ~bucket_size () in
+  if live then Kademlia.enable_live_routing ~probe_retries:2 k;
+  let offline = Array.init members (fun _ -> Rng.unit_float rng < 0.3) in
+  let online p = not offline.(p) in
+  let buf = Buffer.create 8192 in
+  let sizes () =
+    for m = 0 to members - 1 do
+      Printf.bprintf buf "%d/%d;" (Kademlia.bucket_count k m) (Kademlia.routing_table_size k m)
+    done
+  in
+  let lookups () =
+    for _ = 1 to 80 do
+      let source = Rng.int rng members in
+      let o = Kademlia.lookup k rng ~online ~source ~key:(Bitkey.random rng) in
+      Printf.bprintf buf "%d,%d,%d;"
+        (Option.value o.Kademlia.responsible ~default:(-1))
+        o.Kademlia.messages o.Kademlia.hops
+    done
+  in
+  sizes ();
+  for m = 0 to members - 1 do
+    if m mod 5 = 0 then Kademlia.forget_routes k ~peer:m
+  done;
+  lookups ();
+  for m = 0 to members - 1 do
+    if online m then
+      Printf.bprintf buf "p%d;" (Kademlia.probe_and_repair k rng ~online ~peer:m ~probes:6)
+  done;
+  for m = 0 to members - 1 do
+    if m mod 5 = 0 then Printf.bprintf buf "j%d;" (Kademlia.rebuild_routes k rng ~peer:m)
+  done;
+  Printf.bprintf buf "r%d;" (Kademlia.refresh_sweep k rng ~online);
+  lookups ();
+  sizes ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded while frozen and live tables were still two separate
+   bucket stores. *)
+let test_kademlia_rejoin_pin () =
+  let cases =
+    [
+      (false, 1, 64, "ce9d4e729ce983a72de93333460d35c5");
+      (false, 1, 453, "9a4b3ea79b5ce84b1e0bf9712089c17f");
+      (false, 4, 64, "3e303954d1048ca5d9f1505644686c6e");
+      (false, 4, 453, "98a9b47aa9f1d96524b347e817ba9d01");
+      (false, 8, 64, "177e1e7ee9d3e6b279f0a2062c39f38f");
+      (false, 8, 453, "b1a1f5e339cbf3fab262fac0ad8576e5");
+      (true, 1, 64, "e37c795bfb33e700808c4b8c83125a24");
+      (true, 1, 453, "556df15877eae791f35b710f9cb0efdd");
+      (true, 4, 64, "b95ed8e89a49420ed25dab0026b284d9");
+      (true, 4, 453, "b2921ddcda4da9c324ca31bfeeec1383");
+      (true, 8, 64, "1e6316726e1460c00cb9db32b0dcdbf7");
+      (true, 8, 453, "afe3d5dcc56048647032ef0c33b47326");
+    ]
+  in
+  List.iter
+    (fun (live, bucket_size, members, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s k=%d n=%d" (if live then "live" else "frozen") bucket_size members)
+        expected
+        (kademlia_rejoin_digest ~live ~bucket_size ~members))
+    cases
+
 let () =
   Alcotest.run "pdht_dht"
     [
@@ -1512,5 +1582,9 @@ let () =
           Alcotest.test_case "probe outcomes" `Quick test_bucket_probe_outcomes;
           Alcotest.test_case "probe messages" `Quick test_bucket_probe_messages;
         ] );
-      ("kademlia-pin", [ Alcotest.test_case "lookup digests" `Quick test_kademlia_lookup_pin ]);
+      ( "kademlia-pin",
+        [
+          Alcotest.test_case "lookup digests" `Quick test_kademlia_lookup_pin;
+          Alcotest.test_case "rejoin digests" `Quick test_kademlia_rejoin_pin;
+        ] );
     ]

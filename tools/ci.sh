@@ -144,6 +144,13 @@ dune exec tools/validate_jsonl.exe -- "$out/fault-metrics.jsonl" "$out/fault-tra
 grep -q '"cat":"fault"' "$out/fault-trace.jsonl"
 grep -q 'fault: crashes=' "$out/fault-report.txt"
 grep -q 'repair: passes=' "$out/fault-report.txt"
+# The same crash wave on live Kademlia tables (--bucket-refresh turns
+# them on): the only end-to-end run in which living k-buckets are
+# forgotten and rebuilt, pinned against a golden rendering.
+dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
+  --fault 'crash:0.3@120+60' --fault-repair 30 --fault-check --bucket-refresh 30 \
+  > "$out/kademlia-fault-report.txt"
+diff "$out/kademlia-fault-report.txt" test/golden/kademlia_fault_report.txt
 
 echo "== causal tracing gate =="
 # Every sampled query in an unfiltered trace must reconstruct as a
