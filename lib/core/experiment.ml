@@ -343,12 +343,11 @@ let churn_routing ?jobs ~seed ~members ~duration ~mean_sessions () =
     let run_arm ~arm ~churned ~budget =
       let build_rng = Pdht_util.Rng.create ~seed:(sub 0) in
       let churn_rng = Pdht_util.Rng.create ~seed:(sub 1) in
-      (* Sources and keys come from [work_rng] only; the lookup's own
-         internal draws use a separate stream, so arms that disagree on
-         routing state still replay the identical query sequence. *)
+      (* Sources and keys come from [work_rng] only, so arms that
+         disagree on routing state still replay the identical query
+         sequence. *)
       let work_rng = Pdht_util.Rng.create ~seed:(sub 2) in
       let maint_rng = Pdht_util.Rng.create ~seed:(sub 3) in
-      let route_rng = Pdht_util.Rng.create ~seed:(sub 4) in
       let dht = K.create build_rng ~members ~bucket_size:8 () in
       if churned && budget = None then K.enable_live_routing dht;
       let online_now = Array.make members true in
@@ -408,7 +407,7 @@ let churn_routing ?jobs ~seed ~members ~duration ~mean_sessions () =
           let key = Pdht_util.Bitkey.random work_rng in
           if online_now.(source) then begin
             incr attempted;
-            let o = K.lookup dht route_rng ~online ~source ~key in
+            let o = K.lookup dht ~online ~source ~key in
             hops := !hops + o.K.hops;
             if o.K.responsible <> None then incr successes
           end

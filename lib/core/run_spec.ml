@@ -21,9 +21,6 @@ let make ?tag ?(strategy = default_strategy) ?(options = System.default_options)
 let run_seed t =
   Pdht_util.Rng.derive_seed ~seed:t.scenario.Scenario.seed ~stream:t.task_id
 
-let with_tag tag t = { t with tag }
-let with_seed seed t = { t with scenario = { t.scenario with Scenario.seed } }
-
 let with_strategy strategy t =
   let tag =
     if t.tag = default_tag t.scenario t.strategy then default_tag t.scenario strategy
@@ -31,9 +28,12 @@ let with_strategy strategy t =
   in
   { t with strategy; tag }
 
-let with_options options t = { t with options }
-let with_task_id task_id t = { t with task_id }
-let map_scenario f t = { t with scenario = f t.scenario }
-
 let over_seeds seeds t =
-  List.map (fun seed -> with_tag (Printf.sprintf "%s seed=%d" t.tag seed) (with_seed seed t)) seeds
+  List.map
+    (fun seed ->
+      {
+        t with
+        tag = Printf.sprintf "%s seed=%d" t.tag seed;
+        scenario = { t.scenario with Scenario.seed };
+      })
+    seeds

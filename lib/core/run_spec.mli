@@ -46,17 +46,9 @@ val run_seed : t -> int
 (** The seed {!Runner} substitutes into the scenario before running:
     [Rng.derive_seed ~seed:scenario.seed ~stream:task_id]. *)
 
-val with_tag : string -> t -> t
-val with_seed : int -> t -> t
-(** Replaces [scenario.seed]. *)
-
 val with_strategy : Strategy.t -> t -> t
-(** Also refreshes a defaulted tag. *)
-
-val with_options : System.options -> t -> t
-val with_task_id : int -> t -> t
-
-val map_scenario : (Pdht_work.Scenario.t -> Pdht_work.Scenario.t) -> t -> t
+(** Replaces the strategy and refreshes a defaulted tag; build other
+    variants with record update. *)
 
 val over_seeds : int list -> t -> t list
 (** One spec per seed, tagged ["<tag> seed=<n>"] — the replication

@@ -48,11 +48,11 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
       let o = Pgrid.lookup ?span ?deliver g rng ~online ~source ~key in
       { responsible = o.Pgrid.responsible; messages = o.Pgrid.messages; hops = o.Pgrid.hops }
   | Kademlia k ->
-      let o = Kademlia.lookup ?span ?deliver k rng ~online ~source ~key in
+      let o = Kademlia.lookup ?span ?deliver k ~online ~source ~key in
       { responsible = o.Kademlia.responsible; messages = o.Kademlia.messages;
         hops = o.Kademlia.hops }
   | Pastry p ->
-      let o = Pastry.lookup ?span ?deliver p rng ~online ~source ~key in
+      let o = Pastry.lookup ?span ?deliver p ~online ~source ~key in
       { responsible = o.Pastry.responsible; messages = o.Pastry.messages;
         hops = o.Pastry.hops }
 
@@ -106,14 +106,5 @@ let enable_live_routing ?probe_retries t =
   | Chord _ | Pgrid _ | Pastry _ ->
       invalid_arg "Dht.enable_live_routing: only the Kademlia backend has live k-buckets"
 
-let live_routing t =
-  match t.impl with Kademlia k -> Kademlia.live_routing k | _ -> false
-
 let refresh_sweep t rng ~online =
   match t.impl with Kademlia k -> Kademlia.refresh_sweep k rng ~online | _ -> 0
-
-let drain_probe_cost t =
-  match t.impl with Kademlia k -> Kademlia.drain_probe_cost k | _ -> 0
-
-let contact_stats t =
-  match t.impl with Kademlia k -> Some (Kademlia.contact_stats k) | _ -> None

@@ -87,20 +87,8 @@ val expected_lookup_messages : t -> float
 val enable_live_routing : ?probe_retries:int -> t -> unit
 (** @raise Invalid_argument on any backend but Kademlia. *)
 
-val live_routing : t -> bool
-(** [false] for every non-Kademlia backend. *)
-
 val refresh_sweep : t -> Pdht_util.Rng.t -> online:(int -> bool) -> int
 (** One bucket-refresh pass over every stale bucket range of every
     online member (see {!Kademlia.refresh_sweep}); returns the message
     cost.  0 for non-Kademlia backends and for a Kademlia table whose
     live mode is off. *)
-
-val drain_probe_cost : t -> int
-(** Collect (and reset) the messages spent on contact-driven liveness
-    probes since the last drain, for charging to maintenance.  0 when
-    live routing is off. *)
-
-val contact_stats : t -> (int * int) option
-(** Kademlia: [(contacts, dead_contacts)] over all lookups so far — the
-    stale-route rate is [dead / max 1 contacts].  [None] elsewhere. *)

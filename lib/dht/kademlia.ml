@@ -15,18 +15,19 @@ module Rng = Pdht_util.Rng
    [bucket_size] entries come from the first few classes, each sorted
    in place, with no full-table sort.  Lookups run on
    generation-stamped scratch owned by [t]: no per-lookup Hashtbls, no
-   per-round candidate lists. *)
-(* Live routing state (opt-in): mutable k-buckets with LRS..MRS order,
-   a per-bucket replacement cache, and the counters the churn
-   experiments read.  [None] = the frozen reservoir tables below, the
-   exact pre-existing behaviour. *)
+   per-round candidate lists.  Each member's k-buckets live once, in
+   [buckets]/[blen]; the frozen and live disciplines differ only in who
+   writes them. *)
+(* Live maintenance (opt-in): the state Maymounkov and Mazieres' rules
+   keep beside the k-buckets — a per-bucket replacement cache, the
+   refresh sweep's contact flags — and the counters the churn
+   experiments read.  The buckets themselves are [t]'s, shared with the
+   frozen discipline.  [None] = frozen: only repair and rejoin touch the
+   tables. *)
 type live = {
-  lbuckets : int array array array; (* member -> cpl bucket -> k slots *)
-  llen : int array array; (* occupancy; slot 0 = least-recently-seen *)
   cache : int array array array; (* replacement cache, oldest first *)
   clen : int array array;
   touched : bool array array; (* contact since the last refresh sweep *)
-  range_nonempty : bool array array; (* does anyone live in this range *)
   probe_retries : int; (* a dead probe costs 1 + probe_retries messages *)
   mutable pending_probe_cost : int; (* contact-driven probes, undrained *)
   mutable probes : int;
@@ -42,11 +43,15 @@ type t = {
   ids : Bitkey.t array; (* member -> id *)
   sorted_ids : int array; (* raw ids, ascending *)
   sorted_members : int array; (* member owning sorted_ids.(i) *)
-  buckets : int array array array; (* member -> cpl bucket -> entries *)
+  (* member -> cpl bucket -> [bucket_size] slots, or [||] when no other
+     member falls in the bucket's id range (membership is fixed, so
+     that never changes) *)
+  buckets : int array array array;
+  blen : int array array; (* occupancy; live: slot 0 = least recently seen *)
   bucket_size : int;
   alpha : int;
   mutable live : live option;
-  (* lookup contact accounting (both table modes): how many contact
+  (* lookup contact accounting (both disciplines): how many contact
      attempts the iterative searches made, and how many hit a peer that
      turned out dead — the numerator of the stale-route rate. *)
   mutable contacts : int;
@@ -140,25 +145,33 @@ let responsible t ~online key =
    [m]'s common-prefix-length buckets: one pass over every other member.
    The first [bucket_size] eligible members fill a bucket; each later
    one, the [c]-th eligible, replaces the most recently placed entry
-   with probability [bucket_size / c].  [counts] and [slots] (width *
-   bucket_size, insertion order) are scratch.  A bucket lists its
-   entries most recent first. *)
-let sample_buckets rng ids ~bucket_size ~counts ~slots m =
-  Array.fill counts 0 Bitkey.width 0;
+   with probability [bucket_size / c].  [lens] counts the eligible
+   members, then keeps the occupancy; the filled prefix is reversed so a
+   bucket lists its entries most recent first.  A bucket gets its slots
+   when its first eligible member turns up. *)
+let sample_buckets rng ids ~bucket_size buckets lens m =
+  Array.fill lens 0 Bitkey.width 0;
   let mine = ids.(m) in
   for other = 0 to Array.length ids - 1 do
     if other <> m then begin
       let b = min (Bitkey.common_prefix_length mine ids.(other)) (Bitkey.width - 1) in
-      let c = counts.(b) + 1 in
-      counts.(b) <- c;
-      if c <= bucket_size then slots.((b * bucket_size) + c - 1) <- other
-      else if Rng.int rng c < bucket_size then
-        slots.((b * bucket_size) + bucket_size - 1) <- other
+      let c = lens.(b) + 1 in
+      lens.(b) <- c;
+      if c = 1 && Array.length buckets.(b) = 0 then buckets.(b) <- Array.make bucket_size 0;
+      if c <= bucket_size then buckets.(b).(c - 1) <- other
+      else if Rng.int rng c < bucket_size then buckets.(b).(bucket_size - 1) <- other
     end
   done;
-  Array.init Bitkey.width (fun b ->
-      let len = min counts.(b) bucket_size in
-      Array.init len (fun i -> slots.((b * bucket_size) + len - 1 - i)))
+  for b = 0 to Bitkey.width - 1 do
+    let len = min lens.(b) bucket_size in
+    lens.(b) <- len;
+    let arr = buckets.(b) in
+    for i = 0 to (len / 2) - 1 do
+      let x = arr.(i) in
+      arr.(i) <- arr.(len - 1 - i);
+      arr.(len - 1 - i) <- x
+    done
+  done
 
 let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
   if n < 1 then invalid_arg "Kademlia.create: need >= 1 member";
@@ -204,14 +217,17 @@ let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
   done;
   (* Global construction: one O(n^2) reservoir pass with a cheap inner
      body; fine at simulation scale. *)
-  let counts = Array.make Bitkey.width 0 in
-  let slots = Array.make (Bitkey.width * bucket_size) 0 in
-  let buckets = Array.init n (sample_buckets rng ids ~bucket_size ~counts ~slots) in
+  let buckets = Array.init n (fun _ -> Array.make Bitkey.width [||]) in
+  let blen = Array.init n (fun _ -> Array.make Bitkey.width 0) in
+  for m = 0 to n - 1 do
+    sample_buckets rng ids ~bucket_size buckets.(m) blen.(m) m
+  done;
   {
     ids;
     sorted_ids;
     sorted_members;
     buckets;
+    blen;
     bucket_size;
     alpha;
     live = None;
@@ -235,55 +251,22 @@ let bucket_of t m other =
 
 let live_routing t = t.live <> None
 
-(* Which cpl buckets of member [m] cover a non-empty id range: one walk
-   down the implicit trie — at depth [d] the segment shares [m]'s first
-   [d] bits, and the opposite child holds exactly the members at cpl
-   [d].  O(width + log n) per member, so enabling live routing stays
-   cheap at scale. *)
-let compute_range_nonempty t m =
-  let out = Array.make Bitkey.width false in
-  let keybits = Bitkey.to_int t.ids.(m) in
-  let lo = ref 0 and hi = ref (members t) and depth = ref 0 in
-  while !hi - !lo > 1 && !depth < Bitkey.width do
-    let mid = split t !lo !hi !depth in
-    let bit_set = keybits land (1 lsl (Bitkey.width - 1 - !depth)) <> 0 in
-    let diff = if bit_set then mid - !lo else !hi - mid in
-    if diff > 0 then out.(!depth) <- true;
-    if bit_set then lo := mid else hi := mid;
-    incr depth
-  done;
-  out
-
-(* Switch the member tables from the frozen reservoir arrays to living
-   k-buckets, seeded from the reservoir contents (existing entries
-   become the initial LRS..MRS order).  No RNG is consumed: enabling
-   live routing after [create] leaves every stream exactly where the
-   frozen path would have it. *)
+(* Switch the tables to live maintenance: the current entries become the
+   initial LRS..MRS order, and each bucket with slots gets a replacement
+   cache of the same size.  No RNG is consumed: enabling live routing
+   after [create] leaves every stream exactly where the frozen path
+   would have it. *)
 let enable_live_routing ?(probe_retries = 3) t =
   if probe_retries < 0 then
     invalid_arg "Kademlia.enable_live_routing: negative probe_retries";
   if t.live = None then begin
     let n = members t in
-    let k = t.bucket_size in
-    let lbuckets = Array.init n (fun _ -> Array.init Bitkey.width (fun _ -> Array.make k 0)) in
-    let llen = Array.init n (fun _ -> Array.make Bitkey.width 0) in
-    for m = 0 to n - 1 do
-      Array.iteri
-        (fun b entries ->
-          let take = min (Array.length entries) k in
-          Array.blit entries 0 lbuckets.(m).(b) 0 take;
-          llen.(m).(b) <- take)
-        t.buckets.(m)
-    done;
     t.live <-
       Some
         {
-          lbuckets;
-          llen;
-          cache = Array.init n (fun _ -> Array.init Bitkey.width (fun _ -> Array.make k 0));
+          cache = Array.map (Array.map (fun slots -> Array.make (Array.length slots) 0)) t.buckets;
           clen = Array.init n (fun _ -> Array.make Bitkey.width 0);
           touched = Array.init n (fun _ -> Array.make Bitkey.width false);
-          range_nonempty = Array.init n (fun m -> compute_range_nonempty t m);
           probe_retries;
           pending_probe_cost = 0;
           probes = 0;
@@ -363,8 +346,8 @@ let probe_cost lv ~alive = if alive then 1 else 1 + lv.probe_retries
 let note_contact t lv ~online ~owner ~peer =
   if owner <> peer then begin
     let b = bucket_of t owner peer in
-    let arr = lv.lbuckets.(owner).(b) in
-    let len = lv.llen.(owner).(b) in
+    let arr = t.buckets.(owner).(b) in
+    let len = t.blen.(owner).(b) in
     let i = slot_of arr len peer in
     lv.touched.(owner).(b) <- true;
     if i >= 0 then begin
@@ -374,7 +357,7 @@ let note_contact t lv ~online ~owner ~peer =
     end
     else if len < t.bucket_size then begin
       arr.(len) <- peer;
-      lv.llen.(owner).(b) <- len + 1;
+      t.blen.(owner).(b) <- len + 1;
       lv.insertions <- lv.insertions + 1
     end
     else begin
@@ -405,8 +388,8 @@ let note_contact t lv ~online ~owner ~peer =
 let note_dead t lv ~owner ~peer =
   if owner <> peer then begin
     let b = bucket_of t owner peer in
-    let arr = lv.lbuckets.(owner).(b) in
-    let len = lv.llen.(owner).(b) in
+    let arr = t.buckets.(owner).(b) in
+    let len = t.blen.(owner).(b) in
     cache_remove lv ~owner ~bucket:b peer;
     let i = slot_of arr len peer in
     if i >= 0 then begin
@@ -459,8 +442,8 @@ let drain_probe_cost t =
       c
 
 (* One refresh pass: every online member re-looks-up each bucket range
-   that saw no contact since the previous sweep (and is non-empty in
-   the global id space — ranges nobody occupies are never refreshable).
+   that saw no contact since the previous sweep (and has slots — ranges
+   nobody occupies are never refreshable).
    A refresh costs the lookup's [alpha] probes plus one FIND_NODE-style
    exchange per fresh entry learned; learned entries are live members
    of the range, found by bounded sampling as in the frozen repair. *)
@@ -473,23 +456,23 @@ let refresh_sweep t rng ~online =
       for m = 0 to n - 1 do
         if online m then begin
           let tb = lv.touched.(m) in
+          let lens = t.blen.(m) in
           for b = 0 to Bitkey.width - 1 do
-            if lv.range_nonempty.(m).(b) && not tb.(b) then begin
+            let arr = t.buckets.(m).(b) in
+            if Array.length arr > 0 && not tb.(b) then begin
               messages := !messages + t.alpha;
-              let arr = lv.lbuckets.(m).(b) in
-              let missing = t.bucket_size - lv.llen.(m).(b) in
+              let missing = t.bucket_size - lens.(b) in
               let attempts = ref (30 * max 1 missing) in
-              while lv.llen.(m).(b) < t.bucket_size && !attempts > 0 do
+              while lens.(b) < t.bucket_size && !attempts > 0 do
                 decr attempts;
                 let cand = Rng.int rng n in
                 if
                   cand <> m && online cand
                   && bucket_of t m cand = b
-                  && slot_of arr lv.llen.(m).(b) cand < 0
+                  && slot_of arr lens.(b) cand < 0
                 then begin
-                  let len = lv.llen.(m).(b) in
-                  arr.(len) <- cand;
-                  lv.llen.(m).(b) <- len + 1;
+                  arr.(lens.(b)) <- cand;
+                  lens.(b) <- lens.(b) + 1;
                   incr messages
                 end
               done
@@ -503,42 +486,35 @@ let refresh_sweep t rng ~online =
 
 type outcome = { responsible : int option; messages : int; hops : int }
 
-(* Offer the first [len] entries of [arr] to the routing-table answer:
-   [table_dist]/[table_buf] keep the [need] closest offered so far,
-   ascending, of which [filled] are in hand.  An insertion sort in
-   place; a duplicate entry (the frozen repair can leave one) sits next
+(* Offer member [m] at distance [d] to the ascending [dist]/[buf]
+   prefix holding the [filled] closest offered so far, keeping at most
+   [need]; returns the new fill.  One insertion-sort step in place; an
+   entry offered twice (the frozen repair can duplicate one) sits next
    to its twin, so it counts against [need] as in a full sort. *)
-let offer_entries t key arr len ~need filled =
-  let filled = ref filled in
-  for i = 0 to len - 1 do
-    let m = arr.(i) in
-    let d = distance key t.ids.(m) in
-    if !filled < need || d < t.table_dist.(need - 1) then begin
-      let p = ref (min !filled (need - 1)) in
-      while !p > 0 && t.table_dist.(!p - 1) > d do
-        t.table_dist.(!p) <- t.table_dist.(!p - 1);
-        t.table_buf.(!p) <- t.table_buf.(!p - 1);
-        decr p
-      done;
-      t.table_dist.(!p) <- d;
-      t.table_buf.(!p) <- m;
-      if !filled < need then incr filled
-    end
-  done;
-  !filled
+let insert_closest (dist : int array) (buf : int array) ~need filled (d : int) m =
+  if filled < need || d < dist.(need - 1) then begin
+    let p = ref (min filled (need - 1)) in
+    while !p > 0 && dist.(!p - 1) > d do
+      dist.(!p) <- dist.(!p - 1);
+      buf.(!p) <- buf.(!p - 1);
+      decr p
+    done;
+    dist.(!p) <- d;
+    buf.(!p) <- m;
+    min (filled + 1) need
+  end
+  else filled
 
 (* Offer buckets [lo..hi] as one class and pass its closest [need]
    entries to [add], nearest first; returns how many it passed. *)
 let take_class t key member add ~need lo hi =
   let filled = ref 0 in
   for b = lo to hi do
-    filled :=
-      match t.live with
-      | Some lv ->
-          offer_entries t key lv.lbuckets.(member).(b) lv.llen.(member).(b) ~need !filled
-      | None ->
-          let e = t.buckets.(member).(b) in
-          offer_entries t key e (Array.length e) ~need !filled
+    let arr = t.buckets.(member).(b) in
+    for i = 0 to t.blen.(member).(b) - 1 do
+      let m = arr.(i) in
+      filled := insert_closest t.table_dist t.table_buf ~need !filled (distance key t.ids.(m)) m
+    done
   done;
   for i = 0 to !filled - 1 do
     add t.table_buf.(i)
@@ -572,8 +548,7 @@ let answer_from_table t key member add =
     decr b
   done
 
-let lookup ?span ?deliver t rng ~online ~source ~key =
-  ignore rng;
+let lookup ?span ?deliver t ~online ~source ~key =
   if source < 0 || source >= members t then invalid_arg "Kademlia.lookup: bad source";
   if not (online source) then { responsible = None; messages = 0; hops = 0 }
   else
@@ -608,30 +583,10 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
           let batch_len = ref 0 in
           for idx = 0 to t.cand_len - 1 do
             let m = t.cand_buf.(idx) in
-            if t.contacted_stamp.(m) <> gen && t.dead_stamp.(m) <> gen then begin
-              let d = distance key t.ids.(m) in
-              if !batch_len < t.alpha then begin
-                let p = ref !batch_len in
-                while !p > 0 && t.batch_dist.(!p - 1) > d do
-                  t.batch_dist.(!p) <- t.batch_dist.(!p - 1);
-                  t.batch_buf.(!p) <- t.batch_buf.(!p - 1);
-                  decr p
-                done;
-                t.batch_dist.(!p) <- d;
-                t.batch_buf.(!p) <- m;
-                incr batch_len
-              end
-              else if d < t.batch_dist.(t.alpha - 1) then begin
-                let p = ref (t.alpha - 1) in
-                while !p > 0 && t.batch_dist.(!p - 1) > d do
-                  t.batch_dist.(!p) <- t.batch_dist.(!p - 1);
-                  t.batch_buf.(!p) <- t.batch_buf.(!p - 1);
-                  decr p
-                done;
-                t.batch_dist.(!p) <- d;
-                t.batch_buf.(!p) <- m
-              end
-            end
+            if t.contacted_stamp.(m) <> gen && t.dead_stamp.(m) <> gen then
+              batch_len :=
+                insert_closest t.batch_dist t.batch_buf ~need:t.alpha !batch_len
+                  (distance key t.ids.(m)) m
           done;
           if !batch_len = 0 then finished := true
           else begin
@@ -678,74 +633,42 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
         { responsible = result; messages = !messages; hops = !hops }
 
 let bucket_count t m =
-  match t.live with
-  | Some lv ->
-      Array.fold_left (fun acc len -> if len > 0 then acc + 1 else acc) 0 lv.llen.(m)
-  | None ->
-      Array.fold_left
-        (fun acc b -> if Array.length b > 0 then acc + 1 else acc)
-        0 t.buckets.(m)
+  Array.fold_left (fun acc len -> if len > 0 then acc + 1 else acc) 0 t.blen.(m)
 
-let routing_table_size t m =
-  match t.live with
-  | Some lv -> Array.fold_left ( + ) 0 lv.llen.(m)
-  | None -> Array.fold_left (fun acc b -> acc + Array.length b) 0 t.buckets.(m)
+let routing_table_size t m = Array.fold_left ( + ) 0 t.blen.(m)
 
 (* Crash-stop state loss: empty every k-bucket of [peer].  Lookups from
    the member then start with no candidates and fail immediately (miss
    path); [probe_and_repair] only touches non-empty buckets, so only
    {!rebuild_routes} restores the table. *)
 let forget_routes t ~peer =
-  let buckets = t.buckets.(peer) in
-  for b = 0 to Array.length buckets - 1 do
-    buckets.(b) <- [||]
-  done;
-  match t.live with
-  | Some lv ->
-      Array.fill lv.llen.(peer) 0 Bitkey.width 0;
+  Array.fill t.blen.(peer) 0 Bitkey.width 0;
+  Option.iter
+    (fun lv ->
       Array.fill lv.clen.(peer) 0 Bitkey.width 0;
-      Array.fill lv.touched.(peer) 0 Bitkey.width false
-  | None -> ()
+      Array.fill lv.touched.(peer) 0 Bitkey.width false)
+    t.live
 
 (* Rejoin: repopulate [peer]'s k-buckets with the construction-time
    reservoir pass (uniform bucket membership among eligible members).
    One message per entry learned — the FIND_NODE traffic of a Kademlia
-   join. *)
+   join.  Live mode also empties the replacement caches and counts every
+   bucket as just contacted. *)
 let rebuild_routes t rng ~peer =
-  let bucket_size = t.bucket_size in
-  let sampled =
-    sample_buckets rng t.ids ~bucket_size
-      ~counts:(Array.make Bitkey.width 0)
-      ~slots:(Array.make (Bitkey.width * bucket_size) 0)
-      peer
-  in
-  let messages = ref 0 in
-  Array.iteri
-    (fun b arr ->
-      t.buckets.(peer).(b) <- arr;
-      messages := !messages + Array.length arr)
-    sampled;
-  (match t.live with
-  | Some lv ->
-      (* Seed the living table from the freshly joined reservoir (same
-         draws as the frozen path, so stream parity holds per mode). *)
-      for b = 0 to Bitkey.width - 1 do
-        let entries = t.buckets.(peer).(b) in
-        let take = min (Array.length entries) t.bucket_size in
-        Array.blit entries 0 lv.lbuckets.(peer).(b) 0 take;
-        lv.llen.(peer).(b) <- take;
-        lv.clen.(peer).(b) <- 0;
-        lv.touched.(peer).(b) <- true
-      done
-  | None -> ());
-  !messages
+  sample_buckets rng t.ids ~bucket_size:t.bucket_size t.buckets.(peer) t.blen.(peer) peer;
+  Option.iter
+    (fun lv ->
+      Array.fill lv.clen.(peer) 0 Bitkey.width 0;
+      Array.fill lv.touched.(peer) 0 Bitkey.width true)
+    t.live;
+  routing_table_size t peer
 
-(* Fill [nonempty_buf] with the indices of the buckets that [len]
-   reports non-empty, ascending; returns how many. *)
-let collect_nonempty t len =
+(* Fill [nonempty_buf] with the indices of [peer]'s non-empty buckets,
+   ascending; returns how many. *)
+let collect_nonempty t peer =
   let count = ref 0 in
   for b = 0 to Bitkey.width - 1 do
-    if len b > 0 then begin
+    if t.blen.(peer).(b) > 0 then begin
       t.nonempty_buf.(!count) <- b;
       incr count
     end
@@ -761,15 +684,15 @@ let collect_nonempty t len =
    accrued by lookups since the last tick, so every probe message ends
    up charged to the maintenance account exactly once. *)
 let live_probe_and_repair t lv rng ~online ~peer ~probes =
-  let lens = lv.llen.(peer) in
-  let count = collect_nonempty t (Array.get lens) in
+  let lens = t.blen.(peer) in
+  let count = collect_nonempty t peer in
   let sent = ref (drain_probe_cost t) in
   if count > 0 then begin
     for _ = 1 to probes do
       let b = t.nonempty_buf.(Rng.int rng count) in
       let len = lens.(b) in
       if len > 0 then begin
-        let arr = lv.lbuckets.(peer).(b) in
+        let arr = t.buckets.(peer).(b) in
         let lrs = arr.(0) in
         let alive = online lrs in
         let cost = probe_cost lv ~alive in
@@ -825,15 +748,14 @@ let probe_and_repair t rng ~online ~peer ~probes =
   match t.live with
   | Some lv -> live_probe_and_repair t lv rng ~online ~peer ~probes
   | None ->
-  let buckets = t.buckets.(peer) in
-  let count = collect_nonempty t (fun b -> Array.length buckets.(b)) in
+  let count = collect_nonempty t peer in
   if count = 0 then 0
   else begin
     let mine = t.ids.(peer) in
     for _ = 1 to probes do
       let b_idx = t.nonempty_buf.(Rng.int rng count) in
-      let bucket = buckets.(b_idx) in
-      let i = Rng.int rng (Array.length bucket) in
+      let bucket = t.buckets.(peer).(b_idx) in
+      let i = Rng.int rng t.blen.(peer).(b_idx) in
       if not (online bucket.(i)) then begin
         (* Replace with a random online member sharing the same bucket
            (common-prefix-length) if one exists; bounded sampling keeps

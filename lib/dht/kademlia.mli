@@ -10,18 +10,19 @@
     Like the other substrates, membership is fixed at construction and
     churn is an [online] predicate supplied per call.
 
-    Two table modes.  The default ("frozen") tables are the original
-    reservoir-sampled construction: static buckets that only
-    {!probe_and_repair} and {!rebuild_routes} touch.  Opting in with
-    {!enable_live_routing} turns every member's table into living
-    k-buckets in least-recently-seen order with a per-bucket
-    replacement cache, maintained by Maymounkov and Mazieres' rules:
-    lookup contacts promote or insert, full buckets liveness-probe
-    their LRS entry before admitting a newcomer, evictions back-fill
-    from the cache, and {!refresh_sweep} re-populates ranges no contact
-    has touched.  All probe traffic is
-    counted and drained through the maintenance account, giving the
-    measured [cRtn] the paper only assumes. *)
+    One routing table, two maintenance disciplines.  Every member keeps
+    one set of k-buckets, filled at construction by reservoir sampling
+    over each bucket's id range; both disciplines read and write that
+    one store.  Under the default ("frozen") discipline only
+    {!probe_and_repair} and {!rebuild_routes} change a table.  Opting in
+    with {!enable_live_routing} maintains the same buckets by
+    Maymounkov and Mazieres' rules, in least-recently-seen order with a
+    per-bucket replacement cache beside them: lookup contacts promote
+    or insert, full buckets liveness-probe their LRS entry before
+    admitting a newcomer, evictions back-fill from the cache, and
+    {!refresh_sweep} re-populates ranges no contact has touched.  All
+    probe traffic is counted and drained through the maintenance
+    account, giving the measured [cRtn] the paper only assumes. *)
 
 type t
 
@@ -50,7 +51,6 @@ val lookup :
   ?span:int ->
   ?deliver:(span:int option -> src:int -> dst:int -> bool) ->
   t ->
-  Pdht_util.Rng.t ->
   online:(int -> bool) ->
   source:int ->
   key:Pdht_util.Bitkey.t ->
@@ -83,15 +83,17 @@ val forget_routes : t -> peer:int -> unit
 val rebuild_routes : t -> Pdht_util.Rng.t -> peer:int -> int
 (** Rejoin: repopulate the member's k-buckets with the construction-time
     reservoir sampling.  Returns the message cost — one FIND_NODE-style
-    exchange per entry learned.  In live mode the living table is
-    re-seeded from the same draws (cache emptied). *)
+    exchange per entry learned.  The draws are the same in both
+    disciplines; live mode also empties the member's replacement caches
+    and counts every bucket as freshly contacted. *)
 
 (** {2 Live routing tables} *)
 
 val enable_live_routing : ?probe_retries:int -> t -> unit
-(** Switch to living k-buckets, seeded from the current frozen tables.
-    Consumes no randomness, so enabling after {!create} leaves every
-    RNG stream untouched.  [probe_retries] (default 3, the
+(** Switch to live maintenance of the current k-buckets: their entries
+    become the initial least-recently-seen order, and each bucket gets
+    an empty replacement cache.  Consumes no randomness, so enabling
+    after {!create} leaves every RNG stream untouched.  [probe_retries] (default 3, the
     {!Pdht_net.Config} default ladder) sets the message cost of a
     liveness probe that times out: [1 + probe_retries] attempts.
     Idempotent; cannot be undone. *)
@@ -127,6 +129,6 @@ val live_stats : t -> live_stats option
 
 val contact_stats : t -> int * int
 (** [(contacts, dead_contacts)] across all lookups so far, in either
-    table mode: every contact attempt the iterative searches made, and
+    discipline: every contact attempt the iterative searches made, and
     how many hit a peer that turned out dead — the stale-route rate is
     [dead / contacts]. *)

@@ -160,8 +160,7 @@ let responsible t ~online key =
 
 type outcome = { responsible : int option; messages : int; hops : int }
 
-let lookup ?span ?deliver t rng ~online ~source ~key =
-  ignore rng;
+let lookup ?span ?deliver t ~online ~source ~key =
   if source < 0 || source >= members t then invalid_arg "Pastry.lookup: bad source";
   if not (online source) then { responsible = None; messages = 0; hops = 0 }
   else

@@ -49,7 +49,6 @@ val lookup :
   ?span:int ->
   ?deliver:(span:int option -> src:int -> dst:int -> bool) ->
   t ->
-  Pdht_util.Rng.t ->
   online:(int -> bool) ->
   source:int ->
   key:Pdht_util.Bitkey.t ->

@@ -615,8 +615,7 @@ let test_runner_error_capture () =
      still runs. *)
   let good = Run_spec.make ~options:tiny_options runner_scenario in
   let bad =
-    Run_spec.with_tag "poisoned"
-      (Run_spec.with_options { tiny_options with System.repl = 0 } good)
+    { good with Run_spec.tag = "poisoned"; options = { tiny_options with System.repl = 0 } }
   in
   let results = Runner.run_all ~jobs:2 [ good; bad; good ] in
   (match results with
@@ -641,7 +640,7 @@ let test_run_spec_seeding () =
   Alcotest.(check bool) "derived seed differs from the raw seed" true
     (Run_spec.run_seed spec <> runner_scenario.Scenario.seed);
   Alcotest.(check bool) "task_id splits the stream" true
-    (Run_spec.run_seed spec <> Run_spec.run_seed (Run_spec.with_task_id 1 spec));
+    (Run_spec.run_seed spec <> Run_spec.run_seed { spec with Run_spec.task_id = 1 });
   Alcotest.(check int) "run_seed is a pure function of the spec"
     (Run_spec.run_seed spec) (Run_spec.run_seed spec);
   let tags = List.map (fun s -> s.Run_spec.tag) (Run_spec.over_seeds [ 7; 8 ] spec) in
@@ -651,7 +650,7 @@ let test_run_spec_seeding () =
     (runner_scenario.Scenario.name ^ "/" ^ Strategy.label Strategy.No_index)
     (Run_spec.with_strategy Strategy.No_index spec).Run_spec.tag;
   Alcotest.(check string) "with_strategy keeps a custom tag" "mine"
-    (Run_spec.with_strategy Strategy.No_index (Run_spec.with_tag "mine" spec)).Run_spec.tag
+    (Run_spec.with_strategy Strategy.No_index { spec with Run_spec.tag = "mine" }).Run_spec.tag
 
 let test_pool_map_preserves_order () =
   let squares =

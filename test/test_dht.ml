@@ -716,7 +716,7 @@ let test_kademlia_lookup_reaches_closest () =
   for _ = 1 to 200 do
     let key = Bitkey.random rng in
     let source = Rng.int rng 300 in
-    let o = Kademlia.lookup k rng ~online:all_online ~source ~key in
+    let o = Kademlia.lookup k ~online:all_online ~source ~key in
     let expected = (Kademlia.closest_members k key ~k:1).(0) in
     if o.Kademlia.responsible = Some expected then incr ok
   done;
@@ -728,7 +728,7 @@ let test_kademlia_lookup_logarithmic_rounds () =
   let rounds = ref 0 in
   for _ = 1 to 100 do
     let key = Bitkey.random rng in
-    let o = Kademlia.lookup k rng ~online:all_online ~source:(Rng.int rng 1024) ~key in
+    let o = Kademlia.lookup k ~online:all_online ~source:(Rng.int rng 1024) ~key in
     rounds := !rounds + o.Kademlia.hops
   done;
   let mean = float_of_int !rounds /. 100. in
@@ -746,7 +746,7 @@ let test_kademlia_lookup_under_churn () =
     if online source then begin
       incr attempts;
       let key = Bitkey.random rng in
-      let o = Kademlia.lookup k rng ~online ~source ~key in
+      let o = Kademlia.lookup k ~online ~source ~key in
       if o.Kademlia.responsible <> None then incr ok
     end
   done;
@@ -773,7 +773,7 @@ let test_kademlia_probe_repair () =
   done;
   (* Probing must have repaired most of the stale entries it can find a
      same-bucket replacement for. *)
-  let o = Kademlia.lookup k rng ~online ~source:1 ~key:(Bitkey.random rng) in
+  let o = Kademlia.lookup k ~online ~source:1 ~key:(Bitkey.random rng) in
   Alcotest.(check bool) "lookup still works after repair" true
     (o.Kademlia.responsible <> None)
 
@@ -798,7 +798,7 @@ let test_kademlia_live_contacts_maintain_buckets () =
   Kademlia.enable_live_routing k;
   for _ = 1 to 200 do
     ignore
-      (Kademlia.lookup k rng ~online:all_online ~source:(Rng.int rng 128)
+      (Kademlia.lookup k ~online:all_online ~source:(Rng.int rng 128)
          ~key:(Bitkey.random rng))
   done;
   match Kademlia.live_stats k with
@@ -826,7 +826,7 @@ let test_kademlia_live_dead_entries_churned_out () =
   for _ = 1 to 150 do
     let source = Rng.int rng members in
     if online source then
-      ignore (Kademlia.lookup k rng ~online ~source ~key:(Bitkey.random rng))
+      ignore (Kademlia.lookup k ~online ~source ~key:(Bitkey.random rng))
   done;
   let contacts0, dead0 = Kademlia.contact_stats k in
   Alcotest.(check bool) "lookups saw stale routes" true
@@ -848,7 +848,7 @@ let test_kademlia_live_dead_entries_churned_out () =
   for _ = 1 to 150 do
     let source = Rng.int rng members in
     if online source then
-      ignore (Kademlia.lookup k rng ~online ~source ~key:(Bitkey.random rng))
+      ignore (Kademlia.lookup k ~online ~source ~key:(Bitkey.random rng))
   done;
   let contacts1, dead1 = Kademlia.contact_stats k in
   let rate0 = float_of_int dead0 /. float_of_int contacts0 in
@@ -879,7 +879,7 @@ let test_kademlia_live_tables_survive_and_recover () =
   for _ = 1 to 3 do
     for m = 0 to members - 1 do
       if online m then
-        ignore (Kademlia.lookup k rng ~online ~source:m ~key:(Bitkey.random rng))
+        ignore (Kademlia.lookup k ~online ~source:m ~key:(Bitkey.random rng))
     done
   done;
   for m = 0 to members - 1 do
@@ -892,7 +892,7 @@ let test_kademlia_live_tables_survive_and_recover () =
   for _ = 1 to 5 do
     for m = 0 to members - 1 do
       if online m then begin
-        ignore (Kademlia.lookup k rng ~online ~source:m ~key:(Bitkey.random rng));
+        ignore (Kademlia.lookup k ~online ~source:m ~key:(Bitkey.random rng));
         ignore (Kademlia.probe_and_repair k rng ~online ~peer:m ~probes:8)
       end
     done
@@ -957,7 +957,7 @@ let test_pastry_lookup_reaches_owner () =
   for _ = 1 to 200 do
     let key = Bitkey.random rng in
     let source = Rng.int rng 300 in
-    let o = Pastry.lookup p rng ~online:all_online ~source ~key in
+    let o = Pastry.lookup p ~online:all_online ~source ~key in
     if o.Pastry.responsible = Some (Pastry.numerically_closest p key) then incr ok
   done;
   Alcotest.(check int) "always reaches the numerically closest" 200 !ok
@@ -968,7 +968,7 @@ let test_pastry_lookup_prefix_speed () =
   let hops = ref 0 in
   for _ = 1 to 100 do
     let key = Bitkey.random rng in
-    let o = Pastry.lookup p rng ~online:all_online ~source:(Rng.int rng 1024) ~key in
+    let o = Pastry.lookup p ~online:all_online ~source:(Rng.int rng 1024) ~key in
     hops := !hops + o.Pastry.hops
   done;
   let mean = float_of_int !hops /. 100. in
@@ -997,7 +997,7 @@ let test_pastry_lookup_under_churn () =
     if online source then begin
       incr attempts;
       let key = Bitkey.random rng in
-      let o = Pastry.lookup p rng ~online ~source ~key in
+      let o = Pastry.lookup p ~online ~source ~key in
       if o.Pastry.responsible <> None then incr ok
     end
   done;
@@ -1195,7 +1195,7 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         let p = Pastry.create rng ~members () in
         let key = Bitkey.random rng in
-        let o = Pastry.lookup p rng ~online:all_online ~source:(Rng.int rng members) ~key in
+        let o = Pastry.lookup p ~online:all_online ~source:(Rng.int rng members) ~key in
         o.Pastry.responsible = Some (Pastry.numerically_closest p key));
     Test.make ~name:"dynamic chord ideal owner is id-closest successor" ~count:30
       (pair (int_range 2 30) small_int)
@@ -1265,7 +1265,7 @@ let test_bucket_contact_decisions () =
   let evicted = (live_stats k).Kademlia.evictions in
   Alcotest.(check bool) "room made" true (evicted > 0);
   for _ = 1 to 50 do
-    ignore (Kademlia.lookup k rng ~online:all_online ~source:owner ~key:(Bitkey.random rng))
+    ignore (Kademlia.lookup k ~online:all_online ~source:owner ~key:(Bitkey.random rng))
   done;
   let s = live_stats k in
   Alcotest.(check bool) "promotions" true (s.Kademlia.promotions > 0);
@@ -1325,6 +1325,15 @@ let test_bucket_probe_messages () =
    live: probe-and-repair plus a refresh sweep on tables that lookups
    have already demoted into), then more lookups.  The digest covers
    every outcome, the maintenance cost and both stat blocks. *)
+let pin_lookups buf k rng ~online ~members count =
+  for _ = 1 to count do
+    let source = Rng.int rng members in
+    let o = Kademlia.lookup k ~online ~source ~key:(Bitkey.random rng) in
+    Printf.bprintf buf "%d,%d,%d;"
+      (Option.value o.Kademlia.responsible ~default:(-1))
+      o.Kademlia.messages o.Kademlia.hops
+  done
+
 let kademlia_pin_digest ~live ~bucket_size ~members =
   let rng = Rng.create ~seed:(members + bucket_size + if live then 7 else 0) in
   let k = Kademlia.create rng ~members ~bucket_size () in
@@ -1332,15 +1341,7 @@ let kademlia_pin_digest ~live ~bucket_size ~members =
   let offline = Array.init members (fun _ -> Rng.unit_float rng < 0.3) in
   let online p = not offline.(p) in
   let buf = Buffer.create 4096 in
-  let lookups () =
-    for _ = 1 to 120 do
-      let source = Rng.int rng members in
-      let o = Kademlia.lookup k rng ~online ~source ~key:(Bitkey.random rng) in
-      Printf.bprintf buf "%d,%d,%d;"
-        (Option.value o.Kademlia.responsible ~default:(-1))
-        o.Kademlia.messages o.Kademlia.hops
-    done
-  in
+  let lookups () = pin_lookups buf k rng ~online ~members 120 in
   lookups ();
   for m = 0 to members - 1 do
     if online m then
@@ -1408,15 +1409,7 @@ let kademlia_rejoin_digest ~live ~bucket_size ~members =
       Printf.bprintf buf "%d/%d;" (Kademlia.bucket_count k m) (Kademlia.routing_table_size k m)
     done
   in
-  let lookups () =
-    for _ = 1 to 80 do
-      let source = Rng.int rng members in
-      let o = Kademlia.lookup k rng ~online ~source ~key:(Bitkey.random rng) in
-      Printf.bprintf buf "%d,%d,%d;"
-        (Option.value o.Kademlia.responsible ~default:(-1))
-        o.Kademlia.messages o.Kademlia.hops
-    done
-  in
+  let lookups () = pin_lookups buf k rng ~online ~members 80 in
   sizes ();
   for m = 0 to members - 1 do
     if m mod 5 = 0 then Kademlia.forget_routes k ~peer:m
