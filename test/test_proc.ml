@@ -186,6 +186,29 @@ let test_node_rejects_retired_evictions () =
       Alcotest.(check bool) "failed promptly" true (Unix.gettimeofday () -. started < 5.0))
     [ 1; 2; 42 ]
 
+(* Frames only a worker sends, or only the conductor sends as a reply,
+   have no meaning after [Setup]: each must end the session at once with
+   a failure naming the frame, not be skipped or answered. *)
+let test_node_rejects_reply_frames () =
+  List.iter
+    (fun frame ->
+      let name = Format.asprintf "%a" Wire.pp frame in
+      let started = Unix.gettimeofday () in
+      (match run_node_session [ setup; frame; Wire.Bye ] with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "names %s: %s" name msg)
+            true
+            (contains msg ("unexpected frame " ^ name))
+      | _ -> Alcotest.failf "accepted %s" name);
+      Alcotest.(check bool) (name ^ " failed promptly") true
+        (Unix.gettimeofday () -. started < 5.0))
+    [ Wire.Hello { node_id = 0 };
+      setup;
+      Wire.Ack { rid = 1; ok = true; value = 0 };
+      Wire.Ack_float { rid = 2; ok = true; value = 50.0 };
+      Wire.Counters { rid = 3; node_id = 0; counters = [ ("proc.gets", 1) ] } ]
+
 let test_node_rejects_unowned_member () =
   match
     run_node_session
@@ -214,24 +237,26 @@ let test_node_obs_out_validates () =
 (* ---------------------------------------------------------------- *)
 (* Cluster worker death                                              *)
 
+(* A worker executable built beside this test.  dune runtest runs us in
+   the build dir next to the helpers; under dune exec the cwd is
+   elsewhere, so fall back to our own dir. *)
+let helper_exe name =
+  let candidates =
+    [
+      Filename.concat (Sys.getcwd ()) name;
+      Filename.concat (Filename.dirname Sys.executable_name) name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some exe -> exe
+  | None -> Alcotest.failf "%s not found beside the test" name
+
 let test_cluster_worker_death_fails_fast () =
   (* [crash_worker.exe] handshakes like a real worker and then exits
      with status 3; the conductor must detect the death and fail with
      the node id, exit status and last frame kind — not grind the RPC
      retry ladder against a dead process. *)
-  let exe =
-    (* dune runtest runs us in the build dir next to the helper; under
-       dune exec the cwd is elsewhere, so fall back to our own dir. *)
-    let candidates =
-      [
-        Filename.concat (Sys.getcwd ()) "crash_worker.exe";
-        Filename.concat (Filename.dirname Sys.executable_name) "crash_worker.exe";
-      ]
-    in
-    match List.find_opt Sys.file_exists candidates with
-    | Some exe -> exe
-    | None -> Alcotest.fail "crash_worker.exe not found beside the test"
-  in
+  let exe = helper_exe "crash_worker.exe" in
   let scenario =
     {
       Pdht_work.Scenario.news_default with
@@ -265,6 +290,43 @@ let test_cluster_worker_death_fails_fast () =
       Alcotest.(check bool) "failed promptly" true
         (Unix.gettimeofday () -. started < 5.0)
 
+(* The fault path through real workers: a crash wave with anti-entropy
+   repair and invariant checks reaches every store operation over the
+   wire — crash clears, live counts, repair reads and copies — and the
+   2-process report must still be the same-seed simulator report. *)
+let test_cluster_fault_path_equals_sim () =
+  let module System = Pdht_core.System in
+  let module Plan = Pdht_fault.Plan in
+  let exe = helper_exe "node_worker.exe" in
+  let scenario =
+    { (Pdht_work.Scenario.with_scale Pdht_work.Scenario.news_default ~peers:200 ~keys:300)
+      with Pdht_work.Scenario.duration = 240.; seed = 11 }
+  in
+  let plan =
+    match Plan.of_string "crash:0.3@120+60" with
+    | Ok plan ->
+        { plan with
+          Plan.repair = Some { Plan.every = 30.; min_fraction = 0.5 };
+          check_invariants = true }
+    | Error msg -> Alcotest.fail msg
+  in
+  let options = System.Options.make ~fault:plan () in
+  let strategy =
+    Pdht_core.Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options }
+  in
+  let render r = Format.asprintf "%a" System.pp_report r in
+  let sim = System.run scenario strategy options in
+  let cluster =
+    Pdht_proc.Cluster.run (Pdht_proc.Cluster.default_config ~nodes:2 ~exe) scenario
+      strategy options
+  in
+  (match sim.System.fault with
+  | Some f ->
+      Alcotest.(check int) "crashes" 60 f.System.crashes;
+      Alcotest.(check int) "repaired entries" 993 f.System.repaired_entries
+  | None -> Alcotest.fail "no fault summary");
+  Alcotest.(check string) "cluster report = simulator report" (render sim) (render cluster)
+
 let () =
   Alcotest.run "pdht_proc"
     [
@@ -288,10 +350,13 @@ let () =
           Alcotest.test_case "rejects unowned member" `Quick
             test_node_rejects_unowned_member;
           Alcotest.test_case "obs-out validates" `Quick test_node_obs_out_validates;
+          Alcotest.test_case "rejects reply frames" `Quick test_node_rejects_reply_frames;
         ] );
       ( "cluster",
         [
           Alcotest.test_case "worker death fails fast" `Quick
             test_cluster_worker_death_fails_fast;
+          Alcotest.test_case "fault path equals simulator" `Quick
+            test_cluster_fault_path_equals_sim;
         ] );
     ]

@@ -133,6 +133,11 @@ dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
   --churn weibull:up=600:down=200:shape=0.6 --bucket-refresh 30 \
   > "$out/lossy-report.txt"
 diff "$out/lossy-report.txt" test/golden/lossy_net_report.txt
+# The bare --churn flag (exponential sessions, the historical default)
+# is pinned too: the one end-to-end run of exponential-session churn.
+dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
+  --churn > "$out/exp-churn-report.txt"
+diff "$out/exp-churn-report.txt" test/golden/exp_churn_report.txt
 # And with fault injection on: the fault trace events must be present
 # and well-formed, the report must carry the fault block, and the
 # repair counters must be live.
