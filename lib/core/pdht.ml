@@ -23,21 +23,22 @@ let forever = 1e15
 
 (* Index-store access, keyed by workload key index rather than raw
    bitkey so a remote implementation can rebuild keys from the key
-   count alone.  The default (built by {!create} when no [?store] is
-   passed) reads and writes the in-process [Storage.t] array; the
-   multi-process driver substitutes closures that cross the wire to
-   whichever worker owns [peer]'s shard.  [repair_put] is the
-   anti-entropy copy — same write, but carrying a remaining (not
-   renewed) TTL, kept separate so drivers can account it apart. *)
+   count alone.  The default (no [?transport] at {!create}) reads and
+   writes the in-process [Storage.t] array; the multi-process driver's
+   transport carries closures that cross the wire to whichever worker
+   owns [peer]'s shard. *)
 type store_ops = {
   get_and_refresh : peer:int -> key_index:int -> now:float -> ttl:float -> int option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
-  repair_put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
-  mem : peer:int -> key_index:int -> now:float -> bool;
-  get : peer:int -> key_index:int -> now:float -> int option;
-  expiry : peer:int -> key_index:int -> float option;
+  peek : peer:int -> key_index:int -> now:float -> (int * float) option;
   clear : peer:int -> int;
   live_count : peer:int -> now:float -> int;
+}
+
+type transport = {
+  store : store_ops;
+  rpc : span:int option -> src:int -> dst:int -> bool;
+  cast : span:int option -> src:int -> dst:int -> bool;
 }
 
 (* Pre-resolved observability instruments: hot paths must not pay a
@@ -76,12 +77,11 @@ type t = {
   (* Delivery hooks, if any.  Built once (no per-query allocation) and
      passed as the [?deliver] hooks: [net_rpc] per DHT forward hop and
      entry contact, [net_cast] per broadcast message.  Two sources:
-     the simulator's network model ([net] set, hooks derived from it at
-     creation) or a real transport installed by {!set_transport}
+     the simulator's network model ([net] set) or a real transport
      ([net] stays [None]; each hook materialises one wire frame). *)
   net : Net_hook.t option;
-  mutable net_rpc : (span:int option -> src:int -> dst:int -> bool) option;
-  mutable net_cast : (span:int option -> src:int -> dst:int -> bool) option;
+  net_rpc : (span:int option -> src:int -> dst:int -> bool) option;
+  net_cast : (span:int option -> src:int -> dst:int -> bool) option;
   mutable online : int -> bool;
   mutable key_ttl : float;
   (* Cost-optimal selector, if installed.  [None] (the default, and the
@@ -112,12 +112,6 @@ let lease t ~now ~key_index =
   match t.selector with
   | None -> t.key_ttl
   | Some sel -> Psel.Cost_optimal.ttl_for sel ~now ~key_index
-
-let set_transport t ~rpc ~cast =
-  if t.net <> None then
-    invalid_arg "Pdht.set_transport: incompatible with the simulated network model";
-  t.net_rpc <- Some rpc;
-  t.net_cast <- Some cast
 
 let replica_net t key_index =
   match Hashtbl.find_opt t.replica_nets key_index with
@@ -175,17 +169,23 @@ let local_store_ops ~stores ~(bitkeys : Bitkey.t array) =
     put =
       (fun ~peer ~key_index ~value ~now ~ttl ->
         Storage.put stores.(peer) ~key:bitkeys.(key_index) ~value ~now ~ttl);
-    repair_put =
-      (fun ~peer ~key_index ~value ~now ~ttl ->
-        Storage.put stores.(peer) ~key:bitkeys.(key_index) ~value ~now ~ttl);
-    mem = (fun ~peer ~key_index ~now -> Storage.mem stores.(peer) ~key:bitkeys.(key_index) ~now);
-    get = (fun ~peer ~key_index ~now -> Storage.get stores.(peer) ~key:bitkeys.(key_index) ~now);
-    expiry = (fun ~peer ~key_index -> Storage.expiry stores.(peer) ~key:bitkeys.(key_index));
+    peek =
+      (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:bitkeys.(key_index) ~now);
     clear = (fun ~peer -> Storage.clear stores.(peer));
     live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
   }
 
-let create ?obs ?net ?store rng config =
+let create ?obs ?net ?transport rng config =
+  let net_rpc, net_cast =
+    match (net, transport) with
+    | Some _, Some _ ->
+        invalid_arg "Pdht.create: a network model and a transport are mutually exclusive"
+    | Some h, None ->
+        ( Some (fun ~span ~src ~dst -> Net_hook.rpc ?span h ~src ~dst),
+          Some (fun ~span ~src ~dst -> Net_hook.cast ?span h ~src ~dst) )
+    | None, Some tr -> (Some tr.rpc, Some tr.cast)
+    | None, None -> (None, None)
+  in
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let keys = config.Config.keys in
   let bitkeys =
@@ -209,8 +209,8 @@ let create ?obs ?net ?store rng config =
       ~strategy:(Config.default_search ~num_peers:config.Config.num_peers)
   in
   let store =
-    match store with
-    | Some ops -> ops
+    match transport with
+    | Some tr -> tr.store
     | None ->
         (* One store per active member; value = provider peer. *)
         let stores =
@@ -234,14 +234,8 @@ let create ?obs ?net ?store rng config =
       obs;
       ins = make_instruments obs ~backend:config.Config.backend;
       net;
-      net_rpc =
-        (match net with
-        | None -> None
-        | Some h -> Some (fun ~span ~src ~dst -> Net_hook.rpc ?span h ~src ~dst));
-      net_cast =
-        (match net with
-        | None -> None
-        | Some h -> Some (fun ~span ~src ~dst -> Net_hook.cast ?span h ~src ~dst));
+      net_rpc;
+      net_cast;
       online = (fun _ -> true);
       key_ttl = initial_ttl config;
       selector = None;
@@ -721,7 +715,8 @@ let indexed_key_count t ~now =
   for key_index = 0 to t.config.Config.keys - 1 do
     let key = t.bitkeys.(key_index) in
     let group = Dht.replica_group t.dht ~repl:t.config.Config.repl key in
-    if Array.exists (fun member -> t.store.mem ~peer:member ~key_index ~now) group then
+    if Array.exists (fun member -> t.store.peek ~peer:member ~key_index ~now <> None) group
+    then
       incr count
   done;
   !count
@@ -821,37 +816,35 @@ let repair_pass ?span t rng ~now ~min_fraction =
         | None -> () (* never queried: nothing to repair *)
         | Some net ->
             let group = Replica_net.replicas net in
-            (* Find a surviving online holder; every probe is a
-               message. *)
-            let holder = ref (-1) in
-            let i = ref 0 in
-            while !holder < 0 && !i < Array.length group do
-              let member = group.(!i) in
-              incr i;
-              if t.online member then begin
-                incr messages;
-                if t.store.mem ~peer:member ~key_index ~now then holder := member
-              end
-            done;
-            if !holder >= 0 then begin
-              match (t.store.expiry ~peer:!holder ~key_index, t.store.get ~peer:!holder ~key_index ~now) with
-              | Some expiry, Some provider ->
-                  let remaining = expiry -. now in
-                  if remaining > 0. then
-                    Array.iter
-                      (fun member ->
-                        if
-                          member <> !holder && t.online member
-                          && not (t.store.mem ~peer:member ~key_index ~now)
-                        then begin
-                          t.store.repair_put ~peer:member ~key_index ~value:provider
-                            ~now ~ttl:remaining;
-                          incr messages;
-                          incr repaired_entries
-                        end)
-                      group
-              | _ -> ()
-            end
+            (* Find a surviving online holder and its entry; every
+               probe is a message. *)
+            let rec find i =
+              if i = Array.length group then None
+              else
+                let member = group.(i) in
+                if not (t.online member) then find (i + 1)
+                else begin
+                  incr messages;
+                  match t.store.peek ~peer:member ~key_index ~now with
+                  | Some (provider, expiry) -> Some (member, provider, expiry -. now)
+                  | None -> find (i + 1)
+                end
+            in
+            match find 0 with
+            | None -> ()
+            | Some (holder, provider, remaining) ->
+                Array.iter
+                  (fun member ->
+                    if
+                      member <> holder && t.online member
+                      && t.store.peek ~peer:member ~key_index ~now = None
+                    then begin
+                      t.store.put ~peer:member ~key_index ~value:provider ~now
+                        ~ttl:remaining;
+                      incr messages;
+                      incr repaired_entries
+                    end)
+                  group
       done);
   Metrics.charge t.metrics Metrics.Maintenance !messages;
   let tracer = t.obs.Obs.tracer in
@@ -874,7 +867,5 @@ let index_hit_probe t ~now ~key_index =
   | None -> false
   | Some responsible ->
       let group = Dht.replica_group t.dht ~repl:t.config.Config.repl key in
-      t.store.mem ~peer:responsible ~key_index ~now
-      || Array.exists
-           (fun member -> t.online member && t.store.mem ~peer:member ~key_index ~now)
-           group
+      let live member = t.store.peek ~peer:member ~key_index ~now <> None in
+      live responsible || Array.exists (fun member -> t.online member && live member) group

@@ -15,35 +15,54 @@
 
     The same machine also runs the two baselines ({!Strategy.Index_all},
     {!Strategy.No_index}) so that strategies can be compared on
-    identical workloads with identical message accounting. *)
+    identical workloads with identical message accounting.
+
+    By default every member cache lives in this process.  A
+    {!transport} passed to {!create} moves them behind five store
+    operations ({!store_ops}) and turns each hop into a delivery call,
+    which is how the multi-process driver runs the same protocol. *)
 
 type t
 
-(** Pluggable index-store access, keyed by workload key index.  The
-    default implementation (no [?store] at {!create}) operates on the
-    in-process per-member [Storage.t] array; the multi-process driver
-    substitutes closures that reach whichever worker process owns
-    [peer]'s shard over the wire.  All reads and writes the protocol
-    performs against member caches flow through this record, so a
-    remote store is authoritative — including expiry and eviction side
-    effects.  [repair_put] is the anti-entropy copy (same write as
-    [put], but carrying a remaining rather than renewed TTL), kept
-    separate so drivers can account repair traffic apart. *)
+(** Index-store access, keyed by workload key index: the five
+    operations the protocol performs on member caches.  The default
+    (no [?transport] at {!create}) operates on the in-process
+    per-member [Storage.t] array; the multi-process driver substitutes
+    closures that reach whichever worker process owns [peer]'s shard
+    over the wire, so a remote store is authoritative — including
+    expiry and eviction side effects.
+    - [get_and_refresh]: the query hit; a live entry's expiry becomes
+      [now +. ttl];
+    - [put]: insert or overwrite with expiry [now +. ttl] (repair
+      passes the entry's remaining TTL, so it never extends a key's
+      life);
+    - [peek]: a live entry's value and absolute expiry, no refresh;
+    - [clear]: the crash — drop every entry, return how many;
+    - [live_count]: non-expired entries. *)
 type store_ops = {
   get_and_refresh : peer:int -> key_index:int -> now:float -> ttl:float -> int option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
-  repair_put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
-  mem : peer:int -> key_index:int -> now:float -> bool;
-  get : peer:int -> key_index:int -> now:float -> int option;
-  expiry : peer:int -> key_index:int -> float option;
+  peek : peer:int -> key_index:int -> now:float -> (int * float) option;
   clear : peer:int -> int;
   live_count : peer:int -> now:float -> int;
+}
+
+(** A real transport: the multi-process driver's whole seam.  [store]
+    replaces the in-process index stores; [rpc] fires once per DHT
+    forward hop and entry contact (its return deciding delivery, as
+    with the simulated network model) and [cast] once per broadcast
+    message, each materialising the hop as a wire frame to the owning
+    worker. *)
+type transport = {
+  store : store_ops;
+  rpc : span:int option -> src:int -> dst:int -> bool;
+  cast : span:int option -> src:int -> dst:int -> bool;
 }
 
 val create :
   ?obs:Pdht_obs.Context.t ->
   ?net:Pdht_net.Hook.t ->
-  ?store:store_ops ->
+  ?transport:transport ->
   Pdht_util.Rng.t ->
   Config.t ->
   t
@@ -77,7 +96,13 @@ val create :
     The hook draws only from its own RNG stream, so all other
     randomness is unperturbed.  Replica-subnetwork floods, gossip and
     maintenance probes stay instantaneous (documented simplification —
-    they are background traffic, not query-path latency). *)
+    they are background traffic, not query-path latency).
+
+    [transport] (default: none — the in-process stores, no delivery
+    hooks) runs the same protocol over a real transport.
+    @raise Invalid_argument when both [net] and [transport] are given:
+    the simulated network model and a real transport are two
+    implementations of the same delivery seam. *)
 
 val config : t -> Config.t
 val metrics : t -> Pdht_sim.Metrics.t
@@ -89,16 +114,6 @@ val key_of_index : t -> int -> Pdht_util.Bitkey.t
 
 val set_online : t -> (int -> bool) -> unit
 (** Wire a churn model in; default: everyone always online. *)
-
-val set_transport : t -> rpc:(span:int option -> src:int -> dst:int -> bool) ->
-  cast:(span:int option -> src:int -> dst:int -> bool) -> unit
-(** Install real-transport delivery hooks: [rpc] fires once per DHT
-    forward hop and entry contact (its return deciding delivery, as
-    with the simulated network model), [cast] once per broadcast
-    message.  For the multi-process driver these materialise the hop as
-    a wire frame to the owning worker.  @raise Invalid_argument when a
-    simulated network model is already attached — the two delivery
-    paths are mutually exclusive. *)
 
 val set_key_ttl : t -> float -> unit
 (** Change the TTL used for subsequent insertions and refreshes (the

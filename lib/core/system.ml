@@ -198,13 +198,6 @@ let build_churn scenario rng =
   | Scenario.Sessions spec ->
       Pdht_dht.Churn.create_spec rng ~peers:scenario.Scenario.num_peers spec
 
-(* External execution driver: substitutes the protocol's store access
-   (e.g. with wire-crossing closures to worker processes) and gets the
-   built [Pdht.t] back once, before any event runs, to install
-   transport hooks via {!Pdht.set_transport}.  With no driver the exact
-   pre-existing creation path runs. *)
-type driver = { store : Pdht.store_ops; attach : Pdht.t -> unit }
-
 (* Mutable run-time counters, folded into the report at the end. *)
 type counters = {
   mutable queries : int;
@@ -218,7 +211,7 @@ type counters = {
   mutable samples_rev : sample list;
 }
 
-let run ?obs ?driver scenario strategy options =
+let run ?obs ?transport scenario strategy options =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let scenario =
     match Scenario.validate scenario with
@@ -278,19 +271,7 @@ let run ?obs ?driver scenario strategy options =
     Config.make ~backend:options.backend ~num_peers:scenario.Scenario.num_peers ~active_members
       ~keys:scenario.Scenario.keys ~repl:options.repl ~stor:options.stor ~strategy ()
   in
-  let pdht =
-    match driver with
-    | None -> Pdht.create ~obs ?net:net_hook build_rng config
-    | Some d ->
-        (* A real transport and the simulated network model are mutually
-           exclusive delivery paths. *)
-        (match options.net with
-        | Some _ -> invalid_arg "System.run: driver and net model are mutually exclusive"
-        | None -> ());
-        let p = Pdht.create ~obs ~store:d.store build_rng config in
-        d.attach p;
-        p
-  in
+  let pdht = Pdht.create ~obs ?net:net_hook ?transport build_rng config in
   (* Live routing tables (opt-in, Kademlia only): self-healing k-buckets
      plus a periodic bucket-refresh sweep.  Enabling consumes no RNG, so
      [bucket_refresh = None] runs stay byte-identical to the frozen

@@ -4,7 +4,8 @@
     Assembles everything: population + unstructured overlay + DHT +
     churn + routing maintenance + query/update workloads, runs the
     discrete-event engine for the scenario's duration, and reports the
-    counters the paper's evaluation cares about. *)
+    counters the paper's evaluation cares about.  The same run drives
+    worker processes when given a {!Pdht.transport}. *)
 
 type options = {
   repl : int;                  (** replication factor (default 20) *)
@@ -189,26 +190,19 @@ val plan_active_members : Pdht_work.Scenario.t -> options -> Strategy.t -> int
     (both with 1.5x headroom), and a minimal 2-member ring under
     [No_index] (no DHT traffic is generated there). *)
 
-(** External execution driver for the protocol's state-bearing side
-    effects: [store] replaces {!Pdht}'s in-process index-store access
-    (the multi-process conductor passes closures that cross the wire to
-    the worker owning each member's shard), and [attach] receives the
-    built {!Pdht.t} once — before any event runs — to install real
-    transport hooks via {!Pdht.set_transport}.  Mutually exclusive with
-    [options.net]: the simulated network model and a real transport are
-    two implementations of the same delivery seam. *)
-type driver = { store : Pdht.store_ops; attach : Pdht.t -> unit }
-
 val run :
   ?obs:Pdht_obs.Context.t ->
-  ?driver:driver ->
+  ?transport:Pdht.transport ->
   Pdht_work.Scenario.t ->
   Strategy.t ->
   options ->
   report
 (** Execute the simulation.  Deterministic in [scenario.seed].
-    Without [?driver] the exact in-process creation path runs —
-    byte-identical reports to builds that predate the driver seam.
+    [transport] (default: the in-process stores) is handed to
+    {!Pdht.create}: the multi-process conductor passes its wire-crossing
+    store and hop closures here.
+    @raise Invalid_argument when [transport] is given with
+    [options.net] (see {!Pdht.create}).
 
     [obs] (default: fresh, tracer disabled) collects the run's metrics
     and trace events: everything {!Pdht.create} registers, plus engine

@@ -188,6 +188,10 @@ let get_and_refresh t ~key ~now ~ttl =
     Some t.values.(slot)
   end
 
+let peek t ~key ~now =
+  let slot = find_live_slot t ~key ~now in
+  if slot < 0 then None else Some (t.values.(slot), t.expiry.(slot))
+
 let mem t ~key ~now = find_live_slot t ~key ~now >= 0
 
 let remove t ~key =

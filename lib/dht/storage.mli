@@ -38,6 +38,10 @@ val get_and_refresh :
 (** The paper's query-hit behaviour: on a hit, the expiration time is
     reset to [now +. ttl]. *)
 
+val peek : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> ('v * float) option
+(** A live entry's value and expiration instant, without refreshing
+    it; expired entries are treated as absent (and purged). *)
+
 val mem : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> bool
 (** Whether {!get} would hit, without returning the value. *)
 

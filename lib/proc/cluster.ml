@@ -26,9 +26,7 @@ let node_obs_path dir k = Filename.concat dir (Printf.sprintf "node-%d.jsonl" k)
 let next_rid = ref 0
 
 let rid_of = function
-  | Wire.Ack { rid; _ } | Wire.Ack_float { rid; _ }
-  | Wire.Counters { rid; _ } ->
-      Some rid
+  | Wire.Ack { rid; _ } | Wire.Entry { rid; _ } | Wire.Counters { rid; _ } -> Some rid
   | _ -> None
 
 let frame_kind = function
@@ -37,11 +35,10 @@ let frame_kind = function
   | Wire.Lookup _ -> "Lookup"
   | Wire.Insert _ -> "Insert"
   | Wire.Gossip _ -> "Gossip"
-  | Wire.Repair _ -> "Repair"
   | Wire.Get _ -> "Get"
   | Wire.Probe _ -> "Probe"
   | Wire.Ack _ -> "Ack"
-  | Wire.Ack_float _ -> "Ack_float"
+  | Wire.Entry _ -> "Entry"
   | Wire.Snapshot _ -> "Snapshot"
   | Wire.Counters _ -> "Counters"
   | Wire.Bye -> "Bye"
@@ -214,81 +211,49 @@ let run ?obs config scenario strategy (options : System.options) =
              "cluster: rpc to node %d gave up after %d attempts (last frame sent: %s)" k
              (Pdht_net.Config.attempts ladder) last_frame.(k))
   in
-  let call_ack ~peer make_frame =
+  let unexpected want msg =
+    failwith (Format.asprintf "cluster: expected %s, got %a" want Wire.pp msg)
+  in
+  let ack ~peer make_frame =
     match call (owner peer) make_frame with
     | Wire.Ack { ok; value; _ } -> (ok, value)
-    | msg -> failwith (Format.asprintf "cluster: expected Ack, got %a" Wire.pp msg)
+    | msg -> unexpected "Ack" msg
   in
+  let get ~peer ~key_index ~refresh ~now ~ttl =
+    match
+      call (owner peer) (fun rid -> Wire.Get { rid; peer; key = key_index; refresh; now; ttl })
+    with
+    | Wire.Entry { ok; value; expiry; _ } -> if ok then Some (value, expiry) else None
+    | msg -> unexpected "Entry" msg
+  in
+  let probe ~peer op ~now = snd (ack ~peer (fun rid -> Wire.Probe { rid; op; peer; now })) in
   let store : Pdht.store_ops =
     {
       get_and_refresh =
         (fun ~peer ~key_index ~now ~ttl ->
-          let ok, value =
-            call_ack ~peer (fun rid ->
-                Wire.Get { rid; peer; key = key_index; refresh = true; now; ttl })
-          in
-          if ok then Some value else None);
+          Option.map fst (get ~peer ~key_index ~refresh:true ~now ~ttl));
       put =
         (fun ~peer ~key_index ~value ~now ~ttl ->
           ignore
-            (call_ack ~peer (fun rid ->
-                 Wire.Insert { rid; peer; key = key_index; value; now; ttl })));
-      repair_put =
-        (fun ~peer ~key_index ~value ~now ~ttl ->
-          ignore
-            (call_ack ~peer (fun rid ->
-                 Wire.Repair { rid; peer; key = key_index; value; now; ttl })));
-      mem =
-        (fun ~peer ~key_index ~now ->
-          fst
-            (call_ack ~peer (fun rid ->
-                 Wire.Probe { rid; op = Wire.Mem; peer; key = key_index; now })));
-      get =
-        (fun ~peer ~key_index ~now ->
-          let ok, value =
-            call_ack ~peer (fun rid ->
-                Wire.Get { rid; peer; key = key_index; refresh = false; now; ttl = 0.0 })
-          in
-          if ok then Some value else None);
-      expiry =
-        (fun ~peer ~key_index ->
-          match
-            call (owner peer) (fun rid ->
-                Wire.Probe { rid; op = Wire.Expiry; peer; key = key_index; now = 0.0 })
-          with
-          | Wire.Ack_float { ok; value; _ } -> if ok then Some value else None
-          | msg ->
-              failwith
-                (Format.asprintf "cluster: expected Ack_float, got %a" Wire.pp msg));
-      clear =
-        (fun ~peer ->
-          snd
-            (call_ack ~peer (fun rid ->
-                 Wire.Probe { rid; op = Wire.Clear; peer; key = -1; now = 0.0 })));
-      live_count =
-        (fun ~peer ~now ->
-          snd
-            (call_ack ~peer (fun rid ->
-                 Wire.Probe { rid; op = Wire.Live_count; peer; key = -1; now })));
+            (ack ~peer (fun rid -> Wire.Insert { rid; peer; key = key_index; value; now; ttl })));
+      peek =
+        (fun ~peer ~key_index ~now -> get ~peer ~key_index ~refresh:false ~now ~ttl:0.0);
+      clear = (fun ~peer -> probe ~peer Wire.Clear ~now:0.0);
+      live_count = (fun ~peer ~now -> probe ~peer Wire.Live_count ~now);
     }
   in
   let span_id = function Some s -> s | None -> -1 in
   let rpc ~span ~src ~dst =
-    match
-      call (owner dst) (fun rid ->
-          Wire.Lookup { rid; span = span_id span; src; dst; key = -1 })
-    with
-    | Wire.Ack { ok; _ } -> ok
-    | msg -> failwith (Format.asprintf "cluster: expected Ack, got %a" Wire.pp msg)
+    fst
+      (ack ~peer:dst (fun rid -> Wire.Lookup { rid; span = span_id span; src; dst; key = -1 }))
   in
   let cast ~span ~src ~dst =
     send_to (owner dst) (Wire.Gossip { span = span_id span; src; dst; key = -1 });
     true
   in
-  let driver =
-    { System.store; attach = (fun p -> Pdht.set_transport p ~rpc ~cast) }
+  let report =
+    System.run ~obs ~transport:{ Pdht.store; rpc; cast } scenario strategy options
   in
-  let report = System.run ~obs ~driver scenario strategy options in
   (* Merge worker counters only after the report is rendered from the
      conductor's registry: the merge can never perturb the
      sim-equivalence contract. *)
@@ -300,8 +265,7 @@ let run ?obs config scenario strategy (options : System.options) =
         List.iter
           (fun (name, value) -> Registry.incr (Registry.counter merged name) value)
           counters
-    | msg ->
-        failwith (Format.asprintf "cluster: expected Counters, got %a" Wire.pp msg)
+    | msg -> unexpected "Counters" msg
   done;
   Option.iter
     (fun dir ->

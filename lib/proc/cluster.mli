@@ -2,10 +2,11 @@
     the index state sharded across [nodes] worker processes on one box.
 
     The conductor keeps the whole protocol brain — workloads, routing,
-    selection, accounting — and drives it through {!Pdht_core.System}'s
-    driver seam: every store access and every DHT hop / broadcast edge
-    becomes a {!Pdht_wire.Wire} frame to the worker owning the target
-    member ([member mod nodes]).  Workers answer strictly in order and
+    selection, accounting — and hands {!Pdht_core.System.run} one
+    {!Pdht_core.Pdht.transport}: each of its five store operations and
+    every DHT hop / broadcast edge becomes a {!Pdht_wire.Wire} frame
+    ([Get], [Insert], [Probe], [Lookup], [Gossip]) to the worker owning
+    the target member ([member mod nodes]).  Workers answer strictly in order and
     the loopback link is reliable, so the cluster's report is
     field-for-field the same-seed simulator report.  Each
     conductor->worker call runs the {!Pdht_net.Config.call} retry

@@ -45,7 +45,6 @@ let serve ?obs_out ~node_id conn =
   and casts = counter "proc.casts"
   and gets = counter "proc.gets"
   and puts = counter "proc.puts"
-  and repair_puts = counter "proc.repair_puts"
   and probes = counter "proc.probes" in
   let reply msg =
     Registry.incr frames_out 1;
@@ -101,40 +100,30 @@ let serve ?obs_out ~node_id conn =
               ~ttl;
             reply (Wire.Ack { rid; ok = true; value = 0 });
             loop ()
-        | Wire.Repair { rid; peer; key = key_index; value; now; ttl } ->
-            Registry.incr repair_puts 1;
-            Storage.put (store shard ~peer) ~key:(key shard ~key_index) ~value ~now
-              ~ttl;
-            reply (Wire.Ack { rid; ok = true; value = 0 });
-            loop ()
         | Wire.Get { rid; peer; key = key_index; refresh; now; ttl } ->
             Registry.incr gets 1;
             let s = store shard ~peer in
             let k = key shard ~key_index in
             let found =
-              if refresh then Storage.get_and_refresh s ~key:k ~now ~ttl
-              else Storage.get s ~key:k ~now
+              if refresh then
+                Option.map
+                  (fun v -> (v, now +. ttl))
+                  (Storage.get_and_refresh s ~key:k ~now ~ttl)
+              else Storage.peek s ~key:k ~now
             in
             (match found with
-            | Some value -> reply (Wire.Ack { rid; ok = true; value })
-            | None -> reply (Wire.Ack { rid; ok = false; value = 0 }));
+            | Some (value, expiry) -> reply (Wire.Entry { rid; ok = true; value; expiry })
+            | None -> reply (Wire.Entry { rid; ok = false; value = 0; expiry = 0.0 }));
             loop ()
-        | Wire.Probe { rid; op; peer; key = key_index; now } ->
+        | Wire.Probe { rid; op; peer; now } ->
             Registry.incr probes 1;
             let s = store shard ~peer in
-            (match op with
-            | Wire.Mem ->
-                let ok = Storage.mem s ~key:(key shard ~key_index) ~now in
-                reply (Wire.Ack { rid; ok; value = 0 })
-            | Wire.Expiry -> (
-                match Storage.expiry s ~key:(key shard ~key_index) with
-                | Some at -> reply (Wire.Ack_float { rid; ok = true; value = at })
-                | None -> reply (Wire.Ack_float { rid; ok = false; value = 0.0 }))
-            | Wire.Live_count ->
-                reply
-                  (Wire.Ack { rid; ok = true; value = Storage.live_count s ~now })
-            | Wire.Clear ->
-                reply (Wire.Ack { rid; ok = true; value = Storage.clear s }));
+            let value =
+              match op with
+              | Wire.Live_count -> Storage.live_count s ~now
+              | Wire.Clear -> Storage.clear s
+            in
+            reply (Wire.Ack { rid; ok = true; value });
             loop ()
         | Wire.Snapshot { rid } ->
             let counters =
@@ -148,8 +137,7 @@ let serve ?obs_out ~node_id conn =
             reply (Wire.Counters { rid; node_id; counters });
             loop ()
         | Wire.Bye -> flush_obs ()
-        | Wire.Hello _ | Wire.Setup _ | Wire.Ack _ | Wire.Ack_float _
-        | Wire.Counters _ ->
+        | Wire.Hello _ | Wire.Setup _ | Wire.Ack _ | Wire.Entry _ | Wire.Counters _ ->
             failwith
               (Format.asprintf "node %d: unexpected frame %a" node_id Wire.pp msg))
   in

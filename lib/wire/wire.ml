@@ -1,4 +1,4 @@
-type probe_op = Mem | Expiry | Live_count | Clear
+type probe_op = Live_count | Clear
 
 type msg =
   | Hello of { node_id : int }
@@ -13,11 +13,10 @@ type msg =
   | Lookup of { rid : int; span : int; src : int; dst : int; key : int }
   | Insert of { rid : int; peer : int; key : int; value : int; now : float; ttl : float }
   | Gossip of { span : int; src : int; dst : int; key : int }
-  | Repair of { rid : int; peer : int; key : int; value : int; now : float; ttl : float }
   | Get of { rid : int; peer : int; key : int; refresh : bool; now : float; ttl : float }
-  | Probe of { rid : int; op : probe_op; peer : int; key : int; now : float }
+  | Probe of { rid : int; op : probe_op; peer : int; now : float }
   | Ack of { rid : int; ok : bool; value : int }
-  | Ack_float of { rid : int; ok : bool; value : float }
+  | Entry of { rid : int; ok : bool; value : int; expiry : float }
   | Snapshot of { rid : int }
   | Counters of { rid : int; node_id : int; counters : (string * int) list }
   | Bye
@@ -29,7 +28,7 @@ type error =
   | Unknown_kind of int
   | Malformed of string
 
-let version = 1
+let version = 2
 
 (* Counter snapshots dominate payload size: a few hundred instrument
    names at ~40 bytes each.  1 MiB leaves two orders of magnitude of
@@ -47,23 +46,17 @@ let kind_code = function
   | Lookup _ -> 3
   | Insert _ -> 4
   | Gossip _ -> 5
-  | Repair _ -> 6
-  | Get _ -> 7
-  | Probe _ -> 8
-  | Ack _ -> 9
-  | Ack_float _ -> 10
-  | Snapshot _ -> 11
-  | Counters _ -> 12
-  | Bye -> 13
+  | Get _ -> 6
+  | Probe _ -> 7
+  | Ack _ -> 8
+  | Entry _ -> 9
+  | Snapshot _ -> 10
+  | Counters _ -> 11
+  | Bye -> 12
 
-let probe_code = function Mem -> 0 | Expiry -> 1 | Live_count -> 2 | Clear -> 3
+let probe_code = function Live_count -> 0 | Clear -> 1
 
-let probe_of_code = function
-  | 0 -> Some Mem
-  | 1 -> Some Expiry
-  | 2 -> Some Live_count
-  | 3 -> Some Clear
-  | _ -> None
+let probe_of_code = function 0 -> Some Live_count | 1 -> Some Clear | _ -> None
 
 (* ---- encoding ----------------------------------------------------- *)
 
@@ -116,13 +109,6 @@ let encode_body b msg =
       put_i64 b value;
       put_f64 b now;
       put_f64 b ttl
-  | Repair { rid; peer; key; value; now; ttl } ->
-      put_i64 b rid;
-      put_i64 b peer;
-      put_i64 b key;
-      put_i64 b value;
-      put_f64 b now;
-      put_f64 b ttl
   | Gossip { span; src; dst; key } ->
       put_i64 b span;
       put_i64 b src;
@@ -135,20 +121,20 @@ let encode_body b msg =
       put_bool b refresh;
       put_f64 b now;
       put_f64 b ttl
-  | Probe { rid; op; peer; key; now } ->
+  | Probe { rid; op; peer; now } ->
       put_i64 b rid;
       put_u8 b (probe_code op);
       put_i64 b peer;
-      put_i64 b key;
       put_f64 b now
   | Ack { rid; ok; value } ->
       put_i64 b rid;
       put_bool b ok;
       put_i64 b value
-  | Ack_float { rid; ok; value } ->
+  | Entry { rid; ok; value; expiry } ->
       put_i64 b rid;
       put_bool b ok;
-      put_f64 b value
+      put_i64 b value;
+      put_f64 b expiry
   | Snapshot { rid } -> put_i64 b rid
   | Counters { rid; node_id; counters } ->
       put_i64 b rid;
@@ -246,22 +232,21 @@ let decode_body kind c =
       let dst = get_i64 c in
       let key = get_i64 c in
       Lookup { rid; span; src; dst; key }
-  | 4 | 6 ->
+  | 4 ->
       let rid = get_i64 c in
       let peer = get_i64 c in
       let key = get_i64 c in
       let value = get_i64 c in
       let now = get_f64 c in
       let ttl = get_f64 c in
-      if kind = 4 then Insert { rid; peer; key; value; now; ttl }
-      else Repair { rid; peer; key; value; now; ttl }
+      Insert { rid; peer; key; value; now; ttl }
   | 5 ->
       let span = get_i64 c in
       let src = get_i64 c in
       let dst = get_i64 c in
       let key = get_i64 c in
       Gossip { span; src; dst; key }
-  | 7 ->
+  | 6 ->
       let rid = get_i64 c in
       let peer = get_i64 c in
       let key = get_i64 c in
@@ -269,7 +254,7 @@ let decode_body kind c =
       let now = get_f64 c in
       let ttl = get_f64 c in
       Get { rid; peer; key; refresh; now; ttl }
-  | 8 ->
+  | 7 ->
       let rid = get_i64 c in
       let op =
         let code = get_u8 c in
@@ -278,21 +263,21 @@ let decode_body kind c =
         | None -> raise (Bad (Printf.sprintf "bad probe op %d" code))
       in
       let peer = get_i64 c in
-      let key = get_i64 c in
       let now = get_f64 c in
-      Probe { rid; op; peer; key; now }
-  | 9 ->
+      Probe { rid; op; peer; now }
+  | 8 ->
       let rid = get_i64 c in
       let ok = get_bool c in
       let value = get_i64 c in
       Ack { rid; ok; value }
-  | 10 ->
+  | 9 ->
       let rid = get_i64 c in
       let ok = get_bool c in
-      let value = get_f64 c in
-      Ack_float { rid; ok; value }
-  | 11 -> Snapshot { rid = get_i64 c }
-  | 12 ->
+      let value = get_i64 c in
+      let expiry = get_f64 c in
+      Entry { rid; ok; value; expiry }
+  | 10 -> Snapshot { rid = get_i64 c }
+  | 11 ->
       let rid = get_i64 c in
       let node_id = get_i64 c in
       let n = get_u32 c in
@@ -304,7 +289,7 @@ let decode_body kind c =
             (name, v))
       in
       Counters { rid; node_id; counters }
-  | 13 -> Bye
+  | 12 -> Bye
   | _ -> assert false (* kind was range-checked by the caller *)
 
 let decode buf ~pos ~len =
@@ -327,7 +312,7 @@ let decode buf ~pos ~len =
       if v <> version then Error (Bad_version v)
       else
         let kind = get_u8 c in
-        if kind < 1 || kind > 13 then Error (Unknown_kind kind)
+        if kind < 1 || kind > 12 then Error (Unknown_kind kind)
         else
           match decode_body kind c with
           | msg ->
@@ -352,18 +337,15 @@ let equal a b =
   | Insert a, Insert b ->
       a.rid = b.rid && a.peer = b.peer && a.key = b.key && a.value = b.value
       && feq a.now b.now && feq a.ttl b.ttl
-  | Repair a, Repair b ->
-      a.rid = b.rid && a.peer = b.peer && a.key = b.key && a.value = b.value
-      && feq a.now b.now && feq a.ttl b.ttl
   | Gossip a, Gossip b ->
       a.span = b.span && a.src = b.src && a.dst = b.dst && a.key = b.key
   | Get a, Get b ->
       a.rid = b.rid && a.peer = b.peer && a.key = b.key && a.refresh = b.refresh
       && feq a.now b.now && feq a.ttl b.ttl
-  | Probe a, Probe b ->
-      a.rid = b.rid && a.op = b.op && a.peer = b.peer && a.key = b.key && feq a.now b.now
+  | Probe a, Probe b -> a.rid = b.rid && a.op = b.op && a.peer = b.peer && feq a.now b.now
   | Ack a, Ack b -> a.rid = b.rid && a.ok = b.ok && a.value = b.value
-  | Ack_float a, Ack_float b -> a.rid = b.rid && a.ok = b.ok && feq a.value b.value
+  | Entry a, Entry b ->
+      a.rid = b.rid && a.ok = b.ok && a.value = b.value && feq a.expiry b.expiry
   | Snapshot a, Snapshot b -> a.rid = b.rid
   | Counters a, Counters b ->
       a.rid = b.rid && a.node_id = b.node_id
@@ -372,16 +354,12 @@ let equal a b =
            (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && v1 = v2)
            a.counters b.counters
   | Bye, Bye -> true
-  | ( ( Hello _ | Setup _ | Lookup _ | Insert _ | Gossip _ | Repair _ | Get _ | Probe _
-      | Ack _ | Ack_float _ | Snapshot _ | Counters _ | Bye ),
+  | ( ( Hello _ | Setup _ | Lookup _ | Insert _ | Gossip _ | Get _ | Probe _ | Ack _
+      | Entry _ | Snapshot _ | Counters _ | Bye ),
       _ ) ->
       false
 
-let probe_label = function
-  | Mem -> "mem"
-  | Expiry -> "expiry"
-  | Live_count -> "live_count"
-  | Clear -> "clear"
+let probe_label = function Live_count -> "live_count" | Clear -> "clear"
 
 let pp ppf = function
   | Hello { node_id } -> Format.fprintf ppf "hello(node=%d)" node_id
@@ -395,18 +373,14 @@ let pp ppf = function
         key value now ttl
   | Gossip { span; src; dst; key } ->
       Format.fprintf ppf "gossip(span=%d %d->%d key=%d)" span src dst key
-  | Repair { rid; peer; key; value; now; ttl } ->
-      Format.fprintf ppf "repair(rid=%d peer=%d key=%d value=%d now=%g ttl=%g)" rid peer
-        key value now ttl
   | Get { rid; peer; key; refresh; now; ttl } ->
       Format.fprintf ppf "get(rid=%d peer=%d key=%d refresh=%b now=%g ttl=%g)" rid peer
         key refresh now ttl
-  | Probe { rid; op; peer; key; now } ->
-      Format.fprintf ppf "probe(rid=%d op=%s peer=%d key=%d now=%g)" rid (probe_label op)
-        peer key now
+  | Probe { rid; op; peer; now } ->
+      Format.fprintf ppf "probe(rid=%d op=%s peer=%d now=%g)" rid (probe_label op) peer now
   | Ack { rid; ok; value } -> Format.fprintf ppf "ack(rid=%d ok=%b value=%d)" rid ok value
-  | Ack_float { rid; ok; value } ->
-      Format.fprintf ppf "ack_float(rid=%d ok=%b value=%g)" rid ok value
+  | Entry { rid; ok; value; expiry } ->
+      Format.fprintf ppf "entry(rid=%d ok=%b value=%d expiry=%g)" rid ok value expiry
   | Snapshot { rid } -> Format.fprintf ppf "snapshot(rid=%d)" rid
   | Counters { rid; node_id; counters } ->
       Format.fprintf ppf "counters(rid=%d node=%d n=%d)" rid node_id (List.length counters)

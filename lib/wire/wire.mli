@@ -1,5 +1,12 @@
 (** Binary wire codec for the multi-process driver.
 
+    Twelve frame kinds.  The conductor reaches a worker's stores with
+    three requests — {!Get} (the refreshing query hit, or a plain peek),
+    {!Insert} (every write, repair copies included) and {!Probe} (live
+    count, crash clear) — and materialises routing hops and broadcast
+    edges as {!Lookup} and {!Gossip}.  A {!Get} is answered by {!Entry},
+    every other request by {!Ack}.
+
     Every message travels as one length-prefixed frame:
 
     {v
@@ -20,10 +27,8 @@
     wait for more bytes ({!Truncated}) or drop the connection
     (everything else). *)
 
-(** Read-only store probes that return a single scalar. *)
+(** Whole-store operations that return a single count. *)
 type probe_op =
-  | Mem         (** is the key live in the store? *)
-  | Expiry      (** current expiration instant of a key *)
   | Live_count  (** non-expired entries held by a member *)
   | Clear       (** crash consequence: drop every entry, return count *)
 
@@ -44,21 +49,22 @@ type msg =
       (** one DHT routing hop, delivered to the owner of [dst];
           answered by {!Ack} *)
   | Insert of { rid : int; peer : int; key : int; value : int; now : float; ttl : float }
-      (** index insertion / update write into [peer]'s store *)
+      (** index write into [peer]'s store, expiring at [now +. ttl]:
+          insertion, update, or a repair copy carrying its remaining
+          TTL *)
   | Gossip of { span : int; src : int; dst : int; key : int }
       (** one broadcast/cast edge; one-way, never acknowledged *)
-  | Repair of { rid : int; peer : int; key : int; value : int; now : float; ttl : float }
-      (** anti-entropy copy: like {!Insert} but carrying the remaining
-          (not renewed) TTL *)
   | Get of { rid : int; peer : int; key : int; refresh : bool; now : float; ttl : float }
-      (** store read; [refresh] resets the expiry to [now +. ttl]
-          (the paper's query-hit behaviour) *)
-  | Probe of { rid : int; op : probe_op; peer : int; key : int; now : float }
+      (** store read of a live entry, answered by {!Entry}; [refresh]
+          resets the expiry to [now +. ttl] (the paper's query-hit
+          behaviour) *)
+  | Probe of { rid : int; op : probe_op; peer : int; now : float }
   | Ack of { rid : int; ok : bool; value : int }
-      (** generic RPC acknowledgement; [value]'s meaning depends on the
-          request ([ok = false] = negative result, e.g. a store miss) *)
-  | Ack_float of { rid : int; ok : bool; value : float }
-      (** acknowledgement carrying a float (e.g. {!Expiry}) *)
+      (** acknowledgement of {!Lookup}, {!Insert} and {!Probe};
+          [value] is the probe's count *)
+  | Entry of { rid : int; ok : bool; value : int; expiry : float }
+      (** the answer to {!Get}: [ok = false] is a miss, otherwise the
+          entry's value and absolute expiry (after any refresh) *)
   | Snapshot of { rid : int }
       (** conductor -> worker: request the worker's registry counters *)
   | Counters of { rid : int; node_id : int; counters : (string * int) list }
@@ -77,7 +83,7 @@ type error =
           trailing bytes, bad bool/probe code, oversized list...) *)
 
 val version : int
-(** Current envelope version (1). *)
+(** Current envelope version (2). *)
 
 val max_payload : int
 (** Upper bound on the payload length a decoder accepts; anything

@@ -259,6 +259,29 @@ let test_pdht_online_fn_roundtrip () =
   Alcotest.(check bool) "even online" true (Pdht.online_fn p 4);
   Alcotest.(check bool) "odd offline" false (Pdht.online_fn p 5)
 
+(* A transport and the simulated network model are two deliveries of
+   the same hops: asking for both is refused before anything is built. *)
+let test_pdht_net_transport_exclusive () =
+  let unused _ = Alcotest.fail "store reached" in
+  let transport =
+    {
+      Pdht.store =
+        {
+          Pdht.get_and_refresh = (fun ~peer ~key_index:_ ~now:_ ~ttl:_ -> unused peer);
+          put = (fun ~peer ~key_index:_ ~value:_ ~now:_ ~ttl:_ -> unused peer);
+          peek = (fun ~peer ~key_index:_ ~now:_ -> unused peer);
+          clear = (fun ~peer -> unused peer);
+          live_count = (fun ~peer ~now:_ -> unused peer);
+        };
+      rpc = (fun ~span:_ ~src:_ ~dst:_ -> true);
+      cast = (fun ~span:_ ~src:_ ~dst:_ -> true);
+    }
+  in
+  let net = Pdht_net.Hook.create ~rng:(Rng.create ~seed:2) Pdht_net.Config.default in
+  Alcotest.check_raises "net and transport"
+    (Invalid_argument "Pdht.create: a network model and a transport are mutually exclusive")
+    (fun () -> ignore (Pdht.create ~net ~transport (Rng.create ~seed:1) (small_config ())))
+
 (* ------------------------------------------------------------------ *)
 (* Adaptive controller *)
 
@@ -943,6 +966,8 @@ let () =
           Alcotest.test_case "answers under churn" `Quick test_pdht_under_churn_still_answers;
           Alcotest.test_case "rejects bad key index" `Quick test_pdht_rejects_bad_key_index;
           Alcotest.test_case "online fn roundtrip" `Quick test_pdht_online_fn_roundtrip;
+          Alcotest.test_case "net and transport exclusive" `Quick
+            test_pdht_net_transport_exclusive;
         ] );
       ( "adaptive",
         [

@@ -111,11 +111,11 @@ let test_node_serves_store_ops () =
       [ setup;
         Wire.Insert { rid = 1; peer = 3; key = 2; value = 55; now = 10.0; ttl = 30.0 };
         Wire.Get { rid = 2; peer = 3; key = 2; refresh = true; now = 20.0; ttl = 30.0 };
-        Wire.Probe { rid = 3; op = Wire.Mem; peer = 3; key = 2; now = 45.0 };
         (* The refresh at t=20 moved expiry to t=50, so t=45 still hits. *)
+        Wire.Get { rid = 3; peer = 3; key = 2; refresh = false; now = 45.0; ttl = 0.0 };
         Wire.Get { rid = 4; peer = 3; key = 1; refresh = false; now = 20.0; ttl = 0.0 };
-        Wire.Probe { rid = 5; op = Wire.Live_count; peer = 3; key = -1; now = 20.0 };
-        Wire.Probe { rid = 6; op = Wire.Clear; peer = 3; key = -1; now = 0.0 };
+        Wire.Probe { rid = 5; op = Wire.Live_count; peer = 3; now = 20.0 };
+        Wire.Probe { rid = 6; op = Wire.Clear; peer = 3; now = 0.0 };
         Wire.Lookup { rid = 7; span = -1; src = 0; dst = 5; key = -1 };
         Wire.Gossip { span = -1; src = 0; dst = 1; key = -1 };
         Wire.Bye ]
@@ -123,9 +123,9 @@ let test_node_serves_store_ops () =
   match replies with
   | [ Wire.Hello { node_id = 1 };
       Wire.Ack { rid = 1; ok = true; _ };
-      Wire.Ack { rid = 2; ok = true; value = 55 };
-      Wire.Ack { rid = 3; ok = true; _ };
-      Wire.Ack { rid = 4; ok = false; _ };
+      Wire.Entry { rid = 2; ok = true; value = 55; expiry = 50.0 };
+      Wire.Entry { rid = 3; ok = true; value = 55; expiry = 50.0 };
+      Wire.Entry { rid = 4; ok = false; _ };
       Wire.Ack { rid = 5; ok = true; value = 1 };
       Wire.Ack { rid = 6; ok = true; value = 1 };
       Wire.Ack { rid = 7; ok = true; _ } ] ->
@@ -206,7 +206,7 @@ let test_node_rejects_reply_frames () =
     [ Wire.Hello { node_id = 0 };
       setup;
       Wire.Ack { rid = 1; ok = true; value = 0 };
-      Wire.Ack_float { rid = 2; ok = true; value = 50.0 };
+      Wire.Entry { rid = 2; ok = true; value = 55; expiry = 50.0 };
       Wire.Counters { rid = 3; node_id = 0; counters = [ ("proc.gets", 1) ] } ]
 
 let test_node_rejects_unowned_member () =

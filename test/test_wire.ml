@@ -30,16 +30,15 @@ let sample_msgs : Wire.msg list =
     Lookup { rid = 1; span = -1; src = 17; dst = 988; key = 299 };
     Insert { rid = 2; peer = 3; key = 7; value = 11; now = 120.5; ttl = 1e15 };
     Gossip { span = 9; src = 0; dst = 999; key = 0 };
-    Repair { rid = 3; peer = 4; key = 8; value = 12; now = 0.; ttl = 0.25 };
+    Insert { rid = 3; peer = 4; key = 8; value = 12; now = 0.; ttl = 0.25 };
     Get { rid = 4; peer = 5; key = 9; refresh = true; now = 1.5; ttl = 30. };
     Get { rid = 5; peer = 6; key = 10; refresh = false; now = nan; ttl = infinity };
-    Probe { rid = 6; op = Mem; peer = 7; key = 11; now = 3. };
-    Probe { rid = 7; op = Expiry; peer = 8; key = 12; now = 4. };
-    Probe { rid = 8; op = Live_count; peer = 9; key = 0; now = 5. };
-    Probe { rid = 9; op = Clear; peer = 10; key = 0; now = 6. };
+    Probe { rid = 8; op = Live_count; peer = 9; now = 5. };
+    Probe { rid = 9; op = Clear; peer = 10; now = nan };
     Ack { rid = 10; ok = true; value = -1 };
     Ack { rid = 11; ok = false; value = min_int };
-    Ack_float { rid = 12; ok = true; value = neg_infinity };
+    Entry { rid = 12; ok = true; value = max_int; expiry = neg_infinity };
+    Entry { rid = 13; ok = false; value = 0; expiry = 0. };
     Snapshot { rid = 13 };
     Counters { rid = 14; node_id = 3; counters = [] };
     Counters
@@ -52,6 +51,15 @@ let sample_msgs : Wire.msg list =
   ]
 
 let test_samples_roundtrip () = List.iter roundtrip sample_msgs
+
+(* The samples exercise every kind code the decoder accepts (1..12);
+   byte 5 of a frame is its kind. *)
+let test_samples_cover_kinds () =
+  let kinds =
+    List.sort_uniq compare
+      (List.map (fun m -> Char.code (Bytes.get (Wire.encode_bytes m) 5)) sample_msgs)
+  in
+  Alcotest.(check (list int)) "kind codes" (List.init 12 (fun i -> i + 1)) kinds
 
 let test_stream_of_frames () =
   (* Several frames back to back in one buffer decode in sequence. *)
@@ -119,6 +127,10 @@ let malformed label bytes =
   | Ok _ -> Alcotest.failf "%s: accepted" label
   | Error e -> Alcotest.failf "%s: misreported: %s" label (Wire.error_to_string e)
 
+(* The envelope head of a hand-built payload: the current version byte
+   and a kind code. *)
+let head kind = Printf.sprintf "%c%c" (Char.chr Wire.version) (Char.chr kind)
+
 let frame_of_payload payload =
   let n = String.length payload in
   let b = Buffer.create (4 + n) in
@@ -132,21 +144,22 @@ let frame_of_payload payload =
 let test_malformed_bodies () =
   (* Complete frames whose payloads are garbage in various ways. *)
   malformed "empty payload rejected" (frame_of_payload "");
-  malformed "version-only payload" (frame_of_payload "\x01");
+  malformed "version-only payload" (frame_of_payload (String.make 1 (Char.chr Wire.version)));
   (* Hello with a short body: kind 1 but no 8-byte node id. *)
-  malformed "short body" (frame_of_payload "\x01\x01\x00\x00");
-  (* Bye with trailing junk after the (empty) body. *)
-  malformed "trailing bytes" (frame_of_payload "\x01\x0d\x00");
+  malformed "short body" (frame_of_payload (head 1 ^ "\x00\x00"));
+  (* Bye (kind 12) with trailing junk after the (empty) body. *)
+  malformed "trailing bytes" (frame_of_payload (head 12 ^ "\x00"));
   (* Ack whose boolean byte is 7. *)
   (let bytes = Wire.encode_bytes (Wire.Ack { rid = 0; ok = false; value = 0 }) in
    Bytes.set bytes (4 + 2 + 8) '\x07';
    malformed "bad boolean" bytes);
   (* Probe whose op code is out of range. *)
-  (let bytes = Wire.encode_bytes (Wire.Probe { rid = 0; op = Mem; peer = 0; key = 0; now = 0. }) in
+  (let bytes = Wire.encode_bytes (Wire.Probe { rid = 0; op = Clear; peer = 0; now = 0. }) in
    Bytes.set bytes (4 + 2 + 8) '\x2a';
    malformed "bad probe op" bytes);
-  (* Counters whose list count claims far more entries than the body holds. *)
-  (let payload = "\x01\x0c" ^ String.make 16 '\x00' ^ "\x00\x00\xff\xff" in
+  (* Counters (kind 11) whose list count claims far more entries than
+     the body holds. *)
+  (let payload = head 11 ^ String.make 16 '\x00' ^ "\x00\x00\xff\xff" in
    malformed "oversized list count" (frame_of_payload payload));
   (* Out-of-range pos/len must be a structured error, not a crash. *)
   malformed "negative len" (Bytes.create 0 |> fun b ->
@@ -167,7 +180,7 @@ let gen_msg : Wire.msg QCheck.Gen.t =
     frequency
       [ (8, float); (1, oneofl [ 0.; -0.; infinity; neg_infinity; nan; 1e15 ]) ]
   in
-  let op = oneofl [ Wire.Mem; Wire.Expiry; Wire.Live_count; Wire.Clear ] in
+  let op = oneofl [ Wire.Live_count; Wire.Clear ] in
   let name = string_size ~gen:printable (int_bound 40) in
   oneof
     [
@@ -185,18 +198,14 @@ let gen_msg : Wire.msg QCheck.Gen.t =
         (pair id id) (pair id id) (pair fl fl);
       map3 (fun span src (dst, key) -> Wire.Gossip { span; src; dst; key }) id id (pair id id);
       map3
-        (fun (rid, peer) (key, value) (now, ttl) ->
-          Wire.Repair { rid; peer; key; value; now; ttl })
-        (pair id id) (pair id id) (pair fl fl);
-      map3
         (fun (rid, peer) (key, refresh) (now, ttl) ->
           Wire.Get { rid; peer; key; refresh; now; ttl })
         (pair id id) (pair id bool) (pair fl fl);
-      map3
-        (fun (rid, op) (peer, key) now -> Wire.Probe { rid; op; peer; key; now })
-        (pair id op) (pair id id) fl;
+      map3 (fun (rid, op) peer now -> Wire.Probe { rid; op; peer; now }) (pair id op) id fl;
       map3 (fun rid ok value -> Wire.Ack { rid; ok; value }) id bool id;
-      map3 (fun rid ok value -> Wire.Ack_float { rid; ok; value }) id bool fl;
+      map3
+        (fun rid ok (value, expiry) -> Wire.Entry { rid; ok; value; expiry })
+        id bool (pair id fl);
       map (fun rid -> Wire.Snapshot { rid }) id;
       map3
         (fun rid node_id counters -> Wire.Counters { rid; node_id; counters })
@@ -243,6 +252,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "sample round-trips" `Quick test_samples_roundtrip;
+          Alcotest.test_case "samples cover every kind" `Quick test_samples_cover_kinds;
           Alcotest.test_case "frame stream" `Quick test_stream_of_frames;
           Alcotest.test_case "truncation at every prefix" `Quick test_truncation_every_prefix;
           Alcotest.test_case "bad version" `Quick test_bad_version;
