@@ -314,25 +314,13 @@ let parse_trace_filter spec =
 (* [--churn] takes an optional session spec in the
    {!Pdht_dist.Session.of_string} grammar; the bare flag means the
    historical default (exponential 10-minute uptimes, 75% availability
-   — see [churn_arg]'s [~vopt]).  An all-exponential spec normalises to
-   [Exponential_sessions], so it runs the exact pre-existing churn code
-   path; heavy-tailed legs become a [Sessions] plan. *)
+   — see [churn_arg]'s [~vopt]). *)
 let churn_plan_of_flag = function
   | None -> Ok Scenario.No_churn
   | Some spec_str -> (
       match Pdht_dist.Session.of_string spec_str with
       | Error msg -> Error ("--churn: " ^ msg)
-      | Ok spec ->
-          if Pdht_dist.Session.is_exponential spec then
-            Ok
-              (Scenario.Exponential_sessions
-                 {
-                   mean_uptime = spec.Pdht_dist.Session.mean_uptime;
-                   mean_downtime = spec.Pdht_dist.Session.mean_downtime;
-                   initially_online_fraction =
-                     spec.Pdht_dist.Session.initially_online_fraction;
-                 })
-          else Ok (Scenario.Sessions spec))
+      | Ok spec -> Ok (Scenario.Sessions spec))
 
 let build_scenario ~preset ~peers ~keys ~fqry ~duration ~seed ~churn =
   match preset with

@@ -193,10 +193,10 @@ let build_churn scenario rng =
   | Scenario.No_churn -> Pdht_dht.Churn.always_online ~peers:scenario.Scenario.num_peers
   | Scenario.Exponential_sessions { mean_uptime; mean_downtime; initially_online_fraction }
     ->
-      Pdht_dht.Churn.create rng ~peers:scenario.Scenario.num_peers ~mean_uptime
-        ~mean_downtime ~initially_online_fraction
-  | Scenario.Sessions spec ->
-      Pdht_dht.Churn.create_spec rng ~peers:scenario.Scenario.num_peers spec
+      Pdht_dht.Churn.create rng ~peers:scenario.Scenario.num_peers
+        { Pdht_dist.Session.up = Exponential; down = Exponential; mean_uptime;
+          mean_downtime; initially_online_fraction }
+  | Scenario.Sessions spec -> Pdht_dht.Churn.create rng ~peers:scenario.Scenario.num_peers spec
 
 (* Mutable run-time counters, folded into the report at the end. *)
 type counters = {

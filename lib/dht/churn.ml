@@ -23,24 +23,12 @@ let make ~rng ~online ~mean_uptime ~mean_downtime ~up_dist ~down_dist =
   { rng; online; mean_uptime; mean_downtime; up_dist; down_dist; online_count;
     session_changes = 0; callbacks = [||]; callback_count = 0 }
 
-let create rng ~peers ~mean_uptime ~mean_downtime ~initially_online_fraction =
+let create rng ~peers (spec : Session.spec) =
   if peers < 1 then invalid_arg "Churn.create: need >= 1 peer";
-  if not (mean_uptime > 0. && mean_downtime > 0.) then
-    invalid_arg "Churn.create: durations must be positive";
-  if initially_online_fraction < 0. || initially_online_fraction > 1. then
-    invalid_arg "Churn.create: fraction outside [0,1]";
-  let online =
-    Array.init peers (fun _ -> Pdht_util.Rng.bernoulli rng ~p:initially_online_fraction)
-  in
-  make ~rng:(Some rng) ~online ~mean_uptime ~mean_downtime
-    ~up_dist:Session.Exponential ~down_dist:Session.Exponential
-
-let create_spec rng ~peers (spec : Session.spec) =
-  if peers < 1 then invalid_arg "Churn.create_spec: need >= 1 peer";
   let spec =
     match Session.validate spec with
     | Ok s -> s
-    | Error msg -> invalid_arg ("Churn.create_spec: " ^ msg)
+    | Error msg -> invalid_arg ("Churn.create: " ^ msg)
   in
   let online =
     Array.init peers (fun _ ->
@@ -112,20 +100,8 @@ let attach t engine =
   | None -> ()
   | Some rng ->
       let next_duration peer =
-        (* The exponential legs keep the exact historical draw (one
-           uniform through [Rng.exponential]), so pre-existing runs
-           stay byte-identical; heavy-tailed legs go through
-           {!Pdht_dist.Session.draw}. *)
-        if t.online.(peer) then
-          match t.up_dist with
-          | Session.Exponential ->
-              Pdht_util.Rng.exponential rng ~rate:(1. /. t.mean_uptime)
-          | d -> Session.draw rng d ~mean:t.mean_uptime
-        else
-          match t.down_dist with
-          | Session.Exponential ->
-              Pdht_util.Rng.exponential rng ~rate:(1. /. t.mean_downtime)
-          | d -> Session.draw rng d ~mean:t.mean_downtime
+        if t.online.(peer) then Session.draw rng t.up_dist ~mean:t.mean_uptime
+        else Session.draw rng t.down_dist ~mean:t.mean_downtime
       in
       let rec schedule_toggle peer delay =
         Pdht_sim.Engine.schedule engine ~delay (fun eng ->

@@ -4,10 +4,9 @@
     3.3.1); P2P clients are "extremely transient" [ChRa03].  Each peer
     alternates independently between online sessions and offline gaps.
     The classic fit to Gnutella traces [MaCa03] uses exponential
-    durations ({!create}); later DHT measurement work finds
-    heavy-tailed session lengths, which {!create_spec} models through a
-    {!Pdht_dist.Session.spec} (lognormal / Weibull / Pareto legs,
-    exponential unchanged as the default).
+    durations; later DHT measurement work finds heavy-tailed session
+    lengths.  {!create} takes either as a {!Pdht_dist.Session.spec}
+    (exponential / lognormal / Weibull / Pareto legs).
 
     The model is driven by a {!Pdht_sim.Engine}: [attach] schedules the
     on/off toggle events.  Without an engine it can also be stepped
@@ -15,21 +14,11 @@
 
 type t
 
-val create :
-  Pdht_util.Rng.t ->
-  peers:int ->
-  mean_uptime:float ->
-  mean_downtime:float ->
-  initially_online_fraction:float ->
-  t
-(** Exponential sessions.  Durations in seconds, both strictly
-    positive.  Each peer starts online with probability
-    [initially_online_fraction]. *)
-
-val create_spec : Pdht_util.Rng.t -> peers:int -> Pdht_dist.Session.spec -> t
-(** General session-length distributions.  The spec is validated
-    ([Invalid_argument] on a bad one); an all-exponential spec behaves
-    exactly like {!create} with the same parameters. *)
+val create : Pdht_util.Rng.t -> peers:int -> Pdht_dist.Session.spec -> t
+(** Session lengths drawn from the spec's legs (durations in seconds);
+    each peer starts online with probability
+    [initially_online_fraction].  The spec is validated
+    ([Invalid_argument] on a bad one). *)
 
 val always_online : peers:int -> t
 (** Degenerate model with no churn (for model-validation runs). *)

@@ -71,8 +71,6 @@ let draw rng dist ~mean =
       let u = 1. -. Rng.unit_float rng in
       xm /. Float.pow u (1. /. shape)
 
-let is_exponential spec = spec.up = Exponential && spec.down = Exponential
-
 let err fmt = Format.kasprintf (fun m -> Error m) fmt
 
 let validate spec =

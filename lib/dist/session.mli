@@ -52,10 +52,6 @@ val validate : spec -> (spec, string) result
 val availability : spec -> float
 (** Stationary expected fraction online: [up / (up + down)]. *)
 
-val is_exponential : spec -> bool
-(** Both legs exponential — the spec describes the classic model and a
-    driver may route it through the original exponential code path. *)
-
 val of_string : string -> (spec, string) result
 (** Parse the grammar above; the result is validated. *)
 

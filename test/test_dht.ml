@@ -24,11 +24,25 @@ let test_churn_static () =
   Pdht_sim.Engine.run engine ~until:1000.;
   Alcotest.(check int) "no transitions" 0 (Churn.session_changes c)
 
+let session_spec up down ~mean_uptime ~mean_downtime ~on =
+  {
+    Pdht_dist.Session.up;
+    down;
+    mean_uptime;
+    mean_downtime;
+    initially_online_fraction = on;
+  }
+
+(* Classic exponential sessions (the [MaCa03] fit). *)
+let exp_churn rng ~peers ~mean_uptime ~mean_downtime ~on =
+  Churn.create rng ~peers
+    (session_spec Pdht_dist.Session.Exponential Pdht_dist.Session.Exponential
+       ~mean_uptime ~mean_downtime ~on)
+
 let test_churn_stationary_fraction () =
   let rng = Rng.create ~seed:80 in
   let c =
-    Churn.create rng ~peers:2000 ~mean_uptime:300. ~mean_downtime:100.
-      ~initially_online_fraction:0.75
+    exp_churn rng ~peers:2000 ~mean_uptime:300. ~mean_downtime:100. ~on:0.75
   in
   let engine = Pdht_sim.Engine.create () in
   Churn.attach c engine;
@@ -41,8 +55,7 @@ let test_churn_stationary_fraction () =
 let test_churn_callbacks () =
   let rng = Rng.create ~seed:81 in
   let c =
-    Churn.create rng ~peers:5 ~mean_uptime:10. ~mean_downtime:10.
-      ~initially_online_fraction:1.
+    exp_churn rng ~peers:5 ~mean_uptime:10. ~mean_downtime:10. ~on:1.
   in
   let events = ref 0 in
   let consistent = ref true in
@@ -59,18 +72,15 @@ let test_churn_callbacks () =
 let test_churn_validation () =
   let rng = Rng.create ~seed:82 in
   Alcotest.check_raises "bad uptime"
-    (Invalid_argument "Churn.create: durations must be positive") (fun () ->
-      ignore
-        (Churn.create rng ~peers:2 ~mean_uptime:0. ~mean_downtime:1.
-           ~initially_online_fraction:1.))
+    (Invalid_argument "Churn.create: mean uptime 0 must be finite and > 0") (fun () ->
+      ignore (exp_churn rng ~peers:2 ~mean_uptime:0. ~mean_downtime:1. ~on:1.))
 
 let test_churn_callback_registration_order () =
   (* Thousands of registrations (the per-peer rejoin-hook pattern) must
      fire in exact registration order on every toggle. *)
   let rng = Rng.create ~seed:83 in
   let c =
-    Churn.create rng ~peers:3 ~mean_uptime:10. ~mean_downtime:10.
-      ~initially_online_fraction:1.
+    exp_churn rng ~peers:3 ~mean_uptime:10. ~mean_downtime:10. ~on:1.
   in
   let n = 5_000 in
   let order = ref [] in
@@ -91,15 +101,6 @@ let test_churn_callback_registration_order () =
   Alcotest.(check int) "second toggle fired them all again" (2 * n)
     (List.length !order)
 
-let session_spec up down ~mean_uptime ~mean_downtime ~on =
-  {
-    Pdht_dist.Session.up;
-    down;
-    mean_uptime;
-    mean_downtime;
-    initially_online_fraction = on;
-  }
-
 let churn_trajectory c ~until =
   let engine = Pdht_sim.Engine.create () in
   Churn.attach c engine;
@@ -107,21 +108,19 @@ let churn_trajectory c ~until =
   (Churn.session_changes c, List.init (Churn.peers c) (Churn.online c))
 
 let test_churn_spec_exponential_equivalence () =
-  (* An all-exponential spec must reproduce the classic constructor
-     draw for draw: same seed, same trajectory. *)
-  let classic =
-    Churn.create (Rng.create ~seed:84) ~peers:200 ~mean_uptime:300.
-      ~mean_downtime:100. ~initially_online_fraction:0.75
+  (* An all-exponential spec must reproduce the classic model draw for
+     draw (one uniform per session through [Rng.exponential]): the
+     trajectory below was recorded from the dedicated exponential
+     constructor this one replaced. *)
+  let c =
+    exp_churn (Rng.create ~seed:84) ~peers:200 ~mean_uptime:300. ~mean_downtime:100. ~on:0.75
   in
-  let spec =
-    session_spec Pdht_dist.Session.Exponential Pdht_dist.Session.Exponential
-      ~mean_uptime:300. ~mean_downtime:100. ~on:0.75
-  in
-  let via_spec = Churn.create_spec (Rng.create ~seed:84) ~peers:200 spec in
-  let changes_a, states_a = churn_trajectory classic ~until:1000. in
-  let changes_b, states_b = churn_trajectory via_spec ~until:1000. in
-  Alcotest.(check int) "same transition count" changes_a changes_b;
-  Alcotest.(check (list bool)) "same end states" states_a states_b
+  let changes, states = churn_trajectory c ~until:1000. in
+  let bits = String.concat "" (List.map (fun b -> if b then "1" else "0") states) in
+  Alcotest.(check int) "transition count" 1027 changes;
+  Alcotest.(check int) "online at the end" 160 (Churn.online_count c);
+  Alcotest.(check string) "end states" "1ff0e7d1b1b581b7051e81182d49c582"
+    (Digest.to_hex (Digest.string bits))
 
 let test_churn_spec_heavy_tailed () =
   let spec =
@@ -130,7 +129,7 @@ let test_churn_spec_heavy_tailed () =
       (Pdht_dist.Session.Weibull { shape = 0.6 })
       ~mean_uptime:300. ~mean_downtime:150. ~on:(2. /. 3.)
   in
-  let c = Churn.create_spec (Rng.create ~seed:85) ~peers:1000 spec in
+  let c = Churn.create (Rng.create ~seed:85) ~peers:1000 spec in
   Alcotest.(check (float 1e-9)) "availability from the spec means" (2. /. 3.)
     (Churn.availability c);
   let changes, states = churn_trajectory c ~until:3000. in
@@ -146,7 +145,7 @@ let test_churn_spec_validates () =
     session_spec Pdht_dist.Session.Exponential Pdht_dist.Session.Exponential
       ~mean_uptime:300. ~mean_downtime:100. ~on:1.5
   in
-  match Churn.create_spec (Rng.create ~seed:86) ~peers:10 bad with
+  match Churn.create (Rng.create ~seed:86) ~peers:10 bad with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted an out-of-range online fraction"
 

@@ -217,7 +217,8 @@ let test_session_parse_defaults () =
   match Session.of_string "exp" with
   | Error msg -> Alcotest.fail msg
   | Ok spec ->
-      Alcotest.(check bool) "exp legs" true (Session.is_exponential spec);
+      Alcotest.(check bool) "exp legs" true
+        (spec.Session.up = Session.Exponential && spec.Session.down = Session.Exponential);
       check_float "default up" 600. spec.Session.mean_uptime;
       check_float "default down" 400. spec.Session.mean_downtime;
       check_float "default on = stationary availability" 0.6
@@ -236,7 +237,8 @@ let test_session_parse_fields () =
       check_float "up" 600. spec.Session.mean_uptime;
       check_float "down" 200. spec.Session.mean_downtime;
       check_float "on" 0.5 spec.Session.initially_online_fraction;
-      Alcotest.(check bool) "not exponential" false (Session.is_exponential spec));
+      Alcotest.(check bool) "not exponential" false
+        (spec.Session.up = Session.Exponential && spec.Session.down = Session.Exponential));
   match Session.of_string "lognormal:sigma=2" with
   | Error msg -> Alcotest.fail msg
   | Ok spec -> (
