@@ -220,7 +220,8 @@ let section_ablation () =
           else Printf.sprintf "%.2f" r.Experiment.empirical_dup ) ]
     (Experiment.search_ablation ~jobs:!jobs ~seed:7 ~peers:1_000 ~repl:50 ~trials:200 ());
   Printf.printf "(model Eq. 6 for these parameters: %.0f msgs)\n"
-    (Pdht_overlay.Unstructured_search.expected_cost_model ~peers:1_000 ~repl:50 ~dup:1.8);
+    (Pdht_model.Cost.search_unstructured
+       { Pdht_model.Params.default with num_peers = 1_000; repl = 50; dup = 1.8 });
   heading "E8b - structured substrates: Chord / P-Grid / Kademlia / Pastry lookups"
     "(all four track Eq. 7 = 1/2 log2 n up to their branching factors;\n\
      Kademlia spends more messages per hop on its alpha=3 parallel probes,\n\

@@ -227,7 +227,7 @@ let backend_ablation ?jobs ~seed ~members ~trials ~offline_fraction () =
       backend = label;
       mean_lookup_messages = float_of_int !messages /. attempted_f;
       mean_hops = float_of_int !hops /. attempted_f;
-      model_expectation = Pdht_dht.Chord.expected_lookup_messages ~members;
+      model_expectation = Pdht_model.Cost.search_index ~num_active_peers:members;
       success_rate = float_of_int !successes /. attempted_f;
     }
   in

@@ -200,6 +200,3 @@ let rebuild_routes t ~online ~peer =
     | None -> fingers.(j) <- successor_member t ideal
   done;
   levels
-
-let expected_lookup_messages ~members =
-  0.5 *. (Float.log (float_of_int members) /. Float.log 2.)

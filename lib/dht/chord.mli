@@ -79,6 +79,3 @@ val rebuild_routes : t -> online:(int -> bool) -> peer:int -> int
 (** Rejoin: recompute [peer]'s finger table against the current online
     population (the join protocol's finger fixup — one lookup per
     level).  Returns the message cost, one per finger level. *)
-
-val expected_lookup_messages : members:int -> float
-(** Model Eq. 7: [1/2 * log2 members]. *)

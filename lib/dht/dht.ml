@@ -98,7 +98,6 @@ let routing_table_size t p =
   | Kademlia k -> Kademlia.routing_table_size k p
   | Pastry pa -> Pastry.routing_table_size pa p
 
-let expected_lookup_messages t = Chord.expected_lookup_messages ~members:(members t)
 
 let enable_live_routing ?probe_retries t =
   match t.impl with

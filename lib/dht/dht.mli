@@ -74,9 +74,6 @@ val rebuild_routes : t -> Pdht_util.Rng.t -> online:(int -> bool) -> peer:int ->
 
 val routing_table_size : t -> int -> int
 
-val expected_lookup_messages : t -> float
-(** Eq. 7 with this DHT's member count. *)
-
 (** {2 Live routing tables}
 
     Kademlia-only: switch the backend's k-buckets from the frozen

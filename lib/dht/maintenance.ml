@@ -73,8 +73,3 @@ let attach ?obs ?refresh_every engine ~dht ~rng ~online ~metrics ~env ~interval 
           match refreshes with
           | Some c -> Pdht_obs.Registry.incr c sent
           | None -> ())
-
-let cost_per_key_per_second ~env ~members ~indexed_keys =
-  if indexed_keys <= 0 then invalid_arg "Maintenance.cost_per_key_per_second: no keys";
-  let m = float_of_int members in
-  env *. log2 m *. m /. float_of_int indexed_keys

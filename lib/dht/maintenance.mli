@@ -46,8 +46,3 @@ val attach :
     With [obs], each tick also records the
     ["maintenance.messages_per_tick"] histogram and emits one
     [Maintenance] trace event carrying the tick's message count. *)
-
-val cost_per_key_per_second :
-  env:float -> members:int -> indexed_keys:int -> float
-(** The model's Eq. 8: [cRtn = env * log2(members) * members /
-    indexed_keys].  @raise Invalid_argument when [indexed_keys <= 0]. *)

@@ -31,6 +31,3 @@ let search ?span ?deliver t rng ~online ~source ~item =
   in
   { found = r.Random_walk.found_at <> None; messages = r.Random_walk.messages;
     provider = r.Random_walk.found_at; rounds = r.Random_walk.rounds }
-
-let expected_cost_model ~peers ~repl ~dup =
-  float_of_int peers /. float_of_int repl *. dup

@@ -44,6 +44,3 @@ val search :
     underlying mechanism.  [deliver] threads the network model's
     per-message loss decision into the mechanism (omitted = reliable);
     [span] is the wave's causal span id, forwarded to [deliver]. *)
-
-val expected_cost_model : peers:int -> repl:int -> dup:float -> float
-(** The analytic Eq. 6 for comparison against measured outcomes. *)

@@ -371,10 +371,6 @@ let test_chord_probe_repairs_fingers () =
     (Printf.sprintf "stale fraction %.3f < 0.05" stale_frac)
     true (stale_frac < 0.05)
 
-let test_chord_expected_lookup_messages () =
-  Alcotest.(check (float 1e-9)) "Eq. 7 at 1024" 5.
-    (Chord.expected_lookup_messages ~members:1024)
-
 let test_chord_single_member () =
   let rng = Rng.create ~seed:97 in
   let c = Chord.create rng ~members:1 in
@@ -1062,12 +1058,6 @@ let test_dht_backend_labels () =
     (List.map Dht.backend_label
        [ Dht.Chord_backend; Dht.Pgrid_backend; Dht.Kademlia_backend; Dht.Pastry_backend ])
 
-let test_dht_expected_lookup_messages () =
-  let rng = Rng.create ~seed:161 in
-  let dht = Dht.create rng ~backend:Dht.Chord_backend ~members:1024 () in
-  Alcotest.(check (float 1e-9)) "Eq. 7 through the facade" 5.
-    (Dht.expected_lookup_messages dht)
-
 let test_pgrid_leaf_size_exceeds_members () =
   (* leaf_size larger than the population: a single leaf holding
      everyone, empty paths, every lookup is a local hit. *)
@@ -1092,14 +1082,6 @@ let test_maintenance_rates () =
   let env = Maintenance.env_from_trace ~maintenance_rate:1.0 ~members:17_000 in
   Alcotest.(check (float 1e-6)) "round trip: 1 msg/peer/s" 1.0
     (Maintenance.probes_per_peer_per_second ~env ~members:17_000)
-
-let test_maintenance_cost_eq8 () =
-  (* Paper scenario: env = 1/14, 20000 active peers, 40000 keys. *)
-  let c =
-    Maintenance.cost_per_key_per_second ~env:(1. /. 14.) ~members:20_000
-      ~indexed_keys:40_000
-  in
-  Alcotest.(check (float 0.01)) "cRtn ~ 0.51 msg/key/s" 0.511 c
 
 let test_maintenance_attach_charges_messages () =
   let rng = Rng.create ~seed:112 in
@@ -1495,7 +1477,6 @@ let () =
           Alcotest.test_case "lookup under churn" `Quick test_chord_lookup_under_churn;
           Alcotest.test_case "successor lists" `Quick test_chord_successors;
           Alcotest.test_case "probe repairs fingers" `Quick test_chord_probe_repairs_fingers;
-          Alcotest.test_case "Eq. 7 value" `Quick test_chord_expected_lookup_messages;
           Alcotest.test_case "single member" `Quick test_chord_single_member;
         ] );
       ( "pgrid",
@@ -1560,11 +1541,9 @@ let () =
           Alcotest.test_case "backends share interface" `Quick test_dht_facade_backends_agree_on_interface;
           Alcotest.test_case "tiny populations" `Quick test_dht_tiny_populations;
           Alcotest.test_case "backend labels" `Quick test_dht_backend_labels;
-          Alcotest.test_case "facade Eq. 7" `Quick test_dht_expected_lookup_messages;
           Alcotest.test_case "pgrid oversize leaf" `Quick test_pgrid_leaf_size_exceeds_members;
           Alcotest.test_case "chord replica group" `Quick test_dht_chord_replica_group_size;
           Alcotest.test_case "maintenance rates" `Quick test_maintenance_rates;
-          Alcotest.test_case "Eq. 8 value" `Quick test_maintenance_cost_eq8;
           Alcotest.test_case "attach charges messages" `Quick test_maintenance_attach_charges_messages;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

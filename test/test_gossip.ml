@@ -1,10 +1,8 @@
-(* Tests for Pdht_gossip: replica subnetworks, rumor spreading, and the
-   Eq. 9 update-cost formula. *)
+(* Tests for Pdht_gossip: replica subnetworks and rumor spreading. *)
 
 module Rng = Pdht_util.Rng
 module Replica_net = Pdht_gossip.Replica_net
 module Rumor = Pdht_gossip.Rumor
-module Update_model = Pdht_gossip.Update_model
 
 let all_online _ = true
 
@@ -210,30 +208,6 @@ let test_pull_nonmember () =
   Alcotest.(check int) "free" 0 messages
 
 (* ------------------------------------------------------------------ *)
-(* Update model (Eq. 9) *)
-
-let test_update_model_paper_value () =
-  (* Paper scenario: cSIndx ~ 7.14, repl 50, dup2 1.8, fUpd = 1/86400. *)
-  let c =
-    Update_model.cost_per_key_per_second ~index_search_cost:7.14 ~repl:50 ~dup2:1.8
-      ~update_frequency:(1. /. 86_400.)
-  in
-  Alcotest.(check (float 1e-5)) "cUpd ~ 0.00112" 0.001123 c
-
-let test_update_model_zero_frequency () =
-  Alcotest.(check (float 1e-12)) "no updates, no cost" 0.
-    (Update_model.cost_per_key_per_second ~index_search_cost:5. ~repl:10 ~dup2:2.
-       ~update_frequency:0.)
-
-let test_update_model_validation () =
-  Alcotest.check_raises "repl"
-    (Invalid_argument "Update_model.cost_per_key_per_second: repl must be >= 1")
-    (fun () ->
-      ignore
-        (Update_model.cost_per_key_per_second ~index_search_cost:5. ~repl:0 ~dup2:2.
-           ~update_frequency:1.))
-
-(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let qcheck_tests =
@@ -287,12 +261,6 @@ let () =
           Alcotest.test_case "pull missed updates" `Quick test_pull_missed_updates;
           Alcotest.test_case "pull alone" `Quick test_pull_alone_offline;
           Alcotest.test_case "pull non-member" `Quick test_pull_nonmember;
-        ] );
-      ( "update-model",
-        [
-          Alcotest.test_case "paper value" `Quick test_update_model_paper_value;
-          Alcotest.test_case "zero frequency" `Quick test_update_model_zero_frequency;
-          Alcotest.test_case "validation" `Quick test_update_model_validation;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

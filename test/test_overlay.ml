@@ -382,10 +382,6 @@ let test_search_unplaced_item_not_found () =
   Alcotest.(check bool) "walk steps counted" true (o.Search.messages >= 4 * 50);
   Alcotest.(check int) "ran the whole budget" 50 o.Search.rounds
 
-let test_search_model_cost () =
-  Alcotest.(check (float 1e-9)) "Eq. 6" 720.
-    (Search.expected_cost_model ~peers:20_000 ~repl:50 ~dup:1.8)
-
 let test_search_mismatched_sizes_rejected () =
   let topology = Topology.ring_lattice ~peers:10 ~k:1 in
   let replication = Replication.create ~peers:11 in
@@ -541,7 +537,6 @@ let () =
           Alcotest.test_case "cost vs replication" `Quick test_search_cost_scales_with_replication;
           Alcotest.test_case "size mismatch rejected" `Quick test_search_mismatched_sizes_rejected;
           Alcotest.test_case "unplaced item not found" `Quick test_search_unplaced_item_not_found;
-          Alcotest.test_case "Eq. 6 value" `Quick test_search_model_cost;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
