@@ -6,8 +6,7 @@ type result = {
   depth : int;
 }
 
-let search ?scratch ?span ?deliver topo ~online ~holds ~source ~initial_ttl
-    ~growth ~max_ttl =
+let search ?scratch topo ~online ~holds ~source ~initial_ttl ~growth ~max_ttl =
   if initial_ttl < 1 then invalid_arg "Expanding_ring.search: initial_ttl must be >= 1";
   if growth < 1 then invalid_arg "Expanding_ring.search: growth must be >= 1";
   if max_ttl < initial_ttl then invalid_arg "Expanding_ring.search: max_ttl < initial_ttl";
@@ -16,7 +15,7 @@ let search ?scratch ?span ?deliver topo ~online ~holds ~source ~initial_ttl
   let depth = ref 0 in
   let rec attempt ttl previous_reach =
     incr rings;
-    let r = Flood.search ?scratch ?span ?deliver topo ~online ~holds ~source ~ttl in
+    let r = Flood.search ?scratch topo ~online ~holds ~source ~ttl in
     messages := !messages + r.Flood.messages;
     (* Rings run one after the other, so their wave counts add up. *)
     depth := !depth + r.Flood.depth;

@@ -19,8 +19,6 @@ type result = {
 
 val search :
   ?scratch:Scratch.t ->
-  ?span:int ->
-  ?deliver:(span:int option -> src:int -> dst:int -> bool) ->
   Topology.t ->
   online:(int -> bool) ->
   holds:(int -> bool) ->
@@ -31,5 +29,5 @@ val search :
   result
 (** Start at [initial_ttl], adding [growth] per round up to [max_ttl].
     Requires [initial_ttl >= 1], [growth >= 1], [max_ttl >=
-    initial_ttl].  [scratch], [span] and [deliver] are threaded through
-    to the underlying {!Flood.search} rings. *)
+    initial_ttl].  [scratch] is threaded through to the underlying
+    {!Flood.search} rings. *)

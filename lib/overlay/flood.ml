@@ -11,7 +11,7 @@ type result = {
    search are the result record itself (and a fresh scratch when the
    caller did not supply one), so the per-broadcast cost no longer
    scales an [Array.make n false] with the network size. *)
-let search ?scratch ?span ?deliver topo ~online ~holds ~source ~ttl =
+let search ?scratch topo ~online ~holds ~source ~ttl =
   if not (online source) then
     { found_at = None; peers_reached = 0; messages = 0; hops_to_hit = None; depth = 0 }
   else begin
@@ -41,13 +41,7 @@ let search ?scratch ?span ?deliver topo ~online ~holds ~source ~ttl =
           let q = Topology.neighbor topo p k in
           if online q then begin
             incr messages;
-            (* The drop decision is per message: duplicates flip the
-               coin too (they are real traffic), but only a delivered
-               first reception forwards the query onward. *)
-            let delivered =
-              match deliver with None -> true | Some d -> d ~span ~src:p ~dst:q
-            in
-            if delivered && stamp.(q) <> gen then begin
+            if stamp.(q) <> gen then begin
               stamp.(q) <- gen;
               incr reached;
               if holds q && !found_at < 0 then begin

@@ -19,8 +19,6 @@ type result = {
 
 val search :
   ?scratch:Scratch.t ->
-  ?span:int ->
-  ?deliver:(span:int option -> src:int -> dst:int -> bool) ->
   Topology.t ->
   online:(int -> bool) ->
   holds:(int -> bool) ->
@@ -37,20 +35,7 @@ val search :
     [scratch] makes repeated searches allocation-free: the visited set
     and frontier buffers are reused instead of rebuilt per call.  The
     result is identical with or without it (a fresh scratch is allocated
-    when omitted).
-
-    [deliver ~src ~dst] is the network model's per-message fate (see
-    [Pdht_net.Hook.cast]): every message to an online peer is counted
-    and then offered to [deliver]; a [false] verdict means the message
-    was lost in flight, so the receiver neither answers nor forwards.
-    Omitting [deliver] keeps the classic instantaneous-and-reliable
-    semantics, bit for bit.
-
-    [span] is the causal span id of the wave this flood serves (see
-    [Pdht_obs.Span]); it is forwarded verbatim to every [deliver] call
-    so the network layer can parent its per-message trace events.  It
-    is a plain [int] precisely so this library needs no dependency on
-    the observability layer. *)
+    when omitted).  Messages are instantaneous and reliable. *)
 
 val duplication_factor : result -> float
 (** [messages / peers_reached]; 0. when nothing was reached. *)
