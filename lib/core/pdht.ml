@@ -716,8 +716,7 @@ let indexed_key_count t ~now =
     let key = t.bitkeys.(key_index) in
     let group = Dht.replica_group t.dht ~repl:t.config.Config.repl key in
     if Array.exists (fun member -> t.store.peek ~peer:member ~key_index ~now <> None) group
-    then
-      incr count
+    then incr count
   done;
   !count
 

@@ -189,14 +189,15 @@ let plan_active_members scenario options strategy =
       sized state.Pdht_model.Strategies.index_size
 
 let build_churn scenario rng =
+  let peers = scenario.Scenario.num_peers in
   match scenario.Scenario.churn with
-  | Scenario.No_churn -> Pdht_dht.Churn.always_online ~peers:scenario.Scenario.num_peers
+  | Scenario.No_churn -> Pdht_dht.Churn.always_online ~peers
   | Scenario.Exponential_sessions { mean_uptime; mean_downtime; initially_online_fraction }
     ->
-      Pdht_dht.Churn.create rng ~peers:scenario.Scenario.num_peers
+      Pdht_dht.Churn.create rng ~peers
         { Pdht_dist.Session.up = Exponential; down = Exponential; mean_uptime;
           mean_downtime; initially_online_fraction }
-  | Scenario.Sessions spec -> Pdht_dht.Churn.create rng ~peers:scenario.Scenario.num_peers spec
+  | Scenario.Sessions spec -> Pdht_dht.Churn.create rng ~peers spec
 
 (* Mutable run-time counters, folded into the report at the end. *)
 type counters = {

@@ -192,8 +192,6 @@ let peek t ~key ~now =
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None else Some (t.values.(slot), t.expiry.(slot))
 
-let mem t ~key ~now = find_live_slot t ~key ~now >= 0
-
 let remove t ~key =
   let slot = find_slot t (Pdht_util.Bitkey.to_int key) in
   if slot >= 0 then delete_slot t slot

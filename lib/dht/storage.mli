@@ -42,9 +42,6 @@ val peek : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> ('v * float) option
 (** A live entry's value and expiration instant, without refreshing
     it; expired entries are treated as absent (and purged). *)
 
-val mem : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> bool
-(** Whether {!get} would hit, without returning the value. *)
-
 val remove : 'v t -> key:Pdht_util.Bitkey.t -> unit
 
 val clear : 'v t -> int

@@ -6,8 +6,8 @@
     {!Pdht_core.Pdht.transport}: each of its five store operations and
     every DHT hop / broadcast edge becomes a {!Pdht_wire.Wire} frame
     ([Get], [Insert], [Probe], [Lookup], [Gossip]) to the worker owning
-    the target member ([member mod nodes]).  Workers answer strictly in order and
-    the loopback link is reliable, so the cluster's report is
+    the target member ([member mod nodes]).  Workers answer strictly in
+    order and the loopback link is reliable, so the cluster's report is
     field-for-field the same-seed simulator report.  Each
     conductor->worker call runs the {!Pdht_net.Config.call} retry
     ladder of {!Pdht_net.Config.default} ([rpc_timeout]/[rpc_retries]/

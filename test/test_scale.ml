@@ -125,7 +125,7 @@ let storage_model_test =
               | None -> check (got = None))
           | Mem (k, dt) ->
               let now = tick dt in
-              let got = Storage.mem store ~key:(Bitkey.of_int k) ~now in
+              let got = Storage.peek store ~key:(Bitkey.of_int k) ~now <> None in
               model := model_drop_expired !model k now;
               check (got = List.mem_assoc k !model)
           | Remove k ->
