@@ -244,7 +244,7 @@ let () =
           Alcotest.test_case "neighbors are members" `Quick test_net_neighbors_are_members;
           Alcotest.test_case "flood counts duplicates" `Quick test_net_flood_counts_duplicates;
           Alcotest.test_case "flood with offline" `Quick test_net_flood_offline_members;
-          Alcotest.test_case "majority offline matches reference BFS" `Quick
+          Alcotest.test_case "majority offline matches reference" `Quick
             test_net_flood_majority_offline_matches_bfs;
           Alcotest.test_case "flood from non-member" `Quick test_net_flood_from_nonmember;
           Alcotest.test_case "singleton" `Quick test_net_singleton;
