@@ -937,6 +937,154 @@ let test_repair_remaining_ttl () =
   Alcotest.(check bool) "and gone at the original expiry" false
     (Pdht.index_hit_probe p ~now:302. ~key_index)
 
+(* ------------------------------------------------------------------ *)
+(* Index census: the index size (Eq. 15) read from the stores as a
+   whole must equal the per-key scan over each key's replica group. *)
+
+module Storage = Pdht_dht.Storage
+module Dht = Pdht_dht.Dht
+module Hashing = Pdht_util.Hashing
+
+type census_case = {
+  kademlia : bool;  (* live Kademlia buckets instead of P-Grid *)
+  stor : int;       (* small caches run under eviction pressure *)
+  ttl : float;
+  churn : bool;
+  crash : bool;     (* crash waves, rejoin and repair passes *)
+  seed : int;
+}
+
+let census_case_print c =
+  Printf.sprintf "{kademlia=%b stor=%d ttl=%g churn=%b crash=%b seed=%d}" c.kademlia c.stor
+    c.ttl c.churn c.crash c.seed
+
+let census_case_gen =
+  let open QCheck.Gen in
+  map3
+    (fun (kademlia, stor) (ttl, churn) (crash, seed) -> { kademlia; stor; ttl; churn; crash; seed })
+    (pair bool (int_range 2 40))
+    (pair (float_range 5. 200.) bool)
+    (pair bool (int_bound 1_000_000))
+
+let census_keys = 120
+let census_members = 40
+let census_peers = 120
+let census_repl = 5
+
+let census_bitkeys =
+  Array.init census_keys (fun i -> Hashing.hash_to_key (Hashing.combine [ "key"; string_of_int i ]))
+
+(* The census read off the stores without touching them: key [i] counts
+   when any store holds it unexpired. *)
+let read_only_census stores ~now =
+  let live = ref 0 in
+  Array.iter
+    (fun key ->
+      if
+        Array.exists
+          (fun s -> match Storage.expiry s ~key with Some e -> e > now | None -> false)
+          stores
+      then incr live)
+    census_bitkeys;
+  !live
+
+(* At a sample: the census count equals the scan, and every live entry
+   sits on a member of its key's replica group. *)
+let census_sample p stores ~now =
+  let census = read_only_census stores ~now in
+  let scan = Pdht.indexed_key_count p ~now in
+  let placed = ref true in
+  Array.iter
+    (fun key ->
+      let group = Dht.replica_group (Pdht.dht p) ~repl:census_repl key in
+      Array.iteri
+        (fun member s ->
+          match Storage.expiry s ~key with
+          | Some e when e > now -> if not (Array.mem member group) then placed := false
+          | _ -> ())
+        stores)
+    census_bitkeys;
+  census = scan && !placed
+
+(* One random small run over a transport whose stores the test owns. *)
+let census_run c =
+  let stores =
+    Array.init census_members (fun _ -> Storage.create ~capacity:c.stor ())
+  in
+  let key i = census_bitkeys.(i) in
+  let store =
+    {
+      Pdht.get_and_refresh =
+        (fun ~peer ~key_index ~now ~ttl ->
+          Storage.get_and_refresh stores.(peer) ~key:(key key_index) ~now ~ttl);
+      put =
+        (fun ~peer ~key_index ~value ~now ~ttl ->
+          Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
+      peek = (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:(key key_index) ~now);
+      clear = (fun ~peer -> Storage.clear stores.(peer));
+      live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
+    }
+  in
+  let transport =
+    {
+      Pdht.store;
+      rpc = (fun ~span:_ ~src:_ ~dst:_ -> true);
+      cast = (fun ~span:_ ~src:_ ~dst:_ -> true);
+    }
+  in
+  let rng = Rng.create ~seed:c.seed in
+  let config =
+    Config.make
+      ~backend:(if c.kademlia then Dht.Kademlia_backend else Dht.Pgrid_backend)
+      ~num_peers:census_peers ~active_members:census_members ~keys:census_keys
+      ~repl:census_repl ~stor:c.stor ~strategy:(partial c.ttl) ()
+  in
+  let p = Pdht.create ~transport rng config in
+  if c.kademlia then Dht.enable_live_routing (Pdht.dht p);
+  let online = Array.make census_peers true in
+  Pdht.set_online p (fun peer -> online.(peer));
+  let crashed = ref [] in
+  let ok = ref true in
+  let now = ref 0. in
+  for step = 1 to 300 do
+    now := !now +. Rng.float rng 2.;
+    (* Half the queries on a hot head, so the index both hits and
+       churns its caches. *)
+    let key_index =
+      if Rng.bool rng then Rng.int rng 15 else Rng.int rng census_keys
+    in
+    ignore (Pdht.query p ~now:!now ~peer:(Rng.int rng census_peers) ~key_index);
+    if c.churn && step mod 3 = 0 then begin
+      let peer = Rng.int rng census_peers in
+      if not (List.mem peer !crashed) then online.(peer) <- not online.(peer)
+    end;
+    if c.crash && step mod 60 = 20 then
+      for _ = 1 to 8 do
+        let peer = Rng.int rng census_members in
+        if not (List.mem peer !crashed) then begin
+          ignore (Pdht.crash_peer p ~peer);
+          online.(peer) <- false;
+          crashed := peer :: !crashed
+        end
+      done;
+    if c.crash && step mod 60 = 50 then begin
+      List.iter
+        (fun peer ->
+          online.(peer) <- true;
+          ignore (Pdht.recover_peer p rng ~peer))
+        !crashed;
+      crashed := [];
+      ignore (Pdht.repair_pass p rng ~now:!now ~min_fraction:0.5)
+    end;
+    if step mod 15 = 0 && not (census_sample p stores ~now:!now) then ok := false
+  done;
+  !ok
+
+let census_equals_scan =
+  QCheck.Test.make ~name:"census equals replica-group scan" ~count:40
+    (QCheck.make ~print:census_case_print census_case_gen)
+    census_run
+
 let () =
   Alcotest.run "pdht_core"
     [
@@ -1031,4 +1179,5 @@ let () =
           Alcotest.test_case "threshold and topup" `Quick test_repair_threshold_and_topup;
           Alcotest.test_case "remaining ttl" `Quick test_repair_remaining_ttl;
         ] );
+      ("census", [ QCheck_alcotest.to_alcotest census_equals_scan ]);
     ]
