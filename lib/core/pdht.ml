@@ -33,7 +33,70 @@ type store_ops = {
   peek : peer:int -> key_index:int -> now:float -> (int * float) option;
   clear : peer:int -> int;
   live_count : peer:int -> now:float -> int;
+  census : now:float -> Bytes.t;
 }
+
+module Census = struct
+  (* Reverse index from key hash to key index: one open-addressed int
+     array of key indices (-1 = empty), at least 4/3 the key count so
+     linear probe chains stay short, probed by comparing against
+     [bitkeys].  The hashes are 62-bit, so distinct keys never share
+     one in practice; a duplicate would keep its first index. *)
+  type t = { bitkeys : Bitkey.t array; slots : int array; mask : int }
+
+  let home key mask =
+    let h = (key : Bitkey.t :> int) * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land mask
+
+  (* The slot holding [key]'s index, or the empty slot ending its probe
+     chain. *)
+  let find_slot t key =
+    let rec probe j =
+      let i = t.slots.(j) in
+      if i < 0 || (t.bitkeys.(i) :> int) = (key : Bitkey.t :> int) then j
+      else probe ((j + 1) land t.mask)
+    in
+    probe (home key t.mask)
+
+  let create bitkeys =
+    let n = Array.length bitkeys in
+    let size = ref 1 in
+    while 3 * !size < 4 * n do
+      size := 2 * !size
+    done;
+    let t = { bitkeys; slots = Array.make !size (-1); mask = !size - 1 } in
+    Array.iteri
+      (fun i key ->
+        let j = find_slot t key in
+        if t.slots.(j) < 0 then t.slots.(j) <- i)
+      bitkeys;
+    t
+
+  let bitmap_bytes ~keys = (keys + 7) / 8
+
+  let of_stores t ~now stores =
+    let bits = Bytes.make (bitmap_bytes ~keys:(Array.length t.bitkeys)) '\000' in
+    Array.iter
+      (fun store ->
+        Storage.iter_live store ~now (fun key _ ->
+            let i = t.slots.(find_slot t key) in
+            if i >= 0 then
+              Bytes.set bits (i lsr 3)
+                (Char.chr (Char.code (Bytes.get bits (i lsr 3)) lor (1 lsl (i land 7))))))
+      stores;
+    bits
+
+  let count bits =
+    let n = ref 0 in
+    Bytes.iter
+      (fun c ->
+        let b = Char.code c in
+        let b = b - ((b lsr 1) land 0x55) in
+        let b = (b land 0x33) + ((b lsr 2) land 0x33) in
+        n := !n + ((b + (b lsr 4)) land 0x0f))
+      bits;
+    !n
+end
 
 type transport = {
   store : store_ops;
@@ -160,8 +223,10 @@ let make_instruments (obs : Obs.t) ~backend =
 
 (* Default store implementation: the in-process [Storage.t] array the
    simulator owns.  Built over the arrays directly (not [t]) so it can
-   be assembled before the record. *)
+   be assembled before the record.  The census's reverse index is built
+   on the first census, so runs that never sample pay nothing for it. *)
 let local_store_ops ~stores ~(bitkeys : Bitkey.t array) =
+  let index = lazy (Census.create bitkeys) in
   {
     get_and_refresh =
       (fun ~peer ~key_index ~now ~ttl ->
@@ -173,6 +238,7 @@ let local_store_ops ~stores ~(bitkeys : Bitkey.t array) =
       (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:bitkeys.(key_index) ~now);
     clear = (fun ~peer -> Storage.clear stores.(peer));
     live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
+    census = (fun ~now -> Census.of_stores (Lazy.force index) ~now stores);
   }
 
 let create ?obs ?net ?transport rng config =
@@ -710,15 +776,7 @@ let rejoin_sync t rng ~now ~peer =
         !messages
       end
 
-let indexed_key_count t ~now =
-  let count = ref 0 in
-  for key_index = 0 to t.config.Config.keys - 1 do
-    let key = t.bitkeys.(key_index) in
-    let group = Dht.replica_group t.dht ~repl:t.config.Config.repl key in
-    if Array.exists (fun member -> t.store.peek ~peer:member ~key_index ~now <> None) group
-    then incr count
-  done;
-  !count
+let indexed_key_count t ~now = Census.count (t.store.census ~now)
 
 (* Crash-stop consequences inside the PDHT state.  The caller (the
    fault injector's actions, wired by {!System}) owns the liveness

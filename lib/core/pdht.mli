@@ -18,13 +18,13 @@
     identical workloads with identical message accounting.
 
     By default every member cache lives in this process.  A
-    {!transport} passed to {!create} moves them behind five store
+    {!transport} passed to {!create} moves them behind six store
     operations ({!store_ops}) and turns each hop into a delivery call,
     which is how the multi-process driver runs the same protocol. *)
 
 type t
 
-(** Index-store access, keyed by workload key index: the five
+(** Index-store access, keyed by workload key index: the six
     operations the protocol performs on member caches.  The default
     (no [?transport] at {!create}) operates on the in-process
     per-member [Storage.t] array; the multi-process driver substitutes
@@ -38,14 +38,47 @@ type t
       life);
     - [peek]: a live entry's value and absolute expiry, no refresh;
     - [clear]: the crash — drop every entry, return how many;
-    - [live_count]: non-expired entries. *)
+    - [live_count]: non-expired entries;
+    - [census]: the key indices some store holds live at [now], as a
+      fresh {!Census} bitmap of [keys] bits.  Read-only: it purges
+      nothing, so sampling the index size never moves the run.  The
+      multi-process driver answers it with one frame per worker. *)
 type store_ops = {
   get_and_refresh : peer:int -> key_index:int -> now:float -> ttl:float -> int option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
   peek : peer:int -> key_index:int -> now:float -> (int * float) option;
   clear : peer:int -> int;
   live_count : peer:int -> now:float -> int;
+  census : now:float -> Bytes.t;
 }
+
+(** The store census: which workload keys a set of stores holds live.
+    The in-process stores and every worker process take it through the
+    same {!of_stores}, so there is one implementation.
+
+    A census is a bitmap of [keys] bits, [bitmap_bytes ~keys] bytes
+    long: key index [i] is bit [i land 7] (least significant first) of
+    byte [i lsr 3]; padding bits are zero. *)
+module Census : sig
+  type t
+  (** A reverse index from the stores' key hashes back to key indices:
+      one [int] array of at least 4/3 the key count.  Build it once. *)
+
+  val create : Pdht_util.Bitkey.t array -> t
+  (** Index the key hashes, position = key index (the [bitkeys] every
+      store is keyed by). *)
+
+  val bitmap_bytes : keys:int -> int
+  (** [ceil (keys / 8)]. *)
+
+  val of_stores : t -> now:float -> 'v Pdht_dht.Storage.t array -> Bytes.t
+  (** One read-only pass over the stores: the bitmap of keys live in at
+      least one of them at [now].  Entries under a hash the index does
+      not know are ignored. *)
+
+  val count : Bytes.t -> int
+  (** Set bits of a bitmap. *)
+end
 
 (** A real transport: the multi-process driver's whole seam.  [store]
     replaces the in-process index stores; [rpc] fires once per DHT
@@ -165,8 +198,10 @@ val rejoin_sync : t -> Pdht_util.Rng.t -> now:float -> peer:int -> int
     and for [No_index]. *)
 
 val indexed_key_count : t -> now:float -> int
-(** Number of workload keys currently live in at least one replica's
-    index cache — the empirical Eq. 15. *)
+(** Number of workload keys currently live in at least one index cache
+    — the empirical Eq. 15: the set bits of one [census].  Entries only
+    ever land on their key's replica group, so this equals the count of
+    keys live on some member of their group.  Read-only. *)
 
 val crash_peer : t -> peer:int -> int * int
 (** Crash-stop state destruction for one peer: a DHT member loses its

@@ -206,14 +206,14 @@ let live_count t ~now =
   let _ = expire t ~now in
   t.size
 
-let fold_live t ~now ~init ~f =
-  let _ = expire t ~now in
-  let acc = ref init in
+(* Read-only: expired entries are skipped, not purged, so a census
+   leaves the physical contents (and every later victim choice) as it
+   found them. *)
+let iter_live t ~now f =
   for i = 0 to t.mask do
-    if t.keys.(i) >= 0 then
-      acc := f !acc (Pdht_util.Bitkey.of_int t.keys.(i)) t.values.(i)
-  done;
-  !acc
+    let k = t.keys.(i) in
+    if k >= 0 && t.expiry.(i) > now then f (Pdht_util.Bitkey.of_int k) t.values.(i)
+  done
 
 let expiry t ~key =
   let slot = find_slot t (Pdht_util.Bitkey.to_int key) in

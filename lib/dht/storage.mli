@@ -54,7 +54,9 @@ val expire : 'v t -> now:float -> int
 val live_count : 'v t -> now:float -> int
 (** Non-expired entries (purges as a side effect). *)
 
-val fold_live : 'v t -> now:float -> init:'a -> f:('a -> Pdht_util.Bitkey.t -> 'v -> 'a) -> 'a
+val iter_live : 'v t -> now:float -> (Pdht_util.Bitkey.t -> 'v -> unit) -> unit
+(** Apply the function to every live entry, in slot order.  Read-only:
+    expired entries are skipped, not purged. *)
 
 val expiry : 'v t -> key:Pdht_util.Bitkey.t -> float option
 (** Current expiration instant of a key, if present (possibly already

@@ -26,7 +26,9 @@ let node_obs_path dir k = Filename.concat dir (Printf.sprintf "node-%d.jsonl" k)
 let next_rid = ref 0
 
 let rid_of = function
-  | Wire.Ack { rid; _ } | Wire.Entry { rid; _ } | Wire.Counters { rid; _ } -> Some rid
+  | Wire.Ack { rid; _ } | Wire.Entry { rid; _ } | Wire.Keys { rid; _ } | Wire.Counters { rid; _ }
+    ->
+      Some rid
   | _ -> None
 
 let frame_kind = function
@@ -42,6 +44,8 @@ let frame_kind = function
   | Wire.Snapshot _ -> "Snapshot"
   | Wire.Counters _ -> "Counters"
   | Wire.Bye -> "Bye"
+  | Wire.Census _ -> "Census"
+  | Wire.Keys _ -> "Keys"
 
 let status_to_string = function
   | Unix.WEXITED c -> Printf.sprintf "exited with status %d" c
@@ -227,6 +231,26 @@ let run ?obs config scenario strategy (options : System.options) =
     | msg -> unexpected "Entry" msg
   in
   let probe ~peer op ~now = snd (ack ~peer (fun rid -> Wire.Probe { rid; op; peer; now })) in
+  (* One Census per worker; the index holds a key when any shard does. *)
+  let census ~now =
+    let keys = scenario.Scenario.keys in
+    let want = Pdht.Census.bitmap_bytes ~keys in
+    let bits = Bytes.make want '\000' in
+    for k = 0 to config.nodes - 1 do
+      match call k (fun rid -> Wire.Census { rid; now }) with
+      | Wire.Keys { bits = shard; _ } ->
+          if String.length shard <> want then
+            failwith
+              (Printf.sprintf
+                 "cluster: node %d sent a %d-byte census bitmap; %d keys need %d bytes" k
+                 (String.length shard) keys want);
+          for i = 0 to want - 1 do
+            Bytes.set bits i (Char.chr (Char.code (Bytes.get bits i) lor Char.code shard.[i]))
+          done
+      | msg -> unexpected "Keys" msg
+    done;
+    bits
+  in
   let store : Pdht.store_ops =
     {
       get_and_refresh =
@@ -240,6 +264,7 @@ let run ?obs config scenario strategy (options : System.options) =
         (fun ~peer ~key_index ~now -> get ~peer ~key_index ~refresh:false ~now ~ttl:0.0);
       clear = (fun ~peer -> probe ~peer Wire.Clear ~now:0.0);
       live_count = (fun ~peer ~now -> probe ~peer Wire.Live_count ~now);
+      census;
     }
   in
   let span_id = function Some s -> s | None -> -1 in

@@ -3,10 +3,12 @@
 
     The conductor keeps the whole protocol brain — workloads, routing,
     selection, accounting — and hands {!Pdht_core.System.run} one
-    {!Pdht_core.Pdht.transport}: each of its five store operations and
-    every DHT hop / broadcast edge becomes a {!Pdht_wire.Wire} frame
+    {!Pdht_core.Pdht.transport}: each of its per-member store operations
+    and every DHT hop / broadcast edge becomes a {!Pdht_wire.Wire} frame
     ([Get], [Insert], [Probe], [Lookup], [Gossip]) to the worker owning
-    the target member ([member mod nodes]).  Workers answer strictly in
+    the target member ([member mod nodes]); the census behind the index
+    size is one [Census] frame per worker, whose [Keys] bitmaps the
+    conductor ORs together.  Workers answer strictly in
     order and the loopback link is reliable, so the cluster's report is
     field-for-field the same-seed simulator report.  Each
     conductor->worker call runs the {!Pdht_net.Config.call} retry
@@ -41,7 +43,8 @@ val run :
     [nodes < 1].
     @raise Failure when a worker dies, misbehaves, or an RPC exhausts
     its retry budget; spawned processes are killed before the exception
-    escapes.  Worker death is detected eagerly — a [waitpid]
+    escapes.  A [Keys] bitmap that is not [ceil (keys / 8)] bytes long
+    fails the run, naming the node.  Worker death is detected eagerly — a [waitpid]
     ([WNOHANG]) probe runs on every broken send, closed connection and
     retry — and the message names the node id, its exit
     status and the kind of the last frame sent to it, rather than

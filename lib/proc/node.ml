@@ -3,12 +3,15 @@ module Storage = Pdht_dht.Storage
 module Registry = Pdht_obs.Registry
 module Export = Pdht_obs.Export
 module Hashing = Pdht_util.Hashing
+module Census = Pdht_core.Pdht.Census
 
 type shard = {
   node_id : int;
   nodes : int;
   bitkeys : Pdht_util.Bitkey.t array;
   stores : int Storage.t option array;  (* member -> store iff owned *)
+  owned : int Storage.t array;  (* the [Some] stores, for the census *)
+  census : Census.t;
 }
 
 let build_shard ~node_id ~nodes ~members ~keys ~stor =
@@ -25,7 +28,8 @@ let build_shard ~node_id ~nodes ~members ~keys ~stor =
           Some (Storage.create ~capacity:stor ())
         else None)
   in
-  { node_id; nodes; bitkeys; stores }
+  let owned = Array.of_list (List.filter_map Fun.id (Array.to_list stores)) in
+  { node_id; nodes; bitkeys; stores; owned; census = Census.create bitkeys }
 
 let store shard ~peer =
   match shard.stores.(peer) with
@@ -125,6 +129,13 @@ let serve ?obs_out ~node_id conn =
             in
             reply (Wire.Ack { rid; ok = true; value });
             loop ()
+        | Wire.Census { rid; now } ->
+            (* A whole-shard read: counted with the other whole-store
+               operations. *)
+            Registry.incr probes 1;
+            let bits = Census.of_stores shard.census ~now shard.owned in
+            reply (Wire.Keys { rid; bits = Bytes.unsafe_to_string bits });
+            loop ()
         | Wire.Snapshot { rid } ->
             let counters =
               List.filter_map
@@ -137,7 +148,8 @@ let serve ?obs_out ~node_id conn =
             reply (Wire.Counters { rid; node_id; counters });
             loop ()
         | Wire.Bye -> flush_obs ()
-        | Wire.Hello _ | Wire.Setup _ | Wire.Ack _ | Wire.Entry _ | Wire.Counters _ ->
+        | Wire.Hello _ | Wire.Setup _ | Wire.Ack _ | Wire.Entry _ | Wire.Keys _
+        | Wire.Counters _ ->
             failwith
               (Format.asprintf "node %d: unexpected frame %a" node_id Wire.pp msg))
   in

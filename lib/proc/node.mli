@@ -8,7 +8,7 @@
     order and same-seed runs stay deterministic.
 
     Lifecycle: connect, send [Hello], receive [Setup] (sizing), then
-    answer [Get]/[Insert]/[Probe] store operations and acknowledge
+    answer [Get]/[Insert]/[Probe]/[Census] store operations and acknowledge
     [Lookup] routing hops until [Bye], at which point the
     node writes its [proc.*] counter registry as node-stamped JSONL
     (when [obs_out] is given) and returns. *)
@@ -19,7 +19,8 @@ val serve : ?obs_out:string -> node_id:int -> Frame_io.t -> unit
     conductor closes the stream; raises [Failure] on a protocol
     violation (corrupt frame, store op for a member this node does not
     own, [Setup] missing, a [Setup] eviction code other than 0, or a
-    reply-only frame — [Hello], [Setup], [Ack], [Entry], [Counters] —
+    reply-only frame — [Hello], [Setup], [Ack], [Entry], [Keys],
+    [Counters] —
     after [Setup]; the failure names the frame). *)
 
 val run : ?obs_out:string -> port:int -> node_id:int -> unit -> unit

@@ -20,6 +20,8 @@ type msg =
   | Snapshot of { rid : int }
   | Counters of { rid : int; node_id : int; counters : (string * int) list }
   | Bye
+  | Census of { rid : int; now : float }
+  | Keys of { rid : int; bits : string }
 
 type error =
   | Truncated of { need : int; have : int }
@@ -28,7 +30,7 @@ type error =
   | Unknown_kind of int
   | Malformed of string
 
-let version = 2
+let version = 3
 
 (* Counter snapshots dominate payload size: a few hundred instrument
    names at ~40 bytes each.  1 MiB leaves two orders of magnitude of
@@ -53,6 +55,10 @@ let kind_code = function
   | Snapshot _ -> 10
   | Counters _ -> 11
   | Bye -> 12
+  | Census _ -> 13
+  | Keys _ -> 14
+
+let kinds = 14
 
 let probe_code = function Live_count -> 0 | Clear -> 1
 
@@ -146,6 +152,13 @@ let encode_body b msg =
           put_i64 b v)
         counters
   | Bye -> ()
+  | Census { rid; now } ->
+      put_i64 b rid;
+      put_f64 b now
+  | Keys { rid; bits } ->
+      put_i64 b rid;
+      put_u32 b (String.length bits);
+      Buffer.add_string b bits
 
 let encode b msg =
   let body = Buffer.create 64 in
@@ -209,6 +222,15 @@ let get_bool c =
 let get_string c =
   let n = get_u32 c in
   if n > max_string then raise (Bad (Printf.sprintf "string length %d over limit" n));
+  need c n;
+  let s = Bytes.sub_string c.buf c.pos n in
+  c.pos <- c.pos + n;
+  s
+
+(* A byte string bounded only by the frame it sits in (a census bitmap
+   runs to keys / 8 bytes). *)
+let get_blob c =
+  let n = get_u32 c in
   need c n;
   let s = Bytes.sub_string c.buf c.pos n in
   c.pos <- c.pos + n;
@@ -290,6 +312,14 @@ let decode_body kind c =
       in
       Counters { rid; node_id; counters }
   | 12 -> Bye
+  | 13 ->
+      let rid = get_i64 c in
+      let now = get_f64 c in
+      Census { rid; now }
+  | 14 ->
+      let rid = get_i64 c in
+      let bits = get_blob c in
+      Keys { rid; bits }
   | _ -> assert false (* kind was range-checked by the caller *)
 
 let decode buf ~pos ~len =
@@ -312,7 +342,7 @@ let decode buf ~pos ~len =
       if v <> version then Error (Bad_version v)
       else
         let kind = get_u8 c in
-        if kind < 1 || kind > 12 then Error (Unknown_kind kind)
+        if kind < 1 || kind > kinds then Error (Unknown_kind kind)
         else
           match decode_body kind c with
           | msg ->
@@ -354,8 +384,10 @@ let equal a b =
            (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && v1 = v2)
            a.counters b.counters
   | Bye, Bye -> true
+  | Census a, Census b -> a.rid = b.rid && feq a.now b.now
+  | Keys a, Keys b -> a.rid = b.rid && String.equal a.bits b.bits
   | ( ( Hello _ | Setup _ | Lookup _ | Insert _ | Gossip _ | Get _ | Probe _ | Ack _
-      | Entry _ | Snapshot _ | Counters _ | Bye ),
+      | Entry _ | Snapshot _ | Counters _ | Bye | Census _ | Keys _ ),
       _ ) ->
       false
 
@@ -385,6 +417,8 @@ let pp ppf = function
   | Counters { rid; node_id; counters } ->
       Format.fprintf ppf "counters(rid=%d node=%d n=%d)" rid node_id (List.length counters)
   | Bye -> Format.fprintf ppf "bye"
+  | Census { rid; now } -> Format.fprintf ppf "census(rid=%d now=%g)" rid now
+  | Keys { rid; bits } -> Format.fprintf ppf "keys(rid=%d bytes=%d)" rid (String.length bits)
 
 let error_to_string = function
   | Truncated { need; have } -> Printf.sprintf "truncated frame: need %d bytes, have %d" need have

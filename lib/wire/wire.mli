@@ -1,11 +1,12 @@
 (** Binary wire codec for the multi-process driver.
 
-    Twelve frame kinds.  The conductor reaches a worker's stores with
-    three requests — {!Get} (the refreshing query hit, or a plain peek),
-    {!Insert} (every write, repair copies included) and {!Probe} (live
-    count, crash clear) — and materialises routing hops and broadcast
+    Fourteen frame kinds.  The conductor reaches a worker's stores with
+    four requests — {!Get} (the refreshing query hit, or a plain peek),
+    {!Insert} (every write, repair copies included), {!Probe} (live
+    count, crash clear) and {!Census} (every key the worker holds live,
+    for the index size) — and materialises routing hops and broadcast
     edges as {!Lookup} and {!Gossip}.  A {!Get} is answered by {!Entry},
-    every other request by {!Ack}.
+    a {!Census} by {!Keys}, every other request by {!Ack}.
 
     Every message travels as one length-prefixed frame:
 
@@ -18,8 +19,9 @@
 
     The payload length covers everything after the 4-byte prefix.
     Integers are 8-byte big-endian two's complement, floats 8-byte
-    big-endian IEEE-754 bit patterns, booleans one byte (0/1), strings
-    and lists a 4-byte big-endian count followed by the items.
+    big-endian IEEE-754 bit patterns, booleans one byte (0/1), strings,
+    byte blobs and lists a 4-byte big-endian count followed by the
+    items.
 
     Decoding is total: any byte sequence yields either a message or a
     structured {!error} — never an exception.  Truncation is
@@ -70,6 +72,14 @@ type msg =
   | Counters of { rid : int; node_id : int; counters : (string * int) list }
       (** worker -> conductor: registry counter snapshot for merging *)
   | Bye  (** conductor -> worker: flush observability output and exit *)
+  | Census of { rid : int; now : float }
+      (** conductor -> worker: which keys do the worker's stores hold
+          live at [now]?  Read-only; answered by {!Keys} *)
+  | Keys of { rid : int; bits : string }
+      (** the answer to {!Census}: a [Pdht.Census] bitmap of
+          the setup's [keys] bits — key index [i] is bit [i land 7]
+          (least significant first) of byte [i lsr 3] — so
+          [ceil (keys / 8)] bytes, bounded only by {!max_payload} *)
 
 type error =
   | Truncated of { need : int; have : int }
@@ -83,7 +93,7 @@ type error =
           trailing bytes, bad bool/probe code, oversized list...) *)
 
 val version : int
-(** Current envelope version (2). *)
+(** Current envelope version (3). *)
 
 val max_payload : int
 (** Upper bound on the payload length a decoder accepts; anything

@@ -272,6 +272,7 @@ let test_pdht_net_transport_exclusive () =
           peek = (fun ~peer ~key_index:_ ~now:_ -> unused peer);
           clear = (fun ~peer -> unused peer);
           live_count = (fun ~peer ~now:_ -> unused peer);
+          census = (fun ~now:_ -> unused ());
         };
       rpc = (fun ~span:_ ~src:_ ~dst:_ -> true);
       cast = (fun ~span:_ ~src:_ ~dst:_ -> true);
@@ -939,7 +940,8 @@ let test_repair_remaining_ttl () =
 
 (* ------------------------------------------------------------------ *)
 (* Index census: the index size (Eq. 15) read from the stores as a
-   whole must equal the per-key scan over each key's replica group. *)
+   whole must equal the per-key scan over each key's replica group, and
+   reading it must leave the stores untouched. *)
 
 module Storage = Pdht_dht.Storage
 module Dht = Pdht_dht.Dht
@@ -974,37 +976,38 @@ let census_repl = 5
 let census_bitkeys =
   Array.init census_keys (fun i -> Hashing.hash_to_key (Hashing.combine [ "key"; string_of_int i ]))
 
-(* The census read off the stores without touching them: key [i] counts
-   when any store holds it unexpired. *)
-let read_only_census stores ~now =
-  let live = ref 0 in
-  Array.iter
-    (fun key ->
-      if
-        Array.exists
-          (fun s -> match Storage.expiry s ~key with Some e -> e > now | None -> false)
-          stores
-      then incr live)
-    census_bitkeys;
-  !live
+let census_index = Pdht.Census.create census_bitkeys
 
-(* At a sample: the census count equals the scan, and every live entry
-   sits on a member of its key's replica group. *)
+let live_at s ~key ~now =
+  match Storage.expiry s ~key with Some e -> e > now | None -> false
+
+(* Every (member, key) expiry the stores hold, live or not.  [expiry]
+   purges nothing, so taking this snapshot cannot move the state. *)
+let store_snapshot stores =
+  Array.map (fun s -> Array.map (fun key -> Storage.expiry s ~key) census_bitkeys) stores
+
+(* At a sample: the census count equals the per-key scan of each key's
+   replica group, bit for bit; taking it changes no store; and every
+   live entry sits on a member of its key's group. *)
 let census_sample p stores ~now =
-  let census = read_only_census stores ~now in
-  let scan = Pdht.indexed_key_count p ~now in
-  let placed = ref true in
-  Array.iter
-    (fun key ->
+  let before = store_snapshot stores in
+  let census = Pdht.indexed_key_count p ~now in
+  let untouched = store_snapshot stores = before in
+  let bits = Pdht.Census.of_stores census_index ~now stores in
+  let scan = ref 0 and same_bits = ref true and placed = ref true in
+  Array.iteri
+    (fun key_index key ->
       let group = Dht.replica_group (Pdht.dht p) ~repl:census_repl key in
+      let in_group = Array.exists (fun member -> live_at stores.(member) ~key ~now) group in
+      if in_group then incr scan;
+      let bit = Char.code (Bytes.get bits (key_index lsr 3)) land (1 lsl (key_index land 7)) in
+      if in_group <> (bit <> 0) then same_bits := false;
       Array.iteri
         (fun member s ->
-          match Storage.expiry s ~key with
-          | Some e when e > now -> if not (Array.mem member group) then placed := false
-          | _ -> ())
+          if live_at s ~key ~now && not (Array.mem member group) then placed := false)
         stores)
     census_bitkeys;
-  census = scan && !placed
+  census = !scan && !same_bits && untouched && !placed
 
 (* One random small run over a transport whose stores the test owns. *)
 let census_run c =
@@ -1023,6 +1026,7 @@ let census_run c =
       peek = (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:(key key_index) ~now);
       clear = (fun ~peer -> Storage.clear stores.(peer));
       live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
+      census = (fun ~now -> Pdht.Census.of_stores census_index ~now stores);
     }
   in
   let transport =

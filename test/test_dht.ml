@@ -215,8 +215,9 @@ let test_storage_live_count_and_fold () =
   Storage.put s ~key:(key 2) ~value:2 ~now:0. ~ttl:50.;
   Alcotest.(check int) "two live" 2 (Storage.live_count s ~now:1.);
   Alcotest.(check int) "one live after expiry" 1 (Storage.live_count s ~now:10.);
-  let sum = Storage.fold_live s ~now:10. ~init:0 ~f:(fun acc _ v -> acc + v) in
-  Alcotest.(check int) "fold sees survivors" 2 sum
+  let sum = ref 0 in
+  Storage.iter_live s ~now:10. (fun _ v -> sum := !sum + v);
+  Alcotest.(check int) "iter sees survivors" 2 !sum
 
 let test_storage_remove_and_expire () =
   let s = Storage.create ~capacity:10 () in

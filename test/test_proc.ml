@@ -57,6 +57,78 @@ let test_frame_io_reassembles_split_frames () =
     (Wire.Counters { rid = 9; node_id = 1; counters = [ ("a", 2) ] })
     (recv_exn cb)
 
+(* Any sequence of frames, cut into arbitrary chunks (a frame split
+   anywhere, several frames in one write), reassembles to the same
+   messages.  After each chunk the reader takes every whole frame the
+   bytes so far hold, so partial frames are met at every offset. *)
+let gen_frame_seq =
+  let open QCheck.Gen in
+  let small =
+    oneof
+      [
+        map (fun rid -> Wire.Census { rid; now = float_of_int rid /. 3. }) small_nat;
+        map (fun rid -> Wire.Ack { rid; ok = rid mod 2 = 0; value = -rid }) small_nat;
+        map (fun node_id -> Wire.Hello { node_id }) small_nat;
+        return Wire.Bye;
+      ]
+  in
+  let keys =
+    map2
+      (fun rid bits -> Wire.Keys { rid; bits })
+      small_nat
+      (string_size ~gen:char (int_range 1_000 8_000))
+  in
+  pair
+    (list_size (int_range 1 12) (frequency [ (3, small); (1, keys) ]))
+    (list_size (int_bound 24) (float_bound_exclusive 1.))
+
+let print_frame_seq (frames, cuts) =
+  Format.asprintf "%a | cuts %s"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Wire.pp)
+    frames
+    (String.concat "," (List.map string_of_float cuts))
+
+let prop_frame_io_reassembles =
+  QCheck.Test.make ~name:"frame_io reassembles any split" ~count:200
+    (QCheck.make ~print:print_frame_seq gen_frame_seq)
+    (fun (frames, cuts) ->
+      let stream = Buffer.create 4096 in
+      List.iter (Wire.encode stream) frames;
+      let stream = Buffer.to_bytes stream in
+      let total = Bytes.length stream in
+      let cuts =
+        List.sort_uniq compare (List.map (fun f -> int_of_float (f *. float_of_int total)) cuts)
+        @ [ total ]
+      in
+      with_socketpair @@ fun ca cb ->
+      let got = ref [] and n = ref 0 in
+      let rec drain ~deadline =
+        if !n < List.length frames then
+          match Frame_io.recv ~deadline cb with
+          | Ok m ->
+              got := m :: !got;
+              incr n;
+              drain ~deadline
+          | Error Frame_io.Timeout -> ()
+          | Error e -> Alcotest.fail (Frame_io.recv_error_to_string e)
+      in
+      let rec write off len =
+        if len > 0 then begin
+          let n = Unix.write (Frame_io.fd ca) stream off len in
+          write (off + n) (len - n)
+        end
+      in
+      ignore
+        (List.fold_left
+           (fun from cut ->
+             write from (cut - from);
+             drain ~deadline:0.;
+             cut)
+           0 cuts);
+      drain ~deadline:(Unix.gettimeofday () +. 5.);
+      let got = List.rev !got in
+      List.length got = List.length frames && List.for_all2 Wire.equal frames got)
+
 let test_frame_io_reports_closed () =
   with_socketpair @@ fun ca cb ->
   Frame_io.send ca Wire.Bye;
@@ -135,6 +207,37 @@ let test_node_serves_store_ops () =
         (Format.asprintf "unexpected session transcript:@ %a"
            (Format.pp_print_list Wire.pp) replies)
 
+(* A census answers with the shard's live keys and purges nothing: an
+   entry expired at the census's [now] is still there for an earlier
+   read. *)
+let test_node_serves_census () =
+  let replies =
+    run_node_session
+      [ setup;
+        Wire.Insert { rid = 1; peer = 1; key = 0; value = 10; now = 0.0; ttl = 100.0 };
+        Wire.Insert { rid = 2; peer = 3; key = 2; value = 12; now = 0.0; ttl = 100.0 };
+        Wire.Insert { rid = 3; peer = 5; key = 3; value = 13; now = 0.0; ttl = 10.0 };
+        Wire.Census { rid = 4; now = 50.0 };
+        Wire.Get { rid = 5; peer = 5; key = 3; refresh = false; now = 5.0; ttl = 0.0 };
+        Wire.Census { rid = 6; now = 5.0 };
+        Wire.Snapshot { rid = 7 };
+        Wire.Bye ]
+  in
+  match replies with
+  | [ Wire.Hello _; Wire.Ack { rid = 1; _ }; Wire.Ack { rid = 2; _ }; Wire.Ack { rid = 3; _ };
+      Wire.Keys { rid = 4; bits = "\x05" };
+      Wire.Entry { rid = 5; ok = true; value = 13; _ };
+      Wire.Keys { rid = 6; bits = "\x0d" };
+      Wire.Counters { rid = 7; counters; _ } ] ->
+      Alcotest.(check (option int)) "a census counts as a probe" (Some 2)
+        (List.assoc_opt "proc.probes" counters);
+      Alcotest.(check (option int)) "and not as a get" (Some 1)
+        (List.assoc_opt "proc.gets" counters)
+  | replies ->
+      Alcotest.fail
+        (Format.asprintf "unexpected session transcript:@ %a"
+           (Format.pp_print_list Wire.pp) replies)
+
 let test_node_snapshot_counts_traffic () =
   let replies =
     run_node_session
@@ -207,6 +310,7 @@ let test_node_rejects_reply_frames () =
       setup;
       Wire.Ack { rid = 1; ok = true; value = 0 };
       Wire.Entry { rid = 2; ok = true; value = 55; expiry = 50.0 };
+      Wire.Keys { rid = 4; bits = "\x01" };
       Wire.Counters { rid = 3; node_id = 0; counters = [ ("proc.gets", 1) ] } ]
 
 let test_node_rejects_unowned_member () =
@@ -290,6 +394,34 @@ let test_cluster_worker_death_fails_fast () =
       Alcotest.(check bool) "failed promptly" true
         (Unix.gettimeofday () -. started < 5.0)
 
+(* A worker whose census bitmap does not fit the key count is refused,
+   by name, before its answer can skew the index size. *)
+let test_cluster_rejects_bad_census () =
+  let exe = helper_exe "bad_census_worker.exe" in
+  let module System = Pdht_core.System in
+  let scenario =
+    {
+      Pdht_work.Scenario.news_default with
+      Pdht_work.Scenario.num_peers = 60;
+      keys = 100;
+      duration = 60.;
+      seed = 5;
+    }
+  in
+  let options = System.Options.make ~repl:5 ~stor:20 () in
+  let strategy =
+    Pdht_core.Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options }
+  in
+  let config = Pdht_proc.Cluster.default_config ~nodes:1 ~exe in
+  match Pdht_proc.Cluster.run config scenario strategy options with
+  | _ -> Alcotest.fail "conductor accepted a short census bitmap"
+  | exception
+      ( Failure msg
+      | Pdht_sim.Engine.Handler_failed { exn = Failure msg; _ } ) ->
+      Alcotest.(check bool) ("names the node: " ^ msg) true (contains msg "node 0");
+      Alcotest.(check bool) ("names the length: " ^ msg) true
+        (contains msg "12-byte census bitmap; 100 keys need 13 bytes")
+
 (* The fault path through real workers: a crash wave with anti-entropy
    repair and invariant checks reaches every store operation over the
    wire — crash clears, live counts, repair reads and copies — and the
@@ -339,12 +471,14 @@ let () =
           Alcotest.test_case "reports closed" `Quick test_frame_io_reports_closed;
           Alcotest.test_case "surfaces codec errors" `Quick
             test_frame_io_surfaces_codec_errors;
+          QCheck_alcotest.to_alcotest prop_frame_io_reassembles;
         ] );
       ( "node",
         [
           Alcotest.test_case "rejects retired eviction codes" `Quick
             test_node_rejects_retired_evictions;
           Alcotest.test_case "serves store ops" `Quick test_node_serves_store_ops;
+          Alcotest.test_case "serves census" `Quick test_node_serves_census;
           Alcotest.test_case "snapshot counts traffic" `Quick
             test_node_snapshot_counts_traffic;
           Alcotest.test_case "rejects unowned member" `Quick
@@ -358,5 +492,7 @@ let () =
             test_cluster_worker_death_fails_fast;
           Alcotest.test_case "fault path equals simulator" `Quick
             test_cluster_fault_path_equals_sim;
+          Alcotest.test_case "rejects a short census bitmap" `Quick
+            test_cluster_rejects_bad_census;
         ] );
     ]

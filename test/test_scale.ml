@@ -48,6 +48,7 @@ type op =
   | Remove of int
   | Expire of float
   | Live_count of float
+  | Live_keys of float
   | Clear
 
 let op_gen =
@@ -64,6 +65,7 @@ let op_gen =
       (2, map (fun k -> Remove k) key);
       (2, map (fun n -> Expire n) dt);
       (1, map (fun n -> Live_count n) dt);
+      (2, map (fun n -> Live_keys n) dt);
       (1, return Clear);
     ]
 
@@ -75,12 +77,13 @@ let op_print = function
   | Remove k -> Printf.sprintf "Remove(%d)" k
   | Expire n -> Printf.sprintf "Expire(+%g)" n
   | Live_count n -> Printf.sprintf "LiveCount(+%g)" n
+  | Live_keys n -> Printf.sprintf "LiveKeys(+%g)" n
   | Clear -> "Clear"
 
 (* model: (key, (value, expiry)) assoc, insertion order irrelevant.
    It mirrors the store's *physical* contents: per-key reads purge only
-   the probed key (the store is lazy), while [expire]/[live_count]
-   sweep everything. *)
+   the probed key (the store is lazy), [expire]/[live_count] sweep
+   everything, and [iter_live] purges nothing. *)
 let model_purge model now = List.filter (fun (_, (_, e)) -> e > now) model
 
 let model_drop_expired model k now =
@@ -100,6 +103,21 @@ let storage_model_test =
       let tick dt =
         clock := !clock +. dt;
         !clock
+      in
+      (* [iter_live] yields exactly the model's live entries and leaves
+         the physical contents — every key's expiry, live or not — as
+         the model has them. *)
+      let live_keys now =
+        let physical () = List.init 41 (fun k -> Storage.expiry store ~key:(Bitkey.of_int k)) in
+        let before = physical () in
+        let got = ref [] in
+        Storage.iter_live store ~now (fun k v -> got := (Bitkey.to_int k, v) :: !got);
+        let want =
+          List.filter_map (fun (k, (v, e)) -> if e > now then Some (k, v) else None) !model
+        in
+        check (List.sort compare !got = List.sort compare want);
+        check (before = List.init 41 (fun k -> Option.map snd (List.assoc_opt k !model)));
+        check (physical () = before)
       in
       List.iter
         (fun op ->
@@ -142,22 +160,13 @@ let storage_model_test =
               let got = Storage.live_count store ~now in
               model := model_purge !model now;
               check (got = List.length !model)
+          | Live_keys dt -> live_keys (tick dt)
           | Clear ->
               let n = Storage.clear store in
               check (n = List.length !model);
               model := [])
         ops;
-      (* Final sweep at the current clock: fold_live must agree with the
-         surviving model. *)
-      let final =
-        Storage.fold_live store ~now:!clock ~init:[] ~f:(fun acc k v ->
-            (Bitkey.to_int k, v) :: acc)
-      in
-      model := model_purge !model !clock;
-      check (List.length final = List.length !model);
-      List.iter
-        (fun (k, v) -> check (Option.map fst (List.assoc_opt k !model) = Some v))
-        final;
+      live_keys !clock;
       !ok)
 
 let storage_capacity_test =

@@ -48,18 +48,24 @@ let sample_msgs : Wire.msg list =
         counters = [ ("proc.frames_in", 12); ("", 0); ("utf8 n\xc3\xb8de", -7) ];
       };
     Bye;
+    Census { rid = 16; now = 120. };
+    Census { rid = 17; now = nan };
+    Keys { rid = 18; bits = "" };
+    Keys { rid = 19; bits = "\x00\xff\x05" };
+    (* Longer than any string field may be: a 20,000-key census. *)
+    Keys { rid = 20; bits = String.init 2_500 (fun i -> Char.chr (i * 37 land 0xff)) };
   ]
 
 let test_samples_roundtrip () = List.iter roundtrip sample_msgs
 
-(* The samples exercise every kind code the decoder accepts (1..12);
+(* The samples exercise every kind code the decoder accepts (1..14);
    byte 5 of a frame is its kind. *)
 let test_samples_cover_kinds () =
   let kinds =
     List.sort_uniq compare
       (List.map (fun m -> Char.code (Bytes.get (Wire.encode_bytes m) 5)) sample_msgs)
   in
-  Alcotest.(check (list int)) "kind codes" (List.init 12 (fun i -> i + 1)) kinds
+  Alcotest.(check (list int)) "kind codes" (List.init 14 (fun i -> i + 1)) kinds
 
 let test_stream_of_frames () =
   (* Several frames back to back in one buffer decode in sequence. *)
@@ -161,6 +167,9 @@ let test_malformed_bodies () =
      the body holds. *)
   (let payload = head 11 ^ String.make 16 '\x00' ^ "\x00\x00\xff\xff" in
    malformed "oversized list count" (frame_of_payload payload));
+  (* Keys (kind 14) whose bitmap count claims more bytes than follow. *)
+  (let payload = head 14 ^ String.make 8 '\x00' ^ "\x00\x00\x00\x09" ^ "\xff" in
+   malformed "bitmap count past the body" (frame_of_payload payload));
   (* Out-of-range pos/len must be a structured error, not a crash. *)
   malformed "negative len" (Bytes.create 0 |> fun b ->
     match Wire.decode b ~pos:0 ~len:(-1) with
@@ -212,6 +221,13 @@ let gen_msg : Wire.msg QCheck.Gen.t =
         id id
         (list_size (int_bound 12) (pair name id));
       return Wire.Bye;
+      map2 (fun rid now -> Wire.Census { rid; now }) id fl;
+      map2
+        (fun rid bits -> Wire.Keys { rid; bits })
+        id
+        (frequency
+           [ (4, string_size ~gen:char (int_bound 64));
+             (1, string_size ~gen:char (int_range 1_000 5_000)) ]);
     ]
 
 let arb_msg = QCheck.make ~print:(Format.asprintf "%a" Wire.pp) gen_msg
