@@ -51,12 +51,14 @@ module Census = struct
   (* The slot holding [key]'s index, or the empty slot ending its probe
      chain. *)
   let find_slot t key =
-    let rec probe j =
-      let i = t.slots.(j) in
-      if i < 0 || (t.bitkeys.(i) :> int) = (key : Bitkey.t :> int) then j
-      else probe ((j + 1) land t.mask)
-    in
-    probe (home key t.mask)
+    let j = ref (home key t.mask) in
+    while
+      let i = t.slots.(!j) in
+      i >= 0 && (t.bitkeys.(i) :> int) <> (key : Bitkey.t :> int)
+    do
+      j := (!j + 1) land t.mask
+    done;
+    !j
 
   let create bitkeys =
     let n = Array.length bitkeys in
@@ -78,7 +80,7 @@ module Census = struct
     let bits = Bytes.make (bitmap_bytes ~keys:(Array.length t.bitkeys)) '\000' in
     Array.iter
       (fun store ->
-        Storage.iter_live store ~now (fun key _ ->
+        Storage.iter_live store ~now (fun key ->
             let i = t.slots.(find_slot t key) in
             if i >= 0 then
               Bytes.set bits (i lsr 3)

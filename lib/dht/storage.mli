@@ -54,9 +54,10 @@ val expire : 'v t -> now:float -> int
 val live_count : 'v t -> now:float -> int
 (** Non-expired entries (purges as a side effect). *)
 
-val iter_live : 'v t -> now:float -> (Pdht_util.Bitkey.t -> 'v -> unit) -> unit
-(** Apply the function to every live entry, in slot order.  Read-only:
-    expired entries are skipped, not purged. *)
+val iter_live : 'v t -> now:float -> (Pdht_util.Bitkey.t -> unit) -> unit
+(** Apply the function to the key of every live entry, in slot order.
+    Read-only: expired entries are skipped, not purged.  The function
+    must not modify the store. *)
 
 val expiry : 'v t -> key:Pdht_util.Bitkey.t -> float option
 (** Current expiration instant of a key, if present (possibly already

@@ -215,9 +215,9 @@ let test_storage_live_count_and_fold () =
   Storage.put s ~key:(key 2) ~value:2 ~now:0. ~ttl:50.;
   Alcotest.(check int) "two live" 2 (Storage.live_count s ~now:1.);
   Alcotest.(check int) "one live after expiry" 1 (Storage.live_count s ~now:10.);
-  let sum = ref 0 in
-  Storage.iter_live s ~now:10. (fun _ v -> sum := !sum + v);
-  Alcotest.(check int) "iter sees survivors" 2 !sum
+  let live = ref [] in
+  Storage.iter_live s ~now:10. (fun k -> live := Pdht_util.Bitkey.to_int k :: !live);
+  Alcotest.(check (list int)) "iter sees survivors" [ Pdht_util.Bitkey.to_int (key 2) ] !live
 
 let test_storage_remove_and_expire () =
   let s = Storage.create ~capacity:10 () in

@@ -104,17 +104,15 @@ let storage_model_test =
         clock := !clock +. dt;
         !clock
       in
-      (* [iter_live] yields exactly the model's live entries and leaves
+      (* [iter_live] yields exactly the model's live keys and leaves
          the physical contents — every key's expiry, live or not — as
          the model has them. *)
       let live_keys now =
         let physical () = List.init 41 (fun k -> Storage.expiry store ~key:(Bitkey.of_int k)) in
         let before = physical () in
         let got = ref [] in
-        Storage.iter_live store ~now (fun k v -> got := (Bitkey.to_int k, v) :: !got);
-        let want =
-          List.filter_map (fun (k, (v, e)) -> if e > now then Some (k, v) else None) !model
-        in
+        Storage.iter_live store ~now (fun k -> got := Bitkey.to_int k :: !got);
+        let want = List.filter_map (fun (k, (_, e)) -> if e > now then Some k else None) !model in
         check (List.sort compare !got = List.sort compare want);
         check (before = List.init 41 (fun k -> Option.map snd (List.assoc_opt k !model)));
         check (physical () = before)
