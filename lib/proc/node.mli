@@ -8,10 +8,12 @@
     order and same-seed runs stay deterministic.
 
     Lifecycle: connect, send [Hello], receive [Setup] (sizing), then
-    answer [Get]/[Insert]/[Probe]/[Census] store operations and acknowledge
-    [Lookup] routing hops until [Bye], at which point the
+    answer [Get]/[Insert]/[Probe]/[Census] store operations and
+    acknowledge [Lookup] routing hops until [Bye], at which point the
     node writes its [proc.*] counter registry as node-stamped JSONL
-    (when [obs_out] is given) and returns. *)
+    (when [obs_out] is given) and returns.  A [Census] (every key the
+    shard holds live, read without purging) counts under
+    [proc.probes], with the other whole-store reads. *)
 
 val serve : ?obs_out:string -> node_id:int -> Frame_io.t -> unit
 (** Run the worker protocol over an established connection (sends the

@@ -32,8 +32,9 @@ type error =
 
 let version = 3
 
-(* Counter snapshots dominate payload size: a few hundred instrument
-   names at ~40 bytes each.  1 MiB leaves two orders of magnitude of
+(* Counter snapshots and census bitmaps dominate payload size: a few
+   hundred instrument names at ~40 bytes each, or one bit per key
+   (2.5 KB at 20,000 keys).  1 MiB leaves two orders of magnitude of
    headroom while bounding what a corrupt length prefix can demand. *)
 let max_payload = 1 lsl 20
 

@@ -76,10 +76,9 @@ type msg =
       (** conductor -> worker: which keys do the worker's stores hold
           live at [now]?  Read-only; answered by {!Keys} *)
   | Keys of { rid : int; bits : string }
-      (** the answer to {!Census}: a [Pdht.Census] bitmap of
-          the setup's [keys] bits — key index [i] is bit [i land 7]
-          (least significant first) of byte [i lsr 3] — so
-          [ceil (keys / 8)] bytes, bounded only by {!max_payload} *)
+      (** the answer to {!Census}: a [Pdht.Census] bitmap of the
+          setup's [keys] bits, [ceil (keys / 8)] bytes, bounded only by
+          {!max_payload} *)
 
 type error =
   | Truncated of { need : int; have : int }
