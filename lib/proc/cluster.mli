@@ -44,9 +44,9 @@ val run :
     @raise Failure when a worker dies, misbehaves, or an RPC exhausts
     its retry budget; spawned processes are killed before the exception
     escapes.  A [Keys] bitmap that is not [ceil (keys / 8)] bytes long
-    fails the run, naming the node.  Worker death is detected eagerly — a [waitpid]
-    ([WNOHANG]) probe runs on every broken send, closed connection and
-    retry — and the message names the node id, its exit
+    fails the run, naming the node.  Worker death is detected eagerly —
+    a [waitpid] ([WNOHANG]) probe runs on every broken send, closed
+    connection and retry — and the message names the node id, its exit
     status and the kind of the last frame sent to it, rather than
     letting the retry ladder grind against a dead process.  [SIGPIPE]
     is ignored for the calling process so such writes surface as

@@ -220,22 +220,20 @@ let get_bool c =
   | 1 -> true
   | v -> raise (Bad (Printf.sprintf "bad boolean byte %d" v))
 
-let get_string c =
-  let n = get_u32 c in
-  if n > max_string then raise (Bad (Printf.sprintf "string length %d over limit" n));
+let take c n =
   need c n;
   let s = Bytes.sub_string c.buf c.pos n in
   c.pos <- c.pos + n;
   s
 
+let get_string c =
+  let n = get_u32 c in
+  if n > max_string then raise (Bad (Printf.sprintf "string length %d over limit" n));
+  take c n
+
 (* A byte string bounded only by the frame it sits in (a census bitmap
    runs to keys / 8 bytes). *)
-let get_blob c =
-  let n = get_u32 c in
-  need c n;
-  let s = Bytes.sub_string c.buf c.pos n in
-  c.pos <- c.pos + n;
-  s
+let get_blob c = take c (get_u32 c)
 
 let decode_body kind c =
   match kind with
