@@ -233,6 +233,111 @@ let storage_eviction_test =
           end)
         ops)
 
+(* Slot-exact differential check against [Storage_ref], a verbatim copy
+   of the store as it was when it found its victim by a strict-< scan in
+   slot order.  The eviction property above accepts any victim tied on
+   expiry; this one pins the exact one, and the physical slot order
+   after every step (read through [iter_live ~now:neg_infinity], which
+   yields every stored key, expired or not).  Capacities 1-12 over 24
+   keys cross the [grow] thresholds; [dt = 0] steps and the 1e15
+   ([forever]) regimes make expiry ties common. *)
+let storage_ref_test =
+  let forever = 1e15 in
+  let case =
+    let open QCheck.Gen in
+    let* capacity = int_range 1 12 in
+    let* regime = int_bound 2 in
+    let finite = map (fun t -> 1. +. (float_of_int t /. 4.)) (int_bound 40) in
+    let ttl =
+      match regime with
+      | 0 -> finite
+      | 1 -> frequency [ (1, finite); (1, return forever) ]
+      | _ -> return forever
+    in
+    let key = int_bound 23 in
+    let dt = frequency [ (3, return 0.); (2, map (fun t -> float_of_int t /. 4.) (int_range 1 12)) ] in
+    let op =
+      frequency
+        [
+          (8, map3 (fun k n t -> Put (k, n, t)) key dt ttl);
+          (2, map2 (fun k n -> Get (k, n)) key dt);
+          (4, map3 (fun k n t -> Refresh (k, n, t)) key dt ttl);
+          (2, map2 (fun k n -> Mem (k, n)) key dt);
+          (1, map (fun k -> Remove k) key);
+          (1, map (fun n -> Expire n) dt);
+          (1, map (fun n -> Live_count n) dt);
+          (1, map (fun n -> Live_keys n) dt);
+          (1, return Clear);
+        ]
+    in
+    let+ ops = list_size (int_range 1 300) op in
+    (capacity, ops)
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity (String.concat " " (List.map op_print ops))
+  in
+  QCheck.Test.make ~name:"storage matches the slot-scan reference" ~count:400
+    (QCheck.make ~print case) (fun (capacity, ops) ->
+      let store = Storage.create ~capacity () in
+      let reference = Storage_ref.create ~capacity () in
+      let clock = ref 0. and step = ref 0 in
+      let tick dt =
+        clock := !clock +. dt;
+        !clock
+      in
+      let slot_order iter s ~now =
+        let got = ref [] in
+        iter s ~now (fun k -> got := Bitkey.to_int k :: !got);
+        !got
+      in
+      let same_contents () =
+        List.for_all
+          (fun k ->
+            let key = Bitkey.of_int k in
+            Storage.expiry store ~key = Storage_ref.expiry reference ~key)
+          (List.init 24 Fun.id)
+        && slot_order Storage.iter_live store ~now:neg_infinity
+           = slot_order Storage_ref.iter_live reference ~now:neg_infinity
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Put (k, dt, ttl) ->
+                let now = tick dt and key = Bitkey.of_int k in
+                incr step;
+                Storage.put store ~key ~value:!step ~now ~ttl;
+                Storage_ref.put reference ~key ~value:!step ~now ~ttl;
+                true
+            | Get (k, dt) ->
+                let now = tick dt and key = Bitkey.of_int k in
+                Storage.get store ~key ~now = Storage_ref.get reference ~key ~now
+            | Refresh (k, dt, ttl) ->
+                let now = tick dt and key = Bitkey.of_int k in
+                Storage.get_and_refresh store ~key ~now ~ttl
+                = Storage_ref.get_and_refresh reference ~key ~now ~ttl
+            | Mem (k, dt) ->
+                let now = tick dt and key = Bitkey.of_int k in
+                Storage.peek store ~key ~now = Storage_ref.peek reference ~key ~now
+            | Remove k ->
+                let key = Bitkey.of_int k in
+                Storage.remove store ~key;
+                Storage_ref.remove reference ~key;
+                true
+            | Expire dt ->
+                let now = tick dt in
+                Storage.expire store ~now = Storage_ref.expire reference ~now
+            | Live_count dt ->
+                let now = tick dt in
+                Storage.live_count store ~now = Storage_ref.live_count reference ~now
+            | Live_keys dt ->
+                let now = tick dt in
+                slot_order Storage.iter_live store ~now = slot_order Storage_ref.iter_live reference ~now
+            | Clear -> Storage.clear store = Storage_ref.clear reference
+          in
+          same && same_contents ())
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Kademlia's trie walk vs brute force over the id space. *)
 
@@ -277,6 +382,7 @@ let qcheck_tests =
     storage_model_test;
     storage_capacity_test;
     storage_eviction_test;
+    storage_ref_test;
     kademlia_closest_test;
     kademlia_responsible_test;
   ]
