@@ -716,12 +716,13 @@ let ttl_tuning ?jobs ?(options = System.default_options) ~scenario ~fixed_ttls (
    is on some arm's hot path: all four DHT backends (Kademlia's trie
    k-NN and scratch lookup, P-Grid/Chord/Pastry over the shared
    storage), churn (routing forget/rebuild, replication remove_peer,
-   storage expiry under pressure), a small-cache arm (the slot-order
-   soonest-expiry victim scan), the pure broadcast path (CSR topology
-   walks/floods) and the Index_all path (forever-TTL storage).  The
-   rendered reports are pinned as a golden file before any
-   representation changes; byte-identity of the battery is the proof
-   that a refactor was purely representational. *)
+   storage expiry under pressure), a small-cache arm (the
+   soonest-expiry victim, lowest slot among ties), the pure broadcast
+   path (CSR topology walks/floods) and the Index_all path
+   (forever-TTL storage).  The rendered reports are pinned as a golden
+   file before any representation changes; byte-identity of the
+   battery is the proof that a refactor was purely
+   representational. *)
 let representation_battery ?jobs () =
   let base =
     {

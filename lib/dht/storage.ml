@@ -3,10 +3,21 @@
    and a ['v] value array, all indexed by slot.  A slot is empty iff
    its key is [-1] (keys are non-negative by construction).
    Deletion is backward-shift (no tombstones), so probe chains never
-   grow stale and the sweep in [expire] stays a single in-place pass.
+   grow stale and a deletion leaves the table as if the key had never
+   been inserted.
    Load factor is kept at or below 1/2; tables start tiny (8 slots) so
    a million mostly-idle per-peer stores cost a few hundred bytes
-   each. *)
+   each.
+
+   The live slots are also threaded, in non-decreasing expiry order,
+   on an intrusive doubly-linked list: [links.(slot)] packs
+   [(prev + 1) lsl 31 lor (next + 1)] (0 = none) into one unboxed int,
+   from [head] (soonest expiry) to [tail].  The soonest-expiring entry
+   is then the head, so eviction and the expiry purge never scan the
+   slots.  Simulated time only moves forward and a TTL is usually the
+   same for every put, so a new expiry is almost always >= the tail's
+   and links in O(1); only non-monotone leases walk back from the
+   tail. *)
 
 (* One constructor; the type stays because benchmark/workload.ml passes
    [System.options.eviction] to [Config.make]. *)
@@ -19,6 +30,9 @@ type 'v t = {
   mutable keys : int array; (* Bitkey.to_int; -1 = empty *)
   mutable expiry : float array;
   mutable values : 'v array; (* length 0 until the first [put] *)
+  mutable links : int array; (* expiry-order list, packed as above *)
+  mutable head : int; (* soonest-expiring slot; -1 = empty *)
+  mutable tail : int;
 }
 
 let initial_slots = 8
@@ -32,6 +46,9 @@ let create ~capacity () =
     keys = Array.make initial_slots (-1);
     expiry = Array.make initial_slots 0.;
     values = [||];
+    links = Array.make initial_slots 0;
+    head = -1;
+    tail = -1;
   }
 
 let capacity t = t.capacity
@@ -60,12 +77,63 @@ let find_slot t key =
   done;
   !s
 
+(* Expiry-order list.  A slot number reaches 2^31 only in a table
+   holding 2^30 entries, so both halves of a link fit in 31 bits. *)
+let low = (1 lsl 31) - 1
+
+let[@inline] prev_of links s = (links.(s) lsr 31) - 1
+let[@inline] next_of links s = (links.(s) land low) - 1
+let[@inline] set_prev links s p = links.(s) <- ((p + 1) lsl 31) lor (links.(s) land low)
+let[@inline] set_next links s n = links.(s) <- (links.(s) land lnot low) lor (n + 1)
+
+let unlink t s =
+  let links = t.links in
+  let p = prev_of links s and n = next_of links s in
+  if p >= 0 then set_next links p n else t.head <- n;
+  if n >= 0 then set_prev links n p else t.tail <- p
+
+(* Link [s] after every entry whose expiry is <= its own.  [s] must be
+   unlinked and its expiry already written. *)
+let link t s =
+  let links = t.links and expiry = t.expiry in
+  let e = expiry.(s) in
+  let tail = t.tail in
+  if tail < 0 then begin
+    links.(s) <- 0;
+    t.head <- s;
+    t.tail <- s
+  end
+  else if e >= expiry.(tail) then begin
+    links.(s) <- (tail + 1) lsl 31;
+    set_next links tail s;
+    t.tail <- s
+  end
+  else if e < expiry.(t.head) then begin
+    links.(s) <- t.head + 1;
+    set_prev links t.head s;
+    t.head <- s
+  end
+  else begin
+    (* The head's expiry is <= e, so the walk stops at or after it. *)
+    let p = ref (prev_of links tail) in
+    while expiry.(!p) > e do
+      p := prev_of links !p
+    done;
+    let n = next_of links !p in
+    links.(s) <- ((!p + 1) lsl 31) lor (n + 1);
+    set_next links !p s;
+    set_prev links n s
+  end
+
 (* Backward-shift deletion: walk the probe chain after [slot], moving
    back any entry whose home position does not lie strictly between the
-   current hole and itself, then leave the final hole empty. *)
+   current hole and itself, then leave the final hole empty.  A moved
+   entry keeps its place in the expiry list: its neighbours are pointed
+   at its new slot. *)
 let delete_slot t slot =
   let mask = t.mask in
   let keys = t.keys in
+  unlink t slot;
   let hole = ref slot in
   let j = ref ((slot + 1) land mask) in
   let continue = ref true in
@@ -78,6 +146,11 @@ let delete_slot t slot =
         keys.(!hole) <- k;
         t.expiry.(!hole) <- t.expiry.(!j);
         if Array.length t.values > 0 then t.values.(!hole) <- t.values.(!j);
+        let links = t.links in
+        let p = prev_of links !j and n = next_of links !j in
+        links.(!hole) <- links.(!j);
+        if p >= 0 then set_next links p !hole else t.head <- !hole;
+        if n >= 0 then set_prev links n !hole else t.tail <- !hole;
         hole := !j
       end;
       j := (!j + 1) land mask
@@ -86,15 +159,22 @@ let delete_slot t slot =
   keys.(!hole) <- -1;
   t.size <- t.size - 1
 
+(* Rehash in old slot order (which fixes the new physical layout),
+   recording each entry's new slot in its old [keys] cell; then replay
+   the old expiry list through that map, appending, so the new list
+   keeps the old order, ties included. *)
 let grow t =
   let old_keys = t.keys
   and old_expiry = t.expiry
-  and old_values = t.values in
+  and old_values = t.values
+  and old_links = t.links
+  and old_head = t.head in
   let slots = 2 * (t.mask + 1) in
   let mask = slots - 1 in
   t.mask <- mask;
   t.keys <- Array.make slots (-1);
   t.expiry <- Array.make slots 0.;
+  t.links <- Array.make slots 0;
   if Array.length old_values > 0 then
     t.values <- Array.make slots old_values.(0);
   for i = 0 to Array.length old_keys - 1 do
@@ -106,46 +186,59 @@ let grow t =
       done;
       t.keys.(!j) <- k;
       t.expiry.(!j) <- old_expiry.(i);
-      t.values.(!j) <- old_values.(i)
+      t.values.(!j) <- old_values.(i);
+      old_keys.(i) <- !j
     end
+  done;
+  t.head <- -1;
+  t.tail <- -1;
+  let s = ref old_head in
+  while !s >= 0 do
+    link t old_keys.(!s);
+    s := next_of old_links !s
   done
 
-(* In-place expiry sweep (no intermediate list): a backward shift can
-   pull a later entry into the slot under examination, so the cursor
-   only advances once the slot holds nothing expired. *)
+(* Pop from the head while it has expired: O(expired), not O(slots).
+   Purging in expiry order rather than slot order leaves the same
+   table, since each deletion leaves it as if the key was never put. *)
 let expire t ~now =
   let removed = ref 0 in
-  let i = ref 0 in
-  while !i <= t.mask do
-    let k = t.keys.(!i) in
-    if k >= 0 && t.expiry.(!i) <= now then begin
-      delete_slot t !i;
-      incr removed
-    end
-    else incr i
+  while t.head >= 0 && t.expiry.(t.head) <= now do
+    delete_slot t t.head;
+    incr removed
   done;
   !removed
 
-(* The victim is the live entry closest to timing out, found by a
-   slot-order linear scan: capacity is a per-peer cache size (order 100
-   in the paper scenario), so a scan is cheaper than maintaining an
-   ordered structure under the frequent TTL refreshes. *)
+(* The victim is the live entry closest to timing out: the list head.
+   Among entries tied with it on expiry (a [forever] TTL written at one
+   instant ties them all), the lowest slot goes, as a slot-order scan
+   for the strict minimum would pick; the tied run is the list's
+   prefix. *)
 let evict_one t =
-  if t.size > 0 then begin
-    let best = ref (-1) in
-    for i = 0 to t.mask do
-      if t.keys.(i) >= 0 && (!best = -1 || t.expiry.(i) < t.expiry.(!best)) then best := i
+  if t.head >= 0 then begin
+    let e = t.expiry.(t.head) in
+    let best = ref t.head in
+    let s = ref (next_of t.links t.head) in
+    while !s >= 0 && t.expiry.(!s) <= e do
+      if !s < !best then best := !s;
+      s := next_of t.links !s
     done;
     delete_slot t !best
   end
 
+(* [ttl > 0.] is false for NaN, whose expiry would compare false both
+   ways and break the list order. *)
+let check_ttl fn ttl = if not (ttl > 0.) then invalid_arg (fn ^ ": ttl must be positive")
+
 let put t ~key ~value ~now ~ttl =
-  if ttl <= 0. then invalid_arg "Storage.put: ttl must be positive";
+  check_ttl "Storage.put" ttl;
   let k = Pdht_util.Bitkey.to_int key in
   let slot = find_slot t k in
   if slot >= 0 then begin
     t.expiry.(slot) <- now +. ttl;
-    t.values.(slot) <- value
+    t.values.(slot) <- value;
+    unlink t slot;
+    link t slot
   end
   else begin
     if t.size >= t.capacity then begin
@@ -163,6 +256,7 @@ let put t ~key ~value ~now ~ttl =
     t.keys.(!i) <- k;
     t.expiry.(!i) <- now +. ttl;
     t.values.(!i) <- value;
+    link t !i;
     t.size <- t.size + 1
   end
 
@@ -181,10 +275,13 @@ let get t ~key ~now =
   if slot < 0 then None else Some t.values.(slot)
 
 let get_and_refresh t ~key ~now ~ttl =
+  check_ttl "Storage.get_and_refresh" ttl;
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None
   else begin
     t.expiry.(slot) <- now +. ttl;
+    unlink t slot;
+    link t slot;
     Some t.values.(slot)
   end
 
@@ -200,6 +297,8 @@ let clear t =
   let n = t.size in
   Array.fill t.keys 0 (t.mask + 1) (-1);
   t.size <- 0;
+  t.head <- -1;
+  t.tail <- -1;
   n
 
 let live_count t ~now =

@@ -11,7 +11,14 @@
     always purged first; then the live entry closest to timing out is
     evicted — the entry the paper's TTL rule was going to drop next.
     (E14 measured LRU and random eviction against this rule; neither
-    beat it, so neither exists.) *)
+    beat it, so neither exists.)
+
+    The store keeps its entries in expiry order, so finding that victim
+    and purging expired entries cost no scan of the cache.  A [put] or
+    [get_and_refresh] is O(1) when the new expiry is >= every stored
+    one (a monotone clock with one lease) or below every one; a
+    non-monotone lease costs a walk back over the entries that expire
+    after it.  [expire] and [live_count] cost O(expired). *)
 
 (** The one victim rule.  Kept as a type because benchmark/workload.ml
     passes it through [Config.make ?eviction]. *)
@@ -27,7 +34,9 @@ val capacity : 'v t -> int
 val put : 'v t -> key:Pdht_util.Bitkey.t -> value:'v -> now:float -> ttl:float -> unit
 (** Insert or overwrite; expiry becomes [now +. ttl].  On a full store,
     expired entries are purged; if it is still full, the live entry with
-    the soonest expiry is evicted. *)
+    the soonest expiry is evicted (of several tied on it, the one in the
+    lowest slot).  Raises [Invalid_argument] unless [ttl > 0.], so NaN
+    is refused. *)
 
 val get : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> 'v option
 (** Lookup; expired entries are treated as absent (and purged).  Does
@@ -36,7 +45,8 @@ val get : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> 'v option
 val get_and_refresh :
   'v t -> key:Pdht_util.Bitkey.t -> now:float -> ttl:float -> 'v option
 (** The paper's query-hit behaviour: on a hit, the expiration time is
-    reset to [now +. ttl]. *)
+    reset to [now +. ttl].  Raises [Invalid_argument] unless
+    [ttl > 0.]. *)
 
 val peek : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> ('v * float) option
 (** A live entry's value and expiration instant, without refreshing
@@ -49,10 +59,11 @@ val clear : 'v t -> int
     the crash-stop "index cache lost" operation. *)
 
 val expire : 'v t -> now:float -> int
-(** Purge everything past expiry; returns the number evicted. *)
+(** Purge everything past expiry; returns the number evicted.
+    O(expired). *)
 
 val live_count : 'v t -> now:float -> int
-(** Non-expired entries (purges as a side effect). *)
+(** Non-expired entries (purges as a side effect).  O(expired). *)
 
 val iter_live : 'v t -> now:float -> (Pdht_util.Bitkey.t -> unit) -> unit
 (** Apply the function to the key of every live entry, in slot order.

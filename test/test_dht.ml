@@ -260,6 +260,31 @@ let test_storage_validation () =
   Alcotest.check_raises "ttl" (Invalid_argument "Storage.put: ttl must be positive")
     (fun () -> Storage.put s ~key:(key 1) ~value:1 ~now:0. ~ttl:0.)
 
+(* A NaN expiry compares false both ways, so it could neither expire nor
+   keep the expiry order; both TTL-taking operations refuse it with the
+   non-positive ones, and still accept [forever] (1e15). *)
+let test_storage_ttl_must_be_positive () =
+  let s = Storage.create ~capacity:4 () in
+  Storage.put s ~key:(key 1) ~value:1 ~now:0. ~ttl:5.;
+  List.iter
+    (fun ttl ->
+      let name = Printf.sprintf "ttl %g" ttl in
+      Alcotest.check_raises ("put " ^ name) (Invalid_argument "Storage.put: ttl must be positive")
+        (fun () -> Storage.put s ~key:(key 2) ~value:2 ~now:1. ~ttl);
+      Alcotest.check_raises ("refresh " ^ name)
+        (Invalid_argument "Storage.get_and_refresh: ttl must be positive") (fun () ->
+          ignore (Storage.get_and_refresh s ~key:(key 1) ~now:1. ~ttl)))
+    [ Float.nan; 0.; -1.; neg_infinity ];
+  Alcotest.(check (option (float 0.))) "rejected refresh leaves the expiry" (Some 5.)
+    (Storage.expiry s ~key:(key 1));
+  Alcotest.(check (option (float 0.))) "rejected put stores nothing" None
+    (Storage.expiry s ~key:(key 2));
+  Storage.put s ~key:(key 2) ~value:2 ~now:1. ~ttl:1e15;
+  Alcotest.(check (option int)) "forever refresh" (Some 1)
+    (Storage.get_and_refresh s ~key:(key 1) ~now:1. ~ttl:1e15);
+  Alcotest.(check (option (float 0.))) "forever expiry" (Some (1. +. 1e15))
+    (Storage.expiry s ~key:(key 2))
+
 (* ------------------------------------------------------------------ *)
 (* Chord *)
 
@@ -1468,6 +1493,7 @@ let () =
           Alcotest.test_case "all-expired purge skips eviction policy" `Quick
             test_storage_full_of_expired_purges_without_eviction;
           Alcotest.test_case "validation" `Quick test_storage_validation;
+          Alcotest.test_case "nan, zero or negative ttl" `Quick test_storage_ttl_must_be_positive;
         ] );
       ( "chord",
         [

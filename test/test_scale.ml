@@ -338,6 +338,44 @@ let storage_ref_test =
           same && same_contents ())
         ops)
 
+(* The expiry-order bookkeeping allocates nothing: 10,000 puts that
+   each evict from a full store, then 10,000 refreshes that each relink
+   an entry, after a warm-up that leaves the table at its final size
+   (no [grow] inside the count).  Clock values come pre-boxed from a
+   list, so passing [~now] boxes nothing; a refresh's one allocation is
+   its [Some] result (2 words), which the count allows. *)
+let test_storage_bookkeeping_alloc_free () =
+  let capacity = 64 and n = 10_000 in
+  let store = Storage.create ~capacity () in
+  let clock lo len = List.init len (fun i -> float_of_int (lo + i)) in
+  let put_all ~first nows =
+    List.iteri
+      (fun i now -> Storage.put store ~key:(Bitkey.of_int (first + i)) ~value:i ~now ~ttl:100.)
+      nows
+  in
+  put_all ~first:0 (clock 1 (2 * capacity));
+  let puts = clock (1 + (2 * capacity)) n and refreshes = clock (1 + (2 * capacity) + n) n in
+  let first = 2 * capacity in
+  let w0 = Gc.minor_words () in
+  put_all ~first puts;
+  let w1 = Gc.minor_words () in
+  let hits = ref 0 in
+  List.iteri
+    (fun i now ->
+      let key = Bitkey.of_int (first + n - capacity + (i mod capacity)) in
+      match Storage.get_and_refresh store ~key ~now ~ttl:100. with
+      | Some _ -> incr hits
+      | None -> ())
+    refreshes;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check int) "every refresh hits" n !hits;
+  Alcotest.(check int) "store stays full" capacity (Storage.live_count store ~now:0.);
+  let per_op words = words /. float_of_int n in
+  let put_words = per_op (w1 -. w0) and refresh_words = per_op (w2 -. w1) -. 2. in
+  if put_words >= 0.01 || refresh_words >= 0.01 then
+    Alcotest.failf "minor words/op beyond the result: put-with-evict %.4f, refresh %.4f" put_words
+      refresh_words
+
 (* ------------------------------------------------------------------ *)
 (* Kademlia's trie walk vs brute force over the id space. *)
 
@@ -396,4 +434,9 @@ let () =
           Alcotest.test_case "-j invariant" `Slow test_battery_jobs_invariant;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "alloc",
+        [
+          Alcotest.test_case "storage put-evict and refresh" `Quick
+            test_storage_bookkeeping_alloc_free;
+        ] );
     ]

@@ -40,6 +40,12 @@ wall_parallel=$(grep -o '"wall_parallel_s": *[0-9.eE+-]*' BENCH_pdht.json | awk 
 echo "wall_single_s=$wall_single wall_parallel_s=$wall_parallel"
 awk -v s="$wall_single" -v p="$wall_parallel" \
   'BEGIN { if (!(s > 0) || !(p > 0)) exit 1; exit (p <= 1.5 * s) ? 0 : 1 }'
+# A storage put (an overwrite, which relinks the entry in the expiry
+# list) plus a get may allocate only the [Some] the get returns: 2
+# words.  More means the put path started boxing.
+put_get_words=$(grep -o '"storage_put_get_minor_words_per_op": *[0-9.eE+-]*' BENCH_pdht.json | awk -F: '{print $2}')
+echo "storage_put_get_minor_words_per_op=$put_get_words"
+awk -v w="$put_get_words" 'BEGIN { exit (w != "" && w <= 2) ? 0 : 1 }'
 
 echo "== network model =="
 # The perf section also ran the network-model contracts: a zero-cost
