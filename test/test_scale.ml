@@ -255,7 +255,9 @@ let storage_ref_test =
       | _ -> return forever
     in
     let key = int_bound 23 in
-    let dt = frequency [ (3, return 0.); (2, map (fun t -> float_of_int t /. 4.) (int_range 1 12)) ] in
+    let dt =
+      frequency [ (3, return 0.); (2, map (fun t -> float_of_int t /. 4.) (int_range 1 12)) ]
+    in
     let op =
       frequency
         [
@@ -332,7 +334,8 @@ let storage_ref_test =
                 Storage.live_count store ~now = Storage_ref.live_count reference ~now
             | Live_keys dt ->
                 let now = tick dt in
-                slot_order Storage.iter_live store ~now = slot_order Storage_ref.iter_live reference ~now
+                slot_order Storage.iter_live store ~now
+                = slot_order Storage_ref.iter_live reference ~now
             | Clear -> Storage.clear store = Storage_ref.clear reference
           in
           same && same_contents ())
