@@ -16,8 +16,11 @@
    is then the head, so eviction and the expiry purge never scan the
    slots.  Simulated time only moves forward and a TTL is usually the
    same for every put, so a new expiry is almost always >= the tail's
-   and links in O(1); only non-monotone leases walk back from the
-   tail. *)
+   and links in O(1).  A shorter lease (the cost policy's [ttl_out]
+   beside its longer [ttl_in]) lands mid-list; it walks from [finger],
+   the last entry linked there, so a run of such leases, monotone
+   among themselves, steps only over the entries that fell between
+   two of them. *)
 
 (* One constructor; the type stays because benchmark/workload.ml passes
    [System.options.eviction] to [Config.make]. *)
@@ -33,6 +36,7 @@ type 'v t = {
   mutable links : int array; (* expiry-order list, packed as above *)
   mutable head : int; (* soonest-expiring slot; -1 = empty *)
   mutable tail : int;
+  mutable finger : int; (* last slot linked mid-list; -1 = none *)
 }
 
 let initial_slots = 8
@@ -49,6 +53,7 @@ let create ~capacity () =
     links = Array.make initial_slots 0;
     head = -1;
     tail = -1;
+    finger = -1;
   }
 
 let capacity t = t.capacity
@@ -89,6 +94,7 @@ let[@inline] set_next links s n = links.(s) <- (links.(s) land lnot low) lor (n 
 let unlink t s =
   let links = t.links in
   let p = prev_of links s and n = next_of links s in
+  if t.finger = s then t.finger <- p;
   if p >= 0 then set_next links p n else t.head <- n;
   if n >= 0 then set_prev links n p else t.tail <- p
 
@@ -114,15 +120,32 @@ let link t s =
     t.head <- s
   end
   else begin
-    (* The head's expiry is <= e, so the walk stops at or after it. *)
-    let p = ref (prev_of links tail) in
-    while expiry.(!p) > e do
-      p := prev_of links !p
-    done;
+    (* head <= e < tail, so the walk forward stops before the tail and
+       the walk back stops at or after the head. *)
+    let p = ref (if t.finger >= 0 then t.finger else tail) in
+    if expiry.(!p) <= e then
+      while expiry.(next_of links !p) <= e do
+        p := next_of links !p
+      done
+    else begin
+      p := prev_of links !p;
+      while expiry.(!p) > e do
+        p := prev_of links !p
+      done
+    end;
     let n = next_of links !p in
     links.(s) <- ((!p + 1) lsl 31) lor (n + 1);
     set_next links !p s;
-    set_prev links n s
+    set_prev links n s;
+    t.finger <- s
+  end
+
+(* Re-place [s] after its expiry moved from [old].  The tail keeps its
+   place, neighbours untouched, when its expiry does not fall. *)
+let[@inline] relink t s ~old =
+  if not (s = t.tail && t.expiry.(s) >= old) then begin
+    unlink t s;
+    link t s
   end
 
 (* Backward-shift deletion: walk the probe chain after [slot], moving
@@ -151,6 +174,7 @@ let delete_slot t slot =
         links.(!hole) <- links.(!j);
         if p >= 0 then set_next links p !hole else t.head <- !hole;
         if n >= 0 then set_prev links n !hole else t.tail <- !hole;
+        if t.finger = !j then t.finger <- !hole;
         hole := !j
       end;
       j := (!j + 1) land mask
@@ -192,6 +216,7 @@ let grow t =
   done;
   t.head <- -1;
   t.tail <- -1;
+  t.finger <- -1;
   let s = ref old_head in
   while !s >= 0 do
     link t old_keys.(!s);
@@ -235,10 +260,10 @@ let put t ~key ~value ~now ~ttl =
   let k = Pdht_util.Bitkey.to_int key in
   let slot = find_slot t k in
   if slot >= 0 then begin
+    let old = t.expiry.(slot) in
     t.expiry.(slot) <- now +. ttl;
     t.values.(slot) <- value;
-    unlink t slot;
-    link t slot
+    relink t slot ~old
   end
   else begin
     if t.size >= t.capacity then begin
@@ -279,9 +304,9 @@ let get_and_refresh t ~key ~now ~ttl =
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None
   else begin
+    let old = t.expiry.(slot) in
     t.expiry.(slot) <- now +. ttl;
-    unlink t slot;
-    link t slot;
+    relink t slot ~old;
     Some t.values.(slot)
   end
 
@@ -299,6 +324,7 @@ let clear t =
   t.size <- 0;
   t.head <- -1;
   t.tail <- -1;
+  t.finger <- -1;
   n
 
 let live_count t ~now =

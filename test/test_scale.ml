@@ -240,18 +240,21 @@ let storage_eviction_test =
    after every step (read through [iter_live ~now:neg_infinity], which
    yields every stored key, expired or not).  Capacities 1-12 over 24
    keys cross the [grow] thresholds; [dt = 0] steps and the 1e15
-   ([forever]) regimes make expiry ties common. *)
+   ([forever]) regimes make expiry ties common, and the two-lease
+   regime (a short and a long TTL, as the cost policy's [ttl_out] and
+   [ttl_in]) keeps linking entries mid-list. *)
 let storage_ref_test =
   let forever = 1e15 in
   let case =
     let open QCheck.Gen in
     let* capacity = int_range 1 12 in
-    let* regime = int_bound 2 in
+    let* regime = int_bound 3 in
     let finite = map (fun t -> 1. +. (float_of_int t /. 4.)) (int_bound 40) in
     let ttl =
       match regime with
       | 0 -> finite
       | 1 -> frequency [ (1, finite); (1, return forever) ]
+      | 2 -> frequency [ (1, return 2.); (1, return 9.) ]
       | _ -> return forever
     in
     let key = int_bound 23 in
