@@ -16,9 +16,10 @@
     The store keeps its entries in expiry order, so finding that victim
     and purging expired entries cost no scan of the cache.  A [put] or
     [get_and_refresh] is O(1) when the new expiry is >= every stored
-    one (a monotone clock with one lease) or below every one; a
-    non-monotone lease costs a walk back over the entries that expire
-    after it.  [expire] and [live_count] cost O(expired). *)
+    one (a monotone clock with one lease) or below every one.  An
+    expiry that lands mid-list (a short lease beside a long one) costs
+    a walk from the last entry linked mid-list over the entries
+    between the two.  [expire] and [live_count] cost O(expired). *)
 
 (** The one victim rule.  Kept as a type because benchmark/workload.ml
     passes it through [Config.make ?eviction]. *)
