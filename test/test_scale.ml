@@ -13,6 +13,9 @@ module Rng = Pdht_util.Rng
 module Bitkey = Pdht_util.Bitkey
 module Storage = Pdht_dht.Storage
 module Kademlia = Pdht_dht.Kademlia
+module Replica_net = Pdht_gossip.Replica_net
+module Topology = Pdht_overlay.Topology
+module Replication = Pdht_overlay.Replication
 module Experiment = Pdht_core.Experiment
 
 (* Render once; the golden diff and the -j equality both read it. *)
@@ -383,6 +386,192 @@ let test_storage_bookkeeping_alloc_free () =
       refresh_words
 
 (* ------------------------------------------------------------------ *)
+(* Overlay construction vs [Overlay_ref], verbatim copies of the
+   replica-subnet builder, the topology generators and the placement
+   table as they were before their flat-scratch rewrites.  Each side
+   gets its own generator from one seed; after construction both must
+   hold the same adjacency and the same edge count, and the next draw
+   from either generator must agree, so the rewrite consumed exactly
+   the draws the reference did. *)
+
+let same_next_draw a b = Rng.bits64 a = Rng.bits64 b && Rng.int a 1_000_003 = Rng.int b 1_000_003
+
+(* Sizes 1-3 get their own weight: there the ring successor, the
+   predecessor and every chord collide, so the dedup and the
+   self-loop drop carry the result. *)
+let replica_net_ref_test =
+  let case =
+    QCheck.Gen.(
+      quad
+        (frequency [ (2, int_range 1 3); (3, int_range 4 40); (1, int_range 41 300) ])
+        (int_range 0 3) small_nat small_nat)
+  in
+  let print (n, chords, seed, offset) =
+    Printf.sprintf "n=%d chords=%d seed=%d offset=%d" n chords seed offset
+  in
+  QCheck.Test.make ~name:"replica_net matches the dense-row reference" ~count:300
+    (QCheck.make ~print case) (fun (n, chords, seed, offset) ->
+      (* Distinct global peer ids, descending in member order. *)
+      let replicas = Array.init n (fun i -> offset + (3 * (n - 1 - i))) in
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let net = Replica_net.build rng ~replicas ~chords in
+      let reference = Overlay_ref.Replica_net.build rng_ref ~replicas ~chords in
+      Replica_net.size net = Overlay_ref.Replica_net.size reference
+      && List.for_all
+           (fun member ->
+             Replica_net.neighbors net ~member = Overlay_ref.Replica_net.neighbors reference ~member)
+           (List.init n Fun.id)
+      && same_next_draw rng rng_ref)
+
+type generator =
+  | Regularish of int * int (* peers, degree *)
+  | Barabasi of int * int (* peers, attach *)
+  | Lattice of int * int (* peers, k *)
+  | Small_world of int * int * float (* peers, k, beta *)
+
+let topology_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* peers = frequency [ (2, int_range 3 12); (3, int_range 13 400) ] in
+    let k = int_range 1 (min 6 ((peers - 1) / 2)) in
+    let* g =
+      frequency
+        [
+          ( 3,
+            (* Degrees near [peers] reach the capped-retry corner. *)
+            map (fun d -> Regularish (peers, d)) (int_range 1 (min (peers - 1) 10)) );
+          (3, map (fun a -> Barabasi (peers, a)) (int_range 1 (min (peers - 1) 6)));
+          (1, map (fun k -> Lattice (peers, k)) k);
+          ( 3,
+            map2
+              (fun k beta -> Small_world (peers, k, beta))
+              k
+              (frequency [ (1, return 0.); (1, return 1.); (3, float_bound_inclusive 1.) ]) );
+        ]
+    in
+    let+ seed = small_nat in
+    (g, seed)
+  in
+  let print (g, seed) =
+    (match g with
+    | Regularish (n, d) -> Printf.sprintf "random_regularish peers=%d degree=%d" n d
+    | Barabasi (n, a) -> Printf.sprintf "barabasi_albert peers=%d attach=%d" n a
+    | Lattice (n, k) -> Printf.sprintf "ring_lattice peers=%d k=%d" n k
+    | Small_world (n, k, b) -> Printf.sprintf "watts_strogatz peers=%d k=%d beta=%g" n k b)
+    ^ Printf.sprintf " seed=%d" seed
+  in
+  QCheck.Test.make ~name:"topology generators match the Int_set reference" ~count:300
+    (QCheck.make ~print case) (fun (g, seed) ->
+      let module R = Overlay_ref.Topology in
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let t, reference =
+        match g with
+        | Regularish (peers, degree) ->
+            ( Topology.random_regularish rng ~peers ~degree,
+              R.random_regularish rng_ref ~peers ~degree )
+        | Barabasi (peers, attach) ->
+            (Topology.barabasi_albert rng ~peers ~attach, R.barabasi_albert rng_ref ~peers ~attach)
+        | Lattice (peers, k) -> (Topology.ring_lattice ~peers ~k, R.ring_lattice ~peers ~k)
+        | Small_world (peers, k, beta) ->
+            ( Topology.watts_strogatz rng ~peers ~k ~beta,
+              R.watts_strogatz rng_ref ~peers ~k ~beta )
+      in
+      let n = Topology.peer_count t in
+      n = R.peer_count reference
+      && Topology.edge_count t = R.edge_count reference
+      && List.for_all
+           (fun p ->
+             Topology.neighbors t p = R.neighbors reference p
+             && Topology.degree t p = R.degree reference p)
+           (List.init n Fun.id)
+      && same_next_draw rng rng_ref)
+
+type placement_op =
+  | Place of int * int (* item, repl *)
+  | Place_on of int * int list (* item, replicas (duplicates allowed) *)
+  | Remove_item of int
+  | Remove_peer of int
+  | Items_at of int
+  | Holds of int * int (* peer, item *)
+
+let placement_op_print = function
+  | Place (i, r) -> Printf.sprintf "Place(%d,%d)" i r
+  | Place_on (i, ps) ->
+      Printf.sprintf "Place_on(%d,[%s])" i (String.concat ";" (List.map string_of_int ps))
+  | Remove_item i -> Printf.sprintf "Remove(%d)" i
+  | Remove_peer p -> Printf.sprintf "Remove_peer(%d)" p
+  | Items_at p -> Printf.sprintf "Items_at(%d)" p
+  | Holds (p, i) -> Printf.sprintf "Holds(%d,%d)" p i
+
+(* Items reach past the table's initial 64 slots, so [ensure_item]'s
+   growth is inside the run; after every step the whole table (every
+   item's replicas, every peer's holdings) must match. *)
+let replication_ref_test =
+  let items = 100 in
+  let case =
+    let open QCheck.Gen in
+    let* peers = int_range 1 30 in
+    let item = int_bound (items - 1) and peer = int_bound (peers - 1) in
+    let op =
+      frequency
+        [
+          (4, map2 (fun i r -> Place (i, r)) item (int_range 1 (peers + 3)));
+          (3, map2 (fun i ps -> Place_on (i, ps)) item (list_size (int_bound 8) peer));
+          (1, map (fun i -> Remove_item i) item);
+          (2, map (fun p -> Remove_peer p) peer);
+          (1, map (fun p -> Items_at p) peer);
+          (2, map2 (fun p i -> Holds (p, i)) peer item);
+        ]
+    in
+    let* ops = list_size (int_range 1 120) op in
+    let+ seed = small_nat in
+    (peers, ops, seed)
+  in
+  let print (peers, ops, seed) =
+    Printf.sprintf "peers %d seed %d: %s" peers seed
+      (String.concat " " (List.map placement_op_print ops))
+  in
+  QCheck.Test.make ~name:"replication matches the inverse-view reference" ~count:300
+    (QCheck.make ~print case) (fun (peers, ops, seed) ->
+      let module R = Overlay_ref.Replication in
+      let t = Replication.create ~peers and reference = R.create ~peers in
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let same_table () =
+        List.for_all
+          (fun item ->
+            Replication.replicas t ~item = R.replicas reference ~item
+            && Replication.replication_factor t ~item = R.replication_factor reference ~item)
+          (List.init (items + 1) Fun.id)
+        && List.for_all
+             (fun peer -> Replication.items_at t ~peer = R.items_at reference ~peer)
+             (List.init peers Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Place (item, repl) ->
+                Replication.place t rng ~item ~repl;
+                R.place reference rng_ref ~item ~repl;
+                true
+            | Place_on (item, ps) ->
+                let replicas = Array.of_list ps in
+                Replication.place_on t ~item ~replicas;
+                R.place_on reference ~item ~replicas;
+                true
+            | Remove_item item ->
+                Replication.remove t ~item;
+                R.remove reference ~item;
+                true
+            | Remove_peer peer -> Replication.remove_peer t ~peer = R.remove_peer reference ~peer
+            | Items_at peer -> Replication.items_at t ~peer = R.items_at reference ~peer
+            | Holds (peer, item) -> Replication.holds t ~peer ~item = R.holds reference ~peer ~item
+          in
+          same && same_table ())
+        ops
+      && same_next_draw rng rng_ref)
+
+(* ------------------------------------------------------------------ *)
 (* Kademlia's trie walk vs brute force over the id space. *)
 
 let kademlia_closest_test =
@@ -427,6 +616,9 @@ let qcheck_tests =
     storage_capacity_test;
     storage_eviction_test;
     storage_ref_test;
+    replica_net_ref_test;
+    topology_ref_test;
+    replication_ref_test;
     kademlia_closest_test;
     kademlia_responsible_test;
   ]
