@@ -10,49 +10,82 @@ type t = {
   mutable generation : int;
 }
 
+(* Sort [cells.(lo) .. cells.(hi - 1)] ascending, drop repeats, and
+   return the row as a fresh array.  Rows average 2 * (1 + chords)
+   entries, so an insertion sort beats any general sort here. *)
+let sorted_unique_row (cells : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let v = cells.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && cells.(!j) > v do
+      cells.(!j + 1) <- cells.(!j);
+      decr j
+    done;
+    cells.(!j + 1) <- v
+  done;
+  let d = ref lo in
+  for i = lo to hi - 1 do
+    if i = lo || cells.(i) <> cells.(!d - 1) then begin
+      cells.(!d) <- cells.(i);
+      incr d
+    end
+  done;
+  Array.sub cells lo (!d - lo)
+
 let build rng ~replicas ~chords =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Replica_net.build: empty replica set";
   if chords < 0 then invalid_arg "Replica_net.build: negative chords";
   (* Subnets are built lazily on the query path (first flood of a key),
-     so construction cost is hot: accumulate each member's neighbor set
-     in a flat fixed-capacity row with a linear duplicate scan —
-     degrees stay small in practice, so the scan beats a tree set and
-     allocates nothing per edge.  Sorting the rows reproduces the
-     ascending order [Int_set.elements] returned. *)
-  let cap = max 1 (n - 1) in
-  let deg = Array.make n 0 in
-  let rows = Array.make (n * cap) 0 in
-  let connect a b =
-    if a <> b then begin
-      let base = a * cap in
-      let d = deg.(a) in
-      let dup = ref false in
-      for k = 0 to d - 1 do
-        if rows.(base + k) = b then dup := true
-      done;
-      if not !dup then begin
-        rows.(base + d) <- b;
-        deg.(a) <- d + 1
+     so construction cost is hot, and all of its scratch is sized to
+     the edges, O(n * (1 + chords)), never to n^2.  Member [i] owns
+     edge slots [i * per .. i * per + chords]: its ring successor, then
+     its chords, drawn in exactly that order.  A slot records only the
+     far end.  A lone member has no edges at all. *)
+  let per = 1 + chords in
+  let owners = if n > 1 then n else 0 in
+  let far = Array.make (owners * per) 0 in
+  for i = 0 to owners - 1 do
+    far.(i * per) <- (i + 1) mod n;
+    for c = 1 to chords do
+      far.((i * per) + c) <- Pdht_util.Rng.int rng n
+    done
+  done;
+  (* Bucket both directions of every edge but self-loops into one flat
+     array of rows.  [row_end.(i + 1)] first counts member [i]'s
+     endpoints; the prefix sum turns [row_end.(i)] into the start of
+     row [i], and filling advances it to the row's end. *)
+  let row_end = Array.make (n + 1) 0 in
+  for i = 0 to owners - 1 do
+    for c = 0 to chords do
+      let j = far.((i * per) + c) in
+      if i <> j then begin
+        row_end.(i + 1) <- row_end.(i + 1) + 1;
+        row_end.(j + 1) <- row_end.(j + 1) + 1
       end
-    end
+    done
+  done;
+  for i = 1 to n do
+    row_end.(i) <- row_end.(i) + row_end.(i - 1)
+  done;
+  let cells = Array.make row_end.(n) 0 in
+  let add a b =
+    cells.(row_end.(a)) <- b;
+    row_end.(a) <- row_end.(a) + 1
   in
-  if n > 1 then
-    for i = 0 to n - 1 do
-      let succ = (i + 1) mod n in
-      connect i succ;
-      connect succ i;
-      for _ = 1 to chords do
-        let j = Pdht_util.Rng.int rng n in
-        connect i j;
-        connect j i
-      done
-    done;
+  for i = 0 to owners - 1 do
+    for c = 0 to chords do
+      let j = far.((i * per) + c) in
+      if i <> j then begin
+        add i j;
+        add j i
+      end
+    done
+  done;
+  (* Sorted and deduplicated, each row holds what a neighbor set would:
+     the ascending distinct members, ring and chord collisions merged. *)
   let adj =
-    Array.init n (fun i ->
-        let a = Array.sub rows (i * cap) deg.(i) in
-        Array.sort Int.compare a;
-        a)
+    Array.init n (fun i -> sorted_unique_row cells (if i = 0 then 0 else row_end.(i - 1)) row_end.(i))
   in
   { replicas; adj; stamp = Array.make n 0; queue = Array.make n 0; generation = 0 }
 

@@ -3,28 +3,21 @@
    sorted array.  [holds] is the hot operation: unstructured search
    calls it once per walk step / flood visit, so it must not chase a
    tree — a binary search over a short sorted int array stays in one
-   cache line.  The per-peer inverse view is the compact growable
-   variant of the same idea: one sorted int array per peer
-   ([peer_items] prefix of length [peer_len], doubling capacity), ~2
-   words per holding instead of a balanced-tree node, so a million-peer
-   placement is dominated by the ids themselves. *)
+   cache line.  That array is the only copy of a placement: there is no
+   per-peer inverse view, because only crash-stop faults and tests ask
+   which items a peer holds, and they can afford a scan of [by_item]
+   (O(items * log repl)), while every placement would pay to keep the
+   view current. *)
 type t = {
   total_peers : int;
   mutable by_item : int array array; (* item -> sorted replicas; [||] = absent *)
-  peer_items : int array array; (* peer -> sorted items, prefix of peer_len *)
-  peer_len : int array;
 }
 
 let no_replicas : int array = [||]
 
 let create ~peers =
   if peers < 1 then invalid_arg "Replication.create: need >= 1 peer";
-  {
-    total_peers = peers;
-    by_item = Array.make 64 no_replicas;
-    peer_items = Array.make peers no_replicas;
-    peer_len = Array.make peers 0;
-  }
+  { total_peers = peers; by_item = Array.make 64 no_replicas }
 
 let peers t = t.total_peers
 
@@ -40,115 +33,11 @@ let ensure_item t item =
 let replicas_of t item =
   if item < 0 || item >= Array.length t.by_item then no_replicas else t.by_item.(item)
 
-(* Position of [item] in [peer]'s sorted holdings, or the insertion
-   point encoded as [-(pos + 1)] when absent. *)
-let peer_find t peer item =
-  let arr = t.peer_items.(peer) in
-  let lo = ref 0 and hi = ref (t.peer_len.(peer) - 1) in
-  let res = ref min_int in
-  while !res = min_int && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = Array.unsafe_get arr mid in
-    if v = item then res := mid
-    else if v < item then lo := mid + 1
-    else hi := mid - 1
-  done;
-  if !res = min_int then -(!lo + 1) else !res
-
-let peer_add t peer item =
-  let pos = peer_find t peer item in
-  if pos < 0 then begin
-    let at = -pos - 1 in
-    let len = t.peer_len.(peer) in
-    let arr = t.peer_items.(peer) in
-    let arr =
-      if len = Array.length arr then begin
-        let grown = Array.make (max 4 (2 * len)) 0 in
-        Array.blit arr 0 grown 0 len;
-        t.peer_items.(peer) <- grown;
-        grown
-      end
-      else arr
-    in
-    Array.blit arr at arr (at + 1) (len - at);
-    arr.(at) <- item;
-    t.peer_len.(peer) <- len + 1
-  end
-
-let peer_remove t peer item =
-  let pos = peer_find t peer item in
-  if pos >= 0 then begin
-    let len = t.peer_len.(peer) in
-    let arr = t.peer_items.(peer) in
-    Array.blit arr (pos + 1) arr pos (len - pos - 1);
-    t.peer_len.(peer) <- len - 1
-  end
-
-let remove t ~item =
-  let reps = replicas_of t item in
-  if Array.length reps > 0 then begin
-    Array.iter (fun p -> peer_remove t p item) reps;
-    t.by_item.(item) <- no_replicas
-  end
-
-let place_on t ~item ~replicas =
-  Array.iter
-    (fun p -> if p < 0 || p >= t.total_peers then invalid_arg "Replication.place_on: bad peer")
-    replicas;
-  ensure_item t item;
-  remove t ~item;
-  (* Sort a copy and drop duplicates in place — same sorted distinct
-     set the old Int_set round-trip produced. *)
-  let reps =
-    let sorted = Array.copy replicas in
-    Array.sort compare sorted;
-    let n = Array.length sorted in
-    let distinct = ref 0 in
-    for i = 0 to n - 1 do
-      if i = 0 || sorted.(i) <> sorted.(i - 1) then begin
-        sorted.(!distinct) <- sorted.(i);
-        incr distinct
-      end
-    done;
-    if !distinct = n then sorted else Array.sub sorted 0 !distinct
-  in
-  t.by_item.(item) <- reps;
-  Array.iter (fun p -> peer_add t p item) reps
-
-let remove_peer t ~peer =
-  if peer < 0 || peer >= t.total_peers then invalid_arg "Replication.remove_peer: bad peer";
-  let items = t.peer_items.(peer) in
-  let n = t.peer_len.(peer) in
-  for i = 0 to n - 1 do
-    let item = items.(i) in
-    let reps = t.by_item.(item) in
-    let kept = Array.make (Array.length reps - 1) 0 in
-    let j = ref 0 in
-    Array.iter
-      (fun p ->
-        if p <> peer then begin
-          kept.(!j) <- p;
-          incr j
-        end)
-      reps;
-    (* [reps] was sorted and held [peer] exactly once, so [kept] is
-       full and still sorted. *)
-    t.by_item.(item) <- (if Array.length kept = 0 then no_replicas else kept)
-  done;
-  t.peer_len.(peer) <- 0;
-  n
-
-let place t rng ~item ~repl =
-  if repl < 1 then invalid_arg "Replication.place: repl must be >= 1";
-  let k = min repl t.total_peers in
-  let replicas = Pdht_util.Sampling.sample_without_replacement rng ~k ~n:t.total_peers in
-  place_on t ~item ~replicas
-
-let replicas t ~item = replicas_of t item
-
-let holds t ~peer ~item =
-  let reps = replicas_of t item in
-  (* Binary search in the sorted replica array. *)
+(* Binary search in a sorted replica array.  The annotations are load
+   bearing: without them [<] and [=] here are polymorphic, compile to
+   [caml_compare] calls, and [holds] (the unstructured-search hot path)
+   runs at less than half speed. *)
+let mem_sorted (reps : int array) (peer : int) =
   let lo = ref 0 and hi = ref (Array.length reps - 1) and found = ref false in
   while (not !found) && !lo <= !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -159,7 +48,69 @@ let holds t ~peer ~item =
   done;
   !found
 
-let items_at t ~peer = Array.to_list (Array.sub t.peer_items.(peer) 0 t.peer_len.(peer))
+let remove t ~item = if item >= 0 && item < Array.length t.by_item then t.by_item.(item) <- no_replicas
+
+let place_on t ~item ~replicas =
+  Array.iter
+    (fun p -> if p < 0 || p >= t.total_peers then invalid_arg "Replication.place_on: bad peer")
+    replicas;
+  ensure_item t item;
+  (* Sort a copy and drop duplicates in place: the sorted distinct set. *)
+  let reps =
+    let sorted = Array.copy replicas in
+    Array.sort Int.compare sorted;
+    let n = Array.length sorted in
+    let distinct = ref 0 in
+    for i = 0 to n - 1 do
+      if i = 0 || sorted.(i) <> sorted.(i - 1) then begin
+        sorted.(!distinct) <- sorted.(i);
+        incr distinct
+      end
+    done;
+    if !distinct = n then sorted else Array.sub sorted 0 !distinct
+  in
+  t.by_item.(item) <- reps
+
+let remove_peer t ~peer =
+  if peer < 0 || peer >= t.total_peers then invalid_arg "Replication.remove_peer: bad peer";
+  let held = ref 0 in
+  Array.iteri
+    (fun item reps ->
+      if mem_sorted reps peer then begin
+        incr held;
+        (* [reps] is sorted and holds [peer] once, so [kept] is full and
+           still sorted. *)
+        let kept = Array.make (Array.length reps - 1) 0 in
+        let j = ref 0 in
+        Array.iter
+          (fun p ->
+            if p <> peer then begin
+              kept.(!j) <- p;
+              incr j
+            end)
+          reps;
+        t.by_item.(item) <- (if Array.length kept = 0 then no_replicas else kept)
+      end)
+    t.by_item;
+  !held
+
+let place t rng ~item ~repl =
+  if repl < 1 then invalid_arg "Replication.place: repl must be >= 1";
+  let k = min repl t.total_peers in
+  let replicas = Pdht_util.Sampling.sample_without_replacement rng ~k ~n:t.total_peers in
+  place_on t ~item ~replicas
+
+let replicas t ~item = replicas_of t item
+let holds t ~peer ~item = mem_sorted (replicas_of t item) peer
+
+let items_at t ~peer =
+  if peer < 0 || peer >= t.total_peers then invalid_arg "Replication.items_at: bad peer";
+  let items = ref [] in
+  for item = Array.length t.by_item - 1 downto 0 do
+    if mem_sorted t.by_item.(item) peer then items := item :: !items
+  done;
+  !items
+
 let replication_factor t ~item = Array.length (replicas t ~item)
 
 let availability t ~online ~item =

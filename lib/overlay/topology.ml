@@ -1,12 +1,7 @@
-module Int_set = Set.Make (Int)
-
 (* CSR adjacency: [neighbors.(offsets.(p) .. offsets.(p+1) - 1)] are
    peer [p]'s neighbors in ascending order — two flat int arrays for
    the whole graph instead of a boxed array per peer, so a million-peer
-   topology is ~2 words per directed edge with no per-peer headers.
-   Topologies are build-once static; the Int_set accumulation below is
-   construction-only scaffolding (its membership gating also fixes the
-   RNG draw sequence, so it must not change shape). *)
+   topology is ~2 words per directed edge with no per-peer headers. *)
 type t = { offsets : int array; neighbors : int array; edges : int }
 
 let peer_count t = Array.length t.offsets - 1
@@ -21,33 +16,73 @@ let iter_neighbors t p ~f =
 let neighbors t p = Array.sub t.neighbors t.offsets.(p) (degree t p)
 let edge_count t = t.edges
 
-let of_edge_sets sets =
-  let peers = Array.length sets in
+(* Construction scratch: one growable int row per peer, in insertion
+   order, plus its fill length.  Degrees are a handful, so a linear
+   membership scan over a row beats a tree set and allocates nothing
+   per edge.  Every undirected edge is entered in both rows at once,
+   so [q] is in [p]'s row exactly when [p] is in [q]'s.  Membership is
+   exact, so the generators below reject exactly the draws they always
+   have and consume the same random stream. *)
+type rows = { row : int array array; len : int array; first : int }
+
+(* [first] is a row's initial capacity: the degree a generator expects,
+   so most rows never grow. *)
+let make_rows peers ~first = { row = Array.make peers [||]; len = Array.make peers 0; first }
+
+let rec scan (row : int array) q i = i >= 0 && (row.(i) = q || scan row q (i - 1))
+let mem rows p q = scan rows.row.(p) q (rows.len.(p) - 1)
+
+let push rows p q =
+  let n = rows.len.(p) in
+  let row = rows.row.(p) in
+  let row =
+    if n < Array.length row then row
+    else begin
+      let grown = Array.make (max rows.first (2 * n)) 0 in
+      Array.blit row 0 grown 0 n;
+      rows.row.(p) <- grown;
+      grown
+    end
+  in
+  row.(n) <- q;
+  rows.len.(p) <- n + 1
+
+(* Add the undirected edge [(a, b)]; the caller knows it is new. *)
+let link rows a b =
+  push rows a b;
+  push rows b a
+
+(* Add the undirected edge [(a, b)] unless it is already there. *)
+let connect rows a b = if not (mem rows a b) then link rows a b
+
+(* Copy every row into the CSR and insertion-sort it there (rows are
+   short), giving the ascending order the accessors promise. *)
+let of_rows rows =
+  let peers = Array.length rows.len in
   let offsets = Array.make (peers + 1) 0 in
   for p = 0 to peers - 1 do
-    offsets.(p + 1) <- offsets.(p) + Int_set.cardinal sets.(p)
+    offsets.(p + 1) <- offsets.(p) + rows.len.(p)
   done;
   let neighbors = Array.make (max 1 offsets.(peers)) 0 in
   for p = 0 to peers - 1 do
-    let i = ref offsets.(p) in
-    (* Int_set.iter is ascending, matching the sorted per-peer arrays
-       this layout replaced. *)
-    Int_set.iter
-      (fun q ->
-        neighbors.(!i) <- q;
-        incr i)
-      sets.(p)
+    let lo = offsets.(p) in
+    Array.blit rows.row.(p) 0 neighbors lo rows.len.(p);
+    for i = lo + 1 to offsets.(p + 1) - 1 do
+      let v = neighbors.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && neighbors.(!j) > v do
+        neighbors.(!j + 1) <- neighbors.(!j);
+        decr j
+      done;
+      neighbors.(!j + 1) <- v
+    done
   done;
   { offsets; neighbors; edges = offsets.(peers) / 2 }
 
 let random_regularish rng ~peers ~degree =
   if peers < 2 then invalid_arg "Topology.random_regularish: need >= 2 peers";
   if degree < 1 || degree >= peers then invalid_arg "Topology.random_regularish: bad degree";
-  let sets = Array.make peers Int_set.empty in
-  let connect a b =
-    sets.(a) <- Int_set.add b sets.(a);
-    sets.(b) <- Int_set.add a sets.(b)
-  in
+  let rows = make_rows peers ~first:(2 * degree) in
   for p = 0 to peers - 1 do
     let opened = ref 0 in
     let attempts = ref 0 in
@@ -56,21 +91,17 @@ let random_regularish rng ~peers ~degree =
     while !opened < degree && !attempts < 20 * degree do
       incr attempts;
       let q = Pdht_util.Rng.int rng peers in
-      if q <> p && not (Int_set.mem q sets.(p)) then begin
-        connect p q;
+      if q <> p && not (mem rows p q) then begin
+        link rows p q;
         incr opened
       end
     done
   done;
-  of_edge_sets sets
+  of_rows rows
 
 let barabasi_albert rng ~peers ~attach =
   if attach < 1 || peers <= attach then invalid_arg "Topology.barabasi_albert: need peers > attach >= 1";
-  let sets = Array.make peers Int_set.empty in
-  let connect a b =
-    sets.(a) <- Int_set.add b sets.(a);
-    sets.(b) <- Int_set.add a sets.(b)
-  in
+  let rows = make_rows peers ~first:(2 * attach) in
   (* Endpoint multiset: picking a uniform element is picking a node with
      probability proportional to its degree.  Stored in a growable array
      so sampling stays O(1) as the graph grows. *)
@@ -84,50 +115,61 @@ let barabasi_albert rng ~peers ~attach =
   (* Seed: a small clique over the first attach+1 peers. *)
   for a = 0 to attach do
     for b = a + 1 to attach do
-      connect a b;
+      link rows a b;
       push a;
       push b
     done
   done;
+  (* An arriving peer's distinct targets, kept sorted: it links to them
+     in ascending order, and the endpoint multiset (hence every later
+     draw) depends on that order. *)
+  let chosen = Array.make attach 0 in
   for p = attach + 1 to peers - 1 do
-    let chosen = ref Int_set.empty in
+    let count = ref 0 in
     let tries = ref 0 in
-    while Int_set.cardinal !chosen < attach && !tries < 50 * attach do
+    while !count < attach && !tries < 50 * attach do
       incr tries;
       let target = endpoints.(Pdht_util.Rng.int rng !endpoint_count) in
-      if target <> p then chosen := Int_set.add target !chosen
+      if target <> p then begin
+        let i = ref (!count - 1) in
+        while !i >= 0 && chosen.(!i) > target do
+          decr i
+        done;
+        if !i < 0 || chosen.(!i) <> target then begin
+          Array.blit chosen (!i + 1) chosen (!i + 2) (!count - !i - 1);
+          chosen.(!i + 1) <- target;
+          incr count
+        end
+      end
     done;
-    Int_set.iter
-      (fun q ->
-        connect p q;
-        push p;
-        push q)
-      !chosen
+    (* [p] is new and the targets distinct, so every edge is new. *)
+    for i = 0 to !count - 1 do
+      let q = chosen.(i) in
+      link rows p q;
+      push p;
+      push q
+    done
   done;
-  of_edge_sets sets
+  of_rows rows
 
 let ring_lattice ~peers ~k =
   if peers < 3 then invalid_arg "Topology.ring_lattice: need >= 3 peers";
   if k < 1 || 2 * k >= peers then invalid_arg "Topology.ring_lattice: bad k";
-  let sets = Array.make peers Int_set.empty in
+  let rows = make_rows peers ~first:(2 * k) in
+  (* With [2k < peers] no two offsets name the same pair, so every
+     edge is new. *)
   for p = 0 to peers - 1 do
     for d = 1 to k do
-      let q = (p + d) mod peers in
-      sets.(p) <- Int_set.add q sets.(p);
-      sets.(q) <- Int_set.add p sets.(q)
+      link rows p ((p + d) mod peers)
     done
   done;
-  of_edge_sets sets
+  of_rows rows
 
 let watts_strogatz rng ~peers ~k ~beta =
   if peers < 3 then invalid_arg "Topology.watts_strogatz: need >= 3 peers";
   if k < 1 || 2 * k >= peers then invalid_arg "Topology.watts_strogatz: bad k";
   if beta < 0. || beta > 1. then invalid_arg "Topology.watts_strogatz: beta outside [0,1]";
-  let sets = Array.make peers Int_set.empty in
-  let connect a b =
-    sets.(a) <- Int_set.add b sets.(a);
-    sets.(b) <- Int_set.add a sets.(b)
-  in
+  let rows = make_rows peers ~first:(2 * k) in
   for p = 0 to peers - 1 do
     for d = 1 to k do
       let q = (p + d) mod peers in
@@ -138,14 +180,14 @@ let watts_strogatz rng ~peers ~k ~beta =
           if tries = 0 then q (* dense corner: keep the lattice edge *)
           else
             let r = Pdht_util.Rng.int rng peers in
-            if r = p || Int_set.mem r sets.(p) then fresh (tries - 1) else r
+            if r = p || mem rows p r then fresh (tries - 1) else r
         in
-        connect p (fresh 20)
+        connect rows p (fresh 20)
       end
-      else connect p q
+      else connect rows p q
     done
   done;
-  of_edge_sets sets
+  of_rows rows
 
 let bfs_reach t ~online start =
   let n = peer_count t in
