@@ -85,7 +85,8 @@ let build rng ~replicas ~chords =
   (* Sorted and deduplicated, each row holds what a neighbor set would:
      the ascending distinct members, ring and chord collisions merged. *)
   let adj =
-    Array.init n (fun i -> sorted_unique_row cells (if i = 0 then 0 else row_end.(i - 1)) row_end.(i))
+    Array.init n (fun i ->
+        sorted_unique_row cells (if i = 0 then 0 else row_end.(i - 1)) row_end.(i))
   in
   { replicas; adj; stamp = Array.make n 0; queue = Array.make n 0; generation = 0 }
 

@@ -48,7 +48,8 @@ let mem_sorted (reps : int array) (peer : int) =
   done;
   !found
 
-let remove t ~item = if item >= 0 && item < Array.length t.by_item then t.by_item.(item) <- no_replicas
+let remove t ~item =
+  if item >= 0 && item < Array.length t.by_item then t.by_item.(item) <- no_replicas
 
 let place_on t ~item ~replicas =
   Array.iter

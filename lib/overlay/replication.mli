@@ -25,13 +25,17 @@ val remove : t -> item:int -> unit
 val remove_peer : t -> peer:int -> int
 (** Drop [peer] from the replica set of every item it holds (the
     crash-stop "content lost" operation) and return how many items it
-    held.  Items whose last replica goes become unplaced. *)
+    held.  Items whose last replica goes become unplaced.  Scans every
+    item, O(items * log repl): the table keeps no per-peer view. *)
 
 val replicas : t -> item:int -> int array
 (** Peers currently holding [item] (empty if never placed). *)
 
 val holds : t -> peer:int -> item:int -> bool
 val items_at : t -> peer:int -> int list
+(** Items [peer] holds, ascending.  Scans every item, O(items * log
+    repl), like {!remove_peer}. *)
+
 val replication_factor : t -> item:int -> int
 
 val availability : t -> online:(int -> bool) -> item:int -> float

@@ -419,7 +419,8 @@ let replica_net_ref_test =
       Replica_net.size net = Overlay_ref.Replica_net.size reference
       && List.for_all
            (fun member ->
-             Replica_net.neighbors net ~member = Overlay_ref.Replica_net.neighbors reference ~member)
+             Replica_net.neighbors net ~member
+             = Overlay_ref.Replica_net.neighbors reference ~member)
            (List.init n Fun.id)
       && same_next_draw rng rng_ref)
 
@@ -571,6 +572,40 @@ let replication_ref_test =
         ops
       && same_next_draw rng rng_ref)
 
+(* Construction scratch is sized to the output.  Words allocated
+   (minor plus direct major, promotions counted once) stay within a
+   small multiple of the members or peers built; a dense n x (n - 1)
+   row scratch (about 200 words per member at n = 200) or a tree set
+   per peer (about 250 words per peer) fails these bounds.  The minor
+   heap is emptied first: a minor collection inside the window would
+   otherwise charge it for objects allocated before it. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let result = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity result);
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let test_replica_net_build_alloc () =
+  List.iter
+    (fun n ->
+      let replicas = Array.init n (fun i -> 3 * i) in
+      let rng = Rng.create ~seed:n in
+      let words = allocated_words (fun () -> Replica_net.build rng ~replicas ~chords:1) in
+      if words > 40. *. float_of_int n then
+        Alcotest.failf "Replica_net.build at n = %d allocated %.0f words (%.1f per member)" n words
+          (words /. float_of_int n))
+    [ 200; 2_000 ]
+
+let test_topology_alloc () =
+  let peers = 100_000 in
+  let rng = Rng.create ~seed:1 in
+  let words = allocated_words (fun () -> Topology.random_regularish rng ~peers ~degree:4) in
+  let per_peer = words /. float_of_int peers in
+  if per_peer > 100. then
+    Alcotest.failf "random_regularish at 10^5 peers allocated %.1f words per peer" per_peer
+
 (* ------------------------------------------------------------------ *)
 (* Kademlia's trie walk vs brute force over the id space. *)
 
@@ -636,5 +671,7 @@ let () =
         [
           Alcotest.test_case "storage put-evict and refresh" `Quick
             test_storage_bookkeeping_alloc_free;
+          Alcotest.test_case "replica_net build scratch" `Quick test_replica_net_build_alloc;
+          Alcotest.test_case "topology build scratch" `Quick test_topology_alloc;
         ] );
     ]
