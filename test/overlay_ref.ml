@@ -394,3 +394,147 @@ module Replication = struct
       let up = Array.fold_left (fun acc p -> if online p then acc + 1 else acc) 0 reps in
       float_of_int up /. float_of_int total
 end
+
+(* Verbatim copies of the miss path and the placement sampler as they
+   were when [Random_walk.search] asked a [holds] closure at every
+   step and [Sampling.sample_without_replacement] kept its sparse
+   Fisher-Yates displacements in a [Hashtbl].  test_scale's "random
+   walk" and "sampling" properties require equal results and an equal
+   next draw from these and the live functions. *)
+module Random_walk = struct
+  module Scratch = Pdht_overlay.Scratch
+  module Topology = Pdht_overlay.Topology
+
+  type result = {
+    found_at : int option;
+    steps_taken : int;
+    messages : int;
+    distinct_visited : int;
+    rounds : int;
+  }
+
+  let search ?scratch ?span ?deliver topo rng ~online ~holds ~source ~walkers
+      ~max_steps ~check_every =
+    if walkers < 1 then invalid_arg "Random_walk.search: walkers must be >= 1";
+    if check_every < 1 then invalid_arg "Random_walk.search: check_every must be >= 1";
+    if not (online source) then
+      { found_at = None; steps_taken = 0; messages = 0; distinct_visited = 0; rounds = 0 }
+    else begin
+      let scratch = match scratch with Some s -> s | None -> Scratch.create () in
+      let n = Topology.peer_count topo in
+      Scratch.ensure_peers scratch n;
+      Scratch.ensure_walkers scratch walkers;
+      let gen = Scratch.next_generation scratch in
+      let stamp = scratch.Scratch.stamp in
+      (* Staging buffer for a step's online neighbors: filled in place so
+         no per-step list/array is built.  One RNG draw per non-stalled
+         step, exactly as a fresh-allocation implementation would make. *)
+      let candidates = scratch.Scratch.candidates in
+      let positions = scratch.Scratch.positions in
+      stamp.(source) <- gen;
+      let distinct = ref 1 in
+      let found_at = ref (if holds source then source else -1) in
+      Array.fill positions 0 walkers source;
+      let steps = ref 0 in
+      let messages = ref 0 in
+      let round = ref 0 in
+      let stop = ref (!found_at >= 0) in
+      while (not !stop) && !round < max_steps do
+        incr round;
+        (* One synchronous step of every walker. *)
+        for w = 0 to walkers - 1 do
+          let p = positions.(w) in
+          let deg = Topology.degree topo p in
+          (* Uniform draw over the *online* neighbors.  Rejection sampling
+             (draw a neighbor, retry while offline) has exactly that
+             conditional distribution and usually succeeds in one or two
+             draws, so the common case never scans the whole neighbor
+             list through the [online] closure.  After a few misses —
+             most neighbors offline — fall back to the exact
+             filter-then-draw, which is also uniform, so the overall
+             distribution is unchanged either way. *)
+          let q =
+            if deg = 0 then -1
+            else begin
+              let attempts = ref 4 in
+              let picked = ref (-1) in
+              while !picked < 0 && !attempts > 0 do
+                decr attempts;
+                let c = Topology.neighbor topo p (Pdht_util.Rng.int rng deg) in
+                if online c then picked := c
+              done;
+              if !picked >= 0 then !picked
+              else begin
+                let online_count = ref 0 in
+                for k = 0 to deg - 1 do
+                  let c = Topology.neighbor topo p k in
+                  if online c then begin
+                    candidates.(!online_count) <- c;
+                    incr online_count
+                  end
+                done;
+                if !online_count = 0 then -1
+                else candidates.(Pdht_util.Rng.int rng !online_count)
+              end
+            end
+          in
+          if q >= 0 then begin
+            incr steps;
+            incr messages;
+            (* A lost step message (network model) leaves the walker where
+               it was: the step is paid for but the next peer never hears
+               the query, exactly like a stalled walker for one round. *)
+            let delivered =
+              match deliver with None -> true | Some d -> d ~span ~src:p ~dst:q
+            in
+            if delivered then begin
+              positions.(w) <- q;
+              if stamp.(q) <> gen then begin
+                stamp.(q) <- gen;
+                incr distinct
+              end;
+              if holds q && !found_at < 0 then found_at := q
+            end
+          end
+          (* else: stalled walker; retries next round *)
+        done;
+        (* Periodic check-back with the source: one probe per walker. *)
+        if !round mod check_every = 0 then begin
+          messages := !messages + walkers;
+          if !found_at >= 0 then stop := true
+        end
+      done;
+      {
+        found_at = (if !found_at < 0 then None else Some !found_at);
+        steps_taken = !steps;
+        messages = !messages;
+        distinct_visited = !distinct;
+        rounds = !round;
+      }
+    end
+end
+
+module Sampling = struct
+  module Rng = Pdht_util.Rng
+
+  let sample_without_replacement rng ~k ~n =
+    if k < 0 || k > n then invalid_arg "Sampling.sample_without_replacement";
+    (* Sparse partial Fisher-Yates: O(k) time and space instead of
+       materialising the whole [0..n-1] pool (which made every caller pay
+       O(n) — ruinous when P-Grid construction samples references out of
+       half the population per peer).  [displaced] records only the
+       positions the virtual pool differs from the identity at; draws and
+       output are index-for-index identical to shuffling the real pool. *)
+    let displaced = Hashtbl.create (2 * k + 1) in
+    let get i = match Hashtbl.find_opt displaced i with Some v -> v | None -> i in
+    let out = Array.make (max k 1) 0 in
+    for i = 0 to k - 1 do
+      let j = Rng.int_in_range rng ~lo:i ~hi:(n - 1) in
+      let vi = get i and vj = get j in
+      out.(i) <- vj;
+      (* Position [i] is never read again (future draws live in
+         [i+1, n-1]), so only [j]'s displacement needs recording. *)
+      Hashtbl.replace displaced j vi
+    done;
+    if k = Array.length out then out else Array.sub out 0 k
+end

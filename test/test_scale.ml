@@ -572,6 +572,136 @@ let replication_ref_test =
         ops
       && same_next_draw rng rng_ref)
 
+(* The miss path: the live walk against the copy that asked a [holds]
+   closure at every step.  Graphs of 2-300 peers (random or
+   preferential-attachment), random offline subsets, holder lists that
+   are empty, hold the source, hold offline peers or repeat a peer, and
+   a lossy [deliver] that drops by call order and logs every call.
+   Three searches run back to back through one live scratch, so stamps
+   left by a previous search are inside the run; each must match a
+   fresh reference search in its whole result, its [deliver] calls and
+   the next draw. *)
+type walk_query = {
+  source : int;
+  holders : int list;
+  walkers : int;
+  max_steps : int;
+  check_every : int;
+  lossy : int option; (* drop every [m]-th delivery *)
+  closure_checks_online : bool;
+}
+
+let walk_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* peers = frequency [ (2, int_range 2 12); (3, int_range 13 300) ] in
+    let* ba = bool in
+    let* attach = int_range 1 (min (peers - 1) 4) in
+    let* offline_pct = oneofl [ 0; 10; 30; 80 ] in
+    let peer = int_bound (peers - 1) in
+    let query =
+      let* source = peer in
+      let* holders =
+        frequency
+          [
+            (1, return []);
+            (3, list_size (int_range 1 (min peers 20)) peer);
+            (1, map (fun hs -> source :: hs) (list_size (int_bound 4) peer));
+          ]
+      in
+      let* walkers = int_range 1 16 and* check_every = int_range 1 5 in
+      let* max_steps = int_range 0 (2 * peers) in
+      let* lossy = frequency [ (2, return None); (1, map Option.some (int_range 2 5)) ] in
+      let+ closure_checks_online = bool in
+      { source; holders; walkers; max_steps; check_every; lossy; closure_checks_online }
+    in
+    let* queries = list_repeat 3 query in
+    let+ seed = small_nat in
+    (peers, ba, attach, offline_pct, queries, seed)
+  in
+  let print (peers, ba, attach, offline_pct, queries, seed) =
+    Printf.sprintf "peers=%d %s attach=%d offline=%d%% seed=%d: %s" peers
+      (if ba then "barabasi" else "regularish")
+      attach offline_pct seed
+      (String.concat " | "
+         (List.map
+            (fun q ->
+              Printf.sprintf "src=%d holders=[%s] w=%d steps=%d every=%d lossy=%s online&&=%b"
+                q.source
+                (String.concat ";" (List.map string_of_int q.holders))
+                q.walkers q.max_steps q.check_every
+                (match q.lossy with None -> "-" | Some m -> string_of_int m)
+                q.closure_checks_online)
+            queries))
+  in
+  QCheck.Test.make ~name:"random walk matches the holds-closure reference" ~count:300
+    (QCheck.make ~print case) (fun (peers, ba, attach, offline_pct, queries, seed) ->
+      let module R = Overlay_ref.Random_walk in
+      let rng = Rng.create ~seed in
+      let topo =
+        if ba then Topology.barabasi_albert rng ~peers ~attach
+        else Topology.random_regularish rng ~peers ~degree:attach
+      in
+      let up = Array.init peers (fun _ -> Rng.int rng 100 >= offline_pct) in
+      let online p = up.(p) in
+      let scratch = Pdht_overlay.Scratch.create () in
+      List.for_all
+        (fun q ->
+          let logged () =
+            let calls = ref [] and count = ref 0 in
+            let deliver =
+              Option.map
+                (fun m ~span:_ ~src ~dst ->
+                  calls := (src, dst) :: !calls;
+                  incr count;
+                  !count mod m <> 0)
+                q.lossy
+            in
+            (calls, deliver)
+          in
+          let calls, deliver = logged () and calls_ref, deliver_ref = logged () in
+          let holds p =
+            (if q.closure_checks_online then online p else true) && List.mem p q.holders
+          in
+          let live_rng = Rng.copy rng and ref_rng = Rng.copy rng in
+          ignore (Rng.bits64 rng);
+          let r =
+            Pdht_overlay.Random_walk.search ~scratch ?deliver topo live_rng ~online ~holds
+              ~source:q.source ~walkers:q.walkers ~max_steps:q.max_steps
+              ~check_every:q.check_every
+          in
+          let e =
+            R.search ?deliver:deliver_ref topo ref_rng ~online ~holds ~source:q.source
+              ~walkers:q.walkers ~max_steps:q.max_steps ~check_every:q.check_every
+          in
+          let open Pdht_overlay.Random_walk in
+          r.found_at = e.R.found_at
+          && r.steps_taken = e.R.steps_taken
+          && r.messages = e.R.messages
+          && r.distinct_visited = e.R.distinct_visited
+          && r.rounds = e.R.rounds
+          && !calls = !calls_ref
+          && same_next_draw live_rng ref_rng)
+        queries)
+
+(* The placement sampler against its [Hashtbl] copy: every n from 1 to
+   5,000 with k at 0, at n, or anywhere between. *)
+let sampling_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* n = frequency [ (2, int_range 1 8); (3, int_range 9 500); (1, int_range 501 5_000) ] in
+    let* k = frequency [ (1, return 0); (1, return n); (4, int_range 0 n) ] in
+    let+ seed = small_nat in
+    (n, k, seed)
+  in
+  let print (n, k, seed) = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
+  QCheck.Test.make ~name:"sampling matches the Hashtbl reference" ~count:300
+    (QCheck.make ~print case) (fun (n, k, seed) ->
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      Pdht_util.Sampling.sample_without_replacement rng ~k ~n
+      = Overlay_ref.Sampling.sample_without_replacement rng_ref ~k ~n
+      && same_next_draw rng rng_ref)
+
 (* Construction scratch is sized to the output.  Words allocated
    (minor plus direct major, promotions counted once) stay within a
    small multiple of the members or peers built; a dense n x (n - 1)
@@ -654,6 +784,8 @@ let qcheck_tests =
     replica_net_ref_test;
     topology_ref_test;
     replication_ref_test;
+    walk_ref_test;
+    sampling_ref_test;
     kademlia_closest_test;
     kademlia_responsible_test;
   ]
