@@ -167,8 +167,9 @@ let search_ablation ?jobs ~seed ~peers ~repl ~trials () =
           if r.Pdht_overlay.Expanding_ring.found_at <> None then incr successes
       | _ ->
           let r =
-            Pdht_overlay.Random_walk.search topology rng ~online ~holds ~source ~walkers:16
-              ~max_steps:(2 * peers) ~check_every:4
+            Pdht_overlay.Random_walk.search topology rng ~online
+              ~holders:(Pdht_overlay.Replication.replicas replication ~item)
+              ~source ~walkers:16 ~max_steps:(2 * peers) ~check_every:4
           in
           messages := !messages + r.Pdht_overlay.Random_walk.messages;
           reached := !reached + r.Pdht_overlay.Random_walk.distinct_visited;

@@ -6,27 +6,38 @@ type result = {
   rounds : int;
 }
 
-let search ?scratch ?span ?deliver topo rng ~online ~holds ~source ~walkers
+let search ?scratch ?span ?deliver topo rng ~online ~holders ~source ~walkers
     ~max_steps ~check_every =
   if walkers < 1 then invalid_arg "Random_walk.search: walkers must be >= 1";
   if check_every < 1 then invalid_arg "Random_walk.search: check_every must be >= 1";
+  let n = Topology.peer_count topo in
+  for i = 0 to Array.length holders - 1 do
+    let h = holders.(i) in
+    if h < 0 || h >= n then invalid_arg "Random_walk.search: holder out of range"
+  done;
   if not (online source) then
     { found_at = None; steps_taken = 0; messages = 0; distinct_visited = 0; rounds = 0 }
   else begin
     let scratch = match scratch with Some s -> s | None -> Scratch.create () in
-    let n = Topology.peer_count topo in
     Scratch.ensure_peers scratch n;
     Scratch.ensure_walkers scratch walkers;
     let gen = Scratch.next_generation scratch in
     let stamp = scratch.Scratch.stamp in
+    (* Holders are stamped [-gen] and visited peers [gen], so one read
+       of [stamp.(q)] per step answers both "visited?" and "first visit
+       of a holder?".  Only a holder's first visit matters: [found_at]
+       is set from then on. *)
+    for i = 0 to Array.length holders - 1 do
+      stamp.(holders.(i)) <- -gen
+    done;
     (* Staging buffer for a step's online neighbors: filled in place so
        no per-step list/array is built.  One RNG draw per non-stalled
        step, exactly as a fresh-allocation implementation would make. *)
     let candidates = scratch.Scratch.candidates in
     let positions = scratch.Scratch.positions in
+    let found_at = ref (if stamp.(source) = -gen then source else -1) in
     stamp.(source) <- gen;
     let distinct = ref 1 in
-    let found_at = ref (if holds source then source else -1) in
     Array.fill positions 0 walkers source;
     let steps = ref 0 in
     let messages = ref 0 in
@@ -34,6 +45,13 @@ let search ?scratch ?span ?deliver topo rng ~online ~holds ~source ~walkers
     let stop = ref (!found_at >= 0) in
     while (not !stop) && !round < max_steps do
       incr round;
+      (* Read every walker's adjacency row before any walker steps.  The
+         reads are independent, so their cache misses overlap instead of
+         each queuing behind its walker's RNG draw. *)
+      for w = 0 to walkers - 1 do
+        let p = positions.(w) in
+        if Topology.degree topo p > 0 then ignore (Sys.opaque_identity (Topology.neighbor topo p 0))
+      done;
       (* One synchronous step of every walker. *)
       for w = 0 to walkers - 1 do
         let p = positions.(w) in
@@ -82,11 +100,12 @@ let search ?scratch ?span ?deliver topo rng ~online ~holds ~source ~walkers
           in
           if delivered then begin
             positions.(w) <- q;
-            if stamp.(q) <> gen then begin
+            let s = stamp.(q) in
+            if s <> gen then begin
               stamp.(q) <- gen;
-              incr distinct
-            end;
-            if holds q && !found_at < 0 then found_at := q
+              incr distinct;
+              if s = -gen && !found_at < 0 then found_at := q
+            end
           end
         end
         (* else: stalled walker; retries next round *)

@@ -24,7 +24,7 @@ val search :
   Topology.t ->
   Pdht_util.Rng.t ->
   online:(int -> bool) ->
-  holds:(int -> bool) ->
+  holders:int array ->
   source:int ->
   walkers:int ->
   max_steps:int ->
@@ -34,9 +34,18 @@ val search :
     [check_every >= 1].  Walkers step to a uniform online neighbor
     (stalling costs nothing when a peer has no online neighbor).
 
-    [scratch] reuses the visited set, candidate buffer and walker
-    positions across calls; results (including the RNG draw sequence)
-    are identical with or without it.
+    [holders] is the item's replica set, in any order, duplicates
+    allowed.  A peer is found only if it is in [holders] and the walk
+    reaches it; the walk starts at an online [source] and only ever
+    steps onto online peers, so an offline holder is never found.
+    [found_at] is the first holder reached (the source itself when it
+    holds the item, at no cost).
+    @raise Invalid_argument if a holder is outside
+    [\[0, peer_count topo)], whether or not the source is online.
+
+    [scratch] reuses the visited set (which also marks the holders),
+    candidate buffer and walker positions across calls; results
+    (including the RNG draw sequence) are identical with or without it.
 
     [deliver] applies the network model to step messages: a lost step
     is counted but the walker stays put for that round (termination

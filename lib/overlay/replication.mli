@@ -3,8 +3,8 @@
     Each stored item (news article, and by extension each of its keys)
     is placed on [repl] uniformly random peers, matching the paper's
     "we replicate keys with a certain factor at random peers".  The
-    table answers [holds] queries for unstructured search and exposes
-    the replica set for the gossip subnetwork. *)
+    table exposes the replica set, which the random walk and the gossip
+    subnetwork start from, and answers [holds] queries for floods. *)
 
 type t
 
@@ -29,7 +29,8 @@ val remove_peer : t -> peer:int -> int
     item, O(items * log repl): the table keeps no per-peer view. *)
 
 val replicas : t -> item:int -> int array
-(** Peers currently holding [item] (empty if never placed). *)
+(** Peers currently holding [item], ascending and distinct (empty if
+    never placed). *)
 
 val holds : t -> peer:int -> item:int -> bool
 val items_at : t -> peer:int -> int list

@@ -3,7 +3,10 @@
    The visited set is a generation-stamped int array: a peer is
    "visited" when its stamp equals the current generation, so starting a
    new search is a single increment instead of an O(n) [Array.make]
-   (or worse, a fresh allocation) per broadcast.  Frontier, candidate
+   (or worse, a fresh allocation) per broadcast.  A random walk marks
+   the item's holders with the negated generation in the same array;
+   generations start at 1, so no stamp of another search, and no
+   initial 0, reads as either mark.  Frontier, candidate
    and walker-position buffers are preallocated flat int arrays that the
    search algorithms index directly.
 

@@ -14,7 +14,12 @@
 type t = {
   mutable stamp : int array;
       (** [stamp.(p) = generation] means peer [p] was visited in the
-          current search. *)
+          current search.  {!Random_walk.search} also stamps each of
+          the item's holders [-generation] before it starts, so one
+          read tells a step both whether the peer was visited and
+          whether this is a holder's first visit; a visit overwrites
+          the holder stamp with [generation].  Stamps of earlier
+          searches, of either sign, equal neither. *)
   mutable generation : int;
   mutable frontier : int array;
   mutable next_frontier : int array;

@@ -23,10 +23,10 @@ let strategy t = t.strategy
 type outcome = { found : bool; messages : int; provider : int option; rounds : int }
 
 let search ?span ?deliver t rng ~online ~source ~item =
-  let holds p = online p && Replication.holds t.replication ~peer:p ~item in
+  let holders = Replication.replicas t.replication ~item in
   let { walkers; max_steps; check_every } = t.strategy in
   let r =
-    Random_walk.search ~scratch:t.scratch ?span ?deliver t.topology rng ~online ~holds ~source
+    Random_walk.search ~scratch:t.scratch ?span ?deliver t.topology rng ~online ~holders ~source
       ~walkers ~max_steps ~check_every
   in
   { found = r.Random_walk.found_at <> None; messages = r.Random_walk.messages;

@@ -13,6 +13,21 @@ let choose rng arr =
   if Array.length arr = 0 then invalid_arg "Sampling.choose: empty array";
   arr.(Rng.int rng (Array.length arr))
 
+(* [displaced] below maps a pool position to the value the virtual
+   pool holds there, as (position + 1, value) pairs in one flat int
+   array: open addressing with linear probing, a 0 key marks an empty
+   slot.  [slot table mask pos] is the pair index holding [pos], or the
+   empty one where it would go, and [held] reads the pool there.  The
+   slot is [pos] itself, masked: keys are uniform draws, so their low
+   bits are already uniform, and a pool no larger than the table never
+   collides. *)
+let rec probe (table : int array) mask key s =
+  let at = table.(2 * s) in
+  if at = 0 || at = key then s else probe table mask key ((s + 1) land mask)
+
+let slot table mask pos = probe table mask (pos + 1) (pos land mask)
+let held (table : int array) s pos = if table.(2 * s) = 0 then pos else table.((2 * s) + 1)
+
 let sample_without_replacement rng ~k ~n =
   if k < 0 || k > n then invalid_arg "Sampling.sample_without_replacement";
   (* Sparse partial Fisher-Yates: O(k) time and space instead of
@@ -20,34 +35,26 @@ let sample_without_replacement rng ~k ~n =
      O(n) — ruinous when P-Grid construction samples references out of
      half the population per peer).  [displaced] records only the
      positions the virtual pool differs from the identity at; draws and
-     output are index-for-index identical to shuffling the real pool. *)
-  let displaced = Hashtbl.create (2 * k + 1) in
-  let get i = match Hashtbl.find_opt displaced i with Some v -> v | None -> i in
+     output are index-for-index identical to shuffling the real pool.
+     It holds at most [k] entries in at least [2k] slots. *)
+  let slots = ref 2 in
+  while !slots < 2 * k do
+    slots := 2 * !slots
+  done;
+  let mask = !slots - 1 in
+  let displaced = Array.make (2 * !slots) 0 in
   let out = Array.make (max k 1) 0 in
   for i = 0 to k - 1 do
     let j = Rng.int_in_range rng ~lo:i ~hi:(n - 1) in
-    let vi = get i and vj = get j in
-    out.(i) <- vj;
+    let vi = held displaced (slot displaced mask i) i in
+    let sj = slot displaced mask j in
+    out.(i) <- held displaced sj j;
     (* Position [i] is never read again (future draws live in
        [i+1, n-1]), so only [j]'s displacement needs recording. *)
-    Hashtbl.replace displaced j vi
+    displaced.(2 * sj) <- j + 1;
+    displaced.((2 * sj) + 1) <- vi
   done;
   if k = Array.length out then out else Array.sub out 0 k
-
-let reservoir rng ~k seq =
-  if k < 0 then invalid_arg "Sampling.reservoir";
-  let buf = ref [||] in
-  let seen = ref 0 in
-  let visit x =
-    incr seen;
-    let n = !seen in
-    if n <= k then buf := Array.append !buf [| x |]
-    else
-      let j = Rng.int rng n in
-      if j < k then !buf.(j) <- x
-  in
-  Seq.iter visit seq;
-  !buf
 
 let weighted_index rng weights =
   let total = Array.fold_left ( +. ) 0. weights in

@@ -18,13 +18,10 @@ val choose : Rng.t -> 'a array -> 'a
 val sample_without_replacement : Rng.t -> k:int -> n:int -> int array
 (** [sample_without_replacement rng ~k ~n] draws [k] distinct indices
     from [\[0, n)], in random order.  Requires [0 <= k <= n].  Uses a
-    sparse partial Fisher-Yates pass, O(k) time and space — draws and
-    output are identical to shuffling a materialised pool, so callers'
-    streams are unchanged while [n] can be millions. *)
-
-val reservoir : Rng.t -> k:int -> 'a Seq.t -> 'a array
-(** Reservoir sampling: [k] uniform elements of a sequence of unknown
-    length (fewer if the sequence is shorter). *)
+    sparse partial Fisher-Yates pass, O(k) time and space (its
+    displacements live in one flat open-addressed int array) — draws
+    and output are identical to shuffling a materialised pool, so
+    callers' streams are unchanged while [n] can be millions. *)
 
 val weighted_index : Rng.t -> float array -> int
 (** [weighted_index rng weights] draws index [i] with probability

@@ -204,9 +204,9 @@ let test_walk_finds_common_item () =
   let rng = Rng.create ~seed:7 in
   let t = Topology.random_regularish rng ~peers:200 ~degree:4 in
   (* 10% of peers hold the item: walks find it fast. *)
-  let holds p = p mod 10 = 0 in
+  let holders = Array.init 20 (fun i -> 10 * i) in
   let r =
-    Random_walk.search t rng ~online:all_online ~holds ~source:1 ~walkers:8
+    Random_walk.search t rng ~online:all_online ~holders ~source:1 ~walkers:8
       ~max_steps:1000 ~check_every:4
   in
   Alcotest.(check bool) "found" true (r.Random_walk.found_at <> None);
@@ -216,7 +216,7 @@ let test_walk_gives_up () =
   let rng = Rng.create ~seed:8 in
   let t = Topology.random_regularish rng ~peers:50 ~degree:3 in
   let r =
-    Random_walk.search t rng ~online:all_online ~holds:(fun _ -> false) ~source:0
+    Random_walk.search t rng ~online:all_online ~holders:[||] ~source:0
       ~walkers:4 ~max_steps:20 ~check_every:4
   in
   Alcotest.(check (option int)) "not found" None r.Random_walk.found_at;
@@ -226,7 +226,7 @@ let test_walk_source_holds () =
   let rng = Rng.create ~seed:9 in
   let t = Topology.ring_lattice ~peers:10 ~k:1 in
   let r =
-    Random_walk.search t rng ~online:all_online ~holds:(fun p -> p = 3) ~source:3
+    Random_walk.search t rng ~online:all_online ~holders:[| 3 |] ~source:3
       ~walkers:4 ~max_steps:100 ~check_every:4
   in
   Alcotest.(check (option int)) "immediate hit" (Some 3) r.Random_walk.found_at;
@@ -236,8 +236,8 @@ let test_walk_offline_source () =
   let rng = Rng.create ~seed:10 in
   let t = Topology.ring_lattice ~peers:10 ~k:1 in
   let r =
-    Random_walk.search t rng ~online:(fun p -> p <> 0) ~holds:(fun _ -> true) ~source:0
-      ~walkers:4 ~max_steps:100 ~check_every:4
+    Random_walk.search t rng ~online:(fun p -> p <> 0) ~holders:(Array.init 10 Fun.id)
+      ~source:0 ~walkers:4 ~max_steps:100 ~check_every:4
   in
   Alcotest.(check int) "no work" 0 r.Random_walk.messages
 
@@ -247,22 +247,33 @@ let test_walk_validation () =
   Alcotest.check_raises "walkers" (Invalid_argument "Random_walk.search: walkers must be >= 1")
     (fun () ->
       ignore
-        (Random_walk.search t rng ~online:all_online ~holds:(fun _ -> false) ~source:0
-           ~walkers:0 ~max_steps:10 ~check_every:4))
+        (Random_walk.search t rng ~online:all_online ~holders:[||] ~source:0
+           ~walkers:0 ~max_steps:10 ~check_every:4));
+  List.iter
+    (fun online ->
+      Alcotest.check_raises "holder out of range"
+        (Invalid_argument "Random_walk.search: holder out of range") (fun () ->
+          ignore
+            (Random_walk.search t rng ~online ~holders:[| 2; 10 |] ~source:0 ~walkers:1
+               ~max_steps:10 ~check_every:4)))
+    [ all_online; (fun p -> p <> 0) ]
 
+(* Every offline peer holds the item and no online peer does: a walk
+   that stepped onto an offline peer would find it, or count it as
+   visited. *)
 let test_walk_respects_offline_peers () =
-  let rng = Rng.create ~seed:12 in
   let t = Topology.ring_lattice ~peers:20 ~k:2 in
   let offline p = p >= 10 in
-  let visited_offline = ref false in
-  let holds p =
-    if offline p then visited_offline := true;
-    false
-  in
-  ignore
-    (Random_walk.search t rng ~online:(fun p -> not (offline p)) ~holds ~source:0
-       ~walkers:4 ~max_steps:50 ~check_every:4);
-  Alcotest.(check bool) "never steps onto offline peers" false !visited_offline
+  let holders = Array.init 10 (fun i -> 10 + i) in
+  for seed = 1 to 20 do
+    let rng = Rng.create ~seed in
+    let r =
+      Random_walk.search t rng ~online:(fun p -> not (offline p)) ~holders ~source:0
+        ~walkers:4 ~max_steps:50 ~check_every:4
+    in
+    Alcotest.(check (option int)) "no offline holder found" None r.Random_walk.found_at;
+    Alcotest.(check bool) "visits online peers only" true (r.Random_walk.distinct_visited <= 10)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Replication *)
@@ -423,6 +434,15 @@ let qcheck_tests =
         let r = Replication.create ~peers in
         Replication.place r rng ~item:0 ~repl;
         Array.length (Replication.replicas r ~item:0) = min repl peers);
+    (* Long lists with many repeats drive [place_on]'s quicksort path,
+       not only its insertion-sort runs. *)
+    Test.make ~name:"place_on keeps the sorted distinct set" ~count:200
+      (pair (int_range 1 400) (list_of_size Gen.(int_range 0 600) (int_bound 399)))
+      (fun (peers, ps) ->
+        let ps = List.map (fun p -> p mod peers) ps in
+        let r = Replication.create ~peers in
+        Replication.place_on r ~item:0 ~replicas:(Array.of_list ps);
+        Replication.replicas r ~item:0 = Array.of_list (List.sort_uniq compare ps));
     (* Scratch reuse must be observationally invisible: a single scratch
        threaded through a whole sequence of searches (so it carries
        stamps, frontier contents and walker positions from previous
@@ -467,16 +487,18 @@ let qcheck_tests =
         let scratch = Pdht_overlay.Scratch.create () in
         List.for_all
           (fun q ->
-            let holds p = p mod (q + 4) = 2 in
+            let holders =
+              Array.of_list (List.filter (fun p -> p mod (q + 4) = 2) (List.init peers Fun.id))
+            in
             let source = q * 7 mod peers in
             (* Identical RNG state for both runs: equality covers the
                draw sequence, not just the aggregate result. *)
             let r1 = Rng.copy rng in
             let r2 = Rng.copy rng in
             ignore (Rng.bits64 rng);
-            Random_walk.search ~scratch t r1 ~online ~holds ~source ~walkers
+            Random_walk.search ~scratch t r1 ~online ~holders ~source ~walkers
               ~max_steps:50 ~check_every:4
-            = Random_walk.search t r2 ~online ~holds ~source ~walkers ~max_steps:50
+            = Random_walk.search t r2 ~online ~holders ~source ~walkers ~max_steps:50
                 ~check_every:4
             && Rng.bits64 r1 = Rng.bits64 r2)
           [ 0; 1; 2; 3; 4 ]);

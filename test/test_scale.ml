@@ -666,9 +666,9 @@ let walk_ref_test =
           let live_rng = Rng.copy rng and ref_rng = Rng.copy rng in
           ignore (Rng.bits64 rng);
           let r =
-            Pdht_overlay.Random_walk.search ~scratch ?deliver topo live_rng ~online ~holds
-              ~source:q.source ~walkers:q.walkers ~max_steps:q.max_steps
-              ~check_every:q.check_every
+            Pdht_overlay.Random_walk.search ~scratch ?deliver topo live_rng ~online
+              ~holders:(Array.of_list q.holders) ~source:q.source ~walkers:q.walkers
+              ~max_steps:q.max_steps ~check_every:q.check_every
           in
           let e =
             R.search ?deliver:deliver_ref topo ref_rng ~online ~holds ~source:q.source

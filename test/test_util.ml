@@ -213,18 +213,6 @@ let test_sample_without_replacement_full () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "whole population" [| 0; 1; 2; 3; 4 |] sorted
 
-let test_reservoir_short_input () =
-  let rng = Rng.create ~seed:25 in
-  let out = Sampling.reservoir rng ~k:10 (List.to_seq [ 1; 2; 3 ]) in
-  let sorted = Array.copy out in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "keeps everything" [| 1; 2; 3 |] sorted
-
-let test_reservoir_size () =
-  let rng = Rng.create ~seed:26 in
-  let out = Sampling.reservoir rng ~k:5 (Seq.init 100 Fun.id) in
-  Alcotest.(check int) "k elements" 5 (Array.length out)
-
 let test_weighted_index () =
   let rng = Rng.create ~seed:27 in
   let counts = Array.make 3 0 in
@@ -516,8 +504,6 @@ let () =
           Alcotest.test_case "choose empty raises" `Quick test_choose_empty_raises;
           Alcotest.test_case "swr distinct" `Quick test_sample_without_replacement_distinct;
           Alcotest.test_case "swr full population" `Quick test_sample_without_replacement_full;
-          Alcotest.test_case "reservoir short input" `Quick test_reservoir_short_input;
-          Alcotest.test_case "reservoir size" `Quick test_reservoir_size;
           Alcotest.test_case "weighted index" `Quick test_weighted_index;
           Alcotest.test_case "alias matches weights" `Quick test_alias_matches_weights;
           Alcotest.test_case "alias rejects bad weights" `Quick test_alias_rejects_bad_weights;
