@@ -465,6 +465,147 @@ let test_ladder_zero_retries_one_shot () =
     ~want_result:None ~want_calls:[ (0, 0.25) ]
 
 (* ------------------------------------------------------------------ *)
+(* Hook vs [Net_ref], the closure-ladder copy kept verbatim.  Random
+   configs cover every latency shape, loss 0-0.5, 0-3 partition
+   windows over peers 0-7 and every retry/backoff setting; one
+   operation list drives both hooks (each with its own RNG, registry
+   and recording tracer) and after every step the returns, [elapsed],
+   [now], the [net.*] counters, the traced events, the latency
+   histogram and the next draw must agree. *)
+
+type hook_op =
+  | H_begin of float
+  | H_rpc of int * int * int option (* src, dst, parent span *)
+  | H_cast of int * int * int option
+  | H_rounds of int
+  | H_record
+
+let hook_op_print = function
+  | H_begin now -> Printf.sprintf "begin(%g)" now
+  | H_rpc (s, d, p) ->
+      Printf.sprintf "rpc(%d,%d,%s)" s d (match p with None -> "-" | Some p -> string_of_int p)
+  | H_cast (s, d, p) ->
+      Printf.sprintf "cast(%d,%d,%s)" s d (match p with None -> "-" | Some p -> string_of_int p)
+  | H_rounds n -> Printf.sprintf "rounds(%d)" n
+  | H_record -> "record"
+
+let hook_config_print (c : Config.t) =
+  Printf.sprintf "%s loss %g timeout %g retries %d backoff %g partitions [%s]"
+    (Config.latency_to_string c.latency) c.loss c.rpc_timeout c.rpc_retries c.backoff
+    (String.concat "; "
+       (List.map
+          (fun (p : Config.partition) ->
+            let ids a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+            Printf.sprintf "{%s}|{%s} [%g,%g)" (ids p.group_a) (ids p.group_b) p.from_time
+              p.until_time)
+          c.partitions))
+
+let hook_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* latency =
+      frequency
+        [
+          (1, map (fun s -> Config.Constant s) (oneofl [ 0.; 0.02; 0.05; 0.1 ]));
+          ( 1,
+            map2
+              (fun lo w -> Config.Uniform { lo; hi = lo +. w })
+              (float_bound_inclusive 0.1) (oneofl [ 0.; 0.05; 0.2 ]) );
+          ( 1,
+            map2
+              (fun mu sigma -> Config.Lognormal { mu; sigma })
+              (float_range (-5.) (-1.)) (oneofl [ 0.; 0.5; 1.2 ]) );
+        ]
+    in
+    let* loss = frequency [ (1, return 0.); (2, float_bound_inclusive 0.5) ] in
+    let peer = int_bound 7 in
+    let group = map Array.of_list (list_size (int_range 1 4) peer) in
+    let window =
+      map3
+        (fun (group_a, group_b) from_time len ->
+          { Config.group_a; group_b; from_time; until_time = from_time +. len })
+        (pair group group) (float_bound_inclusive 100.) (float_bound_inclusive 50.)
+    in
+    let* partitions = list_size (int_bound 3) window in
+    let* rpc_timeout = oneofl [ 0.1; 0.5; 1.0; 2.0 ] in
+    let* rpc_retries = int_bound 4 in
+    let* backoff = oneof [ return 1.; return 2.; float_range 1. 3. ] in
+    let* seed = int_bound 1_000_000 in
+    let span = frequency [ (1, return None); (1, map Option.some (int_bound 50)) ] in
+    let op =
+      frequency
+        [
+          (2, map (fun now -> H_begin now) (float_bound_inclusive 150.));
+          (6, map3 (fun s d p -> H_rpc (s, d, p)) peer peer span);
+          (3, map3 (fun s d p -> H_cast (s, d, p)) peer peer span);
+          (2, map (fun n -> H_rounds n) (int_bound 3));
+          (1, return H_record);
+        ]
+    in
+    let+ ops = list_size (int_range 1 60) op in
+    ( { Config.latency; loss; partitions; rpc_timeout; rpc_retries; backoff },
+      seed,
+      ops )
+  in
+  let print (config, seed, ops) =
+    Printf.sprintf "%s seed %d: %s" (hook_config_print config) seed
+      (String.concat " " (List.map hook_op_print ops))
+  in
+  QCheck.Test.make ~name:"hook matches the closure-ladder reference" ~count:500
+    (QCheck.make ~print case) (fun (config, seed, ops) ->
+      let recording () =
+        let events = ref [] in
+        let tracer = Pdht_obs.Tracer.create ~enabled:true () in
+        Pdht_obs.Tracer.add_sink tracer (Pdht_obs.Sink.callback (fun e -> events := e :: !events));
+        (Pdht_obs.Context.create ~tracer (), events)
+      in
+      let obs, events = recording () and obs_ref, events_ref = recording () in
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let h = Hook.create ~obs ~rng config in
+      let r = Net_ref.Hook.create ~obs:obs_ref ~rng:rng_ref config in
+      let counters obs =
+        List.map (counter obs)
+          [
+            "net.messages_sent"; "net.messages_dropped"; "net.messages_retried";
+            "net.messages_timed_out";
+          ]
+      in
+      let latencies obs =
+        Option.map Histogram.summary
+          (Registry.find_histogram (Pdht_obs.Context.registry obs) "net.query_latency_ms")
+      in
+      let rec run = function
+        | [] -> true
+        | op :: rest ->
+            let same =
+              match op with
+              | H_begin now ->
+                  Hook.begin_op h ~now;
+                  Net_ref.Hook.begin_op r ~now;
+                  true
+              | H_rpc (src, dst, span) ->
+                  Hook.rpc ?span h ~src ~dst = Net_ref.Hook.rpc ?span r ~src ~dst
+              | H_cast (src, dst, span) ->
+                  Hook.cast ?span h ~src ~dst = Net_ref.Hook.cast ?span r ~src ~dst
+              | H_rounds n ->
+                  Hook.advance_rounds h n;
+                  Net_ref.Hook.advance_rounds r n;
+                  true
+              | H_record ->
+                  Hook.record_latency h;
+                  Net_ref.Hook.record_latency r;
+                  true
+            in
+            same
+            && Hook.elapsed h = Net_ref.Hook.elapsed r
+            && Hook.now h = Net_ref.Hook.now r
+            && counters obs = counters obs_ref
+            && !events = !events_ref
+            && compare (latencies obs) (latencies obs_ref) = 0
+            && Rng.bits64 rng = Rng.bits64 rng_ref
+            && run rest
+      in
+      run ops)
 
 let () =
   Alcotest.run "pdht_net"
@@ -504,6 +645,7 @@ let () =
       ( "ladder",
         [
           QCheck_alcotest.to_alcotest prop_backoff_schedule;
+          QCheck_alcotest.to_alcotest hook_ref_test;
           Alcotest.test_case "retry then give up" `Quick test_ladder_retry_then_give_up;
           Alcotest.test_case "reply settles once" `Quick test_ladder_reply_settles_once;
           Alcotest.test_case "zero retries one shot" `Quick

@@ -775,6 +775,162 @@ let kademlia_responsible_test =
       in
       got = want)
 
+(* Flat-row Kademlia vs [Kademlia_ref], the jagged-table module kept
+   verbatim.  Both are built from one seed and driven by one operation
+   list; churn flips members between operations and [deliver] drops
+   every [m]-th call, so lookups route around dead and unreachable
+   contacts in both disciplines.  After every operation the returns,
+   the [deliver] call logs, [live_stats], [contact_stats], every
+   member's table size and bucket count and the next draw must agree. *)
+type kad_op =
+  | K_lookup of int * int (* source, key *)
+  | K_lookup_id of int * int (* source, member whose id is the key *)
+  | K_probe of int * int (* peer, probes *)
+  | K_refresh
+  | K_forget of int
+  | K_rebuild of int
+  | K_drain
+  | K_flip of int (* toggle a member online/offline *)
+
+let kad_op_print = function
+  | K_lookup (s, k) -> Printf.sprintf "lookup(%d,%d)" s k
+  | K_lookup_id (s, m) -> Printf.sprintf "lookup-id(%d,%d)" s m
+  | K_probe (p, n) -> Printf.sprintf "probe(%d,%d)" p n
+  | K_refresh -> "refresh"
+  | K_forget p -> Printf.sprintf "forget(%d)" p
+  | K_rebuild p -> Printf.sprintf "rebuild(%d)" p
+  | K_drain -> "drain"
+  | K_flip m -> Printf.sprintf "flip(%d)" m
+
+let kademlia_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* members =
+      frequency [ (3, int_range 1 40); (2, int_range 41 200); (1, int_range 201 600) ]
+    in
+    let* bucket_size = int_range 1 8 in
+    let* alpha = int_range 1 4 in
+    let* live = frequency [ (1, return None); (2, map Option.some (int_range 0 3)) ] in
+    let* offline_pct = oneofl [ 0; 10; 30; 50; 80 ] in
+    let* drop_every = oneofl [ 0; 2; 3; 5; 7 ] in
+    let* seed = int_bound 1_000_000 in
+    let m = int_bound (members - 1) in
+    let op =
+      frequency
+        [
+          (8, map2 (fun s k -> K_lookup (s, k)) m (int_bound max_int));
+          (2, map2 (fun s t -> K_lookup_id (s, t)) m m);
+          (3, map2 (fun p n -> K_probe (p, n)) m (int_range 0 6));
+          (1, return K_refresh);
+          (1, map (fun p -> K_forget p) m);
+          (1, map (fun p -> K_rebuild p) m);
+          (1, return K_drain);
+          (3, map (fun p -> K_flip p) m);
+        ]
+    in
+    let+ ops = list_size (int_range 1 40) op in
+    (members, bucket_size, alpha, live, offline_pct, drop_every, seed, ops)
+  in
+  let print (members, bucket_size, alpha, live, offline_pct, drop_every, seed, ops) =
+    Printf.sprintf "members %d k %d alpha %d live %s offline %d%% drop-every %d seed %d: %s"
+      members bucket_size alpha
+      (match live with None -> "frozen" | Some r -> Printf.sprintf "retries=%d" r)
+      offline_pct drop_every seed
+      (String.concat " " (List.map kad_op_print ops))
+  in
+  QCheck.Test.make ~name:"kademlia matches the jagged-table reference" ~count:150
+    (QCheck.make ~print case)
+    (fun (members, bucket_size, alpha, live, offline_pct, drop_every, seed, ops) ->
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let t = Kademlia.create rng ~members ~bucket_size ~alpha () in
+      let r = Kademlia_ref.create rng_ref ~members ~bucket_size ~alpha () in
+      Option.iter
+        (fun probe_retries ->
+          Kademlia.enable_live_routing ~probe_retries t;
+          Kademlia_ref.enable_live_routing ~probe_retries r)
+        live;
+      let mask = Rng.create ~seed:(seed + 1) in
+      let up = Array.init members (fun _ -> Rng.int mask 100 >= offline_pct) in
+      let online m = up.(m) in
+      (* Each side gets its own counter, so both drop the same calls
+         exactly when both make the same calls. *)
+      let deliverer () =
+        let calls = ref 0 and log = ref [] in
+        let deliver ~span ~src ~dst =
+          incr calls;
+          log := (span, src, dst) :: !log;
+          drop_every = 0 || !calls mod drop_every <> 0
+        in
+        (deliver, log)
+      in
+      let deliver, log = deliverer () and deliver_ref, log_ref = deliverer () in
+      let live_stats () =
+        Option.map
+          (fun (s : Kademlia.live_stats) ->
+            ( s.probes,
+              s.probe_messages,
+              s.refresh_messages,
+              (s.evictions, s.promotions, s.insertions, s.cache_fills) ))
+          (Kademlia.live_stats t)
+      in
+      let live_stats_ref () =
+        Option.map
+          (fun (s : Kademlia_ref.live_stats) ->
+            ( s.probes,
+              s.probe_messages,
+              s.refresh_messages,
+              (s.evictions, s.promotions, s.insertions, s.cache_fills) ))
+          (Kademlia_ref.live_stats r)
+      in
+      let same_tables () =
+        let ok = ref true in
+        for m = 0 to members - 1 do
+          if
+            Kademlia.routing_table_size t m <> Kademlia_ref.routing_table_size r m
+            || Kademlia.bucket_count t m <> Kademlia_ref.bucket_count r m
+          then ok := false
+        done;
+        !ok
+      in
+      let lookup step source key =
+        let span = if step mod 2 = 0 then Some step else None in
+        let o = Kademlia.lookup ?span ~deliver t ~online ~source ~key in
+        let o_ref = Kademlia_ref.lookup ?span ~deliver:deliver_ref r ~online ~source ~key in
+        o.responsible = o_ref.responsible && o.messages = o_ref.messages && o.hops = o_ref.hops
+      in
+      let rec run step = function
+        | [] -> true
+        | op :: rest ->
+             let same =
+               match op with
+               | K_lookup (source, k) ->
+                   lookup step source (Bitkey.of_int (k land ((1 lsl Bitkey.width) - 1)))
+               | K_lookup_id (source, m) -> lookup step source (Kademlia.id_of t m)
+               | K_probe (peer, probes) ->
+                   Kademlia.probe_and_repair t rng ~online ~peer ~probes
+                   = Kademlia_ref.probe_and_repair r rng_ref ~online ~peer ~probes
+               | K_refresh ->
+                   Kademlia.refresh_sweep t rng ~online
+                   = Kademlia_ref.refresh_sweep r rng_ref ~online
+               | K_forget peer ->
+                   Kademlia.forget_routes t ~peer;
+                   Kademlia_ref.forget_routes r ~peer;
+                   true
+               | K_rebuild peer ->
+                   Kademlia.rebuild_routes t rng ~peer = Kademlia_ref.rebuild_routes r rng_ref ~peer
+               | K_drain -> Kademlia.drain_probe_cost t = Kademlia_ref.drain_probe_cost r
+               | K_flip m ->
+                   up.(m) <- not up.(m);
+                   true
+             in
+             same && !log = !log_ref
+             && live_stats () = live_stats_ref ()
+             && Kademlia.contact_stats t = Kademlia_ref.contact_stats r
+             && same_tables () && same_next_draw rng rng_ref
+             && run (step + 1) rest
+      in
+      run 0 ops)
+
 let qcheck_tests =
   [
     storage_model_test;
@@ -788,6 +944,7 @@ let qcheck_tests =
     sampling_ref_test;
     kademlia_closest_test;
     kademlia_responsible_test;
+    kademlia_ref_test;
   ]
 
 let () =

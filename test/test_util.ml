@@ -326,6 +326,48 @@ let test_bitkey_common_prefix () =
   let c = Bitkey.flip_bit a 10 in
   Alcotest.(check int) "bit 10 differs" 10 (Bitkey.common_prefix_length a c)
 
+(* The bit loop [common_prefix_length] replaced: compare MSB-first
+   until the first differing bit. *)
+let cpl_bit_loop a b =
+  let rec go i = if i = Bitkey.width || Bitkey.bit a i <> Bitkey.bit b i then i else go (i + 1) in
+  go 0
+
+(* Equal keys give [width]; a single differing bit at position [i]
+   gives [i], for every position, over random base keys. *)
+let test_bitkey_common_prefix_each_bit () =
+  let rng = Rng.create ~seed:62 in
+  for _ = 1 to 20 do
+    let a = Bitkey.random rng in
+    Alcotest.(check int) "equal keys" Bitkey.width (Bitkey.common_prefix_length a a);
+    for i = 0 to Bitkey.width - 1 do
+      let b = Bitkey.flip_bit a i in
+      Alcotest.(check int) (Printf.sprintf "bit %d differs" i) i (Bitkey.common_prefix_length a b);
+      Alcotest.(check int) (Printf.sprintf "bit %d differs, bit loop" i) i (cpl_bit_loop a b)
+    done
+  done
+
+let bitkey_cpl_test =
+  (* Random pairs, and pairs sharing a random-length prefix, so every
+     answer 0-62 turns up. *)
+  let gen =
+    let open QCheck.Gen in
+    let key = map (fun x -> Bitkey.of_int (x land ((1 lsl Bitkey.width) - 1))) (int_bound max_int) in
+    frequency
+      [
+        (1, pair key key);
+        ( 2,
+          map3
+            (fun a b len ->
+              let keep = Bitkey.to_int (Bitkey.prefix a ~len) in
+              let tail = Bitkey.to_int b land ((1 lsl (Bitkey.width - len)) - 1) in
+              (a, Bitkey.of_int (keep lor tail)))
+            key key (int_range 0 Bitkey.width) );
+      ]
+  in
+  QCheck.Test.make ~name:"common_prefix_length matches the bit loop" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%x %x" (Bitkey.to_int a) (Bitkey.to_int b)) gen)
+    (fun (a, b) -> Bitkey.common_prefix_length a b = cpl_bit_loop a b)
+
 let test_bitkey_flip_involutive () =
   let rng = Rng.create ~seed:40 in
   for _ = 1 to 100 do
@@ -523,6 +565,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_bitkey_roundtrip;
           Alcotest.test_case "bit indexing" `Quick test_bitkey_bits;
           Alcotest.test_case "common prefix" `Quick test_bitkey_common_prefix;
+          Alcotest.test_case "common prefix at each bit" `Quick
+            test_bitkey_common_prefix_each_bit;
+          QCheck_alcotest.to_alcotest bitkey_cpl_test;
           Alcotest.test_case "flip involutive" `Quick test_bitkey_flip_involutive;
           Alcotest.test_case "bits string roundtrip" `Quick test_bitkey_bits_string_roundtrip;
           Alcotest.test_case "of_bits prefix" `Quick test_bitkey_of_bits_prefix;

@@ -54,6 +54,16 @@ echo "== network model =="
 # unhandled exception (its rows land in the same JSON).
 grep -q '"zero_cost_net_equivalent": *true' BENCH_pdht.json
 grep -q '"loss_sweep"' BENCH_pdht.json
+# Byte-level anchor for non-constant latency: every other pinned net
+# run uses constant links, so the lognormal sampler (two draws per
+# surviving leg) and the retry ladder under it are pinned here.
+lgn=$(mktemp -d)
+trap 'rm -rf "$lgn"' EXIT INT TERM
+dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
+  --latency lognormal:-3.5:0.5 --loss 0.05 --rpc-timeout 0.5 --churn \
+  --bucket-refresh 30 > "$lgn/lognormal-report.txt"
+diff "$lgn/lognormal-report.txt" test/golden/lognormal_net_report.txt
+rm -rf "$lgn"
 
 echo "== fault gate =="
 # The perf section also ran the fault contracts (in the same JSON):
