@@ -480,11 +480,16 @@ let index_search t ~now ~entry ~key_index ~parent =
             let flood = Replica_net.flood net ~online:t.online ~from_peer:responsible in
             let flood_messages = flood.Replica_net.messages in
             let tracer = t.obs.Obs.tracer in
-            if parent >= 0 && Tracer.active tracer Event.Replica_flood then
-              Tracer.emit tracer
-                (Event.make ~time:(child_time t ~now) ~peer:responsible ~key_index
-                   ~messages:flood_messages ~span:(child_id t ~parent) ~parent
-                   Event.Replica_flood);
+            (* The flood event is emitted after the store probes below,
+               so a gap-attributing reader books their time to the flood
+               and not to whatever event comes next.  Its span id is
+               taken here, before the probes' TTL resets take theirs, so
+               every span id stays as it was. *)
+            let flood_span =
+              if parent >= 0 && Tracer.active tracer Event.Replica_flood then
+                child_id t ~parent
+              else -1
+            in
             let members = Replica_net.replicas net in
             let found = ref (-1) in
             let i = ref 0 in
@@ -503,6 +508,10 @@ let index_search t ~now ~entry ~key_index ~parent =
                     found := provider
                 | None -> ()
             done;
+            if flood_span >= 0 then
+              Tracer.emit tracer
+                (Event.make ~time:(child_time t ~now) ~peer:responsible ~key_index
+                   ~messages:flood_messages ~span:flood_span ~parent Event.Replica_flood);
             ((if !found < 0 then None else Some !found), index_messages, flood_messages))
   in
   let provider, index_messages, flood_messages = result in

@@ -15,9 +15,21 @@ module Rng = Pdht_util.Rng
    [bucket_size] entries come from the first few classes, each sorted
    in place, with no full-table sort.  Lookups run on
    generation-stamped scratch owned by [t]: no per-lookup Hashtbls, no
-   per-round candidate lists.  Each member's k-buckets live once, in
-   [buckets]/[blen]; the frozen and live disciplines differ only in who
-   writes them. *)
+   per-round candidate lists, no closures.
+
+   Routing rows are flat.  Member [m]'s buckets [0 .. depth-1] sit
+   back to back in one int array, [table]: bucket [b] starts at
+   [(m * depth + b) * (bucket_size + 1)] with its length, then its
+   [bucket_size] slots.  [depth] is 1 + the deepest bucket any member
+   has slots in (the longest common prefix of two adjacent sorted ids),
+   so no row stores the ~30 deeper buckets nobody can fill.  The live
+   discipline's replacement caches use the same layout in a second
+   array beside it.  [Bitkey.width] = 62 < 63, so a member's slotted,
+   non-empty and touched-since-the-last-sweep buckets are each one int
+   bitmask, and every walk over a member's buckets is a walk over set
+   bits.  Each member's k-buckets live once; the frozen and live
+   disciplines differ only in who writes them. *)
+
 (* Live maintenance (opt-in): the state Maymounkov and Mazieres' rules
    keep beside the k-buckets — a per-bucket replacement cache, the
    refresh sweep's contact flags — and the counters the churn
@@ -25,9 +37,8 @@ module Rng = Pdht_util.Rng
    frozen discipline.  [None] = frozen: only repair and rejoin touch the
    tables. *)
 type live = {
-  cache : int array array array; (* replacement cache, oldest first *)
-  clen : int array array;
-  touched : bool array array; (* contact since the last refresh sweep *)
+  cache : int array; (* replacement caches, laid out as [table]; oldest first *)
+  touched : int array; (* member -> mask of buckets contacted since the last sweep *)
   probe_retries : int; (* a dead probe costs 1 + probe_retries messages *)
   mutable pending_probe_cost : int; (* contact-driven probes, undrained *)
   mutable probes : int;
@@ -43,11 +54,15 @@ type t = {
   ids : Bitkey.t array; (* member -> id *)
   sorted_ids : int array; (* raw ids, ascending *)
   sorted_members : int array; (* member owning sorted_ids.(i) *)
-  (* member -> cpl bucket -> [bucket_size] slots, or [||] when no other
-     member falls in the bucket's id range (membership is fixed, so
-     that never changes) *)
-  buckets : int array array array;
-  blen : int array array; (* occupancy; live: slot 0 = least recently seen *)
+  depth : int; (* buckets per row *)
+  stride : int; (* bucket_size + 1: a bucket's length, then its slots *)
+  (* member -> bucket -> [length; slot 0; ...]; live: slot 0 = least
+     recently seen *)
+  table : int array;
+  (* member -> mask of the buckets whose id range holds another member
+     (membership is fixed, so that never changes) *)
+  slotted : int array;
+  nonempty : int array; (* member -> mask of buckets with entries *)
   bucket_size : int;
   alpha : int;
   mutable live : live option;
@@ -62,19 +77,56 @@ type t = {
   cand_stamp : int array;
   contacted_stamp : int array;
   dead_stamp : int array;
+  (* still-pending candidates and their distances to the key *)
   mutable cand_buf : int array;
+  mutable cand_dist : int array;
   mutable cand_len : int;
   table_dist : int array; (* routing-table answer, ascending *)
   table_buf : int array;
   nonempty_buf : int array; (* maintenance: a member's non-empty buckets *)
+  counts : int array; (* construction: eligible members per bucket *)
   batch_dist : int array; (* alpha smallest pending, ascending *)
   batch_buf : int array;
 }
 
+(* Index of the lowest set bit of a non-zero mask: six halvings. *)
+let lowest_bit x =
+  let x = ref x and p = ref 0 in
+  if !x land 0xFFFFFFFF = 0 then begin
+    x := !x lsr 32;
+    p := 32
+  end;
+  if !x land 0xFFFF = 0 then begin
+    x := !x lsr 16;
+    p := !p + 16
+  end;
+  if !x land 0xFF = 0 then begin
+    x := !x lsr 8;
+    p := !p + 8
+  end;
+  if !x land 0xF = 0 then begin
+    x := !x lsr 4;
+    p := !p + 4
+  end;
+  if !x land 0x3 = 0 then begin
+    x := !x lsr 2;
+    p := !p + 2
+  end;
+  if !x land 0x1 = 0 then !p + 1 else !p
+
+(* Index of the highest set bit of a non-zero mask below 2^62. *)
+let highest_bit x = Bitkey.width - 1 - Bitkey.common_prefix_length (Bitkey.of_int x) (Bitkey.of_int 0)
+
+let popcount x =
+  let x = ref x and c = ref 0 in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr c
+  done;
+  !c
+
 let members t = Array.length t.ids
 let id_of t m = t.ids.(m)
-
-let distance key id = Bitkey.xor_distance key id
 
 (* First position in [lo, hi) whose id has bit [depth] set (MSB-first).
    Within a segment sharing all bits above [depth], ascending id order
@@ -130,48 +182,76 @@ let closest_members t key ~k =
     out
   end
 
-(* Nearest online member = first online stop of the same walk. *)
+(* Nearest online member = first online stop of the same walk, as a
+   direct recursion (no per-lookup closure); -1 if everyone is
+   offline. *)
+let rec nearest_online t online keybits lo hi depth =
+  if lo >= hi then -1
+  else if hi - lo = 1 then
+    let m = t.sorted_members.(lo) in
+    if online m then m else -1
+  else begin
+    let mid = split t lo hi depth in
+    if mid = lo || mid = hi then nearest_online t online keybits lo hi (depth + 1)
+    else if keybits land (1 lsl (Bitkey.width - 1 - depth)) <> 0 then
+      let m = nearest_online t online keybits mid hi (depth + 1) in
+      if m >= 0 then m else nearest_online t online keybits lo mid (depth + 1)
+    else
+      let m = nearest_online t online keybits lo mid (depth + 1) in
+      if m >= 0 then m else nearest_online t online keybits mid hi (depth + 1)
+  end
+
 let responsible t ~online key =
-  let best = ref (-1) in
-  visit_closest t key (fun m ->
-      if online m then begin
-        best := m;
-        false
-      end
-      else true);
-  if !best < 0 then None else Some !best
+  let m = nearest_online t online (Bitkey.to_int key) 0 (members t) 0 in
+  if m < 0 then None else Some m
+
+type outcome = { responsible : int option; messages : int; hops : int }
+
+(* Bucket [b] of member [m]: its length word; slot [i] follows at
+   [+ 1 + i]. *)
+let bucket_base t m b = ((m * t.depth) + b) * t.stride
+
+let bucket_of t m other =
+  min (Bitkey.common_prefix_length t.ids.(m) t.ids.(other)) (Bitkey.width - 1)
 
 (* Reservoir-sample up to [bucket_size] members into each of member
    [m]'s common-prefix-length buckets: one pass over every other member.
    The first [bucket_size] eligible members fill a bucket; each later
    one, the [c]-th eligible, replaces the most recently placed entry
-   with probability [bucket_size / c].  [lens] counts the eligible
-   members, then keeps the occupancy; the filled prefix is reversed so a
-   bucket lists its entries most recent first.  A bucket gets its slots
-   when its first eligible member turns up. *)
-let sample_buckets rng ids ~bucket_size buckets lens m =
-  Array.fill lens 0 Bitkey.width 0;
-  let mine = ids.(m) in
-  for other = 0 to Array.length ids - 1 do
+   with probability [bucket_size / c].  [counts] counts the eligible
+   members per bucket; the filled prefix is then reversed so a bucket
+   lists its entries most recent first.  A bucket has slots iff some
+   member turned up eligible. *)
+let sample_buckets rng t m =
+  let k = t.bucket_size and tb = t.table and counts = t.counts in
+  Array.fill counts 0 t.depth 0;
+  let mine = t.ids.(m) in
+  let row = m * t.depth in
+  for other = 0 to Array.length t.ids - 1 do
     if other <> m then begin
-      let b = min (Bitkey.common_prefix_length mine ids.(other)) (Bitkey.width - 1) in
-      let c = lens.(b) + 1 in
-      lens.(b) <- c;
-      if c = 1 && Array.length buckets.(b) = 0 then buckets.(b) <- Array.make bucket_size 0;
-      if c <= bucket_size then buckets.(b).(c - 1) <- other
-      else if Rng.int rng c < bucket_size then buckets.(b).(bucket_size - 1) <- other
+      let b = min (Bitkey.common_prefix_length mine t.ids.(other)) (Bitkey.width - 1) in
+      let c = counts.(b) + 1 in
+      counts.(b) <- c;
+      let base = (row + b) * t.stride in
+      if c <= k then tb.(base + c) <- other
+      else if Rng.int rng c < k then tb.(base + k) <- other
     end
   done;
-  for b = 0 to Bitkey.width - 1 do
-    let len = min lens.(b) bucket_size in
-    lens.(b) <- len;
-    let arr = buckets.(b) in
-    for i = 0 to (len / 2) - 1 do
-      let x = arr.(i) in
-      arr.(i) <- arr.(len - 1 - i);
-      arr.(len - 1 - i) <- x
+  let slotted = ref 0 in
+  for b = 0 to t.depth - 1 do
+    let c = counts.(b) in
+    if c > 0 then slotted := !slotted lor (1 lsl b);
+    let len = min c k in
+    let base = (row + b) * t.stride in
+    tb.(base) <- len;
+    for i = 1 to len / 2 do
+      let x = tb.(base + i) in
+      tb.(base + i) <- tb.(base + len + 1 - i);
+      tb.(base + len + 1 - i) <- x
     done
-  done
+  done;
+  t.slotted.(m) <- !slotted;
+  t.nonempty.(m) <- !slotted
 
 let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
   if n < 1 then invalid_arg "Kademlia.create: need >= 1 member";
@@ -215,58 +295,68 @@ let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
     sorted_ids.(i) <- Bitkey.to_int ids.(order.(i));
     sorted_members.(i) <- order.(i)
   done;
+  (* The deepest bucket anyone has slots in is the longest common
+     prefix of two ids, and the longest pair is adjacent in id order. *)
+  let deepest = ref 0 in
+  for i = 1 to n - 1 do
+    deepest :=
+      max !deepest (Bitkey.common_prefix_length ids.(order.(i - 1)) ids.(order.(i)))
+  done;
+  let depth = 1 + min !deepest (Bitkey.width - 1) in
+  let stride = bucket_size + 1 in
+  let t =
+    {
+      ids;
+      sorted_ids;
+      sorted_members;
+      depth;
+      stride;
+      table = Array.make (n * depth * stride) 0;
+      slotted = Array.make n 0;
+      nonempty = Array.make n 0;
+      bucket_size;
+      alpha;
+      live = None;
+      contacts = 0;
+      dead_contacts = 0;
+      generation = 0;
+      cand_stamp = Array.make n 0;
+      contacted_stamp = Array.make n 0;
+      dead_stamp = Array.make n 0;
+      cand_buf = Array.make 64 0;
+      cand_dist = Array.make 64 0;
+      cand_len = 0;
+      table_dist = Array.make bucket_size 0;
+      table_buf = Array.make bucket_size 0;
+      nonempty_buf = Array.make depth 0;
+      counts = Array.make depth 0;
+      batch_dist = Array.make alpha 0;
+      batch_buf = Array.make alpha 0;
+    }
+  in
   (* Global construction: one O(n^2) reservoir pass with a cheap inner
      body; fine at simulation scale. *)
-  let buckets = Array.init n (fun _ -> Array.make Bitkey.width [||]) in
-  let blen = Array.init n (fun _ -> Array.make Bitkey.width 0) in
   for m = 0 to n - 1 do
-    sample_buckets rng ids ~bucket_size buckets.(m) blen.(m) m
+    sample_buckets rng t m
   done;
-  {
-    ids;
-    sorted_ids;
-    sorted_members;
-    buckets;
-    blen;
-    bucket_size;
-    alpha;
-    live = None;
-    contacts = 0;
-    dead_contacts = 0;
-    generation = 0;
-    cand_stamp = Array.make n 0;
-    contacted_stamp = Array.make n 0;
-    dead_stamp = Array.make n 0;
-    cand_buf = Array.make 64 0;
-    cand_len = 0;
-    table_dist = Array.make bucket_size 0;
-    table_buf = Array.make bucket_size 0;
-    nonempty_buf = Array.make Bitkey.width 0;
-    batch_dist = Array.make alpha 0;
-    batch_buf = Array.make alpha 0;
-  }
-
-let bucket_of t m other =
-  min (Bitkey.common_prefix_length t.ids.(m) t.ids.(other)) (Bitkey.width - 1)
+  t
 
 let live_routing t = t.live <> None
 
 (* Switch the tables to live maintenance: the current entries become the
-   initial LRS..MRS order, and each bucket with slots gets a replacement
-   cache of the same size.  No RNG is consumed: enabling live routing
-   after [create] leaves every stream exactly where the frozen path
-   would have it. *)
+   initial LRS..MRS order, and each bucket gets an empty replacement
+   cache of [bucket_size] slots.  No RNG is consumed: enabling live
+   routing after [create] leaves every stream exactly where the frozen
+   path would have it. *)
 let enable_live_routing ?(probe_retries = 3) t =
   if probe_retries < 0 then
     invalid_arg "Kademlia.enable_live_routing: negative probe_retries";
-  if t.live = None then begin
-    let n = members t in
+  if t.live = None then
     t.live <-
       Some
         {
-          cache = Array.map (Array.map (fun slots -> Array.make (Array.length slots) 0)) t.buckets;
-          clen = Array.init n (fun _ -> Array.make Bitkey.width 0);
-          touched = Array.init n (fun _ -> Array.make Bitkey.width false);
+          cache = Array.make (Array.length t.table) 0;
+          touched = Array.make (members t) 0;
           probe_retries;
           pending_probe_cost = 0;
           probes = 0;
@@ -277,57 +367,68 @@ let enable_live_routing ?(probe_retries = 3) t =
           insertions = 0;
           cache_fills = 0;
         }
-  end
 
-(* Index of [peer] in the first [len] slots of [arr], or -1. *)
-let slot_of arr len peer =
+(* Slot index of [peer] among the [len] slots of the bucket at [base]
+   of [a] ([table] or a cache), or -1. *)
+let slot_of (a : int array) base len peer =
   let found = ref (-1) in
   let i = ref 0 in
   while !found < 0 && !i < len do
-    if arr.(!i) = peer then found := !i;
+    if a.(base + 1 + !i) = peer then found := !i;
     incr i
   done;
   !found
 
-(* Remove slot [i], keeping order (shift the tail left). *)
-let remove_slot arr len i =
-  Array.blit arr (i + 1) arr i (len - i - 1)
+(* Remove slot [i] of the [len] at [base], keeping order (shift the
+   tail left); the caller rewrites the length or the last slot. *)
+let remove_slot (a : int array) base len i =
+  for j = base + 1 + i to base + len - 1 do
+    a.(j) <- a.(j + 1)
+  done
 
-(* Append at the most-recently-seen end of the replacement cache,
-   displacing the oldest entry when full. *)
-let cache_add lv ~owner ~bucket peer =
-  let arr = lv.cache.(owner).(bucket) in
-  let len = lv.clen.(owner).(bucket) in
-  let i = slot_of arr len peer in
+let set_len t m b base len =
+  t.table.(base) <- len;
+  if len = 0 then t.nonempty.(m) <- t.nonempty.(m) land lnot (1 lsl b)
+  else t.nonempty.(m) <- t.nonempty.(m) lor (1 lsl b)
+
+let touch lv m b = lv.touched.(m) <- lv.touched.(m) lor (1 lsl b)
+
+(* Append at the most-recently-seen end of the replacement cache at
+   [base], displacing the oldest entry when all [bucket_size] slots are
+   taken. *)
+let cache_add t lv base peer =
+  let c = lv.cache in
+  let len = c.(base) in
+  let i = slot_of c base len peer in
   if i >= 0 then begin
-    remove_slot arr len i;
-    arr.(len - 1) <- peer
+    remove_slot c base len i;
+    c.(base + len) <- peer
   end
-  else if len < Array.length arr then begin
-    arr.(len) <- peer;
-    lv.clen.(owner).(bucket) <- len + 1
+  else if len < t.bucket_size then begin
+    c.(base + 1 + len) <- peer;
+    c.(base) <- len + 1
   end
   else begin
-    remove_slot arr len 0;
-    arr.(len - 1) <- peer
+    remove_slot c base len 0;
+    c.(base + len) <- peer
   end
 
-(* Pop the most recently cached entry of the bucket, if any. *)
-let cache_pop lv ~owner ~bucket =
-  let len = lv.clen.(owner).(bucket) in
-  if len = 0 then None
+(* Pop the most recently cached entry of the bucket, or -1. *)
+let cache_pop lv base =
+  let len = lv.cache.(base) in
+  if len = 0 then -1
   else begin
-    lv.clen.(owner).(bucket) <- len - 1;
-    Some lv.cache.(owner).(bucket).(len - 1)
+    lv.cache.(base) <- len - 1;
+    lv.cache.(base + len)
   end
 
-let cache_remove lv ~owner ~bucket peer =
-  let arr = lv.cache.(owner).(bucket) in
-  let len = lv.clen.(owner).(bucket) in
-  let i = slot_of arr len peer in
+let cache_remove lv base peer =
+  let c = lv.cache in
+  let len = c.(base) in
+  let i = slot_of c base len peer in
   if i >= 0 then begin
-    remove_slot arr len i;
-    lv.clen.(owner).(bucket) <- len - 1
+    remove_slot c base len i;
+    c.(base) <- len - 1
   end
 
 (* Message cost of one liveness probe: an alive entry answers the first
@@ -346,34 +447,35 @@ let probe_cost lv ~alive = if alive then 1 else 1 + lv.probe_retries
 let note_contact t lv ~online ~owner ~peer =
   if owner <> peer then begin
     let b = bucket_of t owner peer in
-    let arr = t.buckets.(owner).(b) in
-    let len = t.blen.(owner).(b) in
-    let i = slot_of arr len peer in
-    lv.touched.(owner).(b) <- true;
+    let base = bucket_base t owner b in
+    let tb = t.table in
+    let len = tb.(base) in
+    let i = slot_of tb base len peer in
+    touch lv owner b;
     if i >= 0 then begin
-      remove_slot arr len i;
-      arr.(len - 1) <- peer;
+      remove_slot tb base len i;
+      tb.(base + len) <- peer;
       lv.promotions <- lv.promotions + 1
     end
     else if len < t.bucket_size then begin
-      arr.(len) <- peer;
-      t.blen.(owner).(b) <- len + 1;
+      tb.(base + 1 + len) <- peer;
+      set_len t owner b base (len + 1);
       lv.insertions <- lv.insertions + 1
     end
     else begin
-      let lrs = arr.(0) in
+      let lrs = tb.(base + 1) in
       let alive = online lrs in
       let cost = probe_cost lv ~alive in
       lv.probes <- lv.probes + 1;
       lv.probe_messages <- lv.probe_messages + cost;
       lv.pending_probe_cost <- lv.pending_probe_cost + cost;
-      remove_slot arr len 0;
+      remove_slot tb base len 0;
       if alive then begin
-        arr.(len - 1) <- lrs;
-        cache_add lv ~owner ~bucket:b peer
+        tb.(base + len) <- lrs;
+        cache_add t lv base peer
       end
       else begin
-        arr.(len - 1) <- peer;
+        tb.(base + len) <- peer;
         lv.evictions <- lv.evictions + 1
       end
     end
@@ -388,22 +490,25 @@ let note_contact t lv ~online ~owner ~peer =
 let note_dead t lv ~owner ~peer =
   if owner <> peer then begin
     let b = bucket_of t owner peer in
-    let arr = t.buckets.(owner).(b) in
-    let len = t.blen.(owner).(b) in
-    cache_remove lv ~owner ~bucket:b peer;
-    let i = slot_of arr len peer in
+    let base = bucket_base t owner b in
+    let tb = t.table in
+    let len = tb.(base) in
+    cache_remove lv base peer;
+    let i = slot_of tb base len peer in
     if i >= 0 then begin
-      lv.touched.(owner).(b) <- true;
-      match cache_pop lv ~owner ~bucket:b with
-      | Some fill ->
-          remove_slot arr len i;
-          arr.(len - 1) <- fill;
-          lv.cache_fills <- lv.cache_fills + 1
-      | None ->
-          for j = i downto 1 do
-            arr.(j) <- arr.(j - 1)
-          done;
-          arr.(0) <- peer
+      touch lv owner b;
+      let fill = cache_pop lv base in
+      if fill >= 0 then begin
+        remove_slot tb base len i;
+        tb.(base + len) <- fill;
+        lv.cache_fills <- lv.cache_fills + 1
+      end
+      else begin
+        for j = base + 1 + i downto base + 2 do
+          tb.(j) <- tb.(j - 1)
+        done;
+        tb.(base + 1) <- peer
+      end
     end
   end
 
@@ -443,7 +548,7 @@ let drain_probe_cost t =
 
 (* One refresh pass: every online member re-looks-up each bucket range
    that saw no contact since the previous sweep (and has slots — ranges
-   nobody occupies are never refreshable).
+   nobody occupies are never refreshable), in ascending bucket order.
    A refresh costs the lookup's [alpha] probes plus one FIND_NODE-style
    exchange per fresh entry learned; learned entries are live members
    of the range, found by bounded sampling as in the frozen repair. *)
@@ -452,39 +557,38 @@ let refresh_sweep t rng ~online =
   | None -> 0
   | Some lv ->
       let n = members t in
+      let tb = t.table in
       let messages = ref 0 in
       for m = 0 to n - 1 do
         if online m then begin
-          let tb = lv.touched.(m) in
-          let lens = t.blen.(m) in
-          for b = 0 to Bitkey.width - 1 do
-            let arr = t.buckets.(m).(b) in
-            if Array.length arr > 0 && not tb.(b) then begin
-              messages := !messages + t.alpha;
-              let missing = t.bucket_size - lens.(b) in
-              let attempts = ref (30 * max 1 missing) in
-              while lens.(b) < t.bucket_size && !attempts > 0 do
-                decr attempts;
-                let cand = Rng.int rng n in
-                if
-                  cand <> m && online cand
-                  && bucket_of t m cand = b
-                  && slot_of arr lens.(b) cand < 0
-                then begin
-                  arr.(lens.(b)) <- cand;
-                  lens.(b) <- lens.(b) + 1;
-                  incr messages
-                end
-              done
-            end;
-            tb.(b) <- false
-          done
+          let stale = ref (t.slotted.(m) land lnot lv.touched.(m)) in
+          while !stale <> 0 do
+            let b = lowest_bit !stale in
+            stale := !stale land (!stale - 1);
+            let base = bucket_base t m b in
+            messages := !messages + t.alpha;
+            let missing = t.bucket_size - tb.(base) in
+            let attempts = ref (30 * max 1 missing) in
+            while tb.(base) < t.bucket_size && !attempts > 0 do
+              decr attempts;
+              let cand = Rng.int rng n in
+              let len = tb.(base) in
+              if
+                cand <> m && online cand
+                && bucket_of t m cand = b
+                && slot_of tb base len cand < 0
+              then begin
+                tb.(base + 1 + len) <- cand;
+                set_len t m b base (len + 1);
+                incr messages
+              end
+            done
+          done;
+          lv.touched.(m) <- 0
         end
       done;
       lv.refresh_messages <- lv.refresh_messages + !messages;
       !messages
-
-type outcome = { responsible : int option; messages : int; hops : int }
 
 (* Offer member [m] at distance [d] to the ascending [dist]/[buf]
    prefix holding the [filled] closest offered so far, keeping at most
@@ -505,24 +609,49 @@ let insert_closest (dist : int array) (buf : int array) ~need filled (d : int) m
   end
   else filled
 
-(* Offer buckets [lo..hi] as one class and pass its closest [need]
-   entries to [add], nearest first; returns how many it passed. *)
-let take_class t key member add ~need lo hi =
+(* Make member [m], at distance [d] from the key, a candidate of the
+   current lookup unless it already is one. *)
+let add_candidate t m d =
+  if t.cand_stamp.(m) <> t.generation then begin
+    t.cand_stamp.(m) <- t.generation;
+    if t.cand_len = Array.length t.cand_buf then begin
+      let grow a =
+        let bigger = Array.make (2 * t.cand_len) 0 in
+        Array.blit a 0 bigger 0 t.cand_len;
+        bigger
+      in
+      t.cand_buf <- grow t.cand_buf;
+      t.cand_dist <- grow t.cand_dist
+    end;
+    t.cand_buf.(t.cand_len) <- m;
+    t.cand_dist.(t.cand_len) <- d;
+    t.cand_len <- t.cand_len + 1
+  end
+
+(* Offer the buckets of [member] in [mask] as one class and make its
+   closest [need] entries candidates, nearest first; returns how many
+   it offered. *)
+let take_class t key member ~need mask =
+  let tb = t.table in
   let filled = ref 0 in
-  for b = lo to hi do
-    let arr = t.buckets.(member).(b) in
-    for i = 0 to t.blen.(member).(b) - 1 do
-      let m = arr.(i) in
-      filled := insert_closest t.table_dist t.table_buf ~need !filled (distance key t.ids.(m)) m
+  let rest = ref mask in
+  while !rest <> 0 do
+    let base = bucket_base t member (lowest_bit !rest) in
+    rest := !rest land (!rest - 1);
+    for j = base + 1 to base + tb.(base) do
+      let m = tb.(j) in
+      filled :=
+        insert_closest t.table_dist t.table_buf ~need !filled
+          (Bitkey.xor_distance key t.ids.(m)) m
     done
   done;
   for i = 0 to !filled - 1 do
-    add t.table_buf.(i)
+    add_candidate t t.table_buf.(i) t.table_dist.(i)
   done;
   !filled
 
 (* A member's answer to "whom do you know near [key]?": its closest
-   [bucket_size] bucket entries, nearest first, passed to [add].  With
+   [bucket_size] bucket entries, nearest first, made candidates.  With
    [c] = cpl(member, key), an entry of bucket [b < c] differs from the
    key first at bit [b]; an entry of any bucket deeper than [c] differs
    first at bit [c]; and an entry of bucket [c] agrees with the key
@@ -530,123 +659,135 @@ let take_class t key member add ~need lo hi =
    buckets deeper than [c] together, then buckets [c-1] down to [0]
    (when the key is the member's own id, [c] = width: buckets [width-1]
    down to [0]).  Sorting each class and stopping at the quota gives
-   exactly the head of the fully sorted table. *)
-let answer_from_table t key member add =
+   exactly the head of the fully sorted table.  Only non-empty buckets
+   are visited: each class is a slice of the member's non-empty mask. *)
+let answer_from_table t key member =
   let quota = t.bucket_size in
   let c = Bitkey.common_prefix_length t.ids.(member) key in
+  let mask = t.nonempty.(member) in
   let taken = ref 0 in
-  let b = ref (Bitkey.width - 1) in
+  let below = ref mask in
   if c < Bitkey.width then begin
-    taken := take_class t key member add ~need:quota c c;
+    taken := take_class t key member ~need:quota (mask land (1 lsl c));
     if !taken < quota then
       taken :=
-        !taken + take_class t key member add ~need:(quota - !taken) (c + 1) (Bitkey.width - 1);
-    b := c - 1
+        !taken + take_class t key member ~need:(quota - !taken) (mask land lnot ((2 lsl c) - 1));
+    below := mask land ((1 lsl c) - 1)
   end;
-  while !taken < quota && !b >= 0 do
-    taken := !taken + take_class t key member add ~need:(quota - !taken) !b !b;
-    decr b
+  while !taken < quota && !below <> 0 do
+    let b = highest_bit !below in
+    below := !below lxor (1 lsl b);
+    taken := !taken + take_class t key member ~need:(quota - !taken) (1 lsl b)
   done
 
 let lookup ?span ?deliver t ~online ~source ~key =
   if source < 0 || source >= members t then invalid_arg "Kademlia.lookup: bad source";
   if not (online source) then { responsible = None; messages = 0; hops = 0 }
   else
-    match responsible t ~online key with
-    | None -> { responsible = None; messages = 0; hops = 0 }
-    | Some target ->
-        let messages = ref 0 in
-        let hops = ref 0 in
-        t.generation <- t.generation + 1;
-        let gen = t.generation in
-        t.cand_len <- 0;
-        let add_candidate m =
-          if t.cand_stamp.(m) <> gen then begin
-            t.cand_stamp.(m) <- gen;
-            if t.cand_len = Array.length t.cand_buf then begin
-              let bigger = Array.make (2 * t.cand_len) 0 in
-              Array.blit t.cand_buf 0 bigger 0 t.cand_len;
-              t.cand_buf <- bigger
-            end;
-            t.cand_buf.(t.cand_len) <- m;
-            t.cand_len <- t.cand_len + 1
-          end
-        in
-        t.contacted_stamp.(source) <- gen;
-        answer_from_table t key source add_candidate;
-        let best_online = ref source in
-        let finished = ref (source = target) in
-        while not !finished do
-          (* Up to alpha closest uncontacted, un-dead candidates, in
-             increasing distance (the head of the old sorted pending
-             list — XOR distances of distinct ids never tie). *)
-          let batch_len = ref 0 in
-          for idx = 0 to t.cand_len - 1 do
-            let m = t.cand_buf.(idx) in
-            if t.contacted_stamp.(m) <> gen && t.dead_stamp.(m) <> gen then
-              batch_len :=
-                insert_closest t.batch_dist t.batch_buf ~need:t.alpha !batch_len
-                  (distance key t.ids.(m)) m
-          done;
-          if !batch_len = 0 then finished := true
-          else begin
-            incr hops;
-            for i = 0 to !batch_len - 1 do
-              let m = t.batch_buf.(i) in
-              incr messages;
-              t.contacts <- t.contacts + 1;
-              (* The iterative caller contacts each candidate directly;
-                 under the network model that contact is one RPC
-                 (consulted only for live candidates — offline ones
-                 already pay their timeout message), and an exhausted
-                 retry budget makes the candidate look dead —
-                 Kademlia's native tolerance to unresponsive nodes, no
-                 abort needed. *)
-              if
-                online m
-                && (match deliver with None -> true | Some d -> d ~span ~src:source ~dst:m)
-              then begin
-                t.contacted_stamp.(m) <- gen;
-                if distance key t.ids.(m) < distance key t.ids.(!best_online) then
-                  best_online := m;
-                answer_from_table t key m add_candidate;
-                (* Living tables learn from the contact in both
-                   directions, as real FIND_NODE traffic does. *)
-                match t.live with
-                | Some lv ->
-                    note_contact t lv ~online ~owner:source ~peer:m;
-                    note_contact t lv ~online ~owner:m ~peer:source
-                | None -> ()
-              end
-              else begin
-                t.dead_stamp.(m) <- gen;
-                t.dead_contacts <- t.dead_contacts + 1;
-                match t.live with
-                | Some lv -> note_dead t lv ~owner:source ~peer:m
-                | None -> ()
-              end
-            done;
-            if !best_online = target then finished := true
+    let target = nearest_online t online (Bitkey.to_int key) 0 (members t) 0 in
+    if target < 0 then { responsible = None; messages = 0; hops = 0 }
+    else begin
+      let messages = ref 0 in
+      let hops = ref 0 in
+      t.generation <- t.generation + 1;
+      let gen = t.generation in
+      t.cand_len <- 0;
+      t.contacted_stamp.(source) <- gen;
+      answer_from_table t key source;
+      let best_online = ref source in
+      let best_dist = ref (Bitkey.xor_distance key t.ids.(source)) in
+      let finished = ref (source = target) in
+      while not !finished do
+        (* Up to alpha closest uncontacted, un-dead candidates, in
+           increasing distance (the head of the old sorted pending
+           list — XOR distances of distinct ids never tie, so the batch
+           does not depend on candidate order).  Every candidate of a
+           batch ends the round contacted or dead, so the scan drops
+           those from the pending list as it passes them. *)
+        let batch_len = ref 0 in
+        let kept = ref 0 in
+        for idx = 0 to t.cand_len - 1 do
+          let m = t.cand_buf.(idx) in
+          if t.contacted_stamp.(m) <> gen && t.dead_stamp.(m) <> gen then begin
+            let d = t.cand_dist.(idx) in
+            t.cand_buf.(!kept) <- m;
+            t.cand_dist.(!kept) <- d;
+            incr kept;
+            batch_len := insert_closest t.batch_dist t.batch_buf ~need:t.alpha !batch_len d m
           end
         done;
-        let result = if !best_online = target then Some target else None in
-        { responsible = result; messages = !messages; hops = !hops }
+        t.cand_len <- !kept;
+        if !batch_len = 0 then finished := true
+        else begin
+          incr hops;
+          for i = 0 to !batch_len - 1 do
+            let m = t.batch_buf.(i) in
+            incr messages;
+            t.contacts <- t.contacts + 1;
+            (* The iterative caller contacts each candidate directly;
+               under the network model that contact is one RPC
+               (consulted only for live candidates — offline ones
+               already pay their timeout message), and an exhausted
+               retry budget makes the candidate look dead —
+               Kademlia's native tolerance to unresponsive nodes, no
+               abort needed. *)
+            if
+              online m
+              && (match deliver with None -> true | Some d -> d ~span ~src:source ~dst:m)
+            then begin
+              t.contacted_stamp.(m) <- gen;
+              if t.batch_dist.(i) < !best_dist then begin
+                best_online := m;
+                best_dist := t.batch_dist.(i)
+              end;
+              answer_from_table t key m;
+              (* Living tables learn from the contact in both
+                 directions, as real FIND_NODE traffic does. *)
+              match t.live with
+              | Some lv ->
+                  note_contact t lv ~online ~owner:source ~peer:m;
+                  note_contact t lv ~online ~owner:m ~peer:source
+              | None -> ()
+            end
+            else begin
+              t.dead_stamp.(m) <- gen;
+              t.dead_contacts <- t.dead_contacts + 1;
+              match t.live with
+              | Some lv -> note_dead t lv ~owner:source ~peer:m
+              | None -> ()
+            end
+          done;
+          if !best_online = target then finished := true
+        end
+      done;
+      let result = if !best_online = target then Some target else None in
+      { responsible = result; messages = !messages; hops = !hops }
+    end
 
-let bucket_count t m =
-  Array.fold_left (fun acc len -> if len > 0 then acc + 1 else acc) 0 t.blen.(m)
+let bucket_count t m = popcount t.nonempty.(m)
 
-let routing_table_size t m = Array.fold_left ( + ) 0 t.blen.(m)
+let routing_table_size t m =
+  let total = ref 0 in
+  for b = 0 to t.depth - 1 do
+    total := !total + t.table.(bucket_base t m b)
+  done;
+  !total
 
 (* Crash-stop state loss: empty every k-bucket of [peer].  Lookups from
    the member then start with no candidates and fail immediately (miss
    path); [probe_and_repair] only touches non-empty buckets, so only
    {!rebuild_routes} restores the table. *)
 let forget_routes t ~peer =
-  Array.fill t.blen.(peer) 0 Bitkey.width 0;
+  for b = 0 to t.depth - 1 do
+    t.table.(bucket_base t peer b) <- 0
+  done;
+  t.nonempty.(peer) <- 0;
   Option.iter
     (fun lv ->
-      Array.fill lv.clen.(peer) 0 Bitkey.width 0;
-      Array.fill lv.touched.(peer) 0 Bitkey.width false)
+      for b = 0 to t.depth - 1 do
+        lv.cache.(bucket_base t peer b) <- 0
+      done;
+      lv.touched.(peer) <- 0)
     t.live
 
 (* Rejoin: repopulate [peer]'s k-buckets with the construction-time
@@ -655,11 +796,13 @@ let forget_routes t ~peer =
    join.  Live mode also empties the replacement caches and counts every
    bucket as just contacted. *)
 let rebuild_routes t rng ~peer =
-  sample_buckets rng t.ids ~bucket_size:t.bucket_size t.buckets.(peer) t.blen.(peer) peer;
+  sample_buckets rng t peer;
   Option.iter
     (fun lv ->
-      Array.fill lv.clen.(peer) 0 Bitkey.width 0;
-      Array.fill lv.touched.(peer) 0 Bitkey.width true)
+      for b = 0 to t.depth - 1 do
+        lv.cache.(bucket_base t peer b) <- 0
+      done;
+      lv.touched.(peer) <- t.slotted.(peer))
     t.live;
   routing_table_size t peer
 
@@ -667,11 +810,11 @@ let rebuild_routes t rng ~peer =
    ascending; returns how many. *)
 let collect_nonempty t peer =
   let count = ref 0 in
-  for b = 0 to Bitkey.width - 1 do
-    if t.blen.(peer).(b) > 0 then begin
-      t.nonempty_buf.(!count) <- b;
-      incr count
-    end
+  let rest = ref t.nonempty.(peer) in
+  while !rest <> 0 do
+    t.nonempty_buf.(!count) <- lowest_bit !rest;
+    rest := !rest land (!rest - 1);
+    incr count
   done;
   !count
 
@@ -684,24 +827,24 @@ let collect_nonempty t peer =
    accrued by lookups since the last tick, so every probe message ends
    up charged to the maintenance account exactly once. *)
 let live_probe_and_repair t lv rng ~online ~peer ~probes =
-  let lens = t.blen.(peer) in
+  let tb = t.table in
   let count = collect_nonempty t peer in
   let sent = ref (drain_probe_cost t) in
   if count > 0 then begin
     for _ = 1 to probes do
       let b = t.nonempty_buf.(Rng.int rng count) in
-      let len = lens.(b) in
+      let base = bucket_base t peer b in
+      let len = tb.(base) in
       if len > 0 then begin
-        let arr = t.buckets.(peer).(b) in
-        let lrs = arr.(0) in
+        let lrs = tb.(base + 1) in
         let alive = online lrs in
         let cost = probe_cost lv ~alive in
         lv.probes <- lv.probes + 1;
         lv.probe_messages <- lv.probe_messages + cost;
         sent := !sent + cost;
-        lv.touched.(peer).(b) <- true;
-        remove_slot arr len 0;
-        if alive then arr.(len - 1) <- lrs
+        touch lv peer b;
+        remove_slot tb base len 0;
+        if alive then tb.(base + len) <- lrs
         else begin
           (* The full retry ladder confirmed the entry dead — unlike
              a single lookup timeout ([note_dead] demotes but keeps),
@@ -712,31 +855,31 @@ let live_probe_and_repair t lv rng ~online ~peer ~probes =
              range offers no live member right now the bucket stays
              short until a later contact or refresh sweep back-fills
              it. *)
-          lens.(b) <- len - 1;
           lv.evictions <- lv.evictions + 1;
-          match cache_pop lv ~owner:peer ~bucket:b with
-          | Some fill ->
-              arr.(len - 1) <- fill;
-              lens.(b) <- len;
-              lv.cache_fills <- lv.cache_fills + 1
-          | None ->
-              let n = members t in
-              let attempts = ref 30 in
-              let found = ref false in
-              while (not !found) && !attempts > 0 do
-                decr attempts;
-                let cand = Rng.int rng n in
-                if
-                  cand <> peer && online cand
-                  && bucket_of t peer cand = b
-                  && slot_of arr (len - 1) cand < 0
-                then begin
-                  arr.(len - 1) <- cand;
-                  lens.(b) <- len;
-                  incr sent;
-                  found := true
-                end
-              done
+          let fill = cache_pop lv base in
+          if fill >= 0 then begin
+            tb.(base + len) <- fill;
+            lv.cache_fills <- lv.cache_fills + 1
+          end
+          else begin
+            let n = members t in
+            let attempts = ref 30 in
+            let found = ref false in
+            while (not !found) && !attempts > 0 do
+              decr attempts;
+              let cand = Rng.int rng n in
+              if
+                cand <> peer && online cand
+                && bucket_of t peer cand = b
+                && slot_of tb base (len - 1) cand < 0
+              then begin
+                tb.(base + len) <- cand;
+                incr sent;
+                found := true
+              end
+            done;
+            if not !found then set_len t peer b base (len - 1)
+          end
         end
       end
     done
@@ -751,12 +894,13 @@ let probe_and_repair t rng ~online ~peer ~probes =
   let count = collect_nonempty t peer in
   if count = 0 then 0
   else begin
+    let tb = t.table in
     let mine = t.ids.(peer) in
     for _ = 1 to probes do
       let b_idx = t.nonempty_buf.(Rng.int rng count) in
-      let bucket = t.buckets.(peer).(b_idx) in
-      let i = Rng.int rng t.blen.(peer).(b_idx) in
-      if not (online bucket.(i)) then begin
+      let base = bucket_base t peer b_idx in
+      let slot = base + 1 + Rng.int rng tb.(base) in
+      if not (online tb.(slot)) then begin
         (* Replace with a random online member sharing the same bucket
            (common-prefix-length) if one exists; bounded sampling keeps
            the repair cheap. *)
@@ -767,7 +911,7 @@ let probe_and_repair t rng ~online ~peer ~probes =
             let cand = Rng.int rng n in
             let cpl = Bitkey.common_prefix_length mine t.ids.(cand) in
             let cand_bucket = min cpl (Bitkey.width - 1) in
-            if cand <> peer && online cand && cand_bucket = b_idx then bucket.(i) <- cand
+            if cand <> peer && online cand && cand_bucket = b_idx then tb.(slot) <- cand
             else attempt (k - 1)
         in
         attempt 30

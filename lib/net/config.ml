@@ -69,15 +69,20 @@ let validate t =
 
 let attempts t = 1 + t.rpc_retries
 
-let timeout_for t ~attempt = t.rpc_timeout *. (t.backoff ** float_of_int attempt)
+(* Attempt 0 hands back the field itself: [backoff ** 0.] is exactly 1,
+   so the product is [rpc_timeout] bit for bit, and the first rung (the
+   only one a lossless run takes) neither calls [pow] nor boxes a
+   float. *)
+let timeout_for t ~attempt =
+  if attempt = 0 then t.rpc_timeout else t.rpc_timeout *. (t.backoff ** float_of_int attempt)
 
-let call t attempt =
-  let rec go k =
-    match attempt ~attempt:k ~timeout:(timeout_for t ~attempt:k) with
-    | Some _ as reply -> reply
-    | None -> if k < t.rpc_retries then go (k + 1) else None
-  in
-  go 0
+(* A top-level loop, so one [call] allocates no closure of its own. *)
+let rec ladder t attempt k =
+  match attempt ~attempt:k ~timeout:(timeout_for t ~attempt:k) with
+  | Some _ as reply -> reply
+  | None -> if k < t.rpc_retries then ladder t attempt (k + 1) else None
+
+let call t attempt = ladder t attempt 0
 
 let latency_to_string = function
   | Constant s -> Printf.sprintf "constant:%g" s

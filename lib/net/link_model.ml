@@ -76,5 +76,6 @@ let partitioned t ~src ~dst ~now =
   in
   n > 0 && check 0
 
-let drops t rng ~src ~dst ~now =
-  partitioned t ~src ~dst ~now || (t.loss > 0. && Rng.bernoulli rng ~p:t.loss)
+let lost t rng = t.loss > 0. && Rng.bernoulli rng ~p:t.loss
+
+let drops t rng ~src ~dst ~now = partitioned t ~src ~dst ~now || lost t rng

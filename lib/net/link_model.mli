@@ -25,3 +25,8 @@ val drops : t -> Pdht_util.Rng.t -> src:int -> dst:int -> now:float -> bool
     (no RNG draw) or by the independent loss coin (one draw whenever
     [loss > 0]).  Zero loss consumes no RNG state, so a zero-cost
     config leaves the net stream untouched by casts. *)
+
+val lost : t -> Pdht_util.Rng.t -> bool
+(** The independent loss coin alone: one draw whenever [loss > 0], none
+    otherwise.  [drops] is [partitioned || lost]; a caller that knows
+    the config has no partitions asks only this, and needs no [now]. *)

@@ -15,13 +15,36 @@ let bit k i =
   if i < 0 || i >= width then invalid_arg "Bitkey.bit: index out of range";
   k lsr (width - 1 - i) land 1 = 1
 
-(* Position of the highest set bit of a non-zero 62-bit [x], counting
-   from [i]; a top-level function, so no closure is allocated per call. *)
-let rec highest_bit x i = if x lsr (width - 1 - i) land 1 = 1 then i else highest_bit x (i + 1)
-
+(* The leading zeros of the XOR, found by halving: 62 bits need six
+   steps, where a bit loop takes one per shared bit. *)
 let common_prefix_length a b =
   let x = a lxor b in
-  if x = 0 then width else highest_bit x 0
+  if x = 0 then width
+  else begin
+    let x = ref x and top = ref 0 in
+    if !x lsr 32 <> 0 then begin
+      x := !x lsr 32;
+      top := 32
+    end;
+    if !x lsr 16 <> 0 then begin
+      x := !x lsr 16;
+      top := !top + 16
+    end;
+    if !x lsr 8 <> 0 then begin
+      x := !x lsr 8;
+      top := !top + 8
+    end;
+    if !x lsr 4 <> 0 then begin
+      x := !x lsr 4;
+      top := !top + 4
+    end;
+    if !x lsr 2 <> 0 then begin
+      x := !x lsr 2;
+      top := !top + 2
+    end;
+    if !x lsr 1 <> 0 then top := !top + 1;
+    width - 1 - !top
+  end
 
 let xor_distance a b = a lxor b
 

@@ -711,6 +711,54 @@ let test_traced_run_causal_completeness () =
   Alcotest.(check bool) "index-all: query trees present" true (query_roots > 0);
   Alcotest.(check bool) "index-all: gossip trees present" true (gossip_roots > 0)
 
+(* On an index miss at the responsible member, [Pdht.index_search]
+   probes the other replicas' stores after the replica flood.  The
+   flood's event is emitted after those probes, so a gap-attributing
+   reader books their time to the flood, while its span id is taken
+   before them: a probe hit's TTL reset gets the next id under the same
+   parent, yet is emitted first. *)
+let test_replica_flood_after_store_probes () =
+  (* Session churn moves keys' responsible members, so the flood's
+     probes find entries the responsible one lacks. *)
+  let scenario =
+    {
+      (traced_scenario 23) with
+      Pdht_work.Scenario.duration = 300.;
+      churn =
+        Pdht_work.Scenario.Exponential_sessions
+          { mean_uptime = 300.; mean_downtime = 100.; initially_online_fraction = 0.75 };
+    }
+  in
+  let options = traced_options () in
+  let key_ttl = Pdht_core.System.derive_key_ttl scenario options in
+  let events = ref [] in
+  let tracer = Tracer.create ~enabled:true () in
+  Tracer.add_sink tracer (Sink.callback (fun e -> events := e :: !events));
+  let obs = Context.create ~tracer () in
+  let _report =
+    Pdht_core.System.run ~obs scenario (Pdht_core.Strategy.Partial_index { key_ttl }) options
+  in
+  let order = Hashtbl.create 1024 in
+  List.iteri (fun i (e : Event.t) -> Hashtbl.replace order e.Event.span (i, e)) (List.rev !events);
+  let pairs = ref 0 and floods = ref 0 in
+  Hashtbl.iter
+    (fun _ (i, (flood : Event.t)) ->
+      if flood.Event.category = Event.Replica_flood then begin
+        incr floods;
+        match Hashtbl.find_opt order (flood.Event.span + 1) with
+        | Some (j, (reset : Event.t))
+          when reset.Event.category = Event.Ttl_reset && reset.Event.parent = flood.Event.parent
+          ->
+            incr pairs;
+            if j > i then
+              Alcotest.failf "flood span %d emitted before its probe's TTL reset (span %d)"
+                flood.Event.span reset.Event.span
+        | _ -> ()
+      end)
+    order;
+  Alcotest.(check bool) "floods traced" true (!floods > 0);
+  Alcotest.(check bool) "some flood's probes hit" true (!pairs > 0)
+
 let test_system_timeline_report () =
   let scenario = traced_scenario 22 in
   let base = Pdht_core.System.Options.make ~repl:10 ~stor:50 () in
@@ -920,6 +968,8 @@ let () =
             test_system_run_populates_histograms;
           Alcotest.test_case "traced run is causally complete" `Quick
             test_traced_run_causal_completeness;
+          Alcotest.test_case "replica flood follows its store probes" `Quick
+            test_replica_flood_after_store_probes;
           Alcotest.test_case "timeline lands in the report" `Quick
             test_system_timeline_report;
         ] );

@@ -736,6 +736,25 @@ let test_topology_alloc () =
   if per_peer > 100. then
     Alcotest.failf "random_regularish at 10^5 peers allocated %.1f words per peer" per_peer
 
+(* One lossless RPC rung writes the flat virtual clock, reuses the
+   hook's own attempt closure and passes attempt 0 the config's own
+   timeout, so it allocates next to nothing; the closure-per-call
+   ladder with a boxed clock took about 45 words. *)
+let test_hook_rpc_alloc () =
+  let config =
+    { Pdht_net.Config.default with latency = Pdht_net.Config.Constant 0.02; loss = 0. }
+  in
+  let hook = Pdht_net.Hook.create ~rng:(Rng.create ~seed:1) config in
+  Pdht_net.Hook.begin_op hook ~now:0.;
+  let calls = 10_000 in
+  ignore (Pdht_net.Hook.rpc hook ~src:0 ~dst:1);
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore (Pdht_net.Hook.rpc hook ~src:(i land 7) ~dst:((i + 1) land 7))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call > 8. then Alcotest.failf "a lossless Hook.rpc allocated %.1f minor words" per_call
+
 (* ------------------------------------------------------------------ *)
 (* Kademlia's trie walk vs brute force over the id space. *)
 
@@ -962,5 +981,6 @@ let () =
             test_storage_bookkeeping_alloc_free;
           Alcotest.test_case "replica_net build scratch" `Quick test_replica_net_build_alloc;
           Alcotest.test_case "topology build scratch" `Quick test_topology_alloc;
+          Alcotest.test_case "lossless hook rpc" `Quick test_hook_rpc_alloc;
         ] );
     ]
