@@ -212,7 +212,7 @@ type outcome = { responsible : int option; messages : int; hops : int }
 let bucket_base t m b = ((m * t.depth) + b) * t.stride
 
 let bucket_of t m other =
-  min (Bitkey.common_prefix_length t.ids.(m) t.ids.(other)) (Bitkey.width - 1)
+  Int.min (Bitkey.common_prefix_length t.ids.(m) t.ids.(other)) (Bitkey.width - 1)
 
 (* Reservoir-sample up to [bucket_size] members into each of member
    [m]'s common-prefix-length buckets: one pass over every other member.
@@ -229,7 +229,7 @@ let sample_buckets rng t m =
   let row = m * t.depth in
   for other = 0 to Array.length t.ids - 1 do
     if other <> m then begin
-      let b = min (Bitkey.common_prefix_length mine t.ids.(other)) (Bitkey.width - 1) in
+      let b = Int.min (Bitkey.common_prefix_length mine t.ids.(other)) (Bitkey.width - 1) in
       let c = counts.(b) + 1 in
       counts.(b) <- c;
       let base = (row + b) * t.stride in
@@ -241,7 +241,7 @@ let sample_buckets rng t m =
   for b = 0 to t.depth - 1 do
     let c = counts.(b) in
     if c > 0 then slotted := !slotted lor (1 lsl b);
-    let len = min c k in
+    let len = Int.min c k in
     let base = (row + b) * t.stride in
     tb.(base) <- len;
     for i = 1 to len / 2 do
@@ -300,9 +300,9 @@ let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
   let deepest = ref 0 in
   for i = 1 to n - 1 do
     deepest :=
-      max !deepest (Bitkey.common_prefix_length ids.(order.(i - 1)) ids.(order.(i)))
+      Int.max !deepest (Bitkey.common_prefix_length ids.(order.(i - 1)) ids.(order.(i)))
   done;
-  let depth = 1 + min !deepest (Bitkey.width - 1) in
+  let depth = 1 + Int.min !deepest (Bitkey.width - 1) in
   let stride = bucket_size + 1 in
   let t =
     {
@@ -551,7 +551,10 @@ let drain_probe_cost t =
    nobody occupies are never refreshable), in ascending bucket order.
    A refresh costs the lookup's [alpha] probes plus one FIND_NODE-style
    exchange per fresh entry learned; learned entries are live members
-   of the range, found by bounded sampling as in the frozen repair. *)
+   of the range, found by bounded sampling as in the frozen repair.
+   The samplers test a draw's range before asking [online] (a pure
+   predicate, so the order changes no draw): most draws fall outside a
+   deep range, and the range test is a few instructions. *)
 let refresh_sweep t rng ~online =
   match t.live with
   | None -> 0
@@ -568,14 +571,15 @@ let refresh_sweep t rng ~online =
             let base = bucket_base t m b in
             messages := !messages + t.alpha;
             let missing = t.bucket_size - tb.(base) in
-            let attempts = ref (30 * max 1 missing) in
+            let attempts = ref (30 * Int.max 1 missing) in
             while tb.(base) < t.bucket_size && !attempts > 0 do
               decr attempts;
               let cand = Rng.int rng n in
               let len = tb.(base) in
               if
-                cand <> m && online cand
+                cand <> m
                 && bucket_of t m cand = b
+                && online cand
                 && slot_of tb base len cand < 0
               then begin
                 tb.(base + 1 + len) <- cand;
@@ -597,7 +601,7 @@ let refresh_sweep t rng ~online =
    to its twin, so it counts against [need] as in a full sort. *)
 let insert_closest (dist : int array) (buf : int array) ~need filled (d : int) m =
   if filled < need || d < dist.(need - 1) then begin
-    let p = ref (min filled (need - 1)) in
+    let p = ref (Int.min filled (need - 1)) in
     while !p > 0 && dist.(!p - 1) > d do
       dist.(!p) <- dist.(!p - 1);
       buf.(!p) <- buf.(!p - 1);
@@ -605,7 +609,7 @@ let insert_closest (dist : int array) (buf : int array) ~need filled (d : int) m
     done;
     dist.(!p) <- d;
     buf.(!p) <- m;
-    min (filled + 1) need
+    Int.min (filled + 1) need
   end
   else filled
 
@@ -628,39 +632,87 @@ let add_candidate t m d =
     t.cand_len <- t.cand_len + 1
   end
 
-(* Offer the buckets of [member] in [mask] as one class and make its
-   closest [need] entries candidates, nearest first; returns how many
-   it offered. *)
-let take_class t key member ~need mask =
+(* Make the [need] entries of the [len] at [base] closest to [key]
+   candidates; the caller has checked [len > need].  [table_dist] /
+   [table_buf] collect the class's closest entries by insertion. *)
+let take_closest t key ~need ~filled base len =
   let tb = t.table in
-  let filled = ref 0 in
-  let rest = ref mask in
-  while !rest <> 0 do
-    let base = bucket_base t member (lowest_bit !rest) in
-    rest := !rest land (!rest - 1);
-    for j = base + 1 to base + tb.(base) do
-      let m = tb.(j) in
-      filled :=
-        insert_closest t.table_dist t.table_buf ~need !filled
-          (Bitkey.xor_distance key t.ids.(m)) m
-    done
-  done;
-  for i = 0 to !filled - 1 do
-    add_candidate t t.table_buf.(i) t.table_dist.(i)
+  let filled = ref filled in
+  for j = base + 1 to base + len do
+    let m = tb.(j) in
+    filled := insert_closest t.table_dist t.table_buf ~need !filled (Bitkey.xor_distance key t.ids.(m)) m
   done;
   !filled
 
+let add_all t key base len =
+  let tb = t.table in
+  for j = base + 1 to base + len do
+    let m = tb.(j) in
+    add_candidate t m (Bitkey.xor_distance key t.ids.(m))
+  done
+
+let add_taken t filled =
+  for i = 0 to filled - 1 do
+    add_candidate t t.table_buf.(i) t.table_dist.(i)
+  done
+
+(* Make the closest [need] entries of bucket [b] of [member]
+   candidates; returns how many it took.  A bucket that fits is taken
+   whole, unsorted: the lookup's batch choice depends only on which
+   members are candidates, never on their order. *)
+let take_bucket t key member ~need b =
+  let base = bucket_base t member b in
+  let len = t.table.(base) in
+  if len <= need then begin
+    add_all t key base len;
+    len
+  end
+  else begin
+    let filled = take_closest t key ~need ~filled:0 base len in
+    add_taken t filled;
+    filled
+  end
+
+(* The same for the buckets in [mask] taken as one class. *)
+let take_class t key member ~need mask =
+  let total = ref 0 in
+  let rest = ref mask in
+  while !rest <> 0 do
+    total := !total + t.table.(bucket_base t member (lowest_bit !rest));
+    rest := !rest land (!rest - 1)
+  done;
+  rest := mask;
+  if !total <= need then
+    while !rest <> 0 do
+      let base = bucket_base t member (lowest_bit !rest) in
+      rest := !rest land (!rest - 1);
+      add_all t key base t.table.(base)
+    done
+  else begin
+    let filled = ref 0 in
+    while !rest <> 0 do
+      let base = bucket_base t member (lowest_bit !rest) in
+      rest := !rest land (!rest - 1);
+      filled := take_closest t key ~need ~filled:!filled base t.table.(base)
+    done;
+    add_taken t !filled;
+    total := !filled
+  end;
+  !total
+
 (* A member's answer to "whom do you know near [key]?": its closest
-   [bucket_size] bucket entries, nearest first, made candidates.  With
-   [c] = cpl(member, key), an entry of bucket [b < c] differs from the
-   key first at bit [b]; an entry of any bucket deeper than [c] differs
+   [bucket_size] bucket entries, made candidates.  With [c] =
+   cpl(member, key), an entry of bucket [b < c] differs from the key
+   first at bit [b]; an entry of any bucket deeper than [c] differs
    first at bit [c]; and an entry of bucket [c] agrees with the key
    through bit [c].  So the classes, closest first, are bucket [c], all
    buckets deeper than [c] together, then buckets [c-1] down to [0]
    (when the key is the member's own id, [c] = width: buckets [width-1]
-   down to [0]).  Sorting each class and stopping at the quota gives
-   exactly the head of the fully sorted table.  Only non-empty buckets
-   are visited: each class is a slice of the member's non-empty mask. *)
+   down to [0]).  Taking whole classes while they fit and the closest
+   entries of the first that does not gives exactly the head of the
+   fully sorted table.  Only non-empty buckets are visited: each class
+   is a slice of the member's non-empty mask, and a class that fits
+   needs no distance order at all. *)
 let answer_from_table t key member =
   let quota = t.bucket_size in
   let c = Bitkey.common_prefix_length t.ids.(member) key in
@@ -668,16 +720,18 @@ let answer_from_table t key member =
   let taken = ref 0 in
   let below = ref mask in
   if c < Bitkey.width then begin
-    taken := take_class t key member ~need:quota (mask land (1 lsl c));
-    if !taken < quota then
-      taken :=
-        !taken + take_class t key member ~need:(quota - !taken) (mask land lnot ((2 lsl c) - 1));
+    if mask land (1 lsl c) <> 0 then taken := take_bucket t key member ~need:quota c;
+    if !taken < quota then begin
+      let deeper = mask land lnot ((2 lsl c) - 1) in
+      if deeper <> 0 then
+        taken := !taken + take_class t key member ~need:(quota - !taken) deeper
+    end;
     below := mask land ((1 lsl c) - 1)
   end;
   while !taken < quota && !below <> 0 do
     let b = highest_bit !below in
     below := !below lxor (1 lsl b);
-    taken := !taken + take_class t key member ~need:(quota - !taken) (1 lsl b)
+    taken := !taken + take_bucket t key member ~need:(quota - !taken) b
   done
 
 let lookup ?span ?deliver t ~online ~source ~key =
@@ -869,8 +923,9 @@ let live_probe_and_repair t lv rng ~online ~peer ~probes =
               decr attempts;
               let cand = Rng.int rng n in
               if
-                cand <> peer && online cand
+                cand <> peer
                 && bucket_of t peer cand = b
+                && online cand
                 && slot_of tb base (len - 1) cand < 0
               then begin
                 tb.(base + len) <- cand;
@@ -910,8 +965,8 @@ let probe_and_repair t rng ~online ~peer ~probes =
           else
             let cand = Rng.int rng n in
             let cpl = Bitkey.common_prefix_length mine t.ids.(cand) in
-            let cand_bucket = min cpl (Bitkey.width - 1) in
-            if cand <> peer && online cand && cand_bucket = b_idx then tb.(slot) <- cand
+            let cand_bucket = Int.min cpl (Bitkey.width - 1) in
+            if cand <> peer && cand_bucket = b_idx && online cand then tb.(slot) <- cand
             else attempt (k - 1)
         in
         attempt 30
