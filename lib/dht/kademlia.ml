@@ -214,6 +214,13 @@ let bucket_base t m b = ((m * t.depth) + b) * t.stride
 let bucket_of t m other =
   Int.min (Bitkey.common_prefix_length t.ids.(m) t.ids.(other)) (Bitkey.width - 1)
 
+(* [bucket_of t m other = b] for [other <> m], without the prefix
+   search: the XOR of distinct ids has its highest set bit at position
+   [width - 1 - b] exactly when they share [b] leading bits (for the
+   last bucket, [b = width - 1], the XOR is then 1). *)
+let in_bucket t m other b =
+  Bitkey.xor_distance t.ids.(m) t.ids.(other) lsr (Bitkey.width - 1 - b) = 1
+
 (* Reservoir-sample up to [bucket_size] members into each of member
    [m]'s common-prefix-length buckets: one pass over every other member.
    The first [bucket_size] eligible members fill a bucket; each later
@@ -578,7 +585,7 @@ let refresh_sweep t rng ~online =
               let len = tb.(base) in
               if
                 cand <> m
-                && bucket_of t m cand = b
+                && in_bucket t m cand b
                 && online cand
                 && slot_of tb base len cand < 0
               then begin
@@ -924,7 +931,7 @@ let live_probe_and_repair t lv rng ~online ~peer ~probes =
               let cand = Rng.int rng n in
               if
                 cand <> peer
-                && bucket_of t peer cand = b
+                && in_bucket t peer cand b
                 && online cand
                 && slot_of tb base (len - 1) cand < 0
               then begin
@@ -950,7 +957,6 @@ let probe_and_repair t rng ~online ~peer ~probes =
   if count = 0 then 0
   else begin
     let tb = t.table in
-    let mine = t.ids.(peer) in
     for _ = 1 to probes do
       let b_idx = t.nonempty_buf.(Rng.int rng count) in
       let base = bucket_base t peer b_idx in
@@ -964,9 +970,7 @@ let probe_and_repair t rng ~online ~peer ~probes =
           if k = 0 then ()
           else
             let cand = Rng.int rng n in
-            let cpl = Bitkey.common_prefix_length mine t.ids.(cand) in
-            let cand_bucket = Int.min cpl (Bitkey.width - 1) in
-            if cand <> peer && cand_bucket = b_idx && online cand then tb.(slot) <- cand
+            if cand <> peer && in_bucket t peer cand b_idx && online cand then tb.(slot) <- cand
             else attempt (k - 1)
         in
         attempt 30
