@@ -437,13 +437,19 @@ let record_lookup t ~now ~peer ~key_index ~span ~parent lookup =
            (if lookup.Dht.responsible = None then Event.Not_found else Event.Found)
          ~detail:t.ins.backend_label ~span ~parent Event.Dht_lookup)
 
+(* A TTL reset's span id, or -1 when it is not traced. *)
+let ttl_reset_span t ~parent =
+  if parent >= 0 && Tracer.active t.obs.Obs.tracer Event.Ttl_reset then child_id t ~parent
+  else -1
+
+let emit_ttl_reset t ~now ~peer ~key_index ~parent ~span =
+  if span >= 0 then
+    Tracer.emit t.obs.Obs.tracer
+      (Event.make ~time:now ~peer ~key_index ~span ~parent Event.Ttl_reset)
+
 let record_ttl_reset t ~now ~peer ~key_index ~parent =
   Registry.incr t.ins.c_ttl_reset 1;
-  let tracer = t.obs.Obs.tracer in
-  if parent >= 0 && Tracer.active tracer Event.Ttl_reset then
-    Tracer.emit tracer
-      (Event.make ~time:now ~peer ~key_index ~span:(child_id t ~parent) ~parent
-         Event.Ttl_reset)
+  emit_ttl_reset t ~now ~peer ~key_index ~parent ~span:(ttl_reset_span t ~parent)
 
 (* Search the index for a key: DHT routing to a responsible peer, local
    cache check there, replica-subnetwork flood on a local miss
@@ -481,17 +487,18 @@ let index_search t ~now ~entry ~key_index ~parent =
             let flood_messages = flood.Replica_net.messages in
             let tracer = t.obs.Obs.tracer in
             (* The flood event is emitted after the store probes below,
-               so a gap-attributing reader books their time to the flood
-               and not to whatever event comes next.  Its span id is
-               taken here, before the probes' TTL resets take theirs, so
-               every span id stays as it was. *)
+               and a probe hit's TTL reset after the flood event, so a
+               gap-attributing reader books the flood and the probes to
+               the flood.  Span ids are taken where the events used to
+               be emitted (the flood's before the probes, the reset's at
+               the hit), so ids and sibling order stay as they were. *)
             let flood_span =
               if parent >= 0 && Tracer.active tracer Event.Replica_flood then
                 child_id t ~parent
               else -1
             in
             let members = Replica_net.replicas net in
-            let found = ref (-1) in
+            let found = ref (-1) and holder = ref (-1) and reset_span = ref (-1) in
             let i = ref 0 in
             let len = Array.length members in
             while !found < 0 && !i < len do
@@ -503,8 +510,9 @@ let index_search t ~now ~entry ~key_index ~parent =
                     ~ttl:(lease t ~now ~key_index)
                 with
                 | Some provider ->
-                    record_ttl_reset t ~now:(child_time t ~now) ~peer:member ~key_index
-                      ~parent;
+                    Registry.incr t.ins.c_ttl_reset 1;
+                    reset_span := ttl_reset_span t ~parent;
+                    holder := member;
                     found := provider
                 | None -> ()
             done;
@@ -512,6 +520,8 @@ let index_search t ~now ~entry ~key_index ~parent =
               Tracer.emit tracer
                 (Event.make ~time:(child_time t ~now) ~peer:responsible ~key_index
                    ~messages:flood_messages ~span:flood_span ~parent Event.Replica_flood);
+            emit_ttl_reset t ~now:(child_time t ~now) ~peer:!holder ~key_index ~parent
+              ~span:!reset_span;
             ((if !found < 0 then None else Some !found), index_messages, flood_messages))
   in
   let provider, index_messages, flood_messages = result in

@@ -13,7 +13,14 @@
     One routing table, two maintenance disciplines.  Every member keeps
     one set of k-buckets, filled at construction by reservoir sampling
     over each bucket's id range; both disciplines read and write that
-    one store.  Under the default ("frozen") discipline only
+    one store.  The store is flat: each member's row holds buckets
+    [0 .. depth-1] (a length, then [bucket_size] slots each) in one int
+    array shared by all members, where [depth] is 1 + the deepest
+    bucket any member has slots in (the longest common id prefix in
+    the membership); live replacement caches sit in a second array of
+    the same layout.  A member's slotted, non-empty and
+    touched-since-the-last-refresh buckets are int bitmasks, so bucket
+    walks visit set bits only.  Under the default ("frozen") discipline only
     {!probe_and_repair} and {!rebuild_routes} change a table.  Opting in
     with {!enable_live_routing} maintains the same buckets by
     Maymounkov and Mazieres' rules, in least-recently-seen order with a

@@ -712,52 +712,105 @@ let test_traced_run_causal_completeness () =
   Alcotest.(check bool) "index-all: gossip trees present" true (gossip_roots > 0)
 
 (* On an index miss at the responsible member, [Pdht.index_search]
-   probes the other replicas' stores after the replica flood.  The
-   flood's event is emitted after those probes, so a gap-attributing
-   reader books their time to the flood, while its span id is taken
-   before them: a probe hit's TTL reset gets the next id under the same
-   parent, yet is emitted first. *)
+   floods the replica group and probes the other members' stores.  Its
+   [Replica_flood] event is emitted after those probes, and a probe
+   hit's [Ttl_reset] after the flood event, so a gap-attributing reader
+   books the probes to the flood; the span ids, and the order of the
+   two siblings, are the ones they had when the flood event came before
+   the probes.  The stores log their reads into the trace's own log,
+   so the test sees where each probe fell between the events. *)
+type flood_log = Read of int (* store read at this peer *) | Ev of Event.t
+
 let test_replica_flood_after_store_probes () =
-  (* Session churn moves keys' responsible members, so the flood's
-     probes find entries the responsible one lacks. *)
-  let scenario =
+  let peers = 120 and members = 40 and keys = 120 in
+  let bitkeys =
+    Array.init keys (fun i ->
+        Pdht_util.Hashing.hash_to_key (Pdht_util.Hashing.combine [ "key"; string_of_int i ]))
+  in
+  let census = Pdht_core.Pdht.Census.create bitkeys in
+  let stores = Array.init members (fun _ -> Pdht_dht.Storage.create ~capacity:20 ()) in
+  let log = ref [] in
+  let store =
     {
-      (traced_scenario 23) with
-      Pdht_work.Scenario.duration = 300.;
-      churn =
-        Pdht_work.Scenario.Exponential_sessions
-          { mean_uptime = 300.; mean_downtime = 100.; initially_online_fraction = 0.75 };
+      Pdht_core.Pdht.get_and_refresh =
+        (fun ~peer ~key_index ~now ~ttl ->
+          log := Read peer :: !log;
+          Pdht_dht.Storage.get_and_refresh stores.(peer) ~key:bitkeys.(key_index) ~now ~ttl);
+      put =
+        (fun ~peer ~key_index ~value ~now ~ttl ->
+          Pdht_dht.Storage.put stores.(peer) ~key:bitkeys.(key_index) ~value ~now ~ttl);
+      peek =
+        (fun ~peer ~key_index ~now ->
+          Pdht_dht.Storage.peek stores.(peer) ~key:bitkeys.(key_index) ~now);
+      clear = (fun ~peer -> Pdht_dht.Storage.clear stores.(peer));
+      live_count = (fun ~peer ~now -> Pdht_dht.Storage.live_count stores.(peer) ~now);
+      census = (fun ~now -> Pdht_core.Pdht.Census.of_stores census ~now stores);
     }
   in
-  let options = traced_options () in
-  let key_ttl = Pdht_core.System.derive_key_ttl scenario options in
-  let events = ref [] in
-  let tracer = Tracer.create ~enabled:true () in
-  Tracer.add_sink tracer (Sink.callback (fun e -> events := e :: !events));
-  let obs = Context.create ~tracer () in
-  let _report =
-    Pdht_core.System.run ~obs scenario (Pdht_core.Strategy.Partial_index { key_ttl }) options
+  let transport =
+    {
+      Pdht_core.Pdht.store;
+      rpc = (fun ~span:_ ~src:_ ~dst:_ -> true);
+      cast = (fun ~span:_ ~src:_ ~dst:_ -> true);
+    }
   in
-  let order = Hashtbl.create 1024 in
-  List.iteri (fun i (e : Event.t) -> Hashtbl.replace order e.Event.span (i, e)) (List.rev !events);
-  let pairs = ref 0 and floods = ref 0 in
-  Hashtbl.iter
-    (fun _ (i, (flood : Event.t)) ->
-      if flood.Event.category = Event.Replica_flood then begin
-        incr floods;
-        match Hashtbl.find_opt order (flood.Event.span + 1) with
-        | Some (j, (reset : Event.t))
-          when reset.Event.category = Event.Ttl_reset && reset.Event.parent = flood.Event.parent
-          ->
-            incr pairs;
-            if j > i then
-              Alcotest.failf "flood span %d emitted before its probe's TTL reset (span %d)"
-                flood.Event.span reset.Event.span
-        | _ -> ()
-      end)
-    order;
+  let tracer = Tracer.create ~enabled:true () in
+  Tracer.add_sink tracer (Sink.callback (fun e -> log := Ev e :: !log));
+  let obs = Context.create ~tracer () in
+  let rng = Pdht_util.Rng.create ~seed:23 in
+  let config =
+    Pdht_core.Config.make ~num_peers:peers ~active_members:members ~keys ~repl:5 ~stor:20
+      ~strategy:(Pdht_core.Strategy.Partial_index { key_ttl = 200. })
+      ()
+  in
+  let p = Pdht_core.Pdht.create ~obs ~transport rng config in
+  (* Churn moves keys' responsible members, so responsible members miss
+     keys other replicas hold. *)
+  let online = Array.make peers true in
+  Pdht_core.Pdht.set_online p (fun peer -> online.(peer));
+  for step = 1 to 600 do
+    let now = float_of_int step in
+    let key_index = Pdht_util.Rng.int rng 30 in
+    ignore (Pdht_core.Pdht.query p ~now ~peer:(Pdht_util.Rng.int rng peers) ~key_index);
+    if step mod 2 = 0 then begin
+      let m = Pdht_util.Rng.int rng members in
+      online.(m) <- not online.(m)
+    end
+  done;
+  (* Walk the log in order: after a flood event and until the next
+     query starts, no store is read; a probe hit's reset follows its
+     flood, with the next span id. *)
+  let floods = ref 0 and probed = ref 0 and hits = ref 0 in
+  let reads_since_lookup = ref 0 and after_flood = ref None in
+  List.iter
+    (function
+      | Read peer -> (
+          incr reads_since_lookup;
+          match !after_flood with
+          | Some (f : Event.t) ->
+              Alcotest.failf "store read at peer %d after the flood event (span %d)" peer
+                f.Event.span
+          | None -> ())
+      | Ev e -> (
+          match e.Event.category with
+          | Event.Dht_lookup -> reads_since_lookup := 0
+          | Event.Replica_flood ->
+              incr floods;
+              if !reads_since_lookup >= 2 then incr probed;
+              after_flood := Some e
+          | Event.Ttl_reset -> (
+              match !after_flood with
+              | Some f when e.Event.parent = f.Event.parent ->
+                  incr hits;
+                  Alcotest.(check int) "a probe hit's reset takes the id after the flood's"
+                    (f.Event.span + 1) e.Event.span
+              | _ -> ())
+          | Event.Query -> after_flood := None
+          | _ -> ()))
+    (List.rev !log);
   Alcotest.(check bool) "floods traced" true (!floods > 0);
-  Alcotest.(check bool) "some flood's probes hit" true (!pairs > 0)
+  Alcotest.(check bool) "some flood probed other stores" true (!probed > 0);
+  Alcotest.(check bool) "some probe hit" true (!hits > 0)
 
 let test_system_timeline_report () =
   let scenario = traced_scenario 22 in
