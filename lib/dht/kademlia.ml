@@ -115,7 +115,8 @@ let lowest_bit x =
   if !x land 0x1 = 0 then !p + 1 else !p
 
 (* Index of the highest set bit of a non-zero mask below 2^62. *)
-let highest_bit x = Bitkey.width - 1 - Bitkey.common_prefix_length (Bitkey.of_int x) (Bitkey.of_int 0)
+let highest_bit x =
+  Bitkey.width - 1 - Bitkey.common_prefix_length (Bitkey.of_int x) (Bitkey.of_int 0)
 
 let popcount x =
   let x = ref x and c = ref 0 in
@@ -639,15 +640,16 @@ let add_candidate t m d =
     t.cand_len <- t.cand_len + 1
   end
 
-(* Make the [need] entries of the [len] at [base] closest to [key]
-   candidates; the caller has checked [len > need].  [table_dist] /
-   [table_buf] collect the class's closest entries by insertion. *)
+(* Offer the [len] entries at [base] to the class's [need] closest so
+   far, [filled] of them in [table_dist] / [table_buf]; returns the new
+   fill.  {!add_taken} then makes them candidates. *)
 let take_closest t key ~need ~filled base len =
   let tb = t.table in
   let filled = ref filled in
   for j = base + 1 to base + len do
     let m = tb.(j) in
-    filled := insert_closest t.table_dist t.table_buf ~need !filled (Bitkey.xor_distance key t.ids.(m)) m
+    filled :=
+      insert_closest t.table_dist t.table_buf ~need !filled (Bitkey.xor_distance key t.ids.(m)) m
   done;
   !filled
 

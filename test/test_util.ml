@@ -351,7 +351,9 @@ let bitkey_cpl_test =
      answer 0-62 turns up. *)
   let gen =
     let open QCheck.Gen in
-    let key = map (fun x -> Bitkey.of_int (x land ((1 lsl Bitkey.width) - 1))) (int_bound max_int) in
+    let key =
+      map (fun x -> Bitkey.of_int (x land ((1 lsl Bitkey.width) - 1))) (int_bound max_int)
+    in
     frequency
       [
         (1, pair key key);
@@ -365,7 +367,9 @@ let bitkey_cpl_test =
       ]
   in
   QCheck.Test.make ~name:"common_prefix_length matches the bit loop" ~count:2000
-    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%x %x" (Bitkey.to_int a) (Bitkey.to_int b)) gen)
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "%x %x" (Bitkey.to_int a) (Bitkey.to_int b))
+       gen)
     (fun (a, b) -> Bitkey.common_prefix_length a b = cpl_bit_loop a b)
 
 let test_bitkey_flip_involutive () =
