@@ -12,8 +12,9 @@ module Rng = Pdht_util.Rng
    uses the same geometry on its k-buckets: every entry of bucket [b]
    shares exactly [b] leading bits with the member, so the buckets fall
    into XOR-distance classes around the key and the closest
-   [bucket_size] entries come from the first few classes, each sorted
-   in place, with no full-table sort.  Lookups run on
+   [bucket_size] entries come from the first few classes: whole classes
+   while they fit, then the closest entries of the next, with no
+   full-table sort.  Lookups run on
    generation-stamped scratch owned by [t]: no per-lookup Hashtbls, no
    per-round candidate lists, no closures.
 
@@ -665,24 +666,11 @@ let add_taken t filled =
     add_candidate t t.table_buf.(i) t.table_dist.(i)
   done
 
-(* Make the closest [need] entries of bucket [b] of [member]
-   candidates; returns how many it took.  A bucket that fits is taken
-   whole, unsorted: the lookup's batch choice depends only on which
-   members are candidates, never on their order. *)
-let take_bucket t key member ~need b =
-  let base = bucket_base t member b in
-  let len = t.table.(base) in
-  if len <= need then begin
-    add_all t key base len;
-    len
-  end
-  else begin
-    let filled = take_closest t key ~need ~filled:0 base len in
-    add_taken t filled;
-    filled
-  end
-
-(* The same for the buckets in [mask] taken as one class. *)
+(* Make the closest [need] entries of [member]'s buckets in [mask],
+   taken as one class, candidates; returns how many it took.  A class
+   that fits is taken whole, unsorted: the lookup's batch choice
+   depends only on which members are candidates, never on their
+   order. *)
 let take_class t key member ~need mask =
   let total = ref 0 in
   let rest = ref mask in
@@ -729,7 +717,7 @@ let answer_from_table t key member =
   let taken = ref 0 in
   let below = ref mask in
   if c < Bitkey.width then begin
-    if mask land (1 lsl c) <> 0 then taken := take_bucket t key member ~need:quota c;
+    if mask land (1 lsl c) <> 0 then taken := take_class t key member ~need:quota (1 lsl c);
     if !taken < quota then begin
       let deeper = mask land lnot ((2 lsl c) - 1) in
       if deeper <> 0 then
@@ -740,7 +728,7 @@ let answer_from_table t key member =
   while !taken < quota && !below <> 0 do
     let b = highest_bit !below in
     below := !below lxor (1 lsl b);
-    taken := !taken + take_bucket t key member ~need:(quota - !taken) b
+    taken := !taken + take_class t key member ~need:(quota - !taken) (1 lsl b)
   done
 
 let lookup ?span ?deliver t ~online ~source ~key =
