@@ -922,33 +922,33 @@ let kademlia_ref_test =
       let rec run step = function
         | [] -> true
         | op :: rest ->
-             let same =
-               match op with
-               | K_lookup (source, k) ->
-                   lookup step source (Bitkey.of_int (k land ((1 lsl Bitkey.width) - 1)))
-               | K_lookup_id (source, m) -> lookup step source (Kademlia.id_of t m)
-               | K_probe (peer, probes) ->
-                   Kademlia.probe_and_repair t rng ~online ~peer ~probes
-                   = Kademlia_ref.probe_and_repair r rng_ref ~online ~peer ~probes
-               | K_refresh ->
-                   Kademlia.refresh_sweep t rng ~online
-                   = Kademlia_ref.refresh_sweep r rng_ref ~online
-               | K_forget peer ->
-                   Kademlia.forget_routes t ~peer;
-                   Kademlia_ref.forget_routes r ~peer;
-                   true
-               | K_rebuild peer ->
-                   Kademlia.rebuild_routes t rng ~peer = Kademlia_ref.rebuild_routes r rng_ref ~peer
-               | K_drain -> Kademlia.drain_probe_cost t = Kademlia_ref.drain_probe_cost r
-               | K_flip m ->
-                   up.(m) <- not up.(m);
-                   true
-             in
-             same && !log = !log_ref
-             && live_stats () = live_stats_ref ()
-             && Kademlia.contact_stats t = Kademlia_ref.contact_stats r
-             && same_tables () && same_next_draw rng rng_ref
-             && run (step + 1) rest
+            let same =
+              match op with
+              | K_lookup (source, k) ->
+                  lookup step source (Bitkey.of_int (k land ((1 lsl Bitkey.width) - 1)))
+              | K_lookup_id (source, m) -> lookup step source (Kademlia.id_of t m)
+              | K_probe (peer, probes) ->
+                  Kademlia.probe_and_repair t rng ~online ~peer ~probes
+                  = Kademlia_ref.probe_and_repair r rng_ref ~online ~peer ~probes
+              | K_refresh ->
+                  Kademlia.refresh_sweep t rng ~online
+                  = Kademlia_ref.refresh_sweep r rng_ref ~online
+              | K_forget peer ->
+                  Kademlia.forget_routes t ~peer;
+                  Kademlia_ref.forget_routes r ~peer;
+                  true
+              | K_rebuild peer ->
+                  Kademlia.rebuild_routes t rng ~peer = Kademlia_ref.rebuild_routes r rng_ref ~peer
+              | K_drain -> Kademlia.drain_probe_cost t = Kademlia_ref.drain_probe_cost r
+              | K_flip m ->
+                  up.(m) <- not up.(m);
+                  true
+            in
+            same && !log = !log_ref
+            && live_stats () = live_stats_ref ()
+            && Kademlia.contact_stats t = Kademlia_ref.contact_stats r
+            && same_tables () && same_next_draw rng rng_ref
+            && run (step + 1) rest
       in
       run 0 ops)
 
