@@ -1,11 +1,12 @@
 (* Verbatim copies of the overlay construction paths as they were
    when [Replica_net.build] filled a dense n x (n-1) row scratch,
    [Topology]'s generators accumulated [Int_set] trees, and
-   [Replication] kept a per-peer inverse view of every placement.
+   [Replication] kept a per-peer inverse view of every placement, plus
+   [Replica_net.flood] as it walked one boxed row per member.
    test_scale's "overlay ref" properties drive these and the live
    modules from equal generator states and require equal adjacency,
-   equal edge counts, equal placements and an equal next draw: the
-   flat-scratch rewrites must change cost, never a result. *)
+   equal edge counts, equal placements, equal floods and an equal next
+   draw: the flat rewrites must change cost, never a result. *)
 
 module Replica_net = struct
   type t = {
@@ -68,6 +69,54 @@ module Replica_net = struct
 
   let size t = Array.length t.replicas
   let neighbors t ~member = Array.map (fun pos -> t.replicas.(pos)) t.adj.(member)
+
+  (* Groups are small (the replication factor), so position lookup is a
+     linear scan — building a hash index per subnet cost more at
+     construction than every scan it ever served. *)
+  let position_of_peer t peer =
+    let n = Array.length t.replicas in
+    let rec go i = if i = n then -1 else if t.replicas.(i) = peer then i else go (i + 1) in
+    go 0
+
+  type flood_result = { reached : int; messages : int }
+
+  let flood t ~online ~from_peer =
+    match position_of_peer t from_peer with
+    | -1 -> { reached = 0; messages = 0 }
+    | start ->
+        if not (online t.replicas.(start)) then { reached = 0; messages = 0 }
+        else begin
+          (if t.generation = max_int then begin
+             Array.fill t.stamp 0 (Array.length t.stamp) 0;
+             t.generation <- 0
+           end);
+          t.generation <- t.generation + 1;
+          let gen = t.generation in
+          let stamp = t.stamp and queue = t.queue in
+          stamp.(start) <- gen;
+          queue.(0) <- start;
+          let head = ref 0 and tail = ref 1 in
+          let reached = ref 1 in
+          let messages = ref 0 in
+          while !head < !tail do
+            let pos = queue.(!head) in
+            incr head;
+            let nbrs = t.adj.(pos) in
+            for i = 0 to Array.length nbrs - 1 do
+              let q = nbrs.(i) in
+              if online t.replicas.(q) then begin
+                incr messages;
+                if stamp.(q) <> gen then begin
+                  stamp.(q) <- gen;
+                  incr reached;
+                  queue.(!tail) <- q;
+                  incr tail
+                end
+              end
+            done
+          done;
+          { reached = !reached; messages = !messages }
+        end
 end
 
 module Topology = struct

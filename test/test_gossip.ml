@@ -3,6 +3,12 @@
 module Rng = Pdht_util.Rng
 module Replica_net = Pdht_gossip.Replica_net
 module Rumor = Pdht_gossip.Rumor
+module Scenario = Pdht_work.Scenario
+module System = Pdht_core.System
+module Strategy = Pdht_core.Strategy
+module Runner = Pdht_core.Runner
+module Run_spec = Pdht_core.Run_spec
+module Run_result = Pdht_core.Run_result
 
 let all_online _ = true
 
@@ -129,6 +135,32 @@ let test_net_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Replica_net.build: empty replica set")
     (fun () -> ignore (Replica_net.build rng ~replicas:[||] ~chords:0))
 
+(* Wide subnets end to end, pinned byte for byte: the same run as
+     pdht simulate --peers 20000 --keys 500 --repl 200 --duration 120
+       --churn weibull:up=600:down=200:shape=0.6
+   which builds 200-member replica subnets on the query path and sends
+   about 1.1 million replica-flood messages over them while members go
+   offline and come back. *)
+let test_wide_subnets_match_golden () =
+  let scenario =
+    {
+      Scenario.news_default with
+      Scenario.num_peers = 20_000;
+      keys = 500;
+      duration = 120.;
+      churn =
+        Scenario.Sessions
+          (Result.get_ok (Pdht_dist.Session.of_string "weibull:up=600:down=200:shape=0.6"));
+    }
+  in
+  let options = System.Options.make ~repl:200 ~stor:100 () in
+  let strategy = Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options } in
+  let report =
+    Runner.run_all [ Run_spec.make ~strategy ~options scenario ]
+    |> List.hd |> snd |> Run_result.report_exn
+  in
+  Golden.check "wide_subnet_report.txt" (Format.asprintf "%a@." System.pp_report report)
+
 (* ------------------------------------------------------------------ *)
 (* Rumor *)
 
@@ -249,6 +281,8 @@ let () =
           Alcotest.test_case "flood from non-member" `Quick test_net_flood_from_nonmember;
           Alcotest.test_case "singleton" `Quick test_net_singleton;
           Alcotest.test_case "validation" `Quick test_net_validation;
+          Alcotest.test_case "wide subnets under churn match golden" `Slow
+            test_wide_subnets_match_golden;
         ] );
       ( "rumor",
         [

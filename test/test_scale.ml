@@ -398,31 +398,50 @@ let same_next_draw a b = Rng.bits64 a = Rng.bits64 b && Rng.int a 1_000_003 = Rn
 
 (* Sizes 1-3 get their own weight: there the ring successor, the
    predecessor and every chord collide, so the dedup and the
-   self-loop drop carry the result. *)
+   self-loop drop carry the result.  Floods start from every member and
+   from one non-member under a random online mask, so stamps from
+   earlier floods of the same subnet are live when each one runs. *)
 let replica_net_ref_test =
   let case =
     QCheck.Gen.(
-      quad
-        (frequency [ (2, int_range 1 3); (3, int_range 4 40); (1, int_range 41 300) ])
-        (int_range 0 3) small_nat small_nat)
+      pair
+        (quad
+           (frequency [ (2, int_range 1 3); (3, int_range 4 40); (1, int_range 41 300) ])
+           (int_range 0 3) small_nat small_nat)
+        (int_range 0 80))
   in
-  let print (n, chords, seed, offset) =
-    Printf.sprintf "n=%d chords=%d seed=%d offset=%d" n chords seed offset
+  let print ((n, chords, seed, offset), offline_pct) =
+    Printf.sprintf "n=%d chords=%d seed=%d offset=%d offline=%d%%" n chords seed offset offline_pct
   in
   QCheck.Test.make ~name:"replica_net matches the dense-row reference" ~count:300
-    (QCheck.make ~print case) (fun (n, chords, seed, offset) ->
-      (* Distinct global peer ids, descending in member order. *)
+    (QCheck.make ~print case) (fun ((n, chords, seed, offset), offline_pct) ->
+      (* Distinct global peer ids, descending in member order; [offset + 1]
+         is never one of them. *)
       let replicas = Array.init n (fun i -> offset + (3 * (n - 1 - i))) in
       let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
       let net = Replica_net.build rng ~replicas ~chords in
       let reference = Overlay_ref.Replica_net.build rng_ref ~replicas ~chords in
+      let mask_rng = Rng.create ~seed:(seed + 1) in
+      let online_peer = Array.make (offset + (3 * n) + 1) true in
+      Array.iter
+        (fun peer -> if Rng.int mask_rng 100 < offline_pct then online_peer.(peer) <- false)
+        replicas;
+      let online peer = online_peer.(peer) in
+      let same_flood from_peer =
+        let a = Replica_net.flood net ~online ~from_peer
+        and b = Overlay_ref.Replica_net.flood reference ~online ~from_peer in
+        a.Replica_net.reached = b.Overlay_ref.Replica_net.reached
+        && a.Replica_net.messages = b.Overlay_ref.Replica_net.messages
+      in
       Replica_net.size net = Overlay_ref.Replica_net.size reference
       && List.for_all
            (fun member ->
              Replica_net.neighbors net ~member
              = Overlay_ref.Replica_net.neighbors reference ~member)
            (List.init n Fun.id)
-      && same_next_draw rng rng_ref)
+      && same_next_draw rng rng_ref
+      && Array.for_all same_flood replicas
+      && same_flood (offset + 1))
 
 type generator =
   | Regularish of int * int (* peers, degree *)
@@ -705,15 +724,20 @@ let sampling_ref_test =
 (* Construction scratch is sized to the output.  Words allocated
    (minor plus direct major, promotions counted once) stay within a
    small multiple of the members or peers built; a dense n x (n - 1)
-   row scratch (about 200 words per member at n = 200) or a tree set
-   per peer (about 250 words per peer) fails these bounds.  The minor
+   row scratch (about 200 words per member at n = 200), a boxed row
+   per subnet member (15, where the flat rows take 9) or a tree set per
+   peer (about 250 words per peer) fails these bounds.  The minor
    heap is emptied first: a minor collection inside the window would
-   otherwise charge it for objects allocated before it. *)
+   otherwise charge it for objects allocated before it.  Minor words
+   come from [Gc.minor_words]: on OCaml 5.1 the minor figure of
+   [Gc.counters] reads an eighth of the words allocated. *)
 let allocated_words f =
   Gc.minor ();
-  let minor0, promoted0, major0 = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   let result = f () in
-  let minor1, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
   ignore (Sys.opaque_identity result);
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
@@ -723,10 +747,34 @@ let test_replica_net_build_alloc () =
       let replicas = Array.init n (fun i -> 3 * i) in
       let rng = Rng.create ~seed:n in
       let words = allocated_words (fun () -> Replica_net.build rng ~replicas ~chords:1) in
-      if words > 40. *. float_of_int n then
+      if words > 12. *. float_of_int n then
         Alcotest.failf "Replica_net.build at n = %d allocated %.0f words (%.1f per member)" n words
           (words /. float_of_int n))
     [ 200; 2_000 ]
+
+(* A draw allocates nothing: [Rng.step] is inlined into every draw, so
+   its [int64] temporaries stay unboxed (a step that stops inlining
+   boxes its result, 3 words a draw).  The float draws hand their result
+   back boxed across the library boundary, 2 words, which the count
+   allows. *)
+let test_rng_draw_alloc () =
+  let rng = Rng.create ~seed:1 and draws = 100_000 in
+  let per_draw ~result_words name draw =
+    let sink = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to draws do
+      if draw () then incr sink
+    done;
+    let words = ((Gc.minor_words () -. w0) /. float_of_int draws) -. result_words in
+    ignore (Sys.opaque_identity !sink);
+    if words > 0. then Alcotest.failf "Rng.%s allocated %.2f minor words a draw" name words
+  in
+  per_draw ~result_words:0. "int below 2^30" (fun () -> Rng.int rng 453 = 0);
+  per_draw ~result_words:0. "int above 2^30" (fun () -> Rng.int rng (1 lsl 40) = 0);
+  per_draw ~result_words:2. "unit_float" (fun () -> Rng.unit_float rng < 0.5);
+  per_draw ~result_words:0. "bool" (fun () -> Rng.bool rng);
+  per_draw ~result_words:0. "bernoulli" (fun () -> Rng.bernoulli rng ~p:0.3);
+  per_draw ~result_words:2. "exponential" (fun () -> Rng.exponential rng ~rate:2. < 0.5)
 
 let test_topology_alloc () =
   let peers = 100_000 in
@@ -983,6 +1031,7 @@ let () =
             test_storage_bookkeeping_alloc_free;
           Alcotest.test_case "replica_net build scratch" `Quick test_replica_net_build_alloc;
           Alcotest.test_case "topology build scratch" `Quick test_topology_alloc;
+          Alcotest.test_case "rng draws" `Quick test_rng_draw_alloc;
           Alcotest.test_case "lossless hook rpc" `Quick test_hook_rpc_alloc;
         ] );
     ]

@@ -168,6 +168,125 @@ let test_rng_geometric () =
   (* mean of failures-before-success = (1-p)/p = 1 *)
   check_float_loose "mean" 1.0 (float_of_int !acc /. float_of_int n)
 
+(* The first raw outputs of two seeds, computed from the published
+   splitmix64 and xoshiro256** definitions rather than from this
+   module: they pin the seeding and the step, not only self-agreement. *)
+let test_rng_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Rng.create ~seed in
+      List.iteri
+        (fun i want ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d, draw %d" seed i) want (Rng.bits64 rng))
+        expected)
+    [
+      (0, [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL ]);
+      (42, [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L ]);
+    ]
+
+(* The native-word generator against [Rng_ref], the 32-bit-halves
+   implementation it replaced.  Both sides start from one seed and run
+   the same operations; every output must agree, and so must the next
+   raw draw at the end.  [Split]/[Copy] compare a draw of the children
+   and then carry on with the child or the parent, so a child sharing
+   state with its parent shows up on either side. *)
+type rng_op =
+  | Split of bool (* carry on with the child *)
+  | Copy of bool
+  | Bits64
+  | Int of int
+  | Int_in_range of int * int
+  | Float of float
+  | Unit_float
+  | Bool
+  | Bernoulli of float
+  | Exponential of float
+  | Geometric of float
+
+let show_rng_op = function
+  | Split c -> Printf.sprintf "split(child=%b)" c
+  | Copy c -> Printf.sprintf "copy(child=%b)" c
+  | Bits64 -> "bits64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Int_in_range (lo, hi) -> Printf.sprintf "int_in_range %d %d" lo hi
+  | Float b -> Printf.sprintf "float %h" b
+  | Unit_float -> "unit_float"
+  | Bool -> "bool"
+  | Bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Exponential r -> Printf.sprintf "exponential %h" r
+  | Geometric p -> Printf.sprintf "geometric %h" p
+
+(* Bounds on both sides of the Lemire/modulo switch at 2^30, and up to
+   [max_int], where the modulo ladder rejects almost half its draws. *)
+let rng_bound_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, int_range 1 64);
+      (4, int_range 1 ((1 lsl 30) - 1));
+      (2, int_range ((1 lsl 30) - 4) ((1 lsl 30) + 4));
+      (2, int_range (1 lsl 30) max_int);
+      (1, int_range (max_int - 4) max_int);
+    ]
+
+let rng_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map (fun c -> Split c) bool);
+      (1, map (fun c -> Copy c) bool);
+      (2, return Bits64);
+      (4, map (fun b -> Int b) rng_bound_gen);
+      (2, map2 (fun lo b -> Int_in_range (lo, lo + b - 1)) (int_range (-1000) 0) rng_bound_gen);
+      (1, map (fun b -> Float b) (float_range 0. 1000.));
+      (2, return Unit_float);
+      (2, return Bool);
+      ( 2,
+        map
+          (fun p -> Bernoulli p)
+          (oneof
+             [ float_range (-1.) 0.; float_range 0. 1.; float_range 1. 2.; oneofl [ 0.; 1. ] ])
+      );
+      (1, map (fun r -> Exponential r) (float_range 1e-3 100.));
+      (1, map (fun p -> Geometric p) (oneof [ float_range 1e-3 1.; return 1. ]));
+    ]
+
+let rng_ref_test =
+  let print (seed, ops) =
+    Printf.sprintf "seed=%d ops=[%s]" seed (String.concat "; " (List.map show_rng_op ops))
+  in
+  QCheck.Test.make ~name:"rng matches the 32-bit-halves reference" ~count:1000
+    (QCheck.make ~print
+       QCheck.Gen.(pair (int_range min_int max_int) (list_size (int_range 1 200) rng_op_gen)))
+    (fun (seed, ops) ->
+      let step (a, r) op =
+        let fork child ca cr =
+          (Int64.equal (Rng.bits64 ca) (Rng_ref.bits64 cr), if child then (ca, cr) else (a, r))
+        in
+        match op with
+        | Split child -> fork child (Rng.split a) (Rng_ref.split r)
+        | Copy child -> fork child (Rng.copy a) (Rng_ref.copy r)
+        | Bits64 -> (Int64.equal (Rng.bits64 a) (Rng_ref.bits64 r), (a, r))
+        | Int b -> (Rng.int a b = Rng_ref.int r b, (a, r))
+        | Int_in_range (lo, hi) ->
+            (Rng.int_in_range a ~lo ~hi = Rng_ref.int_in_range r ~lo ~hi, (a, r))
+        | Float b -> (Rng.float a b = Rng_ref.float r b, (a, r))
+        | Unit_float -> (Rng.unit_float a = Rng_ref.unit_float r, (a, r))
+        | Bool -> (Rng.bool a = Rng_ref.bool r, (a, r))
+        | Bernoulli p -> (Rng.bernoulli a ~p = Rng_ref.bernoulli r ~p, (a, r))
+        | Exponential rate -> (Rng.exponential a ~rate = Rng_ref.exponential r ~rate, (a, r))
+        | Geometric p -> (Rng.geometric a ~p = Rng_ref.geometric r ~p, (a, r))
+      in
+      let rec run gens = function
+        | [] ->
+            let a, r = gens in
+            Int64.equal (Rng.bits64 a) (Rng_ref.bits64 r)
+        | op :: rest ->
+            let same, gens = step gens op in
+            same && run gens rest
+      in
+      run (Rng.create ~seed, Rng_ref.create ~seed) ops)
+
 (* ------------------------------------------------------------------ *)
 (* Sampling *)
 
@@ -541,6 +660,8 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
           Alcotest.test_case "geometric" `Quick test_rng_geometric;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          QCheck_alcotest.to_alcotest rng_ref_test;
         ] );
       ( "sampling",
         [

@@ -154,6 +154,13 @@ diff "$out/lossy-report.txt" test/golden/lossy_net_report.txt
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
   --churn > "$out/exp-churn-report.txt"
 diff "$out/exp-churn-report.txt" test/golden/exp_churn_report.txt
+# Wide replica subnets: 200-member groups built on the query path and
+# flooded (~1.1 M replica-flood messages) while churn takes members
+# offline.  Every other pinned run floods groups of 20.
+dune exec bin/pdht_cli.exe -- simulate --peers 20000 --keys 500 --repl 200 \
+  --duration 120 --churn weibull:up=600:down=200:shape=0.6 \
+  > "$out/wide-subnet-report.txt"
+diff "$out/wide-subnet-report.txt" test/golden/wide_subnet_report.txt
 # And with fault injection on: the fault trace events must be present
 # and well-formed, the report must carry the fault block, and the
 # repair counters must be live.
