@@ -11,16 +11,16 @@ type node = {
 
 type t = {
   slots : node option array;
-  successor_list_length : int;
   rng : Rng.t;
   mutable count : int;
 }
 
-let create rng ~capacity ?(successor_list_length = 4) () =
+(* Fault-tolerance depth of each node's successor list. *)
+let successor_list_length = 4
+
+let create rng ~capacity () =
   if capacity < 1 then invalid_arg "Chord_dynamic.create: capacity must be >= 1";
-  if successor_list_length < 1 then
-    invalid_arg "Chord_dynamic.create: successor_list_length must be >= 1";
-  { slots = Array.make capacity None; successor_list_length; rng; count = 0 }
+  { slots = Array.make capacity None; rng; count = 0 }
 
 let node_count t = t.count
 let is_member t slot = slot >= 0 && slot < Array.length t.slots && t.slots.(slot) <> None
@@ -265,7 +265,7 @@ let stabilize_node t slot =
       let succ_list = (get t n.successor).successor_list in
       n.successor_list <-
         (n.successor :: succ_list)
-        |> List.filteri (fun i _ -> i < t.successor_list_length)
+        |> List.filteri (fun i _ -> i < successor_list_length)
     end;
     (* 5. Repair one random finger by routing to its target. *)
     let j = Rng.int t.rng Bitkey.width in

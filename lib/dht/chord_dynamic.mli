@@ -14,10 +14,10 @@
 
 type t
 
-val create : Pdht_util.Rng.t -> capacity:int -> ?successor_list_length:int -> unit -> t
-(** An empty ring with room for [capacity] concurrent nodes.
-    [successor_list_length] (default 4) is the fault-tolerance depth of
-    each node's successor list.  Requires [capacity >= 1]. *)
+val create : Pdht_util.Rng.t -> capacity:int -> unit -> t
+(** An empty ring with room for [capacity] concurrent nodes.  Each
+    node's successor list holds at most 4 entries, its fault-tolerance
+    depth.  Requires [capacity >= 1]. *)
 
 val node_count : t -> int
 (** Nodes currently in the ring. *)

@@ -5,12 +5,14 @@ type t = {
   ids : Bitkey.t array; (* member -> id *)
   sorted : int array; (* member indices sorted by id *)
   pos_in_sorted : int array;
-  digit_bits : int;
-  digit_count : int;
   leaf_set_size : int;
   routing : int option array array array; (* member -> row -> digit value -> entry *)
   groups : (int * int, int array) Hashtbl.t; (* (depth, prefix) -> members *)
 }
+
+(* b = 2: base-4 digits. *)
+let digit_bits = 2
+let digit_count = Bitkey.width / digit_bits
 
 let members t = Array.length t.ids
 let id_of t m = t.ids.(m)
@@ -20,21 +22,19 @@ let circular_distance a b =
   let d = abs (Bitkey.to_int a - Bitkey.to_int b) in
   if d = 0 then 0 else min d (max_int - d + 1)
 
-let digit t id i =
-  let shift = Bitkey.width - ((i + 1) * t.digit_bits) in
-  (Bitkey.to_int id lsr shift) land ((1 lsl t.digit_bits) - 1)
+let digit id i =
+  let shift = Bitkey.width - ((i + 1) * digit_bits) in
+  (Bitkey.to_int id lsr shift) land ((1 lsl digit_bits) - 1)
 
-let shared_digit_prefix t a b =
-  let rec go i = if i < t.digit_count && digit t a i = digit t b i then go (i + 1) else i in
+let shared_digit_prefix a b =
+  let rec go i = if i < digit_count && digit a i = digit b i then go (i + 1) else i in
   go 0
 
-let prefix_key t id ~depth = (depth, Bitkey.to_int (Bitkey.prefix id ~len:(depth * t.digit_bits)))
+let prefix_key id ~depth = (depth, Bitkey.to_int (Bitkey.prefix id ~len:(depth * digit_bits)))
 
-let create rng ~members:n ?(digit_bits = 2) ?(leaf_set_size = 8) () =
+let create rng ~members:n ?(leaf_set_size = 8) () =
   if n < 1 then invalid_arg "Pastry.create: need >= 1 member";
-  if digit_bits < 1 || digit_bits > Bitkey.width then invalid_arg "Pastry.create: bad digit_bits";
   if leaf_set_size < 1 then invalid_arg "Pastry.create: leaf_set_size must be >= 1";
-  let digit_count = Bitkey.width / digit_bits in
   let seen = Hashtbl.create n in
   let ids =
     Array.init n (fun _ ->
@@ -52,10 +52,7 @@ let create rng ~members:n ?(digit_bits = 2) ?(leaf_set_size = 8) () =
   Array.sort (fun a b -> Bitkey.compare ids.(a) ids.(b)) sorted;
   let pos_in_sorted = Array.make n 0 in
   Array.iteri (fun p m -> pos_in_sorted.(m) <- p) sorted;
-  let t0 =
-    { ids; sorted; pos_in_sorted; digit_bits; digit_count; leaf_set_size;
-      routing = [||]; groups = Hashtbl.create (4 * n) }
-  in
+  let groups = Hashtbl.create (4 * n) in
   (* Depth is bounded by the point where prefixes become unique, well
      under log_{2^b} n + a margin; building every row past that depth
      would only create empty groups. *)
@@ -76,11 +73,11 @@ let create rng ~members:n ?(digit_bits = 2) ?(leaf_set_size = 8) () =
     let acc = Hashtbl.create n in
     Array.iteri
       (fun m id ->
-        let key = prefix_key t0 id ~depth in
+        let key = prefix_key id ~depth in
         let existing = try Hashtbl.find acc key with Not_found -> [] in
         Hashtbl.replace acc key (m :: existing))
       ids;
-    Hashtbl.iter (fun key ms -> Hashtbl.replace t0.groups key (Array.of_list ms)) acc
+    Hashtbl.iter (fun key ms -> Hashtbl.replace groups key (Array.of_list ms)) acc
   done;
   let digit_values = 1 lsl digit_bits in
   let routing =
@@ -88,7 +85,7 @@ let create rng ~members:n ?(digit_bits = 2) ?(leaf_set_size = 8) () =
         let id = ids.(m) in
         Array.init (min useful_depth digit_count) (fun row ->
             Array.init digit_values (fun d ->
-                if d = digit t0 id row then None
+                if d = digit id row then None
                 else begin
                   (* Members sharing [row] digits with us whose next
                      digit is [d]: the (row+1)-digit prefix formed from
@@ -98,12 +95,12 @@ let create rng ~members:n ?(digit_bits = 2) ?(leaf_set_size = 8) () =
                   let target_prefix =
                     Bitkey.of_int (Bitkey.to_int base lor (d lsl shift))
                   in
-                  match Hashtbl.find_opt t0.groups (row + 1, Bitkey.to_int target_prefix) with
+                  match Hashtbl.find_opt groups (row + 1, Bitkey.to_int target_prefix) with
                   | None | Some [||] -> None
                   | Some pool -> Some pool.(Rng.int rng (Array.length pool))
                 end)))
   in
-  { t0 with routing }
+  { ids; sorted; pos_in_sorted; leaf_set_size; routing; groups }
 
 let leaf_set t m =
   let n = members t in
@@ -180,17 +177,17 @@ let lookup ?span ?deliver t ~online ~source ~key =
            lexicographically — preferred hops grow the prefix, fallback
            hops keep it and shrink the distance, so the loop terminates;
            the hop budget is a backstop against pathological churn. *)
-        let budget = (8 * t.digit_count) + members t in
+        let budget = (8 * digit_count) + members t in
         while !current <> target && not !stalled do
           if !hops > budget then stalled := true
           else begin
           let c = !current in
-          let row = shared_digit_prefix t t.ids.(c) key in
+          let row = shared_digit_prefix t.ids.(c) key in
           (* Preferred: the routing-table entry for the key's next
              digit. *)
           let preferred =
             if row < Array.length t.routing.(c) then
-              t.routing.(c).(row).(digit t key row)
+              t.routing.(c).(row).(digit key row)
             else None
           in
           let next =
@@ -235,7 +232,7 @@ let lookup ?span ?deliver t ~online ~source ~key =
                 List.filter
                   (fun m ->
                     circular_distance t.ids.(m) key < my_distance
-                    && shared_digit_prefix t t.ids.(m) key >= row)
+                    && shared_digit_prefix t.ids.(m) key >= row)
                   known
                 |> List.sort_uniq compare |> by_distance
               in
@@ -294,15 +291,15 @@ let forget_routes t ~peer =
    per entry learned (the state exchange of a Pastry join). *)
 let rebuild_routes t rng ~peer =
   let id = t.ids.(peer) in
-  let digit_values = 1 lsl t.digit_bits in
+  let digit_values = 1 lsl digit_bits in
   let messages = ref 0 in
   Array.iteri
     (fun row entries ->
       for d = 0 to digit_values - 1 do
-        if d = digit t id row then entries.(d) <- None
+        if d = digit id row then entries.(d) <- None
         else begin
-          let base = Bitkey.prefix id ~len:(row * t.digit_bits) in
-          let shift = Bitkey.width - ((row + 1) * t.digit_bits) in
+          let base = Bitkey.prefix id ~len:(row * digit_bits) in
+          let shift = Bitkey.width - ((row + 1) * digit_bits) in
           let target_prefix = Bitkey.of_int (Bitkey.to_int base lor (d lsl shift)) in
           match Hashtbl.find_opt t.groups (row + 1, Bitkey.to_int target_prefix) with
           | None | Some [||] -> entries.(d) <- None
@@ -319,7 +316,7 @@ let probe_and_repair t rng ~online ~peer ~probes =
   let rows = Array.length t.routing.(peer) in
   if rows = 0 then 0
   else begin
-    let digit_values = 1 lsl t.digit_bits in
+    let digit_values = 1 lsl digit_bits in
     for _ = 1 to probes do
       let row = Rng.int rng rows in
       let d = Rng.int rng digit_values in
@@ -327,8 +324,8 @@ let probe_and_repair t rng ~online ~peer ~probes =
       | None -> ()
       | Some m ->
           if not (online m) then begin
-            let base = Bitkey.prefix t.ids.(peer) ~len:(row * t.digit_bits) in
-            let shift = Bitkey.width - ((row + 1) * t.digit_bits) in
+            let base = Bitkey.prefix t.ids.(peer) ~len:(row * digit_bits) in
+            let shift = Bitkey.width - ((row + 1) * digit_bits) in
             let target_prefix = Bitkey.of_int (Bitkey.to_int base lor (d lsl shift)) in
             match Hashtbl.find_opt t.groups (row + 1, Bitkey.to_int target_prefix) with
             | None | Some [||] -> ()

@@ -16,11 +16,9 @@
 
 type t
 
-val create :
-  Pdht_util.Rng.t -> members:int -> ?digit_bits:int -> ?leaf_set_size:int -> unit -> t
-(** [digit_bits] (b, default 2: base-4 digits) must divide into
-    {!Pdht_util.Bitkey.width} at least once; [leaf_set_size] (default 8)
-    is the leaf-set half-width.  Requires [members >= 1]. *)
+val create : Pdht_util.Rng.t -> members:int -> ?leaf_set_size:int -> unit -> t
+(** Digits are base 4 (b = 2).  [leaf_set_size] (default 8) is the
+    leaf-set half-width.  Requires [members >= 1]. *)
 
 val members : t -> int
 val id_of : t -> int -> Pdht_util.Bitkey.t

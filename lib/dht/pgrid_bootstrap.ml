@@ -4,36 +4,34 @@ module Rng = Pdht_util.Rng
 type t = {
   paths : string array; (* peer -> current path; grows during bootstrap *)
   refs : int list array array; (* peer -> level -> references, newest first *)
-  max_depth : int;
-  refs_per_level : int;
 }
 
-let create ~members ?(max_depth = 20) ?(refs_per_level = 4) () =
+(* Paths specialize to at most [max_depth] bits; a reference list holds
+   at most [refs_per_level] peers. *)
+let max_depth = 20
+let refs_per_level = 4
+
+let create ~members () =
   if members < 1 then invalid_arg "Pgrid_bootstrap.create: need >= 1 member";
-  if max_depth < 1 || max_depth > Bitkey.width then
-    invalid_arg "Pgrid_bootstrap.create: bad max_depth";
-  if refs_per_level < 1 then invalid_arg "Pgrid_bootstrap.create: refs_per_level must be >= 1";
   {
     paths = Array.make members "";
     refs = Array.init members (fun _ -> Array.make max_depth []);
-    max_depth;
-    refs_per_level;
   }
 
 let members t = Array.length t.paths
 let path_of t p = t.paths.(p)
 
 let refs_at t ~peer ~level =
-  if level < 0 || level >= t.max_depth then invalid_arg "Pgrid_bootstrap.refs_at: bad level";
+  if level < 0 || level >= max_depth then invalid_arg "Pgrid_bootstrap.refs_at: bad level";
   Array.of_list t.refs.(peer).(level)
 
 let add_ref t peer ~level target =
-  if level < t.max_depth && target <> peer then begin
+  if level < max_depth && target <> peer then begin
     let existing = t.refs.(peer).(level) in
     if not (List.mem target existing) then begin
       let trimmed =
-        if List.length existing >= t.refs_per_level then
-          List.filteri (fun i _ -> i < t.refs_per_level - 1) existing
+        if List.length existing >= refs_per_level then
+          List.filteri (fun i _ -> i < refs_per_level - 1) existing
         else existing
       in
       t.refs.(peer).(level) <- target :: trimmed
@@ -54,7 +52,7 @@ let rec exchange t rng p q budget =
     let len_p = String.length pa and len_q = String.length qa in
     if l = len_p && l = len_q then begin
       (* Identical paths: split the region. *)
-      if len_p < t.max_depth then begin
+      if len_p < max_depth then begin
         t.paths.(p) <- pa ^ "0";
         t.paths.(q) <- qa ^ "1";
         add_ref t p ~level:l q;
@@ -64,7 +62,7 @@ let rec exchange t rng p q budget =
     else if l = len_p then begin
       (* pa is a proper prefix of qa: p specializes to the branch
          complementary to q's next bit, keeping both covered. *)
-      if len_p < t.max_depth then begin
+      if len_p < max_depth then begin
         let complement = if qa.[len_p] = '0' then "1" else "0" in
         t.paths.(p) <- pa ^ complement;
         add_ref t p ~level:len_p q;
@@ -132,7 +130,7 @@ let lookup t rng ~online ~source ~key =
       let path = t.paths.(!current) in
       let l = match_length key path in
       let candidates =
-        if l < t.max_depth then Array.of_list t.refs.(!current).(l) else [||]
+        if l < max_depth then Array.of_list t.refs.(!current).(l) else [||]
       in
       if Array.length candidates = 0 then failed := true
       else begin
@@ -155,7 +153,7 @@ let lookup t rng ~online ~source ~key =
                so also bail out after too many hops. *)
             current := p;
             if key_matches_path key t.paths.(p) then arrived := true
-            else if !hops > 4 * t.max_depth then failed := true
+            else if !hops > 4 * max_depth then failed := true
       end
     done;
     if !failed then { responsible = None; messages = !messages; hops = !hops }

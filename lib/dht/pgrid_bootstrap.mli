@@ -26,10 +26,10 @@
 
 type t
 
-val create : members:int -> ?max_depth:int -> ?refs_per_level:int -> unit -> t
-(** All peers start with the empty path.  [max_depth] (default 20) caps
-    specialization; [refs_per_level] (default 4) bounds reference lists.
-    Requires [members >= 1]. *)
+val create : members:int -> unit -> t
+(** All peers start with the empty path.  Specialization stops at depth
+    20, and each level keeps at most 4 references.  Requires
+    [members >= 1]. *)
 
 val members : t -> int
 val path_of : t -> int -> string

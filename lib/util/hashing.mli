@@ -1,10 +1,11 @@
-(** Deterministic string hashing for key generation.
+(** Deterministic string hashing for DHT key ids.
 
-    The news-system scenario derives DHT keys by hashing single or
-    concatenated metadata element-value pairs (paper Section 1, after
-    [FeBi04]).  We use FNV-1a 64-bit: simple, fast, stable across runs
-    and platforms — unlike [Hashtbl.hash], whose value may change
-    between compiler versions. *)
+    [Pdht.create] and the cluster's [Node] both derive key [i]'s id as
+    [hash_to_key (combine ["key"; string_of_int i])], so the simulator
+    and every worker process place a key on the same replica group.  We
+    use FNV-1a 64-bit: simple, fast, stable across runs and platforms —
+    unlike [Hashtbl.hash], whose value may change between compiler
+    versions. *)
 
 val fnv1a64 : string -> int64
 (** Raw FNV-1a 64-bit hash. *)

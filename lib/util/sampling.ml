@@ -9,10 +9,6 @@ let shuffle_prefix rng arr ~len =
 
 let shuffle rng arr = shuffle_prefix rng arr ~len:(Array.length arr)
 
-let choose rng arr =
-  if Array.length arr = 0 then invalid_arg "Sampling.choose: empty array";
-  arr.(Rng.int rng (Array.length arr))
-
 (* [displaced] below maps a pool position to the value the virtual
    pool holds there, as (position + 1, value) pairs in one flat int
    array: open addressing with linear probing, a 0 key marks an empty

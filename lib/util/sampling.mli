@@ -11,10 +11,6 @@ val shuffle_prefix : Rng.t -> 'a array -> len:int -> unit
     a fresh exact-size copy.
     @raise Invalid_argument when [len] is outside [0, length arr]. *)
 
-val choose : Rng.t -> 'a array -> 'a
-(** Uniform element of a non-empty array.  @raise Invalid_argument on an
-    empty array. *)
-
 val sample_without_replacement : Rng.t -> k:int -> n:int -> int array
 (** [sample_without_replacement rng ~k ~n] draws [k] distinct indices
     from [\[0, n)], in random order.  Requires [0 <= k <= n].  Uses a

@@ -219,27 +219,6 @@ let test_empirical_index_size_vs_model () =
     true
     (measured > 0.5 *. predicted && measured < 1.5 *. predicted)
 
-(* The full news pipeline: metadata keys flow through the PDHT. *)
-let test_news_pipeline_end_to_end () =
-  let rng = Pdht_util.Rng.create ~seed:33 in
-  let corpus = Pdht_meta.Corpus.generate rng ~articles:30 ~start_time:0. () in
-  (* Map every corpus key to a workload index via its position. *)
-  let keys = Pdht_meta.Corpus.all_keys corpus in
-  Alcotest.(check int) "600 keys" 600 (Array.length keys);
-  let config =
-    Pdht_core.Config.make ~num_peers:200 ~active_members:80
-      ~keys:(Array.length keys) ~repl:10 ~stor:60
-      ~strategy:(Strategy.Partial_index { key_ttl = 400. })
-      ()
-  in
-  let pdht = Pdht_core.Pdht.create rng config in
-  (* Query a title key for article 0 through its workload index. *)
-  let r = Pdht_core.Pdht.query pdht ~now:1. ~peer:5 ~key_index:0 in
-  Alcotest.(check bool) "query answered" true (r.Pdht_core.Pdht.source <> Pdht_core.Pdht.Not_found);
-  let r2 = Pdht_core.Pdht.query pdht ~now:2. ~peer:6 ~key_index:0 in
-  Alcotest.(check bool) "second hit from index" true
-    (r2.Pdht_core.Pdht.source = Pdht_core.Pdht.From_index)
-
 let () =
   Alcotest.run "pdht_integration"
     [
@@ -259,6 +238,5 @@ let () =
         [
           Alcotest.test_case "message accounting" `Slow test_message_accounting_conserved;
           Alcotest.test_case "empirical Eq. 15" `Slow test_empirical_index_size_vs_model;
-          Alcotest.test_case "news pipeline" `Quick test_news_pipeline_end_to_end;
         ] );
     ]

@@ -304,15 +304,6 @@ let test_shuffle_actually_shuffles () =
   Sampling.shuffle rng arr;
   Alcotest.(check bool) "not identity" true (arr <> Array.init 100 Fun.id)
 
-let test_choose_singleton () =
-  let rng = Rng.create ~seed:22 in
-  Alcotest.(check int) "only element" 42 (Sampling.choose rng [| 42 |])
-
-let test_choose_empty_raises () =
-  let rng = Rng.create ~seed:22 in
-  Alcotest.check_raises "empty" (Invalid_argument "Sampling.choose: empty array")
-    (fun () -> ignore (Sampling.choose rng ([||] : int array)))
-
 let test_sample_without_replacement_distinct () =
   let rng = Rng.create ~seed:23 in
   for _ = 1 to 50 do
@@ -667,8 +658,6 @@ let () =
         [
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "shuffle shuffles" `Quick test_shuffle_actually_shuffles;
-          Alcotest.test_case "choose singleton" `Quick test_choose_singleton;
-          Alcotest.test_case "choose empty raises" `Quick test_choose_empty_raises;
           Alcotest.test_case "swr distinct" `Quick test_sample_without_replacement_distinct;
           Alcotest.test_case "swr full population" `Quick test_sample_without_replacement_full;
           Alcotest.test_case "weighted index" `Quick test_weighted_index;

@@ -7,6 +7,24 @@ cd "$(dirname "$0")/.."
 echo "== build =="
 dune build
 
+echo "== library reachability =="
+# Every library under lib/ must be linked by another library or by a
+# program outside the tests and examples (bin/, bench/, benchmark/,
+# tools/).  A library that only tests or examples link is code that no
+# experiment, CLI command or benchmark runs.
+libraries_of() {
+  tr '\n' ' ' < "$1" | grep -o '(libraries[^)]*)' | tr '() ' '\n\n\n'
+}
+unreached=0
+for f in lib/*/dune; do
+  for lib in $(tr '\n' ' ' < "$f" | grep -o '(name [^)]*)' | sed 's/(name \(.*\))/\1/'); do
+    for g in lib/*/dune bin/dune bench/dune benchmark/dune tools/dune; do
+      test "$g" = "$f" || libraries_of "$g"
+    done | grep -qx "$lib" || { echo "unreached library: $lib ($f)"; unreached=1; }
+  done
+done
+test "$unreached" -eq 0
+
 echo "== tests =="
 dune runtest
 
