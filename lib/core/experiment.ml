@@ -777,3 +777,68 @@ let render_reports rows =
       Buffer.add_string buf (Format.asprintf "%a@." System.pp_report report))
     rows;
   Buffer.contents buf
+
+(* Digests of what [Pdht.create] builds at two benchmark shapes: every
+   key id, every content replica row, the overlay's adjacency and the
+   generator's next draw.  The scenarios mirror benchmark/workload.ml's
+   [cold-keys] and [scale-100k] at seed 1. *)
+let setup_state_shapes () =
+  let news ~duration =
+    { Scenario.news_default with Scenario.num_peers = 1_000; keys = 2_000; duration; seed = 1 }
+  in
+  [
+    ( "cold-keys",
+      { (news ~duration:500.) with Scenario.keys = 20_000; distribution = Scenario.Uniform },
+      System.Options.make ~repl:20 ~stor:100 () );
+    ( "scale-100k",
+      Scenario.with_scale (news ~duration:40.) ~peers:100_000 ~keys:2_000,
+      System.Options.make ~repl:200 ~stor:100 () );
+  ]
+
+let render_setup_state () =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (name, scenario, options) ->
+      let strategy = Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options } in
+      let config =
+        Config.make ~backend:options.System.backend ~num_peers:scenario.Scenario.num_peers
+          ~active_members:(System.plan_active_members scenario options strategy)
+          ~keys:scenario.Scenario.keys ~repl:options.System.repl ~stor:options.System.stor
+          ~strategy ()
+      in
+      let rng = Pdht_util.Rng.create ~seed:scenario.Scenario.seed in
+      let p = Pdht.create rng config in
+      let digest f =
+        let b = Buffer.create (1 lsl 16) in
+        f (fun i ->
+            Buffer.add_string b (string_of_int i);
+            Buffer.add_char b ' ');
+        Digest.to_hex (Digest.string (Buffer.contents b))
+      in
+      let keys = config.Config.keys and peers = config.Config.num_peers in
+      let topology = Pdht.topology p in
+      let row add a =
+        add (Array.length a);
+        Array.iter add a
+      in
+      Printf.bprintf buf "=== %s peers=%d members=%d keys=%d repl=%d ===\n" name peers
+        config.Config.active_members keys config.Config.repl;
+      Printf.bprintf buf "key_ids  %s\n"
+        (digest (fun add ->
+             for i = 0 to keys - 1 do
+               add (Pdht_util.Bitkey.to_int (Pdht.key_of_index p i))
+             done));
+      Printf.bprintf buf "replicas %s\n"
+        (digest (fun add ->
+             for key_index = 0 to keys - 1 do
+               row add (Pdht.content_replicas p ~key_index)
+             done));
+      Printf.bprintf buf "topology %s edges=%d\n"
+        (digest (fun add ->
+             for peer = 0 to peers - 1 do
+               row add (Pdht_overlay.Topology.neighbors topology peer)
+             done))
+        (Pdht_overlay.Topology.edge_count topology);
+      Printf.bprintf buf "next     %Ld\n" (Pdht_util.Rng.bits64 rng))
+    (setup_state_shapes ());
+  Buffer.contents buf

@@ -193,6 +193,7 @@ let content_replicas t ~key_index =
   Replication.replicas t.content ~item:key_index
 
 let dht t = t.dht
+let topology t = t.topology
 let online_fn t p = t.online p
 
 let initial_ttl config =

@@ -242,6 +242,9 @@ val index_hit_probe : t -> now:float -> key_index:int -> bool
 val active_members : t -> int
 val content_replicas : t -> key_index:int -> int array
 
+val topology : t -> Pdht_overlay.Topology.t
+(** The unstructured overlay the broadcast searches walk. *)
+
 val dht : t -> Pdht_dht.Dht.t
 (** The underlying structured overlay — exposed for routing-table
     maintenance wiring and ablation experiments. *)

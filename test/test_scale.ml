@@ -24,6 +24,10 @@ let battery_j1 = lazy (Experiment.render_reports (Experiment.representation_batt
 let test_battery_matches_golden () =
   Golden.check "representation_reports.txt" (Lazy.force battery_j1)
 
+(* Set-up builds the same key ids, placements, overlay and next draw. *)
+let test_setup_state_matches_golden () =
+  Golden.check "setup_state.txt" (Experiment.render_setup_state ())
+
 let test_battery_jobs_invariant () =
   let j4 = Experiment.render_reports (Experiment.representation_battery ~jobs:4 ()) in
   Alcotest.(check bool) "-j1 == -j4 battery rendering" true
@@ -1023,6 +1027,7 @@ let () =
         [
           Alcotest.test_case "matches golden" `Slow test_battery_matches_golden;
           Alcotest.test_case "-j invariant" `Slow test_battery_jobs_invariant;
+          Alcotest.test_case "setup state" `Quick test_setup_state_matches_golden;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "alloc",

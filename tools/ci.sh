@@ -179,6 +179,11 @@ dune exec bin/pdht_cli.exe -- simulate --peers 20000 --keys 500 --repl 200 \
   --duration 120 --churn weibull:up=600:down=200:shape=0.6 \
   > "$out/wide-subnet-report.txt"
 diff "$out/wide-subnet-report.txt" test/golden/wide_subnet_report.txt
+# Set-up state: digests of the key ids, content placements, overlay
+# adjacency and next draw that Pdht.create builds at the benchmark's
+# cold-keys and scale-100k shapes.
+dune exec tools/report_fixture.exe -- setup-state > "$out/setup-state.txt"
+diff "$out/setup-state.txt" test/golden/setup_state.txt
 # And with fault injection on: the fault trace events must be present
 # and well-formed, the report must carry the fault block, and the
 # repair counters must be live.
