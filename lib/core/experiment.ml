@@ -778,35 +778,37 @@ let render_reports rows =
     rows;
   Buffer.contents buf
 
-(* Digests of what [Pdht.create] builds at two benchmark shapes: every
-   key id, every content replica row, the overlay's adjacency and the
-   generator's next draw.  The scenarios mirror benchmark/workload.ml's
-   [cold-keys] and [scale-100k] at seed 1. *)
-let setup_state_shapes () =
+(* The configurations [System.run] builds for benchmark/workload.ml's
+   [cold-keys] and [scale-100k] (seed 1), sized the same way. *)
+let setup_shapes () =
   let news ~duration =
     { Scenario.news_default with Scenario.num_peers = 1_000; keys = 2_000; duration; seed = 1 }
   in
-  [
-    ( "cold-keys",
-      { (news ~duration:500.) with Scenario.keys = 20_000; distribution = Scenario.Uniform },
-      System.Options.make ~repl:20 ~stor:100 () );
-    ( "scale-100k",
-      Scenario.with_scale (news ~duration:40.) ~peers:100_000 ~keys:2_000,
-      System.Options.make ~repl:200 ~stor:100 () );
-  ]
-
-let render_setup_state () =
-  let buf = Buffer.create 1024 in
-  List.iter
+  List.map
     (fun (name, scenario, options) ->
       let strategy = Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options } in
-      let config =
+      ( name,
         Config.make ~backend:options.System.backend ~num_peers:scenario.Scenario.num_peers
           ~active_members:(System.plan_active_members scenario options strategy)
           ~keys:scenario.Scenario.keys ~repl:options.System.repl ~stor:options.System.stor
-          ~strategy ()
-      in
-      let rng = Pdht_util.Rng.create ~seed:scenario.Scenario.seed in
+          ~strategy () ))
+    [
+      ( "cold-keys",
+        { (news ~duration:500.) with Scenario.keys = 20_000; distribution = Scenario.Uniform },
+        System.Options.make ~repl:20 ~stor:100 () );
+      ( "scale-100k",
+        Scenario.with_scale (news ~duration:40.) ~peers:100_000 ~keys:2_000,
+        System.Options.make ~repl:200 ~stor:100 () );
+    ]
+
+(* Digests of what [Pdht.create] builds at each shape: every key id,
+   every content replica row, the overlay's adjacency and the
+   generator's next draw. *)
+let render_setup_state () =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (name, config) ->
+      let rng = Pdht_util.Rng.create ~seed:1 in
       let p = Pdht.create rng config in
       let digest f =
         let b = Buffer.create (1 lsl 16) in
@@ -840,5 +842,5 @@ let render_setup_state () =
              done))
         (Pdht_overlay.Topology.edge_count topology);
       Printf.bprintf buf "next     %Ld\n" (Pdht_util.Rng.bits64 rng))
-    (setup_state_shapes ());
+    (setup_shapes ());
   Buffer.contents buf

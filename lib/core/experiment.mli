@@ -291,9 +291,13 @@ val render_reports : (string * System.report) list -> string
 (** Concatenate ["=== <tag> ===\n" ^ pp_report] per row — the exact
     bytes of the golden file. *)
 
+val setup_shapes : unit -> (string * Config.t) list
+(** The configurations [System.run] builds for the benchmark's
+    [cold-keys] and [scale-100k] workloads, seed 1 (named so). *)
+
 val render_setup_state : unit -> string
-(** Digests of the state [Pdht.create] builds at the benchmark's
-    [cold-keys] and [scale-100k] shapes (seed 1): the key ids, every
+(** Digests of the state [Pdht.create] builds at each
+    {!setup_shapes} entry from [Rng.create ~seed:1]: the key ids, every
     content replica row, the overlay adjacency and the generator's next
     draw.  Pinned as [test/golden/setup_state.txt]; a change to how
     set-up builds its state must keep it byte-identical. *)

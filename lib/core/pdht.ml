@@ -36,55 +36,19 @@ type store_ops = {
   census : now:float -> Bytes.t;
 }
 
+(* Every store, in-process or in a worker, is keyed by
+   [Bitkey.of_int key_index], so a live entry's key is its own bit. *)
 module Census = struct
-  (* Reverse index from key hash to key index: one open-addressed int
-     array of key indices (-1 = empty), at least 4/3 the key count so
-     linear probe chains stay short, probed by comparing against
-     [bitkeys].  The hashes are 62-bit, so distinct keys never share
-     one in practice; a duplicate would keep its first index. *)
-  type t = { bitkeys : Bitkey.t array; slots : int array; mask : int }
-
-  let home key mask =
-    let h = (key : Bitkey.t :> int) * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land mask
-
-  (* The slot holding [key]'s index, or the empty slot ending its probe
-     chain. *)
-  let find_slot t key =
-    let j = ref (home key t.mask) in
-    while
-      let i = t.slots.(!j) in
-      i >= 0 && (t.bitkeys.(i) :> int) <> (key : Bitkey.t :> int)
-    do
-      j := (!j + 1) land t.mask
-    done;
-    !j
-
-  let create bitkeys =
-    let n = Array.length bitkeys in
-    let size = ref 1 in
-    while 3 * !size < 4 * n do
-      size := 2 * !size
-    done;
-    let t = { bitkeys; slots = Array.make !size (-1); mask = !size - 1 } in
-    Array.iteri
-      (fun i key ->
-        let j = find_slot t key in
-        if t.slots.(j) < 0 then t.slots.(j) <- i)
-      bitkeys;
-    t
-
   let bitmap_bytes ~keys = (keys + 7) / 8
 
-  let of_stores t ~now stores =
-    let bits = Bytes.make (bitmap_bytes ~keys:(Array.length t.bitkeys)) '\000' in
+  let of_stores ~keys ~now stores =
+    let bits = Bytes.make (bitmap_bytes ~keys) '\000' in
     Array.iter
       (fun store ->
         Storage.iter_live store ~now (fun key ->
-            let i = t.slots.(find_slot t key) in
-            if i >= 0 then
-              Bytes.set bits (i lsr 3)
-                (Char.chr (Char.code (Bytes.get bits (i lsr 3)) lor (1 lsl (i land 7))))))
+            let i = Bitkey.to_int key in
+            Bytes.set bits (i lsr 3)
+              (Char.chr (Char.code (Bytes.get bits (i lsr 3)) lor (1 lsl (i land 7))))))
       stores;
     bits
 
@@ -225,23 +189,22 @@ let make_instruments (obs : Obs.t) ~backend =
   }
 
 (* Default store implementation: the in-process [Storage.t] array the
-   simulator owns.  Built over the arrays directly (not [t]) so it can
-   be assembled before the record.  The census's reverse index is built
-   on the first census, so runs that never sample pay nothing for it. *)
-let local_store_ops ~stores ~(bitkeys : Bitkey.t array) =
-  let index = lazy (Census.create bitkeys) in
+   simulator owns, keyed by key index like a worker's shard.  Built over
+   the array directly (not [t]) so it can be assembled before the
+   record. *)
+let local_store_ops ~stores ~keys =
+  let key = Bitkey.of_int in
   {
     get_and_refresh =
       (fun ~peer ~key_index ~now ~ttl ->
-        Storage.get_and_refresh stores.(peer) ~key:bitkeys.(key_index) ~now ~ttl);
+        Storage.get_and_refresh stores.(peer) ~key:(key key_index) ~now ~ttl);
     put =
       (fun ~peer ~key_index ~value ~now ~ttl ->
-        Storage.put stores.(peer) ~key:bitkeys.(key_index) ~value ~now ~ttl);
-    peek =
-      (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:bitkeys.(key_index) ~now);
+        Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
+    peek = (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:(key key_index) ~now);
     clear = (fun ~peer -> Storage.clear stores.(peer));
     live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
-    census = (fun ~now -> Census.of_stores (Lazy.force index) ~now stores);
+    census = (fun ~now -> Census.of_stores ~keys ~now stores);
   }
 
 let create ?obs ?net ?transport rng config =
@@ -257,10 +220,7 @@ let create ?obs ?net ?transport rng config =
   in
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let keys = config.Config.keys in
-  let bitkeys =
-    Array.init keys (fun i ->
-        Pdht_util.Hashing.hash_to_key (Pdht_util.Hashing.combine [ "key"; string_of_int i ]))
-  in
+  let bitkeys = Array.init keys Pdht_util.Hashing.key_id in
   let dht =
     Dht.create rng ~backend:config.Config.backend ~members:config.Config.active_members
       ~leaf_size:config.Config.repl ()
@@ -286,7 +246,7 @@ let create ?obs ?net ?transport rng config =
           Array.init config.Config.active_members (fun _ ->
               Storage.create ~capacity:config.Config.stor ())
         in
-        local_store_ops ~stores ~bitkeys
+        local_store_ops ~stores ~keys
   in
   let t =
     {

@@ -27,7 +27,7 @@ type t
 (** Index-store access, keyed by workload key index: the six
     operations the protocol performs on member caches.  The default
     (no [?transport] at {!create}) operates on the in-process
-    per-member [Storage.t] array; the multi-process driver substitutes
+    per-member [Storage.t] array, keyed by [Bitkey.of_int key_index]; the multi-process driver substitutes
     closures that reach whichever worker process owns [peer]'s shard
     over the wire, so a remote store is authoritative — including
     expiry and eviction side effects.
@@ -60,21 +60,14 @@ type store_ops = {
     long: key index [i] is bit [i land 7] (least significant first) of
     byte [i lsr 3]; padding bits are zero. *)
 module Census : sig
-  type t
-  (** A reverse index from the stores' key hashes back to key indices:
-      one [int] array of at least 4/3 the key count.  Build it once. *)
-
-  val create : Pdht_util.Bitkey.t array -> t
-  (** Index the key hashes, position = key index (the [bitkeys] every
-      store is keyed by). *)
-
   val bitmap_bytes : keys:int -> int
   (** [ceil (keys / 8)]. *)
 
-  val of_stores : t -> now:float -> 'v Pdht_dht.Storage.t array -> Bytes.t
+  val of_stores : keys:int -> now:float -> 'v Pdht_dht.Storage.t array -> Bytes.t
   (** One read-only pass over the stores: the bitmap of keys live in at
-      least one of them at [now].  Entries under a hash the index does
-      not know are ignored. *)
+      least one of them at [now].  The stores must be keyed by
+      [Bitkey.of_int key_index] with every key index below [keys], as
+      the in-process stores and every worker's shard are. *)
 
   val count : Bytes.t -> int
   (** Set bits of a bitmap. *)

@@ -7,17 +7,25 @@
    only copy of a placement: there is no per-peer inverse view, because
    only crash-stop faults and tests ask which items a peer holds, and
    they can afford a scan of [by_item] (O(items * log repl)), while
-   every placement would pay to keep the view current. *)
+   every placement would pay to keep the view current.  Rows come
+   ascending out of [sampler], which the table owns: its scratch
+   survives from placement to placement, so a placement allocates only
+   its row. *)
 type t = {
   total_peers : int;
   mutable by_item : int array array; (* item -> sorted replicas; [||] = absent *)
+  sampler : Pdht_util.Sampling.sampler;
 }
 
 let no_replicas : int array = [||]
 
 let create ~peers =
   if peers < 1 then invalid_arg "Replication.create: need >= 1 peer";
-  { total_peers = peers; by_item = Array.make 64 no_replicas }
+  {
+    total_peers = peers;
+    by_item = Array.make 64 no_replicas;
+    sampler = Pdht_util.Sampling.sampler ~n:peers;
+  }
 
 let peers t = t.total_peers
 
@@ -47,48 +55,6 @@ let mem_sorted (reps : int array) (peer : int) =
   done;
   !found
 
-(* Sort an int array in place: quicksort (median-of-three pivot,
-   Hoare partition) down to 16-element runs, then insertion sort.
-   Monomorphic, so every comparison is one machine compare, where
-   [Array.sort Int.compare] runs heapsort through a closure call per
-   comparison at about three times the cost on a 200-replica set.  The
-   inputs are random samples or a sorted survivor set with new peers
-   appended, on which the median of three stays central. *)
-let rec sort_ints (a : int array) lo hi =
-  if hi - lo <= 16 then
-    for i = lo + 1 to hi - 1 do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    let x = a.(lo) and y = a.((lo + hi) lsr 1) and z = a.(hi - 1) in
-    let pivot =
-      if x < y then if y < z then y else if x < z then z else x
-      else if x < z then x
-      else if y < z then z
-      else y
-    in
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while a.(!i) < pivot do incr i done;
-      while a.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let v = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- v;
-        incr i;
-        decr j
-      end
-    done;
-    sort_ints a lo (!j + 1);
-    sort_ints a !i hi
-  end
-
 let remove t ~item =
   if item >= 0 && item < Array.length t.by_item then t.by_item.(item) <- no_replicas
 
@@ -97,21 +63,7 @@ let place_on t ~item ~replicas =
     (fun p -> if p < 0 || p >= t.total_peers then invalid_arg "Replication.place_on: bad peer")
     replicas;
   ensure_item t item;
-  (* Sort a copy and drop duplicates in place: the sorted distinct set. *)
-  let reps =
-    let sorted = Array.copy replicas in
-    sort_ints sorted 0 (Array.length sorted);
-    let n = Array.length sorted in
-    let distinct = ref 0 in
-    for i = 0 to n - 1 do
-      if i = 0 || sorted.(i) <> sorted.(i - 1) then begin
-        sorted.(!distinct) <- sorted.(i);
-        incr distinct
-      end
-    done;
-    if !distinct = n then sorted else Array.sub sorted 0 !distinct
-  in
-  t.by_item.(item) <- reps
+  t.by_item.(item) <- Pdht_util.Sampling.sorted_distinct t.sampler replicas
 
 let remove_peer t ~peer =
   if peer < 0 || peer >= t.total_peers then invalid_arg "Replication.remove_peer: bad peer";
@@ -138,9 +90,9 @@ let remove_peer t ~peer =
 
 let place t rng ~item ~repl =
   if repl < 1 then invalid_arg "Replication.place: repl must be >= 1";
-  let k = min repl t.total_peers in
-  let replicas = Pdht_util.Sampling.sample_without_replacement rng ~k ~n:t.total_peers in
-  place_on t ~item ~replicas
+  ensure_item t item;
+  t.by_item.(item) <-
+    Pdht_util.Sampling.sample_sorted t.sampler rng ~k:(min repl t.total_peers)
 
 let replicas t ~item = replicas_of t item
 let holds t ~peer ~item = mem_sorted (replicas_of t item) peer

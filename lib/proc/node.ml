@@ -2,26 +2,20 @@ module Wire = Pdht_wire.Wire
 module Storage = Pdht_dht.Storage
 module Registry = Pdht_obs.Registry
 module Export = Pdht_obs.Export
-module Hashing = Pdht_util.Hashing
 module Census = Pdht_core.Pdht.Census
 
 type shard = {
   node_id : int;
   nodes : int;
-  bitkeys : Pdht_util.Bitkey.t array;
+  keys : int;
   stores : int Storage.t option array;  (* member -> store iff owned *)
   owned : int Storage.t array;  (* the [Some] stores, for the census *)
-  census : Census.t;
 }
 
 let build_shard ~node_id ~nodes ~members ~keys ~stor =
-  (* The same key hashes and store construction as [Pdht.create], so a
-     sharded run is state-for-state the in-process run, split by
-     member. *)
-  let bitkeys =
-    Array.init keys (fun i ->
-        Hashing.hash_to_key (Hashing.combine [ "key"; string_of_int i ]))
-  in
+  (* The same store construction and keying by key index as
+     [Pdht.create], so a sharded run is state-for-state the in-process
+     run, split by member. *)
   let stores =
     Array.init members (fun m ->
         if m mod nodes = node_id then
@@ -29,7 +23,7 @@ let build_shard ~node_id ~nodes ~members ~keys ~stor =
         else None)
   in
   let owned = Array.of_list (List.filter_map Fun.id (Array.to_list stores)) in
-  { node_id; nodes; bitkeys; stores; owned; census = Census.create bitkeys }
+  { node_id; nodes; keys; stores; owned }
 
 let store shard ~peer =
   match shard.stores.(peer) with
@@ -38,7 +32,10 @@ let store shard ~peer =
       failwith
         (Printf.sprintf "node %d: not the owner of member %d" shard.node_id peer)
 
-let key shard ~key_index = shard.bitkeys.(key_index)
+let key shard ~key_index =
+  if key_index < 0 || key_index >= shard.keys then
+    failwith (Printf.sprintf "node %d: key index %d out of range" shard.node_id key_index);
+  Pdht_util.Bitkey.of_int key_index
 
 let serve ?obs_out ~node_id conn =
   let registry = Registry.create () in
@@ -133,7 +130,7 @@ let serve ?obs_out ~node_id conn =
             (* A whole-shard read: counted with the other whole-store
                operations. *)
             Registry.incr probes 1;
-            let bits = Census.of_stores shard.census ~now shard.owned in
+            let bits = Census.of_stores ~keys:shard.keys ~now shard.owned in
             reply (Wire.Keys { rid; bits = Bytes.unsafe_to_string bits });
             loop ()
         | Wire.Snapshot { rid } ->

@@ -19,6 +19,25 @@ val sample_without_replacement : Rng.t -> k:int -> n:int -> int array
     and output are identical to shuffling a materialised pool, so
     callers' streams are unchanged while [n] can be millions. *)
 
+type sampler
+(** Reusable scratch for samples from [\[0, n)] handed back ascending:
+    the Fisher-Yates table of the largest sample drawn so far plus two
+    bitmaps, O(k + n/32) words.  Single-owner state: not safe to share
+    across domains. *)
+
+val sampler : n:int -> sampler
+
+val sample_sorted : sampler -> Rng.t -> k:int -> int array
+(** The values [sample_without_replacement rng ~k ~n] would draw, with
+    the same draws, in ascending order, in O(k + n/1024) without a
+    sort.  Allocates only the result once the scratch has grown to
+    [k].  Requires [0 <= k <= n]. *)
+
+val sorted_distinct : sampler -> int array -> int array
+(** The distinct values of the array, ascending.  Every value must lie
+    in [\[0, n)]; raises [Invalid_argument] otherwise, before touching
+    the scratch. *)
+
 val weighted_index : Rng.t -> float array -> int
 (** [weighted_index rng weights] draws index [i] with probability
     proportional to [weights.(i)].  Linear scan; for repeated draws use

@@ -973,10 +973,10 @@ let census_members = 40
 let census_peers = 120
 let census_repl = 5
 
-let census_bitkeys =
-  Array.init census_keys (fun i -> Hashing.hash_to_key (Hashing.combine [ "key"; string_of_int i ]))
-
-let census_index = Pdht.Census.create census_bitkeys
+(* DHT keys, for the replica groups; the stores are keyed by key
+   index, like the in-process ones. *)
+let census_bitkeys = Array.init census_keys Hashing.key_id
+let store_key = Pdht_util.Bitkey.of_int
 
 let live_at s ~key ~now =
   match Storage.expiry s ~key with Some e -> e > now | None -> false
@@ -984,7 +984,9 @@ let live_at s ~key ~now =
 (* Every (member, key) expiry the stores hold, live or not.  [expiry]
    purges nothing, so taking this snapshot cannot move the state. *)
 let store_snapshot stores =
-  Array.map (fun s -> Array.map (fun key -> Storage.expiry s ~key) census_bitkeys) stores
+  Array.map
+    (fun s -> Array.init census_keys (fun i -> Storage.expiry s ~key:(store_key i)))
+    stores
 
 (* At a sample: the census count equals the per-key scan of each key's
    replica group, bit for bit; taking it changes no store; and every
@@ -993,11 +995,12 @@ let census_sample p stores ~now =
   let before = store_snapshot stores in
   let census = Pdht.indexed_key_count p ~now in
   let untouched = store_snapshot stores = before in
-  let bits = Pdht.Census.of_stores census_index ~now stores in
+  let bits = Pdht.Census.of_stores ~keys:census_keys ~now stores in
   let scan = ref 0 and same_bits = ref true and placed = ref true in
   Array.iteri
-    (fun key_index key ->
-      let group = Dht.replica_group (Pdht.dht p) ~repl:census_repl key in
+    (fun key_index bitkey ->
+      let group = Dht.replica_group (Pdht.dht p) ~repl:census_repl bitkey in
+      let key = store_key key_index in
       let in_group = Array.exists (fun member -> live_at stores.(member) ~key ~now) group in
       if in_group then incr scan;
       let bit = Char.code (Bytes.get bits (key_index lsr 3)) land (1 lsl (key_index land 7)) in
@@ -1014,7 +1017,7 @@ let census_run c =
   let stores =
     Array.init census_members (fun _ -> Storage.create ~capacity:c.stor ())
   in
-  let key i = census_bitkeys.(i) in
+  let key = store_key in
   let store =
     {
       Pdht.get_and_refresh =
@@ -1026,7 +1029,7 @@ let census_run c =
       peek = (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:(key key_index) ~now);
       clear = (fun ~peer -> Storage.clear stores.(peer));
       live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
-      census = (fun ~now -> Pdht.Census.of_stores census_index ~now stores);
+      census = (fun ~now -> Pdht.Census.of_stores ~keys:census_keys ~now stores);
     }
   in
   let transport =

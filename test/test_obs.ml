@@ -723,11 +723,8 @@ type flood_log = Read of int (* store read at this peer *) | Ev of Event.t
 
 let test_replica_flood_after_store_probes () =
   let peers = 120 and members = 40 and keys = 120 in
-  let bitkeys =
-    Array.init keys (fun i ->
-        Pdht_util.Hashing.hash_to_key (Pdht_util.Hashing.combine [ "key"; string_of_int i ]))
-  in
-  let census = Pdht_core.Pdht.Census.create bitkeys in
+  (* Stores keyed by key index, like the in-process ones. *)
+  let key = Pdht_util.Bitkey.of_int in
   let stores = Array.init members (fun _ -> Pdht_dht.Storage.create ~capacity:20 ()) in
   let log = ref [] in
   let store =
@@ -735,16 +732,16 @@ let test_replica_flood_after_store_probes () =
       Pdht_core.Pdht.get_and_refresh =
         (fun ~peer ~key_index ~now ~ttl ->
           log := Read peer :: !log;
-          Pdht_dht.Storage.get_and_refresh stores.(peer) ~key:bitkeys.(key_index) ~now ~ttl);
+          Pdht_dht.Storage.get_and_refresh stores.(peer) ~key:(key key_index) ~now ~ttl);
       put =
         (fun ~peer ~key_index ~value ~now ~ttl ->
-          Pdht_dht.Storage.put stores.(peer) ~key:bitkeys.(key_index) ~value ~now ~ttl);
+          Pdht_dht.Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
       peek =
         (fun ~peer ~key_index ~now ->
-          Pdht_dht.Storage.peek stores.(peer) ~key:bitkeys.(key_index) ~now);
+          Pdht_dht.Storage.peek stores.(peer) ~key:(key key_index) ~now);
       clear = (fun ~peer -> Pdht_dht.Storage.clear stores.(peer));
       live_count = (fun ~peer ~now -> Pdht_dht.Storage.live_count stores.(peer) ~now);
-      census = (fun ~now -> Pdht_core.Pdht.Census.of_stores census ~now stores);
+      census = (fun ~now -> Pdht_core.Pdht.Census.of_stores ~keys ~now stores);
     }
   in
   let transport =

@@ -708,21 +708,47 @@ let walk_ref_test =
         queries)
 
 (* The placement sampler against its [Hashtbl] copy: every n from 1 to
-   5,000 with k at 0, at n, or anywhere between. *)
+   5,000 with k at 0, at n, or anywhere between, plus one sample from a
+   population of one and 200 of 10^6.  The one-shot draw must equal the
+   reference's; a reused sorted sampler must then hand back the next
+   two reference samples ascending, its stale stamps and emptied
+   bitmaps from the first inside the second. *)
 let sampling_ref_test =
   let case =
     let open QCheck.Gen in
-    let* n = frequency [ (2, int_range 1 8); (3, int_range 9 500); (1, int_range 501 5_000) ] in
-    let* k = frequency [ (1, return 0); (1, return n); (4, int_range 0 n) ] in
+    let* n, k =
+      frequency
+        [
+          (1, oneofl [ (1, 0); (1, 1); (1_000_000, 200) ]);
+          ( 12,
+            let* n =
+              frequency [ (2, int_range 1 8); (3, int_range 9 500); (1, int_range 501 5_000) ]
+            in
+            let+ k = frequency [ (1, return 0); (1, return n); (4, int_range 0 n) ] in
+            (n, k) );
+        ]
+    in
     let+ seed = small_nat in
     (n, k, seed)
   in
   let print (n, k, seed) = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
   QCheck.Test.make ~name:"sampling matches the Hashtbl reference" ~count:300
     (QCheck.make ~print case) (fun (n, k, seed) ->
+      let module S = Pdht_util.Sampling in
       let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
-      Pdht_util.Sampling.sample_without_replacement rng ~k ~n
+      let sorted a =
+        let a = Array.copy a in
+        Array.sort Int.compare a;
+        a
+      in
+      let sampler = S.sampler ~n in
+      let reused () =
+        S.sample_sorted sampler rng ~k
+        = sorted (Overlay_ref.Sampling.sample_without_replacement rng_ref ~k ~n)
+      in
+      S.sample_without_replacement rng ~k ~n
       = Overlay_ref.Sampling.sample_without_replacement rng_ref ~k ~n
+      && reused () && reused ()
       && same_next_draw rng rng_ref)
 
 (* Construction scratch is sized to the output.  Words allocated
@@ -755,6 +781,51 @@ let test_replica_net_build_alloc () =
         Alcotest.failf "Replica_net.build at n = %d allocated %.0f words (%.1f per member)" n words
           (words /. float_of_int n))
     [ 200; 2_000 ]
+
+(* Set-up allocates its output and little else.  Once the table's
+   scratch has grown to the sample size, a placement allocates only its
+   row, k + 1 words (a copy or a sort's scratch per row would double
+   it); a key id allocates nothing (a boxed [int64] per hashed byte
+   took about 30 words a key); and [Pdht.create] at the cold-keys shape
+   stays within 60 words a key (it measures 45; a string and a boxed
+   hash per key id and a sorted copy per row took 275). *)
+let test_placement_alloc () =
+  List.iter
+    (fun (peers, k) ->
+      let t = Replication.create ~peers and rng = Rng.create ~seed:peers in
+      let items = 64 in
+      Replication.place t rng ~item:(items - 1) ~repl:k;
+      let words =
+        allocated_words (fun () ->
+            for item = 0 to items - 1 do
+              Replication.place t rng ~item ~repl:k
+            done)
+      in
+      let per_call = words /. float_of_int items in
+      if per_call > float_of_int (k + 2) then
+        Alcotest.failf "Replication.place (k = %d of %d) allocated %.1f words a call" k peers
+          per_call)
+    [ (1_000, 20); (100_000, 200); (5, 20) ]
+
+let test_key_id_alloc () =
+  let keys = 20_000 and sink = ref 0 in
+  let words =
+    allocated_words (fun () ->
+        for i = 0 to keys - 1 do
+          sink := !sink lxor Bitkey.to_int (Pdht_util.Hashing.key_id i)
+        done)
+  in
+  if words > 0. then
+    Alcotest.failf "Hashing.key_id allocated %.2f words a key" (words /. float_of_int keys)
+
+let test_create_alloc () =
+  let config = List.assoc "cold-keys" (Experiment.setup_shapes ()) in
+  let words =
+    allocated_words (fun () -> Pdht_core.Pdht.create (Rng.create ~seed:1) config)
+  in
+  let per_key = words /. float_of_int config.Pdht_core.Config.keys in
+  if per_key > 60. then
+    Alcotest.failf "Pdht.create at the cold-keys shape allocated %.1f words a key" per_key
 
 (* A draw allocates nothing: [Rng.step] is inlined into every draw, so
    its [int64] temporaries stay unboxed (a step that stops inlining
@@ -1038,5 +1109,8 @@ let () =
           Alcotest.test_case "topology build scratch" `Quick test_topology_alloc;
           Alcotest.test_case "rng draws" `Quick test_rng_draw_alloc;
           Alcotest.test_case "lossless hook rpc" `Quick test_hook_rpc_alloc;
+          Alcotest.test_case "placement row" `Quick test_placement_alloc;
+          Alcotest.test_case "key ids" `Quick test_key_id_alloc;
+          Alcotest.test_case "create at cold-keys" `Quick test_create_alloc;
         ] );
     ]

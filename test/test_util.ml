@@ -545,11 +545,34 @@ let test_hash_spread () =
      FNV high-bit weakness that once skewed replica groups). *)
   let seen = Hashtbl.create 16 in
   for i = 0 to 799 do
-    let k = Hashing.hash_to_key (Hashing.combine [ "key"; string_of_int i ]) in
+    let k = Hashing.key_id i in
     let top4 = Bitkey.to_int k lsr (Bitkey.width - 4) in
     Hashtbl.replace seen top4 ()
   done;
   Alcotest.(check bool) "top bits spread" true (Hashtbl.length seen >= 14)
+
+(* [key_id] is the string form, hashed without the string.  The digit
+   count changes at every power of ten, and at ten digits it takes two
+   bytes itself, so each boundary is checked on both sides. *)
+let key_id_string_form i = Hashing.hash_to_key (Hashing.combine [ "key"; string_of_int i ])
+
+let test_key_id_boundaries () =
+  let rec powers p acc = if p > max_int / 10 then p :: acc else powers (p * 10) (p :: acc) in
+  let cases =
+    List.concat_map (fun p -> [ p - 1; p; p + 1 ]) (powers 1 []) @ [ 0; max_int - 1; max_int ]
+  in
+  List.iter
+    (fun i ->
+      if not (Bitkey.equal (Hashing.key_id i) (key_id_string_form i)) then
+        Alcotest.failf "key_id %d differs from the string form" i)
+    cases;
+  Alcotest.check_raises "negative" (Invalid_argument "Hashing.key_id: negative index")
+    (fun () -> ignore (Hashing.key_id (-1)))
+
+let key_id_test =
+  QCheck.Test.make ~name:"key_id equals the string form" ~count:1000
+    QCheck.(oneof [ int_bound 1_000_000; map (fun i -> i land max_int) int ])
+    (fun i -> Bitkey.equal (Hashing.key_id i) (key_id_string_form i))
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
@@ -694,6 +717,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
           Alcotest.test_case "combine unambiguous" `Quick test_combine_unambiguous;
           Alcotest.test_case "MSB spread" `Quick test_hash_spread;
+          Alcotest.test_case "key_id digit boundaries" `Quick test_key_id_boundaries;
+          QCheck_alcotest.to_alcotest key_id_test;
         ] );
       ( "table",
         [
