@@ -27,10 +27,10 @@ type t
 (** Index-store access, keyed by workload key index: the six
     operations the protocol performs on member caches.  The default
     (no [?transport] at {!create}) operates on the in-process
-    per-member [Storage.t] array, keyed by [Bitkey.of_int key_index]; the multi-process driver substitutes
-    closures that reach whichever worker process owns [peer]'s shard
-    over the wire, so a remote store is authoritative — including
-    expiry and eviction side effects.
+    per-member [Storage.t] array, keyed by [Bitkey.of_int key_index];
+    the multi-process driver substitutes closures that reach whichever
+    worker process owns [peer]'s shard over the wire, so a remote store
+    is authoritative — including expiry and eviction side effects.
     - [get_and_refresh]: the query hit; a live entry's expiry becomes
       [now +. ttl];
     - [put]: insert or overwrite with expiry [now +. ttl] (repair

@@ -59,11 +59,9 @@ let remove t ~item =
   if item >= 0 && item < Array.length t.by_item then t.by_item.(item) <- no_replicas
 
 let place_on t ~item ~replicas =
-  Array.iter
-    (fun p -> if p < 0 || p >= t.total_peers then invalid_arg "Replication.place_on: bad peer")
-    replicas;
+  let reps = Pdht_util.Sampling.sorted_distinct t.sampler replicas in
   ensure_item t item;
-  t.by_item.(item) <- Pdht_util.Sampling.sorted_distinct t.sampler replicas
+  t.by_item.(item) <- reps
 
 let remove_peer t ~peer =
   if peer < 0 || peer >= t.total_peers then invalid_arg "Replication.remove_peer: bad peer";

@@ -15,10 +15,15 @@ val peers : t -> int
 
 val place : t -> Pdht_util.Rng.t -> item:int -> repl:int -> unit
 (** (Re)place [item] on [min repl peers] distinct random peers,
-    replacing any previous placement. *)
+    replacing any previous placement.  The draws are
+    {!Pdht_util.Sampling.sample_without_replacement}'s; the table's own
+    sampler orders them, so once its scratch has grown to [repl] a
+    placement allocates only the new row. *)
 
 val place_on : t -> item:int -> replicas:int array -> unit
-(** Explicit placement (deterministic tests, custom policies). *)
+(** Explicit placement (deterministic tests, repair): the distinct
+    peers of [replicas].  Raises [Invalid_argument] on a peer outside
+    the population, leaving the placement as it was. *)
 
 val remove : t -> item:int -> unit
 

@@ -2,7 +2,8 @@
     driver.
 
     A node owns the authoritative {!Pdht_dht.Storage} shards for every
-    DHT member [m] with [m mod nodes = node_id] and serves the
+    DHT member [m] with [m mod nodes = node_id], keyed by key index like
+    the simulator's in-process stores, and serves the
     conductor's frames strictly sequentially — one request, one reply —
     so the cluster's global event order equals the conductor's issue
     order and same-seed runs stay deterministic.
@@ -20,9 +21,9 @@ val serve : ?obs_out:string -> node_id:int -> Frame_io.t -> unit
     [Hello], expects [Setup] first).  Returns after [Bye] or when the
     conductor closes the stream; raises [Failure] on a protocol
     violation (corrupt frame, store op for a member this node does not
-    own, [Setup] missing, a [Setup] eviction code other than 0, or a
-    reply-only frame — [Hello], [Setup], [Ack], [Entry], [Keys],
-    [Counters] —
+    own or for a key index outside the [Setup]'s key count, [Setup]
+    missing, a [Setup] eviction code other than 0, or a reply-only
+    frame — [Hello], [Setup], [Ack], [Entry], [Keys], [Counters] —
     after [Setup]; the failure names the frame). *)
 
 val run : ?obs_out:string -> port:int -> node_id:int -> unit -> unit

@@ -33,9 +33,9 @@ let reserve tb k =
     while !slots < 2 * k do
       slots := 2 * !slots
     done;
+    (* Stamp 0 is never a generation in use. *)
     tb.cells <- Array.make (3 * !slots) 0;
-    tb.mask <- !slots - 1;
-    tb.gen <- 0
+    tb.mask <- !slots - 1
   end
 
 (* The slot holding [pos], or the free one where it would go.  Slots

@@ -320,7 +320,14 @@ let test_replication_items_at () =
   Replication.place_on r ~item:1 ~replicas:[| 3; 4 |];
   Replication.place_on r ~item:2 ~replicas:[| 3 |];
   Alcotest.(check (list int)) "items at 3" [ 1; 2 ] (Replication.items_at r ~peer:3);
-  Alcotest.(check (list int)) "items at 4" [ 1 ] (Replication.items_at r ~peer:4)
+  Alcotest.(check (list int)) "items at 4" [ 1 ] (Replication.items_at r ~peer:4);
+  (* A peer outside the population is refused before the sampler's
+     bitmaps are touched, and the placement stays as it was. *)
+  Alcotest.check_raises "bad peer" (Invalid_argument "Sampling.sorted_distinct: out of range")
+    (fun () -> Replication.place_on r ~item:1 ~replicas:[| 5; 10 |]);
+  Replication.place_on r ~item:2 ~replicas:[| 9; 3; 9 |];
+  Alcotest.(check (list int)) "items at 3 after" [ 1; 2 ] (Replication.items_at r ~peer:3);
+  Alcotest.(check (list int)) "items at 5" [] (Replication.items_at r ~peer:5)
 
 let test_replication_availability () =
   let r = Replication.create ~peers:10 in

@@ -324,6 +324,17 @@ let test_node_rejects_unowned_member () =
       Alcotest.(check bool) "names the member" true (contains msg "member 2")
   | _ -> Alcotest.fail "expected a protocol failure"
 
+(* Shards are keyed by key index, so an index outside the Setup's key
+   count would put a key no census bitmap has room for. *)
+let test_node_rejects_unknown_key () =
+  match
+    run_node_session
+      [ setup; Wire.Insert { rid = 1; peer = 1; key = 1_000_000; value = 1; now = 0.0; ttl = 5.0 } ]
+  with
+  | exception Failure msg ->
+      Alcotest.(check bool) "names the key index" true (contains msg "key index 1000000")
+  | _ -> Alcotest.fail "expected a protocol failure"
+
 let test_node_obs_out_validates () =
   let path = Filename.temp_file "pdht_node" ".jsonl" in
   Fun.protect
@@ -483,6 +494,7 @@ let () =
             test_node_snapshot_counts_traffic;
           Alcotest.test_case "rejects unowned member" `Quick
             test_node_rejects_unowned_member;
+          Alcotest.test_case "rejects unknown key" `Quick test_node_rejects_unknown_key;
           Alcotest.test_case "obs-out validates" `Quick test_node_obs_out_validates;
           Alcotest.test_case "rejects reply frames" `Quick test_node_rejects_reply_frames;
         ] );
