@@ -293,7 +293,8 @@ val render_reports : (string * System.report) list -> string
 
 val setup_shapes : unit -> (string * Config.t) list
 (** The configurations [System.run] builds for the benchmark's
-    [cold-keys] and [scale-100k] workloads, seed 1 (named so). *)
+    [cold-keys] and [scale-100k] workloads at seed 1, paired with those
+    names. *)
 
 val render_setup_state : unit -> string
 (** Digests of the state [Pdht.create] builds at each
