@@ -1145,8 +1145,9 @@ let section_perf () =
 
 (* ------------------------------------------------------------------ *)
 (* Decade scale sweep: 10^3 .. 10^6 peers.  Per decade, one news-scaled
-   partial-index simulation (timed, Gc-measured) plus one raw-DHT
-   lookup arm at the full population.  Splices a "scale" object into
+   partial-index simulation (its [Pdht.create] timed as setup_s, the
+   run as wall_s, Gc-measured) plus one raw-DHT lookup arm at the full
+   population.  Splices a "scale" object into
    BENCH_pdht.json so ci.sh can gate on it. *)
 
 let scale_max = ref 1_000_000
@@ -1180,6 +1181,7 @@ type decade = {
   sim_mean_hops : float;
   dht_mean_hops : float;
   dht_lookup_success : float;
+  setup_s : float;
   wall_s : float;
 }
 
@@ -1192,6 +1194,7 @@ let decade_fields =
     Field.float "sim_mean_hops" (fun d -> d.sim_mean_hops);
     Field.float "dht_mean_hops" (fun d -> d.dht_mean_hops);
     Field.float "dht_lookup_success" (fun d -> d.dht_lookup_success);
+    Field.float "setup_s" (fun d -> d.setup_s);
     Field.float "wall_s" (fun d -> d.wall_s) ]
 
 let section_scale () =
@@ -1232,14 +1235,14 @@ let section_scale () =
            full system state, divided by the population. *)
         Gc.compact ();
         let live0 = (Gc.stat ()).Gc.live_words in
-        let state =
-          let rng = Pdht_util.Rng.create ~seed:scenario.Scenario.seed in
-          let config =
-            Pdht_core.Config.make ~num_peers:n ~active_members:active ~keys:2_000
-              ~repl ~stor:100 ~strategy ()
-          in
-          Pdht_core.Pdht.create rng config
+        let rng = Pdht_util.Rng.create ~seed:scenario.Scenario.seed in
+        let config =
+          Pdht_core.Config.make ~num_peers:n ~active_members:active ~keys:2_000
+            ~repl ~stor:100 ~strategy ()
         in
+        let t0 = Unix.gettimeofday () in
+        let state = Pdht_core.Pdht.create rng config in
+        let setup = Unix.gettimeofday () -. t0 in
         Gc.compact ();
         let live1 = (Gc.stat ()).Gc.live_words in
         let bytes_per_peer =
@@ -1290,10 +1293,11 @@ let section_scale () =
         let dht_success = float_of_int !found /. float_of_int trials in
         Printf.printf
           "  n=%-8d repl=%-4d active=%-6d %8.0f B/peer  %9.0f events/s  \
-           sim hops %.2f  dht hops %.2f (log2 n = %.1f, success %.2f)  wall %.1f s\n\
+           sim hops %.2f  dht hops %.2f (log2 n = %.1f, success %.2f)  setup %.3f s  \
+           wall %.1f s\n\
            %!"
           n repl active bytes_per_peer events_per_second sim_hops dht_hops
-          (log2 n) dht_success wall;
+          (log2 n) dht_success setup wall;
         {
           peers = n;
           repl;
@@ -1303,6 +1307,7 @@ let section_scale () =
           sim_mean_hops = sim_hops;
           dht_mean_hops = dht_hops;
           dht_lookup_success = dht_success;
+          setup_s = setup;
           wall_s = wall;
         })
       decades

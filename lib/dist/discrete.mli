@@ -17,9 +17,6 @@ val hot_cold : n:int -> hot:int -> hot_mass:float -> t
     uniform over the first [hot] ranks, the rest uniform over all
     remaining ranks.  Requires [1 <= hot < n], [0 <= hot_mass <= 1]. *)
 
-val of_weights : float array -> t
-(** Explicit unnormalised weights for ranks [1..Array.length w]. *)
-
 val n : t -> int
 val prob : t -> int -> float
 val cumulative : t -> int -> float

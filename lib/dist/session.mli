@@ -57,7 +57,3 @@ val of_string : string -> (spec, string) result
 
 val to_string : spec -> string
 (** Render in [of_string] syntax (round-trips). *)
-
-val default_sigma : float
-val default_weibull_shape : float
-val default_pareto_shape : float

@@ -2,7 +2,7 @@
    peer [p]'s neighbors in ascending order — two flat int arrays for
    the whole graph instead of a boxed array per peer, so a million-peer
    topology is ~2 words per directed edge with no per-peer headers. *)
-type t = { offsets : int array; neighbors : int array; edges : int }
+type t = { offsets : int array; neighbors : int array }
 
 let peer_count t = Array.length t.offsets - 1
 let degree t p = t.offsets.(p + 1) - t.offsets.(p)
@@ -14,76 +14,86 @@ let iter_neighbors t p ~f =
   done
 
 let neighbors t p = Array.sub t.neighbors t.offsets.(p) (degree t p)
-let edge_count t = t.edges
+let edge_count t = t.offsets.(peer_count t) / 2
 
-(* Construction scratch: one growable int row per peer, in insertion
-   order, plus its fill length.  Degrees are a handful, so a linear
-   membership scan over a row beats a tree set and allocates nothing
-   per edge.  Every undirected edge is entered in both rows at once,
-   so [q] is in [p]'s row exactly when [p] is in [q]'s.  Membership is
-   exact, so the generators below reject exactly the draws they always
-   have and consume the same random stream. *)
-type rows = { row : int array array; len : int array; first : int }
-
-(* [first] is a row's initial capacity: the degree a generator expects,
-   so most rows never grow. *)
-let make_rows peers ~first = { row = Array.make peers [||]; len = Array.make peers 0; first }
-
-let rec scan (row : int array) q i = i >= 0 && (row.(i) = q || scan row q (i - 1))
-let mem rows p q = scan rows.row.(p) q (rows.len.(p) - 1)
-
-let push rows p q =
-  let n = rows.len.(p) in
-  let row = rows.row.(p) in
-  let row =
-    if n < Array.length row then row
-    else begin
-      let grown = Array.make (max rows.first (2 * n)) 0 in
-      Array.blit row 0 grown 0 n;
-      rows.row.(p) <- grown;
-      grown
-    end
-  in
-  row.(n) <- q;
-  rows.len.(p) <- n + 1
-
-(* Add the undirected edge [(a, b)]; the caller knows it is new. *)
-let link rows a b =
-  push rows a b;
-  push rows b a
-
-(* Add the undirected edge [(a, b)] unless it is already there. *)
-let connect rows a b = if not (mem rows a b) then link rows a b
-
-(* Copy every row into the CSR and insertion-sort it there (rows are
-   short), giving the ascending order the accessors promise. *)
-let of_rows rows =
-  let peers = Array.length rows.len in
+(* The one CSR builder.  Owner [o] holds slots [far.(o * per) ..
+   far.(o * per + per - 1)], each the far end of an undirected edge it
+   opened; a slot equal to its owner is empty.  Both ends of every edge
+   are counted into [offsets.(p + 1)]; the prefix sum turns [offsets.(p)]
+   into the start of row [p], and filling advances it to the row's end,
+   which is the start of row [p + 1].  Each row is then sorted and
+   deduplicated, compacting leftwards in place, so it holds what a
+   neighbor set would.  All scratch is sized to the edges, never to
+   peers^2. *)
+let of_slots ~peers ~per far =
+  if per < 1 || Array.length far mod per <> 0 || Array.length far / per > peers then
+    invalid_arg "Topology.of_slots: need per >= 1 and at most [peers] owners";
+  let owners = Array.length far / per in
   let offsets = Array.make (peers + 1) 0 in
-  for p = 0 to peers - 1 do
-    offsets.(p + 1) <- offsets.(p) + rows.len.(p)
+  for o = 0 to owners - 1 do
+    for c = 0 to per - 1 do
+      let f = far.((o * per) + c) in
+      if f <> o then begin
+        offsets.(o + 1) <- offsets.(o + 1) + 1;
+        offsets.(f + 1) <- offsets.(f + 1) + 1
+      end
+    done
   done;
-  let neighbors = Array.make (max 1 offsets.(peers)) 0 in
+  for p = 1 to peers do
+    offsets.(p) <- offsets.(p) + offsets.(p - 1)
+  done;
+  let neighbors = Array.make offsets.(peers) 0 in
+  let add a b =
+    neighbors.(offsets.(a)) <- b;
+    offsets.(a) <- offsets.(a) + 1
+  in
+  for o = 0 to owners - 1 do
+    for c = 0 to per - 1 do
+      let f = far.((o * per) + c) in
+      if f <> o then begin
+        add o f;
+        add f o
+      end
+    done
+  done;
+  (* [offsets.(p)] is now row [p]'s end; it becomes its compacted
+     start.  Rows are short, so an insertion sort beats any general
+     sort. *)
+  let lo = ref 0 and dst = ref 0 in
   for p = 0 to peers - 1 do
-    let lo = offsets.(p) in
-    Array.blit rows.row.(p) 0 neighbors lo rows.len.(p);
-    for i = lo + 1 to offsets.(p + 1) - 1 do
+    let hi = offsets.(p) in
+    offsets.(p) <- !dst;
+    for i = !lo + 1 to hi - 1 do
       let v = neighbors.(i) in
       let j = ref (i - 1) in
-      while !j >= lo && neighbors.(!j) > v do
+      while !j >= !lo && neighbors.(!j) > v do
         neighbors.(!j + 1) <- neighbors.(!j);
         decr j
       done;
       neighbors.(!j + 1) <- v
-    done
+    done;
+    for i = !lo to hi - 1 do
+      if i = !lo || neighbors.(i) <> neighbors.(!dst - 1) then begin
+        neighbors.(!dst) <- neighbors.(i);
+        incr dst
+      end
+    done;
+    lo := hi
   done;
-  { offsets; neighbors; edges = offsets.(peers) / 2 }
+  offsets.(peers) <- !dst;
+  { offsets; neighbors }
+
+(* Whether owner [o]'s slots hold [v].  Top level with explicit
+   arguments: a local closure over [far] allocated per peer. *)
+let rec slots_hold (far : int array) ~per o v c =
+  c < per && (far.((o * per) + c) = v || slots_hold far ~per o v (c + 1))
 
 let random_regularish rng ~peers ~degree =
   if peers < 2 then invalid_arg "Topology.random_regularish: need >= 2 peers";
   if degree < 1 || degree >= peers then invalid_arg "Topology.random_regularish: bad degree";
-  let rows = make_rows peers ~first:(2 * degree) in
+  let far = Array.make (peers * degree) 0 in
   for p = 0 to peers - 1 do
+    Array.fill far (p * degree) degree p;
     let opened = ref 0 in
     let attempts = ref 0 in
     (* A peer may fail to open all connections in a tiny network where
@@ -91,17 +101,26 @@ let random_regularish rng ~peers ~degree =
     while !opened < degree && !attempts < 20 * degree do
       incr attempts;
       let q = Pdht_util.Rng.int rng peers in
-      if q <> p && not (mem rows p q) then begin
-        link rows p q;
+      (* [q] is already a neighbor if [p] opened it, or if an earlier
+         [q] opened [p]; a later peer has opened nothing yet. *)
+      if
+        q <> p
+        && (not (slots_hold far ~per:degree p q 0))
+        && not (q < p && slots_hold far ~per:degree q p 0)
+      then begin
+        far.((p * degree) + !opened) <- q;
         incr opened
       end
     done
   done;
-  of_rows rows
+  of_slots ~peers ~per:degree far
 
 let barabasi_albert rng ~peers ~attach =
   if attach < 1 || peers <= attach then invalid_arg "Topology.barabasi_albert: need peers > attach >= 1";
-  let rows = make_rows peers ~first:(2 * attach) in
+  let far = Array.make (peers * attach) 0 in
+  for p = 0 to peers - 1 do
+    Array.fill far (p * attach) attach p
+  done;
   (* Endpoint multiset: picking a uniform element is picking a node with
      probability proportional to its degree.  Stored in a growable array
      so sampling stays O(1) as the graph grows. *)
@@ -112,19 +131,20 @@ let barabasi_albert rng ~peers ~attach =
     endpoints.(!endpoint_count) <- p;
     incr endpoint_count
   in
-  (* Seed: a small clique over the first attach+1 peers. *)
+  (* Seed: a small clique over the first attach+1 peers; owner [a]
+     holds [a + 1 .. attach]. *)
   for a = 0 to attach do
     for b = a + 1 to attach do
-      link rows a b;
+      far.((a * attach) + (b - a - 1)) <- b;
       push a;
       push b
     done
   done;
-  (* An arriving peer's distinct targets, kept sorted: it links to them
-     in ascending order, and the endpoint multiset (hence every later
-     draw) depends on that order. *)
-  let chosen = Array.make attach 0 in
+  (* An arriving peer's distinct targets, kept sorted in its slots: the
+     endpoint multiset (hence every later draw) depends on that
+     order. *)
   for p = attach + 1 to peers - 1 do
+    let base = p * attach in
     let count = ref 0 in
     let tries = ref 0 in
     while !count < attach && !tries < 50 * attach do
@@ -132,62 +152,33 @@ let barabasi_albert rng ~peers ~attach =
       let target = endpoints.(Pdht_util.Rng.int rng !endpoint_count) in
       if target <> p then begin
         let i = ref (!count - 1) in
-        while !i >= 0 && chosen.(!i) > target do
+        while !i >= 0 && far.(base + !i) > target do
           decr i
         done;
-        if !i < 0 || chosen.(!i) <> target then begin
-          Array.blit chosen (!i + 1) chosen (!i + 2) (!count - !i - 1);
-          chosen.(!i + 1) <- target;
+        if !i < 0 || far.(base + !i) <> target then begin
+          Array.blit far (base + !i + 1) far (base + !i + 2) (!count - !i - 1);
+          far.(base + !i + 1) <- target;
           incr count
         end
       end
     done;
-    (* [p] is new and the targets distinct, so every edge is new. *)
     for i = 0 to !count - 1 do
-      let q = chosen.(i) in
-      link rows p q;
       push p;
-      push q
+      push far.(base + i)
     done
   done;
-  of_rows rows
+  of_slots ~peers ~per:attach far
 
 let ring_lattice ~peers ~k =
   if peers < 3 then invalid_arg "Topology.ring_lattice: need >= 3 peers";
   if k < 1 || 2 * k >= peers then invalid_arg "Topology.ring_lattice: bad k";
-  let rows = make_rows peers ~first:(2 * k) in
-  (* With [2k < peers] no two offsets name the same pair, so every
-     edge is new. *)
+  let far = Array.make (peers * k) 0 in
   for p = 0 to peers - 1 do
     for d = 1 to k do
-      link rows p ((p + d) mod peers)
+      far.((p * k) + d - 1) <- (p + d) mod peers
     done
   done;
-  of_rows rows
-
-let watts_strogatz rng ~peers ~k ~beta =
-  if peers < 3 then invalid_arg "Topology.watts_strogatz: need >= 3 peers";
-  if k < 1 || 2 * k >= peers then invalid_arg "Topology.watts_strogatz: bad k";
-  if beta < 0. || beta > 1. then invalid_arg "Topology.watts_strogatz: beta outside [0,1]";
-  let rows = make_rows peers ~first:(2 * k) in
-  for p = 0 to peers - 1 do
-    for d = 1 to k do
-      let q = (p + d) mod peers in
-      if Pdht_util.Rng.bernoulli rng ~p:beta then begin
-        (* Rewire the lattice edge (p, q) to a random endpoint that
-           creates neither a self-loop nor a duplicate. *)
-        let rec fresh tries =
-          if tries = 0 then q (* dense corner: keep the lattice edge *)
-          else
-            let r = Pdht_util.Rng.int rng peers in
-            if r = p || mem rows p r then fresh (tries - 1) else r
-        in
-        connect rows p (fresh 20)
-      end
-      else connect rows p q
-    done
-  done;
-  of_rows rows
+  of_slots ~peers ~per:k far
 
 let bfs_reach t ~online start =
   let n = peer_count t in
@@ -226,6 +217,4 @@ let connected_fraction_from t ~online start =
 
 let mean_degree t =
   if peer_count t = 0 then 0.
-  else 2. *. float_of_int t.edges /. float_of_int (peer_count t)
-
-let duplication_factor t = mean_degree t
+  else 2. *. float_of_int (edge_count t) /. float_of_int (peer_count t)

@@ -4,7 +4,11 @@
     few open connections to other peers" (Section 3.1).  We provide the
     two families observed in deployed Gnutella networks: a random graph
     with fixed minimum degree and a power-law graph grown by
-    preferential attachment (Barabási-Albert), both undirected. *)
+    preferential attachment (Barabási-Albert), both undirected, plus a
+    deterministic ring lattice.  Every graph, these and each key's
+    replica subnetwork ([Pdht_gossip.Replica_net]), is built by
+    {!of_slots}: a generator only records the far end of each edge a
+    peer opens, and one pass makes the sorted CSR rows. *)
 
 type t
 
@@ -27,6 +31,15 @@ val degree : t -> int -> int
 val edge_count : t -> int
 (** Undirected edges. *)
 
+val of_slots : peers:int -> per:int -> int array -> t
+(** [of_slots ~peers ~per far] is the undirected graph whose edges are
+    owner [o]'s slots: [far.(o * per + c)] for [0 <= c < per] is the
+    far end of an edge [o] opened, and a slot equal to [o] is empty.
+    Owners are [0 .. Array.length far / per - 1]; each row comes out
+    ascending and without duplicates, however often an edge was
+    opened.  Requires [per >= 1], [Array.length far] a multiple of
+    [per] of at most [peers] owners, and every slot in [\[0, peers)]. *)
+
 val random_regularish : Pdht_util.Rng.t -> peers:int -> degree:int -> t
 (** Each peer opens [degree] connections to distinct uniformly random
     other peers (the classic Gnutella client behaviour); resulting
@@ -44,14 +57,6 @@ val ring_lattice : peers:int -> k:int -> t
     tests and ablations.  Requires [peers >= 3] and [1 <= k <
     peers / 2]. *)
 
-val watts_strogatz : Pdht_util.Rng.t -> peers:int -> k:int -> beta:float -> t
-(** Small-world graph: a {!ring_lattice} whose edges are each rewired to
-    a uniform random endpoint with probability [beta].  [beta = 0.] is
-    the lattice, [beta = 1.] approaches a random graph; small positive
-    values give the high-clustering/short-path regime real unstructured
-    overlays sit in.  Requires lattice-valid [peers]/[k] and [beta] in
-    [\[0, 1\]]. *)
-
 val is_connected : t -> bool
 (** BFS reachability over all peers. *)
 
@@ -60,9 +65,3 @@ val connected_fraction_from : t -> online:(int -> bool) -> int -> float
     online peers only; 0. if the start peer is offline. *)
 
 val mean_degree : t -> float
-
-val duplication_factor : t -> float
-(** Expected ratio of messages to peers reached when fully flooding the
-    connected component: [2 * edges / peers] within a connected graph
-    corresponds to the paper's [dup] constant (Section 3.1, after
-    [LvCa02], who report ≈ 1.8 for Gnutella-like graphs). *)

@@ -1,12 +1,15 @@
 (* Verbatim copies of the overlay construction paths as they were
    when [Replica_net.build] filled a dense n x (n-1) row scratch,
-   [Topology]'s generators accumulated [Int_set] trees, and
+   [Topology]'s three generators ([random_regularish],
+   [barabasi_albert], [ring_lattice]) accumulated [Int_set] trees, and
    [Replication] kept a per-peer inverse view of every placement, plus
    [Replica_net.flood] as it walked one boxed row per member.
    test_scale's "overlay ref" properties drive these and the live
    modules from equal generator states and require equal adjacency,
    equal edge counts, equal placements, equal floods and an equal next
-   draw: the flat rewrites must change cost, never a result. *)
+   draw.  Both live graph families now come out of the one CSR builder,
+   [Topology.of_slots], so these properties are its oracle: the flat
+   rewrites must change cost, never a result. *)
 
 module Replica_net = struct
   type t = {
@@ -237,34 +240,6 @@ module Topology = struct
         let q = (p + d) mod peers in
         sets.(p) <- Int_set.add q sets.(p);
         sets.(q) <- Int_set.add p sets.(q)
-      done
-    done;
-    of_edge_sets sets
-
-  let watts_strogatz rng ~peers ~k ~beta =
-    if peers < 3 then invalid_arg "Topology.watts_strogatz: need >= 3 peers";
-    if k < 1 || 2 * k >= peers then invalid_arg "Topology.watts_strogatz: bad k";
-    if beta < 0. || beta > 1. then invalid_arg "Topology.watts_strogatz: beta outside [0,1]";
-    let sets = Array.make peers Int_set.empty in
-    let connect a b =
-      sets.(a) <- Int_set.add b sets.(a);
-      sets.(b) <- Int_set.add a sets.(b)
-    in
-    for p = 0 to peers - 1 do
-      for d = 1 to k do
-        let q = (p + d) mod peers in
-        if Pdht_util.Rng.bernoulli rng ~p:beta then begin
-          (* Rewire the lattice edge (p, q) to a random endpoint that
-             creates neither a self-loop nor a duplicate. *)
-          let rec fresh tries =
-            if tries = 0 then q (* dense corner: keep the lattice edge *)
-            else
-              let r = Pdht_util.Rng.int rng peers in
-              if r = p || Int_set.mem r sets.(p) then fresh (tries - 1) else r
-          in
-          connect p (fresh 20)
-        end
-        else connect p q
       done
     done;
     of_edge_sets sets

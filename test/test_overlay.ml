@@ -80,33 +80,6 @@ let test_connected_fraction_with_offline () =
   Alcotest.(check (float 1e-9)) "offline start" 0.
     (Topology.connected_fraction_from t ~online 0)
 
-let test_watts_strogatz_regimes () =
-  let rng = Rng.create ~seed:30 in
-  let lattice = Topology.watts_strogatz rng ~peers:100 ~k:2 ~beta:0. in
-  (* beta 0 is exactly the ring lattice. *)
-  for p = 0 to 99 do
-    Alcotest.(check int) "lattice degree" 4 (Topology.degree lattice p)
-  done;
-  let small_world = Topology.watts_strogatz rng ~peers:200 ~k:3 ~beta:0.1 in
-  Alcotest.(check int) "peer count" 200 (Topology.peer_count small_world);
-  Alcotest.(check bool) "edges conserved by rewiring" true
-    (Topology.edge_count small_world <= 600);
-  (* Rewiring shortens paths: a TTL-5 flood reaches further than on the
-     pure lattice of the same size. *)
-  let reach t =
-    (Flood.search t ~online:all_online ~holds:(fun _ -> false) ~source:0 ~ttl:5)
-      .Flood.peers_reached
-  in
-  let lattice200 = Topology.ring_lattice ~peers:200 ~k:3 in
-  Alcotest.(check bool) "small world floods further" true
-    (reach small_world > reach lattice200)
-
-let test_watts_strogatz_validation () =
-  let rng = Rng.create ~seed:31 in
-  Alcotest.check_raises "beta range"
-    (Invalid_argument "Topology.watts_strogatz: beta outside [0,1]") (fun () ->
-      ignore (Topology.watts_strogatz rng ~peers:10 ~k:2 ~beta:1.5))
-
 (* ------------------------------------------------------------------ *)
 (* Expanding ring *)
 
@@ -523,8 +496,6 @@ let () =
           Alcotest.test_case "ring lattice" `Quick test_ring_lattice;
           Alcotest.test_case "validation" `Quick test_topology_validation;
           Alcotest.test_case "connected fraction offline" `Quick test_connected_fraction_with_offline;
-          Alcotest.test_case "watts-strogatz regimes" `Quick test_watts_strogatz_regimes;
-          Alcotest.test_case "watts-strogatz validation" `Quick test_watts_strogatz_validation;
         ] );
       ( "expanding-ring",
         [
