@@ -1129,9 +1129,176 @@ let test_maintenance_attach_charges_messages () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
+(* Flat-row P-Grid vs [Pgrid_ref], the string-path modules kept
+   verbatim.  A built trie and its reference come from one seed and run
+   one operation list under a random offline mask, with [deliver]
+   dropping every [m]-th forward hop.  After construction and after
+   every operation the paths, every reference row, the table sizes and
+   the next draw must agree, and so must each operation's return.  The
+   exchange constructor is checked the same way over batches of
+   random meetings: paths, rows and the next draw. *)
+type pgrid_op =
+  | G_lookup of int * int (* source, key *)
+  | G_responsible of int (* key *)
+  | G_probe of int * int (* peer, probes *)
+  | G_forget of int
+  | G_rebuild of int
+  | G_flip of int (* toggle a member online/offline *)
+
+let pgrid_op_print = function
+  | G_lookup (s, k) -> Printf.sprintf "lookup(%d,%d)" s k
+  | G_responsible k -> Printf.sprintf "responsible(%d)" k
+  | G_probe (p, n) -> Printf.sprintf "probe(%d,%d)" p n
+  | G_forget p -> Printf.sprintf "forget(%d)" p
+  | G_rebuild p -> Printf.sprintf "rebuild(%d)" p
+  | G_flip m -> Printf.sprintf "flip(%d)" m
+
+let same_next_draw a b = Rng.bits64 a = Rng.bits64 b && Rng.int a 1_000_003 = Rng.int b 1_000_003
+let key_of k = Bitkey.of_int (k land ((1 lsl Bitkey.width) - 1))
+
+let pgrid_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* members = frequency [ (3, int_range 1 40); (2, int_range 41 300) ] in
+    let* leaf_size = frequency [ (3, int_range 1 4); (2, int_range 5 40); (1, return 400) ] in
+    let* refs_per_level = int_range 1 5 in
+    let* offline_pct = oneofl [ 0; 10; 30; 50; 80 ] in
+    let* drop_every = oneofl [ 0; 2; 3; 5 ] in
+    let* seed = int_bound 1_000_000 in
+    let m = int_bound (members - 1) in
+    let key = int_bound max_int in
+    let op =
+      frequency
+        [
+          (8, map2 (fun s k -> G_lookup (s, k)) m key);
+          (3, map (fun k -> G_responsible k) key);
+          (3, map2 (fun p n -> G_probe (p, n)) m (int_range 0 6));
+          (1, map (fun p -> G_forget p) m);
+          (1, map (fun p -> G_rebuild p) m);
+          (3, map (fun p -> G_flip p) m);
+        ]
+    in
+    let+ ops = list_size (int_range 1 40) op in
+    (members, leaf_size, refs_per_level, offline_pct, drop_every, seed, ops)
+  in
+  let print (members, leaf_size, refs_per_level, offline_pct, drop_every, seed, ops) =
+    Printf.sprintf "members %d leaf %d refs %d offline %d%% drop-every %d seed %d: %s" members
+      leaf_size refs_per_level offline_pct drop_every seed
+      (String.concat " " (List.map pgrid_op_print ops))
+  in
+  QCheck.Test.make ~name:"pgrid matches the string-path reference" ~count:150
+    (QCheck.make ~print case)
+    (fun (members, leaf_size, refs_per_level, offline_pct, drop_every, seed, ops) ->
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let g = Pgrid.build rng ~members ~leaf_size ~refs_per_level in
+      let r = Pgrid_ref.Pgrid.build rng_ref ~members ~leaf_size ~refs_per_level in
+      let mask = Rng.create ~seed:(seed + 1) in
+      let up = Array.init members (fun _ -> Rng.int mask 100 >= offline_pct) in
+      let online m = up.(m) in
+      let deliverer () =
+        let calls = ref 0 and log = ref [] in
+        let deliver ~span ~src ~dst =
+          incr calls;
+          log := (span, src, dst) :: !log;
+          drop_every = 0 || !calls mod drop_every <> 0
+        in
+        (deliver, log)
+      in
+      let deliver, log = deliverer () and deliver_ref, log_ref = deliverer () in
+      let same_tables () =
+        let ok = ref true in
+        for p = 0 to members - 1 do
+          let path = Pgrid.path_of g p in
+          if
+            path <> Pgrid_ref.Pgrid.path_of r p
+            || Pgrid.routing_table_size g p <> Pgrid_ref.Pgrid.routing_table_size r p
+          then ok := false;
+          for level = 0 to String.length path - 1 do
+            if Pgrid.refs_at g ~peer:p ~level <> Pgrid_ref.Pgrid.refs_at r ~peer:p ~level then
+              ok := false
+          done
+        done;
+        !ok
+      in
+      let rec run step = function
+        | [] -> true
+        | op :: rest ->
+            let same =
+              match op with
+              | G_lookup (source, k) ->
+                  let key = key_of k and span = if step mod 2 = 0 then Some step else None in
+                  let o = Pgrid.lookup ?span ~deliver g rng ~online ~source ~key in
+                  let o_ref =
+                    Pgrid_ref.Pgrid.lookup ?span ~deliver:deliver_ref r rng_ref ~online ~source ~key
+                  in
+                  o.responsible = o_ref.responsible && o.messages = o_ref.messages
+                  && o.hops = o_ref.hops
+              | G_responsible k ->
+                  let key = key_of k in
+                  Pgrid.responsible_peers g key = Pgrid_ref.Pgrid.responsible_peers r key
+                  && Pgrid.responsible g ~online key = Pgrid_ref.Pgrid.responsible r ~online key
+              | G_probe (peer, probes) ->
+                  Pgrid.probe_and_repair g rng ~online ~peer ~probes
+                  = Pgrid_ref.Pgrid.probe_and_repair r rng_ref ~online ~peer ~probes
+              | G_forget peer ->
+                  Pgrid.forget_routes g ~peer;
+                  Pgrid_ref.Pgrid.forget_routes r ~peer;
+                  true
+              | G_rebuild peer ->
+                  Pgrid.rebuild_routes g rng ~peer = Pgrid_ref.Pgrid.rebuild_routes r rng_ref ~peer
+              | G_flip m ->
+                  up.(m) <- not up.(m);
+                  true
+            in
+            same && !log = !log_ref && same_tables () && same_next_draw rng rng_ref
+            && run (step + 1) rest
+      in
+      same_tables () && same_next_draw rng rng_ref && run 0 ops)
+
+let pgrid_exchange_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* members = frequency [ (3, int_range 1 40); (2, int_range 41 300) ] in
+    let* seed = int_bound 1_000_000 in
+    let+ batches = list_size (int_range 1 5) (int_range 0 600) in
+    (members, seed, batches)
+  in
+  let print (members, seed, batches) =
+    Printf.sprintf "members %d seed %d meetings %s" members seed
+      (String.concat "," (List.map string_of_int batches))
+  in
+  QCheck.Test.make ~name:"pgrid exchanges match the bootstrap reference" ~count:100
+    (QCheck.make ~print case)
+    (fun (members, seed, batches) ->
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let g = Pdht_dht.Pgrid_bootstrap.create ~members () in
+      let r = Pgrid_ref.Bootstrap.create ~members () in
+      let same_tables () =
+        let ok = ref true in
+        for p = 0 to members - 1 do
+          if Pdht_dht.Pgrid_bootstrap.path_of g p <> Pgrid_ref.Bootstrap.path_of r p then
+            ok := false;
+          for level = 0 to 19 do
+            if
+              Pdht_dht.Pgrid_bootstrap.refs_at g ~peer:p ~level
+              <> Pgrid_ref.Bootstrap.refs_at r ~peer:p ~level
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      List.for_all
+        (fun meetings ->
+          Pdht_dht.Pgrid_bootstrap.run_exchanges g rng ~meetings;
+          Pgrid_ref.Bootstrap.run_exchanges r rng_ref ~meetings;
+          same_tables () && same_next_draw rng rng_ref)
+        batches)
+
 let qcheck_tests =
   let open QCheck in
   [
+    pgrid_ref_test;
+    pgrid_exchange_ref_test;
     Test.make ~name:"chord lookup always reaches the successor" ~count:60
       (pair (int_range 2 128) small_int)
       (fun (members, seed) ->
