@@ -362,9 +362,9 @@ let section_bootstrap () =
   heading "E16 - P-Grid self-organizing bootstrap ([Aber01])"
     "(the paper's platform builds its trie by random pairwise exchanges with no\n\
      coordination; mean path length should converge to ~log2 n = 9 for n = 512)";
-  let module B = Pdht_dht.Pgrid_bootstrap in
+  let module B = Pdht_dht.Pgrid in
   let rng = Pdht_util.Rng.create ~seed:16 in
-  let boot = B.create ~members:512 () in
+  let boot = B.unspecialized ~members:512 in
   let total = ref 0 in
   let rows =
     List.map

@@ -8,13 +8,13 @@
 
    Run with: dune exec examples/self_organization.exe *)
 
-module Bootstrap = Pdht_dht.Pgrid_bootstrap
+module Bootstrap = Pdht_dht.Pgrid
 module CD = Pdht_dht.Chord_dynamic
 
 let () =
   Printf.printf "== P-Grid: a trie from random meetings ==\n\n";
   let rng = Pdht_util.Rng.create ~seed:11 in
-  let trie = Bootstrap.create ~members:128 () in
+  let trie = Bootstrap.unspecialized ~members:128 in
   Printf.printf "%-10s %-12s %-16s %-10s %s\n" "meetings" "mean depth" "distinct paths"
     "refs/peer" "lookup success";
   let total = ref 0 in

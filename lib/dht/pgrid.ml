@@ -2,144 +2,176 @@ module Bitkey = Pdht_util.Bitkey
 module Rng = Pdht_util.Rng
 module Sampling = Pdht_util.Sampling
 
+(* Flat rows.  Peer [p]'s path is the first [len p] bits of [bits.(p)]
+   (the rest are zero).  Level [l] of [p] is row slot [p * cap + l]: its
+   references fill [refs] from [(p * cap + l) * per], newest or first
+   drawn first, and [count] holds how many.
+
+   A built trie also keeps one permutation row per depth.  [order.(0)]
+   is the identity; [order.(d + 1)] is [order.(d)] with every segment
+   that splits at depth [d] shuffled, so the prefix's 0-child holds its
+   first [size / 2] positions and the 1-child the rest.  Every prefix's
+   peers thus form one segment of its depth's row, in the order the
+   split left them, and the segment's bounds follow from the members,
+   [leaf_size] and the path bits alone (see [descend]).  A grown trie
+   has no rows ([order = [||]]). *)
 type t = {
-  paths : string array; (* peer -> binary path *)
-  refs : int array array array; (* peer -> level -> complementary references *)
-  leaves : (string, int array) Hashtbl.t; (* terminal path -> replica group *)
-  subtrees : (string, int array) Hashtbl.t; (* any trie prefix -> peers under it *)
-  refs_per_level : int;
-  max_depth : int;
-  (* Per-instance candidate buffer for [lookup]: each hop copies the
-     current level's references here and shuffles the prefix, instead of
-     allocating an [Array.copy] per hop.  Single-owner state — a P-Grid
-     instance belongs to one simulated system / domain. *)
+  bits : Bitkey.t array;
+  len : Bytes.t; (* peer -> path length *)
+  cap : int; (* levels a peer can hold *)
+  per : int; (* slots a level *)
+  refs : int array;
+  count : Bytes.t; (* row slot -> references held *)
+  leaf_size : int;
+  order : int array array;
+  (* [descend]'s answer: the segment's first position and size.  Like
+     [lookup_buf], single-owner scratch — a P-Grid instance belongs to
+     one simulated system / domain. *)
+  mutable lo : int;
+  mutable size : int;
+  (* [lookup]'s candidates: each hop copies the current level's
+     references here and shuffles them in place. *)
   lookup_buf : int array;
-  (* Flat binary trie over the leaf paths, for allocation-free
-     [responsible_peers]: descending the string-keyed [leaves] table
-     would build a prefix string per level on every call, and replica
-     subnetworks resolve their groups through this on the query path.
-     [trie_child.(2 * node + bit)] is the child node or -1;
-     [trie_leaf.(node)] is the leaf's replica group, [||] for interior
-     nodes. *)
-  trie_child : int array;
-  trie_leaf : int array array;
 }
 
-let members t = Array.length t.paths
-let path_of t p = t.paths.(p)
-let path_length t p = String.length t.paths.(p)
-let max_path_length t = t.max_depth
+let members t = Array.length t.bits
+let path_length t p = Char.code (Bytes.get t.len p)
+let path_of t p = Bitkey.to_bits t.bits.(p) ~len:(path_length t p)
+let base t p l = ((p * t.cap) + l) * t.per
+let count t p l = Char.code (Bytes.get t.count ((p * t.cap) + l))
+let set_count t p l c = Bytes.set t.count ((p * t.cap) + l) (Char.unsafe_chr c)
+let built t = Array.length t.order > 0
+
+let need_built t name =
+  if not (built t) then invalid_arg ("Pgrid." ^ name ^ ": needs a built trie")
+
+let make ~members:n ~cap ~per ~leaf_size ~order =
+  {
+    bits = Array.make n (Bitkey.of_int 0);
+    len = Bytes.make n '\000';
+    cap;
+    per;
+    refs = Array.make (n * cap * per) 0;
+    count = Bytes.make (n * cap) '\000';
+    leaf_size;
+    order;
+    lo = 0;
+    size = 0;
+    lookup_buf = Array.make per 0;
+  }
+
+let[@inline] splits t ~depth ~size = size > t.leaf_size && depth < Bitkey.width
+
+(* Walk the halving from the root along [bits] for at most [depth]
+   levels, stopping early at a leaf; leaves the segment in [t.lo] and
+   [t.size] and returns the depth reached. *)
+let descend t bits ~depth =
+  let d = ref 0 and lo = ref 0 and size = ref (members t) in
+  while !d < depth && splits t ~depth:!d ~size:!size do
+    let half = !size / 2 in
+    if Bitkey.bit bits !d then begin
+      lo := !lo + half;
+      size := !size - half
+    end
+    else size := half;
+    incr d
+  done;
+  t.lo <- !lo;
+  t.size <- !size;
+  !d
+
+(* Sample [per] references (fewer when the subtree is smaller) from the
+   complementary subtree at every level of [p]'s path, as construction
+   and rejoin both do.  Returns how many it learned. *)
+let sample_refs t rng p =
+  let bits = t.bits.(p) in
+  let lo = ref 0 and size = ref (members t) and learned = ref 0 in
+  for l = 0 to path_length t p - 1 do
+    let half = !size / 2 and one = Bitkey.bit bits l in
+    let pool_lo = if one then !lo else !lo + half in
+    let pool_size = if one then half else !size - half in
+    let k = min t.per pool_size in
+    let idx = Sampling.sample_without_replacement rng ~k ~n:pool_size in
+    let row = t.order.(l + 1) and b = base t p l in
+    for s = 0 to k - 1 do
+      t.refs.(b + s) <- row.(pool_lo + idx.(s))
+    done;
+    set_count t p l k;
+    learned := !learned + k;
+    if one then begin
+      lo := !lo + half;
+      size := !size - half
+    end
+    else size := half
+  done;
+  !learned
 
 let build rng ~members:n ~leaf_size ~refs_per_level =
   if n < 1 then invalid_arg "Pgrid.build: need >= 1 member";
   if leaf_size < 1 then invalid_arg "Pgrid.build: leaf_size must be >= 1";
-  if refs_per_level < 1 then invalid_arg "Pgrid.build: refs_per_level must be >= 1";
-  let paths = Array.make n "" in
-  let leaves = Hashtbl.create 64 in
-  let subtrees = Hashtbl.create 256 in
-  let max_depth = ref 0 in
-  (* Balanced recursive split: both halves differ in size by at most
-     one, giving near-uniform path lengths — the shape a converged
-     P-Grid reaches under uniform load. *)
-  let rec split prefix peers =
-    Hashtbl.replace subtrees prefix peers;
-    if Array.length peers <= leaf_size || String.length prefix >= Bitkey.width then begin
-      Hashtbl.replace leaves prefix peers;
-      Array.iter (fun p -> paths.(p) <- prefix) peers;
-      if String.length prefix > !max_depth then max_depth := String.length prefix
+  if refs_per_level < 1 || refs_per_level > 255 then
+    invalid_arg "Pgrid.build: refs_per_level must be in 1..255";
+  (* The deepest leaf lies under the larger half of every split. *)
+  let rec depth d size =
+    if size > leaf_size && d < Bitkey.width then depth (d + 1) (size - (size / 2)) else d
+  in
+  let cap = depth 0 n in
+  let order = Array.init (cap + 1) (fun d -> if d = 0 then Array.init n Fun.id else Array.make n 0) in
+  let t = make ~members:n ~cap ~per:refs_per_level ~leaf_size ~order in
+  (* Balanced recursive split, depth first with the 0-side first: both
+     halves differ in size by at most one, giving near-uniform path
+     lengths — the shape a converged P-Grid reaches under uniform load. *)
+  let rec split d lo size bits =
+    if splits t ~depth:d ~size then begin
+      Array.blit order.(d) lo order.(d + 1) lo size;
+      Sampling.shuffle_sub rng order.(d + 1) ~pos:lo ~len:size;
+      let half = size / 2 in
+      split (d + 1) lo half bits;
+      split (d + 1) (lo + half) (size - half) (Bitkey.flip_bit bits d)
     end
-    else begin
-      let shuffled = Array.copy peers in
-      Sampling.shuffle rng shuffled;
-      let half = Array.length shuffled / 2 in
-      split (prefix ^ "0") (Array.sub shuffled 0 half);
-      split (prefix ^ "1") (Array.sub shuffled half (Array.length shuffled - half))
-    end
+    else
+      for i = lo to lo + size - 1 do
+        let p = order.(d).(i) in
+        t.bits.(p) <- bits;
+        Bytes.set t.len p (Char.chr d)
+      done
   in
-  split "" (Array.init n Fun.id);
-  let complement path l =
-    let flipped = if path.[l] = '0' then '1' else '0' in
-    String.sub path 0 l ^ String.make 1 flipped
-  in
-  let refs =
-    Array.init n (fun p ->
-        let path = paths.(p) in
-        Array.init (String.length path) (fun l ->
-            let pool = Hashtbl.find subtrees (complement path l) in
-            let k = min refs_per_level (Array.length pool) in
-            let idx = Sampling.sample_without_replacement rng ~k ~n:(Array.length pool) in
-            Array.map (fun i -> pool.(i)) idx))
-  in
-  (* Materialise the leaf trie as flat arrays.  Node 0 is the root; the
-     node count is bounded by one interior node per path character plus
-     the root. *)
-  let node_bound =
-    1 + Hashtbl.fold (fun path _ acc -> acc + String.length path) leaves 0
-  in
-  let trie_child = Array.make (2 * node_bound) (-1) in
-  let trie_leaf = Array.make node_bound [||] in
-  let next_node = ref 1 in
-  Hashtbl.iter
-    (fun path peers ->
-      let node = ref 0 in
-      String.iter
-        (fun c ->
-          let slot = (2 * !node) + if c = '1' then 1 else 0 in
-          (if trie_child.(slot) < 0 then begin
-             trie_child.(slot) <- !next_node;
-             incr next_node
-           end);
-          node := trie_child.(slot))
-        path;
-      trie_leaf.(!node) <- peers)
-    leaves;
-  { paths; refs; leaves; subtrees; refs_per_level; max_depth = !max_depth;
-    lookup_buf = Array.make (max 1 refs_per_level) 0; trie_child; trie_leaf }
+  split 0 0 n (Bitkey.of_int 0);
+  for p = 0 to n - 1 do
+    ignore (sample_refs t rng p)
+  done;
+  t
 
-(* Top-level recursion (not local closures): [lookup] calls these a
-   couple of times per hop, and a local [let rec] would allocate its
-   closure on every call. *)
-let rec key_matches_from key path i =
-  i = String.length path
-  || (Bitkey.bit key i = (String.unsafe_get path i = '1') && key_matches_from key path (i + 1))
+(* Grown tries specialize to at most [grown_depth] bits and keep at most
+   [grown_refs] references a level. *)
+let grown_depth = 20
+let grown_refs = 4
 
-let key_matches_path key path = key_matches_from key path 0
+let unspecialized ~members:n =
+  if n < 1 then invalid_arg "Pgrid.unspecialized: need >= 1 member";
+  make ~members:n ~cap:grown_depth ~per:grown_refs ~leaf_size:0 ~order:[||]
 
-let rec match_length_from key path n i =
-  if i < n && Bitkey.bit key i = (String.unsafe_get path i = '1') then
-    match_length_from key path n (i + 1)
-  else i
+let matches t key p = Bitkey.common_prefix_length key t.bits.(p) >= path_length t p
 
-(* Length of the longest common prefix of the key's bits and [path]. *)
-let match_length key path = match_length_from key path (String.length path) 0
+(* Length of the longest common prefix of the key and [p]'s path. *)
+let match_length t key p = min (Bitkey.common_prefix_length key t.bits.(p)) (path_length t p)
 
 let responsible_peers t key =
-  (* Walk the flat trie by key bits — no prefix strings, no lookups in
-     the string-keyed tables.  Returns the shared group array exactly
-     as the table-backed descent did; callers treat it as read-only. *)
-  let rec walk node i =
-    let leaf = t.trie_leaf.(node) in
-    if Array.length leaf > 0 then leaf
-    else if i >= Bitkey.width then [||]
-    else
-      let child = t.trie_child.((2 * node) + if Bitkey.bit key i then 1 else 0) in
-      if child < 0 then [||] else walk child (i + 1)
-  in
-  walk 0 0
+  need_built t "responsible_peers";
+  let d = descend t key ~depth:Bitkey.width in
+  Array.sub t.order.(d) t.lo t.size
 
 let responsible t ~online key =
-  let peers = responsible_peers t key in
-  let rec scan i =
-    if i = Array.length peers then None
-    else if online peers.(i) then Some peers.(i)
-    else scan (i + 1)
+  need_built t "responsible";
+  let row = t.order.(descend t key ~depth:Bitkey.width) in
+  let rec scan i stop =
+    if i = stop then None else if online row.(i) then Some row.(i) else scan (i + 1) stop
   in
-  scan 0
+  scan t.lo (t.lo + t.size)
 
 let refs_at t ~peer ~level =
-  if level < 0 || level >= Array.length t.refs.(peer) then
-    invalid_arg "Pgrid.refs_at: level out of range";
-  t.refs.(peer).(level)
+  if level < 0 || level >= t.cap then invalid_arg "Pgrid.refs_at: level out of range";
+  Array.sub t.refs (base t peer level) (count t peer level)
 
 type outcome = { responsible : int option; messages : int; hops : int }
 
@@ -151,33 +183,40 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
     let hops = ref 0 in
     let current = ref source in
     let failed = ref false in
-    let arrived = ref (key_matches_path key t.paths.(source)) in
-    (* Every hop extends the matched prefix by at least one bit, so the
-       loop runs at most [max_depth] times. *)
+    let arrived = ref (matches t key source) in
+    let candidates = t.lookup_buf in
     while (not !arrived) && not !failed do
-      let path = t.paths.(!current) in
-      let l = match_length key path in
-      let refs = t.refs.(!current).(l) in
-      let len = Array.length refs in
-      let candidates = t.lookup_buf in
-      Array.blit refs 0 candidates 0 len;
-      (* Try the level's references in a uniformly random order, but
-         generate that order lazily (incremental Fisher-Yates): the
-         scan stops at the first online reference, so drawing the full
-         shuffle up front would waste RNG draws on candidates never
-         contacted.  The sequence of tried candidates is distributed
-         exactly as a scan over a fully shuffled copy. *)
+      let l = match_length t key !current in
+      let len = count t !current l in
+      Array.blit t.refs (base t !current l) candidates 0 len;
       let next = ref (-1) in
-      let i = ref 0 in
-      while !next < 0 && !i < len do
-        let j = !i + Rng.int rng (len - !i) in
-        let c = candidates.(j) in
-        candidates.(j) <- candidates.(!i);
-        candidates.(!i) <- c;
-        incr messages;
-        if online c then next := c;
-        incr i
-      done;
+      if built t then begin
+        (* Try the level's references in a uniformly random order, but
+           generate that order lazily (incremental Fisher-Yates): the
+           scan stops at the first online reference, so drawing the
+           full shuffle up front would waste RNG draws on candidates
+           never contacted.  The sequence of tried candidates is
+           distributed exactly as a scan over a fully shuffled copy. *)
+        let i = ref 0 in
+        while !next < 0 && !i < len do
+          let j = !i + Rng.int rng (len - !i) in
+          let c = candidates.(j) in
+          candidates.(j) <- candidates.(!i);
+          candidates.(!i) <- c;
+          incr messages;
+          if online c then next := c;
+          incr i
+        done
+      end
+      else begin
+        Sampling.shuffle_sub rng candidates ~pos:0 ~len;
+        let i = ref 0 in
+        while !next < 0 && !i < len do
+          incr messages;
+          if online candidates.(!i) then next := candidates.(!i);
+          incr i
+        done
+      end;
       if !next >= 0 then begin
         (* Forward hop = one RPC under the network model; an exhausted
            retry budget fails the lookup like a dead level would. *)
@@ -187,7 +226,13 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
         if delivered then begin
           incr hops;
           current := !next;
-          if key_matches_path key t.paths.(!next) then arrived := true
+          (* On a built trie every hop extends the matched prefix by at
+             least one bit, so the cap never fires there.  A grown trie
+             can hold stale references (to peers that have since
+             specialized away from the key), so progress is not
+             guaranteed per hop. *)
+          if matches t key !next then arrived := true
+          else if !hops > 4 * t.cap then failed := true
         end
         else failed := true
       end
@@ -199,29 +244,30 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
 
 let probe_and_repair t rng ~online ~peer ~probes =
   if probes < 0 then invalid_arg "Pgrid.probe_and_repair: negative probes";
-  let levels = Array.length t.refs.(peer) in
+  need_built t "probe_and_repair";
+  let levels = path_length t peer in
   if levels = 0 then 0
   else begin
     for _ = 1 to probes do
       let l = Rng.int rng levels in
-      let arr = t.refs.(peer).(l) in
-      if Array.length arr > 0 then begin
-        let i = Rng.int rng (Array.length arr) in
-        if not (online arr.(i)) then begin
+      let len = count t peer l in
+      if len > 0 then begin
+        let slot = base t peer l + Rng.int rng len in
+        if not (online t.refs.(slot)) then begin
           (* Replace with an online peer from the same complementary
              subtree, if one exists. *)
-          let path = t.paths.(peer) in
-          let flipped = if path.[l] = '0' then '1' else '0' in
-          let comp = String.sub path 0 l ^ String.make 1 flipped in
-          let pool = Hashtbl.find t.subtrees comp in
-          let tries = min 20 (2 * Array.length pool) in
+          let bits = t.bits.(peer) in
+          ignore (descend t bits ~depth:l);
+          let half = t.size / 2 and one = Bitkey.bit bits l in
+          let pool_lo = if one then t.lo else t.lo + half in
+          let pool_size = if one then half else t.size - half in
+          let row = t.order.(l + 1) in
           let rec attempt k =
-            if k = 0 then ()
-            else
-              let cand = pool.(Rng.int rng (Array.length pool)) in
-              if online cand then arr.(i) <- cand else attempt (k - 1)
+            if k > 0 then
+              let cand = row.(pool_lo + Rng.int rng pool_size) in
+              if online cand then t.refs.(slot) <- cand else attempt (k - 1)
           in
-          attempt tries
+          attempt (min 20 (2 * pool_size))
         end
       end
     done;
@@ -229,35 +275,140 @@ let probe_and_repair t rng ~online ~peer ~probes =
   end
 
 let routing_table_size t p =
-  Array.fold_left (fun acc refs -> acc + Array.length refs) 0 t.refs.(p)
-
-let complement_prefix path l =
-  let flipped = if path.[l] = '0' then '1' else '0' in
-  String.sub path 0 l ^ String.make 1 flipped
+  let total = ref 0 in
+  for l = 0 to t.cap - 1 do
+    total := !total + count t p l
+  done;
+  !total
 
 (* Crash-stop state loss: empty every reference level of [peer].
    [lookup] from it then fails at the first hop (dead level) and the
    caller degrades to its miss path; [probe_and_repair] skips empty
    levels, so only {!rebuild_routes} restores them. *)
 let forget_routes t ~peer =
-  let refs = t.refs.(peer) in
-  for l = 0 to Array.length refs - 1 do
-    refs.(l) <- [||]
+  for l = 0 to t.cap - 1 do
+    set_count t peer l 0
   done
 
-(* Rejoin: re-run the construction-time exchange for one peer — sample
-   [refs_per_level] fresh references from each complementary subtree.
-   One message per reference learned (the P-Grid exchange that taught
-   it). *)
+(* Rejoin: re-run the construction-time exchange for one peer.  One
+   message per reference learned (the P-Grid exchange that taught it). *)
 let rebuild_routes t rng ~peer =
-  let path = t.paths.(peer) in
-  let refs = t.refs.(peer) in
-  let messages = ref 0 in
-  for l = 0 to Array.length refs - 1 do
-    let pool = Hashtbl.find t.subtrees (complement_prefix path l) in
-    let k = min t.refs_per_level (Array.length pool) in
-    let idx = Sampling.sample_without_replacement rng ~k ~n:(Array.length pool) in
-    refs.(l) <- Array.map (fun i -> pool.(i)) idx;
-    messages := !messages + k
+  need_built t "rebuild_routes";
+  sample_refs t rng peer
+
+(* ------------------------------------------------------------------ *)
+(* Growth by pairwise exchanges *)
+
+let add_ref t peer ~level target =
+  if level < t.cap && target <> peer then begin
+    let b = base t peer level and c = count t peer level in
+    let rec known s = s < c && (t.refs.(b + s) = target || known (s + 1)) in
+    if not (known 0) then begin
+      (* Newest first; a full level drops its oldest. *)
+      let keep = min c (t.per - 1) in
+      Array.blit t.refs b t.refs (b + 1) keep;
+      t.refs.(b) <- target;
+      set_count t peer level (keep + 1)
+    end
+  end
+
+let extend t p one =
+  let l = path_length t p in
+  if one then t.bits.(p) <- Bitkey.flip_bit t.bits.(p) l;
+  Bytes.set t.len p (Char.chr (l + 1))
+
+(* One meeting.  [budget] bounds the recursive introductions so a single
+   meeting terminates even in a fully built trie. *)
+let rec exchange t rng p q budget =
+  if p <> q && budget > 0 then begin
+    let len_p = path_length t p and len_q = path_length t q in
+    let l = min (min len_p len_q) (Bitkey.common_prefix_length t.bits.(p) t.bits.(q)) in
+    if l = len_p && l = len_q then begin
+      (* Identical paths: split the region. *)
+      if len_p < t.cap then begin
+        extend t p false;
+        extend t q true;
+        add_ref t p ~level:l q;
+        add_ref t q ~level:l p
+      end
+    end
+    else if l = len_p then begin
+      (* p's path is a proper prefix of q's: p specializes to the branch
+         complementary to q's next bit, keeping both covered. *)
+      if len_p < t.cap then begin
+        extend t p (not (Bitkey.bit t.bits.(q) len_p));
+        add_ref t p ~level:len_p q;
+        add_ref t q ~level:len_p p
+      end
+    end
+    else if l = len_q then
+      (* Symmetric case. *)
+      exchange t rng q p budget
+    else begin
+      (* Paths diverge at level l: exchange references and propagate the
+         meeting into both subtrees through random introductions. *)
+      add_ref t p ~level:l q;
+      add_ref t q ~level:l p;
+      introduce t rng p q l budget;
+      introduce t rng q p l budget
+    end
+  end
+
+and introduce t rng peer other l budget =
+  let c = count t peer l in
+  if c > 0 then exchange t rng t.refs.(base t peer l + Rng.int rng c) other (budget - 1)
+
+let run_exchanges t rng ~meetings =
+  if built t then invalid_arg "Pgrid.run_exchanges: needs a grown trie";
+  let n = members t in
+  if n > 1 then
+    for _ = 1 to meetings do
+      let p = Rng.int rng n in
+      let q = Rng.int rng n in
+      exchange t rng p q 4
+    done
+
+(* ------------------------------------------------------------------ *)
+(* Shape *)
+
+type stats = {
+  mean_path_length : float;
+  max_path_length : int;
+  min_path_length : int;
+  distinct_paths : int;
+  mean_refs : float;
+}
+
+let stats t =
+  let n = members t in
+  let total_len = ref 0 and max_len = ref 0 and min_len = ref max_int in
+  let total_refs = ref 0 in
+  let distinct = Hashtbl.create n in
+  for p = 0 to n - 1 do
+    let len = path_length t p in
+    total_len := !total_len + len;
+    max_len := max !max_len len;
+    min_len := min !min_len len;
+    Hashtbl.replace distinct (t.bits.(p), len) ();
+    total_refs := !total_refs + routing_table_size t p
   done;
-  !messages
+  {
+    mean_path_length = float_of_int !total_len /. float_of_int n;
+    max_path_length = !max_len;
+    min_path_length = !min_len;
+    distinct_paths = Hashtbl.length distinct;
+    mean_refs = float_of_int !total_refs /. float_of_int n;
+  }
+
+let lookup_success_rate t rng ~trials =
+  if trials < 1 then invalid_arg "Pgrid.lookup_success_rate: need >= 1 trial";
+  let online _ = true in
+  let ok = ref 0 in
+  for _ = 1 to trials do
+    let key = Bitkey.random rng in
+    let source = Rng.int rng (members t) in
+    match (lookup t rng ~online ~source ~key).responsible with
+    | Some r -> if matches t key r then incr ok
+    | None -> ()
+  done;
+  float_of_int !ok /. float_of_int trials

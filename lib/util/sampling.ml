@@ -1,13 +1,13 @@
-let shuffle_prefix rng arr ~len =
-  if len < 0 || len > Array.length arr then invalid_arg "Sampling.shuffle_prefix";
+let shuffle_sub rng arr ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length arr - len then invalid_arg "Sampling.shuffle_sub";
   for i = len - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
+    let j = pos + Rng.int rng (i + 1) in
+    let tmp = arr.(pos + i) in
+    arr.(pos + i) <- arr.(j);
     arr.(j) <- tmp
   done
 
-let shuffle rng arr = shuffle_prefix rng arr ~len:(Array.length arr)
+let shuffle rng arr = shuffle_sub rng arr ~pos:0 ~len:(Array.length arr)
 
 (* Sparse partial Fisher-Yates: O(k) time and space instead of
    materialising the whole [0..n-1] pool (which made every caller pay

@@ -3,13 +3,12 @@
 val shuffle : Rng.t -> 'a array -> unit
 (** Fisher-Yates in-place shuffle. *)
 
-val shuffle_prefix : Rng.t -> 'a array -> len:int -> unit
-(** Fisher-Yates over [arr.(0 .. len-1)] only, leaving the rest
+val shuffle_sub : Rng.t -> 'a array -> pos:int -> len:int -> unit
+(** Fisher-Yates over [arr.(pos .. pos+len-1)] only, leaving the rest
     untouched.  Draws exactly the same RNG sequence as {!shuffle} on a
-    [len]-element array, so copying candidates into a reusable oversized
-    buffer and shuffling the prefix is observably identical to shuffling
-    a fresh exact-size copy.
-    @raise Invalid_argument when [len] is outside [0, length arr]. *)
+    [len]-element array, so shuffling a slice in place is observably
+    identical to shuffling a fresh exact-size copy of it.
+    @raise Invalid_argument when the slice is not inside [arr]. *)
 
 val sample_without_replacement : Rng.t -> k:int -> n:int -> int array
 (** [sample_without_replacement rng ~k ~n] draws [k] distinct indices

@@ -426,9 +426,9 @@ let test_pgrid_balanced_depth () =
   let rng = Rng.create ~seed:101 in
   let g = Pgrid.build rng ~members:128 ~leaf_size:1 ~refs_per_level:3 in
   for m = 0 to 127 do
-    Alcotest.(check int) "balanced tree depth" 7 (Pgrid.path_length g m)
+    Alcotest.(check int) "balanced tree depth" 7 (String.length (Pgrid.path_of g m))
   done;
-  Alcotest.(check int) "max depth" 7 (Pgrid.max_path_length g)
+  Alcotest.(check int) "max depth" 7 (Pgrid.stats g).max_path_length
 
 let test_pgrid_leaf_groups_replicate () =
   let rng = Rng.create ~seed:102 in
@@ -465,7 +465,7 @@ let test_pgrid_lookup_hop_bound () =
     let k = Bitkey.random rng in
     let o = Pgrid.lookup g rng ~online:all_online ~source:(Rng.int rng 256) ~key:k in
     Alcotest.(check bool) "hops <= max path length" true
-      (o.Pgrid.hops <= Pgrid.max_path_length g)
+      (o.Pgrid.hops <= (Pgrid.stats g).max_path_length)
   done
 
 let test_pgrid_lookup_under_churn () =
@@ -517,7 +517,7 @@ let test_pgrid_probe_repair () =
   let stale = ref 0 and total = ref 0 in
   for m = 0 to 127 do
     if online m then
-      for l = 0 to Pgrid.path_length g m - 1 do
+      for l = 0 to String.length (Pgrid.path_of g m) - 1 do
         Array.iter
           (fun r ->
             incr total;
@@ -628,35 +628,43 @@ let test_dynamic_capacity_limit () =
 (* ------------------------------------------------------------------ *)
 (* P-Grid bootstrap *)
 
-module Bootstrap = Pdht_dht.Pgrid_bootstrap
+module Bootstrap = Pgrid
 
 let converged_bootstrap ~seed ~members ~meetings =
   let rng = Rng.create ~seed in
-  let t = Bootstrap.create ~members () in
+  let t = Bootstrap.unspecialized ~members in
   Bootstrap.run_exchanges t rng ~meetings;
   (rng, t)
 
+(* The peers whose current path prefixes the key (a scan: a grown trie
+   has no split segments). *)
+let grown_responsible t key =
+  List.filter
+    (fun p ->
+      let path = Bootstrap.path_of t p in
+      Bitkey.matches_prefix key ~prefix:(Bitkey.of_bits path) ~len:(String.length path))
+    (List.init (Bootstrap.members t) Fun.id)
+
 let test_bootstrap_initial_state () =
-  let t = Bootstrap.create ~members:10 () in
+  let t = Bootstrap.unspecialized ~members:10 in
   for p = 0 to 9 do
     Alcotest.(check string) "empty path" "" (Bootstrap.path_of t p)
   done;
   (* With empty paths, everyone is responsible for everything. *)
   let rng = Rng.create ~seed:140 in
   Alcotest.(check int) "all responsible" 10
-    (Array.length (Bootstrap.responsible_peers t (Bitkey.random rng)))
+    (List.length (grown_responsible t (Bitkey.random rng)))
 
 let test_bootstrap_coverage_invariant () =
   (* At every stage of the bootstrap every key keeps a responsible
      peer — splits and specializations never abandon a region. *)
   let rng = Rng.create ~seed:141 in
-  let t = Bootstrap.create ~members:64 () in
+  let t = Bootstrap.unspecialized ~members:64 in
   for _ = 1 to 20 do
     Bootstrap.run_exchanges t rng ~meetings:50;
     for _ = 1 to 50 do
       let key = Bitkey.random rng in
-      Alcotest.(check bool) "some peer responsible" true
-        (Array.length (Bootstrap.responsible_peers t key) > 0)
+      Alcotest.(check bool) "some peer responsible" true (grown_responsible t key <> [])
     done
   done
 
@@ -702,7 +710,7 @@ let test_bootstrap_refs_point_across () =
 
 let test_bootstrap_single_member () =
   let rng = Rng.create ~seed:146 in
-  let t = Bootstrap.create ~members:1 () in
+  let t = Bootstrap.unspecialized ~members:1 in
   Bootstrap.run_exchanges t rng ~meetings:100;
   Alcotest.(check string) "alone, never splits" "" (Bootstrap.path_of t 0)
 
@@ -1271,16 +1279,16 @@ let pgrid_exchange_ref_test =
     (QCheck.make ~print case)
     (fun (members, seed, batches) ->
       let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
-      let g = Pdht_dht.Pgrid_bootstrap.create ~members () in
+      let g = Pgrid.unspecialized ~members in
       let r = Pgrid_ref.Bootstrap.create ~members () in
       let same_tables () =
         let ok = ref true in
         for p = 0 to members - 1 do
-          if Pdht_dht.Pgrid_bootstrap.path_of g p <> Pgrid_ref.Bootstrap.path_of r p then
+          if Pgrid.path_of g p <> Pgrid_ref.Bootstrap.path_of r p then
             ok := false;
           for level = 0 to 19 do
             if
-              Pdht_dht.Pgrid_bootstrap.refs_at g ~peer:p ~level
+              Pgrid.refs_at g ~peer:p ~level
               <> Pgrid_ref.Bootstrap.refs_at r ~peer:p ~level
             then ok := false
           done
@@ -1289,7 +1297,7 @@ let pgrid_exchange_ref_test =
       in
       List.for_all
         (fun meetings ->
-          Pdht_dht.Pgrid_bootstrap.run_exchanges g rng ~meetings;
+          Pgrid.run_exchanges g rng ~meetings;
           Pgrid_ref.Bootstrap.run_exchanges r rng_ref ~meetings;
           same_tables () && same_next_draw rng rng_ref)
         batches)
@@ -1352,15 +1360,11 @@ let qcheck_tests =
       (pair (int_range 1 60) (int_range 0 800))
       (fun (members, meetings) ->
         let rng = Rng.create ~seed:(members + meetings) in
-        let b = Pdht_dht.Pgrid_bootstrap.create ~members () in
-        Pdht_dht.Pgrid_bootstrap.run_exchanges b rng ~meetings;
+        let b = Pgrid.unspecialized ~members in
+        Pgrid.run_exchanges b rng ~meetings;
         let ok = ref true in
         for _ = 1 to 20 do
-          if
-            Array.length
-              (Pdht_dht.Pgrid_bootstrap.responsible_peers b (Bitkey.random rng))
-            = 0
-          then ok := false
+          if grown_responsible b (Bitkey.random rng) = [] then ok := false
         done;
         !ok);
     Test.make ~name:"pastry lookup terminates and reaches the owner" ~count:40
