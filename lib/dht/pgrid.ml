@@ -189,34 +189,23 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
       let l = match_length t key !current in
       let len = count t !current l in
       Array.blit t.refs (base t !current l) candidates 0 len;
+      (* Try the level's references in a uniformly random order, but
+         generate that order lazily (incremental Fisher-Yates): the scan
+         stops at the first online reference, so drawing the full
+         shuffle up front would waste RNG draws on candidates never
+         contacted.  The sequence of tried candidates is distributed
+         exactly as a scan over a fully shuffled copy. *)
       let next = ref (-1) in
-      if built t then begin
-        (* Try the level's references in a uniformly random order, but
-           generate that order lazily (incremental Fisher-Yates): the
-           scan stops at the first online reference, so drawing the
-           full shuffle up front would waste RNG draws on candidates
-           never contacted.  The sequence of tried candidates is
-           distributed exactly as a scan over a fully shuffled copy. *)
-        let i = ref 0 in
-        while !next < 0 && !i < len do
-          let j = !i + Rng.int rng (len - !i) in
-          let c = candidates.(j) in
-          candidates.(j) <- candidates.(!i);
-          candidates.(!i) <- c;
-          incr messages;
-          if online c then next := c;
-          incr i
-        done
-      end
-      else begin
-        Sampling.shuffle_sub rng candidates ~pos:0 ~len;
-        let i = ref 0 in
-        while !next < 0 && !i < len do
-          incr messages;
-          if online candidates.(!i) then next := candidates.(!i);
-          incr i
-        done
-      end;
+      let i = ref 0 in
+      while !next < 0 && !i < len do
+        let j = !i + Rng.int rng (len - !i) in
+        let c = candidates.(j) in
+        candidates.(j) <- candidates.(!i);
+        candidates.(!i) <- c;
+        incr messages;
+        if online c then next := c;
+        incr i
+      done;
       if !next >= 0 then begin
         (* Forward hop = one RPC under the network model; an exhausted
            retry budget fails the lookup like a dead level would. *)
