@@ -1181,6 +1181,8 @@ type decade = {
   sim_mean_hops : float;
   dht_mean_hops : float;
   dht_lookup_success : float;
+  dht_bytes_per_peer : float;
+  dht_build_s : float;
   setup_s : float;
   wall_s : float;
 }
@@ -1194,6 +1196,8 @@ let decade_fields =
     Field.float "sim_mean_hops" (fun d -> d.sim_mean_hops);
     Field.float "dht_mean_hops" (fun d -> d.dht_mean_hops);
     Field.float "dht_lookup_success" (fun d -> d.dht_lookup_success);
+    Field.float "dht_bytes_per_peer" (fun d -> d.dht_bytes_per_peer);
+    Field.float "dht_build_s" (fun d -> d.dht_build_s);
     Field.float "setup_s" (fun d -> d.setup_s);
     Field.float "wall_s" (fun d -> d.wall_s) ]
 
@@ -1202,7 +1206,8 @@ let section_scale () =
     (Printf.sprintf "Scale sweep: 10^3 -> %d peers (decades)" !scale_max)
     "(per decade: a news-scaled partial-index run -- Gc-measured bytes/peer,\n\
      events/s, mean index-lookup hops -- plus a raw P-Grid lookup arm at the\n\
-     full population; bytes/peer must stay flat while hops track log N)";
+     full population, with its own bytes/peer and build time; bytes/peer must\n\
+     stay flat while hops track log N)";
   let decades =
     List.filter (fun n -> n <= !scale_max) [ 1_000; 10_000; 100_000; 1_000_000 ]
   in
@@ -1273,11 +1278,20 @@ let section_scale () =
         in
         (* Raw-DHT arm: the structured backend alone at the FULL
            population (the simulation's index spans active_members
-           only), so the hops-vs-log-N claim is tested at n itself. *)
+           only), so the hops-vs-log-N claim is tested at n itself.
+           Its bytes/peer is measured like the system's. *)
         let dht_rng = Pdht_util.Rng.create ~seed:(scenario.Scenario.seed + n) in
+        Gc.compact ();
+        let live0 = (Gc.stat ()).Gc.live_words in
+        let t0 = Unix.gettimeofday () in
         let dht =
           Pdht_dht.Dht.create dht_rng ~backend:Pdht_dht.Dht.Pgrid_backend
             ~members:n ()
+        in
+        let dht_build = Unix.gettimeofday () -. t0 in
+        Gc.compact ();
+        let dht_bytes_per_peer =
+          8. *. float_of_int ((Gc.stat ()).Gc.live_words - live0) /. float_of_int n
         in
         let online _ = true in
         let trials = 500 in
@@ -1293,11 +1307,11 @@ let section_scale () =
         let dht_success = float_of_int !found /. float_of_int trials in
         Printf.printf
           "  n=%-8d repl=%-4d active=%-6d %8.0f B/peer  %9.0f events/s  \
-           sim hops %.2f  dht hops %.2f (log2 n = %.1f, success %.2f)  setup %.3f s  \
-           wall %.1f s\n\
+           sim hops %.2f  dht hops %.2f (log2 n = %.1f, success %.2f)  dht %.0f B/peer \
+           built in %.3f s  setup %.3f s  wall %.1f s\n\
            %!"
           n repl active bytes_per_peer events_per_second sim_hops dht_hops
-          (log2 n) dht_success setup wall;
+          (log2 n) dht_success dht_bytes_per_peer dht_build setup wall;
         {
           peers = n;
           repl;
@@ -1307,6 +1321,8 @@ let section_scale () =
           sim_mean_hops = sim_hops;
           dht_mean_hops = dht_hops;
           dht_lookup_success = dht_success;
+          dht_bytes_per_peer;
+          dht_build_s = dht_build;
           setup_s = setup;
           wall_s = wall;
         })

@@ -24,13 +24,11 @@ type t = {
   count : Bytes.t; (* row slot -> references held *)
   leaf_size : int;
   order : int array array;
-  (* [descend]'s answer: the segment's first position and size.  Like
-     [lookup_buf], single-owner scratch — a P-Grid instance belongs to
-     one simulated system / domain. *)
+  (* Single-owner scratch (a P-Grid instance belongs to one simulated
+     system / domain): [descend]'s segment, and the candidates each
+     [lookup] hop copies from the current level and shuffles in place. *)
   mutable lo : int;
   mutable size : int;
-  (* [lookup]'s candidates: each hop copies the current level's
-     references here and shuffles them in place. *)
   lookup_buf : int array;
 }
 
@@ -80,29 +78,26 @@ let descend t bits ~depth =
   t.size <- !size;
   !d
 
+(* The complementary subtree of [p] at [level] is the depth-[level + 1]
+   prefix of its path with the last bit flipped.  Its segment of row
+   [level + 1] is left in [t.lo] and [t.size]. *)
+let complement t p level = ignore (descend t (Bitkey.flip_bit t.bits.(p) level) ~depth:(level + 1))
+
 (* Sample [per] references (fewer when the subtree is smaller) from the
    complementary subtree at every level of [p]'s path, as construction
    and rejoin both do.  Returns how many it learned. *)
 let sample_refs t rng p =
-  let bits = t.bits.(p) in
-  let lo = ref 0 and size = ref (members t) and learned = ref 0 in
+  let learned = ref 0 in
   for l = 0 to path_length t p - 1 do
-    let half = !size / 2 and one = Bitkey.bit bits l in
-    let pool_lo = if one then !lo else !lo + half in
-    let pool_size = if one then half else !size - half in
-    let k = min t.per pool_size in
-    let idx = Sampling.sample_without_replacement rng ~k ~n:pool_size in
+    complement t p l;
+    let k = min t.per t.size in
+    let idx = Sampling.sample_without_replacement rng ~k ~n:t.size in
     let row = t.order.(l + 1) and b = base t p l in
     for s = 0 to k - 1 do
-      t.refs.(b + s) <- row.(pool_lo + idx.(s))
+      t.refs.(b + s) <- row.(t.lo + idx.(s))
     done;
     set_count t p l k;
-    learned := !learned + k;
-    if one then begin
-      lo := !lo + half;
-      size := !size - half
-    end
-    else size := half
+    learned := !learned + k
   done;
   !learned
 
@@ -116,7 +111,9 @@ let build rng ~members:n ~leaf_size ~refs_per_level =
     if size > leaf_size && d < Bitkey.width then depth (d + 1) (size - (size / 2)) else d
   in
   let cap = depth 0 n in
-  let order = Array.init (cap + 1) (fun d -> if d = 0 then Array.init n Fun.id else Array.make n 0) in
+  let order =
+    Array.init (cap + 1) (fun d -> if d = 0 then Array.init n Fun.id else Array.make n 0)
+  in
   let t = make ~members:n ~cap ~per:refs_per_level ~leaf_size ~order in
   (* Balanced recursive split, depth first with the 0-side first: both
      halves differ in size by at most one, giving near-uniform path
@@ -142,14 +139,11 @@ let build rng ~members:n ~leaf_size ~refs_per_level =
   done;
   t
 
-(* Grown tries specialize to at most [grown_depth] bits and keep at most
-   [grown_refs] references a level. *)
-let grown_depth = 20
-let grown_refs = 4
-
+(* A grown trie specializes to at most 20 bits and keeps at most 4
+   references a level. *)
 let unspecialized ~members:n =
   if n < 1 then invalid_arg "Pgrid.unspecialized: need >= 1 member";
-  make ~members:n ~cap:grown_depth ~per:grown_refs ~leaf_size:0 ~order:[||]
+  make ~members:n ~cap:20 ~per:4 ~leaf_size:0 ~order:[||]
 
 let matches t key p = Bitkey.common_prefix_length key t.bits.(p) >= path_length t p
 
@@ -179,12 +173,8 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
   if source < 0 || source >= members t then invalid_arg "Pgrid.lookup: bad source";
   if not (online source) then { responsible = None; messages = 0; hops = 0 }
   else begin
-    let messages = ref 0 in
-    let hops = ref 0 in
-    let current = ref source in
-    let failed = ref false in
-    let arrived = ref (matches t key source) in
-    let candidates = t.lookup_buf in
+    let messages = ref 0 and hops = ref 0 and current = ref source and failed = ref false in
+    let arrived = ref (matches t key source) and candidates = t.lookup_buf in
     while (not !arrived) && not !failed do
       let l = match_length t key !current in
       let len = count t !current l in
@@ -227,8 +217,7 @@ let lookup ?span ?deliver t rng ~online ~source ~key =
       end
       else failed := true
     done;
-    if !failed then { responsible = None; messages = !messages; hops = !hops }
-    else { responsible = Some !current; messages = !messages; hops = !hops }
+    { responsible = (if !failed then None else Some !current); messages = !messages; hops = !hops }
   end
 
 let probe_and_repair t rng ~online ~peer ~probes =
@@ -245,18 +234,14 @@ let probe_and_repair t rng ~online ~peer ~probes =
         if not (online t.refs.(slot)) then begin
           (* Replace with an online peer from the same complementary
              subtree, if one exists. *)
-          let bits = t.bits.(peer) in
-          ignore (descend t bits ~depth:l);
-          let half = t.size / 2 and one = Bitkey.bit bits l in
-          let pool_lo = if one then t.lo else t.lo + half in
-          let pool_size = if one then half else t.size - half in
+          complement t peer l;
           let row = t.order.(l + 1) in
           let rec attempt k =
             if k > 0 then
-              let cand = row.(pool_lo + Rng.int rng pool_size) in
+              let cand = row.(t.lo + Rng.int rng t.size) in
               if online cand then t.refs.(slot) <- cand else attempt (k - 1)
           in
-          attempt (min 20 (2 * pool_size))
+          attempt (min 20 (2 * t.size))
         end
       end
     done;
@@ -264,20 +249,14 @@ let probe_and_repair t rng ~online ~peer ~probes =
   end
 
 let routing_table_size t p =
-  let total = ref 0 in
-  for l = 0 to t.cap - 1 do
-    total := !total + count t p l
-  done;
-  !total
+  let rec sum l acc = if l = t.cap then acc else sum (l + 1) (acc + count t p l) in
+  sum 0 0
 
 (* Crash-stop state loss: empty every reference level of [peer].
    [lookup] from it then fails at the first hop (dead level) and the
    caller degrades to its miss path; [probe_and_repair] skips empty
    levels, so only {!rebuild_routes} restores them. *)
-let forget_routes t ~peer =
-  for l = 0 to t.cap - 1 do
-    set_count t peer l 0
-  done
+let forget_routes t ~peer = Bytes.fill t.count (peer * t.cap) t.cap '\000'
 
 (* Rejoin: re-run the construction-time exchange for one peer.  One
    message per reference learned (the P-Grid exchange that taught it). *)
@@ -312,22 +291,18 @@ let rec exchange t rng p q budget =
   if p <> q && budget > 0 then begin
     let len_p = path_length t p and len_q = path_length t q in
     let l = min (min len_p len_q) (Bitkey.common_prefix_length t.bits.(p) t.bits.(q)) in
-    if l = len_p && l = len_q then begin
-      (* Identical paths: split the region. *)
-      if len_p < t.cap then begin
-        extend t p false;
-        extend t q true;
-        add_ref t p ~level:l q;
-        add_ref t q ~level:l p
-      end
-    end
-    else if l = len_p then begin
-      (* p's path is a proper prefix of q's: p specializes to the branch
+    if l = len_p then begin
+      (* Equal paths: the region splits, p taking 0 and q 1.  Or p's
+         path is a proper prefix of q's: p specializes to the branch
          complementary to q's next bit, keeping both covered. *)
       if len_p < t.cap then begin
-        extend t p (not (Bitkey.bit t.bits.(q) len_p));
-        add_ref t p ~level:len_p q;
-        add_ref t q ~level:len_p p
+        if l = len_q then begin
+          extend t p false;
+          extend t q true
+        end
+        else extend t p (not (Bitkey.bit t.bits.(q) l));
+        add_ref t p ~level:l q;
+        add_ref t q ~level:l p
       end
     end
     else if l = len_q then
@@ -370,8 +345,7 @@ type stats = {
 
 let stats t =
   let n = members t in
-  let total_len = ref 0 and max_len = ref 0 and min_len = ref max_int in
-  let total_refs = ref 0 in
+  let total_len = ref 0 and max_len = ref 0 and min_len = ref max_int and total_refs = ref 0 in
   let distinct = Hashtbl.create n in
   for p = 0 to n - 1 do
     let len = path_length t p in

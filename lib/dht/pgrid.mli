@@ -41,8 +41,7 @@
       least one responsible peer — splits and specializations never
       abandon a region.
 
-    {!responsible_peers}, {!responsible}, {!probe_and_repair} and
-    {!rebuild_routes} read the built split's subtrees and raise
+    "Built tries only" marks what reads the split's subtrees; it raises
     [Invalid_argument] on a grown trie. *)
 
 type t
@@ -93,8 +92,8 @@ val lookup :
     Fails ([responsible = None]) if some level's references are all
     offline and the local leaf cannot answer — or, with [deliver]
     supplied (one RPC per forward hop), when a hop's delivery budget is
-    exhausted.  A grown trie can hold stale references, so a lookup
-    there also fails after 4 × 20 hops without arriving. *)
+    exhausted, or after more than 4 × 20 hops on a grown trie, whose
+    references can be stale. *)
 
 val probe_and_repair :
   t -> Pdht_util.Rng.t -> online:(int -> bool) -> peer:int -> probes:int -> int

@@ -528,6 +528,29 @@ let test_pgrid_probe_repair () =
   let frac = float_of_int !stale /. float_of_int !total in
   Alcotest.(check bool) (Printf.sprintf "stale %.3f < 0.08" frac) true (frac < 0.08)
 
+(* [responsible] answers with the first online member of the group in
+   the split's order, not the lowest index: the goldens pin that order. *)
+let test_pgrid_responsible_first_online () =
+  let rng = Rng.create ~seed:3 in
+  let g = Pgrid.build rng ~members:100 ~leaf_size:10 ~refs_per_level:3 in
+  let key = Bitkey.random rng in
+  Alcotest.(check (array int)) "split order" [| 67; 15; 18; 7; 31; 64 |]
+    (Pgrid.responsible_peers g key);
+  Alcotest.(check (option int)) "all online" (Some 67) (Pgrid.responsible g ~online:all_online key);
+  Alcotest.(check (option int)) "first two offline" (Some 18)
+    (Pgrid.responsible g ~online:(fun p -> p <> 67 && p <> 15) key);
+  let offline = Array.init 100 (fun _ -> Rng.bool rng) in
+  for _ = 1 to 200 do
+    let key = Bitkey.random rng in
+    let first_online =
+      Array.fold_left
+        (fun acc p -> if acc = None && not offline.(p) then Some p else acc)
+        None (Pgrid.responsible_peers g key)
+    in
+    Alcotest.(check (option int)) "first online member" first_online
+      (Pgrid.responsible g ~online:(fun p -> not offline.(p)) key)
+  done
+
 let test_pgrid_single_member () =
   let rng = Rng.create ~seed:108 in
   let g = Pgrid.build rng ~members:1 ~leaf_size:1 ~refs_per_level:1 in
@@ -1688,6 +1711,8 @@ let () =
           Alcotest.test_case "refs point to complement" `Quick test_pgrid_refs_point_to_complement;
           Alcotest.test_case "probe repair" `Quick test_pgrid_probe_repair;
           Alcotest.test_case "single member" `Quick test_pgrid_single_member;
+          Alcotest.test_case "responsible is the first online member" `Quick
+            test_pgrid_responsible_first_online;
         ] );
       ( "chord-dynamic",
         [

@@ -819,6 +819,26 @@ let test_create_alloc () =
   if per_key > 60. then
     Alcotest.failf "Pdht.create at the cold-keys shape allocated %.1f words a key" per_key
 
+(* A built P-Grid retains its flat rows and little else.  At the DHT
+   shapes [Pdht.create] builds for the benchmark (453 and 1,000 members
+   with leaf 20, 6,000 with leaf 200, 3 references a level) it keeps
+   22.8, 26.9 and 22.8 words a member; string paths, a table holding a
+   copy of every prefix's peers and boxed reference levels kept 37.1,
+   42.7 and 34.3. *)
+let test_pgrid_build_retained () =
+  List.iter
+    (fun (members, leaf_size, bound) ->
+      let g =
+        Pdht_dht.Pgrid.build (Rng.create ~seed:1) ~members ~leaf_size ~refs_per_level:3
+      in
+      let per_member =
+        float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int members
+      in
+      if per_member > bound then
+        Alcotest.failf "Pgrid.build (%d members, leaf %d) retains %.1f words a member" members
+          leaf_size per_member)
+    [ (453, 20, 24.); (1_000, 20, 28.); (6_000, 200, 24.) ]
+
 (* A draw allocates nothing: [Rng.step] is inlined into every draw, so
    its [int64] temporaries stay unboxed (a step that stops inlining
    boxes its result, 3 words a draw).  The float draws hand their result
@@ -1104,5 +1124,6 @@ let () =
           Alcotest.test_case "placement row" `Quick test_placement_alloc;
           Alcotest.test_case "key ids" `Quick test_key_id_alloc;
           Alcotest.test_case "create at cold-keys" `Quick test_create_alloc;
+          Alcotest.test_case "pgrid build" `Quick test_pgrid_build_retained;
         ] );
     ]

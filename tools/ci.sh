@@ -235,7 +235,8 @@ echo "== scale smoke gate =="
 # sweep up to 10^5 peers must finish inside a 10-minute wall budget and
 # a 2 GB high-water RSS, bytes/peer must not regress by more than 10%
 # decade-over-decade (the bench folds that rule into
-# bytes_per_peer_flat) nor pass 160 at 10^5, hops must track log N, and
+# bytes_per_peer_flat) nor pass 160 at 10^5, the raw P-Grid arm must
+# stay within 700 bytes/peer at 10^5, hops must track log N, and
 # the in-place expiry sweep must still be allocation-free.  The scale
 # section splices its block into the BENCH_pdht.json the perf section
 # wrote above; the merged file must still be valid JSON.
@@ -259,6 +260,13 @@ scale_bpp=$(grep -o '"peers": *100000,[^}]*' BENCH_pdht.json \
   | grep -o '"bytes_per_peer": *[0-9.eE+-]*' | awk -F: '{print $2}')
 echo "scale 10^5 bytes_per_peer=$scale_bpp"
 awk -v b="$scale_bpp" 'BEGIN { exit (b > 0 && b <= 160) ? 0 : 1 }'
+# The raw P-Grid arm at the full 10^5 population, measured the same way:
+# 1,396 with string paths, a per-prefix copy of the peers and boxed
+# reference levels, 578 in flat rows.  Hold it at 700.
+scale_dht_bpp=$(grep -o '"peers": *100000,[^}]*' BENCH_pdht.json \
+  | grep -o '"dht_bytes_per_peer": *[0-9.eE+-]*' | awk -F: '{print $2}')
+echo "scale 10^5 dht_bytes_per_peer=$scale_dht_bpp"
+awk -v b="$scale_dht_bpp" 'BEGIN { exit (b > 0 && b <= 700) ? 0 : 1 }'
 
 echo "== cluster smoke gate =="
 # Simulator-vs-processes equivalence (DESIGN §14, E25): an 8-process
