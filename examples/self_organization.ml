@@ -8,24 +8,24 @@
 
    Run with: dune exec examples/self_organization.exe *)
 
-module Bootstrap = Pdht_dht.Pgrid
+module Pgrid = Pdht_dht.Pgrid
 module CD = Pdht_dht.Chord_dynamic
 
 let () =
   Printf.printf "== P-Grid: a trie from random meetings ==\n\n";
   let rng = Pdht_util.Rng.create ~seed:11 in
-  let trie = Bootstrap.unspecialized ~members:128 in
+  let trie = Pgrid.unspecialized ~members:128 in
   Printf.printf "%-10s %-12s %-16s %-10s %s\n" "meetings" "mean depth" "distinct paths"
     "refs/peer" "lookup success";
   let total = ref 0 in
   List.iter
     (fun meetings ->
-      Bootstrap.run_exchanges trie rng ~meetings;
+      Pgrid.run_exchanges trie rng ~meetings;
       total := !total + meetings;
-      let s = Bootstrap.stats trie in
+      let s = Pgrid.stats trie in
       Printf.printf "%-10d %-12.2f %-16d %-10.1f %.3f\n" !total
-        s.Bootstrap.mean_path_length s.Bootstrap.distinct_paths s.Bootstrap.mean_refs
-        (Bootstrap.lookup_success_rate trie rng ~trials:200))
+        s.Pgrid.mean_path_length s.Pgrid.distinct_paths s.Pgrid.mean_refs
+        (Pgrid.lookup_success_rate trie rng ~trials:200))
     [ 64; 128; 256; 512; 1024 ];
   Printf.printf
     "\n(log2 128 = 7: the trie reaches its natural depth and every peer ends\n\
@@ -33,7 +33,7 @@ let () =
 
   (* A few concrete peers. *)
   Printf.printf "sample paths: ";
-  List.iter (fun p -> Printf.printf "%s " (Bootstrap.path_of trie p)) [ 0; 1; 2; 3 ];
+  List.iter (fun p -> Printf.printf "%s " (Pgrid.path_of trie p)) [ 0; 1; 2; 3 ];
   Printf.printf "\n\n== Chord: a ring from joins and stabilization ==\n\n";
   let ring = CD.create rng ~capacity:100 () in
   let first = CD.bootstrap ring in

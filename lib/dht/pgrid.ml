@@ -24,6 +24,11 @@ type t = {
   count : Bytes.t; (* row slot -> references held *)
   leaf_size : int;
   order : int array array;
+  (* Built: a leaf's group, by the leaf's first position (leaves
+     partition the positions), copied out of its row the first time
+     it is asked for and shared after, as callers such as replica
+     subnetworks keep it. *)
+  groups : int array array;
   (* Single-owner scratch (a P-Grid instance belongs to one simulated
      system / domain): [descend]'s segment, and the candidates each
      [lookup] hop copies from the current level and shuffles in place. *)
@@ -53,6 +58,7 @@ let make ~members:n ~cap ~per ~leaf_size ~order =
     count = Bytes.make (n * cap) '\000';
     leaf_size;
     order;
+    groups = Array.make (if Array.length order = 0 then 0 else n) [||];
     lo = 0;
     size = 0;
     lookup_buf = Array.make per 0;
@@ -153,7 +159,8 @@ let match_length t key p = min (Bitkey.common_prefix_length key t.bits.(p)) (pat
 let responsible_peers t key =
   need_built t "responsible_peers";
   let d = descend t key ~depth:Bitkey.width in
-  Array.sub t.order.(d) t.lo t.size
+  if Array.length t.groups.(t.lo) = 0 then t.groups.(t.lo) <- Array.sub t.order.(d) t.lo t.size;
+  t.groups.(t.lo)
 
 let responsible t ~online key =
   need_built t "responsible";

@@ -65,7 +65,8 @@ val path_of : t -> int -> string
 
 val responsible_peers : t -> Pdht_util.Bitkey.t -> int array
 (** All peers (the leaf replica group) whose path prefixes the key, in
-    the order the split left them.  Built tries only. *)
+    the order the split left them.  The array is shared by every key of
+    the leaf; do not modify it.  Built tries only. *)
 
 val responsible : t -> online:(int -> bool) -> Pdht_util.Bitkey.t -> int option
 (** The first online peer of {!responsible_peers}, in its order.  Built

@@ -441,7 +441,10 @@ let test_pgrid_leaf_groups_replicate () =
   let path = Pgrid.path_of g group.(0) in
   Array.iter
     (fun m -> Alcotest.(check string) "same path" path (Pgrid.path_of g m))
-    group
+    group;
+  (* Replica subnetworks keep the group, so every key of the leaf gets
+     the one shared array rather than a copy each. *)
+  Alcotest.(check bool) "one shared array" true (Pgrid.responsible_peers g k == group)
 
 let test_pgrid_lookup_reaches_leaf () =
   let rng = Rng.create ~seed:103 in
@@ -651,12 +654,10 @@ let test_dynamic_capacity_limit () =
 (* ------------------------------------------------------------------ *)
 (* P-Grid bootstrap *)
 
-module Bootstrap = Pgrid
-
 let converged_bootstrap ~seed ~members ~meetings =
   let rng = Rng.create ~seed in
-  let t = Bootstrap.unspecialized ~members in
-  Bootstrap.run_exchanges t rng ~meetings;
+  let t = Pgrid.unspecialized ~members in
+  Pgrid.run_exchanges t rng ~meetings;
   (rng, t)
 
 (* The peers whose current path prefixes the key (a scan: a grown trie
@@ -664,14 +665,14 @@ let converged_bootstrap ~seed ~members ~meetings =
 let grown_responsible t key =
   List.filter
     (fun p ->
-      let path = Bootstrap.path_of t p in
+      let path = Pgrid.path_of t p in
       Bitkey.matches_prefix key ~prefix:(Bitkey.of_bits path) ~len:(String.length path))
-    (List.init (Bootstrap.members t) Fun.id)
+    (List.init (Pgrid.members t) Fun.id)
 
 let test_bootstrap_initial_state () =
-  let t = Bootstrap.unspecialized ~members:10 in
+  let t = Pgrid.unspecialized ~members:10 in
   for p = 0 to 9 do
-    Alcotest.(check string) "empty path" "" (Bootstrap.path_of t p)
+    Alcotest.(check string) "empty path" "" (Pgrid.path_of t p)
   done;
   (* With empty paths, everyone is responsible for everything. *)
   let rng = Rng.create ~seed:140 in
@@ -682,9 +683,9 @@ let test_bootstrap_coverage_invariant () =
   (* At every stage of the bootstrap every key keeps a responsible
      peer — splits and specializations never abandon a region. *)
   let rng = Rng.create ~seed:141 in
-  let t = Bootstrap.unspecialized ~members:64 in
+  let t = Pgrid.unspecialized ~members:64 in
   for _ = 1 to 20 do
-    Bootstrap.run_exchanges t rng ~meetings:50;
+    Pgrid.run_exchanges t rng ~meetings:50;
     for _ = 1 to 50 do
       let key = Bitkey.random rng in
       Alcotest.(check bool) "some peer responsible" true (grown_responsible t key <> [])
@@ -693,24 +694,24 @@ let test_bootstrap_coverage_invariant () =
 
 let test_bootstrap_converges_to_log_depth () =
   let _, t = converged_bootstrap ~seed:142 ~members:256 ~meetings:4_000 in
-  let s = Bootstrap.stats t in
+  let s = Pgrid.stats t in
   (* log2 256 = 8; allow a generous band for the unbalanced basic
      protocol. *)
   Alcotest.(check bool)
-    (Printf.sprintf "mean depth %.2f in [6,11]" s.Bootstrap.mean_path_length)
+    (Printf.sprintf "mean depth %.2f in [6,11]" s.Pgrid.mean_path_length)
     true
-    (s.Bootstrap.mean_path_length >= 6. && s.Bootstrap.mean_path_length <= 11.);
-  Alcotest.(check bool) "most paths distinct" true (s.Bootstrap.distinct_paths >= 240)
+    (s.Pgrid.mean_path_length >= 6. && s.Pgrid.mean_path_length <= 11.);
+  Alcotest.(check bool) "most paths distinct" true (s.Pgrid.distinct_paths >= 240)
 
 let test_bootstrap_lookups_succeed () =
   let rng, t = converged_bootstrap ~seed:143 ~members:256 ~meetings:4_000 in
-  let rate = Bootstrap.lookup_success_rate t rng ~trials:300 in
+  let rate = Pgrid.lookup_success_rate t rng ~trials:300 in
   Alcotest.(check bool) (Printf.sprintf "success %.3f > 0.95" rate) true (rate > 0.95)
 
 let test_bootstrap_lookups_succeed_early () =
   (* Even a half-built trie routes: coverage holds throughout. *)
   let rng, t = converged_bootstrap ~seed:144 ~members:256 ~meetings:600 in
-  let rate = Bootstrap.lookup_success_rate t rng ~trials:300 in
+  let rate = Pgrid.lookup_success_rate t rng ~trials:300 in
   Alcotest.(check bool) (Printf.sprintf "early success %.3f > 0.8" rate) true (rate > 0.8)
 
 let test_bootstrap_refs_point_across () =
@@ -719,23 +720,23 @@ let test_bootstrap_refs_point_across () =
      exchange time; after further specialization it must still agree on
      the first l bits or have moved deeper only. *)
   for p = 0 to 127 do
-    let path = Bootstrap.path_of t p in
+    let path = Pgrid.path_of t p in
     for l = 0 to min (String.length path - 1) 5 do
       Array.iter
         (fun r ->
-          let rpath = Bootstrap.path_of t r in
+          let rpath = Pgrid.path_of t r in
           Alcotest.(check bool) "ref still shares the level prefix" true
             (String.length rpath >= l
             && String.equal (String.sub rpath 0 l) (String.sub path 0 l)))
-        (Bootstrap.refs_at t ~peer:p ~level:l)
+        (Pgrid.refs_at t ~peer:p ~level:l)
     done
   done
 
 let test_bootstrap_single_member () =
   let rng = Rng.create ~seed:146 in
-  let t = Bootstrap.unspecialized ~members:1 in
-  Bootstrap.run_exchanges t rng ~meetings:100;
-  Alcotest.(check string) "alone, never splits" "" (Bootstrap.path_of t 0)
+  let t = Pgrid.unspecialized ~members:1 in
+  Pgrid.run_exchanges t rng ~meetings:100;
+  Alcotest.(check string) "alone, never splits" "" (Pgrid.path_of t 0)
 
 (* ------------------------------------------------------------------ *)
 (* Kademlia *)

@@ -822,7 +822,7 @@ let test_create_alloc () =
 (* A built P-Grid retains its flat rows and little else.  At the DHT
    shapes [Pdht.create] builds for the benchmark (453 and 1,000 members
    with leaf 20, 6,000 with leaf 200, 3 references a level) it keeps
-   22.8, 26.9 and 22.8 words a member; string paths, a table holding a
+   23.8, 27.9 and 23.8 words a member; string paths, a table holding a
    copy of every prefix's peers and boxed reference levels kept 37.1,
    42.7 and 34.3. *)
 let test_pgrid_build_retained () =
@@ -837,7 +837,7 @@ let test_pgrid_build_retained () =
       if per_member > bound then
         Alcotest.failf "Pgrid.build (%d members, leaf %d) retains %.1f words a member" members
           leaf_size per_member)
-    [ (453, 20, 24.); (1_000, 20, 28.); (6_000, 200, 24.) ]
+    [ (453, 20, 25.); (1_000, 20, 29.); (6_000, 200, 25.) ]
 
 (* A draw allocates nothing: [Rng.step] is inlined into every draw, so
    its [int64] temporaries stay unboxed (a step that stops inlining

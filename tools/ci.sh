@@ -262,7 +262,7 @@ echo "scale 10^5 bytes_per_peer=$scale_bpp"
 awk -v b="$scale_bpp" 'BEGIN { exit (b > 0 && b <= 160) ? 0 : 1 }'
 # The raw P-Grid arm at the full 10^5 population, measured the same way:
 # 1,396 with string paths, a per-prefix copy of the peers and boxed
-# reference levels, 578 in flat rows.  Hold it at 700.
+# reference levels, 586 in flat rows.  Hold it at 700.
 scale_dht_bpp=$(grep -o '"peers": *100000,[^}]*' BENCH_pdht.json \
   | grep -o '"dht_bytes_per_peer": *[0-9.eE+-]*' | awk -F: '{print $2}')
 echo "scale 10^5 dht_bytes_per_peer=$scale_dht_bpp"
