@@ -24,10 +24,9 @@ type t = {
   count : Bytes.t; (* row slot -> references held *)
   leaf_size : int;
   order : int array array;
-  (* Built: a leaf's group, by the leaf's first position (leaves
-     partition the positions), copied out of its row the first time
-     it is asked for and shared after, as callers such as replica
-     subnetworks keep it. *)
+  (* Built: each leaf's group by its first position (leaves partition
+     the positions), copied out of its row when first asked for and
+     shared after: callers such as replica subnetworks keep it. *)
   groups : int array array;
   (* Single-owner scratch (a P-Grid instance belongs to one simulated
      system / domain): [descend]'s segment, and the candidates each
@@ -43,10 +42,8 @@ let path_of t p = Bitkey.to_bits t.bits.(p) ~len:(path_length t p)
 let base t p l = ((p * t.cap) + l) * t.per
 let count t p l = Char.code (Bytes.get t.count ((p * t.cap) + l))
 let set_count t p l c = Bytes.set t.count ((p * t.cap) + l) (Char.unsafe_chr c)
-let built t = Array.length t.order > 0
-
 let need_built t name =
-  if not (built t) then invalid_arg ("Pgrid." ^ name ^ ": needs a built trie")
+  if Array.length t.order = 0 then invalid_arg ("Pgrid." ^ name ^ ": needs a built trie")
 
 let make ~members:n ~cap ~per ~leaf_size ~order =
   {
@@ -64,14 +61,14 @@ let make ~members:n ~cap ~per ~leaf_size ~order =
     lookup_buf = Array.make per 0;
   }
 
-let[@inline] splits t ~depth ~size = size > t.leaf_size && depth < Bitkey.width
+let[@inline] splits ~leaf_size ~depth ~size = size > leaf_size && depth < Bitkey.width
 
 (* Walk the halving from the root along [bits] for at most [depth]
    levels, stopping early at a leaf; leaves the segment in [t.lo] and
    [t.size] and returns the depth reached. *)
 let descend t bits ~depth =
   let d = ref 0 and lo = ref 0 and size = ref (members t) in
-  while !d < depth && splits t ~depth:!d ~size:!size do
+  while !d < depth && splits ~leaf_size:t.leaf_size ~depth:!d ~size:!size do
     let half = !size / 2 in
     if Bitkey.bit bits !d then begin
       lo := !lo + half;
@@ -114,7 +111,7 @@ let build rng ~members:n ~leaf_size ~refs_per_level =
     invalid_arg "Pgrid.build: refs_per_level must be in 1..255";
   (* The deepest leaf lies under the larger half of every split. *)
   let rec depth d size =
-    if size > leaf_size && d < Bitkey.width then depth (d + 1) (size - (size / 2)) else d
+    if splits ~leaf_size ~depth:d ~size then depth (d + 1) (size - (size / 2)) else d
   in
   let cap = depth 0 n in
   let order =
@@ -125,7 +122,7 @@ let build rng ~members:n ~leaf_size ~refs_per_level =
      halves differ in size by at most one, giving near-uniform path
      lengths — the shape a converged P-Grid reaches under uniform load. *)
   let rec split d lo size bits =
-    if splits t ~depth:d ~size then begin
+    if splits ~leaf_size ~depth:d ~size then begin
       Array.blit order.(d) lo order.(d + 1) lo size;
       Sampling.shuffle_sub rng order.(d + 1) ~pos:lo ~len:size;
       let half = size / 2 in
@@ -153,7 +150,6 @@ let unspecialized ~members:n =
 
 let matches t key p = Bitkey.common_prefix_length key t.bits.(p) >= path_length t p
 
-(* Length of the longest common prefix of the key and [p]'s path. *)
 let match_length t key p = min (Bitkey.common_prefix_length key t.bits.(p)) (path_length t p)
 
 let responsible_peers t key =
@@ -312,9 +308,7 @@ let rec exchange t rng p q budget =
         add_ref t q ~level:l p
       end
     end
-    else if l = len_q then
-      (* Symmetric case. *)
-      exchange t rng q p budget
+    else if l = len_q then exchange t rng q p budget (* the symmetric case *)
     else begin
       (* Paths diverge at level l: exchange references and propagate the
          meeting into both subtrees through random introductions. *)
@@ -330,7 +324,7 @@ and introduce t rng peer other l budget =
   if c > 0 then exchange t rng t.refs.(base t peer l + Rng.int rng c) other (budget - 1)
 
 let run_exchanges t rng ~meetings =
-  if built t then invalid_arg "Pgrid.run_exchanges: needs a grown trie";
+  if Array.length t.order > 0 then invalid_arg "Pgrid.run_exchanges: needs a grown trie";
   let n = members t in
   if n > 1 then
     for _ = 1 to meetings do
