@@ -78,7 +78,10 @@ end
     forward hop and entry contact (its return deciding delivery, as
     with the simulated network model) and [cast] once per broadcast
     message, each materialising the hop as a wire frame to the owning
-    worker. *)
+    worker.  A transport may return from [rpc] (and [put]) before the
+    hop's reply arrives, provided a later refusal fails the run: the
+    protocol's decisions never see it, so the run stays the
+    simulator's. *)
 type transport = {
   store : store_ops;
   rpc : span:int option -> src:int -> dst:int -> bool;

@@ -88,16 +88,27 @@ let complement t p level = ignore (descend t (Bitkey.flip_bit t.bits.(p) level) 
 
 (* Sample [per] references (fewer when the subtree is smaller) from the
    complementary subtree at every level of [p]'s path, as construction
-   and rejoin both do.  Returns how many it learned. *)
+   and rejoin both do.  Returns how many it learned.  One walk down
+   [p]'s own path: [lo] and [size] are the segment of its depth-[l]
+   prefix, which splits (the path goes deeper), and the complement at
+   [l] is the half that [p]'s bit [l] does not take — what [complement]
+   would find from the root. *)
 let sample_refs t rng p =
-  let learned = ref 0 in
+  let learned = ref 0 and lo = ref 0 and size = ref (members t) in
   for l = 0 to path_length t p - 1 do
-    complement t p l;
-    let k = min t.per t.size in
-    let idx = Sampling.sample_without_replacement rng ~k ~n:t.size in
+    let half = !size / 2 and one = Bitkey.bit t.bits.(p) l in
+    let c_lo = if one then !lo else !lo + half in
+    let c_size = if one then half else !size - half in
+    if one then begin
+      lo := !lo + half;
+      size := !size - half
+    end
+    else size := half;
+    let k = min t.per c_size in
+    let idx = Sampling.sample_without_replacement rng ~k ~n:c_size in
     let row = t.order.(l + 1) and b = base t p l in
     for s = 0 to k - 1 do
-      t.refs.(b + s) <- row.(t.lo + idx.(s))
+      t.refs.(b + s) <- row.(c_lo + idx.(s))
     done;
     set_count t p l k;
     learned := !learned + k

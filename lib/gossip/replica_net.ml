@@ -1,12 +1,14 @@
 module Topology = Pdht_overlay.Topology
 
-(* Adjacency over member positions, built by the one CSR builder.
-   Subnets are built lazily on the query path, so their construction is
-   paid by queries: a slot per edge and two flat arrays, nothing per
-   member. *)
+(* Adjacency over member positions, built by the one CSR builder and
+   kept as its two flat rows: member [m]'s neighbors are [adj.(i)] for
+   [row.(m) <= i < row.(m + 1)], read in place by [flood].  Subnets are
+   built lazily on the query path, so their construction is paid by
+   queries: a slot per edge and two flat arrays, nothing per member. *)
 type t = {
   replicas : int array; (* member position -> global peer index *)
-  graph : Topology.t;
+  row : int array;
+  adj : int array;
   (* Flood scratch, reused across calls: a generation-stamped visited
      set in [scratch.(0 .. n - 1)] and the BFS queue in
      [scratch.(n .. 2n - 1)], so a flood allocates nothing.
@@ -31,9 +33,11 @@ let build rng ~replicas ~chords =
       far.((i * per) + c) <- Pdht_util.Rng.int rng n
     done
   done;
+  let graph = Topology.of_slots ~peers:n ~per far in
   {
     replicas;
-    graph = Topology.of_slots ~peers:n ~per far;
+    row = Topology.row_starts graph;
+    adj = Topology.adjacency graph;
     scratch = Array.make (2 * n) 0;
     generation = 0;
   }
@@ -41,8 +45,8 @@ let build rng ~replicas ~chords =
 let size t = Array.length t.replicas
 let replicas t = t.replicas
 let neighbors t ~member =
-  Array.init (Topology.degree t.graph member) (fun k ->
-      t.replicas.(Topology.neighbor t.graph member k))
+  let first = t.row.(member) in
+  Array.init (t.row.(member + 1) - first) (fun k -> t.replicas.(t.adj.(first + k)))
 
 (* Groups are small (the replication factor), so position lookup is a
    linear scan — building a hash index per subnet cost more at
@@ -64,7 +68,7 @@ let flood t ~online ~from_peer =
       if not (online t.replicas.(start)) then { reached = 0; messages = 0 }
       else begin
         let n = Array.length t.replicas in
-        let scratch = t.scratch and graph = t.graph in
+        let scratch = t.scratch and row = t.row and adj = t.adj in
         (if t.generation = max_int then begin
            Array.fill scratch 0 n 0;
            t.generation <- 0
@@ -79,8 +83,8 @@ let flood t ~online ~from_peer =
         while !head < !tail do
           let pos = scratch.(!head) in
           incr head;
-          for k = 0 to Topology.degree graph pos - 1 do
-            let q = Topology.neighbor graph pos k in
+          for i = row.(pos) to row.(pos + 1) - 1 do
+            let q = adj.(i) in
             if online t.replicas.(q) then begin
               incr messages;
               if scratch.(q) <> gen then begin

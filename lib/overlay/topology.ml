@@ -7,6 +7,8 @@ type t = { offsets : int array; neighbors : int array }
 let peer_count t = Array.length t.offsets - 1
 let degree t p = t.offsets.(p + 1) - t.offsets.(p)
 let neighbor t p i = t.neighbors.(t.offsets.(p) + i)
+let row_starts t = t.offsets
+let adjacency t = t.neighbors
 
 let iter_neighbors t p ~f =
   for i = t.offsets.(p) to t.offsets.(p + 1) - 1 do

@@ -28,6 +28,17 @@ val iter_neighbors : t -> int -> f:(int -> unit) -> unit
 (** Apply [f] to each neighbor of [p] in ascending order. *)
 
 val degree : t -> int -> int
+
+val row_starts : t -> int array
+(** The CSR rows themselves, shared, not copied: peer [p]'s neighbors
+    are [(adjacency t).(i)] for [(row_starts t).(p) <= i < (row_starts
+    t).(p + 1)], ascending.  [peer_count t + 1] entries.  Read-only; for
+    hot loops outside this library, where each {!degree} or {!neighbor}
+    is a call once modules compile with [-opaque]. *)
+
+val adjacency : t -> int array
+(** See {!row_starts}. *)
+
 val edge_count : t -> int
 (** Undirected edges. *)
 

@@ -20,15 +20,48 @@ let ensure_dir dir =
 
 let node_obs_path dir k = Filename.concat dir (Printf.sprintf "node-%d.jsonl" k)
 
-(* One conductor->worker RPC identifier space for the whole run, so a
-   stale reply (from a timed-out attempt the worker answered late) can
-   never be mistaken for the current call's. *)
+(* One conductor->worker frame identifier space for the whole run. *)
 let next_rid = ref 0
 
-let rid_of = function
-  | Wire.Ack { rid; _ } | Wire.Entry { rid; _ } | Wire.Keys { rid; _ } | Wire.Counters { rid; _ }
-    ->
-      Some rid
+let fresh_rid () =
+  incr next_rid;
+  !next_rid
+
+(* At most this many frames are posted to one worker between waits on
+   it.  So at most this many Acks (23 bytes each, 6 KiB in all) queue up
+   in its socket, far below a loopback socket buffer: a worker never
+   blocks writing replies while the conductor is still writing
+   requests. *)
+let window = 256
+
+(* A worker connection as a pipeline: frames are posted without waiting,
+   and [pending] holds, oldest first, those the worker has yet to
+   answer — a ring of [window] slots from [first]. *)
+type link = {
+  conn : Frame_io.t;
+  pending : Wire.msg array;
+  mutable first : int;
+  mutable unanswered : int;
+  mutable posted : int; (* frames posted since the last wait *)
+  mutable reply : Wire.msg; (* the newest answer *)
+}
+
+let request_rid = function
+  | Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Get { rid; _ }
+  | Wire.Probe { rid; _ } | Wire.Census { rid; _ } | Wire.Snapshot { rid } ->
+      rid
+  | _ -> -1
+
+(* [Some ok] when [reply] answers [frame] ([ok = false] is an Ack's
+   refusal), [None] when it answers something else. *)
+let answer_to frame reply =
+  match (frame, reply) with
+  | (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }), Wire.Ack a
+    when a.rid = rid ->
+      Some a.ok
+  | Wire.Get { rid; _ }, Wire.Entry e when e.rid = rid -> Some true
+  | Wire.Census { rid; _ }, Wire.Keys r when r.rid = rid -> Some true
+  | Wire.Snapshot { rid }, Wire.Counters c when c.rid = rid -> Some true
   | _ -> None
 
 let frame_kind = function
@@ -46,6 +79,8 @@ let frame_kind = function
   | Wire.Bye -> "Bye"
   | Wire.Census _ -> "Census"
   | Wire.Keys _ -> "Keys"
+
+let describe frame = Printf.sprintf "%s rid %d" (frame_kind frame) (request_rid frame)
 
 let status_to_string = function
   | Unix.WEXITED c -> Printf.sprintf "exited with status %d" c
@@ -114,6 +149,13 @@ let run ?obs config scenario strategy (options : System.options) =
   let conns = ref [||] in
   let reaped = Array.make config.nodes false in
   let last_frame = Array.make config.nodes "none" in
+  let fail k fmt =
+    Printf.ksprintf
+      (fun what ->
+        failwith
+          (Printf.sprintf "cluster: node %d %s (last frame sent: %s)" k what last_frame.(k)))
+      fmt
+  in
   (* Fail fast with the worker's fate — node id, exit status, the last
      frame we sent it — instead of burning the whole RPC retry ladder
      against a dead process. *)
@@ -123,10 +165,19 @@ let run ?obs config scenario strategy (options : System.options) =
       | 0, _ -> ()
       | _, status ->
           reaped.(k) <- true;
-          failwith
-            (Printf.sprintf "cluster: node %d %s (last frame sent: %s)" k
-               (status_to_string status) last_frame.(k))
+          fail k "%s" (status_to_string status)
       | exception Unix.Unix_error _ -> ()
+  in
+  (* The socket EOF or broken pipe can beat the worker's exit by a
+     moment; give the death probe a short grace so the failure names the
+     process's fate rather than just a dead socket. *)
+  let gone k how =
+    for _ = 1 to 20 do
+      check_dead k;
+      ignore (Unix.select [] [] [] 0.01)
+    done;
+    check_dead k;
+    fail k "%s its connection" how
   in
   let cleanup () =
     Array.iter Frame_io.close !conns;
@@ -142,15 +193,81 @@ let run ?obs config scenario strategy (options : System.options) =
   Fun.protect ~finally:cleanup @@ fun () ->
   conns := accept_workers lsock ~nodes:config.nodes;
   Unix.close lsock;
-  let conn k = !conns.(k) in
-  let send_to k frame =
+  let links =
+    Array.map
+      (fun conn ->
+        { conn; pending = Array.make window Wire.Bye; first = 0; unanswered = 0; posted = 0;
+          reply = Wire.Bye })
+      !conns
+  in
+  let budget =
+    List.fold_left ( +. ) 0.
+      (List.init (Pdht_net.Config.attempts ladder) (fun attempt ->
+           Pdht_net.Config.timeout_for ladder ~attempt))
+  in
+  (* The one wait on worker [k]: write everything posted to it and take
+     its answers, each checked against the oldest unanswered frame,
+     until none is left; the newest answer stays in [reply].  The wait
+     runs the net retry ladder against absolute wall-clock deadlines,
+     probing for the worker's death between attempts.  Nothing is
+     resent: TCP already delivered every frame. *)
+  let await k =
+    let l = links.(k) in
+    l.posted <- 0;
+    let attempt ~attempt ~timeout =
+      if attempt > 0 then check_dead k;
+      let deadline = Unix.gettimeofday () +. timeout in
+      let rec next () =
+        if l.unanswered = 0 then
+          match Frame_io.flush ~deadline l.conn with Ok () -> Some () | Error _ -> None
+        else
+          match Frame_io.recv ~deadline l.conn with
+          | Ok reply -> (
+              let frame = l.pending.(l.first) in
+              match answer_to frame reply with
+              | Some true ->
+                  l.first <- (l.first + 1) mod window;
+                  l.unanswered <- l.unanswered - 1;
+                  l.reply <- reply;
+                  next ()
+              | Some false -> fail k "refused %s" (describe frame)
+              | None ->
+                  fail k "answered %s to %s" (Format.asprintf "%a" Wire.pp reply)
+                    (describe frame))
+          | Error Frame_io.Timeout -> None
+          | Error Frame_io.Closed -> gone k "closed"
+          | Error (Frame_io.Wire e) ->
+              fail k "sent a corrupt frame: %s" (Wire.error_to_string e)
+      in
+      try next ()
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> gone k "dropped"
+    in
+    match Pdht_net.Config.call ladder attempt with
+    | Some () -> ()
+    | None when l.unanswered > 0 ->
+        fail k "did not answer within %g s; oldest unanswered frame: %s" budget
+          (describe l.pending.(l.first))
+    | None -> fail k "did not read its frames within %g s" budget
+  in
+  let post k frame =
+    let l = links.(k) in
     last_frame.(k) <- frame_kind frame;
-    try Frame_io.send (conn k) frame
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      check_dead k;
-      failwith
-        (Printf.sprintf "cluster: node %d dropped its connection (last frame sent: %s)"
-           k last_frame.(k))
+    Frame_io.post l.conn frame;
+    l.posted <- l.posted + 1;
+    if l.posted = window then await k
+  in
+  (* Post a frame the worker answers; the answer is checked at the next
+     wait on the worker. *)
+  let expect k frame =
+    let l = links.(k) in
+    l.pending.((l.first + l.unanswered) mod window) <- frame;
+    l.unanswered <- l.unanswered + 1;
+    post k frame
+  in
+  let call k frame =
+    expect k frame;
+    await k;
+    links.(k).reply
   in
   let owner m = m mod config.nodes in
   let setup =
@@ -164,80 +281,30 @@ let run ?obs config scenario strategy (options : System.options) =
         seed = scenario.Scenario.seed;
       }
   in
-  Array.iteri (fun k _ -> send_to k setup) !conns;
-  (* Synchronous request/reply with real deadlines: each attempt of the
-     net retry ladder sends the frame and waits for its reply until an
-     absolute wall-clock deadline. *)
-  let call k make_frame =
-    incr next_rid;
-    let rid = !next_rid in
-    let frame = make_frame rid in
-    let c = conn k in
-    let attempt ~attempt ~timeout =
-      if attempt > 0 then check_dead k;
-      send_to k frame;
-      let deadline = Unix.gettimeofday () +. timeout in
-      let rec await () =
-        match Frame_io.recv ~deadline c with
-        | Ok reply when rid_of reply = Some rid -> Some reply
-        | Ok _ ->
-            (* A late answer to an attempt we already gave up on. *)
-            await ()
-        | Error Frame_io.Timeout -> None
-        | Error Frame_io.Closed ->
-            (* The socket EOF can beat the worker's exit by a moment;
-               give the death probe a short grace so the failure names
-               the process's fate rather than just a dead socket. *)
-            let rec probe tries =
-              check_dead k;
-              if tries > 0 then begin
-                ignore (Unix.select [] [] [] 0.01);
-                probe (tries - 1)
-              end
-            in
-            probe 20;
-            failwith
-              (Printf.sprintf
-                 "cluster: node %d closed its connection (last frame sent: %s)" k
-                 last_frame.(k))
-        | Error (Frame_io.Wire e) ->
-            failwith
-              (Printf.sprintf "cluster: corrupt frame from node %d: %s" k
-                 (Wire.error_to_string e))
-      in
-      await ()
-    in
-    match Pdht_net.Config.call ladder attempt with
-    | Some reply -> reply
-    | None ->
-        failwith
-          (Printf.sprintf
-             "cluster: rpc to node %d gave up after %d attempts (last frame sent: %s)" k
-             (Pdht_net.Config.attempts ladder) last_frame.(k))
-  in
+  Array.iteri (fun k _ -> post k setup) links;
   let unexpected want msg =
     failwith (Format.asprintf "cluster: expected %s, got %a" want Wire.pp msg)
   in
-  let ack ~peer make_frame =
-    match call (owner peer) make_frame with
-    | Wire.Ack { ok; value; _ } -> (ok, value)
-    | msg -> unexpected "Ack" msg
-  in
   let get ~peer ~key_index ~refresh ~now ~ttl =
     match
-      call (owner peer) (fun rid -> Wire.Get { rid; peer; key = key_index; refresh; now; ttl })
+      call (owner peer)
+        (Wire.Get { rid = fresh_rid (); peer; key = key_index; refresh; now; ttl })
     with
     | Wire.Entry { ok; value; expiry; _ } -> if ok then Some (value, expiry) else None
     | msg -> unexpected "Entry" msg
   in
-  let probe ~peer op ~now = snd (ack ~peer (fun rid -> Wire.Probe { rid; op; peer; now })) in
+  let probe ~peer op ~now =
+    match call (owner peer) (Wire.Probe { rid = fresh_rid (); op; peer; now }) with
+    | Wire.Ack { value; _ } -> value
+    | msg -> unexpected "Ack" msg
+  in
   (* One Census per worker; the index holds a key when any shard does. *)
   let census ~now =
     let keys = scenario.Scenario.keys in
     let want = Pdht.Census.bitmap_bytes ~keys in
     let bits = Bytes.make want '\000' in
     for k = 0 to config.nodes - 1 do
-      match call k (fun rid -> Wire.Census { rid; now }) with
+      match call k (Wire.Census { rid = fresh_rid (); now }) with
       | Wire.Keys { bits = shard; _ } ->
           if String.length shard <> want then
             failwith
@@ -251,6 +318,8 @@ let run ?obs config scenario strategy (options : System.options) =
     done;
     bits
   in
+  (* An Insert's or a Lookup's Ack carries nothing: both are posted, and
+     a refusal fails the run at the next wait on the worker. *)
   let store : Pdht.store_ops =
     {
       get_and_refresh =
@@ -258,8 +327,8 @@ let run ?obs config scenario strategy (options : System.options) =
           Option.map fst (get ~peer ~key_index ~refresh:true ~now ~ttl));
       put =
         (fun ~peer ~key_index ~value ~now ~ttl ->
-          ignore
-            (ack ~peer (fun rid -> Wire.Insert { rid; peer; key = key_index; value; now; ttl })));
+          expect (owner peer)
+            (Wire.Insert { rid = fresh_rid (); peer; key = key_index; value; now; ttl }));
       peek =
         (fun ~peer ~key_index ~now -> get ~peer ~key_index ~refresh:false ~now ~ttl:0.0);
       clear = (fun ~peer -> probe ~peer Wire.Clear ~now:0.0);
@@ -269,11 +338,12 @@ let run ?obs config scenario strategy (options : System.options) =
   in
   let span_id = function Some s -> s | None -> -1 in
   let rpc ~span ~src ~dst =
-    fst
-      (ack ~peer:dst (fun rid -> Wire.Lookup { rid; span = span_id span; src; dst; key = -1 }))
+    expect (owner dst)
+      (Wire.Lookup { rid = fresh_rid (); span = span_id span; src; dst; key = -1 });
+    true
   in
   let cast ~span ~src ~dst =
-    send_to (owner dst) (Wire.Gossip { span = span_id span; src; dst; key = -1 });
+    post (owner dst) (Wire.Gossip { span = span_id span; src; dst; key = -1 });
     true
   in
   let report =
@@ -285,7 +355,7 @@ let run ?obs config scenario strategy (options : System.options) =
   let merged = Registry.create () in
   Registry.merge_into (Pdht_obs.Context.registry obs) ~into:merged;
   for k = 0 to config.nodes - 1 do
-    match call k (fun rid -> Wire.Snapshot { rid }) with
+    match call k (Wire.Snapshot { rid = fresh_rid () }) with
     | Wire.Counters { counters; _ } ->
         List.iter
           (fun (name, value) -> Registry.incr (Registry.counter merged name) value)
@@ -298,7 +368,11 @@ let run ?obs config scenario strategy (options : System.options) =
         ~path:(Filename.concat dir "merged.jsonl")
         (Registry.snapshot merged))
     config.obs_dir;
-  Array.iteri (fun k _ -> send_to k Wire.Bye) !conns;
+  Array.iteri
+    (fun k _ ->
+      post k Wire.Bye;
+      await k)
+    links;
   Array.iteri
     (fun k pid ->
       ignore (Unix.waitpid [] pid);

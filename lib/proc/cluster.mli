@@ -8,13 +8,22 @@
     ([Get], [Insert], [Probe], [Lookup], [Gossip]) to the worker owning
     the target member ([member mod nodes]); the census behind the index
     size is one [Census] frame per worker, whose [Keys] bitmaps the
-    conductor ORs together.  Workers answer strictly in
-    order and the loopback link is reliable, so the cluster's report is
-    field-for-field the same-seed simulator report.  Each
-    conductor->worker call runs the {!Pdht_net.Config.call} retry
-    ladder of {!Pdht_net.Config.default} ([rpc_timeout]/[rpc_retries]/
-    [backoff]) against absolute wall-clock deadlines; the deadlines
-    exist to fail fast when a worker dies rather than to model loss. *)
+    conductor ORs together.  Workers answer strictly in order and the
+    loopback link is reliable, so the cluster's report is
+    field-for-field the same-seed simulator report.
+
+    Each connection is a pipeline.  [Lookup] and [Insert] frames, whose
+    [Ack] carries nothing, and one-way [Gossip] are posted without
+    waiting; the conductor waits only for replies that carry data
+    ([Entry], a [Probe]'s count, [Keys], [Counters]).  Every wait on a
+    worker first takes, in order, the answers to the frames posted to it
+    before, checking each against the oldest frame it has yet to
+    answer; at most 256 frames are posted to a worker between waits.
+    A wait runs the {!Pdht_net.Config.call} retry ladder of
+    {!Pdht_net.Config.default} ([rpc_timeout]/[rpc_retries]/[backoff])
+    against absolute wall-clock deadlines, and no frame is ever resent;
+    the deadlines exist to fail fast when a worker dies or stalls,
+    rather than to model loss. *)
 
 type config = {
   nodes : int;            (** worker process count, >= 1 *)
@@ -41,11 +50,14 @@ val run :
     @raise Invalid_argument when [options.net] is set (a simulated
     network model and a real transport are mutually exclusive) or
     [nodes < 1].
-    @raise Failure when a worker dies, misbehaves, or an RPC exhausts
-    its retry budget; spawned processes are killed before the exception
-    escapes.  A [Keys] bitmap that is not [ceil (keys / 8)] bytes long
+    @raise Failure when a worker dies or misbehaves — an answer that is
+    missing, out of order, of the wrong kind, or an [Ack] with
+    [ok = false], each naming the node and the frame kind and rid — or
+    when a wait exhausts the retry ladder (naming the node and the
+    oldest frame it has not answered); spawned processes are killed
+    before the exception escapes.  A [Keys] bitmap that is not [ceil (keys / 8)] bytes long
     fails the run, naming the node.  Worker death is detected eagerly —
-    a [waitpid] ([WNOHANG]) probe runs on every broken send, closed
+    a [waitpid] ([WNOHANG]) probe runs on every broken write, closed
     connection and retry — and the message names the node id, its exit
     status and the kind of the last frame sent to it, rather than
     letting the retry ladder grind against a dead process.  [SIGPIPE]

@@ -47,9 +47,12 @@ let serve ?obs_out ~node_id conn =
   and gets = counter "proc.gets"
   and puts = counter "proc.puts"
   and probes = counter "proc.probes" in
+  (* Replies are posted: [Frame_io.recv] writes them out when the next
+     request is not already buffered, so a batch of requests gets its
+     replies in one write. *)
   let reply msg =
     Registry.incr frames_out 1;
-    Frame_io.send conn msg
+    Frame_io.post conn msg
   in
   reply (Wire.Hello { node_id });
   let shard =
@@ -68,18 +71,25 @@ let serve ?obs_out ~node_id conn =
         failwith
           (Printf.sprintf "node %d: %s" node_id (Frame_io.recv_error_to_string e))
   in
-  let flush_obs () =
+  (* The end of the session: write the replies still posted, if the
+     conductor is there to read them, and the telemetry. *)
+  let finish () =
+    (try ignore (Frame_io.flush conn)
+     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
     match obs_out with
     | Some path ->
         Export.to_file ~node:node_id ~path (Registry.snapshot registry)
     | None -> ()
   in
   let rec loop () =
-    match Frame_io.recv conn with
+    match
+      try Frame_io.recv conn
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> Error Frame_io.Closed
+    with
     | Error Frame_io.Closed ->
         (* Conductor gone without [Bye]; keep whatever telemetry we
            have rather than losing the run's worth. *)
-        flush_obs ()
+        finish ()
     | Error e ->
         failwith
           (Printf.sprintf "node %d: %s" node_id (Frame_io.recv_error_to_string e))
@@ -144,7 +154,7 @@ let serve ?obs_out ~node_id conn =
             in
             reply (Wire.Counters { rid; node_id; counters });
             loop ()
-        | Wire.Bye -> flush_obs ()
+        | Wire.Bye -> finish ()
         | Wire.Hello _ | Wire.Setup _ | Wire.Ack _ | Wire.Entry _ | Wire.Keys _
         | Wire.Counters _ ->
             failwith

@@ -4,14 +4,18 @@
     A node owns the authoritative {!Pdht_dht.Storage} shards for every
     DHT member [m] with [m mod nodes = node_id], keyed by key index like
     the simulator's in-process stores, and serves the
-    conductor's frames strictly sequentially — one request, one reply —
-    so the cluster's global event order equals the conductor's issue
-    order and same-seed runs stay deterministic.
+    conductor's frames strictly sequentially — one reply to each request
+    but [Gossip], in request order — so the cluster's global event
+    order equals the conductor's issue order and same-seed runs stay
+    deterministic.  Replies are posted ({!Frame_io.post}) and written
+    when the node would block for the next request, so requests that
+    arrive together are answered in one write.
 
     Lifecycle: connect, send [Hello], receive [Setup] (sizing), then
     answer [Get]/[Insert]/[Probe]/[Census] store operations and
     acknowledge [Lookup] routing hops until [Bye], at which point the
-    node writes its [proc.*] counter registry as node-stamped JSONL
+    node writes the replies still posted, then its [proc.*] counter
+    registry as node-stamped JSONL
     (when [obs_out] is given) and returns.  A [Census] (every key the
     shard holds live, read without purging) counts under
     [proc.probes], with the other whole-store reads. *)

@@ -67,31 +67,31 @@ let probe_of_code = function 0 -> Some Live_count | 1 -> Some Clear | _ -> None
 
 (* ---- encoding ----------------------------------------------------- *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-
-let put_u32 b v =
-  put_u8 b (v lsr 24);
-  put_u8 b (v lsr 16);
-  put_u8 b (v lsr 8);
-  put_u8 b v
-
-let put_i64 b v =
-  let v = Int64.of_int v in
-  for shift = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * shift)))
-  done
-
-let put_f64 b v =
-  let bits = Int64.bits_of_float v in
-  for shift = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical bits (8 * shift)))
-  done
-
+let put_u8 b v = Buffer.add_uint8 b (v land 0xFF)
+let put_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
+let put_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
+let put_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
 let put_bool b v = put_u8 b (if v then 1 else 0)
 
 let put_string b s =
   put_u32 b (String.length s);
   Buffer.add_string b s
+
+(* Body bytes per kind: 8 an integer or float, 1 a boolean or probe
+   code, 4 plus the bytes a string or blob, 4 plus the items a list. *)
+let body_length = function
+  | Hello _ | Snapshot _ -> 8
+  | Setup _ | Insert _ -> 48
+  | Lookup _ -> 40
+  | Gossip _ -> 32
+  | Get _ -> 41
+  | Probe _ | Entry _ -> 25
+  | Ack _ -> 17
+  | Counters { counters; _ } ->
+      List.fold_left (fun n (name, _) -> n + 12 + String.length name) 20 counters
+  | Bye -> 0
+  | Census _ -> 16
+  | Keys { bits; _ } -> 12 + String.length bits
 
 let encode_body b msg =
   match msg with
@@ -162,15 +162,13 @@ let encode_body b msg =
       Buffer.add_string b bits
 
 let encode b msg =
-  let body = Buffer.create 64 in
-  put_u8 body version;
-  put_u8 body (kind_code msg);
-  encode_body body msg;
-  put_u32 b (Buffer.length body);
-  Buffer.add_buffer b body
+  put_u32 b (2 + body_length msg);
+  put_u8 b version;
+  put_u8 b (kind_code msg);
+  encode_body b msg
 
 let encode_bytes msg =
-  let b = Buffer.create 64 in
+  let b = Buffer.create (6 + body_length msg) in
   encode b msg;
   Buffer.to_bytes b
 

@@ -4,19 +4,7 @@
    conductor must detect the death and fail fast, naming this node. *)
 
 let () =
-  let port = ref 0 and node_id = ref 0 in
-  Arg.parse
-    [
-      ("--connect", Arg.Set_int port, "conductor port");
-      ("--node-id", Arg.Set_int node_id, "worker id");
-      ("--obs-out", Arg.String (fun _ -> ()), "ignored");
-    ]
-    (fun _positional -> ())
-    "crash_worker";
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, !port));
-  let conn = Pdht_proc.Frame_io.of_fd fd in
-  Pdht_proc.Frame_io.send conn (Pdht_wire.Wire.Hello { node_id = !node_id });
+  let conn, _ = Worker_stub.connect "crash_worker" in
   (match Pdht_proc.Frame_io.recv ~deadline:(Unix.gettimeofday () +. 10.) conn with
   | Ok _ | Error _ -> ());
   exit 3

@@ -129,6 +129,92 @@ let prop_frame_io_reassembles =
       let got = List.rev !got in
       List.length got = List.length frames && List.for_all2 Wire.equal frames got)
 
+(* Posting, flushing and sending in any interleaving puts the same
+   bytes on the socket as one [send] per frame: the output buffer
+   neither drops, repeats nor reorders a byte. *)
+let gen_pipeline =
+  let open QCheck.Gen in
+  let frame =
+    oneof
+      [
+        map (fun rid -> Wire.Lookup { rid; span = -1; src = rid; dst = 2 * rid; key = -1 }) small_nat;
+        map (fun rid -> Wire.Ack { rid; ok = rid mod 3 <> 0; value = rid }) small_nat;
+        map2
+          (fun rid bits -> Wire.Keys { rid; bits })
+          small_nat
+          (string_size ~gen:char (int_bound 2_000));
+        return Wire.Bye;
+      ]
+  in
+  (* 0 posts, 1 posts and flushes, 2 sends. *)
+  list_size (int_range 1 30) (pair frame (int_bound 2))
+
+let prop_pipeline_bytes =
+  QCheck.Test.make ~name:"post/flush/send put one send per frame's bytes" ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map (fun (m, op) -> Format.asprintf "%d:%a" op Wire.pp m) ops))
+       gen_pipeline)
+    (fun ops ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let conn = Frame_io.of_fd a in
+      Fun.protect
+        ~finally:(fun () ->
+          Frame_io.close conn;
+          Unix.close b)
+        (fun () ->
+          List.iter
+            (fun (m, op) ->
+              match op with
+              | 0 -> Frame_io.post conn m
+              | 1 ->
+                  Frame_io.post conn m;
+                  ignore (Frame_io.flush conn)
+              | _ -> Frame_io.send conn m)
+            ops;
+          ignore (Frame_io.flush conn);
+          let want = Buffer.create 4096 in
+          List.iter (fun (m, _) -> Buffer.add_bytes want (Wire.encode_bytes m)) ops;
+          let n = Buffer.length want in
+          let got = Bytes.create (n + 1) in
+          (* Every expected byte, then a look for one byte too many. *)
+          let rec read have timeout =
+            match Unix.select [ b ] [] [] timeout with
+            | [], _, _ -> have
+            | _ when have > n -> have
+            | _ ->
+                let have = have + Unix.read b got have (n + 1 - have) in
+                read have (if have < n then 5.0 else 0.0)
+          in
+          let have = read 0 5.0 in
+          have = n && Bytes.sub_string got 0 n = Buffer.contents want))
+
+(* A posted frame goes out when its sender waits for the answer: the
+   echo child below answers only what reaches it, so without the flush
+   in [recv] the wait times out. *)
+let test_frame_io_recv_flushes_posted () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let frame = Wire.Get { rid = 7; peer = 1; key = 2; refresh = false; now = 3.; ttl = 4. } in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close a;
+      let child = Frame_io.of_fd b in
+      (match Frame_io.recv ~deadline:(Unix.gettimeofday () +. 5.) child with
+      | Ok m -> Frame_io.send child m
+      | Error _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close b;
+      let conn = Frame_io.of_fd a in
+      Fun.protect
+        ~finally:(fun () ->
+          Frame_io.close conn;
+          ignore (Unix.waitpid [] pid))
+        (fun () ->
+          Frame_io.post conn frame;
+          check_msg "echoed" frame (recv_exn conn))
+
 let test_frame_io_reports_closed () =
   with_socketpair @@ fun ca cb ->
   Frame_io.send ca Wire.Bye;
@@ -154,8 +240,9 @@ let test_frame_io_surfaces_codec_errors () =
 (* ---------------------------------------------------------------- *)
 
 (* Script a whole worker session through the kernel socket buffer:
-   write every conductor frame, run [serve] (which drains them and
-   buffers its replies), then read the replies back. *)
+   write every conductor frame in one write, run [serve] (which drains
+   them and buffers its replies), then read the replies back up to the
+   end of the worker's stream. *)
 let run_node_session ?obs_out script =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let conductor = Frame_io.of_fd a and worker = Frame_io.of_fd b in
@@ -164,8 +251,10 @@ let run_node_session ?obs_out script =
       Frame_io.close conductor;
       Frame_io.close worker)
     (fun () ->
-      List.iter (Frame_io.send conductor) script;
+      List.iter (Frame_io.post conductor) script;
+      ignore (Frame_io.flush conductor);
       Node.serve ?obs_out ~node_id:1 worker;
+      Unix.shutdown (Frame_io.fd worker) Unix.SHUTDOWN_SEND;
       let rec drain acc =
         match Frame_io.recv ~deadline:(Unix.gettimeofday () +. 1.0) conductor with
         | Ok msg -> drain (msg :: acc)
@@ -261,6 +350,49 @@ let test_node_snapshot_counts_traffic () =
       Alcotest.fail
         (Format.asprintf "unexpected session transcript:@ %a"
            (Format.pp_print_list Wire.pp) replies)
+
+(* Requests that arrive in one write are answered one reply each, in
+   request order, whatever their mix. *)
+let prop_node_answers_batch_in_order =
+  let open QCheck.Gen in
+  let request =
+    oneof
+      [
+        map (fun m -> `Lookup (2 * m + 1)) (int_bound 2);
+        map2 (fun m key -> `Insert (2 * m + 1, key)) (int_bound 2) (int_bound 3);
+        map2 (fun m key -> `Get (2 * m + 1, key)) (int_bound 2) (int_bound 3);
+        map (fun m -> `Probe (2 * m + 1)) (int_bound 2);
+      ]
+  in
+  QCheck.Test.make ~name:"node answers a batch in request order" ~count:50
+    (QCheck.make (list_size (int_range 1 200) request))
+    (fun requests ->
+      let frames =
+        List.mapi
+          (fun i req ->
+            let rid = i + 1 in
+            match req with
+            | `Lookup dst -> Wire.Lookup { rid; span = -1; src = 0; dst; key = -1 }
+            | `Insert (peer, key) ->
+                Wire.Insert { rid; peer; key; value = rid; now = 0.; ttl = 100. }
+            | `Get (peer, key) ->
+                Wire.Get { rid; peer; key; refresh = true; now = 1.; ttl = 100. }
+            | `Probe peer -> Wire.Probe { rid; op = Wire.Live_count; peer; now = 1. })
+          requests
+      in
+      match run_node_session ((setup :: frames) @ [ Wire.Bye ]) with
+      | Wire.Hello _ :: replies ->
+          List.length replies = List.length frames
+          && List.for_all2
+               (fun frame reply ->
+                 match (frame, reply) with
+                 | (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }),
+                   Wire.Ack a ->
+                     a.rid = rid
+                 | Wire.Get { rid; _ }, Wire.Entry e -> e.rid = rid
+                 | _ -> false)
+               frames replies
+      | _ -> false)
 
 let contains msg sub =
   let n = String.length sub and m = String.length msg in
@@ -433,6 +565,55 @@ let test_cluster_rejects_bad_census () =
       Alcotest.(check bool) ("names the length: " ^ msg) true
         (contains msg "12-byte census bitmap; 100 keys need 13 bytes")
 
+let small_cluster_run exe =
+  let module System = Pdht_core.System in
+  let scenario =
+    {
+      Pdht_work.Scenario.news_default with
+      Pdht_work.Scenario.num_peers = 60;
+      keys = 100;
+      duration = 60.;
+      seed = 5;
+    }
+  in
+  let options = System.Options.make ~repl:5 ~stor:20 () in
+  let strategy =
+    Pdht_core.Strategy.Partial_index { key_ttl = System.derive_key_ttl scenario options }
+  in
+  Pdht_proc.Cluster.run (Pdht_proc.Cluster.default_config ~nodes:1 ~exe) scenario strategy
+    options
+
+(* Lookup hops are posted without waiting for their Acks, so a refused
+   hop must still fail the run, at the next wait on that worker. *)
+let test_cluster_rejects_refused_hop () =
+  let started = Unix.gettimeofday () in
+  match small_cluster_run (helper_exe "refusing_worker.exe") with
+  | _ -> Alcotest.fail "conductor accepted a refused Lookup"
+  | exception
+      ( Failure msg
+      | Pdht_sim.Engine.Handler_failed { exn = Failure msg; _ } ) ->
+      Alcotest.(check bool) ("names the node: " ^ msg) true (contains msg "node 0");
+      Alcotest.(check bool) ("names the refused Lookup: " ^ msg) true
+        (contains msg "refused Lookup");
+      Alcotest.(check bool) "failed promptly" true (Unix.gettimeofday () -. started < 5.0)
+
+(* A worker that reads every frame and answers none: the conductor
+   gives up once the retry ladder's 1+2+4+8 s are spent, naming the
+   node and the oldest unanswered frame, instead of hanging. *)
+let test_cluster_stalled_worker_fails () =
+  let started = Unix.gettimeofday () in
+  match small_cluster_run (helper_exe "stalled_worker.exe") with
+  | _ -> Alcotest.fail "conductor returned a report from a silent worker"
+  | exception
+      ( Failure msg
+      | Pdht_sim.Engine.Handler_failed { exn = Failure msg; _ } ) ->
+      let waited = Unix.gettimeofday () -. started in
+      Alcotest.(check bool) ("names the node: " ^ msg) true (contains msg "node 0");
+      Alcotest.(check bool) ("names the unanswered frame: " ^ msg) true
+        (contains msg "oldest unanswered frame");
+      Alcotest.(check bool) (Printf.sprintf "waited the ladder out (%.1f s)" waited) true
+        (waited >= 15.0 && waited < 25.0)
+
 (* The fault path through real workers: a crash wave with anti-entropy
    repair and invariant checks reaches every store operation over the
    wire — crash clears, live counts, repair reads and copies — and the
@@ -483,6 +664,9 @@ let () =
           Alcotest.test_case "surfaces codec errors" `Quick
             test_frame_io_surfaces_codec_errors;
           QCheck_alcotest.to_alcotest prop_frame_io_reassembles;
+          QCheck_alcotest.to_alcotest prop_pipeline_bytes;
+          Alcotest.test_case "recv flushes posted frames" `Quick
+            test_frame_io_recv_flushes_posted;
         ] );
       ( "node",
         [
@@ -497,6 +681,7 @@ let () =
           Alcotest.test_case "rejects unknown key" `Quick test_node_rejects_unknown_key;
           Alcotest.test_case "obs-out validates" `Quick test_node_obs_out_validates;
           Alcotest.test_case "rejects reply frames" `Quick test_node_rejects_reply_frames;
+          QCheck_alcotest.to_alcotest prop_node_answers_batch_in_order;
         ] );
       ( "cluster",
         [
@@ -506,5 +691,8 @@ let () =
             test_cluster_fault_path_equals_sim;
           Alcotest.test_case "rejects a short census bitmap" `Quick
             test_cluster_rejects_bad_census;
+          Alcotest.test_case "rejects a refused hop" `Quick test_cluster_rejects_refused_hop;
+          Alcotest.test_case "stalled worker fails within the ladder" `Slow
+            test_cluster_stalled_worker_fails;
         ] );
     ]

@@ -67,6 +67,36 @@ let test_samples_cover_kinds () =
   in
   Alcotest.(check (list int)) "kind codes" (List.init 14 (fun i -> i + 1)) kinds
 
+(* Version 3's frames are fixed bytes, whatever the encoder's internals:
+   every sample encodes to its recorded MD5 (in sample order), and one
+   Lookup is spelled out, its length prefix included. *)
+let known_digests =
+  [ "c67cf7d8685bd89933e5e9117e50b71a"; "80060dccbdf58997f72855b1f0724aea";
+    "a9e712160f976581263c382a4f43e35f"; "478d0922ab1f6c08183e00a7b4893572";
+    "0bbc01bba47af1e1f12c2508f0bf2966"; "f0e578c8053fcb291f3f0ac1b877b822";
+    "c10119efba5cceee6130ddd38640bcd7"; "4a56b5cb53e227902202798f0f449381";
+    "21ae0deb40cf020086ccd56fc4f78a58"; "f18600c12a501177f88518cb90da782c";
+    "3f3a19284fce2330bbdcdd0d7c78c3c9"; "6e377ff86f55650ea12d540d1a756817";
+    "dbdab36e44cad6a12072a8e92062382a"; "a9a5e2e372f86fc234a8ac3672ba1c65";
+    "259767a5701b9e70bd54498e4e2119cf"; "422c50fd6fea2a03445d158fbb57043f";
+    "cd1ad8a46f0e8046132a13ff414e7aa0"; "28dbb2598aa0aee79c5bc7a79cb4314f";
+    "e6ec43c8927b7e89da921fd5f28be7fa"; "1d73c047ccfc83f8e7ac50c5b75e5a2e";
+    "62d6be68fc3323183c0dcc1fb0743185"; "faddf16f0ff1a8950eedf71eea9e51fd";
+    "0feffaee3f950d3e1741671c721daf38"; "5cae88f14325b43b9ba80b9684b71008" ]
+
+let test_known_bytes () =
+  Alcotest.(check (list string))
+    "frame digests" known_digests
+    (List.map (fun m -> Digest.to_hex (Digest.bytes (Wire.encode_bytes m))) sample_msgs);
+  let hex b =
+    String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  in
+  Alcotest.(check string)
+    "lookup bytes"
+    ("0000002a" ^ "03" ^ "03" ^ "0000000000000001" ^ "ffffffffffffffff" ^ "0000000000000011"
+   ^ "00000000000003dc" ^ "000000000000012b")
+    (hex (Wire.encode_bytes (Lookup { rid = 1; span = -1; src = 17; dst = 988; key = 299 })))
+
 let test_stream_of_frames () =
   (* Several frames back to back in one buffer decode in sequence. *)
   let b = Buffer.create 256 in
@@ -269,6 +299,7 @@ let () =
         [
           Alcotest.test_case "sample round-trips" `Quick test_samples_roundtrip;
           Alcotest.test_case "samples cover every kind" `Quick test_samples_cover_kinds;
+          Alcotest.test_case "known bytes" `Quick test_known_bytes;
           Alcotest.test_case "frame stream" `Quick test_stream_of_frames;
           Alcotest.test_case "truncation at every prefix" `Quick test_truncation_every_prefix;
           Alcotest.test_case "bad version" `Quick test_bad_version;
