@@ -1169,7 +1169,7 @@ let test_maintenance_attach_charges_messages () =
    the next draw must agree, and so must each operation's return.  The
    exchange constructor is checked the same way over batches of
    random meetings: paths, rows and the next draw. *)
-type pgrid_op =
+type route_op =
   | G_lookup of int * int (* source, key *)
   | G_responsible of int (* key *)
   | G_probe of int * int (* peer, probes *)
@@ -1177,7 +1177,7 @@ type pgrid_op =
   | G_rebuild of int
   | G_flip of int (* toggle a member online/offline *)
 
-let pgrid_op_print = function
+let route_op_print = function
   | G_lookup (s, k) -> Printf.sprintf "lookup(%d,%d)" s k
   | G_responsible k -> Printf.sprintf "responsible(%d)" k
   | G_probe (p, n) -> Printf.sprintf "probe(%d,%d)" p n
@@ -1216,7 +1216,7 @@ let pgrid_ref_test =
   let print (members, leaf_size, refs_per_level, offline_pct, drop_every, seed, ops) =
     Printf.sprintf "members %d leaf %d refs %d offline %d%% drop-every %d seed %d: %s" members
       leaf_size refs_per_level offline_pct drop_every seed
-      (String.concat " " (List.map pgrid_op_print ops))
+      (String.concat " " (List.map route_op_print ops))
   in
   QCheck.Test.make ~name:"pgrid matches the string-path reference" ~count:150
     (QCheck.make ~print case)
@@ -1326,11 +1326,177 @@ let pgrid_exchange_ref_test =
           same_tables () && same_next_draw rng rng_ref)
         batches)
 
+(* The one-ring Chord against [Chord_ref]: the two modules it replaced,
+   kept verbatim.  A [create] ring and its reference come from one seed
+   and run one [route_op] list under a random offline mask, with
+   [deliver] dropping every [m]-th forward hop; every return, every
+   member's finger targets, the [deliver] log and the next draw must
+   agree.  An [empty] ring and its reference then run one membership
+   schedule (joins through a member picked by index, leaves, crashes,
+   stabilization rounds and routes); join results, costs, outcomes,
+   ideal owners, membership, ids, [ring_consistent] and the next draw
+   must agree after every step. *)
+type ring_op =
+  | R_join of int (* via, by index among the members *)
+  | R_leave of int
+  | R_crash of int
+  | R_stabilize
+  | R_route of int * int (* source by index, key *)
+
+let ring_op_print = function
+  | R_join v -> Printf.sprintf "join(%d)" v
+  | R_leave v -> Printf.sprintf "leave(%d)" v
+  | R_crash v -> Printf.sprintf "crash(%d)" v
+  | R_stabilize -> "stabilize"
+  | R_route (v, k) -> Printf.sprintf "route(%d,%d)" v k
+
+let ring_members ~capacity is_member = List.filter is_member (List.init capacity Fun.id)
+
+let chord_ref_test =
+  let case =
+    let open QCheck.Gen in
+    let* members = frequency [ (3, int_range 1 40); (2, int_range 41 300) ] in
+    let* offline_pct = oneofl [ 0; 10; 30; 50; 80 ] in
+    let* drop_every = oneofl [ 0; 2; 3; 5 ] in
+    let* seed = int_bound 1_000_000 in
+    let m = int_bound (members - 1) in
+    let key = int_bound max_int in
+    let route_op =
+      frequency
+        [
+          (8, map2 (fun s k -> G_lookup (s, k)) m key);
+          (3, map (fun k -> G_responsible k) key);
+          (3, map2 (fun p n -> G_probe (p, n)) m (int_range 0 6));
+          (1, map (fun p -> G_forget p) m);
+          (1, map (fun p -> G_rebuild p) m);
+          (3, map (fun p -> G_flip p) m);
+        ]
+    in
+    let v = int_bound 1_000 in
+    let ring_op =
+      frequency
+        [
+          (4, map (fun v -> R_join v) v);
+          (1, map (fun v -> R_leave v) v);
+          (1, map (fun v -> R_crash v) v);
+          (2, return R_stabilize);
+          (3, map2 (fun v k -> R_route (v, k)) v key);
+        ]
+    in
+    let* route_ops = list_size (int_range 1 40) route_op in
+    let+ ring_ops = list_size (int_range 1 80) ring_op in
+    (members, offline_pct, drop_every, seed, route_ops, ring_ops)
+  in
+  let print (members, offline_pct, drop_every, seed, route_ops, ring_ops) =
+    Printf.sprintf "members %d offline %d%% drop-every %d seed %d: %s | %s" members offline_pct
+      drop_every seed
+      (String.concat " " (List.map route_op_print route_ops))
+      (String.concat " " (List.map ring_op_print ring_ops))
+  in
+  QCheck.Test.make ~name:"chord matches the two-module reference" ~count:150
+    (QCheck.make ~print case)
+    (fun (members, offline_pct, drop_every, seed, route_ops, ring_ops) ->
+      let rng = Rng.create ~seed and rng_ref = Rng.create ~seed in
+      let c = Chord.create rng ~members in
+      let r = Chord_ref.Chord.create rng_ref ~members in
+      let mask = Rng.create ~seed:(seed + 1) in
+      let up = Array.init members (fun _ -> Rng.int mask 100 >= offline_pct) in
+      let online m = up.(m) in
+      let deliverer () =
+        let calls = ref 0 and log = ref [] in
+        let deliver ~span ~src ~dst =
+          incr calls;
+          log := (span, src, dst) :: !log;
+          drop_every = 0 || !calls mod drop_every <> 0
+        in
+        (deliver, log)
+      in
+      let deliver, log = deliverer () and deliver_ref, log_ref = deliverer () in
+      let same_fingers () =
+        List.for_all
+          (fun p ->
+            Chord.id_of c p = Chord_ref.Chord.id_of r p
+            && Chord.finger_targets c p = Chord_ref.Chord.finger_targets r p
+            && Chord.finger_count c p = Chord_ref.Chord.finger_count r p)
+          (List.init members Fun.id)
+      in
+      let route_step step op =
+        match op with
+        | G_lookup (source, k) ->
+            let key = key_of k and span = if step mod 2 = 0 then Some step else None in
+            let o = Chord.lookup ?span ~deliver c ~online ~source ~key in
+            let o_ref = Chord_ref.Chord.lookup ?span ~deliver:deliver_ref r ~online ~source ~key in
+            o.responsible = o_ref.responsible && o.messages = o_ref.messages && o.hops = o_ref.hops
+        | G_responsible k ->
+            let key = key_of k in
+            Chord.successor_member c key = Chord_ref.Chord.successor_member r key
+            && Chord.responsible c ~online key = Chord_ref.Chord.responsible r ~online key
+            && Chord.successors c key ~k:(k mod 9) = Chord_ref.Chord.successors r key ~k:(k mod 9)
+        | G_probe (peer, probes) ->
+            Chord.probe_and_repair c rng ~online ~peer ~probes
+            = Chord_ref.Chord.probe_and_repair r rng_ref ~online ~peer ~probes
+        | G_forget peer ->
+            Chord.forget_routes c ~peer;
+            Chord_ref.Chord.forget_routes r ~peer;
+            true
+        | G_rebuild peer ->
+            Chord.rebuild_routes c ~online ~peer = Chord_ref.Chord.rebuild_routes r ~online ~peer
+        | G_flip m ->
+            up.(m) <- not up.(m);
+            true
+      in
+      let module D = Chord_dynamic in
+      let module DR = Chord_ref.Dynamic in
+      let ring_rng = Rng.create ~seed:(seed + 2) and ring_rng_ref = Rng.create ~seed:(seed + 2) in
+      let t = D.create ring_rng ~capacity:members ()
+      and u = DR.create ring_rng_ref ~capacity:members () in
+      let alive () = Array.of_list (ring_members ~capacity:members (D.is_member t)) in
+      let same_ring () =
+        D.node_count t = DR.node_count u
+        && D.ring_consistent t = DR.ring_consistent u
+        && List.for_all
+             (fun s ->
+               D.is_member t s = DR.is_member u s
+               && ((not (D.is_member t s)) || D.id_of t s = DR.id_of u s))
+             (List.init members Fun.id)
+      in
+      let ring_step op =
+        let a = alive () in
+        let pick v = a.(v mod Array.length a) in
+        match op with
+        | _ when Array.length a = 0 -> D.bootstrap t = DR.bootstrap u
+        | R_join v -> D.join t ~via:(pick v) = DR.join u ~via:(pick v)
+        | R_leave v -> D.leave t ~node:(pick v) = DR.leave u ~node:(pick v)
+        | R_crash v ->
+            D.crash t ~node:(pick v);
+            DR.crash u ~node:(pick v);
+            true
+        | R_stabilize -> D.stabilize t ring_rng = DR.stabilize u ring_rng_ref
+        | R_route (v, k) ->
+            let key = key_of k in
+            let o = D.lookup t ~source:(pick v) ~key in
+            let o_ref = DR.lookup u ~source:(pick v) ~key in
+            o.responsible = o_ref.responsible && o.messages = o_ref.messages && o.hops = o_ref.hops
+            && D.ideal_responsible t key = DR.ideal_responsible u key
+      in
+      same_fingers () && same_next_draw rng rng_ref
+      && List.for_all Fun.id
+           (List.mapi
+              (fun step op ->
+                route_step step op && !log = !log_ref && same_fingers ()
+                && same_next_draw rng rng_ref)
+              route_ops)
+      && D.bootstrap t = DR.bootstrap u
+      && List.for_all
+           (fun op -> ring_step op && same_ring () && same_next_draw ring_rng ring_rng_ref)
+           ring_ops)
+
 let qcheck_tests =
   let open QCheck in
   [
     pgrid_ref_test;
     pgrid_exchange_ref_test;
+    chord_ref_test;
     Test.make ~name:"chord lookup always reaches the successor" ~count:60
       (pair (int_range 2 128) small_int)
       (fun (members, seed) ->
@@ -1656,6 +1822,142 @@ let test_kademlia_rejoin_pin () =
         (kademlia_rejoin_digest ~live ~bucket_size ~members))
     cases
 
+(* ------------------------------------------------------------------ *)
+(* Chord pin: digests of fixed-seed runs, recorded while the fixed
+   member ring and the dynamic-membership ring were two modules.  Which
+   members a lookup or a route contacts, what maintenance costs and
+   where it leaves the fingers all move them. *)
+
+let chord_lookups buf ?deliver c rng ~online ~members count =
+  for _ = 1 to count do
+    let source = Rng.int rng members in
+    let o = Chord.lookup ?deliver c ~online ~source ~key:(Bitkey.random rng) in
+    Printf.bprintf buf "%d,%d,%d;"
+      (Option.value o.Chord.responsible ~default:(-1))
+      o.Chord.messages o.Chord.hops
+  done
+
+let chord_fingers buf c ~members =
+  for m = 0 to members - 1 do
+    Array.iter (Printf.bprintf buf "%d,") (Chord.finger_targets c m);
+    Buffer.add_char buf ';'
+  done
+
+(* Lookups with 30% of the members offline (with [refuse], [deliver]
+   refuses every seventh forward hop), a probe-and-repair round, the
+   finger targets, every fifth member forgetting its routes, lookups
+   around the holes, the forgotten members rebuilding (each rebuild's
+   cost), more lookups and the finger targets again. *)
+let chord_pin_digest ~refuse ~members =
+  let rng = Rng.create ~seed:(members + if refuse then 13 else 0) in
+  let c = Chord.create rng ~members in
+  let offline = Array.init members (fun _ -> Rng.unit_float rng < 0.3) in
+  let online p = not offline.(p) in
+  let calls = ref 0 in
+  let deliver ~span:_ ~src:_ ~dst:_ =
+    incr calls;
+    !calls mod 7 <> 0
+  in
+  let deliver = if refuse then Some deliver else None in
+  let buf = Buffer.create 65536 in
+  let lookups () = chord_lookups buf ?deliver c rng ~online ~members 150 in
+  lookups ();
+  for m = 0 to members - 1 do
+    if online m then
+      Printf.bprintf buf "p%d;" (Chord.probe_and_repair c rng ~online ~peer:m ~probes:8)
+  done;
+  chord_fingers buf c ~members;
+  for m = 0 to members - 1 do
+    if m mod 5 = 0 then Chord.forget_routes c ~peer:m
+  done;
+  lookups ();
+  for m = 0 to members - 1 do
+    if m mod 5 = 0 then Printf.bprintf buf "j%d;" (Chord.rebuild_routes c ~online ~peer:m)
+  done;
+  lookups ();
+  chord_fingers buf c ~members;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded while the fixed-member ring kept boxed finger rows and a
+   [pos] inverse of its sorted ring. *)
+let test_chord_lookup_pin () =
+  let cases =
+    [
+      (false, 64, "07df0eb7ff33c85eb723076dc8079fbf");
+      (false, 453, "b9abb6c79e56c34b346f738ec891cfd9");
+      (false, 1024, "081722188e4f5228af6eea0eed39a1b0");
+      (true, 64, "86e4da02a4df3cd8aa2fafa1c7e6faf3");
+      (true, 453, "34078279086095922acef2f09f6fbc2f");
+      (true, 1024, "f8124c7c1cb9e7caf04d843ab100d3c5");
+    ]
+  in
+  List.iter
+    (fun (refuse, members, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d" (if refuse then "refusing" else "reliable") members)
+        expected
+        (chord_pin_digest ~refuse ~members))
+    cases
+
+(* A dynamic ring grown by joins through random members with a
+   stabilization round after each (join results and round costs), routes
+   from random members, every fifth member leaving, a quarter of the
+   rest crashing, routes through the stale pointers, and stabilization
+   rounds with routes after each. *)
+let chord_dynamic_pin_digest ~capacity ~nodes =
+  let rng = Rng.create ~seed:(capacity + nodes) in
+  let t = Chord_dynamic.create rng ~capacity () in
+  let buf = Buffer.create 65536 in
+  let members = ref [ Chord_dynamic.bootstrap t ] in
+  let alive () = List.filter (Chord_dynamic.is_member t) !members in
+  let pick () =
+    let a = alive () in
+    List.nth a (Rng.int rng (List.length a))
+  in
+  while Chord_dynamic.node_count t < nodes do
+    (match Chord_dynamic.join t ~via:(pick ()) with
+    | Ok (node, msgs) ->
+        members := node :: !members;
+        Printf.bprintf buf "j%d,%d;" node msgs
+    | Error e -> Printf.bprintf buf "e%s;" e);
+    Printf.bprintf buf "s%d;" (Chord_dynamic.stabilize t rng)
+  done;
+  let routes count =
+    for _ = 1 to count do
+      let o = Chord_dynamic.lookup t ~source:(pick ()) ~key:(Bitkey.random rng) in
+      Printf.bprintf buf "%d,%d,%d;"
+        (Option.value o.Chord_dynamic.responsible ~default:(-1))
+        o.Chord_dynamic.messages o.Chord_dynamic.hops
+    done
+  in
+  routes 100;
+  List.iteri
+    (fun i m -> if i mod 5 = 0 then Printf.bprintf buf "l%d;" (Chord_dynamic.leave t ~node:m))
+    (alive ());
+  List.iteri (fun i m -> if i mod 4 = 0 then Chord_dynamic.crash t ~node:m) (alive ());
+  routes 100;
+  for _ = 1 to 6 do
+    Printf.bprintf buf "s%d;" (Chord_dynamic.stabilize t rng);
+    routes 30
+  done;
+  Printf.bprintf buf "n%d" (Chord_dynamic.node_count t);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded while the dynamic ring was its own module of [node option]
+   slots. *)
+let test_chord_dynamic_pin () =
+  List.iter
+    (fun (capacity, nodes, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "capacity=%d nodes=%d" capacity nodes)
+        expected
+        (chord_dynamic_pin_digest ~capacity ~nodes))
+    [
+      (40, 30, "8fc39a02c5f31f2164bd3e79bb642afc");
+      (100, 64, "d6cb940f888f66702701b82c99be90f8");
+      (400, 256, "20a95d8aff015b19f0befbecaac7b04a");
+    ]
+
 let () =
   Alcotest.run "pdht_dht"
     [
@@ -1781,5 +2083,10 @@ let () =
         [
           Alcotest.test_case "lookup digests" `Quick test_kademlia_lookup_pin;
           Alcotest.test_case "rejoin digests" `Quick test_kademlia_rejoin_pin;
+        ] );
+      ( "chord-pin",
+        [
+          Alcotest.test_case "lookup digests" `Quick test_chord_lookup_pin;
+          Alcotest.test_case "dynamic digests" `Quick test_chord_dynamic_pin;
         ] );
     ]

@@ -362,4 +362,15 @@ dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
   > "$chu/fault-churn-report.txt"
 grep -q 'fault:' "$chu/fault-churn-report.txt"
 
+echo "== chord gate =="
+# E17 (membership), E8b (in ablation) and E19 (backends_e2e) are the
+# experiments that run Chord, and the self-organization example grows
+# and heals a Chord ring: all four outputs are pinned byte for byte.
+cho=$(mktemp -d)
+trap 'rm -rf "$pol" "$par" "$out" "$clu" "$chu" "$cho"' EXIT INT TERM
+dune exec bench/main.exe -- membership ablation backends_e2e > "$cho/chord-sections.txt"
+diff "$cho/chord-sections.txt" test/golden/chord_sections.txt
+dune exec examples/self_organization.exe > "$cho/self-organization.txt"
+diff "$cho/self-organization.txt" test/golden/self_organization.txt
+
 echo "CI OK"
