@@ -392,9 +392,9 @@ let section_membership () =
     "(the substrate behind 'peers continuously join and leave': grow a ring\n\
      node by node, crash a quarter of it, and watch stabilization heal it;\n\
      'correct' = lookup answer matches the ideal owner under perfect pointers)";
-  let module CD = Pdht_dht.Chord_dynamic in
+  let module CD = Pdht_dht.Chord in
   let rng = Pdht_util.Rng.create ~seed:17 in
-  let t = CD.create rng ~capacity:400 () in
+  let t = CD.empty rng ~capacity:400 in
   let first = CD.bootstrap t in
   let members = ref [ first ] in
   let join_messages = ref 0 in
@@ -418,7 +418,7 @@ let section_membership () =
     for _ = 1 to trials do
       let key = Pdht_util.Bitkey.random rng in
       let src = List.nth alive (Pdht_util.Rng.int rng (List.length alive)) in
-      let o = CD.lookup t ~source:src ~key in
+      let o = CD.route t ~source:src ~key in
       if o.CD.responsible = CD.ideal_responsible t key then incr ok
     done;
     float_of_int !ok /. float_of_int trials

@@ -9,7 +9,7 @@
    Run with: dune exec examples/self_organization.exe *)
 
 module Pgrid = Pdht_dht.Pgrid
-module CD = Pdht_dht.Chord_dynamic
+module CD = Pdht_dht.Chord
 
 let () =
   Printf.printf "== P-Grid: a trie from random meetings ==\n\n";
@@ -35,7 +35,7 @@ let () =
   Printf.printf "sample paths: ";
   List.iter (fun p -> Printf.printf "%s " (Pgrid.path_of trie p)) [ 0; 1; 2; 3 ];
   Printf.printf "\n\n== Chord: a ring from joins and stabilization ==\n\n";
-  let ring = CD.create rng ~capacity:100 () in
+  let ring = CD.empty rng ~capacity:100 in
   let first = CD.bootstrap ring in
   let members = ref [ first ] in
   List.iter

@@ -1,24 +1,58 @@
-(** Chord ring over a fixed member set ([StMo01]).
+(** Chord ring ([StMo01]).
 
     One of the two "traditional DHT" substrates (the other is
-    {!Pgrid}).  Members are peer indices [0 .. members-1] with uniformly
-    random 63-bit identifiers; a key is owned by its successor on the
-    ring.  Lookups route greedily through finger tables, resolving about
-    half of [log2 members] bits per message on average — the cost the
-    model abstracts as Eq. 7.
+    {!Pgrid}).  Nodes live in slots [0 .. capacity-1] with uniformly
+    random 62-bit identifiers; a key is owned by its successor on the
+    ring.  A ring is built one of two ways:
 
-    Membership is fixed at construction (the paper's [numActivePeers]
-    peers that agree to build the DHT); churn is modelled as members
-    being temporarily offline, which lookups and maintenance must route
-    around. *)
+    - {!create} builds a converged ring over a fixed member set (the
+      paper's [numActivePeers] peers that agree to build the DHT).
+      Churn is modelled as members being temporarily offline, which
+      {!lookup} and the finger maintenance route around.  This is the
+      PDHT backend.
+    - {!empty} starts with no nodes; {!bootstrap}, {!join}, {!leave},
+      {!crash} and periodic {!stabilize} rounds grow and repair it (the
+      Section 4 protocol), message-counted like everything else.
+
+    {!lookup} routes greedily through finger tables, resolving about
+    half of [log2 members] bits per message on average — the cost the
+    model abstracts as Eq. 7.  {!route} follows the nodes' own, possibly
+    stale, pointers instead. *)
 
 type t
 
 val create : Pdht_util.Rng.t -> members:int -> t
-(** Requires [members >= 1]. *)
+(** A converged ring of [members] slots, all in the ring: ideal
+    successors, predecessors, successor lists and fingers.  Requires
+    [members >= 1]. *)
+
+val empty : Pdht_util.Rng.t -> capacity:int -> t
+(** An empty ring with room for [capacity] concurrent nodes.  [rng]
+    draws the ids of joining nodes and the finger each stabilization
+    step repairs.  Each node's successor list holds at most 4 entries,
+    its fault-tolerance depth.  Requires [capacity >= 1]. *)
 
 val members : t -> int
+(** Slots: the member count of a {!create} ring. *)
+
+val node_count : t -> int
+(** Nodes currently in the ring. *)
+
+val is_member : t -> int -> bool
+
 val id_of : t -> int -> Pdht_util.Bitkey.t
+(** @raise Invalid_argument for a slot not currently in the ring. *)
+
+type outcome = {
+  responsible : int option; (** peer that answered, [None] on routing failure *)
+  messages : int;           (** hops plus timed-out probes to offline peers *)
+  hops : int;               (** successful forwarding steps only *)
+}
+
+(** {2 Fixed members}
+
+    These read the sorted ring index of a {!create} ring; membership
+    changes do not update it. *)
 
 val successor_member : t -> Pdht_util.Bitkey.t -> int
 (** Owner of a key ignoring churn: the member whose id is the first at
@@ -31,12 +65,6 @@ val responsible : t -> online:(int -> bool) -> Pdht_util.Bitkey.t -> int option
 val successors : t -> Pdht_util.Bitkey.t -> k:int -> int array
 (** The [min k members] members clockwise from the key — the standard
     Chord replica group. *)
-
-type outcome = {
-  responsible : int option; (** peer that answered, [None] on routing failure *)
-  messages : int;           (** hops plus timed-out probes to offline peers *)
-  hops : int;               (** successful forwarding steps only *)
-}
 
 val lookup :
   ?span:int ->
@@ -58,7 +86,8 @@ val finger_count : t -> int -> int
 (** Distinct finger entries of a member. *)
 
 val finger_targets : t -> int -> int array
-(** Current finger entries (member indices) of a member. *)
+(** Current finger entries (member indices) of a member, each once, in
+    finger order. *)
 
 val probe_and_repair :
   t -> Pdht_util.Rng.t -> online:(int -> bool) -> peer:int -> probes:int -> int
@@ -79,3 +108,46 @@ val rebuild_routes : t -> online:(int -> bool) -> peer:int -> int
 (** Rejoin: recompute [peer]'s finger table against the current online
     population (the join protocol's finger fixup — one lookup per
     level).  Returns the message cost, one per finger level. *)
+
+(** {2 Membership protocol}
+
+    Slots are taken by {!bootstrap} and {!join} and recycled after
+    {!leave} and {!crash}.  Every operation returns its message cost. *)
+
+val bootstrap : t -> int
+(** Create the first node.  @raise Invalid_argument if the ring is not
+    empty. *)
+
+val join : t -> via:int -> (int * int, string) result
+(** [join t ~via] creates a node and joins it through existing member
+    [via]: the new node routes to its own id to find its successor.
+    Returns [(node, messages)] or an error (ring full / via not a
+    member / the route failed). *)
+
+val leave : t -> node:int -> int
+(** Graceful departure: the node hands its successor pointer to its
+    predecessor (a constant number of messages, returned) and vanishes. *)
+
+val crash : t -> node:int -> unit
+(** The node vanishes without telling anyone; other nodes' pointers to
+    it dangle until stabilization notices. *)
+
+val stabilize : t -> Pdht_util.Rng.t -> int
+(** One global stabilization round: every node (in random order) checks
+    its successor (replacing it from the successor list if dead), learns
+    its successor's predecessor (the classic notify/rectify step),
+    refreshes its successor list and repairs one random finger.  Returns
+    messages spent. *)
+
+val route : t -> source:int -> key:Pdht_util.Bitkey.t -> outcome
+(** Greedy routing over the current (possibly stale) pointers; fails if
+    it runs into dead pointers stabilization has not fixed yet. *)
+
+val ring_consistent : t -> bool
+(** Do the successor pointers form a single cycle covering every member
+    with ids in circular order?  The protocol's core invariant after
+    stabilization quiesces; while it holds, every {!route} answers
+    {!ideal_responsible}. *)
+
+val ideal_responsible : t -> Pdht_util.Bitkey.t -> int option
+(** The member that should own the key given perfect pointers. *)

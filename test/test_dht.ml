@@ -564,90 +564,88 @@ let test_pgrid_single_member () =
 (* ------------------------------------------------------------------ *)
 (* Dynamic Chord (joins, leaves, stabilization) *)
 
-module Chord_dynamic = Pdht_dht.Chord_dynamic
-
 let grow_ring rng t ~target =
-  let first = Chord_dynamic.bootstrap t in
+  let first = Chord.bootstrap t in
   let members = ref [ first ] in
-  while Chord_dynamic.node_count t < target do
-    let alive = List.filter (Chord_dynamic.is_member t) !members in
+  while Chord.node_count t < target do
+    let alive = List.filter (Chord.is_member t) !members in
     let via = List.nth alive (Rng.int rng (List.length alive)) in
-    (match Chord_dynamic.join t ~via with
+    (match Chord.join t ~via with
     | Ok (node, _) -> members := node :: !members
     | Error _ -> ());
-    ignore (Chord_dynamic.stabilize t rng)
+    ignore (Chord.stabilize t rng)
   done;
   for _ = 1 to 15 do
-    ignore (Chord_dynamic.stabilize t rng)
+    ignore (Chord.stabilize t rng)
   done;
   !members
 
 let correct_lookup_count rng t members ~trials =
-  let alive = List.filter (Chord_dynamic.is_member t) members in
+  let alive = List.filter (Chord.is_member t) members in
   let ok = ref 0 in
   for _ = 1 to trials do
     let key = Bitkey.random rng in
     let src = List.nth alive (Rng.int rng (List.length alive)) in
-    let o = Chord_dynamic.lookup t ~source:src ~key in
-    if o.Chord_dynamic.responsible = Chord_dynamic.ideal_responsible t key then incr ok
+    let o = Chord.route t ~source:src ~key in
+    if o.Chord.responsible = Chord.ideal_responsible t key then incr ok
   done;
   !ok
 
 let test_dynamic_bootstrap_and_join () =
   let rng = Rng.create ~seed:150 in
-  let t = Chord_dynamic.create rng ~capacity:50 () in
+  let t = Chord.empty rng ~capacity:50 in
   let members = grow_ring rng t ~target:30 in
-  Alcotest.(check int) "thirty nodes" 30 (Chord_dynamic.node_count t);
-  Alcotest.(check bool) "ring consistent after growth" true (Chord_dynamic.ring_consistent t);
+  Alcotest.(check int) "thirty nodes" 30 (Chord.node_count t);
+  Alcotest.(check bool) "ring consistent after growth" true (Chord.ring_consistent t);
   Alcotest.(check int) "all lookups correct" 100 (correct_lookup_count rng t members ~trials:100)
 
 let test_dynamic_graceful_leave () =
   let rng = Rng.create ~seed:151 in
-  let t = Chord_dynamic.create rng ~capacity:40 () in
+  let t = Chord.empty rng ~capacity:40 in
   let members = grow_ring rng t ~target:25 in
-  let alive = List.filter (Chord_dynamic.is_member t) members in
-  List.iteri (fun i m -> if i mod 5 = 0 then ignore (Chord_dynamic.leave t ~node:m)) alive;
+  let alive = List.filter (Chord.is_member t) members in
+  List.iteri (fun i m -> if i mod 5 = 0 then ignore (Chord.leave t ~node:m)) alive;
   for _ = 1 to 10 do
-    ignore (Chord_dynamic.stabilize t rng)
+    ignore (Chord.stabilize t rng)
   done;
-  Alcotest.(check int) "five departed" 20 (Chord_dynamic.node_count t);
-  Alcotest.(check bool) "still consistent" true (Chord_dynamic.ring_consistent t);
+  Alcotest.(check int) "five departed" 20 (Chord.node_count t);
+  Alcotest.(check bool) "still consistent" true (Chord.ring_consistent t);
   Alcotest.(check int) "lookups stay correct" 100 (correct_lookup_count rng t members ~trials:100)
 
 let test_dynamic_crash_recovery () =
   let rng = Rng.create ~seed:152 in
-  let t = Chord_dynamic.create rng ~capacity:120 () in
+  let t = Chord.empty rng ~capacity:120 in
   let members = grow_ring rng t ~target:80 in
-  let alive = List.filter (Chord_dynamic.is_member t) members in
-  List.iteri (fun i m -> if i mod 4 = 0 then Chord_dynamic.crash t ~node:m) alive;
-  Alcotest.(check bool) "broken right after crashes" false (Chord_dynamic.ring_consistent t);
+  let alive = List.filter (Chord.is_member t) members in
+  List.iteri (fun i m -> if i mod 4 = 0 then Chord.crash t ~node:m) alive;
+  Alcotest.(check bool) "broken right after crashes" false (Chord.ring_consistent t);
   for _ = 1 to 25 do
-    ignore (Chord_dynamic.stabilize t rng)
+    ignore (Chord.stabilize t rng)
   done;
-  Alcotest.(check bool) "stabilization heals the ring" true (Chord_dynamic.ring_consistent t);
+  Alcotest.(check bool) "stabilization heals the ring" true (Chord.ring_consistent t);
   Alcotest.(check int) "lookups correct after healing" 100
     (correct_lookup_count rng t members ~trials:100)
 
 let test_dynamic_join_via_dead_rejected () =
   let rng = Rng.create ~seed:153 in
-  let t = Chord_dynamic.create rng ~capacity:10 () in
-  let first = Chord_dynamic.bootstrap t in
-  Chord_dynamic.crash t ~node:first;
-  match Chord_dynamic.join t ~via:first with
+  let t = Chord.empty rng ~capacity:10 in
+  let first = Chord.bootstrap t in
+  Chord.crash t ~node:first;
+  match Chord.join t ~via:first with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "joining via a dead node must fail"
 
 let test_dynamic_capacity_limit () =
   let rng = Rng.create ~seed:154 in
-  let t = Chord_dynamic.create rng ~capacity:2 () in
-  let first = Chord_dynamic.bootstrap t in
-  (match Chord_dynamic.join t ~via:first with
+  let t = Chord.empty rng ~capacity:2 in
+  let first = Chord.bootstrap t in
+  (match Chord.join t ~via:first with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   for _ = 1 to 5 do
-    ignore (Chord_dynamic.stabilize t rng)
+    ignore (Chord.stabilize t rng)
   done;
-  match Chord_dynamic.join t ~via:first with
+  match Chord.join t ~via:first with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "ring beyond capacity"
 
@@ -1445,39 +1443,38 @@ let chord_ref_test =
             up.(m) <- not up.(m);
             true
       in
-      let module D = Chord_dynamic in
       let module DR = Chord_ref.Dynamic in
       let ring_rng = Rng.create ~seed:(seed + 2) and ring_rng_ref = Rng.create ~seed:(seed + 2) in
-      let t = D.create ring_rng ~capacity:members ()
+      let t = Chord.empty ring_rng ~capacity:members
       and u = DR.create ring_rng_ref ~capacity:members () in
-      let alive () = Array.of_list (ring_members ~capacity:members (D.is_member t)) in
+      let alive () = Array.of_list (ring_members ~capacity:members (Chord.is_member t)) in
       let same_ring () =
-        D.node_count t = DR.node_count u
-        && D.ring_consistent t = DR.ring_consistent u
+        Chord.node_count t = DR.node_count u
+        && Chord.ring_consistent t = DR.ring_consistent u
         && List.for_all
              (fun s ->
-               D.is_member t s = DR.is_member u s
-               && ((not (D.is_member t s)) || D.id_of t s = DR.id_of u s))
+               Chord.is_member t s = DR.is_member u s
+               && ((not (Chord.is_member t s)) || Chord.id_of t s = DR.id_of u s))
              (List.init members Fun.id)
       in
       let ring_step op =
         let a = alive () in
         let pick v = a.(v mod Array.length a) in
         match op with
-        | _ when Array.length a = 0 -> D.bootstrap t = DR.bootstrap u
-        | R_join v -> D.join t ~via:(pick v) = DR.join u ~via:(pick v)
-        | R_leave v -> D.leave t ~node:(pick v) = DR.leave u ~node:(pick v)
+        | _ when Array.length a = 0 -> Chord.bootstrap t = DR.bootstrap u
+        | R_join v -> Chord.join t ~via:(pick v) = DR.join u ~via:(pick v)
+        | R_leave v -> Chord.leave t ~node:(pick v) = DR.leave u ~node:(pick v)
         | R_crash v ->
-            D.crash t ~node:(pick v);
+            Chord.crash t ~node:(pick v);
             DR.crash u ~node:(pick v);
             true
-        | R_stabilize -> D.stabilize t ring_rng = DR.stabilize u ring_rng_ref
+        | R_stabilize -> Chord.stabilize t ring_rng = DR.stabilize u ring_rng_ref
         | R_route (v, k) ->
             let key = key_of k in
-            let o = D.lookup t ~source:(pick v) ~key in
+            let o = Chord.route t ~source:(pick v) ~key in
             let o_ref = DR.lookup u ~source:(pick v) ~key in
             o.responsible = o_ref.responsible && o.messages = o_ref.messages && o.hops = o_ref.hops
-            && D.ideal_responsible t key = DR.ideal_responsible u key
+            && Chord.ideal_responsible t key = DR.ideal_responsible u key
       in
       same_fingers () && same_next_draw rng rng_ref
       && List.for_all Fun.id
@@ -1486,7 +1483,7 @@ let chord_ref_test =
                 route_step step op && !log = !log_ref && same_fingers ()
                 && same_next_draw rng rng_ref)
               route_ops)
-      && D.bootstrap t = DR.bootstrap u
+      && Chord.bootstrap t = DR.bootstrap u
       && List.for_all
            (fun op -> ring_step op && same_ring () && same_next_draw ring_rng ring_rng_ref)
            ring_ops)
@@ -1569,29 +1566,29 @@ let qcheck_tests =
       (pair (int_range 2 30) small_int)
       (fun (nodes, seed) ->
         let rng = Rng.create ~seed in
-        let t = Chord_dynamic.create rng ~capacity:(nodes + 2) () in
-        let members = ref [ Chord_dynamic.bootstrap t ] in
-        while Chord_dynamic.node_count t < nodes do
-          let alive = List.filter (Chord_dynamic.is_member t) !members in
+        let t = Chord.empty rng ~capacity:(nodes + 2) in
+        let members = ref [ Chord.bootstrap t ] in
+        while Chord.node_count t < nodes do
+          let alive = List.filter (Chord.is_member t) !members in
           let via = List.nth alive (Rng.int rng (List.length alive)) in
-          (match Chord_dynamic.join t ~via with
+          (match Chord.join t ~via with
           | Ok (node, _) -> members := node :: !members
           | Error _ -> ());
-          ignore (Chord_dynamic.stabilize t rng)
+          ignore (Chord.stabilize t rng)
         done;
         let key = Bitkey.random rng in
-        match Chord_dynamic.ideal_responsible t key with
+        match Chord.ideal_responsible t key with
         | None -> false
         | Some owner ->
             (* No member's id lies strictly between the key and the
                owner's id going clockwise. *)
             List.for_all
               (fun m ->
-                (not (Chord_dynamic.is_member t m))
+                (not (Chord.is_member t m))
                 || m = owner
                 ||
-                let mid = Chord_dynamic.id_of t m in
-                let oid = Chord_dynamic.id_of t owner in
+                let mid = Chord.id_of t m in
+                let oid = Chord.id_of t owner in
                 (* if m's id >= key then owner's id must be <= m's id
                    (in the circular >= key region) *)
                 if Bitkey.compare oid key >= 0 then
@@ -1906,41 +1903,41 @@ let test_chord_lookup_pin () =
    rounds with routes after each. *)
 let chord_dynamic_pin_digest ~capacity ~nodes =
   let rng = Rng.create ~seed:(capacity + nodes) in
-  let t = Chord_dynamic.create rng ~capacity () in
+  let t = Chord.empty rng ~capacity in
   let buf = Buffer.create 65536 in
-  let members = ref [ Chord_dynamic.bootstrap t ] in
-  let alive () = List.filter (Chord_dynamic.is_member t) !members in
+  let members = ref [ Chord.bootstrap t ] in
+  let alive () = List.filter (Chord.is_member t) !members in
   let pick () =
     let a = alive () in
     List.nth a (Rng.int rng (List.length a))
   in
-  while Chord_dynamic.node_count t < nodes do
-    (match Chord_dynamic.join t ~via:(pick ()) with
+  while Chord.node_count t < nodes do
+    (match Chord.join t ~via:(pick ()) with
     | Ok (node, msgs) ->
         members := node :: !members;
         Printf.bprintf buf "j%d,%d;" node msgs
     | Error e -> Printf.bprintf buf "e%s;" e);
-    Printf.bprintf buf "s%d;" (Chord_dynamic.stabilize t rng)
+    Printf.bprintf buf "s%d;" (Chord.stabilize t rng)
   done;
   let routes count =
     for _ = 1 to count do
-      let o = Chord_dynamic.lookup t ~source:(pick ()) ~key:(Bitkey.random rng) in
+      let o = Chord.route t ~source:(pick ()) ~key:(Bitkey.random rng) in
       Printf.bprintf buf "%d,%d,%d;"
-        (Option.value o.Chord_dynamic.responsible ~default:(-1))
-        o.Chord_dynamic.messages o.Chord_dynamic.hops
+        (Option.value o.Chord.responsible ~default:(-1))
+        o.Chord.messages o.Chord.hops
     done
   in
   routes 100;
   List.iteri
-    (fun i m -> if i mod 5 = 0 then Printf.bprintf buf "l%d;" (Chord_dynamic.leave t ~node:m))
+    (fun i m -> if i mod 5 = 0 then Printf.bprintf buf "l%d;" (Chord.leave t ~node:m))
     (alive ());
-  List.iteri (fun i m -> if i mod 4 = 0 then Chord_dynamic.crash t ~node:m) (alive ());
+  List.iteri (fun i m -> if i mod 4 = 0 then Chord.crash t ~node:m) (alive ());
   routes 100;
   for _ = 1 to 6 do
-    Printf.bprintf buf "s%d;" (Chord_dynamic.stabilize t rng);
+    Printf.bprintf buf "s%d;" (Chord.stabilize t rng);
     routes 30
   done;
-  Printf.bprintf buf "n%d" (Chord_dynamic.node_count t);
+  Printf.bprintf buf "n%d" (Chord.node_count t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Recorded while the dynamic ring was its own module of [node option]
