@@ -391,7 +391,10 @@ let stabilize t rng =
   Array.fold_left (fun acc slot -> acc + stabilize_node t slot) 0 order
 
 (* From any member the successor pointers must come back to it after
-   visiting every member once. *)
+   visiting every member once, and the ids must descend exactly once on
+   the way (where the cycle wraps past the top of the id space): a cycle
+   through every member that winds twice round the ids routes keys to
+   the wrong owner. *)
 let ring_consistent t =
   t.count = 0
   ||
@@ -399,8 +402,12 @@ let ring_consistent t =
   while not t.member.(!start) do
     incr start
   done;
-  let rec walk s steps =
+  let rec walk s steps descents =
     let n = t.succ.(s) in
-    is_member t n && if n = !start then steps = t.count else steps < t.count && walk n (steps + 1)
+    is_member t n
+    &&
+    let descents = if Bitkey.compare t.ids.(n) t.ids.(s) <= 0 then descents + 1 else descents in
+    if n = !start then steps = t.count && descents = 1
+    else steps < t.count && walk n (steps + 1) descents
   in
-  walk !start 1
+  walk !start 1 0

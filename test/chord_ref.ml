@@ -6,7 +6,10 @@
    the two-module reference" drives them beside the one-ring module with
    the same seeds and operations and requires equal outcomes, finger
    targets, join results, stabilization costs and next RNG draw.  Do not
-   edit them to follow the library. *)
+   edit them to follow the library; the one exception is
+   [Dynamic.ring_consistent], which also requires the ids to descend
+   exactly once along the cycle, the library's rule since a cycle
+   winding twice round the ids was found to pass. *)
 
 module Chord = struct
   module Bitkey = Pdht_util.Bitkey
@@ -511,13 +514,23 @@ module Dynamic = struct
       | None -> true
       | Some s ->
           let visited = Hashtbl.create t.count in
+          (* Not verbatim: the library's rule also requires the ids to
+             descend exactly once along the cycle. *)
+          let one_descent () =
+            Hashtbl.fold
+              (fun m () acc ->
+                let n = get t m in
+                if Bitkey.compare (id_of t n.successor) n.id <= 0 then acc + 1 else acc)
+              visited 0
+            = 1
+          in
           let rec walk current steps =
             if steps > t.count then false
             else begin
               Hashtbl.replace visited current ();
               let n = get t current in
               if not (is_member t n.successor) then false
-              else if n.successor = s then Hashtbl.length visited = t.count
+              else if n.successor = s then Hashtbl.length visited = t.count && one_descent ()
               else if Hashtbl.mem visited n.successor then false
               else walk n.successor (steps + 1)
             end

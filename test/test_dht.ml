@@ -1488,12 +1488,54 @@ let chord_ref_test =
            (fun op -> ring_step op && same_ring () && same_next_draw ring_rng ring_rng_ref)
            ring_ops)
 
+(* Chord's correctness rests on the successor pointers alone [StMo01]:
+   while they form one cycle through every member in id order, a route
+   answers the key's owner however stale the fingers are.  From one
+   seed, a [create] ring and an [empty] ring (of 2 to 31 slots) each run
+   300 random steps of joins, crashes, leaves and stabilization rounds;
+   after every step at which [ring_consistent] holds, a random key is
+   routed from every member and must reach [ideal_responsible].  A
+   consistency check that accepted a cycle winding twice round the ids
+   failed this on about one [empty] schedule in eight. *)
+let chord_route_owner_test =
+  QCheck.Test.make ~name:"chord routes reach the owner on a consistent ring" ~count:200
+    QCheck.(make ~print:(Printf.sprintf "seed %d") Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let schedule t ~capacity =
+        let ok = ref true and step = ref 0 in
+        while !ok && !step < 300 do
+          incr step;
+          let alive = Array.of_list (ring_members ~capacity (Chord.is_member t)) in
+          let pick () = alive.(Rng.int rng (Array.length alive)) in
+          (match Rng.int rng 7 with
+          | _ when Array.length alive = 0 -> ignore (Chord.bootstrap t)
+          | 0 | 1 | 2 -> ignore (Chord.join t ~via:(pick ()))
+          | 3 -> Chord.crash t ~node:(pick ())
+          | 4 -> ignore (Chord.leave t ~node:(pick ()))
+          | _ -> ignore (Chord.stabilize t rng));
+          if Chord.ring_consistent t then
+            List.iter
+              (fun m ->
+                let key = Bitkey.random rng in
+                if (Chord.route t ~source:m ~key).responsible <> Chord.ideal_responsible t key
+                then ok := false)
+              (ring_members ~capacity (Chord.is_member t))
+        done;
+        !ok
+      in
+      let members = 2 + Rng.int rng 30 in
+      let capacity = 2 + Rng.int rng 30 in
+      schedule (Chord.create rng ~members) ~capacity:members
+      && schedule (Chord.empty rng ~capacity) ~capacity)
+
 let qcheck_tests =
   let open QCheck in
   [
     pgrid_ref_test;
     pgrid_exchange_ref_test;
     chord_ref_test;
+    chord_route_owner_test;
     Test.make ~name:"chord lookup always reaches the successor" ~count:60
       (pair (int_range 2 128) small_int)
       (fun (members, seed) ->
