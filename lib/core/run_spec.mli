@@ -25,12 +25,6 @@ type t = {
   task_id : int;         (** RNG stream selector, see {!run_seed} *)
 }
 
-val default_strategy : Strategy.t
-(** [Partial_index] with a NaN TTL: {!System.run} resolves any
-    non-finite TTL to the model-derived one, so the default spec runs
-    the paper's partial strategy without the caller pre-computing a
-    TTL. *)
-
 val make :
   ?tag:string ->
   ?strategy:Strategy.t ->
@@ -39,8 +33,10 @@ val make :
   Pdht_work.Scenario.t ->
   t
 (** [tag] defaults to ["<scenario name>/<strategy label>"]; [strategy]
-    to {!default_strategy}; [options] to {!System.default_options};
-    [task_id] to [0]. *)
+    to [Partial_index] with a NaN TTL, which {!System.run} resolves to
+    the model-derived one, so the default spec runs the paper's partial
+    strategy without the caller pre-computing a TTL; [options] to
+    {!System.default_options}; [task_id] to [0]. *)
 
 val run_seed : t -> int
 (** The seed {!Runner} substitutes into the scenario before running:

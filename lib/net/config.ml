@@ -89,8 +89,6 @@ let latency_to_string = function
   | Uniform { lo; hi } -> Printf.sprintf "uniform:%g:%g" lo hi
   | Lognormal { mu; sigma } -> Printf.sprintf "lognormal:%g:%g" mu sigma
 
-let pp_latency ppf l = Format.pp_print_string ppf (latency_to_string l)
-
 let latency_of_string s =
   let float_of s = try Some (float_of_string (String.trim s)) with _ -> None in
   match String.split_on_char ':' s with

@@ -76,5 +76,3 @@ val latency_of_string : string -> (latency, string) result
 
 val latency_to_string : latency -> string
 (** Inverse of {!latency_of_string} (canonical form). *)
-
-val pp_latency : Format.formatter -> latency -> unit

@@ -61,8 +61,6 @@ val make :
 val all_categories : category list
 val category_label : category -> string
 val category_of_label : string -> category option
-val outcome_label : outcome -> string
-val outcome_of_label : string -> outcome option
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

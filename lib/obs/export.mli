@@ -16,10 +16,6 @@
     CSV schema: [name,type,value,count,mean,p50,p90,p95,p99,max]; for
     counters and gauges the histogram columns are empty. *)
 
-val metric_json :
-  ?run:string -> ?time:float -> ?node:int -> string -> Registry.value -> Json.t
-(** One instrument reading as the JSONL object described above. *)
-
 val jsonl_lines :
   ?run:string -> ?time:float -> ?node:int -> Registry.snapshot -> string list
 
@@ -29,8 +25,6 @@ val write_jsonl :
 
 val csv : Registry.snapshot -> string
 (** Header plus one row per instrument, newline-terminated. *)
-
-val write_csv : out_channel -> Registry.snapshot -> unit
 
 val to_file :
   ?run:string -> ?time:float -> ?node:int -> path:string -> Registry.snapshot -> unit

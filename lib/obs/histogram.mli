@@ -12,13 +12,10 @@
 
 type t
 
-val default_gamma : float
-(** [2**(1/8)] — about 9% relative bucket width, < 200 buckets out to
-    ten million. *)
-
 val create : ?gamma:float -> unit -> t
 (** [gamma] must be > 1; smaller means finer quantiles and more
-    buckets. *)
+    buckets.  The default, [2**(1/8)], gives about 9% relative bucket
+    width and < 200 buckets out to ten million. *)
 
 val gamma : t -> float
 
@@ -43,10 +40,6 @@ val quantile : t -> float -> float
     bucket holding the [p]-th ranked sample, clamped to the exact
     observed [min]/[max].  0 when empty.
     @raise Invalid_argument when [p] is outside [0,1]. *)
-
-val bucket_index : t -> float -> int
-(** The bucket a value would land in (bucket 0 holds values < 1).
-    Exposed so tests can assert the "within one bucket" guarantee. *)
 
 val nonzero_buckets : t -> (float * float * int) list
 (** [(lower, upper, count)] for every bucket with a sample, in value

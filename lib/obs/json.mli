@@ -20,8 +20,6 @@ val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite floats become [null],
     keeping every emitted line valid JSON. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing garbage is an error.  Numbers with a
     fraction or exponent parse as [Float], others as [Int]. *)

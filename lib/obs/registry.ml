@@ -44,7 +44,6 @@ let gauge t name =
       g
 
 let set_gauge g v = g.g_value <- v
-let gauge_value g = g.g_value
 
 let histogram ?gamma t name =
   match Hashtbl.find_opt t.table name with
@@ -127,14 +126,3 @@ let reset t =
 
 let fold t ~init ~f =
   List.fold_left (fun acc (name, value) -> f acc name value) init (snapshot t)
-
-let pp_snapshot ppf snap =
-  Format.pp_open_vbox ppf 0;
-  List.iter
-    (fun (name, value) ->
-      match value with
-      | Counter_v n -> Format.fprintf ppf "%-40s %d@," name n
-      | Gauge_v v -> Format.fprintf ppf "%-40s %g@," name v
-      | Histogram_v s -> Format.fprintf ppf "%-40s %a@," name Histogram.pp_summary s)
-    snap;
-  Format.pp_close_box ppf ()

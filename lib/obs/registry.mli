@@ -24,7 +24,6 @@ val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : ?gamma:float -> t -> string -> Histogram.t
 (** Find or create; [gamma] is only used on creation. *)
@@ -65,5 +64,3 @@ val reset : t -> unit
 
 val fold : t -> init:'a -> f:('a -> string -> value -> 'a) -> 'a
 (** In name order. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

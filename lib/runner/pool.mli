@@ -13,7 +13,7 @@
     stays exactly as debuggable as before the pool existed.
 
     The effective worker count is the minimum of [jobs], the batch size,
-    and {!hardware_jobs}.  Requesting [-j 8] on a single-core machine
+    and the hardware's recommended domain count.  Requesting [-j 8] on a single-core machine
     therefore runs inline rather than thrashing: in OCaml 5 every minor
     collection is a stop-the-world barrier across all domains, so
     oversubscribed domains do not merely fail to help — they actively
@@ -25,10 +25,6 @@
     its results in a private buffer that the coordinator merges after
     the joins — workers share nothing but an atomic claim counter, so
     there is no false sharing on a common results array. *)
-
-val hardware_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], clamped to at least 1: the
-    most domains worth running at once on this machine. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], clamped to at least 1:

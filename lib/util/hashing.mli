@@ -6,9 +6,6 @@
     unlike [Hashtbl.hash], whose value may change between compiler
     versions. *)
 
-val fnv1a64 : string -> int64
-(** Raw FNV-1a 64-bit hash. *)
-
 val hash_to_key : string -> Bitkey.t
 (** Hash a string into the binary key space. *)
 
