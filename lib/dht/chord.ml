@@ -261,21 +261,19 @@ let route t ~source ~key =
       let next = ref (-1) and j = ref (width - 1) in
       while !next < 0 && !j >= 0 do
         let f = t.fingers.((c * width) + !j) in
-        if f <> c then
-          if not (is_member t f) then incr messages (* timeout *)
-          else if in_open_interval ~a:t.ids.(c) ~b:key t.ids.(f) then begin
-            incr messages;
-            next := f
-          end;
+        if f <> c && not (is_member t f) then incr messages (* timeout *)
+        else if f <> c && in_open_interval ~a:t.ids.(c) ~b:key t.ids.(f) then begin
+          incr messages;
+          next := f
+        end;
         decr j
       done;
       (* Fall back on the successor chain. *)
-      if !next < 0 then
-        if succ_alive then begin
-          incr messages;
-          next := s
-        end
-        else next := first_listed t c messages;
+      if !next < 0 && succ_alive then begin
+        incr messages;
+        next := s
+      end
+      else if !next < 0 then next := first_listed t c messages;
       if !next < 0 then give_up := true
       else begin
         incr hops;
