@@ -29,6 +29,8 @@ let forever = 1e15
    owns [peer]'s shard. *)
 type store_ops = {
   get_and_refresh : peer:int -> key_index:int -> now:float -> ttl:float -> int option;
+  first_holder :
+    peers:int array -> count:int -> key_index:int -> now:float -> ttl:float -> (int * int) option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
   peek : peer:int -> key_index:int -> now:float -> (int * float) option;
   clear : peer:int -> int;
@@ -100,6 +102,7 @@ type t = {
   unstructured : Unstructured_search.t;
   store : store_ops; (* how the index stores are reached (local/remote) *)
   replica_nets : (int, Replica_net.t) Hashtbl.t; (* key_index -> subnet *)
+  mutable candidates : int array; (* a replica probe's online members, in order *)
   metrics : Metrics.t;
   obs : Obs.t;
   ins : instruments;
@@ -198,6 +201,20 @@ let local_store_ops ~stores ~keys =
     get_and_refresh =
       (fun ~peer ~key_index ~now ~ttl ->
         Storage.get_and_refresh stores.(peer) ~key:(key key_index) ~now ~ttl);
+    first_holder =
+      (fun ~peers ~count ~key_index ~now ~ttl ->
+        (* A loop, not a local recursive function: a closure per probe
+           would be the only allocation of a probe that misses. *)
+        let key = key key_index in
+        let i = ref 0 and hit = ref None in
+        while !i < count do
+          match Storage.get_and_refresh stores.(peers.(!i)) ~key ~now ~ttl with
+          | Some value ->
+              hit := Some (!i, value);
+              i := count
+          | None -> incr i
+        done;
+        !hit);
     put =
       (fun ~peer ~key_index ~value ~now ~ttl ->
         Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
@@ -259,6 +276,7 @@ let create ?obs ?net ?transport rng config =
       unstructured;
       store;
       replica_nets = Hashtbl.create (min keys 4096);
+      candidates = Array.make config.Config.repl 0;
       metrics = Metrics.create obs.Obs.registry;
       obs;
       ins = make_instruments obs ~backend:config.Config.backend;
@@ -440,9 +458,7 @@ let index_search t ~now ~entry ~key_index ~parent =
               ~parent;
             (Some provider, index_messages, 0)
         | None ->
-            (* Local miss: ask the other replicas.  Plain loop with an
-               int sentinel — an [option ref] compared with [=] would
-               cost a polymorphic-equality call per member. *)
+            (* Local miss: ask the other replicas. *)
             let net = replica_net t key_index in
             let flood = Replica_net.flood net ~online:t.online ~from_peer:responsible in
             let flood_messages = flood.Replica_net.messages in
@@ -458,25 +474,34 @@ let index_search t ~now ~entry ~key_index ~parent =
                 child_id t ~parent
               else -1
             in
+            (* The online members other than [responsible], in group
+               order, go to the store in one call, which refreshes the
+               first live holder.  One lease serves the whole probe:
+               [lease] (through [Cost_optimal.ttl_for] and
+               [Freq.live_rate]) is a pure read, so it is the same for
+               every member. *)
             let members = Replica_net.replicas net in
-            let found = ref (-1) and holder = ref (-1) and reset_span = ref (-1) in
-            let i = ref 0 in
             let len = Array.length members in
-            while !found < 0 && !i < len do
-              let member = members.(!i) in
-              incr i;
-              if member <> responsible && t.online member then
-                match
-                  t.store.get_and_refresh ~peer:member ~key_index ~now
-                    ~ttl:(lease t ~now ~key_index)
-                with
-                | Some provider ->
-                    Registry.incr t.ins.c_ttl_reset 1;
-                    reset_span := ttl_reset_span t ~parent;
-                    holder := member;
-                    found := provider
-                | None -> ()
+            if Array.length t.candidates < len then t.candidates <- Array.make len 0;
+            let count = ref 0 in
+            for i = 0 to len - 1 do
+              let member = members.(i) in
+              if member <> responsible && t.online member then begin
+                t.candidates.(!count) <- member;
+                incr count
+              end
             done;
+            let found = ref (-1) and holder = ref (-1) and reset_span = ref (-1) in
+            (match
+               t.store.first_holder ~peers:t.candidates ~count:!count ~key_index ~now
+                 ~ttl:(lease t ~now ~key_index)
+             with
+            | Some (pos, provider) ->
+                Registry.incr t.ins.c_ttl_reset 1;
+                reset_span := ttl_reset_span t ~parent;
+                holder := t.candidates.(pos);
+                found := provider
+            | None -> ());
             if flood_span >= 0 then
               Tracer.emit tracer
                 (Event.make ~time:(child_time t ~now) ~peer:responsible ~key_index

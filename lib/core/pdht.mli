@@ -18,13 +18,13 @@
     identical workloads with identical message accounting.
 
     By default every member cache lives in this process.  A
-    {!transport} passed to {!create} moves them behind six store
+    {!transport} passed to {!create} moves them behind seven store
     operations ({!store_ops}) and turns each hop into a delivery call,
     which is how the multi-process driver runs the same protocol. *)
 
 type t
 
-(** Index-store access, keyed by workload key index: the six
+(** Index-store access, keyed by workload key index: the seven
     operations the protocol performs on member caches.  The default
     (no [?transport] at {!create}) operates on the in-process
     per-member [Storage.t] array, keyed by [Bitkey.of_int key_index];
@@ -33,6 +33,14 @@ type t
     is authoritative — including expiry and eviction side effects.
     - [get_and_refresh]: the query hit; a live entry's expiry becomes
       [now +. ttl];
+    - [first_holder]: the replica probe after a miss at the responsible
+      member.  Over [peers.(0 .. count - 1)] in order it is
+      [get_and_refresh] member by member until one hits, returning that
+      member's position and value: the first live holder is refreshed,
+      and exactly the expired entries of the members before it are
+      purged.  The multi-process driver answers it with one read-only
+      round to the workers owning candidates, then posts the purges and
+      the refresh without waiting;
     - [put]: insert or overwrite with expiry [now +. ttl] (repair
       passes the entry's remaining TTL, so it never extends a key's
       life);
@@ -45,12 +53,20 @@ type t
       multi-process driver answers it with one frame per worker. *)
 type store_ops = {
   get_and_refresh : peer:int -> key_index:int -> now:float -> ttl:float -> int option;
+  first_holder :
+    peers:int array -> count:int -> key_index:int -> now:float -> ttl:float -> (int * int) option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
   peek : peer:int -> key_index:int -> now:float -> (int * float) option;
   clear : peer:int -> int;
   live_count : peer:int -> now:float -> int;
   census : now:float -> Bytes.t;
 }
+
+val local_store_ops : stores:int Pdht_dht.Storage.t array -> keys:int -> store_ops
+(** The operations over in-process stores, one per member, keyed by
+    [Bitkey.of_int key_index] for key indices below [keys]: what
+    {!create} uses without a transport.  A test that owns the stores
+    behind a transport builds it from these. *)
 
 (** The store census: which workload keys a set of stores holds live.
     The in-process stores and every worker process take it through the
@@ -78,10 +94,10 @@ end
     forward hop and entry contact (its return deciding delivery, as
     with the simulated network model) and [cast] once per broadcast
     message, each materialising the hop as a wire frame to the owning
-    worker.  A transport may return from [rpc] (and [put]) before the
-    hop's reply arrives, provided a later refusal fails the run: the
-    protocol's decisions never see it, so the run stays the
-    simulator's. *)
+    worker.  A transport may return from [rpc] (and [put], and
+    [first_holder] once it knows the holder) before the reply arrives,
+    provided a later refusal fails the run: the protocol's decisions
+    never see it, so the run stays the simulator's. *)
 type transport = {
   store : store_ops;
   rpc : span:int option -> src:int -> dst:int -> bool;

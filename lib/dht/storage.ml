@@ -299,6 +299,10 @@ let get t ~key ~now =
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None else Some t.values.(slot)
 
+let live t ~key ~now =
+  let slot = find_slot t (Pdht_util.Bitkey.to_int key) in
+  if slot < 0 || t.expiry.(slot) <= now then None else Some t.values.(slot)
+
 let get_and_refresh t ~key ~now ~ttl =
   check_ttl "Storage.get_and_refresh" ttl;
   let slot = find_live_slot t ~key ~now in

@@ -43,6 +43,10 @@ val get : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> 'v option
 (** Lookup; expired entries are treated as absent (and purged).  Does
     NOT refresh the TTL — that is the caller's policy decision. *)
 
+val live : 'v t -> key:Pdht_util.Bitkey.t -> now:float -> 'v option
+(** {!get} without its purge: an expired entry is treated as absent
+    and left where it is, so the store is untouched. *)
+
 val get_and_refresh :
   'v t -> key:Pdht_util.Bitkey.t -> now:float -> ttl:float -> 'v option
 (** The paper's query-hit behaviour: on a hit, the expiration time is

@@ -48,7 +48,8 @@ type link = {
 
 let request_rid = function
   | Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Get { rid; _ }
-  | Wire.Probe { rid; _ } | Wire.Census { rid; _ } | Wire.Snapshot { rid } ->
+  | Wire.Probe { rid; _ } | Wire.Census { rid; _ } | Wire.Snapshot { rid }
+  | Wire.Find { rid; _ } | Wire.Purge { rid; _ } ->
       rid
   | _ -> -1
 
@@ -56,9 +57,12 @@ let request_rid = function
    refusal), [None] when it answers something else. *)
 let answer_to frame reply =
   match (frame, reply) with
-  | (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }), Wire.Ack a
+  | ( ( Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }
+      | Wire.Purge { rid; _ } ),
+      Wire.Ack a )
     when a.rid = rid ->
       Some a.ok
+  | Wire.Find { rid; _ }, Wire.Found f when f.rid = rid -> Some true
   | Wire.Get { rid; _ }, Wire.Entry e when e.rid = rid -> Some true
   | Wire.Census { rid; _ }, Wire.Keys r when r.rid = rid -> Some true
   | Wire.Snapshot { rid }, Wire.Counters c when c.rid = rid -> Some true
@@ -79,8 +83,58 @@ let frame_kind = function
   | Wire.Bye -> "Bye"
   | Wire.Census _ -> "Census"
   | Wire.Keys _ -> "Keys"
+  | Wire.Find _ -> "Find"
+  | Wire.Found _ -> "Found"
+  | Wire.Purge _ -> "Purge"
 
 let describe frame = Printf.sprintf "%s rid %d" (frame_kind frame) (request_rid frame)
+
+let first_holder ~nodes ~expect ~await_all ~peers ~count ~key_index ~now ~ttl =
+  (* The positions below [upto] whose member worker [k] owns, in
+     order. *)
+  let positions k ~upto =
+    let l = ref [] in
+    for i = upto - 1 downto 0 do
+      if peers.(i) mod nodes = k then l := i :: !l
+    done;
+    Array.of_list !l
+  in
+  let members k ~upto = Array.map (fun i -> peers.(i)) (positions k ~upto) in
+  let at = Array.init nodes (fun k -> positions k ~upto:count) in
+  let asked = List.filter (fun k -> at.(k) <> [||]) (List.init nodes Fun.id) in
+  List.iter
+    (fun k ->
+      expect k
+        (Wire.Find { rid = fresh_rid (); key = key_index; now; peers = members k ~upto:count }))
+    asked;
+  (* The first live holder is the lowest position any worker found. *)
+  let winner = ref count and value = ref 0 in
+  List.iter2
+    (fun k reply ->
+      match reply with
+      | Wire.Found { pos; value = v; _ } when pos >= -1 && pos < Array.length at.(k) ->
+          if pos >= 0 && at.(k).(pos) < !winner then begin
+            winner := at.(k).(pos);
+            value := v
+          end
+      | msg -> failwith (Format.asprintf "cluster: node %d answered a Find with %a" k Wire.pp msg))
+    asked (await_all asked);
+  (* The sequential probe met every candidate before the winner, purging
+     its expired entry, and none after it. *)
+  List.iter
+    (fun k ->
+      match members k ~upto:!winner with
+      | [||] -> ()
+      | before ->
+          expect k (Wire.Purge { rid = fresh_rid (); key = key_index; now; peers = before }))
+    asked;
+  if !winner = count then None
+  else begin
+    let peer = peers.(!winner) in
+    expect (peer mod nodes)
+      (Wire.Get { rid = fresh_rid (); peer; key = key_index; refresh = true; now; ttl });
+    Some (!winner, !value)
+  end
 
 let status_to_string = function
   | Unix.WEXITED c -> Printf.sprintf "exited with status %d" c
@@ -269,6 +323,21 @@ let run ?obs config scenario strategy (options : System.options) =
     await k;
     links.(k).reply
   in
+  (* One wait on several workers: write what is posted to each of them
+     first, as far as the sockets take it now, so that they all work at
+     once; then take each one's answers. *)
+  let await_all ks =
+    List.iter
+      (fun k ->
+        try ignore (Frame_io.flush ~deadline:(Unix.gettimeofday ()) links.(k).conn)
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> gone k "dropped")
+      ks;
+    List.map
+      (fun k ->
+        await k;
+        links.(k).reply)
+      ks
+  in
   let owner m = m mod config.nodes in
   let setup =
     Wire.Setup
@@ -325,6 +394,10 @@ let run ?obs config scenario strategy (options : System.options) =
       get_and_refresh =
         (fun ~peer ~key_index ~now ~ttl ->
           Option.map fst (get ~peer ~key_index ~refresh:true ~now ~ttl));
+      first_holder =
+        (fun ~peers ~count ~key_index ~now ~ttl ->
+          first_holder ~nodes:config.nodes ~expect ~await_all ~peers ~count ~key_index ~now
+            ~ttl);
       put =
         (fun ~peer ~key_index ~value ~now ~ttl ->
           expect (owner peer)

@@ -8,14 +8,17 @@
     ([Get], [Insert], [Probe], [Lookup], [Gossip]) to the worker owning
     the target member ([member mod nodes]); the census behind the index
     size is one [Census] frame per worker, whose [Keys] bitmaps the
-    conductor ORs together.  Workers answer strictly in order and the
+    conductor ORs together; and the replica probe after a miss at the
+    responsible member is one [Find] round ({!first_holder}).  Workers answer strictly in order and the
     loopback link is reliable, so the cluster's report is
     field-for-field the same-seed simulator report.
 
     Each connection is a pipeline.  [Lookup] and [Insert] frames, whose
     [Ack] carries nothing, and one-way [Gossip] are posted without
     waiting; the conductor waits only for replies that carry data
-    ([Entry], a [Probe]'s count, [Keys], [Counters]).  Every wait on a
+    ([Entry], [Found], a [Probe]'s count, [Keys], [Counters]).  So a
+    query waits on the workers once when the responsible member holds
+    its key, and twice when the replica probe follows.  Every wait on a
     worker first takes, in order, the answers to the frames posted to it
     before, checking each against the oldest frame it has yet to
     answer; at most 256 frames are posted to a worker between waits.
@@ -37,6 +40,32 @@ type config = {
 
 val default_config : nodes:int -> exe:string -> config
 (** No [obs_dir]. *)
+
+val first_holder :
+  nodes:int ->
+  expect:(int -> Pdht_wire.Wire.msg -> unit) ->
+  await_all:(int list -> Pdht_wire.Wire.msg list) ->
+  peers:int array ->
+  count:int ->
+  key_index:int ->
+  now:float ->
+  ttl:float ->
+  (int * int) option
+(** The replica probe of {!run}'s transport, over [nodes] workers where
+    worker [m mod nodes] owns member [m]: the same answer and the same
+    store effects as {!Pdht_core.Pdht.store_ops}'s sequential
+    [first_holder] over [peers.(0 .. count - 1)].  [expect k frame]
+    posts a request to worker [k], its answer checked at the next wait
+    on [k]; [await_all ks] waits once on every worker of [ks] and
+    returns, in order, the answer to the last request posted to each.
+    - One read-only [Find] goes to each worker owning candidates, and
+      one [await_all] takes their [Found]s; the lowest position found
+      wins.
+    - Then, without waiting, each such worker gets a [Purge] of its
+      candidates before the winner (if it has any), and the winner's
+      worker a refreshing [Get].
+    Returns the winner's position in [peers] and its value.
+    @raise Failure when a [Found] names no position of its [Find]. *)
 
 val run :
   ?obs:Pdht_obs.Context.t ->

@@ -117,8 +117,8 @@ let rec fill t ~deadline =
 
 let rec recv ?deadline t =
   match Wire.decode t.buf ~pos:t.pos ~len:(t.len - t.pos) with
-  | Ok (msg, used) ->
-      t.pos <- t.pos + used;
+  | Ok msg ->
+      t.pos <- t.pos + Wire.frame_length t.buf ~pos:t.pos;
       Ok msg
   | Error (Wire.Truncated _) -> (
       (* About to wait: whatever was posted must be on its way first, or

@@ -12,7 +12,7 @@ type shard = {
   owned : int Storage.t array;  (* the [Some] stores, for the census *)
 }
 
-let build_shard ~node_id ~nodes ~members ~keys ~stor =
+let shard ~node_id ~nodes ~members ~keys ~stor =
   (* The same store construction and keying by key index as
      [Pdht.create], so a sharded run is state-for-state the in-process
      run, split by member. *)
@@ -36,6 +36,48 @@ let key shard ~key_index =
   if key_index < 0 || key_index >= shard.keys then
     failwith (Printf.sprintf "node %d: key index %d out of range" shard.node_id key_index);
   Pdht_util.Bitkey.of_int key_index
+
+let answer shard = function
+  | Wire.Insert { rid; peer; key = key_index; value; now; ttl } ->
+      Storage.put (store shard ~peer) ~key:(key shard ~key_index) ~value ~now ~ttl;
+      Wire.Ack { rid; ok = true; value = 0 }
+  | Wire.Get { rid; peer; key = key_index; refresh; now; ttl } -> (
+      let s = store shard ~peer in
+      let k = key shard ~key_index in
+      let found =
+        if refresh then
+          Option.map (fun v -> (v, now +. ttl)) (Storage.get_and_refresh s ~key:k ~now ~ttl)
+        else Storage.peek s ~key:k ~now
+      in
+      match found with
+      | Some (value, expiry) -> Wire.Entry { rid; ok = true; value; expiry }
+      | None -> Wire.Entry { rid; ok = false; value = 0; expiry = 0.0 })
+  | Wire.Probe { rid; op; peer; now } ->
+      let s = store shard ~peer in
+      let value =
+        match op with
+        | Wire.Live_count -> Storage.live_count s ~now
+        | Wire.Clear -> Storage.clear s
+      in
+      Wire.Ack { rid; ok = true; value }
+  | Wire.Census { rid; now } ->
+      let bits = Census.of_stores ~keys:shard.keys ~now shard.owned in
+      Wire.Keys { rid; bits = Bytes.unsafe_to_string bits }
+  | Wire.Find { rid; key = key_index; now; peers } ->
+      let k = key shard ~key_index in
+      let rec first i =
+        if i = Array.length peers then Wire.Found { rid; pos = -1; value = 0 }
+        else
+          match Storage.live (store shard ~peer:peers.(i)) ~key:k ~now with
+          | Some value -> Wire.Found { rid; pos = i; value }
+          | None -> first (i + 1)
+      in
+      first 0
+  | Wire.Purge { rid; key = key_index; now; peers } ->
+      let k = key shard ~key_index in
+      Array.iter (fun peer -> ignore (Storage.get (store shard ~peer) ~key:k ~now)) peers;
+      Wire.Ack { rid; ok = true; value = 0 }
+  | msg -> invalid_arg (Format.asprintf "Node.answer: %a is not a store request" Wire.pp msg)
 
 let serve ?obs_out ~node_id conn =
   let registry = Registry.create () in
@@ -63,7 +105,7 @@ let serve ?obs_out ~node_id conn =
            0 (soonest expiry) is the only code. *)
         if eviction <> 0 then
           failwith (Printf.sprintf "node %d: unknown eviction code %d" node_id eviction);
-        build_shard ~node_id ~nodes ~members ~keys ~stor)
+        shard ~node_id ~nodes ~members ~keys ~stor)
     | Ok msg ->
         failwith
           (Format.asprintf "node %d: expected Setup, got %a" node_id Wire.pp msg)
@@ -105,43 +147,17 @@ let serve ?obs_out ~node_id conn =
         | Wire.Gossip _ ->
             Registry.incr casts 1;
             loop ()
-        | Wire.Insert { rid; peer; key = key_index; value; now; ttl } ->
-            Registry.incr puts 1;
-            Storage.put (store shard ~peer) ~key:(key shard ~key_index) ~value ~now
-              ~ttl;
-            reply (Wire.Ack { rid; ok = true; value = 0 });
-            loop ()
-        | Wire.Get { rid; peer; key = key_index; refresh; now; ttl } ->
-            Registry.incr gets 1;
-            let s = store shard ~peer in
-            let k = key shard ~key_index in
-            let found =
-              if refresh then
-                Option.map
-                  (fun v -> (v, now +. ttl))
-                  (Storage.get_and_refresh s ~key:k ~now ~ttl)
-              else Storage.peek s ~key:k ~now
-            in
-            (match found with
-            | Some (value, expiry) -> reply (Wire.Entry { rid; ok = true; value; expiry })
-            | None -> reply (Wire.Entry { rid; ok = false; value = 0; expiry = 0.0 }));
-            loop ()
-        | Wire.Probe { rid; op; peer; now } ->
-            Registry.incr probes 1;
-            let s = store shard ~peer in
-            let value =
-              match op with
-              | Wire.Live_count -> Storage.live_count s ~now
-              | Wire.Clear -> Storage.clear s
-            in
-            reply (Wire.Ack { rid; ok = true; value });
-            loop ()
-        | Wire.Census { rid; now } ->
-            (* A whole-shard read: counted with the other whole-store
-               operations. *)
-            Registry.incr probes 1;
-            let bits = Census.of_stores ~keys:shard.keys ~now shard.owned in
-            reply (Wire.Keys { rid; bits = Bytes.unsafe_to_string bits });
+        | ( Wire.Insert _ | Wire.Get _ | Wire.Probe _ | Wire.Census _ | Wire.Find _
+          | Wire.Purge _ ) as request ->
+            (* A census is a whole-shard read and a purge a batch of
+               plain reads: both count with the whole-store probes. *)
+            Registry.incr
+              (match request with
+              | Wire.Insert _ -> puts
+              | Wire.Get _ | Wire.Find _ -> gets
+              | _ -> probes)
+              1;
+            reply (answer shard request);
             loop ()
         | Wire.Snapshot { rid } ->
             let counters =
@@ -156,7 +172,7 @@ let serve ?obs_out ~node_id conn =
             loop ()
         | Wire.Bye -> finish ()
         | Wire.Hello _ | Wire.Setup _ | Wire.Ack _ | Wire.Entry _ | Wire.Keys _
-        | Wire.Counters _ ->
+        | Wire.Counters _ | Wire.Found _ ->
             failwith
               (Format.asprintf "node %d: unexpected frame %a" node_id Wire.pp msg))
   in

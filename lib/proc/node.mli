@@ -12,13 +12,39 @@
     arrive together are answered in one write.
 
     Lifecycle: connect, send [Hello], receive [Setup] (sizing), then
-    answer [Get]/[Insert]/[Probe]/[Census] store operations and
-    acknowledge [Lookup] routing hops until [Bye], at which point the
-    node writes the replies still posted, then its [proc.*] counter
-    registry as node-stamped JSONL
-    (when [obs_out] is given) and returns.  A [Census] (every key the
-    shard holds live, read without purging) counts under
+    answer [Get]/[Insert]/[Probe]/[Census]/[Find]/[Purge] store
+    operations ({!answer}) and acknowledge [Lookup] routing hops until
+    [Bye], at which point the node writes the replies still posted,
+    then its [proc.*] counter registry as node-stamped JSONL (when
+    [obs_out] is given) and returns.  A [Find] counts under
+    [proc.gets] with the [Get]s; a [Census] (every key the shard holds
+    live, read without purging) and a [Purge] count under
     [proc.probes], with the other whole-store reads. *)
+
+type shard
+(** One worker's stores: a {!Pdht_dht.Storage.t} of capacity [stor] for
+    every member [m < members] with [m mod nodes = node_id], keyed by
+    [Bitkey.of_int key_index] for key indices below [keys]. *)
+
+val shard : node_id:int -> nodes:int -> members:int -> keys:int -> stor:int -> shard
+
+val store : shard -> peer:int -> int Pdht_dht.Storage.t
+(** The store of an owned member.  @raise Failure for a member the
+    shard does not own. *)
+
+val answer : shard -> Pdht_wire.Wire.msg -> Pdht_wire.Wire.msg
+(** The reply to one store request, applied to the shard:
+    - [Insert] puts and is answered by [Ack];
+    - [Get] refreshes or peeks, answered by [Entry];
+    - [Probe] counts live entries or clears, answered by [Ack] with
+      the count;
+    - [Census] is answered by [Keys];
+    - [Find] reads its members in order without purging and is
+      answered by [Found] with the first live one;
+    - [Purge] reads each of its members as a plain [Storage.get],
+      dropping the key's expired entries, and is answered by [Ack].
+    @raise Failure for a member the shard does not own or a key index
+    outside [keys].  @raise Invalid_argument for any other frame. *)
 
 val serve : ?obs_out:string -> node_id:int -> Frame_io.t -> unit
 (** Run the worker protocol over an established connection (sends the

@@ -22,6 +22,9 @@ type msg =
   | Bye
   | Census of { rid : int; now : float }
   | Keys of { rid : int; bits : string }
+  | Find of { rid : int; key : int; now : float; peers : int array }
+  | Found of { rid : int; pos : int; value : int }
+  | Purge of { rid : int; key : int; now : float; peers : int array }
 
 type error =
   | Truncated of { need : int; have : int }
@@ -58,12 +61,13 @@ let kind_code = function
   | Bye -> 12
   | Census _ -> 13
   | Keys _ -> 14
+  | Find _ -> 15
+  | Found _ -> 16
+  | Purge _ -> 17
 
-let kinds = 14
+let kinds = 17
 
 let probe_code = function Live_count -> 0 | Clear -> 1
-
-let probe_of_code = function 0 -> Some Live_count | 1 -> Some Clear | _ -> None
 
 (* ---- encoding ----------------------------------------------------- *)
 
@@ -77,21 +81,18 @@ let put_string b s =
   put_u32 b (String.length s);
   Buffer.add_string b s
 
-(* Body bytes per kind: 8 an integer or float, 1 a boolean or probe
-   code, 4 plus the bytes a string or blob, 4 plus the items a list. *)
+(* Body bytes of each kind, by kind code (slot 0 unused): 8 an integer
+   or float, 1 a boolean or probe code.  -1 marks the kinds whose body
+   holds a count-prefixed string, blob or list: 4 bytes of count plus
+   the bytes or items. *)
+let fixed_body = [| -1; 8; 48; 40; 48; 32; 41; 25; 17; 25; 8; -1; 0; 16; -1; -1; 24; -1 |]
+
 let body_length = function
-  | Hello _ | Snapshot _ -> 8
-  | Setup _ | Insert _ -> 48
-  | Lookup _ -> 40
-  | Gossip _ -> 32
-  | Get _ -> 41
-  | Probe _ | Entry _ -> 25
-  | Ack _ -> 17
   | Counters { counters; _ } ->
       List.fold_left (fun n (name, _) -> n + 12 + String.length name) 20 counters
-  | Bye -> 0
-  | Census _ -> 16
   | Keys { bits; _ } -> 12 + String.length bits
+  | Find { peers; _ } | Purge { peers; _ } -> 28 + (8 * Array.length peers)
+  | msg -> fixed_body.(kind_code msg)
 
 let encode_body b msg =
   match msg with
@@ -160,6 +161,16 @@ let encode_body b msg =
       put_i64 b rid;
       put_u32 b (String.length bits);
       Buffer.add_string b bits
+  | Find { rid; key; now; peers } | Purge { rid; key; now; peers } ->
+      put_i64 b rid;
+      put_i64 b key;
+      put_f64 b now;
+      put_u32 b (Array.length peers);
+      Array.iter (put_i64 b) peers
+  | Found { rid; pos; value } ->
+      put_i64 b rid;
+      put_i64 b pos;
+      put_i64 b value
 
 let encode b msg =
   put_u32 b (2 + body_length msg);
@@ -174,49 +185,124 @@ let encode_bytes msg =
 
 (* ---- decoding ----------------------------------------------------- *)
 
-(* Body reader: a cursor over the payload slice.  Every read checks the
-   remaining length, so a corrupt frame fails with [Malformed] instead
-   of an out-of-bounds access. *)
-type cursor = { buf : Bytes.t; mutable pos : int; stop : int }
-
 exception Bad of string
 
-let need c n = if c.stop - c.pos < n then raise (Bad "short body")
+(* Reads at an offset the caller has checked lies inside the frame. *)
+let[@inline] u32_at buf p = Int32.to_int (Bytes.get_int32_be buf p) land 0xFFFF_FFFF
+let[@inline] i64_at buf p = Int64.to_int (Bytes.get_int64_be buf p)
+let[@inline] f64_at buf p = Int64.float_of_bits (Bytes.get_int64_be buf p)
 
-let get_u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.buf c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let get_u32 c =
-  let a = get_u8 c in
-  let b = get_u8 c in
-  let d = get_u8 c in
-  let e = get_u8 c in
-  (a lsl 24) lor (b lsl 16) lor (d lsl 8) lor e
-
-let get_i64 c =
-  need c 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
-  done;
-  Int64.to_int !v
-
-let get_f64 c =
-  need c 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
-  done;
-  Int64.float_of_bits !v
-
-let get_bool c =
-  match get_u8 c with
+let bool_at buf p =
+  match Bytes.get_uint8 buf p with
   | 0 -> false
   | 1 -> true
   | v -> raise (Bad (Printf.sprintf "bad boolean byte %d" v))
+
+let probe_at buf p =
+  match Bytes.get_uint8 buf p with
+  | 0 -> Live_count
+  | 1 -> Clear
+  | v -> raise (Bad (Printf.sprintf "bad probe op %d" v))
+
+(* A fixed-width body starting at [b], whose length the caller has
+   matched against [fixed_body]. *)
+let decode_fixed kind buf b =
+  match kind with
+  | 1 -> Hello { node_id = i64_at buf b }
+  | 2 ->
+      Setup
+        {
+          nodes = i64_at buf b;
+          members = i64_at buf (b + 8);
+          keys = i64_at buf (b + 16);
+          stor = i64_at buf (b + 24);
+          eviction = i64_at buf (b + 32);
+          seed = i64_at buf (b + 40);
+        }
+  | 3 ->
+      Lookup
+        {
+          rid = i64_at buf b;
+          span = i64_at buf (b + 8);
+          src = i64_at buf (b + 16);
+          dst = i64_at buf (b + 24);
+          key = i64_at buf (b + 32);
+        }
+  | 4 ->
+      Insert
+        {
+          rid = i64_at buf b;
+          peer = i64_at buf (b + 8);
+          key = i64_at buf (b + 16);
+          value = i64_at buf (b + 24);
+          now = f64_at buf (b + 32);
+          ttl = f64_at buf (b + 40);
+        }
+  | 5 ->
+      Gossip
+        {
+          span = i64_at buf b;
+          src = i64_at buf (b + 8);
+          dst = i64_at buf (b + 16);
+          key = i64_at buf (b + 24);
+        }
+  | 6 ->
+      Get
+        {
+          rid = i64_at buf b;
+          peer = i64_at buf (b + 8);
+          key = i64_at buf (b + 16);
+          refresh = bool_at buf (b + 24);
+          now = f64_at buf (b + 25);
+          ttl = f64_at buf (b + 33);
+        }
+  | 7 ->
+      Probe
+        {
+          rid = i64_at buf b;
+          op = probe_at buf (b + 8);
+          peer = i64_at buf (b + 9);
+          now = f64_at buf (b + 17);
+        }
+  | 8 -> Ack { rid = i64_at buf b; ok = bool_at buf (b + 8); value = i64_at buf (b + 9) }
+  | 9 ->
+      Entry
+        {
+          rid = i64_at buf b;
+          ok = bool_at buf (b + 8);
+          value = i64_at buf (b + 9);
+          expiry = f64_at buf (b + 17);
+        }
+  | 10 -> Snapshot { rid = i64_at buf b }
+  | 12 -> Bye
+  | 13 -> Census { rid = i64_at buf b; now = f64_at buf (b + 8) }
+  | 16 -> Found { rid = i64_at buf b; pos = i64_at buf (b + 8); value = i64_at buf (b + 16) }
+  | _ -> assert false (* the caller dispatches only fixed-width kinds here *)
+
+(* The other bodies are read through a cursor over the payload slice.
+   Every read checks the remaining length first, so a corrupt count
+   fails with [Malformed] before anything is allocated for it. *)
+type cursor = { buf : Bytes.t; mutable pos : int; stop : int }
+
+let need c n = if c.stop - c.pos < n then raise (Bad "short body")
+
+let get_u32 c =
+  need c 4;
+  let v = u32_at c.buf c.pos in
+  c.pos <- c.pos + 4;
+  v
+
+let get_i64 c =
+  need c 8;
+  let v = i64_at c.buf c.pos in
+  c.pos <- c.pos + 8;
+  v
+
+let get_f64 c =
+  need c 8;
+  let v = f64_at c.buf c.pos in
+  c.pos <- c.pos + 8;
+  v
 
 let take c n =
   need c n;
@@ -233,69 +319,16 @@ let get_string c =
    runs to keys / 8 bytes). *)
 let get_blob c = take c (get_u32 c)
 
-let decode_body kind c =
+let get_peers c =
+  let n = get_u32 c in
+  if n > max_list then raise (Bad (Printf.sprintf "peer list length %d over limit" n));
+  need c (8 * n);
+  let p = c.pos in
+  c.pos <- p + (8 * n);
+  Array.init n (fun i -> i64_at c.buf (p + (8 * i)))
+
+let decode_variable kind c =
   match kind with
-  | 1 -> Hello { node_id = get_i64 c }
-  | 2 ->
-      let nodes = get_i64 c in
-      let members = get_i64 c in
-      let keys = get_i64 c in
-      let stor = get_i64 c in
-      let eviction = get_i64 c in
-      let seed = get_i64 c in
-      Setup { nodes; members; keys; stor; eviction; seed }
-  | 3 ->
-      let rid = get_i64 c in
-      let span = get_i64 c in
-      let src = get_i64 c in
-      let dst = get_i64 c in
-      let key = get_i64 c in
-      Lookup { rid; span; src; dst; key }
-  | 4 ->
-      let rid = get_i64 c in
-      let peer = get_i64 c in
-      let key = get_i64 c in
-      let value = get_i64 c in
-      let now = get_f64 c in
-      let ttl = get_f64 c in
-      Insert { rid; peer; key; value; now; ttl }
-  | 5 ->
-      let span = get_i64 c in
-      let src = get_i64 c in
-      let dst = get_i64 c in
-      let key = get_i64 c in
-      Gossip { span; src; dst; key }
-  | 6 ->
-      let rid = get_i64 c in
-      let peer = get_i64 c in
-      let key = get_i64 c in
-      let refresh = get_bool c in
-      let now = get_f64 c in
-      let ttl = get_f64 c in
-      Get { rid; peer; key; refresh; now; ttl }
-  | 7 ->
-      let rid = get_i64 c in
-      let op =
-        let code = get_u8 c in
-        match probe_of_code code with
-        | Some op -> op
-        | None -> raise (Bad (Printf.sprintf "bad probe op %d" code))
-      in
-      let peer = get_i64 c in
-      let now = get_f64 c in
-      Probe { rid; op; peer; now }
-  | 8 ->
-      let rid = get_i64 c in
-      let ok = get_bool c in
-      let value = get_i64 c in
-      Ack { rid; ok; value }
-  | 9 ->
-      let rid = get_i64 c in
-      let ok = get_bool c in
-      let value = get_i64 c in
-      let expiry = get_f64 c in
-      Entry { rid; ok; value; expiry }
-  | 10 -> Snapshot { rid = get_i64 c }
   | 11 ->
       let rid = get_i64 c in
       let node_id = get_i64 c in
@@ -308,45 +341,50 @@ let decode_body kind c =
             (name, v))
       in
       Counters { rid; node_id; counters }
-  | 12 -> Bye
-  | 13 ->
-      let rid = get_i64 c in
-      let now = get_f64 c in
-      Census { rid; now }
   | 14 ->
       let rid = get_i64 c in
       let bits = get_blob c in
       Keys { rid; bits }
-  | _ -> assert false (* kind was range-checked by the caller *)
+  | 15 | 17 ->
+      let rid = get_i64 c in
+      let key = get_i64 c in
+      let now = get_f64 c in
+      let peers = get_peers c in
+      if kind = 15 then Find { rid; key; now; peers } else Purge { rid; key; now; peers }
+  | _ -> assert false (* the caller dispatches only counted kinds here *)
+
+let trailing n = Malformed (Printf.sprintf "%d trailing bytes" n)
 
 let decode buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     Error (Malformed "decode: pos/len out of range")
   else if len < 4 then Error (Truncated { need = 4; have = len })
   else
-    let plen =
-      (Char.code (Bytes.get buf pos) lsl 24)
-      lor (Char.code (Bytes.get buf (pos + 1)) lsl 16)
-      lor (Char.code (Bytes.get buf (pos + 2)) lsl 8)
-      lor Char.code (Bytes.get buf (pos + 3))
-    in
+    let plen = u32_at buf pos in
     if plen > max_payload then Error (Frame_too_large { length = plen; limit = max_payload })
     else if plen < 2 then Error (Malformed "payload shorter than its envelope")
     else if len < 4 + plen then Error (Truncated { need = 4 + plen; have = len })
     else
-      let c = { buf; pos = pos + 4; stop = pos + 4 + plen } in
-      let v = get_u8 c in
+      let v = Bytes.get_uint8 buf (pos + 4) in
       if v <> version then Error (Bad_version v)
       else
-        let kind = get_u8 c in
+        let kind = Bytes.get_uint8 buf (pos + 5) in
         if kind < 1 || kind > kinds then Error (Unknown_kind kind)
         else
-          match decode_body kind c with
-          | msg ->
-              if c.pos <> c.stop then
-                Error (Malformed (Printf.sprintf "%d trailing bytes" (c.stop - c.pos)))
-              else Ok (msg, 4 + plen)
-          | exception Bad why -> Error (Malformed why)
+          let body = pos + 6 and blen = plen - 2 in
+          let want = fixed_body.(kind) in
+          try
+            if want < 0 then begin
+              let c = { buf; pos = body; stop = body + blen } in
+              let msg = decode_variable kind c in
+              if c.pos <> c.stop then Error (trailing (c.stop - c.pos)) else Ok msg
+            end
+            else if blen < want then Error (Malformed "short body")
+            else if blen > want then Error (trailing (blen - want))
+            else Ok (decode_fixed kind buf body)
+          with Bad why -> Error (Malformed why)
+
+let frame_length buf ~pos = 4 + u32_at buf pos
 
 (* ---- equality and printing ---------------------------------------- *)
 
@@ -383,8 +421,15 @@ let equal a b =
   | Bye, Bye -> true
   | Census a, Census b -> a.rid = b.rid && feq a.now b.now
   | Keys a, Keys b -> a.rid = b.rid && String.equal a.bits b.bits
+  | ( Find { rid; key; now; peers },
+      Find { rid = rid'; key = key'; now = now'; peers = peers' } )
+  | ( Purge { rid; key; now; peers },
+      Purge { rid = rid'; key = key'; now = now'; peers = peers' } ) ->
+      rid = rid' && key = key' && feq now now' && peers = peers'
+  | Found a, Found b -> a.rid = b.rid && a.pos = b.pos && a.value = b.value
   | ( ( Hello _ | Setup _ | Lookup _ | Insert _ | Gossip _ | Get _ | Probe _ | Ack _
-      | Entry _ | Snapshot _ | Counters _ | Bye | Census _ | Keys _ ),
+      | Entry _ | Snapshot _ | Counters _ | Bye | Census _ | Keys _ | Find _ | Found _
+      | Purge _ ),
       _ ) ->
       false
 
@@ -416,6 +461,13 @@ let pp ppf = function
   | Bye -> Format.fprintf ppf "bye"
   | Census { rid; now } -> Format.fprintf ppf "census(rid=%d now=%g)" rid now
   | Keys { rid; bits } -> Format.fprintf ppf "keys(rid=%d bytes=%d)" rid (String.length bits)
+  | Find { rid; key; now; peers } ->
+      Format.fprintf ppf "find(rid=%d key=%d now=%g peers=%d)" rid key now
+        (Array.length peers)
+  | Found { rid; pos; value } -> Format.fprintf ppf "found(rid=%d pos=%d value=%d)" rid pos value
+  | Purge { rid; key; now; peers } ->
+      Format.fprintf ppf "purge(rid=%d key=%d now=%g peers=%d)" rid key now
+        (Array.length peers)
 
 let error_to_string = function
   | Truncated { need; have } -> Printf.sprintf "truncated frame: need %d bytes, have %d" need have

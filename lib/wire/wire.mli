@@ -1,12 +1,15 @@
 (** Binary wire codec for the multi-process driver.
 
-    Fourteen frame kinds.  The conductor reaches a worker's stores with
-    four requests — {!Get} (the refreshing query hit, or a plain peek),
+    Seventeen frame kinds.  The conductor reaches a worker's stores with
+    six requests — {!Get} (the refreshing query hit, or a plain peek),
     {!Insert} (every write, repair copies included), {!Probe} (live
-    count, crash clear) and {!Census} (every key the worker holds live,
-    for the index size) — and materialises routing hops and broadcast
-    edges as {!Lookup} and {!Gossip}.  A {!Get} is answered by {!Entry},
-    a {!Census} by {!Keys}, every other request by {!Ack}.
+    count, crash clear), {!Census} (every key the worker holds live,
+    for the index size), {!Find} (the first live holder of a key among
+    listed members, read-only) and {!Purge} (drop a key's expired
+    entries from listed members) — and materialises routing hops and
+    broadcast edges as {!Lookup} and {!Gossip}.  A {!Get} is answered
+    by {!Entry}, a {!Census} by {!Keys}, a {!Find} by {!Found}, every
+    other request by {!Ack}.
 
     Every message travels as one length-prefixed frame:
 
@@ -62,8 +65,8 @@ type msg =
           behaviour) *)
   | Probe of { rid : int; op : probe_op; peer : int; now : float }
   | Ack of { rid : int; ok : bool; value : int }
-      (** acknowledgement of {!Lookup}, {!Insert} and {!Probe};
-          [value] is the probe's count *)
+      (** acknowledgement of {!Lookup}, {!Insert}, {!Probe} and
+          {!Purge}; [value] is the probe's count *)
   | Entry of { rid : int; ok : bool; value : int; expiry : float }
       (** the answer to {!Get}: [ok = false] is a miss, otherwise the
           entry's value and absolute expiry (after any refresh) *)
@@ -79,6 +82,18 @@ type msg =
       (** the answer to {!Census}: a [Pdht.Census] bitmap of the
           setup's [keys] bits, [ceil (keys / 8)] bytes, bounded only by
           {!max_payload} *)
+  | Find of { rid : int; key : int; now : float; peers : int array }
+      (** conductor -> worker: which of [peers] (members the worker
+          owns, in probe order) is the first to hold [key] live at
+          [now]?  Read-only: an expired entry is skipped, not purged.
+          Answered by {!Found} *)
+  | Found of { rid : int; pos : int; value : int }
+      (** the answer to {!Find}: the index into its [peers] of the first
+          live holder and that entry's value, or [pos = -1] *)
+  | Purge of { rid : int; key : int; now : float; peers : int array }
+      (** conductor -> worker: drop [key]'s entry from each of [peers]
+          where it has expired at [now] (a plain read of each, as a
+          probe that misses would); answered by {!Ack} *)
 
 type error =
   | Truncated of { need : int; have : int }
@@ -89,7 +104,8 @@ type error =
   | Unknown_kind of int
   | Malformed of string
       (** complete frame whose body does not parse (short body,
-          trailing bytes, bad bool/probe code, oversized list...) *)
+          trailing bytes, bad bool/probe code, oversized list or peer
+          count...) *)
 
 val version : int
 (** Current envelope version (3). *)
@@ -105,11 +121,16 @@ val encode : Buffer.t -> msg -> unit
 val encode_bytes : msg -> Bytes.t
 (** One complete frame as fresh bytes. *)
 
-val decode : Bytes.t -> pos:int -> len:int -> (msg * int, error) result
+val decode : Bytes.t -> pos:int -> len:int -> (msg, error) result
 (** [decode buf ~pos ~len] parses one frame from [buf.[pos .. pos+len)].
-    On success returns the message and the total bytes consumed
-    (prefix included).  Never raises on any input; out-of-range
-    [pos]/[len] are reported as {!Malformed}. *)
+    Never raises on any input; out-of-range [pos]/[len] are reported as
+    {!Malformed}.  A fixed-width kind allocates only the message and
+    its [Ok]; a counted list is checked against the frame before
+    anything is allocated for it. *)
+
+val frame_length : Bytes.t -> pos:int -> int
+(** The total bytes, prefix included, of the frame at [pos] that
+    {!decode} just returned: what a stream reader consumes. *)
 
 val equal : msg -> msg -> bool
 val pp : Format.formatter -> msg -> unit

@@ -18,11 +18,14 @@ let () =
     | Ok (Wire.Lookup { rid; _ }) ->
         Frame_io.post conn (Wire.Ack { rid; ok = false; value = 0 });
         loop ()
-    | Ok (Wire.Insert { rid; _ } | Wire.Probe { rid; _ }) ->
+    | Ok (Wire.Insert { rid; _ } | Wire.Probe { rid; _ } | Wire.Purge { rid; _ }) ->
         Frame_io.post conn (Wire.Ack { rid; ok = true; value = 0 });
         loop ()
     | Ok (Wire.Get { rid; _ }) ->
         Frame_io.post conn (Wire.Entry { rid; ok = false; value = 0; expiry = 0. });
+        loop ()
+    | Ok (Wire.Find { rid; _ }) ->
+        Frame_io.post conn (Wire.Found { rid; pos = -1; value = 0 });
         loop ()
     | Ok (Wire.Census { rid; _ }) ->
         Frame_io.post conn (Wire.Keys { rid; bits = String.make ((!keys + 7) / 8) '\000' });

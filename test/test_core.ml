@@ -268,6 +268,7 @@ let test_pdht_net_transport_exclusive () =
       Pdht.store =
         {
           Pdht.get_and_refresh = (fun ~peer ~key_index:_ ~now:_ ~ttl:_ -> unused peer);
+          first_holder = (fun ~peers:_ ~count:_ ~key_index:_ ~now:_ ~ttl:_ -> unused ());
           put = (fun ~peer ~key_index:_ ~value:_ ~now:_ ~ttl:_ -> unused peer);
           peek = (fun ~peer ~key_index:_ ~now:_ -> unused peer);
           clear = (fun ~peer -> unused peer);
@@ -1017,21 +1018,7 @@ let census_run c =
   let stores =
     Array.init census_members (fun _ -> Storage.create ~capacity:c.stor ())
   in
-  let key = store_key in
-  let store =
-    {
-      Pdht.get_and_refresh =
-        (fun ~peer ~key_index ~now ~ttl ->
-          Storage.get_and_refresh stores.(peer) ~key:(key key_index) ~now ~ttl);
-      put =
-        (fun ~peer ~key_index ~value ~now ~ttl ->
-          Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
-      peek = (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:(key key_index) ~now);
-      clear = (fun ~peer -> Storage.clear stores.(peer));
-      live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
-      census = (fun ~now -> Pdht.Census.of_stores ~keys:census_keys ~now stores);
-    }
-  in
+  let store = Pdht.local_store_ops ~stores ~keys:census_keys in
   let transport =
     {
       Pdht.store;

@@ -724,24 +724,26 @@ type flood_log = Read of int (* store read at this peer *) | Ev of Event.t
 let test_replica_flood_after_store_probes () =
   let peers = 120 and members = 40 and keys = 120 in
   (* Stores keyed by key index, like the in-process ones. *)
-  let key = Pdht_util.Bitkey.of_int in
   let stores = Array.init members (fun _ -> Pdht_dht.Storage.create ~capacity:20 ()) in
   let log = ref [] in
+  let local = Pdht_core.Pdht.local_store_ops ~stores ~keys in
   let store =
     {
+      local with
       Pdht_core.Pdht.get_and_refresh =
         (fun ~peer ~key_index ~now ~ttl ->
           log := Read peer :: !log;
-          Pdht_dht.Storage.get_and_refresh stores.(peer) ~key:(key key_index) ~now ~ttl);
-      put =
-        (fun ~peer ~key_index ~value ~now ~ttl ->
-          Pdht_dht.Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
-      peek =
-        (fun ~peer ~key_index ~now ->
-          Pdht_dht.Storage.peek stores.(peer) ~key:(key key_index) ~now);
-      clear = (fun ~peer -> Pdht_dht.Storage.clear stores.(peer));
-      live_count = (fun ~peer ~now -> Pdht_dht.Storage.live_count stores.(peer) ~now);
-      census = (fun ~now -> Pdht_core.Pdht.Census.of_stores ~keys ~now stores);
+          local.get_and_refresh ~peer ~key_index ~now ~ttl);
+      first_holder =
+        (* The members a member-by-member probe reads: up to the
+           holder, or all of them. *)
+        (fun ~peers ~count ~key_index ~now ~ttl ->
+          let found = local.first_holder ~peers ~count ~key_index ~now ~ttl in
+          let last = match found with Some (pos, _) -> pos | None -> count - 1 in
+          for i = 0 to last do
+            log := Read peers.(i) :: !log
+          done;
+          found);
     }
   in
   let transport =

@@ -327,6 +327,162 @@ let test_node_serves_census () =
         (Format.asprintf "unexpected session transcript:@ %a"
            (Format.pp_print_list Wire.pp) replies)
 
+(* A Find reads without purging and names the first live member of its
+   list; a Purge drops the expired entries of its members.  A Find
+   counts as a get, a Purge as a probe. *)
+let test_node_serves_find_and_purge () =
+  let replies =
+    run_node_session
+      [ setup;
+        Wire.Insert { rid = 1; peer = 1; key = 2; value = 11; now = 0.0; ttl = 10.0 };
+        Wire.Insert { rid = 2; peer = 5; key = 2; value = 15; now = 0.0; ttl = 100.0 };
+        Wire.Find { rid = 3; key = 2; now = 20.0; peers = [| 3; 1; 5 |] };
+        Wire.Find { rid = 4; key = 2; now = 20.0; peers = [| 3; 1 |] };
+        (* Member 1's expired entry is still there for an earlier read. *)
+        Wire.Get { rid = 5; peer = 1; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
+        Wire.Purge { rid = 6; key = 2; now = 20.0; peers = [| 3; 1 |] };
+        Wire.Get { rid = 7; peer = 1; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
+        Wire.Get { rid = 8; peer = 5; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
+        Wire.Snapshot { rid = 9 };
+        Wire.Bye ]
+  in
+  match replies with
+  | [ Wire.Hello _; Wire.Ack { rid = 1; _ }; Wire.Ack { rid = 2; _ };
+      Wire.Found { rid = 3; pos = 2; value = 15 };
+      Wire.Found { rid = 4; pos = -1; _ };
+      Wire.Entry { rid = 5; ok = true; value = 11; _ };
+      Wire.Ack { rid = 6; ok = true; _ };
+      Wire.Entry { rid = 7; ok = false; _ };
+      Wire.Entry { rid = 8; ok = true; value = 15; expiry = 100.0 };
+      Wire.Counters { rid = 9; counters; _ } ] ->
+      Alcotest.(check (option int)) "Finds and Gets count as gets" (Some 5)
+        (List.assoc_opt "proc.gets" counters);
+      Alcotest.(check (option int)) "a Purge counts as a probe" (Some 1)
+        (List.assoc_opt "proc.probes" counters)
+  | replies ->
+      Alcotest.fail
+        (Format.asprintf "unexpected session transcript:@ %a"
+           (Format.pp_print_list Wire.pp) replies)
+
+(* The replica probe, two ways over the same stores: member by member
+   with [get_and_refresh] until one hits, as [Pdht]'s in-process stores
+   do it, and as [Cluster.first_holder]'s Find, Purge and refreshing
+   Get, answered by 1-3 in-test [Node] shards.  Each member holds the
+   probed key live, expired or not at all, beside other keys, in a
+   small store; the candidates are the members in a random order.  Both
+   must find the same holder and value, and leave every store the same:
+   each key's expiry, the slot order of its entries, the victim of the
+   next put, and its live count. *)
+let prop_first_holder_matches_sequential =
+  QCheck.Test.make ~name:"batched replica probe equals the member-by-member probe"
+    ~count:500 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module Storage = Pdht_dht.Storage in
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n in
+      let nodes = 1 + int 3 and members = 1 + int 10 and stor = 1 + int 4 in
+      let keys = 7 and probed = 0 and now = 10.0 and ttl = 30.0 in
+      (* Each member's puts at time 0: some of the keys other than the
+         probed one and the last, then the probed key live (expiring
+         after [now]), expired (at or before it) or absent, in random
+         order.  Expired is the likeliest, so live members often sit
+         behind expired ones. *)
+      let puts =
+        Array.init members (fun _ ->
+            let others =
+              List.filter_map
+                (fun k -> if int 2 = 0 then Some (k, float_of_int (1 + int 25)) else None)
+                [ 1; 2; 3; 4; 5 ]
+            in
+            let mine =
+              match int 4 with
+              | 0 -> [ (probed, now +. float_of_int (1 + int 20)) ]
+              | 1 -> []
+              | _ -> [ (probed, float_of_int (1 + int 10)) ]
+            in
+            List.map snd
+              (List.sort compare (List.map (fun p -> (int 1000, p)) (mine @ others))))
+      in
+      let reference = Array.init members (fun _ -> Storage.create ~capacity:stor ()) in
+      let shards =
+        Array.init nodes (fun node_id -> Node.shard ~node_id ~nodes ~members ~keys ~stor)
+      in
+      let node_store m = Node.store shards.(m mod nodes) ~peer:m in
+      Array.iteri
+        (fun m ps ->
+          List.iter
+            (fun (key, ttl) ->
+              let value = (100 * m) + key in
+              Storage.put reference.(m) ~key:(Pdht_util.Bitkey.of_int key) ~value ~now:0.0
+                ~ttl;
+              match
+                Node.answer shards.(m mod nodes)
+                  (Wire.Insert { rid = 0; peer = m; key; value; now = 0.0; ttl })
+              with
+              | Wire.Ack { ok = true; _ } -> ()
+              | reply -> Alcotest.failf "insert answered %a" Wire.pp reply)
+            ps)
+        puts;
+      let peers = Array.init members Fun.id in
+      for i = members - 1 downto 1 do
+        let j = int (i + 1) in
+        let x = peers.(i) in
+        peers.(i) <- peers.(j);
+        peers.(j) <- x
+      done;
+      let count = int (members + 1) in
+      let sequential =
+        let rec probe i =
+          if i = count then None
+          else
+            match
+              Storage.get_and_refresh reference.(peers.(i))
+                ~key:(Pdht_util.Bitkey.of_int probed) ~now ~ttl
+            with
+            | Some value -> Some (i, value)
+            | None -> probe (i + 1)
+        in
+        probe 0
+      in
+      let last = Array.make nodes Wire.Bye in
+      let expect k frame =
+        let reply = Node.answer shards.(k) frame in
+        (match (frame, reply) with
+        | Wire.Get _, Wire.Entry { ok = false; _ } -> Alcotest.fail "the refreshing Get missed"
+        | _ -> ());
+        last.(k) <- reply
+      in
+      let batched =
+        Pdht_proc.Cluster.first_holder ~nodes ~expect
+          ~await_all:(List.map (fun k -> last.(k)))
+          ~peers ~count ~key_index:probed ~now ~ttl
+      in
+      let view s =
+        let order = ref [] in
+        Storage.iter_live s ~now:neg_infinity (fun k ->
+            order := Pdht_util.Bitkey.to_int k :: !order);
+        ( List.init (keys + 1) (fun k -> Storage.expiry s ~key:(Pdht_util.Bitkey.of_int k)),
+          List.rev !order )
+      in
+      let same_stores () =
+        List.for_all (fun m -> view reference.(m) = view (node_store m)) (List.init members Fun.id)
+      in
+      let same_before = same_stores () in
+      (* The next put's victim: a fresh key into each store. *)
+      Array.iteri
+        (fun m s ->
+          let key = Pdht_util.Bitkey.of_int keys in
+          Storage.put s ~key ~value:m ~now ~ttl;
+          Storage.put (node_store m) ~key ~value:m ~now ~ttl)
+        reference;
+      let same_after_put = same_stores () in
+      let same_live =
+        List.for_all
+          (fun m -> Storage.live_count reference.(m) ~now = Storage.live_count (node_store m) ~now)
+          (List.init members Fun.id)
+      in
+      sequential = batched && same_before && same_after_put && same_live)
+
 let test_node_snapshot_counts_traffic () =
   let replies =
     run_node_session
@@ -362,6 +518,8 @@ let prop_node_answers_batch_in_order =
         map2 (fun m key -> `Insert (2 * m + 1, key)) (int_bound 2) (int_bound 3);
         map2 (fun m key -> `Get (2 * m + 1, key)) (int_bound 2) (int_bound 3);
         map (fun m -> `Probe (2 * m + 1)) (int_bound 2);
+        map2 (fun m key -> `Find (2 * m + 1, key)) (int_bound 2) (int_bound 3);
+        map2 (fun m key -> `Purge (2 * m + 1, key)) (int_bound 2) (int_bound 3);
       ]
   in
   QCheck.Test.make ~name:"node answers a batch in request order" ~count:50
@@ -377,7 +535,9 @@ let prop_node_answers_batch_in_order =
                 Wire.Insert { rid; peer; key; value = rid; now = 0.; ttl = 100. }
             | `Get (peer, key) ->
                 Wire.Get { rid; peer; key; refresh = true; now = 1.; ttl = 100. }
-            | `Probe peer -> Wire.Probe { rid; op = Wire.Live_count; peer; now = 1. })
+            | `Probe peer -> Wire.Probe { rid; op = Wire.Live_count; peer; now = 1. }
+            | `Find (peer, key) -> Wire.Find { rid; key; now = 1.; peers = [| peer; 1 |] }
+            | `Purge (peer, key) -> Wire.Purge { rid; key; now = 1.; peers = [| peer |] })
           requests
       in
       match run_node_session ((setup :: frames) @ [ Wire.Bye ]) with
@@ -386,10 +546,12 @@ let prop_node_answers_batch_in_order =
           && List.for_all2
                (fun frame reply ->
                  match (frame, reply) with
-                 | (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }),
-                   Wire.Ack a ->
+                 | ( ( Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }
+                     | Wire.Purge { rid; _ } ),
+                     Wire.Ack a ) ->
                      a.rid = rid
                  | Wire.Get { rid; _ }, Wire.Entry e -> e.rid = rid
+                 | Wire.Find { rid; _ }, Wire.Found f -> f.rid = rid
                  | _ -> false)
                frames replies
       | _ -> false)
@@ -443,6 +605,7 @@ let test_node_rejects_reply_frames () =
       Wire.Ack { rid = 1; ok = true; value = 0 };
       Wire.Entry { rid = 2; ok = true; value = 55; expiry = 50.0 };
       Wire.Keys { rid = 4; bits = "\x01" };
+      Wire.Found { rid = 5; pos = 0; value = 9 };
       Wire.Counters { rid = 3; node_id = 0; counters = [ ("proc.gets", 1) ] } ]
 
 let test_node_rejects_unowned_member () =
@@ -674,6 +837,8 @@ let () =
             test_node_rejects_retired_evictions;
           Alcotest.test_case "serves store ops" `Quick test_node_serves_store_ops;
           Alcotest.test_case "serves census" `Quick test_node_serves_census;
+          Alcotest.test_case "serves find and purge" `Quick test_node_serves_find_and_purge;
+          QCheck_alcotest.to_alcotest prop_first_holder_matches_sequential;
           Alcotest.test_case "snapshot counts traffic" `Quick
             test_node_snapshot_counts_traffic;
           Alcotest.test_case "rejects unowned member" `Quick

@@ -819,6 +819,50 @@ let test_create_alloc () =
   if per_key > 60. then
     Alcotest.failf "Pdht.create at the cold-keys shape allocated %.1f words a key" per_key
 
+(* The replica probe allocates nothing.  Under the index-everything
+   baseline an index miss is final, so once every member of a key's
+   replica group has crashed and rejoined empty, each query of the key
+   misses at the responsible member, probes every other member, and
+   ends there.  Such a query allocates the same words at repl 5 and 20
+   (nothing per member: a candidate buffer per probe or a boxed lease
+   per member fails it) and at most 44 words in all, the DHT lookup's
+   and the query's results (it measures 40; a closure per probe took
+   49). *)
+let test_replica_probe_alloc () =
+  let per_query repl =
+    let config =
+      Pdht_core.Config.make ~num_peers:400 ~active_members:100 ~keys:50 ~repl ~stor:20
+        ~strategy:Pdht_core.Strategy.Index_all ()
+    in
+    let rng = Rng.create ~seed:3 in
+    let p = Pdht_core.Pdht.create rng config in
+    let key_index = 7 in
+    let group =
+      Pdht_dht.Dht.replica_group (Pdht_core.Pdht.dht p) ~repl
+        (Pdht_core.Pdht.key_of_index p key_index)
+    in
+    Array.iter
+      (fun peer ->
+        ignore (Pdht_core.Pdht.crash_peer p ~peer);
+        ignore (Pdht_core.Pdht.recover_peer p rng ~peer))
+      group;
+    let query () = Pdht_core.Pdht.query p ~now:1. ~peer:0 ~key_index in
+    let r = query () in
+    if r.Pdht_core.Pdht.source <> Pdht_core.Pdht.Not_found
+       || r.Pdht_core.Pdht.replica_flood_messages = 0
+    then Alcotest.failf "repl %d: the query did not miss through the replica probe" repl;
+    let queries = 1_000 in
+    allocated_words (fun () ->
+        for _ = 1 to queries do
+          ignore (Sys.opaque_identity (query ()))
+        done)
+    /. float_of_int queries
+  in
+  let small = per_query 5 and large = per_query 20 in
+  if small <> large || large > 44. then
+    Alcotest.failf "a query missing through the replica probe allocated %.2f words at repl 5, \
+                    %.2f at repl 20" small large
+
 (* A built P-Grid retains its flat rows and little else.  At the DHT
    shapes [Pdht.create] builds for the benchmark (453 and 1,000 members
    with leaf 20, 6,000 with leaf 200, 3 references a level) it keeps
@@ -1124,6 +1168,7 @@ let () =
           Alcotest.test_case "placement row" `Quick test_placement_alloc;
           Alcotest.test_case "key ids" `Quick test_key_id_alloc;
           Alcotest.test_case "create at cold-keys" `Quick test_create_alloc;
+          Alcotest.test_case "replica probe" `Quick test_replica_probe_alloc;
           Alcotest.test_case "pgrid build" `Quick test_pgrid_build_retained;
         ] );
     ]

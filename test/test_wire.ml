@@ -8,7 +8,7 @@ let msg = Alcotest.testable Wire.pp Wire.equal
 
 let decode_ok bytes =
   match Wire.decode bytes ~pos:0 ~len:(Bytes.length bytes) with
-  | Ok (m, consumed) -> (m, consumed)
+  | Ok m -> (m, Wire.frame_length bytes ~pos:0)
   | Error e -> Alcotest.failf "decode failed: %s" (Wire.error_to_string e)
 
 let roundtrip m =
@@ -54,22 +54,31 @@ let sample_msgs : Wire.msg list =
     Keys { rid = 19; bits = "\x00\xff\x05" };
     (* Longer than any string field may be: a 20,000-key census. *)
     Keys { rid = 20; bits = String.init 2_500 (fun i -> Char.chr (i * 37 land 0xff)) };
+    Find { rid = 21; key = 299; now = 120.5; peers = [| 3; 11; 19; 451 |] };
+    Find { rid = 22; key = 0; now = nan; peers = [||] };
+    Found { rid = 23; pos = 2; value = 188 };
+    Found { rid = 24; pos = -1; value = 0 };
+    Purge { rid = 25; key = 7; now = 0.; peers = [| max_int; 0; -1 |] };
+    Purge { rid = 26; key = 8; now = infinity; peers = [||] };
   ]
 
 let test_samples_roundtrip () = List.iter roundtrip sample_msgs
 
-(* The samples exercise every kind code the decoder accepts (1..14);
+(* The samples exercise every kind code the decoder accepts (1..17);
    byte 5 of a frame is its kind. *)
 let test_samples_cover_kinds () =
   let kinds =
     List.sort_uniq compare
       (List.map (fun m -> Char.code (Bytes.get (Wire.encode_bytes m) 5)) sample_msgs)
   in
-  Alcotest.(check (list int)) "kind codes" (List.init 14 (fun i -> i + 1)) kinds
+  Alcotest.(check (list int)) "kind codes" (List.init 17 (fun i -> i + 1)) kinds
 
 (* Version 3's frames are fixed bytes, whatever the encoder's internals:
    every sample encodes to its recorded MD5 (in sample order), and one
-   Lookup is spelled out, its length prefix included. *)
+   Lookup is spelled out, its length prefix included.  The digests of
+   the first fourteen kinds were recorded before the decoder read whole
+   fields at once; the Find, Found and Purge ones were appended when
+   those kinds came in. *)
 let known_digests =
   [ "c67cf7d8685bd89933e5e9117e50b71a"; "80060dccbdf58997f72855b1f0724aea";
     "a9e712160f976581263c382a4f43e35f"; "478d0922ab1f6c08183e00a7b4893572";
@@ -82,7 +91,10 @@ let known_digests =
     "cd1ad8a46f0e8046132a13ff414e7aa0"; "28dbb2598aa0aee79c5bc7a79cb4314f";
     "e6ec43c8927b7e89da921fd5f28be7fa"; "1d73c047ccfc83f8e7ac50c5b75e5a2e";
     "62d6be68fc3323183c0dcc1fb0743185"; "faddf16f0ff1a8950eedf71eea9e51fd";
-    "0feffaee3f950d3e1741671c721daf38"; "5cae88f14325b43b9ba80b9684b71008" ]
+    "0feffaee3f950d3e1741671c721daf38"; "5cae88f14325b43b9ba80b9684b71008";
+    "abfbda8e256007e74ebb6c4c305d8fa5"; "7d65b689e59622ffaefbcf17ce5a87ac";
+    "e8ea457876279830cacfcfa784bb473c"; "c332ea01513bfe17bcf384fbfbc8149f";
+    "ab4e188f84ff05f2daa68370cf1a9fec"; "2bca29a0394a2ac2165c8c64ace63a2d" ]
 
 let test_known_bytes () =
   Alcotest.(check (list string))
@@ -106,9 +118,9 @@ let test_stream_of_frames () =
   List.iter
     (fun expect ->
       match Wire.decode bytes ~pos:!pos ~len:(Bytes.length bytes - !pos) with
-      | Ok (m, consumed) ->
+      | Ok m ->
           Alcotest.check msg "stream frame" expect m;
-          pos := !pos + consumed
+          pos := !pos + Wire.frame_length bytes ~pos:!pos
       | Error e -> Alcotest.failf "stream decode failed: %s" (Wire.error_to_string e))
     sample_msgs;
   Alcotest.(check int) "stream fully consumed" (Bytes.length bytes) !pos
@@ -119,19 +131,25 @@ let test_stream_of_frames () =
    distinguishes "wait for more bytes" from "drop the connection". *)
 
 let test_truncation_every_prefix () =
-  let bytes = Wire.encode_bytes (Wire.Lookup { rid = 1; span = 2; src = 3; dst = 4; key = 5 }) in
-  let total = Bytes.length bytes in
-  for len = 0 to total - 1 do
-    match Wire.decode bytes ~pos:0 ~len with
-    | Error (Wire.Truncated { need; have }) ->
-        Alcotest.(check int) "have = len" len have;
-        let expected_need = if len < 4 then 4 else total in
-        Alcotest.(check int) "need" expected_need need
-    | Ok _ -> Alcotest.failf "truncated frame (len=%d) decoded" len
-    | Error e ->
-        Alcotest.failf "truncated frame (len=%d) misreported: %s" len
-          (Wire.error_to_string e)
-  done
+  List.iter
+    (fun m ->
+      let bytes = Wire.encode_bytes m in
+      let total = Bytes.length bytes in
+      for len = 0 to total - 1 do
+        match Wire.decode bytes ~pos:0 ~len with
+        | Error (Wire.Truncated { need; have }) ->
+            Alcotest.(check int) "have = len" len have;
+            let expected_need = if len < 4 then 4 else total in
+            Alcotest.(check int) "need" expected_need need
+        | Ok _ -> Alcotest.failf "truncated frame (len=%d) decoded" len
+        | Error e ->
+            Alcotest.failf "truncated frame (len=%d) misreported: %s" len
+              (Wire.error_to_string e)
+      done)
+    [ Wire.Lookup { rid = 1; span = 2; src = 3; dst = 4; key = 5 };
+      Wire.Find { rid = 6; key = 7; now = 8.; peers = [| 9; 10; 11 |] };
+      Wire.Found { rid = 12; pos = 1; value = 13 };
+      Wire.Purge { rid = 14; key = 15; now = 16.; peers = [| 17; 18 |] } ]
 
 let test_bad_version () =
   let bytes = Wire.encode_bytes Wire.Bye in
@@ -200,6 +218,17 @@ let test_malformed_bodies () =
   (* Keys (kind 14) whose bitmap count claims more bytes than follow. *)
   (let payload = head 14 ^ String.make 8 '\x00' ^ "\x00\x00\x00\x09" ^ "\xff" in
    malformed "bitmap count past the body" (frame_of_payload payload));
+  (* Find (kind 15) and Purge (kind 17) whose peer count is over the
+     list limit, or claims more peers than the body holds: either fails
+     before a peer array is allocated. *)
+  List.iter
+    (fun kind ->
+      let fixed = String.make 24 '\x00' in
+      malformed "peer count over the limit"
+        (frame_of_payload (head kind ^ fixed ^ "\x00\x01\x00\x01" ^ String.make 8 '\x00'));
+      malformed "peer count past the body"
+        (frame_of_payload (head kind ^ fixed ^ "\x00\x00\x00\x03" ^ String.make 16 '\x00')))
+    [ 15; 17 ];
   (* Out-of-range pos/len must be a structured error, not a crash. *)
   malformed "negative len" (Bytes.create 0 |> fun b ->
     match Wire.decode b ~pos:0 ~len:(-1) with
@@ -252,6 +281,15 @@ let gen_msg : Wire.msg QCheck.Gen.t =
         (list_size (int_bound 12) (pair name id));
       return Wire.Bye;
       map2 (fun rid now -> Wire.Census { rid; now }) id fl;
+      map3
+        (fun (rid, key) now peers -> Wire.Find { rid; key; now; peers })
+        (pair id id) fl
+        (array_size (int_bound 24) id);
+      map3 (fun rid pos value -> Wire.Found { rid; pos; value }) id id id;
+      map3
+        (fun (rid, key) now peers -> Wire.Purge { rid; key; now; peers })
+        (pair id id) fl
+        (array_size (int_bound 24) id);
       map2
         (fun rid bits -> Wire.Keys { rid; bits })
         id
@@ -266,7 +304,7 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"wire round-trip all kinds" ~count:2000 arb_msg (fun m ->
       let bytes = Wire.encode_bytes m in
       match Wire.decode bytes ~pos:0 ~len:(Bytes.length bytes) with
-      | Ok (m', consumed) -> Wire.equal m m' && consumed = Bytes.length bytes
+      | Ok m' -> Wire.equal m m' && Wire.frame_length bytes ~pos:0 = Bytes.length bytes
       | Error _ -> false)
 
 let prop_garbage_total =

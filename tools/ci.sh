@@ -287,10 +287,13 @@ grep -q '"name":"proc.frames_in"' "$clu/obs/merged.jsonl"
 grep -q '"node_id":0' "$clu/obs/node-0.jsonl"
 # The index size is one Census frame per worker per sample (3 samples x
 # 8 workers, counted as probes), not a Get per replica: pin the store
-# traffic so a per-key scan cannot creep back in.  The conductor posts
-# hops, inserts and casts without waiting; pinning the hop, cast and
-# frame counts too means no frame can be dropped, duplicated or resent
-# unseen.
+# traffic so a per-key scan cannot creep back in.  A replica probe is
+# one Find per worker owning candidates (counted as gets) and a Purge
+# per worker with candidates before the holder (counted as probes, 1153
+# of them here), not a Get per member.  The conductor posts hops,
+# inserts, casts, purges and the probe's refreshing Get without
+# waiting; pinning the hop, cast and frame counts too means no frame
+# can be dropped, duplicated or resent unseen.
 proc_counter() {
   grep -o "\"name\":\"$1\",\"value\":[0-9]*" "$clu/obs/merged.jsonl" | awk -F: '{print $NF}'
 }
@@ -298,13 +301,13 @@ for c in gets probes puts hops casts frames_in frames_out; do
   printf 'proc.%s=%s ' "$c" "$(proc_counter "proc.$c")"
 done
 echo
-test "$(proc_counter proc.gets)" -eq 2942
-test "$(proc_counter proc.probes)" -eq 24
+test "$(proc_counter proc.gets)" -eq 1958
+test "$(proc_counter proc.probes)" -eq 1177
 test "$(proc_counter proc.puts)" -eq 2292
 test "$(proc_counter proc.hops)" -eq 1582
 test "$(proc_counter proc.casts)" -eq 8832
-test "$(proc_counter proc.frames_in)" -eq 15688
-test "$(proc_counter proc.frames_out)" -eq 6848
+test "$(proc_counter proc.frames_in)" -eq 15857
+test "$(proc_counter proc.frames_out)" -eq 7017
 # cluster declares its workload flags through the same term as
 # simulate, so a cost-policy cluster run prints the cost golden too.
 dune exec bin/pdht_cli.exe -- cluster --nodes 2 --peers 200 --keys 300 \
