@@ -207,21 +207,30 @@ let section_sim_adaptivity () =
 let section_ablation () =
   heading "E8a - unstructured search mechanism (cSUnstr substrate)"
     "(paper assumes multiple random walks [LvCa02] because flooding is wasteful)";
-  print_table
-    [ ( "mechanism", Table.Left,
-        fun (r : Experiment.search_ablation_row) -> r.Experiment.mechanism );
-      ( "mean msgs/search", Table.Right,
-        fun r -> Printf.sprintf "%.1f" r.Experiment.mean_messages );
-      ( "success rate", Table.Right,
-        fun r -> Printf.sprintf "%.3f" r.Experiment.success_rate );
-      ( "empirical dup", Table.Right,
-        fun r ->
-          if Float.is_nan r.Experiment.empirical_dup then "-"
-          else Printf.sprintf "%.2f" r.Experiment.empirical_dup ) ]
-    (Experiment.search_ablation ~jobs:!jobs ~seed:7 ~peers:1_000 ~repl:50 ~trials:200 ());
+  let rows =
+    Experiment.search_ablation ~jobs:!jobs ~seed:7 ~peers:1_000 ~repl:50 ~trials:200 ()
+  in
+  let table graph =
+    print_table
+      [ ( "mechanism", Table.Left,
+          fun (r : Experiment.search_ablation_row) -> r.Experiment.mechanism );
+        ( "mean msgs/search", Table.Right,
+          fun r -> Printf.sprintf "%.1f" r.Experiment.mean_messages );
+        ( "success rate", Table.Right,
+          fun r -> Printf.sprintf "%.3f" r.Experiment.success_rate );
+        ( "empirical dup", Table.Right,
+          fun r ->
+            if Float.is_nan r.Experiment.empirical_dup then "-"
+            else Printf.sprintf "%.2f" r.Experiment.empirical_dup ) ]
+      (List.filter (fun (r : Experiment.search_ablation_row) -> r.Experiment.graph = graph) rows)
+  in
+  table "random";
   Printf.printf "(model Eq. 6 for these parameters: %.0f msgs)\n"
     (Pdht_model.Cost.search_unstructured
        { Pdht_model.Params.default with num_peers = 1_000; repl = 50; dup = 1.8 });
+  print_endline
+    "power-law graph (Barabasi-Albert, 4 links per arriving peer), same placement:";
+  table "power-law";
   heading "E8b - structured substrates: Chord / P-Grid / Kademlia / Pastry lookups"
     "(all four track Eq. 7 = 1/2 log2 n up to their branching factors;\n\
      Kademlia spends more messages per hop on its alpha=3 parallel probes,\n\

@@ -38,7 +38,7 @@ let () =
   let rng = Pdht_util.Rng.create ~seed:7 in
   let pdht = Pdht.create rng config in
   Printf.printf "PDHT with %d peers (%d DHT members), %d keys, keyTtl = %.0f s\n\n"
-    500 (Pdht.active_members pdht) 1_000 key_ttl;
+    500 config.Config.active_members 1_000 key_ttl;
 
   Printf.printf "-- phase 1: cold key --\n";
   describe "t=0    query key 42" (Pdht.query pdht ~now:0. ~peer:3 ~key_index:42);

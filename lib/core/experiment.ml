@@ -120,6 +120,7 @@ let adaptivity ?jobs ?(options = System.default_options) ~scenario () =
     series = samples }
 
 type search_ablation_row = {
+  graph : string;
   mechanism : string;
   mean_messages : float;
   success_rate : float;
@@ -131,14 +132,18 @@ let search_ablation ?jobs ~seed ~peers ~repl ~trials () =
   (* Shared, read-only fixture: topology and placement come from the
      base seed so every mechanism searches the same network. *)
   let rng = Pdht_util.Rng.create ~seed in
-  let topology = Pdht_overlay.Topology.random_regularish rng ~peers ~degree:4 in
+  let random = Pdht_overlay.Topology.random_regularish rng ~peers ~degree:4 in
   let replication = Pdht_overlay.Replication.create ~peers in
   let items = 100 in
   for item = 0 to items - 1 do
     Pdht_overlay.Replication.place replication rng ~item ~repl
   done;
+  (* The second fixture: a power-law overlay over the same placement,
+     grown by preferential attachment with 4 links per arriving peer,
+     about the random graph's mean degree of 8. *)
+  let power_law = Pdht_overlay.Topology.barabasi_albert rng ~peers ~attach:4 in
   let online _ = true in
-  let run_mechanism task_id mechanism =
+  let run_mechanism task_id (graph, topology, mechanism) =
     (* Each mechanism draws its trials from its own derived stream, so
        the tasks are order- and domain-independent. *)
     let rng = Pdht_util.Rng.of_stream ~seed ~stream:task_id in
@@ -176,6 +181,7 @@ let search_ablation ?jobs ~seed ~peers ~repl ~trials () =
           if r.Pdht_overlay.Random_walk.found_at <> None then incr successes
     done;
     {
+      graph;
       mechanism;
       mean_messages = float_of_int !messages /. float_of_int trials;
       success_rate = float_of_int !successes /. float_of_int trials;
@@ -184,7 +190,13 @@ let search_ablation ?jobs ~seed ~peers ~repl ~trials () =
          else float_of_int !messages /. float_of_int !reached);
     }
   in
-  Pool.map_list ?jobs ~f:run_mechanism [ "flooding"; "expanding-ring"; "random-walks" ]
+  Pool.map_list ?jobs ~f:run_mechanism
+    (List.concat_map
+       (fun (graph, topology) ->
+         List.map
+           (fun mechanism -> (graph, topology, mechanism))
+           [ "flooding"; "expanding-ring"; "random-walks" ])
+       [ ("random", random); ("power-law", power_law) ])
 
 type backend_ablation_row = {
   backend : string;

@@ -58,6 +58,7 @@ val adaptivity :
 
 (** E8a: unstructured-search mechanism ablation. *)
 type search_ablation_row = {
+  graph : string;  (** ["random"] or ["power-law"] *)
   mechanism : string;
   mean_messages : float;
   success_rate : float;
@@ -67,8 +68,11 @@ type search_ablation_row = {
 val search_ablation :
   ?jobs:int ->
   seed:int -> peers:int -> repl:int -> trials:int -> unit -> search_ablation_row list
-(** Flooding vs expanding-ring vs k-random-walks on the same topology
-    and replica placement ([LvCa02]'s three mechanisms).
+(** Flooding vs expanding-ring vs k-random-walks ([LvCa02]'s three
+    mechanisms) over one replica placement, first on a random graph
+    ({!Pdht_overlay.Topology.random_regularish}, degree 4), then on a
+    power-law graph ({!Pdht_overlay.Topology.barabasi_albert}, 4 links
+    per arriving peer): six rows, random-graph rows first.
     [empirical_dup] is NaN for expanding ring, whose repeated inner-ring
     coverage makes a per-peer duplication factor meaningless. *)
 

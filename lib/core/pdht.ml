@@ -126,11 +126,8 @@ let key_of_index t i =
   if i < 0 || i >= t.config.Config.keys then invalid_arg "Pdht.key_of_index: out of range";
   t.bitkeys.(i)
 
-let config t = t.config
 let metrics t = t.metrics
-let obs t = t.obs
 let set_online t f = t.online <- f
-let active_members t = t.config.Config.active_members
 let key_ttl t = t.key_ttl
 
 let set_key_ttl t ttl =
@@ -161,7 +158,6 @@ let content_replicas t ~key_index =
 
 let dht t = t.dht
 let topology t = t.topology
-let online_fn t p = t.online p
 
 let initial_ttl config =
   match config.Config.strategy with

@@ -84,9 +84,6 @@ module Census : sig
       least one of them at [now].  The stores must be keyed by
       [Bitkey.of_int key_index] with every key index below [keys], as
       the in-process stores and every worker's shard are. *)
-
-  val count : Bytes.t -> int
-  (** Set bits of a bitmap. *)
 end
 
 (** A real transport: the multi-process driver's whole seam.  [store]
@@ -149,11 +146,7 @@ val create :
     the simulated network model and a real transport are two
     implementations of the same delivery seam. *)
 
-val config : t -> Config.t
 val metrics : t -> Pdht_sim.Metrics.t
-
-(** The observability context telemetry is recorded into. *)
-val obs : t -> Pdht_obs.Context.t
 val key_of_index : t -> int -> Pdht_util.Bitkey.t
 (** The DHT key for workload key [i] (0-based, [< keys]). *)
 
@@ -248,10 +241,9 @@ val store_live_count : t -> now:float -> peer:int -> int
 
 val index_hit_probe : t -> now:float -> key_index:int -> bool
 (** Would an index search for this key succeed right now?  (Read-only:
-    no TTL refresh, no message charges.)  Used by experiments to measure
-    the empirical Eq. 14 without perturbing the system. *)
+    no TTL refresh, no message charges, so it does not perturb the
+    system it observes.) *)
 
-val active_members : t -> int
 val content_replicas : t -> key_index:int -> int array
 
 val topology : t -> Pdht_overlay.Topology.t
@@ -261,6 +253,3 @@ val dht : t -> Pdht_dht.Dht.t
 (** The underlying structured overlay — exposed for routing-table
     maintenance wiring and ablation experiments. *)
 
-val online_fn : t -> int -> bool
-(** The current liveness predicate (identity of {!set_online}'s last
-    argument). *)

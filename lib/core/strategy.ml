@@ -5,16 +5,7 @@ type t =
 
 let is_partial = function Partial_index _ -> true | Index_all | No_index -> false
 
-let key_ttl = function
-  | Partial_index { key_ttl } -> Some key_ttl
-  | Index_all | No_index -> None
-
 let label = function
   | Index_all -> "indexAll"
   | No_index -> "noIndex"
   | Partial_index _ -> "partial"
-
-let pp ppf t =
-  match t with
-  | Partial_index { key_ttl } -> Format.fprintf ppf "partial(keyTtl=%g)" key_ttl
-  | Index_all | No_index -> Format.pp_print_string ppf (label t)

@@ -14,6 +14,4 @@ type t =
           expire after [key_ttl] seconds without a query *)
 
 val is_partial : t -> bool
-val key_ttl : t -> float option
 val label : t -> string
-val pp : Format.formatter -> t -> unit

@@ -196,8 +196,6 @@ let finger_targets t m =
   |> List.filteri (fun j f -> fresh f j 0)
   |> Array.of_list
 
-let finger_count t m = Array.length (finger_targets t m)
-
 (* Point finger [j] of [peer] at the first online member at or after its
    ideal target; false (and no change) if every member is offline. *)
 let refinger t ~online peer j =

@@ -82,9 +82,6 @@ val lookup :
 
 (** Finger-table maintenance (probing per [MaCa03]). *)
 
-val finger_count : t -> int -> int
-(** Distinct finger entries of a member. *)
-
 val finger_targets : t -> int -> int array
 (** Current finger entries (member indices) of a member, each once, in
     finger order. *)

@@ -17,13 +17,6 @@ let create rng ~backend ~members ?(leaf_size = 1) ?(refs_per_level = 3) () =
   | Pastry_backend ->
       { impl = Pastry (Pastry.create rng ~members ~leaf_set_size:(max 4 refs_per_level) ()) }
 
-let backend t =
-  match t.impl with
-  | Chord _ -> Chord_backend
-  | Pgrid _ -> Pgrid_backend
-  | Kademlia _ -> Kademlia_backend
-  | Pastry _ -> Pastry_backend
-
 let backend_label = function
   | Chord_backend -> "chord"
   | Pgrid_backend -> "p-grid"
@@ -90,14 +83,6 @@ let rebuild_routes t rng ~online ~peer =
   | Pgrid g -> Pgrid.rebuild_routes g rng ~peer
   | Kademlia k -> Kademlia.rebuild_routes k rng ~peer
   | Pastry p -> Pastry.rebuild_routes p rng ~peer
-
-let routing_table_size t p =
-  match t.impl with
-  | Chord c -> Chord.finger_count c p
-  | Pgrid g -> Pgrid.routing_table_size g p
-  | Kademlia k -> Kademlia.routing_table_size k p
-  | Pastry pa -> Pastry.routing_table_size pa p
-
 
 let enable_live_routing ?probe_retries t =
   match t.impl with

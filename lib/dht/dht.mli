@@ -25,7 +25,6 @@ val create :
     size and Pastry's leaf-set half-width (floored at 4 for the
     latter two, which need redundancy to terminate routing). *)
 
-val backend : t -> backend
 val members : t -> int
 
 type outcome = { responsible : int option; messages : int; hops : int }
@@ -71,8 +70,6 @@ val rebuild_routes : t -> Pdht_util.Rng.t -> online:(int -> bool) -> peer:int ->
     protocol would, returning the message cost.  [rng] drives the
     re-sampling backends (P-Grid / Kademlia / Pastry); Chord rebuilds
     deterministically against [online]. *)
-
-val routing_table_size : t -> int -> int
 
 (** {2 Live routing tables}
 

@@ -350,8 +350,6 @@ let create rng ~members:n ?(bucket_size = 8) ?(alpha = 3) () =
   done;
   t
 
-let live_routing t = t.live <> None
-
 (* Switch the tables to live maintenance: the current entries become the
    initial LRS..MRS order, and each bucket gets an empty replacement
    cache of [bucket_size] slots.  No RNG is consumed: enabling live

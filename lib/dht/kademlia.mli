@@ -105,8 +105,6 @@ val enable_live_routing : ?probe_retries:int -> t -> unit
     liveness probe that times out: [1 + probe_retries] attempts.
     Idempotent; cannot be undone. *)
 
-val live_routing : t -> bool
-
 val refresh_sweep : t -> Pdht_util.Rng.t -> online:(int -> bool) -> int
 (** One bucket-refresh pass over every online member: each non-empty id
     range that saw no contact since the previous sweep gets a refresh

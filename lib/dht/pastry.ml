@@ -15,8 +15,6 @@ let digit_bits = 2
 let digit_count = Bitkey.width / digit_bits
 
 let members t = Array.length t.ids
-let id_of t m = t.ids.(m)
-
 (* Circular distance on the 62-bit id space (2^62 = max_int + 1). *)
 let circular_distance a b =
   let d = abs (Bitkey.to_int a - Bitkey.to_int b) in
@@ -268,15 +266,6 @@ let lookup ?span ?deliver t ~online ~source ~key =
         done;
         if !current = target then { responsible = Some target; messages = !messages; hops = !hops }
         else { responsible = None; messages = !messages; hops = !hops }
-
-let routing_table_size t m =
-  let table =
-    Array.fold_left
-      (fun acc row ->
-        acc + Array.fold_left (fun a e -> match e with Some _ -> a + 1 | None -> a) 0 row)
-      0 t.routing.(m)
-  in
-  table + Array.length (leaf_set t m)
 
 (* Crash-stop state loss: blank every routing-table entry of [peer].
    The leaf set is derived from the static sorted ring, so routing from

@@ -21,8 +21,6 @@ val create : Pdht_util.Rng.t -> members:int -> ?leaf_set_size:int -> unit -> t
     leaf-set half-width.  Requires [members >= 1]. *)
 
 val members : t -> int
-val id_of : t -> int -> Pdht_util.Bitkey.t
-
 val numerically_closest : t -> Pdht_util.Bitkey.t -> int
 (** Owner of a key ignoring churn: the member whose id minimises
     |id - key| on the circular id space. *)
@@ -56,8 +54,6 @@ val lookup :
     a numerically-closer known member), as in deployed Pastry.
     [deliver] is one RPC per successful forward; a [false] verdict
     stalls the routing ([responsible = None]). *)
-
-val routing_table_size : t -> int -> int
 
 val probe_and_repair :
   t -> Pdht_util.Rng.t -> online:(int -> bool) -> peer:int -> probes:int -> int

@@ -56,7 +56,6 @@ let create ~capacity () =
     finger = -1;
   }
 
-let capacity t = t.capacity
 
 (* Fibonacci hashing: the multiply spreads key entropy into the high
    bits, the xor-shift folds them back down before masking. *)

@@ -30,8 +30,6 @@ type 'v t
 val create : capacity:int -> unit -> 'v t
 (** Requires [capacity >= 1]. *)
 
-val capacity : 'v t -> int
-
 val put : 'v t -> key:Pdht_util.Bitkey.t -> value:'v -> now:float -> ttl:float -> unit
 (** Insert or overwrite; expiry becomes [now +. ttl].  On a full store,
     expired entries are purged; if it is still full, the live entry with

@@ -1,8 +1,4 @@
-type t = {
-  probs : float array;
-  cumulative : float array;
-  sampler : Pdht_util.Sampling.Alias.t;
-}
+type t = { probs : float array; sampler : Pdht_util.Sampling.Alias.t }
 
 let of_weights weights =
   let n = Array.length weights in
@@ -10,11 +6,7 @@ let of_weights weights =
   let total = Array.fold_left ( +. ) 0. weights in
   if not (total > 0.) then invalid_arg "Discrete.of_weights: zero mass";
   let probs = Array.map (fun w -> w /. total) weights in
-  let cumulative = Array.make (n + 1) 0. in
-  for r = 1 to n do
-    cumulative.(r) <- cumulative.(r - 1) +. probs.(r - 1)
-  done;
-  { probs; cumulative; sampler = Pdht_util.Sampling.Alias.create weights }
+  { probs; sampler = Pdht_util.Sampling.Alias.create weights }
 
 let uniform ~n = of_weights (Array.make n 1.)
 
@@ -34,13 +26,4 @@ let prob t rank =
   if rank < 1 || rank > n t then invalid_arg "Discrete.prob: rank out of range";
   t.probs.(rank - 1)
 
-let cumulative t rank =
-  if rank < 0 || rank > n t then invalid_arg "Discrete.cumulative: rank out of range";
-  t.cumulative.(rank)
-
 let sample t rng = 1 + Pdht_util.Sampling.Alias.draw t.sampler rng
-
-let entropy_bits t =
-  Array.fold_left
-    (fun acc p -> if p <= 0. then acc else acc -. (p *. (Float.log p /. Float.log 2.)))
-    0. t.probs

@@ -19,9 +19,4 @@ val hot_cold : n:int -> hot:int -> hot_mass:float -> t
 
 val n : t -> int
 val prob : t -> int -> float
-val cumulative : t -> int -> float
 val sample : t -> Pdht_util.Rng.t -> int
-
-val entropy_bits : t -> float
-(** Shannon entropy in bits — used to characterise workloads in
-    experiment output. *)

@@ -106,8 +106,6 @@ let validate spec =
               spec.initially_online_fraction
           else Ok spec)
 
-let availability spec = spec.mean_uptime /. (spec.mean_uptime +. spec.mean_downtime)
-
 (* The grammar is ':'-separated on purpose: session specs must embed in
    a {!Pdht_fault.Plan} clause ([churn:SPEC@T+D]), whose event list
    splits on ',' — a comma anywhere here would truncate the plan. *)

@@ -49,9 +49,6 @@ val validate : spec -> (spec, string) result
 (** Means finite and positive, fraction in [0,1], sigma/shape in their
     distributions' valid ranges (Pareto shape > 1). *)
 
-val availability : spec -> float
-(** Stationary expected fraction online: [up / (up + down)]. *)
-
 val of_string : string -> (spec, string) result
 (** Parse the grammar above; the result is validated. *)
 

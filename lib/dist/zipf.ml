@@ -1,9 +1,7 @@
 type t = {
   n : int;
-  alpha : float;
   probs : float array; (* probs.(r-1) = prob of rank r *)
   cumulative : float array; (* cumulative.(r) = sum of the top r ranks *)
-  sampler : Pdht_util.Sampling.Alias.t;
 }
 
 let create ~n ~alpha =
@@ -17,21 +15,17 @@ let create ~n ~alpha =
     (* Clamp: float summation can land a hair above 1. *)
     cumulative.(r) <- Float.min 1. (cumulative.(r - 1) +. probs.(r - 1))
   done;
-  { n; alpha; probs; cumulative; sampler = Pdht_util.Sampling.Alias.create weights }
+  { n; probs; cumulative }
 
 let n t = t.n
-let alpha t = t.alpha
 
 let prob t rank =
   if rank < 1 || rank > t.n then invalid_arg "Zipf.prob: rank out of range";
   t.probs.(rank - 1)
 
-let cumulative t rank =
-  if rank < 0 || rank > t.n then invalid_arg "Zipf.cumulative: rank out of range";
+let mass_of_top t rank =
+  if rank < 0 || rank > t.n then invalid_arg "Zipf.mass_of_top: rank out of range";
   t.cumulative.(rank)
-
-let mass_of_top = cumulative
-let sample t rng = 1 + Pdht_util.Sampling.Alias.draw t.sampler rng
 
 let expected_hit_prob_at_least_once t ~rank ~trials =
   if trials < 0. then invalid_arg "Zipf.expected_hit_prob_at_least_once: negative trials";

@@ -16,24 +16,17 @@ val create : n:int -> alpha:float -> t
     [alpha >= 0.] ([alpha = 0.] is the uniform distribution). *)
 
 val n : t -> int
-val alpha : t -> float
 
 val prob : t -> int -> float
 (** [prob t rank] for [rank] in [1..n] — paper Eq. 3.
     @raise Invalid_argument outside that range. *)
 
-val cumulative : t -> int -> float
-(** [cumulative t rank] is {m sum_{x=1}^{rank} prob(x)}; [cumulative t 0
-    = 0.] and [cumulative t n = 1.] (up to rounding).  O(1): prefix sums
-    are precomputed. *)
-
 val mass_of_top : t -> int -> float
-(** Alias for [cumulative]: probability that a query hits one of the
-    [rank] most popular keys — the numerator of paper Eq. 5. *)
-
-val sample : t -> Pdht_util.Rng.t -> int
-(** Draw a rank in [1..n] with Zipf probabilities.  O(1) after the O(n)
-    construction. *)
+(** [mass_of_top t rank] is {m sum_{x=1}^{rank} prob(x)}: the
+    probability that a query hits one of the [rank] most popular keys —
+    the numerator of paper Eq. 5.  [mass_of_top t 0 = 0.] and
+    [mass_of_top t n = 1.] (up to rounding).  O(1): prefix sums are
+    precomputed.  (Workloads draw ranks through {!Discrete.zipf}.) *)
 
 val expected_hit_prob_at_least_once : t -> rank:int -> trials:float -> float
 (** Paper Eq. 4: probability that the key at [rank] is queried at least

@@ -98,6 +98,3 @@ let flood t ~online ~from_peer =
         done;
         { reached = !reached; messages = !messages }
       end
-
-let duplication_factor r =
-  if r.reached = 0 then 0. else float_of_int r.messages /. float_of_int r.reached

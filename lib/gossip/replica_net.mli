@@ -36,6 +36,3 @@ val flood :
 (** Flood the subnetwork starting from the replica with global index
     [from_peer] (no-op result if it is offline or not a member).  Used
     both for update dissemination and for query forwarding. *)
-
-val duplication_factor : flood_result -> float
-(** Empirical [dup2]: messages per online replica reached. *)

@@ -21,8 +21,5 @@ type point = {
 val point : Params.t -> point
 (** Evaluate every strategy at the parameter set's own [f_qry]. *)
 
-val run : Params.t -> frequencies:float list -> point list
-(** One {!point} per frequency, everything else held at [Params.t]. *)
-
 val default_run : Params.t -> point list
 (** {!run} over the paper's eight frequencies. *)

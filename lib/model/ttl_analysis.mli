@@ -25,6 +25,4 @@ val default_scales : float list
 (** [0.5; 0.75; 1.0; 1.5; 2.0] — the paper's +-50% window plus margin. *)
 
 val best_ttl : Params.t -> candidates:float list -> float
-(** The candidate TTL (in seconds) minimising Eq. 17 — used by the
-    self-tuning extension in [Pdht_core.Adaptive] as a reference
-    point. *)
+(** The candidate TTL (in seconds) minimising Eq. 17. *)

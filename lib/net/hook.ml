@@ -58,8 +58,9 @@ let trace t ?(parent = -1) ~src ~dst ~attempt ~dropped ~detail () =
          ~detail ~span ~parent Event.Net)
   end
 
-(* The send-time fate of one message: [Link_model.drops], asking for
-   the virtual time only when a partition window exists. *)
+(* The send-time fate of one message: an active partition or the loss
+   coin, asking for the virtual time only when a partition window
+   exists. *)
 let drops t ~src ~dst =
   (t.partitions && Link_model.partitioned t.link ~src ~dst ~now:(now t))
   || Link_model.lost t.link t.rng

@@ -77,5 +77,3 @@ let partitioned t ~src ~dst ~now =
   n > 0 && check 0
 
 let lost t rng = t.loss > 0. && Rng.bernoulli rng ~p:t.loss
-
-let drops t rng ~src ~dst ~now = partitioned t ~src ~dst ~now || lost t rng

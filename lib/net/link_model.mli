@@ -20,13 +20,9 @@ val partitioned : t -> src:int -> dst:int -> now:float -> bool
 (** True when an active partition window separates [src] from [dst] at
     simulated time [now]. *)
 
-val drops : t -> Pdht_util.Rng.t -> src:int -> dst:int -> now:float -> bool
-(** The send-time fate of one message: dropped by an active partition
-    (no RNG draw) or by the independent loss coin (one draw whenever
-    [loss > 0]).  Zero loss consumes no RNG state, so a zero-cost
-    config leaves the net stream untouched by casts. *)
-
 val lost : t -> Pdht_util.Rng.t -> bool
-(** The independent loss coin alone: one draw whenever [loss > 0], none
-    otherwise.  [drops] is [partitioned || lost]; a caller that knows
-    the config has no partitions asks only this, and needs no [now]. *)
+(** The independent loss coin: one draw whenever [loss > 0], none
+    otherwise, so a zero-cost config leaves the net stream untouched.
+    A message is dropped at send time when [partitioned || lost] (the
+    partition check draws nothing); a caller that knows the config has
+    no partitions asks only this, and needs no [now]. *)

@@ -130,17 +130,3 @@ let of_json json =
       | None, _ -> Error "event: missing or malformed \"t\""
       | _, None -> Error "event: missing or unknown \"cat\"")
   | _ -> Error "event: expected an object"
-
-let pp ppf e =
-  Format.fprintf ppf "[%10.3f] %-12s" e.time (category_label e.category);
-  if e.peer >= 0 then Format.fprintf ppf " peer=%d" e.peer;
-  if e.key_index >= 0 then Format.fprintf ppf " key=%d" e.key_index;
-  if e.hops > 0 then Format.fprintf ppf " hops=%d" e.hops;
-  if e.messages > 0 then Format.fprintf ppf " msgs=%d" e.messages;
-  if e.outcome <> Completed then
-    Format.fprintf ppf " %s" (outcome_label e.outcome);
-  if e.span >= 0 then Format.fprintf ppf " span=%d" e.span;
-  if e.parent >= 0 then Format.fprintf ppf " parent=%d" e.parent;
-  if e.detail <> "" then Format.fprintf ppf " %s" e.detail
-
-let to_line e = Format.asprintf "%a" pp e

@@ -66,9 +66,3 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json}; missing optional fields take their [make]
     defaults. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line human rendering. *)
-
-val to_line : t -> string
-(** [pp] into a string. *)

@@ -27,17 +27,12 @@ let metric_json ?run ?time ?node name value =
            ([ ("type", Json.String "histogram"); ("name", Json.String name) ]
            @ summary_fields))
 
-let jsonl_lines ?run ?time ?node snapshot =
-  List.map
-    (fun (name, value) -> Json.to_string (metric_json ?run ?time ?node name value))
-    snapshot
-
 let write_jsonl ?run ?time ?node channel snapshot =
   List.iter
-    (fun line ->
-      output_string channel line;
+    (fun (name, value) ->
+      output_string channel (Json.to_string (metric_json ?run ?time ?node name value));
       output_char channel '\n')
-    (jsonl_lines ?run ?time ?node snapshot)
+    snapshot
 
 let csv_escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
@@ -55,10 +50,12 @@ let csv_row name value =
       Printf.sprintf "%s,histogram,,%d,%g,%g,%g,%g,%g,%g" (csv_escape name) s.count
         s.mean s.p50 s.p90 s.p95 s.p99 s.max
 
-let csv snapshot =
-  String.concat "\n" (csv_header :: List.map (fun (n, v) -> csv_row n v) snapshot) ^ "\n"
-
-let write_csv channel snapshot = output_string channel (csv snapshot)
+let write_csv channel snapshot =
+  List.iter
+    (fun line ->
+      output_string channel line;
+      output_char channel '\n')
+    (csv_header :: List.map (fun (n, v) -> csv_row n v) snapshot)
 
 let to_file ?run ?time ?node ~path snapshot =
   let channel = open_out path in

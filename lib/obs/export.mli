@@ -5,7 +5,7 @@
     {"type":"counter","name":"messages.query-index","run":R,"time":T,"value":N}
     {"type":"gauge","name":"engine.queue_depth",...,"value":F}
     {"type":"histogram","name":"dht.hops.p-grid",...,"count":N,"mean":F,
-     "p50":F,"p90":F,"p95":F,"p99":F,"max":F,"buckets":[[lo,hi,count],...]}
+     "p50":F,"p90":F,"p95":F,"p99":F,"max":F}
     v}
     [run] and [time] are optional labels stamped on every line so
     snapshot streams from periodic emission stay self-describing;
@@ -16,28 +16,10 @@
     CSV schema: [name,type,value,count,mean,p50,p90,p95,p99,max]; for
     counters and gauges the histogram columns are empty. *)
 
-val jsonl_lines :
-  ?run:string -> ?time:float -> ?node:int -> Registry.snapshot -> string list
-
-val write_jsonl :
-  ?run:string -> ?time:float -> ?node:int -> out_channel -> Registry.snapshot -> unit
-(** One line per instrument; does not flush or close. *)
-
-val csv : Registry.snapshot -> string
-(** Header plus one row per instrument, newline-terminated. *)
-
 val to_file :
   ?run:string -> ?time:float -> ?node:int -> path:string -> Registry.snapshot -> unit
 (** Create/truncate [path] and write the snapshot; format chosen by
     extension ([.csv] for CSV, JSONL otherwise). *)
-
-val validate_line : Json.t -> (unit, string) result
-(** Validate one parsed JSONL line: a present ["node_id"] member must
-    be a non-negative integer (whatever the line's kind), trace events
-    (member ["cat"]) must decode through {!Event.of_json} with sane
-    span/parent ids, timeline windows (member ["tl"]) must match the
-    {!Timeline} schema, and any other object passes (metric lines carry
-    no invariants beyond JSON well-formedness). *)
 
 val validate_jsonl_file : path:string -> (int, string) result
 (** Parse every non-empty line of [path]; [Ok n] gives the number of

@@ -116,14 +116,6 @@ let merge ~into src =
     if src.acc.max > into.acc.max then into.acc.max <- src.acc.max
   end
 
-let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.used <- 0;
-  t.count <- 0;
-  t.acc.sum <- 0.;
-  t.acc.min <- infinity;
-  t.acc.max <- neg_infinity
-
 type summary = {
   count : int;
   mean : float;
@@ -156,18 +148,6 @@ let summary_to_json s =
       ("p99", Json.Float s.p99);
       ("max", Json.Float s.max);
     ]
-
-let to_json t =
-  let s = summary t in
-  let buckets =
-    Json.List
-      (List.map
-         (fun (lo, hi, c) -> Json.List [ Json.Float lo; Json.Float hi; Json.Int c ])
-         (nonzero_buckets t))
-  in
-  match summary_to_json s with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("buckets", buckets) ])
-  | other -> other
 
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%.2f p50=%.1f p90=%.1f p95=%.1f p99=%.1f max=%.1f"

@@ -57,8 +57,6 @@ val merge : into:t -> t -> unit
     @raise Invalid_argument if the two histograms have different
     [gamma]s, or if [src] and [into] are the same histogram. *)
 
-val reset : t -> unit
-
 (** The fixed set of headline statistics the exporters and reports
     carry around. *)
 type summary = {
@@ -73,7 +71,5 @@ type summary = {
 
 val summary : t -> summary
 val summary_to_json : summary -> Json.t
-val to_json : t -> Json.t
-(** The summary plus the nonzero bucket list, for JSONL export. *)
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -64,11 +64,6 @@ let counter_value_by_name t name =
   | Some (I_counter c) -> Some c.c_value
   | Some _ | None -> None
 
-let gauge_value_by_name t name =
-  match Hashtbl.find_opt t.table name with
-  | Some (I_gauge g) -> Some g.g_value
-  | Some _ | None -> None
-
 type value =
   | Counter_v of int
   | Gauge_v of float
@@ -84,18 +79,6 @@ let read = function
 let snapshot t =
   Hashtbl.fold (fun name inst acc -> (name, read inst) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let diff ~before ~after =
-  List.map
-    (fun (name, value) ->
-      match value with
-      | Counter_v n ->
-          let prior =
-            match List.assoc_opt name before with Some (Counter_v m) -> m | _ -> 0
-          in
-          (name, Counter_v (n - prior))
-      | Gauge_v _ | Histogram_v _ -> (name, value))
-    after
 
 let merge_into src ~into =
   if src.table == into.table then
@@ -114,15 +97,6 @@ let merge_into src ~into =
       | I_histogram h ->
           Histogram.merge ~into:(histogram ~gamma:(Histogram.gamma h) into name) h)
     instruments
-
-let reset t =
-  Hashtbl.iter
-    (fun _ inst ->
-      match inst with
-      | I_counter c -> c.c_value <- 0
-      | I_gauge g -> g.g_value <- 0.
-      | I_histogram h -> Histogram.reset h)
-    t.table
 
 let fold t ~init ~f =
   List.fold_left (fun acc (name, value) -> f acc name value) init (snapshot t)

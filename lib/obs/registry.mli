@@ -30,7 +30,6 @@ val histogram : ?gamma:float -> t -> string -> Histogram.t
 
 val find_histogram : t -> string -> Histogram.t option
 val counter_value_by_name : t -> string -> int option
-val gauge_value_by_name : t -> string -> float option
 
 (** A point-in-time reading of every instrument, sorted by name. *)
 type value =
@@ -41,11 +40,6 @@ type value =
 type snapshot = (string * value) list
 
 val snapshot : t -> snapshot
-
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Counter values are subtracted ([after] minus [before], missing
-    [before] entries count as 0); gauges and histograms keep their
-    [after] reading.  Instruments absent from [after] are dropped. *)
 
 val merge_into : t -> into:t -> unit
 (** [merge_into src ~into] folds every instrument of [src] into [into],
@@ -58,9 +52,6 @@ val merge_into : t -> into:t -> unit
     @raise Invalid_argument if a name already names a different
     instrument kind in [into], if histogram [gamma]s differ, or if
     [src] and [into] are the same registry. *)
-
-val reset : t -> unit
-(** Counters to 0, gauges to 0, histograms emptied.  Names survive. *)
 
 val fold : t -> init:'a -> f:('a -> string -> value -> 'a) -> 'a
 (** In name order. *)

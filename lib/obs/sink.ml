@@ -1,40 +1,5 @@
 type t = Event.t -> unit
 
-module Ring = struct
-  type ring = {
-    slots : Event.t option array;
-    mutable next : int;   (* write position *)
-    mutable stored : int; (* <= capacity *)
-  }
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Sink.Ring.create: capacity must be >= 1";
-    { slots = Array.make capacity None; next = 0; stored = 0 }
-
-  let capacity r = Array.length r.slots
-  let length r = r.stored
-
-  let push r e =
-    r.slots.(r.next) <- Some e;
-    r.next <- (r.next + 1) mod Array.length r.slots;
-    if r.stored < Array.length r.slots then r.stored <- r.stored + 1
-
-  let sink r = push r
-
-  let contents r =
-    let cap = Array.length r.slots in
-    let start = (r.next - r.stored + cap) mod cap in
-    List.init r.stored (fun i ->
-        match r.slots.((start + i) mod cap) with
-        | Some e -> e
-        | None -> assert false)
-
-  let clear r =
-    Array.fill r.slots 0 (Array.length r.slots) None;
-    r.next <- 0;
-    r.stored <- 0
-end
-
 let jsonl channel e =
   output_string channel (Json.to_string (Event.to_json e));
   output_char channel '\n'

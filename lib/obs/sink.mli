@@ -1,29 +1,10 @@
 (** Where trace events go.
 
-    A sink is just a consumer function; the three stock implementations
-    cover the simulator's needs: a bounded in-memory ring for debugging
-    and tests, a JSON Lines channel writer for offline analysis, and a
-    raw callback for live consumers (e.g. the adaptive controller or a
-    progress display). *)
+    A sink is just a consumer function: a JSON Lines channel writer for
+    offline analysis, or a raw callback for live consumers (a counter,
+    a progress display, or a test collecting events in a list). *)
 
 type t = Event.t -> unit
-
-module Ring : sig
-  (** Fixed-capacity circular buffer keeping the newest events. *)
-
-  type ring
-
-  val create : capacity:int -> ring
-  (** @raise Invalid_argument when [capacity < 1]. *)
-
-  val sink : ring -> t
-  val length : ring -> int
-  val capacity : ring -> int
-  val contents : ring -> Event.t list
-  (** Oldest first. *)
-
-  val clear : ring -> unit
-end
 
 val jsonl : out_channel -> t
 (** One compact JSON object per event, newline-terminated.  The caller

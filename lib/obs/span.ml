@@ -1,13 +1,10 @@
 type t = { id : int; parent : int }
 
 let none = -1
-let is_none id = id < 0
 
 type allocator = { mutable next : int }
 
 let allocator () = { next = 0 }
-let reset a = a.next <- 0
-let next_id a = a.next
 
 let issue a ~parent =
   let id = a.next in
@@ -16,4 +13,3 @@ let issue a ~parent =
 
 let root a = issue a ~parent:none
 let id s = s.id
-let parent s = s.parent

@@ -17,25 +17,16 @@
 
 type t = { id : int; parent : int }
 
-val none : int
-(** The id meaning "no span": [-1], the elided JSONL default. *)
-
-val is_none : int -> bool
-
 type allocator
 
 val allocator : unit -> allocator
 (** Fresh allocator; the first issued span gets id 0. *)
 
-val reset : allocator -> unit
-val next_id : allocator -> int
-
 val issue : allocator -> parent:int -> t
 (** Allocate the next sequential id with the given parent span id
-    (use {!none} for a root). *)
+    ([-1], the elided JSONL default, for a root). *)
 
 val root : allocator -> t
-(** [issue a ~parent:none]. *)
+(** [issue a ~parent:(-1)]. *)
 
 val id : t -> int
-val parent : t -> int

@@ -21,9 +21,6 @@ let create ~width ~series =
     arr;
   { width; series = arr; cells = Hashtbl.create 64 }
 
-let width t = t.width
-let series t = Array.to_list t.series
-
 let series_id t name =
   let rec find i =
     if i >= Array.length t.series then
@@ -78,15 +75,12 @@ let window_json (s : summary) w =
     ([ ("tl", Json.Int w.index); ("t0", num w.t0); ("t1", num w.t1) ]
     @ List.mapi (fun i name -> (name, num w.values.(i))) s.series)
 
-let jsonl_lines (s : summary) =
-  List.map (fun w -> Json.to_string (window_json s w)) s.windows
-
 let write_jsonl channel s =
   List.iter
-    (fun line ->
-      output_string channel line;
+    (fun w ->
+      output_string channel (Json.to_string (window_json s w));
       output_char channel '\n')
-    (jsonl_lines s)
+    s.windows
 
 let pp ppf (s : summary) =
   Format.fprintf ppf "timeline: windows=%d width=%gs series=%s"

@@ -28,9 +28,6 @@ val create : width:float -> series:string list -> t
 (** Raises [Invalid_argument] on non-positive width, an empty series
     list, or duplicate series names. *)
 
-val width : t -> float
-val series : t -> string list
-
 val series_id : t -> string -> int
 (** Pre-resolve a series name to its slot (raises on unknown names);
     call once outside the hot path. *)
@@ -44,11 +41,9 @@ val set : t -> now:float -> int -> float -> unit
 
 val summary : t -> summary
 
-val jsonl_lines : summary -> string list
+val write_jsonl : out_channel -> summary -> unit
 (** One compact JSON object per window:
     [{"tl":k,"t0":...,"t1":...,"<series>":n,...}]. *)
-
-val write_jsonl : out_channel -> summary -> unit
 
 val pp : Format.formatter -> summary -> unit
 (** One-line rendering for report footers. *)

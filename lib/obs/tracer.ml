@@ -22,10 +22,8 @@ let create ?(enabled = false) () =
   }
 
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let enabled t = t.enabled
 let set_filter t f = t.filter <- f
-let filter t = t.filter
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 
 let passes t category =
@@ -47,7 +45,6 @@ let set_sampling t every =
   if every < 1 then invalid_arg "Tracer.set_sampling: every must be >= 1";
   t.sample_every <- every
 
-let sampling t = t.sample_every
 let tracing t = t.enabled && t.sinks <> []
 
 let sample_root t =

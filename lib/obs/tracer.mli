@@ -15,13 +15,10 @@ val create : ?enabled:bool -> unit -> t
 (** No sinks, no filter (all categories pass). *)
 
 val enable : t -> unit
-val disable : t -> unit
 val enabled : t -> bool
 
 val set_filter : t -> Event.category list option -> unit
 (** [Some cats] passes only those categories; [None] passes all. *)
-
-val filter : t -> Event.category list option
 
 val add_sink : t -> Sink.t -> unit
 (** Sinks run in registration order on every emitted event. *)
@@ -45,8 +42,6 @@ val events_emitted : t -> int
 val set_sampling : t -> int -> unit
 (** Keep 1 in [every] sampled operations (queries and updates); default
     1 (trace everything).  Raises [Invalid_argument] when [every < 1]. *)
-
-val sampling : t -> int
 
 val sample_root : t -> Span.t option
 (** Root span for the next top-level operation, or [None] when tracing

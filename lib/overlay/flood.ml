@@ -66,7 +66,3 @@ let search ?scratch topo ~online ~holds ~source ~ttl =
       depth = !depth;
     }
   end
-
-let duplication_factor r =
-  if r.peers_reached = 0 then 0.
-  else float_of_int r.messages /. float_of_int r.peers_reached

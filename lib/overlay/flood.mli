@@ -36,6 +36,3 @@ val search :
     and frontier buffers are reused instead of rebuilt per call.  The
     result is identical with or without it (a fresh scratch is allocated
     when omitted).  Messages are instantaneous and reliable. *)
-
-val duplication_factor : result -> float
-(** [messages / peers_reached]; 0. when nothing was reached. *)

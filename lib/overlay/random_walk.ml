@@ -124,7 +124,3 @@ let search ?scratch ?span ?deliver topo rng ~online ~holders ~source ~walkers
       rounds = !round;
     }
   end
-
-let duplication_factor r =
-  if r.distinct_visited = 0 then 0.
-  else float_of_int r.messages /. float_of_int r.distinct_visited

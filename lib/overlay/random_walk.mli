@@ -54,7 +54,3 @@ val search :
     delivery, unchanged semantics.
 
     [span] is forwarded to every [deliver] call (see {!Flood.search}). *)
-
-val duplication_factor : result -> float
-(** [messages / distinct_visited]; the empirical analogue of the
-    paper's [dup ≈ 1.8]. *)

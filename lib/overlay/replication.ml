@@ -104,11 +104,3 @@ let items_at t ~peer =
   !items
 
 let replication_factor t ~item = Array.length (replicas t ~item)
-
-let availability t ~online ~item =
-  let reps = replicas t ~item in
-  let total = Array.length reps in
-  if total = 0 then 0.
-  else
-    let up = Array.fold_left (fun acc p -> if online p then acc + 1 else acc) 0 reps in
-    float_of_int up /. float_of_int total

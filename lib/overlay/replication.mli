@@ -43,7 +43,3 @@ val items_at : t -> peer:int -> int list
     repl), like {!remove_peer}. *)
 
 val replication_factor : t -> item:int -> int
-
-val availability : t -> online:(int -> bool) -> item:int -> float
-(** Fraction of [item]'s replicas currently online (0. when the item is
-    not placed). *)

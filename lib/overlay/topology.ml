@@ -10,11 +10,6 @@ let neighbor t p i = t.neighbors.(t.offsets.(p) + i)
 let row_starts t = t.offsets
 let adjacency t = t.neighbors
 
-let iter_neighbors t p ~f =
-  for i = t.offsets.(p) to t.offsets.(p + 1) - 1 do
-    f t.neighbors.(i)
-  done
-
 let neighbors t p = Array.sub t.neighbors t.offsets.(p) (degree t p)
 let edge_count t = t.offsets.(peer_count t) / 2
 
@@ -170,53 +165,3 @@ let barabasi_albert rng ~peers ~attach =
     done
   done;
   of_slots ~peers ~per:attach far
-
-let ring_lattice ~peers ~k =
-  if peers < 3 then invalid_arg "Topology.ring_lattice: need >= 3 peers";
-  if k < 1 || 2 * k >= peers then invalid_arg "Topology.ring_lattice: bad k";
-  let far = Array.make (peers * k) 0 in
-  for p = 0 to peers - 1 do
-    for d = 1 to k do
-      far.((p * k) + d - 1) <- (p + d) mod peers
-    done
-  done;
-  of_slots ~peers ~per:k far
-
-let bfs_reach t ~online start =
-  let n = peer_count t in
-  let visited = Array.make n false in
-  let queue = Queue.create () in
-  if online start then begin
-    visited.(start) <- true;
-    Queue.add start queue
-  end;
-  let reached = ref 0 in
-  while not (Queue.is_empty queue) do
-    let p = Queue.pop queue in
-    incr reached;
-    iter_neighbors t p ~f:(fun q ->
-        if (not visited.(q)) && online q then begin
-          visited.(q) <- true;
-          Queue.add q queue
-        end)
-  done;
-  !reached
-
-let is_connected t =
-  let n = peer_count t in
-  n = 0 || bfs_reach t ~online:(fun _ -> true) 0 = n
-
-let connected_fraction_from t ~online start =
-  let online_total =
-    let acc = ref 0 in
-    for p = 0 to peer_count t - 1 do
-      if online p then incr acc
-    done;
-    !acc
-  in
-  if online_total = 0 then 0.
-  else float_of_int (bfs_reach t ~online start) /. float_of_int online_total
-
-let mean_degree t =
-  if peer_count t = 0 then 0.
-  else 2. *. float_of_int (edge_count t) /. float_of_int (peer_count t)

@@ -4,11 +4,11 @@
     few open connections to other peers" (Section 3.1).  We provide the
     two families observed in deployed Gnutella networks: a random graph
     with fixed minimum degree and a power-law graph grown by
-    preferential attachment (Barabási-Albert), both undirected, plus a
-    deterministic ring lattice.  Every graph, these and each key's
-    replica subnetwork ([Pdht_gossip.Replica_net]), is built by
-    {!of_slots}: a generator only records the far end of each edge a
-    peer opens, and one pass makes the sorted CSR rows. *)
+    preferential attachment (Barabási-Albert), both undirected.  Every
+    graph, these and each key's replica subnetwork
+    ([Pdht_gossip.Replica_net]), is built by {!of_slots}: a generator
+    only records the far end of each edge a peer opens, and one pass
+    makes the sorted CSR rows. *)
 
 type t
 
@@ -17,15 +17,12 @@ val peer_count : t -> int
 val neighbors : t -> int -> int array
 (** Adjacency of a peer (no self-loops, no duplicates), ascending.
     Allocates a copy of the CSR slice — convenience for tests and
-    debugging; hot paths use {!degree}/{!neighbor}/{!iter_neighbors},
-    which read the flat arrays in place. *)
+    debugging; hot paths use {!degree}/{!neighbor} or the rows
+    themselves ({!row_starts}/{!adjacency}), read in place. *)
 
 val neighbor : t -> int -> int -> int
 (** [neighbor t p i] is the [i]-th neighbor of [p] (ascending order),
     [0 <= i < degree t p].  No allocation. *)
-
-val iter_neighbors : t -> int -> f:(int -> unit) -> unit
-(** Apply [f] to each neighbor of [p] in ascending order. *)
 
 val degree : t -> int -> int
 
@@ -61,18 +58,3 @@ val barabasi_albert : Pdht_util.Rng.t -> peers:int -> attach:int -> t
 (** Preferential-attachment growth: each arriving peer links to
     [attach] existing peers chosen proportionally to current degree.
     Requires [peers > attach >= 1]. *)
-
-val ring_lattice : peers:int -> k:int -> t
-(** Deterministic circulant graph (each peer linked to its [k] nearest
-    successors and predecessors) — a worst case for flooding, used in
-    tests and ablations.  Requires [peers >= 3] and [1 <= k <
-    peers / 2]. *)
-
-val is_connected : t -> bool
-(** BFS reachability over all peers. *)
-
-val connected_fraction_from : t -> online:(int -> bool) -> int -> float
-(** Fraction of online peers reachable from a given online peer through
-    online peers only; 0. if the start peer is offline. *)
-
-val mean_degree : t -> float

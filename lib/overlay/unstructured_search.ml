@@ -16,10 +16,6 @@ let create ~topology ~replication ~strategy =
     invalid_arg "Unstructured_search.create: topology and replication disagree on peer count";
   { topology; replication; strategy; scratch = Scratch.create () }
 
-let topology t = t.topology
-let replication t = t.replication
-let strategy t = t.strategy
-
 type outcome = { found : bool; messages : int; provider : int option; rounds : int }
 
 let search ?span ?deliver t rng ~online ~source ~item =

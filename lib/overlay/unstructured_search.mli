@@ -19,10 +19,6 @@ val create :
   strategy:strategy ->
   t
 
-val topology : t -> Topology.t
-val replication : t -> Replication.t
-val strategy : t -> strategy
-
 type outcome = {
   found : bool;
   messages : int;

@@ -51,9 +51,7 @@ let try_map ?jobs ~f tasks =
       results
   end
 
-let map ?jobs ~f tasks =
-  let outcomes = try_map ?jobs ~f tasks in
-  Array.map (function Ok v -> v | Error exn -> raise exn) outcomes
-
 let map_list ?jobs ~f tasks =
-  Array.to_list (map ?jobs ~f (Array.of_list tasks))
+  try_map ?jobs ~f (Array.of_list tasks)
+  |> Array.map (function Ok v -> v | Error exn -> raise exn)
+  |> Array.to_list

@@ -40,9 +40,6 @@ val try_map : ?jobs:int -> f:(int -> 'a -> 'b) -> 'a array -> ('b, exn) result a
     size.
     @raise Invalid_argument when [jobs < 1]. *)
 
-val map : ?jobs:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
-(** Like {!try_map}, but re-raises the first (lowest-index) captured
-    exception after the whole batch has finished. *)
-
 val map_list : ?jobs:int -> f:(int -> 'a -> 'b) -> 'a list -> 'b list
-(** {!map} over lists. *)
+(** Like {!try_map} over a list, but re-raises the first (lowest-index)
+    captured exception after the whole batch has finished. *)

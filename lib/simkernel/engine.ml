@@ -40,7 +40,6 @@ let create () =
   { queue = Event_queue.create (); now = 0.; events_processed = 0; instruments = None }
 
 let now t = t.now
-let events_processed t = t.events_processed
 
 let schedule_at t ~time handler =
   if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
@@ -129,8 +128,6 @@ let run t ~until =
   | Handler_failed _ as e -> raise e
   | exn -> raise (Handler_failed { time = t.now; label = "event"; exn }));
   match t.instruments with Some ins -> sample ins t | None -> ()
-
-let pending t = Event_queue.size t.queue
 
 let emit_snapshots t ~every ~tracer =
   schedule_periodic t ~first:every ~every (fun engine ->

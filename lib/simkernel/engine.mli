@@ -47,13 +47,6 @@ val run : t -> until:float -> unit
     [try] frame around the whole loop, so per-event dispatch stays
     allocation- and trap-free). *)
 
-val pending : t -> int
-(** Events still scheduled. *)
-
-val events_processed : t -> int
-(** Handlers executed so far, across all [run] calls.  Always counted,
-    instrumented or not — it is one integer increment. *)
-
 val instrument : ?sample_every:int -> t -> Pdht_obs.Registry.t -> unit
 (** Register the engine's own telemetry in [registry] and keep it
     current while [run] executes:

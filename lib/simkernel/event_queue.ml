@@ -94,7 +94,6 @@ let min_time t =
   if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
   t.times.(0)
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
 let pop_min t =
   if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";

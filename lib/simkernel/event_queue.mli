@@ -25,11 +25,8 @@ val add : 'a t -> time:float -> 'a -> unit
     large enough.  @raise Invalid_argument on NaN time. *)
 
 val min_time : 'a t -> float
-(** Time of the earliest event.  The allocation-free hot-path variant of
-    {!peek_time}.  @raise Invalid_argument when the queue is empty. *)
-
-val peek_time : 'a t -> float option
-(** Time of the earliest event, if any. *)
+(** Time of the earliest event, without allocating.
+    @raise Invalid_argument when the queue is empty. *)
 
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest event's payload.  The allocation-free

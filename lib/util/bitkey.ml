@@ -75,4 +75,3 @@ let of_bits s =
     s;
   !acc lsl (width - n)
 
-let pp ppf k = Format.fprintf ppf "0x%015x" k

@@ -50,5 +50,3 @@ val of_bits : string -> t
 (** Parse a ['0'/'1'] string as the leading bits of a key, remaining
     bits zero.  @raise Invalid_argument on other characters or strings
     longer than [width]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -61,6 +61,3 @@ val exponential : t -> rate:float -> float
 (** [exponential t ~rate] samples an exponential waiting time with the
     given rate (mean [1. /. rate]).  Requires [rate > 0.]. *)
 
-val geometric : t -> p:float -> int
-(** [geometric t ~p] is the number of Bernoulli([p]) failures before the
-    first success (support {m 0, 1, 2, ...}).  Requires [0 < p <= 1]. *)

@@ -169,19 +169,6 @@ let sorted_distinct s values =
   Array.iter (fun v -> if mark s.bits s.summary v then incr distinct) values;
   emit s !distinct
 
-let weighted_index rng weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if not (total > 0.) then invalid_arg "Sampling.weighted_index: weights sum to zero";
-  let target = Rng.float rng total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.
-
 module Alias = struct
   type t = { prob : float array; alias : int array }
 
@@ -208,7 +195,6 @@ module Alias = struct
     (* Leftovers are 1.0 up to rounding; prob is already 1. *)
     { prob; alias }
 
-  let size t = Array.length t.prob
 
   let draw t rng =
     let i = Rng.int rng (Array.length t.prob) in

@@ -37,11 +37,6 @@ val sorted_distinct : sampler -> int array -> int array
     in [\[0, n)]; raises [Invalid_argument] otherwise, before touching
     the scratch. *)
 
-val weighted_index : Rng.t -> float array -> int
-(** [weighted_index rng weights] draws index [i] with probability
-    proportional to [weights.(i)].  Linear scan; for repeated draws use
-    {!Alias}.  Requires at least one strictly positive weight. *)
-
 (** Walker's alias method: O(n) preprocessing, O(1) per draw. *)
 module Alias : sig
   type t
@@ -50,6 +45,5 @@ module Alias : sig
   (** Build a sampler for the given unnormalised weights.  Requires a
       non-empty array of non-negative weights with positive sum. *)
 
-  val size : t -> int
   val draw : t -> Rng.t -> int
 end

@@ -12,22 +12,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let percentile xs ~p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty array";
-  if p < 0. || p > 1. then invalid_arg "Stats.percentile: p outside [0,1]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let pos = p *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor pos) in
-  let hi = int_of_float (Float.ceil pos) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = pos -. float_of_int lo in
-    (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-
-let median xs = percentile xs ~p:0.5
-
 let harmonic_generalized ~n ~alpha =
   (* Summing smallest-first keeps the float error negligible even for
      millions of terms. *)
@@ -36,55 +20,3 @@ let harmonic_generalized ~n ~alpha =
     acc := !acc +. (float_of_int x ** -.alpha)
   done;
   !acc
-
-module Online = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () = { count = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity }
-
-  let add t x =
-    t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.count
-  let mean t = if t.count = 0 then 0. else t.mean
-  let variance t = if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
-  let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if not (lo < hi) then invalid_arg "Histogram.create: lo must be < hi";
-    if bins < 1 then invalid_arg "Histogram.create: bins must be >= 1";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let raw = (x -. t.lo) /. (t.hi -. t.lo) *. float_of_int bins in
-    let idx = int_of_float (Float.floor raw) in
-    let idx = if idx < 0 then 0 else if idx >= bins then bins - 1 else idx in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-  let bin_count t i = t.counts.(i)
-  let bins t = Array.length t.counts
-
-  let to_fractions t =
-    if t.total = 0 then Array.make (Array.length t.counts) 0.
-    else Array.map (fun c -> float_of_int c /. float_of_int t.total) t.counts
-end

@@ -1,56 +1,13 @@
-(** Descriptive statistics and online accumulators used by the
-    experiment harness. *)
+(** Descriptive statistics used by the experiment harness. *)
 
 val mean : float array -> float
 (** Arithmetic mean.  0. on an empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (n-1 denominator); 0. for fewer than two
-    samples. *)
-
 val stddev : float array -> float
-
-val percentile : float array -> p:float -> float
-(** [percentile xs ~p] with [p] in [\[0,1\]], linear interpolation
-    between order statistics.  @raise Invalid_argument on empty input or
-    [p] outside [\[0,1\]]. *)
-
-val median : float array -> float
+(** Square root of the unbiased sample variance (n-1 denominator); 0.
+    for fewer than two samples. *)
 
 val harmonic_generalized : n:int -> alpha:float -> float
 (** [harmonic_generalized ~n ~alpha] is {m H_{n,alpha} = sum_{x=1}^{n}
     x^{-alpha}}, the normaliser of a Zipf distribution (paper Eq. 3
     denominator). *)
-
-(** Welford online mean/variance accumulator. *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  (** Smallest added value; [infinity] when empty. *)
-
-  val max : t -> float
-  (** Largest added value; [neg_infinity] when empty. *)
-end
-
-(** Fixed-bin histogram over a closed value range. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  (** Requires [lo < hi] and [bins >= 1].  Values outside the range are
-      counted in the first/last bin. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val bin_count : t -> int -> int
-  val bins : t -> int
-  val to_fractions : t -> float array
-  (** Per-bin fraction of all added samples (all zero when empty). *)
-end

@@ -45,7 +45,3 @@ val attach :
     Events are streamed from the RNG one at a time through a single
     re-scheduled closure — no per-event record or closure is ever
     built, so attached-workload memory is O(1) in event count. *)
-
-val expected_rate : t -> float
-(** [num_peers * f_qry] queries per second ([f_qry] = the profile's peak
-    rate when a profile is set). *)

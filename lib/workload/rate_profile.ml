@@ -1,7 +1,6 @@
 type t =
   | Constant of float
   | Diurnal of { busy : float; calm : float; period : float; busy_fraction : float }
-  | Piecewise of { default : float; segments : (float * float * float) list }
 
 let constant rate =
   if not (rate > 0.) then invalid_arg "Rate_profile.constant: rate must be positive";
@@ -14,15 +13,6 @@ let diurnal ~busy ~calm ~period ~busy_fraction =
     invalid_arg "Rate_profile.diurnal: busy_fraction must be in (0,1)";
   Diurnal { busy; calm; period; busy_fraction }
 
-let piecewise ~default segments =
-  if not (default > 0.) then invalid_arg "Rate_profile.piecewise: default must be positive";
-  List.iter
-    (fun (from, until, rate) ->
-      if not (from < until) then invalid_arg "Rate_profile.piecewise: empty segment";
-      if not (rate > 0.) then invalid_arg "Rate_profile.piecewise: rate must be positive")
-    segments;
-  Piecewise { default; segments }
-
 let rate_at t time =
   let time = Float.max 0. time in
   match t with
@@ -30,26 +20,8 @@ let rate_at t time =
   | Diurnal { busy; calm; period; busy_fraction } ->
       let phase = Float.rem time period /. period in
       if phase < busy_fraction then busy else calm
-  | Piecewise { default; segments } ->
-      let rec scan = function
-        | [] -> default
-        | (from, until, rate) :: rest ->
-            if time >= from && time < until then rate else scan rest
-      in
-      scan segments
 
 let max_rate t =
   match t with
   | Constant rate -> rate
   | Diurnal { busy; calm; _ } -> Float.max busy calm
-  | Piecewise { default; segments } ->
-      List.fold_left (fun acc (_, _, rate) -> Float.max acc rate) default segments
-
-let mean_rate t ~horizon =
-  if not (horizon > 0.) then invalid_arg "Rate_profile.mean_rate: horizon must be positive";
-  let steps = max 1 (int_of_float horizon) in
-  let acc = ref 0. in
-  for i = 0 to steps - 1 do
-    acc := !acc +. rate_at t (float_of_int i)
-  done;
-  !acc /. float_of_int steps

@@ -16,16 +16,8 @@ val diurnal : busy:float -> calm:float -> period:float -> busy_fraction:float ->
     runs at the [busy] per-peer rate, the rest at [calm].  Requires
     positive rates and period, [busy_fraction] in (0, 1). *)
 
-val piecewise : default:float -> (float * float * float) list -> t
-(** [(from, until, rate)] intervals (absolute times, no wrap-around)
-    evaluated first-match; [default] elsewhere.  Requires positive rates
-    and [from < until] per segment. *)
-
 val rate_at : t -> float -> float
 (** Per-peer rate at an instant (times before 0 use time 0). *)
 
 val max_rate : t -> float
 (** Upper bound over all times — the thinning envelope. *)
-
-val mean_rate : t -> horizon:float -> float
-(** Average rate over [\[0, horizon\]] (numeric, 1-second steps). *)

@@ -71,9 +71,6 @@ let popularity_shift t =
   | Rotate { times; offset } ->
       Pdht_dist.Popularity_shift.rotate_at ~n:t.keys ~shift_times:times ~offset
 
-let total_query_rate t = float_of_int t.num_peers *. t.f_qry
-let expected_queries t = total_query_rate t *. t.duration
-
 let validate t =
   let check cond msg rest = if cond then rest () else Error msg in
   check (t.num_peers >= 2) "num_peers must be >= 2" @@ fun () ->
@@ -135,28 +132,3 @@ let presets =
 
 let preset name =
   List.find_map (fun (n, _, s) -> if String.equal n name then Some s else None) presets
-
-let pp ppf t =
-  let dist =
-    match t.distribution with
-    | Zipf a -> Printf.sprintf "zipf(%g)" a
-    | Uniform -> "uniform"
-    | Hot_cold { hot; hot_mass } -> Printf.sprintf "hot-cold(%d,%g)" hot hot_mass
-  in
-  let shift =
-    match t.shift with
-    | No_shift -> "static"
-    | Swap_halves_at time -> Printf.sprintf "swap-halves@%g" time
-    | Rotate { times; offset } ->
-        Printf.sprintf "rotate(+%d)x%d" offset (List.length times)
-  in
-  let churn =
-    match t.churn with
-    | No_churn -> "none"
-    | Exponential_sessions { mean_uptime; mean_downtime; _ } ->
-        Printf.sprintf "exp(up=%g,down=%g)" mean_uptime mean_downtime
-    | Sessions spec -> Pdht_dist.Session.to_string spec
-  in
-  Format.fprintf ppf
-    "@[<v>scenario %s: peers=%d keys=%d fQry=%g dist=%s shift=%s churn=%s duration=%gs seed=%d@]"
-    t.name t.num_peers t.keys t.f_qry dist shift churn t.duration t.seed

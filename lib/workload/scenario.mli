@@ -64,14 +64,7 @@ val popularity_shift : t -> Pdht_dist.Popularity_shift.t
 val rate_profile : t -> Rate_profile.t
 (** Materialise the per-peer rate over time. *)
 
-val total_query_rate : t -> float
-(** [num_peers * f_qry]. *)
-
-val expected_queries : t -> float
-(** Over the whole [duration]. *)
-
 val validate : t -> (t, string) result
-val pp : Format.formatter -> t -> unit
 
 val presets : (string * string * t) list
 (** Named ready-to-run scenarios [(name, description, scenario)]:

@@ -44,7 +44,3 @@ let attach t engine ~until ~handler =
       Pdht_sim.Engine.schedule_at engine ~time:t.pending_time.(0) fire
   in
   advance (Pdht_sim.Engine.now engine)
-
-let per_key_update_frequency t ~keys_per_article =
-  if keys_per_article < 1 then invalid_arg "Update_gen.per_key_update_frequency";
-  1. /. t.mean_lifetime

@@ -13,7 +13,6 @@ val create :
 (** [mean_lifetime] in seconds (86400 in the paper).  Requires both
     positive. *)
 
-val next : t -> after:float -> update
 val stream : t -> from:float -> until:float -> update Seq.t
 
 val attach :
@@ -25,7 +24,3 @@ val attach :
 (** Schedule the whole stream; each replacement fires [handler] at its
     time ([Engine.now] inside the handler).  Streamed through a single
     re-scheduled closure — O(1) memory in event count. *)
-
-val per_key_update_frequency : t -> keys_per_article:int -> float
-(** The model's [fUpd]: replacing an article rewrites each of its keys
-    once, so per-key frequency equals [1 / mean_lifetime]. *)

@@ -1,7 +1,7 @@
 (* Verbatim copies of the overlay construction paths as they were
    when [Replica_net.build] filled a dense n x (n-1) row scratch,
-   [Topology]'s three generators ([random_regularish],
-   [barabasi_albert], [ring_lattice]) accumulated [Int_set] trees, and
+   [Topology]'s generators ([random_regularish], [barabasi_albert])
+   accumulated [Int_set] trees, and
    [Replication] kept a per-peer inverse view of every placement, plus
    [Replica_net.flood] as it walked one boxed row per member.
    test_scale's "overlay ref" properties drive these and the live
@@ -228,19 +228,6 @@ module Topology = struct
           push p;
           push q)
         !chosen
-    done;
-    of_edge_sets sets
-
-  let ring_lattice ~peers ~k =
-    if peers < 3 then invalid_arg "Topology.ring_lattice: need >= 3 peers";
-    if k < 1 || 2 * k >= peers then invalid_arg "Topology.ring_lattice: bad k";
-    let sets = Array.make peers Int_set.empty in
-    for p = 0 to peers - 1 do
-      for d = 1 to k do
-        let q = (p + d) mod peers in
-        sets.(p) <- Int_set.add q sets.(p);
-        sets.(q) <- Int_set.add p sets.(q)
-      done
     done;
     of_edge_sets sets
 end

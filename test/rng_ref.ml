@@ -177,10 +177,3 @@ let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
   let u = 1. -. unit_float t in
   -.log u /. rate
-
-let geometric t ~p =
-  if p <= 0. || p > 1. then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p = 1. then 0
-  else
-    let u = 1. -. unit_float t in
-    int_of_float (Float.floor (log u /. log (1. -. p)))

@@ -19,9 +19,9 @@ let small_config ?(strategy = partial 300.) ?(num_peers = 200) ?(active = 60)
     ?(keys = 300) ?(repl = 10) ?(stor = 60) () =
   Config.make ~num_peers ~active_members:active ~keys ~repl ~stor ~strategy ()
 
-let build ?(seed = 1) ?strategy ?num_peers ?active ?keys ?repl ?stor () =
+let build ?(seed = 1) ?obs ?strategy ?num_peers ?active ?keys ?repl ?stor () =
   let rng = Rng.create ~seed in
-  (rng, Pdht.create rng (small_config ?strategy ?num_peers ?active ?keys ?repl ?stor ()))
+  (rng, Pdht.create ?obs rng (small_config ?strategy ?num_peers ?active ?keys ?repl ?stor ()))
 
 (* ------------------------------------------------------------------ *)
 (* Strategy / Config *)
@@ -29,8 +29,6 @@ let build ?(seed = 1) ?strategy ?num_peers ?active ?keys ?repl ?stor () =
 let test_strategy_accessors () =
   Alcotest.(check bool) "partial" true (Strategy.is_partial (partial 10.));
   Alcotest.(check bool) "index_all not partial" false (Strategy.is_partial Strategy.Index_all);
-  Alcotest.(check (option (float 1e-9))) "ttl" (Some 10.) (Strategy.key_ttl (partial 10.));
-  Alcotest.(check (option (float 1e-9))) "no ttl" None (Strategy.key_ttl Strategy.No_index);
   Alcotest.(check string) "labels" "indexAll" (Strategy.label Strategy.Index_all);
   Alcotest.(check string) "noIndex" "noIndex" (Strategy.label Strategy.No_index);
   Alcotest.(check string) "partial" "partial" (Strategy.label (partial 1.))
@@ -252,12 +250,6 @@ let test_pdht_rejects_bad_key_index () =
     (fun () -> ignore (Pdht.update_key p rng ~now:1. ~key_index:300));
   Alcotest.check_raises "key_of_index" (Invalid_argument "Pdht.key_of_index: out of range")
     (fun () -> ignore (Pdht.key_of_index p 300))
-
-let test_pdht_online_fn_roundtrip () =
-  let _, p = build () in
-  Pdht.set_online p (fun peer -> peer mod 2 = 0);
-  Alcotest.(check bool) "even online" true (Pdht.online_fn p 4);
-  Alcotest.(check bool) "odd offline" false (Pdht.online_fn p 5)
 
 (* A transport and the simulated network model are two deliveries of
    the same hops: asking for both is refused before anything is built. *)
@@ -679,16 +671,16 @@ let test_run_spec_seeding () =
 
 let test_pool_map_preserves_order () =
   let squares =
-    Pdht_runner.Pool.map ~jobs:4 ~f:(fun i x -> (i, x * x)) (Array.init 40 (fun i -> i + 1))
+    Pdht_runner.Pool.map_list ~jobs:4 ~f:(fun i x -> (i, x * x)) (List.init 40 (fun i -> i + 1))
   in
-  Array.iteri
+  List.iteri
     (fun i (j, sq) ->
       Alcotest.(check int) "index" i j;
       Alcotest.(check int) "value" ((i + 1) * (i + 1)) sq)
     squares;
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Pool.try_map: jobs must be >= 1") (fun () ->
-      ignore (Pdht_runner.Pool.map ~jobs:0 ~f:(fun _ x -> x) [| 1 |]))
+      ignore (Pdht_runner.Pool.map_list ~jobs:0 ~f:(fun _ x -> x) [ 1 ]))
 
 (* Regression: the effective worker count is clamped to the batch size,
    so a 1-task batch runs inline on the caller's domain no matter how
@@ -697,17 +689,17 @@ let test_pool_map_preserves_order () =
 let test_pool_small_batch_runs_inline () =
   let caller = Domain.self () in
   let ran_on =
-    Pdht_runner.Pool.map ~jobs:8 ~f:(fun _ () -> Domain.self ()) [| () |]
+    Pdht_runner.Pool.map_list ~jobs:8 ~f:(fun _ () -> Domain.self ()) [ () ]
   in
   Alcotest.(check bool) "single task stays on the calling domain" true
-    (ran_on.(0) = caller);
+    (ran_on = [ caller ]);
   (* Two tasks at -j 8 still need at most two domains: the caller works
      too, so at most one domain is spawned. *)
   let domains =
-    Pdht_runner.Pool.map ~jobs:8 ~f:(fun _ () -> Domain.self ()) (Array.init 2 (fun _ -> ()))
+    Pdht_runner.Pool.map_list ~jobs:8 ~f:(fun _ () -> Domain.self ()) [ (); () ]
   in
   let distinct =
-    Array.fold_left
+    List.fold_left
       (fun acc d -> if List.exists (fun d' -> d' = d) acc then acc else d :: acc)
       [] domains
   in
@@ -721,9 +713,9 @@ let test_pool_small_batch_runs_inline () =
 (* Members are peers [0, active): [build]'s default is 60 of 200. *)
 let members_offline peer = peer >= 60
 
+(* The tests below use [build]'s default [repl]. *)
 let replica_group p ~key_index =
-  Pdht_dht.Dht.replica_group (Pdht.dht p) ~repl:(Pdht.config p).Config.repl
-    (Pdht.key_of_index p key_index)
+  Pdht_dht.Dht.replica_group (Pdht.dht p) ~repl:10 (Pdht.key_of_index p key_index)
 
 let source =
   let pp ppf s =
@@ -735,9 +727,9 @@ let source =
   in
   Alcotest.testable pp ( = )
 
-let counter p name =
+let counter obs name =
   Option.value ~default:0
-    (Pdht_obs.Registry.counter_value_by_name (Pdht.obs p).Pdht_obs.Context.registry name)
+    (Pdht_obs.Registry.counter_value_by_name (Pdht_obs.Context.registry obs) name)
 
 let test_query_plan_no_index_paths () =
   let _, p = build ~strategy:Strategy.No_index () in
@@ -826,17 +818,19 @@ let test_update_plan_only_index_all_runs () =
     [ partial 300.; Strategy.No_index ]
 
 let test_update_plan_full_path () =
-  let rng, p = build ~strategy:Strategy.Index_all () in
+  let obs = Pdht_obs.Context.create () in
+  let rng, p = build ~obs ~strategy:Strategy.Index_all () in
   let m = Pdht.update_key p rng ~now:1. ~key_index:3 in
   Alcotest.(check bool) "costs messages" true (m > 0);
   Alcotest.(check int) "charged to update-gossip" m
     (Metrics.count (Pdht.metrics p) Metrics.Update_gossip);
-  Alcotest.(check int) "spread once" 1 (counter p "gossip.spreads");
+  Alcotest.(check int) "spread once" 1 (counter obs "gossip.spreads");
   Alcotest.(check bool) "still indexed" true (Pdht.index_hit_probe p ~now:2. ~key_index:3)
 
 let test_update_plan_failures_end_undelivered () =
   (* No entry point: nothing was sent, so nothing is charged. *)
-  let rng, p = build ~strategy:Strategy.Index_all () in
+  let obs = Pdht_obs.Context.create () in
+  let rng, p = build ~obs ~strategy:Strategy.Index_all () in
   Pdht.set_online p members_offline;
   Alcotest.(check int) "no entry: no messages" 0 (Pdht.update_key p rng ~now:1. ~key_index:3);
   Alcotest.(check int) "no entry: nothing charged" 0
@@ -849,7 +843,7 @@ let test_update_plan_failures_end_undelivered () =
   let m = Pdht.update_key p rng ~now:2. ~key_index in
   Alcotest.(check int) "routing failure: charged" m
     (Metrics.count (Pdht.metrics p) Metrics.Update_gossip);
-  Alcotest.(check int) "routing failure: no spread" 0 (counter p "gossip.spreads")
+  Alcotest.(check int) "routing failure: no spread" 0 (counter obs "gossip.spreads")
 
 let test_selection_defaults () =
   (* No selector: every broadcast-resolved key is admitted with the
@@ -1107,7 +1101,6 @@ let () =
           Alcotest.test_case "popular keys persist" `Quick test_pdht_popular_keys_stay_indexed;
           Alcotest.test_case "answers under churn" `Quick test_pdht_under_churn_still_answers;
           Alcotest.test_case "rejects bad key index" `Quick test_pdht_rejects_bad_key_index;
-          Alcotest.test_case "online fn roundtrip" `Quick test_pdht_online_fn_roundtrip;
           Alcotest.test_case "net and transport exclusive" `Quick
             test_pdht_net_transport_exclusive;
         ] );

@@ -836,12 +836,12 @@ let test_kademlia_live_enable_consumes_no_rng () =
   let _frozen = Kademlia.create rng_a ~members:64 () in
   let live = Kademlia.create rng_b ~members:64 () in
   Kademlia.enable_live_routing live;
-  Alcotest.(check bool) "live mode on" true (Kademlia.live_routing live);
+  Alcotest.(check bool) "live mode on" true (Kademlia.live_stats live <> None);
   (* Both streams must sit at exactly the same position. *)
   Alcotest.(check int) "enabling drew nothing" (Rng.int rng_a 1_000_000)
     (Rng.int rng_b 1_000_000);
   Kademlia.enable_live_routing live;
-  Alcotest.(check bool) "idempotent" true (Kademlia.live_routing live)
+  Alcotest.(check bool) "idempotent" true (Kademlia.live_stats live <> None)
 
 let test_kademlia_live_contacts_maintain_buckets () =
   let rng = Rng.create ~seed:221 in
@@ -1078,7 +1078,6 @@ let test_dht_facade_backends_agree_on_interface () =
       Alcotest.(check bool) "lookup succeeds" true (o.Dht.responsible <> None);
       let group = Dht.replica_group dht ~repl:4 k in
       Alcotest.(check bool) "replica group non-empty" true (Array.length group >= 1);
-      Alcotest.(check bool) "routing table non-empty" true (Dht.routing_table_size dht 0 > 0);
       (* The lookup's answer must belong to the key's replica group (for
          Chord under no churn it IS the head of the group). *)
       match o.Dht.responsible with
@@ -1415,7 +1414,7 @@ let chord_ref_test =
           (fun p ->
             Chord.id_of c p = Chord_ref.Chord.id_of r p
             && Chord.finger_targets c p = Chord_ref.Chord.finger_targets r p
-            && Chord.finger_count c p = Chord_ref.Chord.finger_count r p)
+            && Array.length (Chord.finger_targets c p) = Chord_ref.Chord.finger_count r p)
           (List.init members Fun.id)
       in
       let route_step step op =

@@ -52,7 +52,7 @@ let test_net_flood_counts_duplicates () =
   (* Plain ring: 2 messages per member. *)
   Alcotest.(check int) "2E messages" 20 r.Replica_net.messages;
   Alcotest.(check (float 1e-9)) "dup2 = 2 on a ring" 2.
-    (Replica_net.duplication_factor r)
+    (float_of_int r.Replica_net.messages /. float_of_int r.Replica_net.reached)
 
 let test_net_flood_offline_members () =
   let replicas = Array.init 10 Fun.id in

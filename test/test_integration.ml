@@ -65,15 +65,25 @@ let test_adaptivity_recovers () =
    succeeding — the paper's reason for assuming [LvCa02]-style search. *)
 let test_search_ablation () =
   let rows = Experiment.search_ablation ~seed:3 ~peers:400 ~repl:20 ~trials:60 () in
-  let find m = List.find (fun (r : Experiment.search_ablation_row) -> r.Experiment.mechanism = m) rows in
-  let flood = find "flooding" and walks = find "random-walks" in
-  Alcotest.(check bool) "flooding succeeds" true (flood.Experiment.success_rate > 0.95);
-  Alcotest.(check bool) "walks succeed" true (walks.Experiment.success_rate > 0.95);
-  Alcotest.(check bool)
-    (Printf.sprintf "walks (%.0f msg) cheaper than flooding (%.0f msg)"
-       walks.Experiment.mean_messages flood.Experiment.mean_messages)
-    true
-    (walks.Experiment.mean_messages < flood.Experiment.mean_messages /. 2.)
+  List.iter
+    (fun graph ->
+      let find m =
+        List.find
+          (fun (r : Experiment.search_ablation_row) ->
+            r.Experiment.graph = graph && r.Experiment.mechanism = m)
+          rows
+      in
+      let flood = find "flooding" and walks = find "random-walks" in
+      Alcotest.(check bool) (graph ^ ": flooding succeeds") true
+        (flood.Experiment.success_rate > 0.95);
+      Alcotest.(check bool) (graph ^ ": walks succeed") true
+        (walks.Experiment.success_rate > 0.95);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: walks (%.0f msg) cheaper than flooding (%.0f msg)" graph
+           walks.Experiment.mean_messages flood.Experiment.mean_messages)
+        true
+        (walks.Experiment.mean_messages < flood.Experiment.mean_messages /. 2.))
+    [ "random"; "power-law" ]
 
 (* E8b: both DHT backends give O(log n) lookups near the Eq. 7
    expectation, with and without churn. *)

@@ -105,7 +105,7 @@ let test_constant_zero_loss_draws_nothing () =
   let rng = Rng.create ~seed:1 in
   let probe = Rng.copy rng in
   Alcotest.check feq "constant sample" 0.05 (Link_model.sample_latency lm rng);
-  Alcotest.(check bool) "no drop" false (Link_model.drops lm rng ~src:0 ~dst:1 ~now:0.);
+  Alcotest.(check bool) "no drop" false (Link_model.lost lm rng);
   Alcotest.(check bool) "rng untouched" true (Rng.bits64 rng = Rng.bits64 probe)
 
 let test_uniform_bounds () =
@@ -137,7 +137,7 @@ let test_loss_one_drops_all () =
   let lm = Link_model.create { Config.default with Config.loss = 1.0 } in
   let rng = Rng.create ~seed:4 in
   for _ = 1 to 50 do
-    Alcotest.(check bool) "dropped" true (Link_model.drops lm rng ~src:0 ~dst:1 ~now:0.)
+    Alcotest.(check bool) "dropped" true (Link_model.lost lm rng)
   done
 
 let test_partition_window () =
@@ -159,11 +159,12 @@ let test_partition_window () =
   Alcotest.(check bool) "window end exclusive" false (part ~src:0 ~dst:5 ~now:20.);
   Alcotest.(check bool) "uninvolved peer" false (part ~src:0 ~dst:3 ~now:15.);
   Alcotest.(check bool) "same side" false (part ~src:0 ~dst:1 ~now:15.);
-  (* A partition drop is deterministic: no RNG draw even at loss 0. *)
+  (* A partition drop is deterministic: at loss 0 the coin draws
+     nothing, so a partitioned message leaves the stream untouched. *)
   let rng = Rng.create ~seed:5 in
   let probe = Rng.copy rng in
   Alcotest.(check bool) "partition drops" true
-    (Link_model.drops lm rng ~src:0 ~dst:5 ~now:15.);
+    (part ~src:0 ~dst:5 ~now:15. || Link_model.lost lm rng);
   Alcotest.(check bool) "no draw for partition drop" true
     (Rng.bits64 rng = Rng.bits64 probe)
 

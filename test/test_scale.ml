@@ -450,13 +450,11 @@ let replica_net_ref_test =
 type generator =
   | Regularish of int * int (* peers, degree *)
   | Barabasi of int * int (* peers, attach *)
-  | Lattice of int * int (* peers, k *)
 
 let topology_ref_test =
   let case =
     let open QCheck.Gen in
     let* peers = frequency [ (2, int_range 3 12); (3, int_range 13 400) ] in
-    let k = int_range 1 (min 6 ((peers - 1) / 2)) in
     let* g =
       frequency
         [
@@ -464,7 +462,6 @@ let topology_ref_test =
             (* Degrees near [peers] reach the capped-retry corner. *)
             map (fun d -> Regularish (peers, d)) (int_range 1 (min (peers - 1) 10)) );
           (3, map (fun a -> Barabasi (peers, a)) (int_range 1 (min (peers - 1) 6)));
-          (1, map (fun k -> Lattice (peers, k)) k);
         ]
     in
     let+ seed = small_nat in
@@ -473,8 +470,7 @@ let topology_ref_test =
   let print (g, seed) =
     (match g with
     | Regularish (n, d) -> Printf.sprintf "random_regularish peers=%d degree=%d" n d
-    | Barabasi (n, a) -> Printf.sprintf "barabasi_albert peers=%d attach=%d" n a
-    | Lattice (n, k) -> Printf.sprintf "ring_lattice peers=%d k=%d" n k)
+    | Barabasi (n, a) -> Printf.sprintf "barabasi_albert peers=%d attach=%d" n a)
     ^ Printf.sprintf " seed=%d" seed
   in
   QCheck.Test.make ~name:"topology generators match the Int_set reference" ~count:300
@@ -488,7 +484,6 @@ let topology_ref_test =
               R.random_regularish rng_ref ~peers ~degree )
         | Barabasi (peers, attach) ->
             (Topology.barabasi_albert rng ~peers ~attach, R.barabasi_albert rng_ref ~peers ~attach)
-        | Lattice (peers, k) -> (Topology.ring_lattice ~peers ~k, R.ring_lattice ~peers ~k)
       in
       let n = Topology.peer_count t in
       n = R.peer_count reference

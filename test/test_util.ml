@@ -157,20 +157,6 @@ let test_rng_exponential_positive () =
     (Invalid_argument "Rng.exponential: rate must be positive") (fun () ->
       ignore (Rng.exponential rng ~rate:0.))
 
-let test_rng_geometric () =
-  let rng = Rng.create ~seed:15 in
-  Alcotest.(check int) "p=1 is 0" 0 (Rng.geometric rng ~p:1.);
-  let acc = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    acc := !acc + Rng.geometric rng ~p:0.5
-  done;
-  (* mean of failures-before-success = (1-p)/p = 1 *)
-  check_float_loose "mean" 1.0 (float_of_int !acc /. float_of_int n)
-
-(* The first raw outputs of two seeds, computed from the published
-   splitmix64 and xoshiro256** definitions rather than from this
-   module: they pin the seeding and the step, not only self-agreement. *)
 let test_rng_known_answers () =
   List.iter
     (fun (seed, expected) ->
@@ -201,7 +187,6 @@ type rng_op =
   | Bool
   | Bernoulli of float
   | Exponential of float
-  | Geometric of float
 
 let show_rng_op = function
   | Split c -> Printf.sprintf "split(child=%b)" c
@@ -214,7 +199,6 @@ let show_rng_op = function
   | Bool -> "bool"
   | Bernoulli p -> Printf.sprintf "bernoulli %h" p
   | Exponential r -> Printf.sprintf "exponential %h" r
-  | Geometric p -> Printf.sprintf "geometric %h" p
 
 (* Bounds on both sides of the Lemire/modulo switch at 2^30, and up to
    [max_int], where the modulo ladder rejects almost half its draws. *)
@@ -248,7 +232,6 @@ let rng_op_gen =
              [ float_range (-1.) 0.; float_range 0. 1.; float_range 1. 2.; oneofl [ 0.; 1. ] ])
       );
       (1, map (fun r -> Exponential r) (float_range 1e-3 100.));
-      (1, map (fun p -> Geometric p) (oneof [ float_range 1e-3 1.; return 1. ]));
     ]
 
 let rng_ref_test =
@@ -275,7 +258,6 @@ let rng_ref_test =
         | Bool -> (Rng.bool a = Rng_ref.bool r, (a, r))
         | Bernoulli p -> (Rng.bernoulli a ~p = Rng_ref.bernoulli r ~p, (a, r))
         | Exponential rate -> (Rng.exponential a ~rate = Rng_ref.exponential r ~rate, (a, r))
-        | Geometric p -> (Rng.geometric a ~p = Rng_ref.geometric r ~p, (a, r))
       in
       let rec run gens = function
         | [] ->
@@ -323,21 +305,9 @@ let test_sample_without_replacement_full () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "whole population" [| 0; 1; 2; 3; 4 |] sorted
 
-let test_weighted_index () =
-  let rng = Rng.create ~seed:27 in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 30_000 do
-    let i = Sampling.weighted_index rng [| 1.; 2.; 7. |] in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_float_loose "w0" 0.1 (float_of_int counts.(0) /. 30_000.);
-  check_float_loose "w1" 0.2 (float_of_int counts.(1) /. 30_000.);
-  check_float_loose "w2" 0.7 (float_of_int counts.(2) /. 30_000.)
-
 let test_alias_matches_weights () =
   let rng = Rng.create ~seed:28 in
   let sampler = Sampling.Alias.create [| 3.; 1.; 6. |] in
-  Alcotest.(check int) "size" 3 (Sampling.Alias.size sampler);
   let counts = Array.make 3 0 in
   let n = 60_000 in
   for _ = 1 to n do
@@ -361,60 +331,15 @@ let test_alias_rejects_bad_weights () =
 
 let test_mean_variance () =
   check_float "mean" 2. (Stats.mean [| 1.; 2.; 3. |]);
-  check_float "variance" 1. (Stats.variance [| 1.; 2.; 3. |]);
   check_float "stddev" 1. (Stats.stddev [| 1.; 2.; 3. |]);
   check_float "empty mean" 0. (Stats.mean [||]);
-  check_float "single variance" 0. (Stats.variance [| 5. |])
-
-let test_percentiles () =
-  let xs = [| 1.; 2.; 3.; 4.; 5. |] in
-  check_float "median" 3. (Stats.median xs);
-  check_float "p0" 1. (Stats.percentile xs ~p:0.);
-  check_float "p100" 5. (Stats.percentile xs ~p:1.);
-  check_float "p25 interpolates" 2. (Stats.percentile xs ~p:0.25);
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty array")
-    (fun () -> ignore (Stats.percentile [||] ~p:0.5))
+  check_float "single stddev" 0. (Stats.stddev [| 5. |])
 
 let test_harmonic () =
   check_float "H_1" 1. (Stats.harmonic_generalized ~n:1 ~alpha:1.2);
   check_float "H_3 alpha=1" (1. +. 0.5 +. (1. /. 3.))
     (Stats.harmonic_generalized ~n:3 ~alpha:1.);
   check_float "alpha=0 counts" 5. (Stats.harmonic_generalized ~n:5 ~alpha:0.)
-
-let test_online_matches_batch () =
-  let rng = Rng.create ~seed:30 in
-  let xs = Array.init 1000 (fun _ -> Rng.float rng 100.) in
-  let online = Stats.Online.create () in
-  Array.iter (Stats.Online.add online) xs;
-  Alcotest.(check int) "count" 1000 (Stats.Online.count online);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.mean xs) (Stats.Online.mean online);
-  Alcotest.(check (float 1e-4)) "variance" (Stats.variance xs) (Stats.Online.variance online);
-  let mn = Array.fold_left Float.min infinity xs in
-  let mx = Array.fold_left Float.max neg_infinity xs in
-  check_float "min" mn (Stats.Online.min online);
-  check_float "max" mx (Stats.Online.max online)
-
-let test_online_empty () =
-  let online = Stats.Online.create () in
-  check_float "mean" 0. (Stats.Online.mean online);
-  check_float "variance" 0. (Stats.Online.variance online)
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 3.; 9.9; -4.; 15. ];
-  Alcotest.(check int) "count" 6 (Stats.Histogram.count h);
-  Alcotest.(check int) "underflow clamps to first" 3 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "overflow clamps to last" 2 (Stats.Histogram.bin_count h 4);
-  Alcotest.(check int) "bins" 5 (Stats.Histogram.bins h);
-  let fr = Stats.Histogram.to_fractions h in
-  check_float "fraction sums to 1" 1. (Array.fold_left ( +. ) 0. fr)
-
-let test_histogram_rejects_bad_args () =
-  Alcotest.check_raises "lo >= hi" (Invalid_argument "Histogram.create: lo must be < hi")
-    (fun () -> ignore (Stats.Histogram.create ~lo:1. ~hi:1. ~bins:3))
-
-(* ------------------------------------------------------------------ *)
-(* Bitkey *)
 
 let test_bitkey_roundtrip () =
   let k = Bitkey.of_int 12345 in
@@ -619,15 +544,6 @@ let qcheck_tests =
         let arr = Array.of_list xs in
         Sampling.shuffle rng arr;
         List.sort compare (Array.to_list arr) = List.sort compare xs);
-    Test.make ~name:"percentile within data range" ~count:200
-      (pair (list_of_size (Gen.int_range 1 50) (float_bound_inclusive 1000.))
-         (float_bound_inclusive 1.))
-      (fun (xs, p) ->
-        let arr = Array.of_list xs in
-        let v = Stats.percentile arr ~p in
-        let mn = Array.fold_left Float.min infinity arr in
-        let mx = Array.fold_left Float.max neg_infinity arr in
-        v >= mn -. 1e-9 && v <= mx +. 1e-9);
     Test.make ~name:"common_prefix_length symmetric" ~count:500
       (pair small_int small_int)
       (fun (a, b) ->
@@ -644,13 +560,6 @@ let qcheck_tests =
       (fun (xs, ys) ->
         if xs = ys then Hashing.combine xs = Hashing.combine ys
         else Hashing.combine xs <> Hashing.combine ys);
-    Test.make ~name:"online mean within min..max" ~count:200
-      (list_of_size (Gen.int_range 1 60) (float_bound_inclusive 500.))
-      (fun xs ->
-        let online = Stats.Online.create () in
-        List.iter (Stats.Online.add online) xs;
-        let m = Stats.Online.mean online in
-        m >= Stats.Online.min online -. 1e-9 && m <= Stats.Online.max online +. 1e-9);
   ]
 
 let () =
@@ -673,7 +582,6 @@ let () =
           Alcotest.test_case "bernoulli mean" `Quick test_rng_bernoulli_mean;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
-          Alcotest.test_case "geometric" `Quick test_rng_geometric;
           Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           QCheck_alcotest.to_alcotest rng_ref_test;
         ] );
@@ -683,19 +591,13 @@ let () =
           Alcotest.test_case "shuffle shuffles" `Quick test_shuffle_actually_shuffles;
           Alcotest.test_case "swr distinct" `Quick test_sample_without_replacement_distinct;
           Alcotest.test_case "swr full population" `Quick test_sample_without_replacement_full;
-          Alcotest.test_case "weighted index" `Quick test_weighted_index;
           Alcotest.test_case "alias matches weights" `Quick test_alias_matches_weights;
           Alcotest.test_case "alias rejects bad weights" `Quick test_alias_rejects_bad_weights;
         ] );
       ( "stats",
         [
           Alcotest.test_case "mean/variance" `Quick test_mean_variance;
-          Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "harmonic numbers" `Quick test_harmonic;
-          Alcotest.test_case "online matches batch" `Quick test_online_matches_batch;
-          Alcotest.test_case "online empty" `Quick test_online_empty;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "histogram bad args" `Quick test_histogram_rejects_bad_args;
         ] );
       ( "bitkey",
         [

@@ -25,6 +25,17 @@ for f in lib/*/dune; do
 done
 test "$unreached" -eq 0
 
+echo "== export reachability =="
+# One level down: every value a lib/ interface exports must be
+# referenced from lib/, bin/, bench/, benchmark/ or tools/ (tests and
+# examples don't count), or be listed with its reason in
+# tools/reach.allow; a listed value that is missing or has gained such
+# a caller fails too, so the list cannot go stale.  Dune writes the
+# executables' .cmt files only for @check, and reach.exe reads uids out
+# of them, so they are rebuilt right before it runs.
+dune build @check
+dune exec tools/reach.exe -- --allow tools/reach.allow _build/default
+
 echo "== tests =="
 dune runtest
 
