@@ -142,12 +142,15 @@ let fault_term =
   let plan_arg =
     Arg.(value & opt (some string) None
          & info [ "fault" ] ~docv:"PLAN"
-             ~doc:"Crash-fault schedule: comma-separated events \
-                   $(b,crash:F\\@T) (crash fraction F at time T), \
-                   $(b,crash:F\\@T+D) (recover after D), \
-                   $(b,flap:F\\@T+DxN) (N crash episodes of length D), \
-                   $(b,rack:LO-HI\\@T[+D]) (correlated index-range failure), \
-                   $(b,abort\\@T).  Enables fault injection.")
+             ~doc:"Fault schedule: comma-separated events \
+                   $(b,crash:F@T) (crash fraction F at time T), \
+                   $(b,crash:F@T+D) (recover after D), \
+                   $(b,flap:F@T+DxN) (N crash episodes of length D), \
+                   $(b,rack:LO-HI@T[+D]) (correlated index-range failure), \
+                   $(b,churn:SPEC@T[+D]) (session churn from T, for D \
+                   seconds if given, SPEC as for $(b,--churn); an offline \
+                   peer keeps its state), \
+                   $(b,abort@T).  Enables fault injection.")
   in
   let repair_arg =
     Arg.(value & opt (some float) None

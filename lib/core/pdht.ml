@@ -33,7 +33,7 @@ type store_ops = {
     peers:int array -> count:int -> key_index:int -> now:float -> ttl:float -> (int * int) option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
   peek : peer:int -> key_index:int -> now:float -> (int * float) option;
-  clear : peer:int -> int;
+  clear : peer:int -> now:float -> int;
   live_count : peer:int -> now:float -> int;
   census : now:float -> Bytes.t;
 }
@@ -215,7 +215,7 @@ let local_store_ops ~stores ~keys =
       (fun ~peer ~key_index ~value ~now ~ttl ->
         Storage.put stores.(peer) ~key:(key key_index) ~value ~now ~ttl);
     peek = (fun ~peer ~key_index ~now -> Storage.peek stores.(peer) ~key:(key key_index) ~now);
-    clear = (fun ~peer -> Storage.clear stores.(peer));
+    clear = (fun ~peer ~now -> Storage.clear stores.(peer) ~now);
     live_count = (fun ~peer ~now -> Storage.live_count stores.(peer) ~now);
     census = (fun ~now -> Census.of_stores ~keys ~now stores);
   }
@@ -784,14 +784,14 @@ let indexed_key_count t ~now = Census.count (t.store.census ~now)
 (* Crash-stop consequences inside the PDHT state.  The caller (the
    fault injector's actions, wired by {!System}) owns the liveness
    predicate; this only destroys state.  Returns
-   (index entries lost, content items lost). *)
-let crash_peer t ~peer =
+   (live index entries lost, content items lost). *)
+let crash_peer t ~peer ~now =
   if peer < 0 || peer >= t.config.Config.num_peers then
     invalid_arg "Pdht.crash_peer: bad peer";
   let entries_lost =
     if peer < t.config.Config.active_members then begin
       Dht.forget_routes t.dht ~peer;
-      t.store.clear ~peer
+      t.store.clear ~peer ~now
     end
     else 0
   in

@@ -37,15 +37,15 @@ type t
       member.  Over [peers.(0 .. count - 1)] in order it is
       [get_and_refresh] member by member until one hits, returning that
       member's position and value: the first live holder is refreshed,
-      and exactly the expired entries of the members before it are
-      purged.  The multi-process driver answers it with one read-only
-      round to the workers owning candidates, then posts the purges and
-      the refresh without waiting;
+      and no other store changes.  The multi-process driver answers it
+      with one read-only round to the workers owning candidates, then
+      posts the refresh without waiting;
     - [put]: insert or overwrite with expiry [now +. ttl] (repair
       passes the entry's remaining TTL, so it never extends a key's
       life);
     - [peek]: a live entry's value and absolute expiry, no refresh;
-    - [clear]: the crash — drop every entry, return how many;
+    - [clear]: the crash — drop every entry, return how many were
+      live at [now];
     - [live_count]: non-expired entries;
     - [census]: the key indices some store holds live at [now], as a
       fresh {!Census} bitmap of [keys] bits.  Read-only: it purges
@@ -57,7 +57,7 @@ type store_ops = {
     peers:int array -> count:int -> key_index:int -> now:float -> ttl:float -> (int * int) option;
   put : peer:int -> key_index:int -> value:int -> now:float -> ttl:float -> unit;
   peek : peer:int -> key_index:int -> now:float -> (int * float) option;
-  clear : peer:int -> int;
+  clear : peer:int -> now:float -> int;
   live_count : peer:int -> now:float -> int;
   census : now:float -> Bytes.t;
 }
@@ -208,12 +208,12 @@ val indexed_key_count : t -> now:float -> int
     ever land on their key's replica group, so this equals the count of
     keys live on some member of their group.  Read-only. *)
 
-val crash_peer : t -> peer:int -> int * int
+val crash_peer : t -> peer:int -> now:float -> int * int
 (** Crash-stop state destruction for one peer: a DHT member loses its
     whole index cache and routing state; every peer loses its content
-    replicas (dropped from the replication table).  Returns
-    (index entries lost, content items lost).  Does not touch the
-    liveness predicate — the caller owns that. *)
+    replicas (dropped from the replication table).  Returns (index
+    entries live at [now] that were lost, content items lost).  Does
+    not touch the liveness predicate — the caller owns that. *)
 
 val recover_peer : t -> Pdht_util.Rng.t -> peer:int -> int
 (** Rejoin *empty*: a member rebuilds its routing table via its

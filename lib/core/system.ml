@@ -529,8 +529,8 @@ let run ?obs ?transport scenario strategy options =
       let actions =
         {
           Pdht_fault.Injector.crash =
-            (fun ~peer ~now:_ ->
-              let entries, content = Pdht.crash_peer pdht ~peer in
+            (fun ~peer ~now ->
+              let entries, content = Pdht.crash_peer pdht ~peer ~now in
               Registry.incr c_entries_lost entries;
               Registry.incr c_content_lost content);
           recover = (fun ~peer ~now:_ -> ignore (Pdht.recover_peer pdht fault_rng ~peer));

@@ -9,7 +9,7 @@
    a million mostly-idle per-peer stores cost a few hundred bytes
    each.
 
-   The live slots are also threaded, in non-decreasing expiry order,
+   The occupied slots are also threaded, in non-decreasing expiry order,
    on an intrusive doubly-linked list: [links.(slot)] packs
    [(prev + 1) lsl 31 lor (next + 1)] (0 = none) into one unboxed int,
    from [head] (soonest expiry) to [tail].  The soonest-expiring entry
@@ -254,8 +254,11 @@ let evict_one t =
    ways and break the list order. *)
 let check_ttl fn ttl = if not (ttl > 0.) then invalid_arg (fn ^ ": ttl must be positive")
 
+(* Reads leave expired entries in place; every put drops them first,
+   so they never make a table grow or displace a live entry. *)
 let put t ~key ~value ~now ~ttl =
   check_ttl "Storage.put" ttl;
+  let _ = expire t ~now in
   let k = Pdht_util.Bitkey.to_int key in
   let slot = find_slot t k in
   if slot >= 0 then begin
@@ -265,10 +268,7 @@ let put t ~key ~value ~now ~ttl =
     relink t slot ~old
   end
   else begin
-    if t.size >= t.capacity then begin
-      let _ = expire t ~now in
-      if t.size >= t.capacity then evict_one t
-    end;
+    if t.size >= t.capacity then evict_one t;
     if 2 * (t.size + 1) > t.mask + 1 then grow t;
     if Array.length t.values = 0 then
       t.values <- Array.make (t.mask + 1) value;
@@ -284,23 +284,14 @@ let put t ~key ~value ~now ~ttl =
     t.size <- t.size + 1
   end
 
-(* Slot of a live entry under [key], purging it instead when expired. *)
+(* Slot of a live entry under [key], or -1; an expired one stays. *)
 let find_live_slot t ~key ~now =
   let slot = find_slot t (Pdht_util.Bitkey.to_int key) in
-  if slot < 0 then -1
-  else if t.expiry.(slot) <= now then begin
-    delete_slot t slot;
-    -1
-  end
-  else slot
+  if slot < 0 || t.expiry.(slot) <= now then -1 else slot
 
 let get t ~key ~now =
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None else Some t.values.(slot)
-
-let live t ~key ~now =
-  let slot = find_slot t (Pdht_util.Bitkey.to_int key) in
-  if slot < 0 || t.expiry.(slot) <= now then None else Some t.values.(slot)
 
 let get_and_refresh t ~key ~now ~ttl =
   check_ttl "Storage.get_and_refresh" ttl;
@@ -317,22 +308,22 @@ let peek t ~key ~now =
   let slot = find_live_slot t ~key ~now in
   if slot < 0 then None else Some (t.values.(slot), t.expiry.(slot))
 
+let live_count t ~now =
+  let _ = expire t ~now in
+  t.size
+
 let remove t ~key =
   let slot = find_slot t (Pdht_util.Bitkey.to_int key) in
   if slot >= 0 then delete_slot t slot
 
-let clear t =
-  let n = t.size in
+let clear t ~now =
+  let n = live_count t ~now in
   Array.fill t.keys 0 (t.mask + 1) (-1);
   t.size <- 0;
   t.head <- -1;
   t.tail <- -1;
   t.finger <- -1;
   n
-
-let live_count t ~now =
-  let _ = expire t ~now in
-  t.size
 
 (* Read-only: expired entries are skipped, not purged, so a walk leaves
    the physical contents (and every later victim choice) as it found

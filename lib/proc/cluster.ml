@@ -49,7 +49,7 @@ type link = {
 let request_rid = function
   | Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Get { rid; _ }
   | Wire.Probe { rid; _ } | Wire.Census { rid; _ } | Wire.Snapshot { rid }
-  | Wire.Find { rid; _ } | Wire.Purge { rid; _ } ->
+  | Wire.Find { rid; _ } ->
       rid
   | _ -> -1
 
@@ -57,9 +57,7 @@ let request_rid = function
    refusal), [None] when it answers something else. *)
 let answer_to frame reply =
   match (frame, reply) with
-  | ( ( Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }
-      | Wire.Purge { rid; _ } ),
-      Wire.Ack a )
+  | (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }), Wire.Ack a
     when a.rid = rid ->
       Some a.ok
   | Wire.Find { rid; _ }, Wire.Found f when f.rid = rid -> Some true
@@ -85,27 +83,24 @@ let frame_kind = function
   | Wire.Keys _ -> "Keys"
   | Wire.Find _ -> "Find"
   | Wire.Found _ -> "Found"
-  | Wire.Purge _ -> "Purge"
 
 let describe frame = Printf.sprintf "%s rid %d" (frame_kind frame) (request_rid frame)
 
 let first_holder ~nodes ~expect ~await_all ~peers ~count ~key_index ~now ~ttl =
-  (* The positions below [upto] whose member worker [k] owns, in
-     order. *)
-  let positions k ~upto =
-    let l = ref [] in
-    for i = upto - 1 downto 0 do
-      if peers.(i) mod nodes = k then l := i :: !l
-    done;
-    Array.of_list !l
+  (* The candidate positions whose member worker [k] owns, in order. *)
+  let at =
+    Array.init nodes (fun k ->
+        let l = ref [] in
+        for i = count - 1 downto 0 do
+          if peers.(i) mod nodes = k then l := i :: !l
+        done;
+        Array.of_list !l)
   in
-  let members k ~upto = Array.map (fun i -> peers.(i)) (positions k ~upto) in
-  let at = Array.init nodes (fun k -> positions k ~upto:count) in
   let asked = List.filter (fun k -> at.(k) <> [||]) (List.init nodes Fun.id) in
   List.iter
     (fun k ->
-      expect k
-        (Wire.Find { rid = fresh_rid (); key = key_index; now; peers = members k ~upto:count }))
+      let members = Array.map (fun i -> peers.(i)) at.(k) in
+      expect k (Wire.Find { rid = fresh_rid (); key = key_index; now; peers = members }))
     asked;
   (* The first live holder is the lowest position any worker found. *)
   let winner = ref count and value = ref 0 in
@@ -119,15 +114,6 @@ let first_holder ~nodes ~expect ~await_all ~peers ~count ~key_index ~now ~ttl =
           end
       | msg -> failwith (Format.asprintf "cluster: node %d answered a Find with %a" k Wire.pp msg))
     asked (await_all asked);
-  (* The sequential probe met every candidate before the winner, purging
-     its expired entry, and none after it. *)
-  List.iter
-    (fun k ->
-      match members k ~upto:!winner with
-      | [||] -> ()
-      | before ->
-          expect k (Wire.Purge { rid = fresh_rid (); key = key_index; now; peers = before }))
-    asked;
   if !winner = count then None
   else begin
     let peer = peers.(!winner) in
@@ -404,7 +390,7 @@ let run ?obs config scenario strategy (options : System.options) =
             (Wire.Insert { rid = fresh_rid (); peer; key = key_index; value; now; ttl }));
       peek =
         (fun ~peer ~key_index ~now -> get ~peer ~key_index ~refresh:false ~now ~ttl:0.0);
-      clear = (fun ~peer -> probe ~peer Wire.Clear ~now:0.0);
+      clear = (fun ~peer ~now -> probe ~peer Wire.Clear ~now);
       live_count = (fun ~peer ~now -> probe ~peer Wire.Live_count ~now);
       census;
     }

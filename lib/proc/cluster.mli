@@ -61,9 +61,8 @@ val first_holder :
     - One read-only [Find] goes to each worker owning candidates, and
       one [await_all] takes their [Found]s; the lowest position found
       wins.
-    - Then, without waiting, each such worker gets a [Purge] of its
-      candidates before the winner (if it has any), and the winner's
-      worker a refreshing [Get].
+    - Then, without waiting, the winner's worker gets a refreshing
+      [Get].
     Returns the winner's position in [peers] and its value.
     @raise Failure when a [Found] names no position of its [Find]. *)
 

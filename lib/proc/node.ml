@@ -57,7 +57,7 @@ let answer shard = function
       let value =
         match op with
         | Wire.Live_count -> Storage.live_count s ~now
-        | Wire.Clear -> Storage.clear s
+        | Wire.Clear -> Storage.clear s ~now
       in
       Wire.Ack { rid; ok = true; value }
   | Wire.Census { rid; now } ->
@@ -68,15 +68,11 @@ let answer shard = function
       let rec first i =
         if i = Array.length peers then Wire.Found { rid; pos = -1; value = 0 }
         else
-          match Storage.live (store shard ~peer:peers.(i)) ~key:k ~now with
+          match Storage.get (store shard ~peer:peers.(i)) ~key:k ~now with
           | Some value -> Wire.Found { rid; pos = i; value }
           | None -> first (i + 1)
       in
       first 0
-  | Wire.Purge { rid; key = key_index; now; peers } ->
-      let k = key shard ~key_index in
-      Array.iter (fun peer -> ignore (Storage.get (store shard ~peer) ~key:k ~now)) peers;
-      Wire.Ack { rid; ok = true; value = 0 }
   | msg -> invalid_arg (Format.asprintf "Node.answer: %a is not a store request" Wire.pp msg)
 
 let serve ?obs_out ~node_id conn =
@@ -147,10 +143,10 @@ let serve ?obs_out ~node_id conn =
         | Wire.Gossip _ ->
             Registry.incr casts 1;
             loop ()
-        | ( Wire.Insert _ | Wire.Get _ | Wire.Probe _ | Wire.Census _ | Wire.Find _
-          | Wire.Purge _ ) as request ->
-            (* A census is a whole-shard read and a purge a batch of
-               plain reads: both count with the whole-store probes. *)
+        | (Wire.Insert _ | Wire.Get _ | Wire.Probe _ | Wire.Census _ | Wire.Find _) as request
+          ->
+            (* A census is a whole-shard read: it counts with the
+               whole-store probes. *)
             Registry.incr
               (match request with
               | Wire.Insert _ -> puts

@@ -12,14 +12,14 @@
     arrive together are answered in one write.
 
     Lifecycle: connect, send [Hello], receive [Setup] (sizing), then
-    answer [Get]/[Insert]/[Probe]/[Census]/[Find]/[Purge] store
+    answer [Get]/[Insert]/[Probe]/[Census]/[Find] store
     operations ({!answer}) and acknowledge [Lookup] routing hops until
     [Bye], at which point the node writes the replies still posted,
     then its [proc.*] counter registry as node-stamped JSONL (when
     [obs_out] is given) and returns.  A [Find] counts under
     [proc.gets] with the [Get]s; a [Census] (every key the shard holds
-    live, read without purging) and a [Purge] count under
-    [proc.probes], with the other whole-store reads. *)
+    live, read-only) counts under [proc.probes], with the other
+    whole-store reads. *)
 
 type shard
 (** One worker's stores: a {!Pdht_dht.Storage.t} of capacity [stor] for
@@ -36,13 +36,12 @@ val answer : shard -> Pdht_wire.Wire.msg -> Pdht_wire.Wire.msg
 (** The reply to one store request, applied to the shard:
     - [Insert] puts and is answered by [Ack];
     - [Get] refreshes or peeks, answered by [Entry];
-    - [Probe] counts live entries or clears, answered by [Ack] with
-      the count;
+    - [Probe] counts live entries, or clears and counts the entries
+      that were live, answered by [Ack] with the count;
     - [Census] is answered by [Keys];
-    - [Find] reads its members in order without purging and is
-      answered by [Found] with the first live one;
-    - [Purge] reads each of its members as a plain [Storage.get],
-      dropping the key's expired entries, and is answered by [Ack].
+    - [Find] reads its members in order with [Storage.get], which
+      leaves the store as it was, and is answered by [Found] with the
+      first live one.
     @raise Failure for a member the shard does not own or a key index
     outside [keys].  @raise Invalid_argument for any other frame. *)
 

@@ -24,7 +24,6 @@ type msg =
   | Keys of { rid : int; bits : string }
   | Find of { rid : int; key : int; now : float; peers : int array }
   | Found of { rid : int; pos : int; value : int }
-  | Purge of { rid : int; key : int; now : float; peers : int array }
 
 type error =
   | Truncated of { need : int; have : int }
@@ -63,9 +62,10 @@ let kind_code = function
   | Keys _ -> 14
   | Find _ -> 15
   | Found _ -> 16
-  | Purge _ -> 17
 
-let kinds = 17
+(* Codes run 1 .. kinds.  17 was a retired request kind and is never
+   reused: it decodes as [Unknown_kind 17]. *)
+let kinds = 16
 
 let probe_code = function Live_count -> 0 | Clear -> 1
 
@@ -85,13 +85,13 @@ let put_string b s =
    or float, 1 a boolean or probe code.  -1 marks the kinds whose body
    holds a count-prefixed string, blob or list: 4 bytes of count plus
    the bytes or items. *)
-let fixed_body = [| -1; 8; 48; 40; 48; 32; 41; 25; 17; 25; 8; -1; 0; 16; -1; -1; 24; -1 |]
+let fixed_body = [| -1; 8; 48; 40; 48; 32; 41; 25; 17; 25; 8; -1; 0; 16; -1; -1; 24 |]
 
 let body_length = function
   | Counters { counters; _ } ->
       List.fold_left (fun n (name, _) -> n + 12 + String.length name) 20 counters
   | Keys { bits; _ } -> 12 + String.length bits
-  | Find { peers; _ } | Purge { peers; _ } -> 28 + (8 * Array.length peers)
+  | Find { peers; _ } -> 28 + (8 * Array.length peers)
   | msg -> fixed_body.(kind_code msg)
 
 let encode_body b msg =
@@ -161,7 +161,7 @@ let encode_body b msg =
       put_i64 b rid;
       put_u32 b (String.length bits);
       Buffer.add_string b bits
-  | Find { rid; key; now; peers } | Purge { rid; key; now; peers } ->
+  | Find { rid; key; now; peers } ->
       put_i64 b rid;
       put_i64 b key;
       put_f64 b now;
@@ -345,12 +345,12 @@ let decode_variable kind c =
       let rid = get_i64 c in
       let bits = get_blob c in
       Keys { rid; bits }
-  | 15 | 17 ->
+  | 15 ->
       let rid = get_i64 c in
       let key = get_i64 c in
       let now = get_f64 c in
       let peers = get_peers c in
-      if kind = 15 then Find { rid; key; now; peers } else Purge { rid; key; now; peers }
+      Find { rid; key; now; peers }
   | _ -> assert false (* the caller dispatches only counted kinds here *)
 
 let trailing n = Malformed (Printf.sprintf "%d trailing bytes" n)
@@ -421,15 +421,10 @@ let equal a b =
   | Bye, Bye -> true
   | Census a, Census b -> a.rid = b.rid && feq a.now b.now
   | Keys a, Keys b -> a.rid = b.rid && String.equal a.bits b.bits
-  | ( Find { rid; key; now; peers },
-      Find { rid = rid'; key = key'; now = now'; peers = peers' } )
-  | ( Purge { rid; key; now; peers },
-      Purge { rid = rid'; key = key'; now = now'; peers = peers' } ) ->
-      rid = rid' && key = key' && feq now now' && peers = peers'
+  | Find a, Find b -> a.rid = b.rid && a.key = b.key && feq a.now b.now && a.peers = b.peers
   | Found a, Found b -> a.rid = b.rid && a.pos = b.pos && a.value = b.value
   | ( ( Hello _ | Setup _ | Lookup _ | Insert _ | Gossip _ | Get _ | Probe _ | Ack _
-      | Entry _ | Snapshot _ | Counters _ | Bye | Census _ | Keys _ | Find _ | Found _
-      | Purge _ ),
+      | Entry _ | Snapshot _ | Counters _ | Bye | Census _ | Keys _ | Find _ | Found _ ),
       _ ) ->
       false
 
@@ -465,9 +460,6 @@ let pp ppf = function
       Format.fprintf ppf "find(rid=%d key=%d now=%g peers=%d)" rid key now
         (Array.length peers)
   | Found { rid; pos; value } -> Format.fprintf ppf "found(rid=%d pos=%d value=%d)" rid pos value
-  | Purge { rid; key; now; peers } ->
-      Format.fprintf ppf "purge(rid=%d key=%d now=%g peers=%d)" rid key now
-        (Array.length peers)
 
 let error_to_string = function
   | Truncated { need; have } -> Printf.sprintf "truncated frame: need %d bytes, have %d" need have

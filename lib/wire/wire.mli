@@ -1,15 +1,15 @@
 (** Binary wire codec for the multi-process driver.
 
-    Seventeen frame kinds.  The conductor reaches a worker's stores with
-    six requests — {!Get} (the refreshing query hit, or a plain peek),
-    {!Insert} (every write, repair copies included), {!Probe} (live
-    count, crash clear), {!Census} (every key the worker holds live,
-    for the index size), {!Find} (the first live holder of a key among
-    listed members, read-only) and {!Purge} (drop a key's expired
-    entries from listed members) — and materialises routing hops and
-    broadcast edges as {!Lookup} and {!Gossip}.  A {!Get} is answered
-    by {!Entry}, a {!Census} by {!Keys}, a {!Find} by {!Found}, every
-    other request by {!Ack}.
+    Sixteen frame kinds, coded 1 to 16; code 17 belonged to a retired
+    request and decodes as {!Unknown_kind}.  The conductor reaches a
+    worker's stores with five requests — {!Get} (the refreshing query
+    hit, or a plain peek), {!Insert} (every write, repair copies
+    included), {!Probe} (live count, crash clear), {!Census} (every key
+    the worker holds live, for the index size) and {!Find} (the first
+    live holder of a key among listed members, read-only) — and
+    materialises routing hops and broadcast edges as {!Lookup} and
+    {!Gossip}.  A {!Get} is answered by {!Entry}, a {!Census} by
+    {!Keys}, a {!Find} by {!Found}, every other request by {!Ack}.
 
     Every message travels as one length-prefixed frame:
 
@@ -65,8 +65,8 @@ type msg =
           behaviour) *)
   | Probe of { rid : int; op : probe_op; peer : int; now : float }
   | Ack of { rid : int; ok : bool; value : int }
-      (** acknowledgement of {!Lookup}, {!Insert}, {!Probe} and
-          {!Purge}; [value] is the probe's count *)
+      (** acknowledgement of {!Lookup}, {!Insert} and {!Probe}; [value]
+          is the probe's count *)
   | Entry of { rid : int; ok : bool; value : int; expiry : float }
       (** the answer to {!Get}: [ok = false] is a miss, otherwise the
           entry's value and absolute expiry (after any refresh) *)
@@ -85,15 +85,11 @@ type msg =
   | Find of { rid : int; key : int; now : float; peers : int array }
       (** conductor -> worker: which of [peers] (members the worker
           owns, in probe order) is the first to hold [key] live at
-          [now]?  Read-only: an expired entry is skipped, not purged.
-          Answered by {!Found} *)
+          [now]?  Read-only: an expired entry is skipped and left in
+          place.  Answered by {!Found} *)
   | Found of { rid : int; pos : int; value : int }
       (** the answer to {!Find}: the index into its [peers] of the first
           live holder and that entry's value, or [pos = -1] *)
-  | Purge of { rid : int; key : int; now : float; peers : int array }
-      (** conductor -> worker: drop [key]'s entry from each of [peers]
-          where it has expired at [now] (a plain read of each, as a
-          probe that misses would); answered by {!Ack} *)
 
 type error =
   | Truncated of { need : int; have : int }

@@ -14,9 +14,7 @@ let () =
     | Ok (Wire.Setup setup) ->
         keys := setup.keys;
         loop ()
-    | Ok
-        ( Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }
-        | Wire.Purge { rid; _ } ) ->
+    | Ok (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }) ->
         Frame_io.post conn (Wire.Ack { rid; ok = true; value = 0 });
         loop ()
     | Ok (Wire.Get { rid; _ }) ->

@@ -18,7 +18,7 @@ let () =
     | Ok (Wire.Lookup { rid; _ }) ->
         Frame_io.post conn (Wire.Ack { rid; ok = false; value = 0 });
         loop ()
-    | Ok (Wire.Insert { rid; _ } | Wire.Probe { rid; _ } | Wire.Purge { rid; _ }) ->
+    | Ok (Wire.Insert { rid; _ } | Wire.Probe { rid; _ }) ->
         Frame_io.post conn (Wire.Ack { rid; ok = true; value = 0 });
         loop ()
     | Ok (Wire.Get { rid; _ }) ->

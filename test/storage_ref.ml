@@ -141,6 +141,7 @@ let evict_one t =
 
 let put t ~key ~value ~now ~ttl =
   if ttl <= 0. then invalid_arg "Storage.put: ttl must be positive";
+  let _ = expire t ~now in
   let k = Pdht_util.Bitkey.to_int key in
   let slot = find_slot t k in
   if slot >= 0 then begin
@@ -148,10 +149,7 @@ let put t ~key ~value ~now ~ttl =
     t.values.(slot) <- value
   end
   else begin
-    if t.size >= t.capacity then begin
-      let _ = expire t ~now in
-      if t.size >= t.capacity then evict_one t
-    end;
+    if t.size >= t.capacity then evict_one t;
     if 2 * (t.size + 1) > t.mask + 1 then grow t;
     if Array.length t.values = 0 then
       t.values <- Array.make (t.mask + 1) value;
@@ -166,15 +164,10 @@ let put t ~key ~value ~now ~ttl =
     t.size <- t.size + 1
   end
 
-(* Slot of a live entry under [key], purging it instead when expired. *)
+(* Slot of a live entry under [key], or -1; an expired one stays. *)
 let find_live_slot t ~key ~now =
   let slot = find_slot t (Pdht_util.Bitkey.to_int key) in
-  if slot < 0 then -1
-  else if t.expiry.(slot) <= now then begin
-    delete_slot t slot;
-    -1
-  end
-  else slot
+  if slot < 0 || t.expiry.(slot) <= now then -1 else slot
 
 let get t ~key ~now =
   let slot = find_live_slot t ~key ~now in

@@ -263,7 +263,7 @@ let test_pdht_net_transport_exclusive () =
           first_holder = (fun ~peers:_ ~count:_ ~key_index:_ ~now:_ ~ttl:_ -> unused ());
           put = (fun ~peer ~key_index:_ ~value:_ ~now:_ ~ttl:_ -> unused peer);
           peek = (fun ~peer ~key_index:_ ~now:_ -> unused peer);
-          clear = (fun ~peer -> unused peer);
+          clear = (fun ~peer ~now:_ -> unused peer);
           live_count = (fun ~peer ~now:_ -> unused peer);
           census = (fun ~now:_ -> unused ());
         };
@@ -742,7 +742,7 @@ let test_query_plan_no_index_paths () =
   Alcotest.(check int) "no index traffic" 0 r.Pdht.index_messages;
   Alcotest.(check int) "never inserts" 0 r.Pdht.insert_messages;
   (* With every replica crashed the broadcast finds nothing. *)
-  Array.iter (fun peer -> ignore (Pdht.crash_peer p ~peer)) reps;
+  Array.iter (fun peer -> ignore (Pdht.crash_peer p ~peer ~now:2.)) reps;
   let r = Pdht.query p ~now:2. ~peer ~key_index in
   Alcotest.check source "broadcast miss" Pdht.Not_found r.Pdht.source;
   Alcotest.(check bool) "broadcast ran" true (r.Pdht.broadcast_messages > 0);
@@ -760,7 +760,7 @@ let test_query_plan_index_all_paths () =
   Pdht.set_online p (fun _ -> true);
   let r = Pdht.query p ~now:2. ~peer:100 ~key_index in
   Alcotest.check source "hit" Pdht.From_index r.Pdht.source;
-  Array.iter (fun peer -> ignore (Pdht.crash_peer p ~peer)) (replica_group p ~key_index);
+  Array.iter (fun peer -> ignore (Pdht.crash_peer p ~peer ~now:3.)) (replica_group p ~key_index);
   let r = Pdht.query p ~now:3. ~peer:100 ~key_index in
   Alcotest.check source "miss is final" Pdht.Not_found r.Pdht.source;
   Alcotest.(check bool) "the index was searched" true
@@ -924,10 +924,12 @@ let test_repair_remaining_ttl () =
   Alcotest.(check bool) "inserted" true (r.Pdht.insert_messages > 0);
   let group = replica_group p ~key_index in
   let holder = group.(0) in
-  Array.iter (fun peer -> if peer <> holder then ignore (Pdht.crash_peer p ~peer)) group;
+  Array.iter
+    (fun peer -> if peer <> holder then ignore (Pdht.crash_peer p ~peer ~now:100.))
+    group;
   let _, _, copied = Pdht.repair_pass p rng ~now:100. ~min_fraction:0.5 in
   Alcotest.(check int) "copied to every other member" (Array.length group - 1) copied;
-  ignore (Pdht.crash_peer p ~peer:holder);
+  ignore (Pdht.crash_peer p ~peer:holder ~now:100.);
   Alcotest.(check bool) "repaired copies live before expiry" true
     (Pdht.index_hit_probe p ~now:300. ~key_index);
   Alcotest.(check bool) "and gone at the original expiry" false
@@ -1050,7 +1052,7 @@ let census_run c =
       for _ = 1 to 8 do
         let peer = Rng.int rng census_members in
         if not (List.mem peer !crashed) then begin
-          ignore (Pdht.crash_peer p ~peer);
+          ignore (Pdht.crash_peer p ~peer ~now:!now);
           online.(peer) <- false;
           crashed := peer :: !crashed
         end

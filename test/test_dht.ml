@@ -253,6 +253,21 @@ let test_storage_full_of_expired_purges_without_eviction () =
   Alcotest.(check (option int)) "new key admitted" (Some 10) (Storage.get s ~key:(key 10) ~now:10.);
   Alcotest.(check int) "only the new key remains" 1 (Storage.live_count s ~now:10.)
 
+(* Every put drops the expired entries first, so a store whose each
+   entry expires before the next put never holds more than one, and
+   keeps its first 8-slot table through 1,000 distinct keys: it retains
+   exactly the words of a fresh store after one put.  A store that
+   dropped expired entries only when full would grow to 256 slots. *)
+let test_storage_put_reclaims_expired () =
+  let words s = Obj.reachable_words (Obj.repr s) in
+  let one = Storage.create ~capacity:100 () in
+  Storage.put one ~key:(key 0) ~value:0 ~now:0. ~ttl:1.;
+  let s = Storage.create ~capacity:100 () in
+  for i = 0 to 999 do
+    Storage.put s ~key:(key i) ~value:i ~now:(float_of_int (2 * i)) ~ttl:1.
+  done;
+  Alcotest.(check int) "retained words" (words one) (words s)
+
 let test_storage_validation () =
   Alcotest.check_raises "capacity" (Invalid_argument "Storage.create: capacity must be >= 1")
     (fun () -> ignore (Storage.create ~capacity:0 () : int Storage.t));
@@ -2027,6 +2042,8 @@ let () =
           Alcotest.test_case "expiry inspection" `Quick test_storage_expiry_inspection;
           Alcotest.test_case "all-expired purge skips eviction policy" `Quick
             test_storage_full_of_expired_purges_without_eviction;
+          Alcotest.test_case "puts keep a churning store's table small" `Quick
+            test_storage_put_reclaims_expired;
           Alcotest.test_case "validation" `Quick test_storage_validation;
           Alcotest.test_case "nan, zero or negative ttl" `Quick test_storage_ttl_must_be_positive;
         ] );

@@ -327,10 +327,11 @@ let test_node_serves_census () =
         (Format.asprintf "unexpected session transcript:@ %a"
            (Format.pp_print_list Wire.pp) replies)
 
-(* A Find reads without purging and names the first live member of its
-   list; a Purge drops the expired entries of its members.  A Find
-   counts as a get, a Purge as a probe. *)
-let test_node_serves_find_and_purge () =
+(* A Find names the first live member of its list and leaves the stores
+   as they were: an expired entry it skipped is still there for an
+   earlier read, and a live one keeps its expiry.  Each Find counts as
+   one get. *)
+let test_node_serves_find () =
   let replies =
     run_node_session
       [ setup;
@@ -338,35 +339,54 @@ let test_node_serves_find_and_purge () =
         Wire.Insert { rid = 2; peer = 5; key = 2; value = 15; now = 0.0; ttl = 100.0 };
         Wire.Find { rid = 3; key = 2; now = 20.0; peers = [| 3; 1; 5 |] };
         Wire.Find { rid = 4; key = 2; now = 20.0; peers = [| 3; 1 |] };
-        (* Member 1's expired entry is still there for an earlier read. *)
         Wire.Get { rid = 5; peer = 1; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
-        Wire.Purge { rid = 6; key = 2; now = 20.0; peers = [| 3; 1 |] };
-        Wire.Get { rid = 7; peer = 1; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
-        Wire.Get { rid = 8; peer = 5; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
-        Wire.Snapshot { rid = 9 };
+        Wire.Get { rid = 6; peer = 5; key = 2; refresh = false; now = 5.0; ttl = 0.0 };
+        Wire.Snapshot { rid = 7 };
         Wire.Bye ]
   in
   match replies with
   | [ Wire.Hello _; Wire.Ack { rid = 1; _ }; Wire.Ack { rid = 2; _ };
       Wire.Found { rid = 3; pos = 2; value = 15 };
       Wire.Found { rid = 4; pos = -1; _ };
-      Wire.Entry { rid = 5; ok = true; value = 11; _ };
-      Wire.Ack { rid = 6; ok = true; _ };
-      Wire.Entry { rid = 7; ok = false; _ };
-      Wire.Entry { rid = 8; ok = true; value = 15; expiry = 100.0 };
-      Wire.Counters { rid = 9; counters; _ } ] ->
-      Alcotest.(check (option int)) "Finds and Gets count as gets" (Some 5)
+      Wire.Entry { rid = 5; ok = true; value = 11; expiry = 10.0 };
+      Wire.Entry { rid = 6; ok = true; value = 15; expiry = 100.0 };
+      Wire.Counters { rid = 7; counters; _ } ] ->
+      Alcotest.(check (option int)) "Finds and Gets count as gets" (Some 4)
         (List.assoc_opt "proc.gets" counters);
-      Alcotest.(check (option int)) "a Purge counts as a probe" (Some 1)
+      Alcotest.(check (option int)) "and not as probes" (Some 0)
         (List.assoc_opt "proc.probes" counters)
   | replies ->
       Alcotest.fail
         (Format.asprintf "unexpected session transcript:@ %a"
            (Format.pp_print_list Wire.pp) replies)
 
-(* The replica probe, two ways over the same stores: member by member
-   with [get_and_refresh] until one hits, as [Pdht]'s in-process stores
-   do it, and as [Cluster.first_holder]'s Find, Purge and refreshing
+(* A crash loses the entries live at its instant: an entry that expired
+   earlier, still in the store because nothing was put since, is not
+   counted, in process or through a worker's [Probe {Clear}]. *)
+let test_clear_counts_live_entries () =
+  let module Storage = Pdht_dht.Storage in
+  let fill put =
+    List.iter (fun (key, ttl) -> put key ttl) [ (0, 10.0); (1, 100.0); (2, 100.0) ]
+  in
+  let stores = [| Storage.create ~capacity:4 () |] in
+  let local = Pdht_core.Pdht.local_store_ops ~stores ~keys:3 in
+  fill (fun key_index ttl -> local.put ~peer:0 ~key_index ~value:key_index ~now:0.0 ~ttl);
+  Alcotest.(check int) "in process" 2 (local.clear ~peer:0 ~now:20.0);
+  Alcotest.(check (option (float 0.))) "in-process store emptied" None
+    (Storage.expiry stores.(0) ~key:(Pdht_util.Bitkey.of_int 0));
+  let shard = Node.shard ~node_id:0 ~nodes:1 ~members:1 ~keys:3 ~stor:4 in
+  fill (fun key ttl ->
+      ignore
+        (Node.answer shard (Wire.Insert { rid = 0; peer = 0; key; value = key; now = 0.0; ttl })));
+  (match Node.answer shard (Wire.Probe { rid = 1; op = Wire.Clear; peer = 0; now = 20.0 }) with
+  | Wire.Ack { rid = 1; ok = true; value } -> Alcotest.(check int) "through Node.answer" 2 value
+  | reply -> Alcotest.failf "clear answered %a" Wire.pp reply);
+  Alcotest.(check (option (float 0.))) "worker store emptied" None
+    (Storage.expiry (Node.store shard ~peer:0) ~key:(Pdht_util.Bitkey.of_int 0))
+
+(* The replica probe, two ways over the same stores: [first_holder] of
+   [Pdht.local_store_ops], member by member with [get_and_refresh]
+   until one hits, and [Cluster.first_holder]'s Find and refreshing
    Get, answered by 1-3 in-test [Node] shards.  Each member holds the
    probed key live, expired or not at all, beside other keys, in a
    small store; the candidates are the members in a random order.  Both
@@ -432,17 +452,8 @@ let prop_first_holder_matches_sequential =
       done;
       let count = int (members + 1) in
       let sequential =
-        let rec probe i =
-          if i = count then None
-          else
-            match
-              Storage.get_and_refresh reference.(peers.(i))
-                ~key:(Pdht_util.Bitkey.of_int probed) ~now ~ttl
-            with
-            | Some value -> Some (i, value)
-            | None -> probe (i + 1)
-        in
-        probe 0
+        (Pdht_core.Pdht.local_store_ops ~stores:reference ~keys).first_holder ~peers ~count
+          ~key_index:probed ~now ~ttl
       in
       let last = Array.make nodes Wire.Bye in
       let expect k frame =
@@ -519,7 +530,6 @@ let prop_node_answers_batch_in_order =
         map2 (fun m key -> `Get (2 * m + 1, key)) (int_bound 2) (int_bound 3);
         map (fun m -> `Probe (2 * m + 1)) (int_bound 2);
         map2 (fun m key -> `Find (2 * m + 1, key)) (int_bound 2) (int_bound 3);
-        map2 (fun m key -> `Purge (2 * m + 1, key)) (int_bound 2) (int_bound 3);
       ]
   in
   QCheck.Test.make ~name:"node answers a batch in request order" ~count:50
@@ -536,8 +546,7 @@ let prop_node_answers_batch_in_order =
             | `Get (peer, key) ->
                 Wire.Get { rid; peer; key; refresh = true; now = 1.; ttl = 100. }
             | `Probe peer -> Wire.Probe { rid; op = Wire.Live_count; peer; now = 1. }
-            | `Find (peer, key) -> Wire.Find { rid; key; now = 1.; peers = [| peer; 1 |] }
-            | `Purge (peer, key) -> Wire.Purge { rid; key; now = 1.; peers = [| peer |] })
+            | `Find (peer, key) -> Wire.Find { rid; key; now = 1.; peers = [| peer; 1 |] })
           requests
       in
       match run_node_session ((setup :: frames) @ [ Wire.Bye ]) with
@@ -546,8 +555,7 @@ let prop_node_answers_batch_in_order =
           && List.for_all2
                (fun frame reply ->
                  match (frame, reply) with
-                 | ( ( Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }
-                     | Wire.Purge { rid; _ } ),
+                 | ( (Wire.Lookup { rid; _ } | Wire.Insert { rid; _ } | Wire.Probe { rid; _ }),
                      Wire.Ack a ) ->
                      a.rid = rid
                  | Wire.Get { rid; _ }, Wire.Entry e -> e.rid = rid
@@ -837,7 +845,8 @@ let () =
             test_node_rejects_retired_evictions;
           Alcotest.test_case "serves store ops" `Quick test_node_serves_store_ops;
           Alcotest.test_case "serves census" `Quick test_node_serves_census;
-          Alcotest.test_case "serves find and purge" `Quick test_node_serves_find_and_purge;
+          Alcotest.test_case "serves find" `Quick test_node_serves_find;
+          Alcotest.test_case "clear counts live entries" `Quick test_clear_counts_live_entries;
           QCheck_alcotest.to_alcotest prop_first_holder_matches_sequential;
           Alcotest.test_case "snapshot counts traffic" `Quick
             test_node_snapshot_counts_traffic;

@@ -37,16 +37,17 @@ let test_battery_jobs_invariant () =
 (* Storage vs a reference model.
 
    The model is an association list mirroring the documented semantics:
-   expiry instants, purge-on-read.  Capacity is kept above the live key
+   expiry instants, reads that leave expired entries in place, puts
+   that drop them first.  Capacity is kept above the live key
    count so no eviction fires — victim identity is the eviction
    property's job below; here we check the bookkeeping the
    open-addressed table must get right (probe sequences, backward-shift
    deletion, in-place expiry). *)
 
 (* Each timed op carries a clock *increment*: simulated time is
-   monotone, and the lazy purge only matches an eager model under a
-   monotone clock (a physically present but expired entry must never be
-   observed again at an earlier time). *)
+   monotone, and the lazy purge only matches the model under a monotone
+   clock (a physically present but expired entry must never be observed
+   again at an earlier time). *)
 type op =
   | Put of int * float * float (* key, dt, ttl *)
   | Get of int * float
@@ -88,15 +89,12 @@ let op_print = function
   | Clear -> "Clear"
 
 (* model: (key, (value, expiry)) assoc, insertion order irrelevant.
-   It mirrors the store's *physical* contents: per-key reads purge only
-   the probed key (the store is lazy), [expire]/[live_count] sweep
-   everything, and [iter_live] purges nothing. *)
+   It mirrors the store's *physical* contents: [put], [expire] and
+   [live_count] sweep every expired entry, and reads purge nothing. *)
 let model_purge model now = List.filter (fun (_, (_, e)) -> e > now) model
 
-let model_drop_expired model k now =
-  match List.assoc_opt k model with
-  | Some (_, e) when e <= now -> List.remove_assoc k model
-  | _ -> model
+let model_live model k now =
+  match List.assoc_opt k model with Some (v, e) when e > now -> Some v | _ -> None
 
 let storage_model_test =
   QCheck.Test.make ~name:"storage matches reference model" ~count:300
@@ -130,27 +128,23 @@ let storage_model_test =
           | Put (k, dt, ttl) ->
               let now = tick dt in
               Storage.put store ~key:(Bitkey.of_int k) ~value:k ~now ~ttl;
-              model := (k, (k, now +. ttl)) :: List.remove_assoc k !model
+              model := (k, (k, now +. ttl)) :: List.remove_assoc k (model_purge !model now)
           | Get (k, dt) ->
               let now = tick dt in
               let got = Storage.get store ~key:(Bitkey.of_int k) ~now in
-              model := model_drop_expired !model k now;
-              let want = Option.map fst (List.assoc_opt k !model) in
-              check (got = want)
+              check (got = model_live !model k now)
           | Refresh (k, dt, ttl) -> (
               let now = tick dt in
               let got = Storage.get_and_refresh store ~key:(Bitkey.of_int k) ~now ~ttl in
-              model := model_drop_expired !model k now;
-              match List.assoc_opt k !model with
-              | Some (v, _) ->
+              match model_live !model k now with
+              | Some v ->
                   model := (k, (v, now +. ttl)) :: List.remove_assoc k !model;
                   check (got = Some v)
               | None -> check (got = None))
           | Mem (k, dt) ->
               let now = tick dt in
               let got = Storage.peek store ~key:(Bitkey.of_int k) ~now <> None in
-              model := model_drop_expired !model k now;
-              check (got = List.mem_assoc k !model)
+              check (got = (model_live !model k now <> None))
           | Remove k ->
               Storage.remove store ~key:(Bitkey.of_int k);
               model := List.remove_assoc k !model
@@ -167,8 +161,8 @@ let storage_model_test =
               check (got = List.length !model)
           | Live_keys dt -> live_keys (tick dt)
           | Clear ->
-              let n = Storage.clear store in
-              check (n = List.length !model);
+              let n = Storage.clear store ~now:!clock in
+              check (n = List.length (model_purge !model !clock));
               model := [])
         ops;
       live_keys !clock;
@@ -186,11 +180,11 @@ let storage_capacity_test =
 
 (* Victim identity under pressure: a small store (4-8 entries) over 16
    keys, driven by puts and refreshes on a monotone clock.  Before and
-   after every put of an absent key into a full store, [expiry] (which
-   sees entries whether live or not, and purges nothing) snapshots the
-   physical contents.  The put must purge every expired entry, and must
-   evict exactly one live entry — one whose expiry is <= every
-   survivor's — when no expired entry made room. *)
+   after every put, [expiry] (which sees entries whether live or not,
+   and purges nothing) snapshots the physical contents.  No expired
+   entry may survive a put.  A live entry goes only when the put's key
+   is not live and the store holds [capacity] live entries: then
+   exactly one goes, one whose expiry is <= every survivor's. *)
 let storage_eviction_test =
   let op =
     QCheck.Gen.(
@@ -224,28 +218,26 @@ let storage_eviction_test =
             let before = snapshot () in
             Storage.put store ~key ~value:k ~now ~ttl;
             let after = snapshot () in
-            let gone = List.filter (fun (k', _) -> not (List.mem_assoc k' after)) before in
             let live = List.filter (fun (_, e) -> e > now) before in
-            if List.mem_assoc k before || List.length before < capacity then gone = []
-            else if List.length live < capacity then
-              (* Purging alone made room. *)
-              List.for_all (fun (_, e) -> e <= now) gone
-              && List.length gone = List.length before - List.length live
+            let evicted = List.filter (fun (k', _) -> not (List.mem_assoc k' after)) live in
+            List.for_all (fun (_, e) -> e > now) after
+            &&
+            if List.mem_assoc k live || List.length live < capacity then evicted = []
             else
-              match gone with
-              | [ (_, victim) ] ->
-                  victim > now
-                  && List.for_all (fun (k', e) -> k' = k || victim <= e) after
+              match evicted with
+              | [ (_, victim) ] -> List.for_all (fun (k', e) -> k' = k || victim <= e) after
               | _ -> false
           end)
         ops)
 
-(* Slot-exact differential check against [Storage_ref], a verbatim copy
-   of the store as it was when it found its victim by a strict-< scan in
-   slot order.  The eviction property above accepts any victim tied on
-   expiry; this one pins the exact one, and the physical slot order
-   after every step (read through [iter_live ~now:neg_infinity], which
-   yields every stored key, expired or not).  Capacities 1-12 over 24
+(* Slot-exact differential check against [Storage_ref], a copy of the
+   store as it was when it found its victim by a strict-< scan in slot
+   order, verbatim but for the rule that reads leave expired entries in
+   place and every put drops them first.  The eviction property above
+   accepts any victim tied on expiry; this one pins the exact one, and
+   the physical slot order after every step (read through
+   [iter_live ~now:neg_infinity], which yields every stored key,
+   expired or not).  Capacities 1-12 over 24
    keys cross the [grow] thresholds; [dt = 0] steps and the 1e15
    ([forever]) regimes make expiry ties common, and the two-lease
    regime (a short and a long TTL, as the cost policy's [ttl_out] and
@@ -346,7 +338,11 @@ let storage_ref_test =
                 let now = tick dt in
                 slot_order Storage.iter_live store ~now
                 = slot_order Storage_ref.iter_live reference ~now
-            | Clear -> Storage.clear store = Storage_ref.clear reference
+            | Clear ->
+                let now = !clock in
+                let live = Storage_ref.live_count reference ~now in
+                ignore (Storage_ref.clear reference);
+                Storage.clear store ~now = live
           in
           same && same_contents ())
         ops)
@@ -838,7 +834,7 @@ let test_replica_probe_alloc () =
     in
     Array.iter
       (fun peer ->
-        ignore (Pdht_core.Pdht.crash_peer p ~peer);
+        ignore (Pdht_core.Pdht.crash_peer p ~peer ~now:0.);
         ignore (Pdht_core.Pdht.recover_peer p rng ~peer))
       group;
     let query () = Pdht_core.Pdht.query p ~now:1. ~peer:0 ~key_index in

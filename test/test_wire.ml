@@ -58,27 +58,25 @@ let sample_msgs : Wire.msg list =
     Find { rid = 22; key = 0; now = nan; peers = [||] };
     Found { rid = 23; pos = 2; value = 188 };
     Found { rid = 24; pos = -1; value = 0 };
-    Purge { rid = 25; key = 7; now = 0.; peers = [| max_int; 0; -1 |] };
-    Purge { rid = 26; key = 8; now = infinity; peers = [||] };
   ]
 
 let test_samples_roundtrip () = List.iter roundtrip sample_msgs
 
-(* The samples exercise every kind code the decoder accepts (1..17);
+(* The samples exercise every kind code the decoder accepts (1..16);
    byte 5 of a frame is its kind. *)
 let test_samples_cover_kinds () =
   let kinds =
     List.sort_uniq compare
       (List.map (fun m -> Char.code (Bytes.get (Wire.encode_bytes m) 5)) sample_msgs)
   in
-  Alcotest.(check (list int)) "kind codes" (List.init 17 (fun i -> i + 1)) kinds
+  Alcotest.(check (list int)) "kind codes" (List.init 16 (fun i -> i + 1)) kinds
 
 (* Version 3's frames are fixed bytes, whatever the encoder's internals:
    every sample encodes to its recorded MD5 (in sample order), and one
    Lookup is spelled out, its length prefix included.  The digests of
    the first fourteen kinds were recorded before the decoder read whole
-   fields at once; the Find, Found and Purge ones were appended when
-   those kinds came in. *)
+   fields at once; the Find and Found ones were appended when those
+   kinds came in. *)
 let known_digests =
   [ "c67cf7d8685bd89933e5e9117e50b71a"; "80060dccbdf58997f72855b1f0724aea";
     "a9e712160f976581263c382a4f43e35f"; "478d0922ab1f6c08183e00a7b4893572";
@@ -93,8 +91,7 @@ let known_digests =
     "62d6be68fc3323183c0dcc1fb0743185"; "faddf16f0ff1a8950eedf71eea9e51fd";
     "0feffaee3f950d3e1741671c721daf38"; "5cae88f14325b43b9ba80b9684b71008";
     "abfbda8e256007e74ebb6c4c305d8fa5"; "7d65b689e59622ffaefbcf17ce5a87ac";
-    "e8ea457876279830cacfcfa784bb473c"; "c332ea01513bfe17bcf384fbfbc8149f";
-    "ab4e188f84ff05f2daa68370cf1a9fec"; "2bca29a0394a2ac2165c8c64ace63a2d" ]
+    "e8ea457876279830cacfcfa784bb473c"; "c332ea01513bfe17bcf384fbfbc8149f" ]
 
 let test_known_bytes () =
   Alcotest.(check (list string))
@@ -148,8 +145,7 @@ let test_truncation_every_prefix () =
       done)
     [ Wire.Lookup { rid = 1; span = 2; src = 3; dst = 4; key = 5 };
       Wire.Find { rid = 6; key = 7; now = 8.; peers = [| 9; 10; 11 |] };
-      Wire.Found { rid = 12; pos = 1; value = 13 };
-      Wire.Purge { rid = 14; key = 15; now = 16.; peers = [| 17; 18 |] } ]
+      Wire.Found { rid = 12; pos = 1; value = 13 } ]
 
 let test_bad_version () =
   let bytes = Wire.encode_bytes Wire.Bye in
@@ -218,17 +214,14 @@ let test_malformed_bodies () =
   (* Keys (kind 14) whose bitmap count claims more bytes than follow. *)
   (let payload = head 14 ^ String.make 8 '\x00' ^ "\x00\x00\x00\x09" ^ "\xff" in
    malformed "bitmap count past the body" (frame_of_payload payload));
-  (* Find (kind 15) and Purge (kind 17) whose peer count is over the
-     list limit, or claims more peers than the body holds: either fails
-     before a peer array is allocated. *)
-  List.iter
-    (fun kind ->
-      let fixed = String.make 24 '\x00' in
-      malformed "peer count over the limit"
-        (frame_of_payload (head kind ^ fixed ^ "\x00\x01\x00\x01" ^ String.make 8 '\x00'));
-      malformed "peer count past the body"
-        (frame_of_payload (head kind ^ fixed ^ "\x00\x00\x00\x03" ^ String.make 16 '\x00')))
-    [ 15; 17 ];
+  (* Find (kind 15) whose peer count is over the list limit, or claims
+     more peers than the body holds: either fails before a peer array
+     is allocated. *)
+  (let fixed = String.make 24 '\x00' in
+   malformed "peer count over the limit"
+     (frame_of_payload (head 15 ^ fixed ^ "\x00\x01\x00\x01" ^ String.make 8 '\x00'));
+   malformed "peer count past the body"
+     (frame_of_payload (head 15 ^ fixed ^ "\x00\x00\x00\x03" ^ String.make 16 '\x00')));
   (* Out-of-range pos/len must be a structured error, not a crash. *)
   malformed "negative len" (Bytes.create 0 |> fun b ->
     match Wire.decode b ~pos:0 ~len:(-1) with
@@ -237,6 +230,15 @@ let test_malformed_bodies () =
   match Wire.decode (Bytes.create 4) ~pos:3 ~len:4 with
   | Error (Wire.Malformed _) -> ()
   | _ -> Alcotest.fail "pos+len beyond buffer accepted"
+
+(* Kind 17 belonged to a retired request and is never reused: a frame
+   carrying it, body and all, is an unknown kind, not a parse. *)
+let test_retired_kind () =
+  let bytes = frame_of_payload (head 17 ^ String.make 28 '\x00') in
+  match Wire.decode bytes ~pos:0 ~len:(Bytes.length bytes) with
+  | Error (Wire.Unknown_kind 17) -> ()
+  | Ok m -> Alcotest.failf "retired kind decoded as %a" Wire.pp m
+  | Error e -> Alcotest.failf "retired kind misreported: %s" (Wire.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
@@ -286,10 +288,6 @@ let gen_msg : Wire.msg QCheck.Gen.t =
         (pair id id) fl
         (array_size (int_bound 24) id);
       map3 (fun rid pos value -> Wire.Found { rid; pos; value }) id id id;
-      map3
-        (fun (rid, key) now peers -> Wire.Purge { rid; key; now; peers })
-        (pair id id) fl
-        (array_size (int_bound 24) id);
       map2
         (fun rid bits -> Wire.Keys { rid; bits })
         id
@@ -342,6 +340,7 @@ let () =
           Alcotest.test_case "truncation at every prefix" `Quick test_truncation_every_prefix;
           Alcotest.test_case "bad version" `Quick test_bad_version;
           Alcotest.test_case "unknown kind" `Quick test_unknown_kind;
+          Alcotest.test_case "retired kind 17 is unknown" `Quick test_retired_kind;
           Alcotest.test_case "frame too large" `Quick test_frame_too_large;
           Alcotest.test_case "malformed bodies" `Quick test_malformed_bodies;
         ] );

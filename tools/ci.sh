@@ -297,14 +297,14 @@ dune exec tools/validate_jsonl.exe -- "$clu"/obs/node-*.jsonl "$clu/obs/merged.j
 grep -q '"name":"proc.frames_in"' "$clu/obs/merged.jsonl"
 grep -q '"node_id":0' "$clu/obs/node-0.jsonl"
 # The index size is one Census frame per worker per sample (3 samples x
-# 8 workers, counted as probes), not a Get per replica: pin the store
-# traffic so a per-key scan cannot creep back in.  A replica probe is
-# one Find per worker owning candidates (counted as gets) and a Purge
-# per worker with candidates before the holder (counted as probes, 1153
-# of them here), not a Get per member.  The conductor posts hops,
-# inserts, casts, purges and the probe's refreshing Get without
-# waiting; pinning the hop, cast and frame counts too means no frame
-# can be dropped, duplicated or resent unseen.
+# 8 workers, counted as probes, the only probes here), not a Get per
+# replica: pin the store traffic so a per-key scan cannot creep back in.
+# A replica probe is one read-only Find per worker owning candidates
+# (counted as gets), not a Get per member, and it leaves expired copies
+# for the next put to drop.  The conductor posts hops, inserts, casts
+# and the probe's refreshing Get without waiting; pinning the hop, cast
+# and frame counts too means no frame can be dropped, duplicated or
+# resent unseen.
 proc_counter() {
   grep -o "\"name\":\"$1\",\"value\":[0-9]*" "$clu/obs/merged.jsonl" | awk -F: '{print $NF}'
 }
@@ -313,12 +313,12 @@ for c in gets probes puts hops casts frames_in frames_out; do
 done
 echo
 test "$(proc_counter proc.gets)" -eq 1958
-test "$(proc_counter proc.probes)" -eq 1177
+test "$(proc_counter proc.probes)" -eq 24
 test "$(proc_counter proc.puts)" -eq 2292
 test "$(proc_counter proc.hops)" -eq 1582
 test "$(proc_counter proc.casts)" -eq 8832
-test "$(proc_counter proc.frames_in)" -eq 15857
-test "$(proc_counter proc.frames_out)" -eq 7017
+test "$(proc_counter proc.frames_in)" -eq 14704
+test "$(proc_counter proc.frames_out)" -eq 5864
 # cluster declares its workload flags through the same term as
 # simulate, so a cost-policy cluster run prints the cost golden too.
 dune exec bin/pdht_cli.exe -- cluster --nodes 2 --peers 200 --keys 300 \
@@ -366,7 +366,8 @@ grep -q '"live_within_success_floor": *true' BENCH_pdht.json
 grep -q '"equal_maintenance_budget": *true' BENCH_pdht.json
 # The heavy-tailed session axis end to end: a live-table CLI run with a
 # Weibull spec must complete and report the live-routing block, and the
-# same spec must parse inside a fault-plan churn clause.
+# same spec must parse inside a fault-plan churn clause, which --fault's
+# help documents.
 dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 120 \
   --churn weibull:up=600:down=200:shape=0.6 --bucket-refresh 30 \
   > "$chu/live-report.txt"
@@ -375,6 +376,7 @@ dune exec bin/pdht_cli.exe -- simulate --peers 200 --keys 300 --duration 240 \
   --fault 'churn:weibull:up=60:down=30:shape=0.6@60+120' --fault-check \
   > "$chu/fault-churn-report.txt"
 grep -q 'fault:' "$chu/fault-churn-report.txt"
+dune exec bin/pdht_cli.exe -- simulate --help=plain | grep -q 'churn:'
 
 echo "== chord gate =="
 # E17 (membership), E8b (in ablation) and E19 (backends_e2e) are the
