@@ -148,8 +148,8 @@ let jobs = ref (Pdht_core.Runner.default_jobs ())
 
 let section_sim_vs_model () =
   heading "E7 - event-driven simulation vs analytical model (scaled 1/10)"
-    "(shape check: who wins and by roughly what factor; absolute numbers differ\n\
-     because the simulator measures its own dup factors and warm-up misses)";
+    "(shape check: who wins and by roughly what factor; index-all's offset is\n\
+     maintenance: 1 probe per member-second in the sim, Params.env in the model)";
   let frequencies = [ 1. /. 30.; 1. /. 120.; 1. /. 600.; 1. /. 3600. ] in
   print_table
     [ ( "fQry [1/s]", Table.Left,
@@ -581,13 +581,33 @@ let splice_bench_json fields =
       output_string oc (Json.to_string (Json.Obj merged));
       output_char oc '\n')
 
+(* The shape E20, E21 and E23 share, and the tracing probe in [perf]
+   too: the news scenario at 400 peers and 800 keys, small enough to
+   keep each sweep interactive. *)
+let net_scenario =
+  { sim_scenario with Scenario.num_peers = 400; keys = 800; duration = 600.; seed = 2020 }
+
+let net_partial =
+  Strategy.Partial_index { key_ttl = System.derive_key_ttl net_scenario sim_options }
+
+let spliced key =
+  Printf.printf "spliced %S into %s\n" key bench_json_path
+
 (* ------------------------------------------------------------------ *)
-(* Perf run: instrumented simulation, exported as BENCH_pdht.json *)
+(* Perf run: the host-dependent probes (wall clocks, allocation, runner
+   scaling, tracing overhead), exported as BENCH_pdht.json *)
+
+(* [q]-quantile of a sorted array, interpolating between ranks. *)
+let quantile sorted q =
+  let pos = q *. float_of_int (Array.length sorted - 1) in
+  let i = int_of_float pos in
+  let j = min (i + 1) (Array.length sorted - 1) in
+  sorted.(i) +. ((pos -. float_of_int i) *. (sorted.(j) -. sorted.(i)))
 
 let section_perf () =
   heading "Perf - instrumented partial-index run (writes BENCH_pdht.json)"
-    "(wall-clock engine throughput, allocation counters, and runner scaling,\n\
-     exported as JSON so runs can be compared across commits)";
+    "(wall-clock engine throughput, allocation counters, runner scaling and\n\
+     tracing overhead, exported as JSON so runs can be compared across commits)";
   let scenario =
     {
       sim_scenario with
@@ -699,20 +719,17 @@ let section_perf () =
   in
   (* Runner scaling: a sweep-sized seed batch (>= 4x the domain count, so
      work-stealing has something to balance) on one domain and on
-     [max !jobs 4] domains.  The outputs are asserted identical; only the
-     wall-clock may differ.  The pool clamps its worker count to the
-     physical cores, so on a single-core box both batches run inline and
-     the honest speedup is ~1.0 rather than the oversubscription slowdown
-     spawning 4 domains there would cost. *)
+     [max !jobs 4] domains.  The outputs must be identical (the section
+     fails otherwise); only the wall-clock may differ.  The pool clamps
+     its worker count to the physical cores, so on a single-core box both
+     batches run inline and the honest speedup is ~1.0 rather than the
+     oversubscription slowdown spawning 4 domains there would cost. *)
   let cores = Domain.recommended_domain_count () in
   let par_jobs = max !jobs 4 in
   let batch_specs =
-    let scenario =
-      { scenario with Scenario.num_peers = 400; keys = 800; duration = 600. }
-    in
     Pdht_core.Run_spec.over_seeds
       (List.init 16 (fun i -> i + 1))
-      (Pdht_core.Run_spec.make ~options scenario)
+      (Pdht_core.Run_spec.make ~options net_scenario)
   in
   let timed_batch jobs =
     let g0 = Gc.quick_stat () in
@@ -729,267 +746,22 @@ let section_perf () =
   if reports_single <> reports_parallel then
     failwith "perf: parallel batch diverged from the single-domain batch";
   let speedup = if wall_parallel > 0. then wall_single /. wall_parallel else 0. in
-  (* Network model under the same workload (smaller instance so the
-     sweep stays interactive): first the contract — a zero-cost net
-     (zero latency, zero loss) must reproduce the no-net report
-     field-for-field once its own [net.*] additions are set aside —
-     then a loss sweep 0 -> 20% showing the selection algorithm
-     degrading gracefully (bounded retries, broadcast fallback, no
-     unhandled exceptions). *)
-  let net_scenario =
-    { scenario with Scenario.num_peers = 400; keys = 800; duration = 600. }
-  in
-  let net_key_ttl = System.derive_key_ttl net_scenario options in
-  let net_partial = Strategy.Partial_index { key_ttl = net_key_ttl } in
-  let run_with net = System.run net_scenario net_partial { options with System.net } in
-  let strip_net (r : System.report) =
-    {
-      r with
-      System.net = None;
-      histograms =
-        List.filter
-          (fun (name, _) ->
-            not (String.length name >= 4 && String.sub name 0 4 = "net."))
-          r.System.histograms;
-    }
-  in
-  let plain_report = run_with None in
-  let zero_cost_report = run_with (Some Pdht_net.Config.zero_cost) in
-  let zero_cost_equivalent = strip_net zero_cost_report = plain_report in
-  if not zero_cost_equivalent then
-    failwith "perf: zero-cost network model diverged from the no-net report";
-  let loss_sweep =
-    List.map
-      (fun loss ->
-        let cfg =
-          { Pdht_net.Config.default with Pdht_net.Config.loss;
-            latency = Pdht_net.Config.Constant 0.02; rpc_timeout = 0.5 }
-        in
-        (loss, run_with (Some cfg)))
-      [ 0.0; 0.05; 0.1; 0.2 ]
-  in
-  let net_of (r : System.report) =
-    match r.System.net with
-    | Some n -> n
-    | None -> failwith "perf: net-enabled report lacks its net summary"
-  in
-  let net_fields =
-    let report get (_, (r : System.report)) = get r in
-    let net get (_, r) = get (net_of r) in
-    [ Field.float ~header:"loss" ~cell:percent "loss" fst;
-      Field.int "queries" (report (fun r -> r.System.queries));
-      Field.int "answered" (report (fun r -> r.System.answered));
-      Field.float ~header:"answer rate" "answer_rate"
-        (report (fun r ->
-             float_of_int r.System.answered /. float_of_int (max 1 r.System.queries)));
-      Field.float ~header:"hit rate" "hit_rate" (report (fun r -> r.System.hit_rate));
-      Field.float "messages_per_second" (report (fun r -> r.System.messages_per_second));
-      Field.int ~header:"sent" "messages_sent" (net (fun n -> n.System.messages_sent));
-      Field.int ~header:"dropped" "messages_dropped"
-        (net (fun n -> n.System.messages_dropped));
-      Field.int ~header:"retried" "messages_retried"
-        (net (fun n -> n.System.messages_retried));
-      Field.int ~header:"timed out" "messages_timed_out"
-        (net (fun n -> n.System.messages_timed_out));
-      Field.float ~header:"lat p50 [s]" "latency_p50" (net (fun n -> n.System.latency_p50));
-      Field.float "latency_p95" (net (fun n -> n.System.latency_p95));
-      Field.float ~header:"lat p99 [s]" "latency_p99"
-        (net (fun n -> n.System.latency_p99)) ]
-  in
-  let net_json =
-    Json.Obj
-      [
-        ("zero_cost_net_equivalent", Json.Bool zero_cost_equivalent);
-        ("loss_sweep", Field.json net_fields loss_sweep);
-      ]
-  in
-  (* Crash faults under the same workload: the contract first — an
-     empty fault plan must reproduce the no-fault report
-     field-for-field once its own [fault] summary is set aside — then
-     E21 in miniature: a crash-fraction sweep 0 -> 50% at mid-run with
-     anti-entropy repair, showing dip depth, recovery time and repair
-     message overhead. *)
-  let run_with_fault plan =
-    (* 10 s sample buckets: the dip lives in the first seconds after the
-       crash (organic re-insertion repairs popular keys query-by-query),
-       so the default 60 s buckets would average it away. *)
-    System.run net_scenario net_partial
-      { options with System.sample_every = 10.; fault = plan }
-  in
-  let no_fault_report = run_with_fault None in
-  let empty_plan_report = run_with_fault (Some Pdht_fault.Plan.default) in
-  let no_fault_equivalent =
-    { empty_plan_report with System.fault = None } = no_fault_report
-  in
-  if not no_fault_equivalent then
-    failwith "perf: empty fault plan diverged from the no-fault report";
-  let crash_sweep =
-    List.map
-      (fun fraction ->
-        let plan =
-          {
-            Pdht_fault.Plan.default with
-            Pdht_fault.Plan.events =
-              [ Pdht_fault.Plan.Crash { peer_fraction = fraction; at = 300. } ];
-            repair = Some { Pdht_fault.Plan.every = 30.; min_fraction = 0.5 };
-          }
-        in
-        (fraction, run_with_fault (Some plan)))
-      [ 0.0; 0.1; 0.3; 0.5 ]
-  in
-  let fault_of (r : System.report) =
-    match r.System.fault with
-    | Some f -> f
-    | None -> failwith "perf: fault-enabled report lacks its fault summary"
-  in
-  let e21 = fault_of (List.assoc 0.3 crash_sweep) in
-  let e21_recovered =
-    match e21.System.time_to_recover with Some _ -> true | None -> false
-  in
-  let recover_json = function Some t -> Json.Float t | None -> Json.Null in
-  let fault_fields =
-    let fault get (_, r) = get (fault_of r) in
-    [ Field.float ~header:"crash" ~cell:percent "crash_fraction" fst;
-      Field.int ~header:"crashes" "crashes" (fault (fun f -> f.System.crashes));
-      Field.int ~header:"entries lost" "entries_lost"
-        (fault (fun f -> f.System.entries_lost));
-      Field.int ~header:"content lost" "content_lost"
-        (fault (fun f -> f.System.content_lost));
-      Field.float ~header:"pre" "pre_fault_rate" (fault (fun f -> f.System.pre_fault_rate));
-      Field.float ~header:"dip" "dip_rate" (fault (fun f -> f.System.dip_rate));
-      Field.float "dip_depth"
-        (fault (fun f -> f.System.pre_fault_rate -. f.System.dip_rate));
-      {
-        Field.key = "time_to_recover_s";
-        json = fault (fun f -> recover_json f.System.time_to_recover);
-        column =
-          Some
-            ( "recover [s]", Table.Right,
-              fault (fun f ->
-                  match f.System.time_to_recover with
-                  | Some t -> Printf.sprintf "%.0f" t
-                  | None -> "never") );
-      };
-      Field.int "repair_passes" (fault (fun f -> f.System.repair_passes));
-      Field.int ~header:"repair msgs" "repair_messages"
-        (fault (fun f -> f.System.repair_messages));
-      Field.float ~header:"overhead"
-        ~cell:(fun x -> Printf.sprintf "%.1f%%" (100. *. x))
-        "repair_overhead"
-        (fun (_, (r : System.report)) ->
-          float_of_int (fault_of r).System.repair_messages
-          /. float_of_int (max 1 r.System.total_messages));
-      Field.int "repaired_items" (fault (fun f -> f.System.repaired_items));
-      Field.int "repaired_entries" (fault (fun f -> f.System.repaired_entries)) ]
-  in
-  let fault_json =
-    Json.Obj
-      [
-        ("no_fault_equivalent", Json.Bool no_fault_equivalent);
-        ("crash_sweep", Field.json fault_fields crash_sweep);
-        ( "e21_small",
-          Json.Obj
-            [
-              ("crash_fraction", Json.Float 0.3);
-              ("pre_fault_rate", Json.Float e21.System.pre_fault_rate);
-              ("dip_rate", Json.Float e21.System.dip_rate);
-              ("time_to_recover_s", recover_json e21.System.time_to_recover);
-              ("fault_recovered", Json.Bool e21_recovered);
-            ] );
-      ]
-  in
-  (* Selection-policy race (E23 in miniature): contracts first — an
-     explicit [Ttl Model_derived] spec must build the very options the
-     defaults already carry, and a [Ttl _] run must install no selector
-     (its report carries no policy summary; the byte-level golden-file
-     gates live in ci.sh) — then the three-policy race across a
-     flash-crowd popularity flip.  The post-shift message rate is the
-     empirical Eq.-17 analogue; at least one adaptive policy must beat
-     the static model-derived TTL there. *)
-  let policy_default_equivalent =
-    let tiny = { net_scenario with Scenario.duration = 300. } in
-    let r_default = System.run tiny net_partial options in
-    let r_alias =
-      System.run tiny net_partial
-        {
-          options with
-          System.selection_policy =
-            Pdht_policy.Selector.Ttl Pdht_policy.Selector.Model_derived;
-        }
-    in
-    if r_alias <> r_default then
-      failwith "perf: explicit default policy spec diverged from the default options";
-    if r_default.System.policy <> None then
-      failwith "perf: default-policy run unexpectedly installed a selector";
-    true
-  in
-  let race_scenario =
-    (* Updates every 10 minutes make the *model's* TTL conservative
-       (Eq. 2 charges staleness), so the statically-derived lease is
-       short; the measurement-driven policies re-learn the simulator's
-       actual cost structure and recover the headroom. *)
-    {
-      net_scenario with
-      Scenario.name = "flash-race";
-      duration = 900.;
-      shift = Scenario.Swap_halves_at 450.;
-      update_mean_lifetime = Some 300.;
-      seed = 2023;
-    }
-  in
-  let race_policies =
-    [ Psel.Ttl Psel.Model_derived; Psel.Ttl Psel.Adaptive; Psel.Cost_optimal ]
-  in
-  let race_rows =
-    Experiment.policy_race ~jobs:!jobs ~options ~scenario:race_scenario
-      ~policies:race_policies ()
-  in
-  let static_row, adaptive_race_rows =
-    match race_rows with
-    | static :: rest -> (static, rest)
-    | [] -> assert false
-  in
-  let policy_adaptive_beats_static =
-    List.exists
-      (fun (r : Experiment.policy_race_row) ->
-        r.Experiment.post_shift_cost < static_row.Experiment.post_shift_cost)
-      adaptive_race_rows
-  in
-  let policy_fields =
-    let race get (r : Experiment.policy_race_row) = get r in
-    let count = Printf.sprintf "%.0f" in
-    [ Field.string ~header:"policy" "policy" (race (fun r -> r.Experiment.policy_label));
-      Field.float ~header:"hit rate" "hit_rate" (race (fun r -> r.Experiment.hit_rate));
-      Field.float ~header:"msg/s" ~cell:count "messages_per_second"
-        (race (fun r -> r.Experiment.messages_per_second));
-      Field.float ~header:"post-shift msg/s" ~cell:count "post_shift_cost"
-        (race (fun r -> r.Experiment.post_shift_cost));
-      Field.float ~header:"post-shift hits" "post_shift_hit_rate"
-        (race (fun r -> r.Experiment.post_shift_hit_rate));
-      Field.int ~header:"rejected" "rejected_inserts"
-        (race (fun r -> r.Experiment.rejected_inserts));
-      Field.int ~header:"indexed" "indexed_keys_final"
-        (race (fun r -> r.Experiment.indexed_keys_final)) ]
-  in
-  let policy_json =
-    Json.Obj
-      [
-        ("policy_default_equivalent", Json.Bool policy_default_equivalent);
-        ("policy_adaptive_beats_static", Json.Bool policy_adaptive_beats_static);
-        ("shift_time_s", Json.Float 450.);
-        ("policy_race", Field.json policy_fields race_rows);
-      ]
-  in
-  (* Tracing overhead: every simulation now threads span context and
-     guards event construction with [Tracer.active]; the contract is
-     that a *disabled* tracer (the default for every run without
-     --trace-out) costs nothing measurable.  There is no
-     pre-instrumentation binary to race against, so measure the
-     disabled path twice, interleaved A B A B A B (interleaving cancels
-     thermal/scheduler drift) and take best-of-3 each: the two minima
-     must agree within 2%.  The enabled walls (full sampling and 1-in-16
-     into a counting sink) are recorded for information — they price the
-     tracing you opted into, not a regression. *)
+  (* Tracing overhead: every simulation threads span context and guards
+     event construction with [Tracer.active]; the contract is that a
+     *disabled* tracer (the default for every run without --trace-out)
+     costs nothing measurable.  There is no pre-instrumentation binary
+     to race against, so the disabled run is timed against itself: each
+     of [tracing_pairs] pairs times one run at a time in the order
+     A B B A and reads (B1 + B2) / (A1 + A2), so a drift in host speed
+     that is linear over the pair lands on both arms alike.  The
+     estimate is the median pair ratio minus 1, floored at 0.  On a
+     shared 2-vCPU VM single runs wander between ~17 and ~31 ms from one
+     run to the next in busy spells, so one pair's ratio spreads +-10%
+     and a median of 60 pairs still read 0.0216 in one run of ten; the
+     median of 100 read at most 0.0057 in ten.  The enabled walls (full
+     sampling and 1-in-16 into a counting sink) are recorded for
+     information — they price the tracing you opted into, not a
+     regression. *)
   let tracing_cfg =
     {
       Pdht_net.Config.default with
@@ -998,59 +770,54 @@ let section_perf () =
       rpc_timeout = 0.5;
     }
   in
+  let timed_run ?obs () =
+    let t0 = Unix.gettimeofday () in
+    let (_ : System.report) =
+      System.run ?obs net_scenario net_partial { options with System.net = Some tracing_cfg }
+    in
+    Unix.gettimeofday () -. t0
+  in
   let traced_events = ref 0 in
-  let timed_traced ~sample () =
+  let timed_traced ~sample =
+    traced_events := 0;
     let tracer = Pdht_obs.Tracer.create ~enabled:true () in
     Pdht_obs.Tracer.set_sampling tracer sample;
     Pdht_obs.Tracer.add_sink tracer
       (Pdht_obs.Sink.callback (fun _ -> incr traced_events));
-    let obs = Pdht_obs.Context.create ~tracer () in
-    let t0 = Unix.gettimeofday () in
-    let (_ : System.report) =
-      System.run ~obs net_scenario net_partial { options with System.net = Some tracing_cfg }
-    in
-    Unix.gettimeofday () -. t0
+    let wall = timed_run ~obs:(Pdht_obs.Context.create ~tracer ()) () in
+    (wall, !traced_events)
   in
-  let timed_disabled () =
-    (* One run is a few tens of ms — below the clock's useful 2%
-       resolution — so one sample aggregates several back-to-back
-       runs. *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 4 do
-      let (_ : System.report) =
-        System.run net_scenario net_partial { options with System.net = Some tracing_cfg }
-      in
-      ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let best_a = ref infinity and best_b = ref infinity in
-  ignore (timed_disabled ());
+  let tracing_pairs = 100 in
+  ignore (timed_run ());
   (* warm-up *)
-  for _ = 1 to 3 do
-    best_a := Float.min !best_a (timed_disabled ());
-    best_b := Float.min !best_b (timed_disabled ())
-  done;
-  let disabled_overhead_frac =
-    if !best_a > 0. then Float.max 0. ((!best_b -. !best_a) /. !best_a) else 0.
+  let walls_a = Array.make tracing_pairs 0. in
+  let ratios =
+    Array.init tracing_pairs (fun i ->
+        let a1 = timed_run () in
+        let b1 = timed_run () in
+        let b2 = timed_run () in
+        let a2 = timed_run () in
+        walls_a.(i) <- (a1 +. a2) /. 2.;
+        (b1 +. b2) /. (a1 +. a2))
   in
+  Array.sort Float.compare ratios;
+  Array.sort Float.compare walls_a;
+  let ratio_median = quantile ratios 0.5 in
+  let disabled_overhead_frac = Float.max 0. (ratio_median -. 1.) in
   let tracing_within_2pct = disabled_overhead_frac <= 0.02 in
   if not tracing_within_2pct then
-    Printf.printf
-      "WARNING: disabled-tracer re-measure drifted %.1f%% from its interleaved \
-       baseline\n"
+    Printf.printf "WARNING: disabled-tracer paired re-measure drifted %.1f%% (median)\n"
       (100. *. disabled_overhead_frac);
-  traced_events := 0;
-  let wall_traced_full = timed_traced ~sample:1 () in
-  let events_traced_full = !traced_events in
-  traced_events := 0;
-  let wall_traced_sampled = timed_traced ~sample:16 () in
-  let events_traced_sampled = !traced_events in
+  let wall_traced_full, events_traced_full = timed_traced ~sample:1 in
+  let wall_traced_sampled, events_traced_sampled = timed_traced ~sample:16 in
   let tracing_json =
     Json.Obj
       [
-        ("wall_disabled_s", Json.Float !best_a);
-        ("wall_disabled_remeasured_s", Json.Float !best_b);
+        ("wall_disabled_s", Json.Float (quantile walls_a 0.5));
+        ("pairs", Json.Int tracing_pairs);
+        ("ratio_q1", Json.Float (quantile ratios 0.25));
+        ("ratio_median", Json.Float ratio_median);
+        ("ratio_q3", Json.Float (quantile ratios 0.75));
         ("disabled_overhead_frac", Json.Float disabled_overhead_frac);
         ("tracing_disabled_within_2pct", Json.Bool tracing_within_2pct);
         ("wall_traced_full_s", Json.Float wall_traced_full);
@@ -1110,11 +877,7 @@ let section_perf () =
             ("wall_parallel_s", Json.Float wall_parallel);
             ("minor_words_parallel", Json.Float minor_parallel);
             ("speedup", Json.Float speedup);
-            ("identical_reports", Json.Bool true);
           ] );
-      ("net", net_json);
-      ("fault", fault_json);
-      ("policy", policy_json);
       ("tracing", tracing_json);
     ];
   Printf.printf
@@ -1123,34 +886,264 @@ let section_perf () =
      storage expire %.2f w/op (alloc-free: %b), put+get %.2f w/op\n\
      runner: %d-spec batch %.2f s on 1 domain vs %.2f s at -j %d (%.2fx on %d core(s), \
      identical output)\n\
+     tracing: disabled %.3f s a run; %d ABBA pairs, B/A median %.4f (IQR %.4f-%.4f), \
+     overhead %.2f%% (within 2%%: %b); enabled %.2f s for %d events (1/1), %.2f s for %d \
+     events (1/16)\n\
      wrote %s\n"
     run_name engine_events wall events_per_second minor_words_per_event queue_words_per_op
     flood_scratch_words flood_fresh_words storage_expire_words
     (storage_expire_words = 0.) storage_put_get_words (List.length batch_specs)
-    wall_single wall_parallel par_jobs speedup cores bench_json_path;
-  Printf.printf
-    "\nnetwork model (constant 20 ms/hop, 0.5 s timeout, %d retries): \
-     zero-cost net == no net: %b\n"
-    Pdht_net.Config.default.Pdht_net.Config.rpc_retries zero_cost_equivalent;
-  Field.print_table net_fields loss_sweep;
-  Printf.printf
-    "\nfault injection (crash at t=300, anti-entropy every 30 s): empty plan == no \
-     fault: %b; E21-small recovered: %b\n"
-    no_fault_equivalent e21_recovered;
-  Field.print_table fault_fields crash_sweep;
-  Printf.printf
-    "\nselection policies (flash crowd, halves swap at t=450): explicit default spec == \
-     default: %b; adaptive beats static TTL post-shift: %b\n"
-    policy_default_equivalent policy_adaptive_beats_static;
-  Field.print_table policy_fields race_rows;
-  Printf.printf
-    "\ntracing: disabled %.2f s vs %.2f s re-measured (%.2f%% apart, within 2%%: %b); \
-     enabled %.2f s for %d events (1/1), %.2f s for %d events (1/16)\n"
-    !best_a !best_b
+    wall_single wall_parallel par_jobs speedup cores (quantile walls_a 0.5) tracing_pairs
+    ratio_median (quantile ratios 0.25) (quantile ratios 0.75)
     (100. *. disabled_overhead_frac)
     tracing_within_2pct wall_traced_full events_traced_full wall_traced_sampled
-    events_traced_sampled
+    events_traced_sampled bench_json_path
 
+(* ------------------------------------------------------------------ *)
+(* E20, E21, E23: the selection algorithm under message loss, crashes
+   and rival selection policies.  Each section first checks its
+   contract (the zero value of its axis reproduces the plain report, or
+   the section fails), then prints its rows and splices its block into
+   BENCH_pdht.json.  The rows are deterministic; ci.sh pins them as a
+   golden at two --jobs values. *)
+
+let section_net () =
+  heading "E20 - the selection algorithm under message loss"
+    "(contract first: a zero-cost net - zero latency, zero loss - must reproduce\n\
+     the no-net report field for field once its own net.* additions are set\n\
+     aside; then a 0 -> 20% loss sweep: bounded retries, broadcast fallback)";
+  let run_with net = System.run net_scenario net_partial { sim_options with System.net } in
+  let strip_net (r : System.report) =
+    {
+      r with
+      System.net = None;
+      histograms =
+        List.filter
+          (fun (name, _) ->
+            not (String.length name >= 4 && String.sub name 0 4 = "net."))
+          r.System.histograms;
+    }
+  in
+  if strip_net (run_with (Some Pdht_net.Config.zero_cost)) <> run_with None then
+    failwith "net: zero-cost network model diverged from the no-net report";
+  let loss_sweep =
+    List.map
+      (fun loss ->
+        let cfg =
+          { Pdht_net.Config.default with Pdht_net.Config.loss;
+            latency = Pdht_net.Config.Constant 0.02; rpc_timeout = 0.5 }
+        in
+        (loss, run_with (Some cfg)))
+      [ 0.0; 0.05; 0.1; 0.2 ]
+  in
+  let net_of (r : System.report) =
+    match r.System.net with
+    | Some n -> n
+    | None -> failwith "net: net-enabled report lacks its net summary"
+  in
+  let fields =
+    let report get (_, (r : System.report)) = get r in
+    let net get (_, r) = get (net_of r) in
+    [ Field.float ~header:"loss" ~cell:percent "loss" fst;
+      Field.int "queries" (report (fun r -> r.System.queries));
+      Field.int "answered" (report (fun r -> r.System.answered));
+      Field.float ~header:"answer rate" "answer_rate"
+        (report (fun r ->
+             float_of_int r.System.answered /. float_of_int (max 1 r.System.queries)));
+      Field.float ~header:"hit rate" "hit_rate" (report (fun r -> r.System.hit_rate));
+      Field.float "messages_per_second" (report (fun r -> r.System.messages_per_second));
+      Field.int ~header:"sent" "messages_sent" (net (fun n -> n.System.messages_sent));
+      Field.int ~header:"dropped" "messages_dropped"
+        (net (fun n -> n.System.messages_dropped));
+      Field.int ~header:"retried" "messages_retried"
+        (net (fun n -> n.System.messages_retried));
+      Field.int ~header:"timed out" "messages_timed_out"
+        (net (fun n -> n.System.messages_timed_out));
+      Field.float ~header:"lat p50 [s]" "latency_p50" (net (fun n -> n.System.latency_p50));
+      Field.float "latency_p95" (net (fun n -> n.System.latency_p95));
+      Field.float ~header:"lat p99 [s]" "latency_p99"
+        (net (fun n -> n.System.latency_p99)) ]
+  in
+  Printf.printf "network model (constant 20 ms/hop, 0.5 s timeout, %d retries):\n"
+    Pdht_net.Config.default.Pdht_net.Config.rpc_retries;
+  Field.print_table fields loss_sweep;
+  splice_bench_json [ ("net", Json.Obj [ ("loss_sweep", Field.json fields loss_sweep) ]) ];
+  spliced "net"
+
+let section_fault () =
+  heading "E21 - mass-crash recovery"
+    "(contract first: an empty fault plan must reproduce the no-fault report\n\
+     field for field once its own fault summary is set aside; then a 0 -> 50%\n\
+     crash sweep at mid-run with anti-entropy repair: dip, recovery, overhead)";
+  let run_with_fault plan =
+    (* 10 s sample buckets: the dip lives in the first seconds after the
+       crash (organic re-insertion repairs popular keys query-by-query),
+       so the default 60 s buckets would average it away. *)
+    System.run net_scenario net_partial
+      { sim_options with System.sample_every = 10.; fault = plan }
+  in
+  if
+    { (run_with_fault (Some Pdht_fault.Plan.default)) with System.fault = None }
+    <> run_with_fault None
+  then failwith "fault: empty fault plan diverged from the no-fault report";
+  let crash_sweep =
+    List.map
+      (fun fraction ->
+        let plan =
+          {
+            Pdht_fault.Plan.default with
+            Pdht_fault.Plan.events =
+              [ Pdht_fault.Plan.Crash { peer_fraction = fraction; at = 300. } ];
+            repair = Some { Pdht_fault.Plan.every = 30.; min_fraction = 0.5 };
+          }
+        in
+        (fraction, run_with_fault (Some plan)))
+      [ 0.0; 0.1; 0.3; 0.5 ]
+  in
+  let fault_of (r : System.report) =
+    match r.System.fault with
+    | Some f -> f
+    | None -> failwith "fault: fault-enabled report lacks its fault summary"
+  in
+  let e21 = fault_of (List.assoc 0.3 crash_sweep) in
+  let e21_recovered =
+    match e21.System.time_to_recover with Some _ -> true | None -> false
+  in
+  let recover_json = function Some t -> Json.Float t | None -> Json.Null in
+  let fields =
+    let fault get (_, r) = get (fault_of r) in
+    [ Field.float ~header:"crash" ~cell:percent "crash_fraction" fst;
+      Field.int ~header:"crashes" "crashes" (fault (fun f -> f.System.crashes));
+      Field.int ~header:"entries lost" "entries_lost"
+        (fault (fun f -> f.System.entries_lost));
+      Field.int ~header:"content lost" "content_lost"
+        (fault (fun f -> f.System.content_lost));
+      Field.float ~header:"pre" "pre_fault_rate" (fault (fun f -> f.System.pre_fault_rate));
+      Field.float ~header:"dip" "dip_rate" (fault (fun f -> f.System.dip_rate));
+      Field.float "dip_depth"
+        (fault (fun f -> f.System.pre_fault_rate -. f.System.dip_rate));
+      {
+        Field.key = "time_to_recover_s";
+        json = fault (fun f -> recover_json f.System.time_to_recover);
+        column =
+          Some
+            ( "recover [s]", Table.Right,
+              fault (fun f ->
+                  match f.System.time_to_recover with
+                  | Some t -> Printf.sprintf "%.0f" t
+                  | None -> "never") );
+      };
+      Field.int "repair_passes" (fault (fun f -> f.System.repair_passes));
+      Field.int ~header:"repair msgs" "repair_messages"
+        (fault (fun f -> f.System.repair_messages));
+      Field.float ~header:"overhead"
+        ~cell:(fun x -> Printf.sprintf "%.1f%%" (100. *. x))
+        "repair_overhead"
+        (fun (_, (r : System.report)) ->
+          float_of_int (fault_of r).System.repair_messages
+          /. float_of_int (max 1 r.System.total_messages));
+      Field.int "repaired_items" (fault (fun f -> f.System.repaired_items));
+      Field.int "repaired_entries" (fault (fun f -> f.System.repaired_entries)) ]
+  in
+  Printf.printf
+    "fault injection (crash at t=300, anti-entropy every 30 s): E21-small recovered: %b\n"
+    e21_recovered;
+  Field.print_table fields crash_sweep;
+  splice_bench_json
+    [
+      ( "fault",
+        Json.Obj
+          [
+            ("crash_sweep", Field.json fields crash_sweep);
+            ( "e21_small",
+              Json.Obj
+                [
+                  ("crash_fraction", Json.Float 0.3);
+                  ("pre_fault_rate", Json.Float e21.System.pre_fault_rate);
+                  ("dip_rate", Json.Float e21.System.dip_rate);
+                  ("time_to_recover_s", recover_json e21.System.time_to_recover);
+                  ("fault_recovered", Json.Bool e21_recovered);
+                ] );
+          ] );
+    ];
+  spliced "fault"
+
+let section_policy () =
+  heading "E23 - selection-policy race across a flash crowd"
+    "(contract first: an explicit [ttl] spec must build the very report the\n\
+     default options do, with no selector installed; then ttl, ttl:adaptive\n\
+     and cost race across a popularity flip, scored on post-shift msg/s)";
+  let tiny = { net_scenario with Scenario.duration = 300. } in
+  let r_default = System.run tiny net_partial sim_options in
+  if
+    System.run tiny net_partial
+      { sim_options with System.selection_policy = Psel.Ttl Psel.Model_derived }
+    <> r_default
+  then failwith "policy: explicit default policy spec diverged from the default options";
+  if r_default.System.policy <> None then
+    failwith "policy: default-policy run unexpectedly installed a selector";
+  let race_scenario =
+    (* Updates every 10 minutes make the *model's* TTL conservative
+       (Eq. 2 charges staleness), so the statically-derived lease is
+       short; the measurement-driven policies re-learn the simulator's
+       actual cost structure and recover the headroom. *)
+    {
+      net_scenario with
+      Scenario.name = "flash-race";
+      duration = 900.;
+      shift = Scenario.Swap_halves_at 450.;
+      update_mean_lifetime = Some 300.;
+      seed = 2023;
+    }
+  in
+  let rows =
+    Experiment.policy_race ~jobs:!jobs ~options:sim_options ~scenario:race_scenario
+      ~policies:[ Psel.Ttl Psel.Model_derived; Psel.Ttl Psel.Adaptive; Psel.Cost_optimal ]
+      ()
+  in
+  (* The post-shift message rate is the empirical Eq.-17 analogue; the
+     golden pins whether an adaptive policy beats the static TTL there. *)
+  let adaptive_beats_static =
+    match rows with
+    | static :: adaptive ->
+        List.exists
+          (fun (r : Experiment.policy_race_row) ->
+            r.Experiment.post_shift_cost < static.Experiment.post_shift_cost)
+          adaptive
+    | [] -> assert false
+  in
+  let fields =
+    let race get (r : Experiment.policy_race_row) = get r in
+    let count = Printf.sprintf "%.0f" in
+    [ Field.string ~header:"policy" "policy" (race (fun r -> r.Experiment.policy_label));
+      Field.float ~header:"hit rate" "hit_rate" (race (fun r -> r.Experiment.hit_rate));
+      Field.float ~header:"msg/s" ~cell:count "messages_per_second"
+        (race (fun r -> r.Experiment.messages_per_second));
+      Field.float ~header:"post-shift msg/s" ~cell:count "post_shift_cost"
+        (race (fun r -> r.Experiment.post_shift_cost));
+      Field.float ~header:"post-shift hits" "post_shift_hit_rate"
+        (race (fun r -> r.Experiment.post_shift_hit_rate));
+      Field.int ~header:"rejected" "rejected_inserts"
+        (race (fun r -> r.Experiment.rejected_inserts));
+      Field.int ~header:"indexed" "indexed_keys_final"
+        (race (fun r -> r.Experiment.indexed_keys_final)) ]
+  in
+  Printf.printf
+    "selection policies (flash crowd, halves swap at t=450): adaptive beats static TTL \
+     post-shift: %b\n"
+    adaptive_beats_static;
+  Field.print_table fields rows;
+  splice_bench_json
+    [
+      ( "policy",
+        Json.Obj
+          [
+            ("policy_adaptive_beats_static", Json.Bool adaptive_beats_static);
+            ("shift_time_s", Json.Float 450.);
+            ("policy_race", Field.json fields rows);
+          ] );
+    ];
+  spliced "policy"
 
 (* ------------------------------------------------------------------ *)
 (* Decade scale sweep: 10^3 .. 10^6 peers.  Per decade, one news-scaled
@@ -1436,7 +1429,7 @@ let section_churn_routing () =
             ("equal_maintenance_budget", Json.Bool budget_ok);
           ] );
     ];
-  Printf.printf "spliced \"churn\" into %s\n" bench_json_path
+  spliced "churn"
 
 let sections =
   [
@@ -1465,8 +1458,14 @@ let sections =
     ("arity", "k-ary key space (Section 3.2, footnote 3).", section_arity);
     ("replication_planning", "Replication planning for an availability target.",
      section_replication_planning);
-    ("perf", "Instrumented run plus net, fault, policy and tracing contracts; \
-              writes BENCH_pdht.json.", section_perf);
+    ("net", "E20: zero-cost net contract, then a 0-20% loss sweep; splices into \
+             BENCH_pdht.json.", section_net);
+    ("fault", "E21: empty-plan contract, then a 0-50% crash sweep; splices into \
+               BENCH_pdht.json.", section_fault);
+    ("policy", "E23: default-spec contract, then the flash-crowd policy race; splices \
+                into BENCH_pdht.json.", section_policy);
+    ("perf", "Host-dependent probes: headline wall, gc, alloc, parallel batch, tracing \
+              overhead; writes BENCH_pdht.json.", section_perf);
     ("scale", "Decade sweep 10^3..10^6 peers (cap with $(b,--scale-max)); splices \
                into BENCH_pdht.json.", section_scale);
     ("churn_routing", "E26: live vs frozen k-buckets; splices into BENCH_pdht.json.",

@@ -30,8 +30,11 @@ val row_starts : t -> int array
 (** The CSR rows themselves, shared, not copied: peer [p]'s neighbors
     are [(adjacency t).(i)] for [(row_starts t).(p) <= i < (row_starts
     t).(p + 1)], ascending.  [peer_count t + 1] entries.  Read-only; for
-    hot loops outside this library, where each {!degree} or {!neighbor}
-    is a call once modules compile with [-opaque]. *)
+    hot loops outside this library, which hold the two arrays in locals.
+    Not an [-opaque] workaround: in a release-profile build (no
+    [-opaque]) [Replica_net.flood] through {!degree}/{!neighbor} took
+    350–419 ns a flood at 20 members against 280–298 ns on these rows,
+    and 9.66–9.75 against 8.6–9.0 µs at 200 members. *)
 
 val adjacency : t -> int array
 (** See {!row_starts}. *)

@@ -195,8 +195,9 @@ module Scenario = Pdht_work.Scenario
 let cli_scenario =
   { Scenario.news_default with Scenario.num_peers = 200; keys = 300; duration = 400. }
 
-let cli_report ?(scenario = cli_scenario) ?strategy selection_policy =
-  let options = System.Options.make ~repl:20 ~stor:100 ~selection_policy () in
+let with_policy selection_policy = System.Options.make ~repl:20 ~stor:100 ~selection_policy ()
+
+let cli_report ?(scenario = cli_scenario) ?strategy options =
   let strategy =
     match strategy with
     | Some s -> s
@@ -208,15 +209,27 @@ let cli_report ?(scenario = cli_scenario) ?strategy selection_policy =
 let render report = Format.asprintf "%a@." System.pp_report report
 
 let test_cost_run_matches_golden () =
-  Golden.check "cost_policy_report.txt" (render (cli_report Sel.Cost_optimal))
+  Golden.check "cost_policy_report.txt" (render (cli_report (with_policy Sel.Cost_optimal)))
 
 let test_adaptive_run_matches_golden () =
-  Golden.check "adaptive_policy_report.txt" (render (cli_report (Sel.Ttl Sel.Adaptive)))
+  Golden.check "adaptive_policy_report.txt"
+    (render (cli_report (with_policy (Sel.Ttl Sel.Adaptive))))
+
+(* The default-policy contract through System.run: the default options
+   and an explicit [Ttl Model_derived] spec both print the report of
+   [pdht simulate --peers 200 --keys 300 --duration 240], which was
+   pinned before the policy axis existed. *)
+let test_default_run_matches_golden () =
+  let scenario = { cli_scenario with Scenario.duration = 240. } in
+  List.iter
+    (fun options ->
+      Golden.check "default_policy_report.txt" (render (cli_report ~scenario options)))
+    [ System.default_options; with_policy (Sel.Ttl Sel.Model_derived) ]
 
 (* Only a partial index has insertions to gate: the selector (and with
    it the report's policy summary) exists under [Partial_index] alone. *)
 let test_selector_installed_only_for_partial () =
-  (match (cli_report Sel.Cost_optimal).System.policy with
+  (match (cli_report (with_policy Sel.Cost_optimal)).System.policy with
   | Some s -> Alcotest.(check string) "partial installs cost" "cost" s.Sel.policy
   | None -> Alcotest.fail "partial cost run carries no policy summary");
   let short = { cli_scenario with Scenario.duration = 120. } in
@@ -225,7 +238,8 @@ let test_selector_installed_only_for_partial () =
       Alcotest.(check bool)
         (label ^ " installs no selector")
         true
-        ((cli_report ~scenario:short ~strategy Sel.Cost_optimal).System.policy = None))
+        ((cli_report ~scenario:short ~strategy (with_policy Sel.Cost_optimal)).System.policy
+        = None))
     [ ("index-all", Strategy.Index_all); ("no-index", Strategy.No_index) ]
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
@@ -254,6 +268,8 @@ let () =
         ] );
       ( "system",
         [
+          Alcotest.test_case "default run matches golden" `Slow
+            test_default_run_matches_golden;
           Alcotest.test_case "cost run matches golden" `Slow test_cost_run_matches_golden;
           Alcotest.test_case "adaptive run matches golden" `Slow
             test_adaptive_run_matches_golden;
